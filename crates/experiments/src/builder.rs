@@ -735,18 +735,29 @@ mod tests {
     #[test]
     fn ondemand_matches_under_coarse_and_fine_cadence() {
         let p = vpr();
-        let c = cfg();
-        let batch = Pipeline::new(&p).config(c).run().unwrap();
-        for every in [1u64, 257, 1 << 20] {
-            let out = Pipeline::new(&p)
-                .policy(PolicySpec {
-                    cfg: c,
-                    slicing: SlicingMode::OnDemand { checkpoint_every: every },
-                    ..PolicySpec::default()
-                })
-                .run()
-                .unwrap();
-            assert_eq!(key(&out.result), key(&batch.result), "checkpoint_every={every}");
+        // Every checkpoint clones the whole cache hierarchy, so cadence 1
+        // runs at a small budget, against a batch run at that budget.
+        let small = PipelineConfig::paper_default(2_000);
+        for (c, cadences) in [(small, &[1u64][..]), (cfg(), &[257, 1 << 20][..])] {
+            let batch = Pipeline::new(&p).config(c).run().unwrap();
+            assert!(batch.forest.num_trees() > 0, "budget {} slices nothing", c.budget);
+            let batch_forest = preexec_slice::write_forest(&batch.forest);
+            for &every in cadences {
+                let out = Pipeline::new(&p)
+                    .policy(PolicySpec {
+                        cfg: c,
+                        slicing: SlicingMode::OnDemand { checkpoint_every: every },
+                        ..PolicySpec::default()
+                    })
+                    .run()
+                    .unwrap();
+                assert_eq!(key(&out.result), key(&batch.result), "checkpoint_every={every}");
+                assert_eq!(
+                    preexec_slice::write_forest(&out.forest),
+                    batch_forest,
+                    "forest bytes diverged at checkpoint_every={every}"
+                );
+            }
         }
     }
 

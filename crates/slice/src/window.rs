@@ -5,7 +5,6 @@ use crate::SliceError;
 use preexec_func::DynInst;
 use preexec_isa::reg::NUM_REGS;
 use preexec_isa::{Inst, Pc};
-use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap, VecDeque};
 
 /// One element of an extracted backward slice.
@@ -78,83 +77,67 @@ pub(crate) struct EntryView {
 /// byte-identical whichever extractor produced it — by construction, not
 /// by two traversals kept in sync.
 ///
-/// `entry` is consulted once per visited sequence number; dependences
-/// older than `min_seq` (out of scope) are never followed, so `entry` may
-/// report them as `None` or as their true (sub-`min_seq`) value
-/// interchangeably.
+/// `entry` is consulted once per visited sequence number, root first;
+/// dependences older than `min_seq` (out of scope) are never followed, so
+/// `entry` may report them as `None` or as their true (sub-`min_seq`)
+/// value interchangeably.
+///
+/// Every dependence is strictly older than its consumer (DESIGN.md §7.5),
+/// so the max-heap worklist pops seqs in non-increasing order: the visited
+/// seqs come out strictly descending (a truncated slice keeps the
+/// instructions nearest the root), a duplicate pops right after its twin,
+/// and no pushed dependence can already be visited. No hashing is needed.
 pub(crate) fn slice_from(
     root_seq: u64,
     min_seq: u64,
     max_len: usize,
     mut entry: impl FnMut(u64) -> Result<EntryView, SliceError>,
 ) -> Result<Vec<SliceEntry>, SliceError> {
-    // Max-heap worklist: process candidates in descending seq order so
-    // that a truncated slice keeps the instructions nearest the root.
-    let mut heap: BinaryHeap<u64> = BinaryHeap::new();
-    let mut included: HashMap<u64, u32> = HashMap::new(); // seq -> position
-    let mut views: HashMap<u64, EntryView> = HashMap::new();
-    let mut order: Vec<u64> = Vec::new();
-
-    let mut fetch = |seq: u64, views: &mut HashMap<u64, EntryView>| -> Result<EntryView, SliceError> {
-        if let Some(v) = views.get(&seq) {
-            return Ok(*v);
-        }
-        let v = entry(seq)?;
-        views.insert(seq, v);
-        Ok(v)
+    // The root's memory dependence is not followed: only its address
+    // computation matters for prefetching.
+    let deps = |seq: u64, e: &EntryView| {
+        let mem = e.mem_dep.filter(|_| e.inst.op.is_load() && seq != root_seq);
+        e.reg_deps.into_iter().flatten().chain(mem)
     };
-
-    let root = fetch(root_seq, &mut views)?;
-    included.insert(root_seq, 0);
-    order.push(root_seq);
-    for dep in root.reg_deps.into_iter().flatten() {
-        if dep >= min_seq {
-            heap.push(dep);
-        }
-    }
-
-    while let Some(seq) = heap.pop() {
-        if order.len() >= max_len {
-            break;
-        }
-        match included.entry(seq) {
-            Entry::Occupied(_) => continue,
-            Entry::Vacant(v) => v.insert(order.len() as u32),
-        };
-        order.push(seq);
-        let e = fetch(seq, &mut views)?;
-        for dep in e.reg_deps.into_iter().flatten() {
-            if dep >= min_seq && !included.contains_key(&dep) {
+    let mut heap: BinaryHeap<u64> = BinaryHeap::new();
+    // Pre-sized for usual slice lengths; a huge `max_len` grows on demand.
+    let cap = max_len.min(256);
+    let mut order: Vec<u64> = Vec::with_capacity(cap); // strictly descending
+    let mut views: Vec<EntryView> = Vec::with_capacity(cap); // parallel to `order`
+    let mut next = Some(root_seq);
+    while let Some(seq) = next {
+        let e = entry(seq)?;
+        for dep in deps(seq, &e) {
+            debug_assert!(dep < seq, "dependence {dep} is not older than consumer {seq}");
+            if dep >= min_seq {
                 heap.push(dep);
             }
         }
-        if e.inst.op.is_load() {
-            if let Some(dep) = e.mem_dep {
-                if dep >= min_seq && !included.contains_key(&dep) {
-                    heap.push(dep);
-                }
-            }
-        }
+        order.push(seq);
+        views.push(e);
+        next = if order.len() < max_len {
+            std::iter::from_fn(|| heap.pop()).find(|s| order.last() != Some(s))
+        } else {
+            None
+        };
     }
 
     // Build entries with intra-slice dependence positions.
     Ok(order
         .iter()
-        .map(|&seq| {
-            let e = views.get(&seq).expect("visited seq has a cached view");
-            let mut dep_positions: Vec<u32> = e
-                .reg_deps
-                .into_iter()
-                .flatten()
-                .chain(if e.inst.op.is_load() && seq != root_seq {
-                    e.mem_dep
-                } else {
-                    None
-                })
-                .filter_map(|dep| included.get(&dep).copied())
-                .collect();
-            dep_positions.sort_unstable();
-            dep_positions.dedup();
+        .zip(&views)
+        .map(|(&seq, e)| {
+            let (mut pos, mut n) = ([0u32; 3], 0);
+            for dep in deps(seq, e) {
+                if let Ok(p) = order.binary_search_by(|probe| dep.cmp(probe)) {
+                    if !pos[..n].contains(&(p as u32)) {
+                        pos[n] = p as u32;
+                        n += 1;
+                    }
+                }
+            }
+            pos[..n].sort_unstable();
+            let dep_positions = pos[..n].to_vec();
             SliceEntry { pc: e.pc, inst: e.inst, dist: root_seq - seq, dep_positions }
         })
         .collect())
