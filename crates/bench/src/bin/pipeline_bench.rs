@@ -1,18 +1,20 @@
 //! `pipeline-bench` — end-to-end pipeline benchmark with per-stage
-//! wall-clock, serial versus N-thread, batch versus streaming.
+//! wall-clock: serial versus N-thread selection, windowed versus
+//! streaming versus on-demand trace.
 //!
-//! Runs one workload through the [`Pipeline`] builder three ways — batch
-//! serial, batch `--threads N`, and streaming — and emits two reports:
+//! Runs one workload through the [`Pipeline`] builder and emits five
+//! reports:
 //!
-//! - `BENCH_pipeline.json`: per-stage timings, the parallel stages'
-//!   internal [`ParStats`] counters, and an `obs` section (the
-//!   [`preexec_obs`] registry's per-stage histograms, counters, and
-//!   gauges accumulated across the runs);
-//! - `BENCH_stream.json`: batch versus streaming trace wall clock plus a
-//!   peak-memory proxy in instruction records (the full trace length the
-//!   batch path conceptually materializes versus the streaming path's
-//!   measured `stream.peak_window_insts` high-water mark), the transport
-//!   counters, and the same `obs` section;
+//! - `BENCH_pipeline.json`: per-stage timings, the selection stage's
+//!   internal [`ParStats`] counters (the only stage that fans out), and
+//!   an `obs` section (the [`preexec_obs`] registry's per-stage
+//!   histograms, counters, and gauges accumulated across the runs);
+//! - `BENCH_stream.json`: windowed versus streaming trace wall clock plus
+//!   a peak-memory proxy in instruction records (the windowed path's
+//!   `scope`-instruction window bound versus the streaming path's
+//!   measured `stream.peak_window_insts` high-water mark of window plus
+//!   in-flight chunk), the transport counters, and the same `obs`
+//!   section;
 //! - `BENCH_score.json`: the two-tier scoring comparison — exact
 //!   (screening off) versus screened selection over the same forest,
 //!   best-of-5 wall clock of the `stage.score`/`stage.screen` spans from
@@ -28,9 +30,9 @@
 //!   bit-identity verdict, and the global-forest identity with the
 //!   windowed batch leg.
 //!
-//! Every timed stage leg (trace serial/parallel/streaming/on-demand and
-//! the finish stages behind the select timings) is best-of-5 — single
-//! shots confound scheduler noise with stage cost.
+//! Every timed stage leg (trace windowed/streaming/on-demand and the
+//! finish stages behind the select timings) is best-of-5 — single shots
+//! confound scheduler noise with stage cost.
 //!
 //! All legs are compared for bit-identity, so every benchmark run
 //! doubles as a determinism check (DESIGN.md §11) covering the thread
@@ -265,38 +267,19 @@ fn run(args: &Args) -> Result<u8, String> {
     let cfg = PipelineConfig::paper_default(args.budget);
     let par = Parallelism::new(args.threads);
 
-    // Trace + slice, serial then parallel, best-of-N each. The trace
-    // itself is inherently serial (it is one dependent instruction
-    // stream); the tree construction behind it is the parallel part, and
-    // ParStats covers exactly that fan-out.
-    let (slice_serial_us, arts_serial) = best_of_us(|| {
+    // Trace + slice on the windowed path, best-of-N. The trace is one
+    // dependent pass over the instruction stream, so it has no thread
+    // knob.
+    let (trace_us, arts_serial) = best_of_us(|| {
         Pipeline::new(&program)
             .config(cfg)
             .trace()
-            .map_err(|e| format!("serial trace: {e}"))
+            .map_err(|e| format!("windowed trace: {e}"))
     })?;
-    let (slice_par_us, arts_par) = best_of_us(|| {
-        Pipeline::new(&program)
-            .config(cfg)
-            .parallelism(par)
-            .trace()
-            .map_err(|e| format!("parallel trace: {e}"))
-    })?;
-    let slice = StagePair {
-        serial_us: slice_serial_us,
-        par_us: slice_par_us,
-        par_stats: arts_par.par,
-    };
     let forest_bytes = preexec_slice::write_forest(&arts_serial.forest);
-    if forest_bytes != preexec_slice::write_forest(&arts_par.forest) {
-        return Err(format!(
-            "slice forests differ between --threads 1 and --threads {}",
-            args.threads
-        ));
-    }
 
-    // The streaming leg: bounded-memory transport, producer/consumer
-    // overlap instead of the deferred tree fan-out.
+    // The streaming leg: the same window fed in chunks by a producer
+    // thread, trace generation overlapping slicing.
     let stream_spec = PolicySpec { cfg, streaming: true, ..PolicySpec::default() };
     let (stream_us, arts_stream) = best_of_us(|| {
         Pipeline::new(&program)
@@ -369,7 +352,7 @@ fn run(args: &Args) -> Result<u8, String> {
         let o = Pipeline::new(&program)
             .config(cfg)
             .parallelism(par)
-            .artifacts(arts_par.forest.clone(), arts_par.stats.clone())
+            .artifacts(serial_forest.clone(), stats.clone())
             .run()
             .map_err(|e| format!("parallel finish: {e}"))?;
         select_par_us = select_par_us.min(o.stage_us.select);
@@ -389,36 +372,26 @@ fn run(args: &Args) -> Result<u8, String> {
         ));
     }
 
-    // The acceptance metric: combined wall-clock of the two
-    // parallelizable stages, serial over parallel.
-    let combined = (slice.serial_us + select.serial_us) as f64
-        / (slice.par_us + select.par_us).max(1) as f64;
-
     let mut json = String::new();
     let _ = write!(
         json,
-        r#"{{"workload":"{}","budget":{},"threads":{},"trace":{{"insts":{},"l2_misses":{},"trees":{}}},"stages_us":{{"trace_slice_serial":{},"trace_slice_par":{},"base_sim":{},"select_serial":{},"select_par":{}}},"slice_stage":"#,
+        r#"{{"workload":"{}","budget":{},"threads":{},"trace":{{"insts":{},"l2_misses":{},"trees":{}}},"stages_us":{{"trace_slice":{},"base_sim":{},"select_serial":{},"select_par":{}}},"select_stage":"#,
         args.workload,
         args.budget,
         args.threads,
         stats.insts,
         stats.l2_misses,
         out_serial.forest.num_trees(),
-        slice.serial_us,
-        slice.par_us,
+        trace_us,
         base_us,
         select.serial_us,
         select.par_us,
     );
-    par_stats_json(&mut json, &slice.par_stats);
-    json.push_str(r#","select_stage":"#);
     par_stats_json(&mut json, &select.par_stats);
     let _ = write!(
         json,
-        r#","speedup":{{"trace_slice":{:.3},"select":{:.3},"slice_score_combined":{:.3}}},"pthreads":{},"obs":"#,
-        slice.speedup(),
+        r#","speedup":{{"select":{:.3}}},"pthreads":{},"obs":"#,
         select.speedup(),
-        combined,
         out_serial.result.selection.pthreads.len(),
     );
     obs_json(&mut json);
@@ -426,15 +399,15 @@ fn run(args: &Args) -> Result<u8, String> {
     json.push('\n');
     std::fs::write(&args.out, &json).map_err(|e| format!("writing {}: {e}", args.out))?;
 
-    // The streaming report: batch vs streaming wall clock and the
-    // peak-memory proxy. `batch.peak_insts_proxy` is the number of trace
-    // records a fully-materialized run holds (every architectural step
-    // emits at most one); `stream.peak_insts_proxy` is the measured
+    // The streaming report: windowed vs streaming wall clock and the
+    // peak-memory proxy. `batch.peak_insts_proxy` is the windowed path's
+    // bound, the `scope` instructions its window holds (the trace itself
+    // is never materialized); `stream.peak_insts_proxy` is the measured
     // window + in-flight-chunk high-water mark.
     let stream_speedup = if stream_us == 0 {
         1.0
     } else {
-        slice.serial_us as f64 / stream_us as f64
+        trace_us as f64 / stream_us as f64
     };
     let mut sjson = String::new();
     let _ = write!(
@@ -442,8 +415,8 @@ fn run(args: &Args) -> Result<u8, String> {
         r#"{{"workload":"{}","budget":{},"batch":{{"wall_us":{},"peak_insts_proxy":{}}},"stream":{{"wall_us":{},"peak_insts_proxy":{},"chunks":{},"backpressure_stalls_us":{},"consumer_stalls_us":{}}},"speedup":{:.3},"identical":true,"obs":"#,
         args.workload,
         args.budget,
-        slice.serial_us,
-        stats.total_steps,
+        trace_us,
+        cfg.scope,
         stream_us,
         sstats.peak_window_insts,
         sstats.chunks,
@@ -505,7 +478,7 @@ fn run(args: &Args) -> Result<u8, String> {
     let reexec_speedup = if reexec_us == 0 {
         1.0
     } else {
-        slice.serial_us as f64 / reexec_us as f64
+        trace_us as f64 / reexec_us as f64
     };
     let mut rjson = String::new();
     let _ = write!(
@@ -515,7 +488,7 @@ fn run(args: &Args) -> Result<u8, String> {
         args.budget,
         cfg.scope,
         checkpoint_every,
-        slice.serial_us,
+        trace_us,
         cfg.scope,
         reexec_us,
         checkpoints,
@@ -604,16 +577,14 @@ fn run(args: &Args) -> Result<u8, String> {
         .map_err(|e| format!("writing {}: {e}", args.adaptive_out))?;
 
     eprintln!(
-        "pipeline-bench: {} @ {} insts, {} threads: slice {:.2}x, select {:.2}x, combined {:.2}x -> {}; stream peak {} vs batch {} insts -> {}",
+        "pipeline-bench: {} @ {} insts, {} threads: select {:.2}x -> {}; stream peak {} vs window {} insts -> {}",
         args.workload,
         args.budget,
         args.threads,
-        slice.speedup(),
         select.speedup(),
-        combined,
         args.out,
         sstats.peak_window_insts,
-        stats.total_steps,
+        cfg.scope,
         args.stream_out
     );
     eprintln!(
@@ -629,7 +600,7 @@ fn run(args: &Args) -> Result<u8, String> {
     );
     eprintln!(
         "pipeline-bench: reexec leg: windowed {} us vs ondemand {} us ({:.2}x, {} checkpoints @ {}, {} insts replayed, peak resident {} vs scope {}) -> {}",
-        slice.serial_us,
+        trace_us,
         reexec_us,
         reexec_speedup,
         checkpoints,

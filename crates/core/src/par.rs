@@ -1,12 +1,12 @@
 //! Dependency-free deterministic intra-job parallelism.
 //!
-//! The framework's hot path fans out over three independent axes — one
-//! slice tree per static problem load, one advantage calculation per
-//! slice-tree node, one overlap fixed-point per tree — and every unit of
-//! work is a pure function of its inputs. This module provides the one
-//! primitive all three need: [`map`], an ordered parallel map over a
-//! slice, built on [`std::thread::scope`] so it needs no external
-//! dependencies and no long-lived pool.
+//! Selection fans out over independent items — one advantage
+//! calculation per slice-tree node, one screen pass and one overlap
+//! fixed-point per tree — and every unit of work is a pure function of
+//! its inputs. This module provides the one primitive they all need:
+//! [`map`], an ordered parallel map over a slice, built on
+//! [`std::thread::scope`] so it needs no external dependencies and no
+//! long-lived pool.
 //!
 //! # Determinism contract
 //!

@@ -16,28 +16,21 @@
 //! assert!(out.result.speedup() >= 1.0);
 //! ```
 //!
-//! The old free functions survive as `#[deprecated]` thin wrappers whose
-//! outputs are pinned byte-identical to the builder's by
-//! `tests/builder_wrappers` — callers migrate on their own schedule, the
-//! behaviour cannot drift.
-//!
-//! Since the [`PolicySpec`] redesign, the builder holds exactly one
-//! policy value: every *policy* knob (config, budget, slicing mode,
-//! screening, streaming, adaptive selection, deadline) is a field of the
-//! spec, and the individual setters are thin wrappers that mutate it.
-//! [`policy`](Pipeline::policy) installs a whole spec at once — the same
-//! value the toolflow `--policy` flag, the daemon's v6 `policy` object,
-//! and the WAL all carry. The policy-sprawl setters
-//! ([`streaming`](Pipeline::streaming), [`screening`](Pipeline::screening),
-//! [`slicing_mode`](Pipeline::slicing_mode)) are `#[deprecated]` in
-//! favour of the spec, pinned byte-identical by the builder tests.
+//! The builder holds exactly one policy value: every *policy* knob
+//! (config, budget, slicing mode, screening, streaming, adaptive
+//! selection, deadline) is a field of the [`PolicySpec`], and the
+//! [`config`](Pipeline::config) and [`budget`](Pipeline::budget) setters
+//! are thin wrappers that mutate it. [`policy`](Pipeline::policy)
+//! installs a whole spec at once — the same value the toolflow `--policy`
+//! flag, the daemon's v6 `policy` object, and the WAL all carry.
 //!
 //! Execution-environment knobs stay separate from policy:
 //!
 //! - [`threads`](Pipeline::threads) / [`parallelism`](Pipeline::parallelism)
-//!   — intra-stage fan-out (slice-tree build, selection);
+//!   — the selection stage's fan-out;
 //! - [`stream_config`](Pipeline::stream_config) — transport geometry of
-//!   the streaming path (never observable in results);
+//!   the streaming path; on adaptive runs also the phase detector's
+//!   granularity (see the setter);
 //! - [`artifacts`](Pipeline::artifacts) — skip the trace stage entirely,
 //!   finishing from a cached forest (the service's cache-hit path);
 //! - [`gate`](Pipeline::gate) — stage-boundary admission (cancellation,
@@ -49,10 +42,11 @@
 
 use crate::pipeline::{
     self, AdaptiveReport, PipelineConfig, PipelineParStats, PipelineResult, StreamRunStats,
+    TracePath,
 };
 use crate::policy::PolicySpec;
 use crate::PipelineError;
-use preexec_core::par::{ParStats, Parallelism};
+use preexec_core::par::Parallelism;
 use preexec_core::ScreenStats;
 use preexec_func::{RunStats, StreamConfig};
 use preexec_isa::Program;
@@ -82,10 +76,7 @@ pub struct TraceArtifacts {
     pub forest: SliceForest,
     /// Functional trace statistics.
     pub stats: RunStats,
-    /// Utilization of the slice-tree fan-out (batch mode; a serial
-    /// placeholder in streaming mode, where overlap replaces fan-out).
-    pub par: ParStats,
-    /// Streaming transport counters; `None` on the batch path.
+    /// Streaming transport counters; `None` unless the trace streamed.
     pub stream: Option<StreamRunStats>,
 }
 
@@ -99,8 +90,8 @@ pub struct PipelineOutput {
     pub forest: SliceForest,
     /// Per-stage parallel-utilization counters.
     pub par: PipelineParStats,
-    /// Streaming transport counters; `None` unless
-    /// [`streaming`](Pipeline::streaming) was enabled and the trace ran.
+    /// Streaming transport counters; `None` unless the spec enabled
+    /// streaming (or adaptive selection) and the trace ran.
     pub stream: Option<StreamRunStats>,
     /// Wall-clock stage timings.
     pub stage_us: StageUs,
@@ -108,8 +99,7 @@ pub struct PipelineOutput {
     /// [`artifacts`](Pipeline::artifacts).
     pub artifacts_reused: bool,
     /// Candidate counts from the static screening pre-pass of the
-    /// selection stage; `None` when screening was disabled via
-    /// [`screening(false)`](Pipeline::screening).
+    /// selection stage; `None` when the spec disabled screening.
     pub screen: Option<ScreenStats>,
     /// Per-phase policy choices and static-vs-adaptive aggregates;
     /// `None` unless the spec enabled adaptive selection.
@@ -225,30 +215,30 @@ impl<'p> Pipeline<'p> {
         self
     }
 
-    /// Sets the intra-stage thread count (1 = serial).
+    /// Sets the selection stage's thread count (1 = serial).
     #[must_use]
     pub fn threads(self, n: usize) -> Self {
         self.parallelism(Parallelism::new(n))
     }
 
-    /// Sets the intra-stage parallelism knob directly.
+    /// Sets the selection stage's parallelism knob directly.
     #[must_use]
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
         self
     }
 
-    /// Selects the streaming bounded-memory trace path (see
-    /// [`pipeline::try_trace_and_slice_streamed`]). Off by default.
-    #[deprecated(note = "set `streaming` on a `PolicySpec` and use `Pipeline::policy`")]
-    #[must_use]
-    pub fn streaming(mut self, on: bool) -> Self {
-        self.spec.streaming = on;
-        self
-    }
-
-    /// Sets the streaming transport geometry (implies nothing about
-    /// [`streaming`](Self::streaming) — the flag still picks the path).
+    /// Sets the streaming transport geometry (implies nothing about the
+    /// spec's `streaming` flag — the flag still picks the path).
+    ///
+    /// On the streaming path the geometry changes batching, never the
+    /// forest or the result. On adaptive runs it does change results:
+    /// `chunk_insts` is the phase detector's granularity, so a different
+    /// chunk size finds different phases. At `threshold_permille=25`,
+    /// `min_phase_chunks=2` and a 200 k budget, 4096- versus
+    /// 2048-instruction chunks give 3 versus 13 phases on bzip2, 6 versus
+    /// 9 on crafty, 16 versus 41 on gcc and 3 versus 14 on twolf, and a
+    /// different result on all four.
     #[must_use]
     pub fn stream_config(mut self, stream: StreamConfig) -> Self {
         self.stream = stream;
@@ -262,31 +252,6 @@ impl<'p> Pipeline<'p> {
     #[must_use]
     pub fn artifacts(mut self, forest: SliceForest, stats: RunStats) -> Self {
         self.artifacts = Some((forest, stats));
-        self
-    }
-
-    /// Toggles the static ADVagg screening pre-pass of the selection
-    /// stage (on by default). Screening never changes the selected set —
-    /// the bound is admissible, so only candidates that cannot score
-    /// positive are pruned — it only skips exact scoring work. Turning it
-    /// off exists for benchmarking the exact path and for bisecting
-    /// suspected screen regressions.
-    #[deprecated(note = "set `screening` on a `PolicySpec` and use `Pipeline::policy`")]
-    #[must_use]
-    pub fn screening(mut self, on: bool) -> Self {
-        self.spec.screening = on;
-        self
-    }
-
-    /// Selects how the trace stage extracts slices (see [`SlicingMode`];
-    /// the default is [`SlicingMode::Windowed`]). In
-    /// [`OnDemand`](SlicingMode::OnDemand) mode the checkpointed
-    /// re-execution path replaces both the batch and streaming
-    /// transports — [`streaming`](Self::streaming) is ignored.
-    #[deprecated(note = "set `slicing` on a `PolicySpec` and use `Pipeline::policy`")]
-    #[must_use]
-    pub fn slicing_mode(mut self, mode: SlicingMode) -> Self {
-        self.spec.slicing = mode;
         self
     }
 
@@ -316,7 +281,7 @@ impl<'p> Pipeline<'p> {
     /// if the trace faults.
     pub fn trace(self) -> Result<TraceArtifacts, PipelineError> {
         self.spec.try_validate()?;
-        let (artifacts, _us) = self.trace_stage()?;
+        let (artifacts, _, _us) = self.trace_stage(false)?;
         Ok(artifacts)
     }
 
@@ -324,7 +289,8 @@ impl<'p> Pipeline<'p> {
     /// [`artifacts`](Self::artifacts)). When the spec enables adaptive
     /// selection, the run takes the phased path: phase-partitioned
     /// streaming trace, per-phase policy choice, and a deduplicated
-    /// union selection (see [`AdaptiveReport`]).
+    /// union selection (see [`AdaptiveReport`]); the returned `forest` is
+    /// still the global one, byte-identical to a non-adaptive trace's.
     ///
     /// # Errors
     ///
@@ -333,8 +299,11 @@ impl<'p> Pipeline<'p> {
     pub fn run(self) -> Result<PipelineOutput, PipelineError> {
         self.spec.try_validate()?;
         preexec_obs::global().counter("pipeline.runs").inc();
-        if self.spec.adaptive.enabled {
-            return self.run_adaptive();
+        let adaptive = self.spec.adaptive.enabled;
+        // Cached artifacts carry no phase partition, so an adaptive run
+        // cannot honestly start from them.
+        if adaptive && self.artifacts.is_some() {
+            return Err(PipelineError::ConflictingPolicy { key: "artifacts" });
         }
         let program = self.program;
         let cfg = self.spec.cfg;
@@ -346,7 +315,7 @@ impl<'p> Pipeline<'p> {
         };
         let artifacts_reused = self.artifacts.is_some();
         let screening = self.spec.screening;
-        let (arts, trace_us) = self.trace_stage()?;
+        let (arts, phases, trace_us) = self.trace_stage(adaptive)?;
         let mut stage_us = StageUs { trace: trace_us, ..StageUs::default() };
 
         check("base_sim")?;
@@ -356,8 +325,21 @@ impl<'p> Pipeline<'p> {
 
         check("select")?;
         let t = Instant::now();
-        let (selection, select_par, screen) =
-            pipeline::select_stage(&arts.forest, &cfg, base.ipc(), par, screening)?;
+        let (selection, report, select_par, screen) = if adaptive {
+            let (selection, report, par, screen) = pipeline::select_adaptive_stage(
+                &arts.forest,
+                &phases,
+                &cfg,
+                base.ipc(),
+                par,
+                screening,
+            )?;
+            (selection, Some(report), par, screen)
+        } else {
+            let (selection, par, screen) =
+                pipeline::select_stage(&arts.forest, &cfg, base.ipc(), par, screening)?;
+            (selection, None, par, screen)
+        };
         stage_us.select = elapsed_us(t);
 
         check("assisted_sim")?;
@@ -368,118 +350,45 @@ impl<'p> Pipeline<'p> {
         Ok(PipelineOutput {
             result: PipelineResult { stats: arts.stats, base, selection, assisted },
             forest: arts.forest,
-            par: PipelineParStats { slice: arts.par, select: select_par },
+            par: PipelineParStats { select: select_par },
             stream: arts.stream,
             stage_us,
             artifacts_reused,
             screen: screening.then_some(screen),
-            adaptive: None,
-        })
-    }
-
-    /// The adaptive run: phased streaming trace, per-phase policy
-    /// choice, union selection, assisted sim of the union. The returned
-    /// `forest` is the global one — byte-identical to what a non-phased
-    /// streamed trace of the same spec produces.
-    fn run_adaptive(self) -> Result<PipelineOutput, PipelineError> {
-        // Cached artifacts carry no phase partition, so an adaptive run
-        // cannot honestly start from them.
-        if self.artifacts.is_some() {
-            return Err(PipelineError::ConflictingPolicy { key: "artifacts" });
-        }
-        let program = self.program;
-        let cfg = self.spec.cfg;
-        let par = self.par;
-        let screening = self.spec.screening;
-
-        self.check_gate("trace")?;
-        let t = Instant::now();
-        let (phased, stats, stream) = pipeline::try_trace_and_slice_phased(
-            program,
-            cfg.scope,
-            cfg.max_slice_len,
-            cfg.budget,
-            cfg.warmup,
-            &self.stream,
-            &self.spec.adaptive.phase_config(),
-        )?;
-        let mut stage_us = StageUs { trace: elapsed_us(t), ..StageUs::default() };
-
-        self.check_gate("base_sim")?;
-        let t = Instant::now();
-        let base = pipeline::base_sim_stage(program, &cfg)?;
-        stage_us.base_sim = elapsed_us(t);
-
-        self.check_gate("select")?;
-        let t = Instant::now();
-        let (selection, report, select_par, screen) =
-            pipeline::select_adaptive_stage(&phased, &cfg, base.ipc(), par, screening)?;
-        stage_us.select = elapsed_us(t);
-
-        self.check_gate("assisted_sim")?;
-        let t = Instant::now();
-        let assisted = pipeline::assisted_sim_stage(program, &selection.pthreads, &cfg)?;
-        stage_us.assisted_sim = elapsed_us(t);
-
-        let serial = ParStats { threads: 1, ..ParStats::default() };
-        Ok(PipelineOutput {
-            result: PipelineResult { stats, base, selection, assisted },
-            forest: phased.global,
-            par: PipelineParStats { slice: serial, select: select_par },
-            stream: Some(stream),
-            stage_us,
-            artifacts_reused: false,
-            screen: screening.then_some(screen),
-            adaptive: Some(report),
+            adaptive: report,
         })
     }
 
     /// The trace stage under the builder's knobs: supplied artifacts win,
-    /// then on-demand re-execution, then streaming, then batch. Returns
-    /// the artifacts plus the stage's wall-clock microseconds (zero for
-    /// supplied artifacts).
-    fn trace_stage(self) -> Result<(TraceArtifacts, u64), PipelineError> {
-        let serial = ParStats { threads: 1, ..ParStats::default() };
+    /// then the phased path (when `phased`), on-demand re-execution,
+    /// streaming, and the direct windowed path. Returns the artifacts,
+    /// the per-phase forests (empty unless phased), and the stage's
+    /// wall-clock microseconds (zero for supplied artifacts).
+    fn trace_stage(
+        self,
+        phased: bool,
+    ) -> Result<(TraceArtifacts, Vec<SliceForest>, u64), PipelineError> {
         if let Some((forest, stats)) = self.artifacts {
-            let arts = TraceArtifacts { forest, stats, par: serial, stream: None };
-            return Ok((arts, 0));
+            return Ok((TraceArtifacts { forest, stats, stream: None }, Vec::new(), 0));
         }
         self.check_gate("trace")?;
+        let path = match self.spec.slicing {
+            _ if phased => TracePath::Phased(self.stream, self.spec.adaptive.phase_config()),
+            SlicingMode::OnDemand { checkpoint_every } => TracePath::OnDemand { checkpoint_every },
+            SlicingMode::Windowed if self.spec.streaming => TracePath::Streamed(self.stream),
+            SlicingMode::Windowed => TracePath::Windowed,
+        };
         let cfg = self.spec.cfg;
         let t = Instant::now();
-        let arts = if let SlicingMode::OnDemand { checkpoint_every } = self.spec.slicing {
-            let (forest, stats, par) = pipeline::trace_ondemand(
-                self.program,
-                cfg.scope,
-                cfg.max_slice_len,
-                cfg.budget,
-                cfg.warmup,
-                checkpoint_every,
-                self.par,
-            )?;
-            TraceArtifacts { forest, stats, par, stream: None }
-        } else if self.spec.streaming {
-            let (forest, stats, stream) = pipeline::try_trace_and_slice_streamed(
-                self.program,
-                cfg.scope,
-                cfg.max_slice_len,
-                cfg.budget,
-                cfg.warmup,
-                &self.stream,
-            )?;
-            TraceArtifacts { forest, stats, par: serial, stream: Some(stream) }
-        } else {
-            let (forest, stats, par) = pipeline::trace_batch_par(
-                self.program,
-                cfg.scope,
-                cfg.max_slice_len,
-                cfg.budget,
-                cfg.warmup,
-                self.par,
-            )?;
-            TraceArtifacts { forest, stats, par, stream: None }
-        };
-        Ok((arts, elapsed_us(t)))
+        let (arts, phases) = pipeline::trace_and_slice_along(
+            self.program,
+            cfg.scope,
+            cfg.max_slice_len,
+            cfg.budget,
+            cfg.warmup,
+            path,
+        )?;
+        Ok((arts, phases, elapsed_us(t)))
     }
 }
 
@@ -545,26 +454,6 @@ mod tests {
         assert_eq!(b.spec.slicing, SlicingMode::OnDemand { checkpoint_every: 7 });
         // .policy() replaced the earlier budget wholesale.
         assert_eq!(b.spec.cfg.budget, 120_000);
-    }
-
-    /// The deprecation pin: the deprecated per-knob setters and the
-    /// `policy` spec produce byte-identical results.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_setters_match_the_policy_spec_byte_for_byte() {
-        let p = vpr();
-        let c = cfg();
-        let via_setters =
-            Pipeline::new(&p).config(c).streaming(true).screening(false).run().unwrap();
-        let via_spec = Pipeline::new(&p)
-            .policy(PolicySpec { cfg: c, streaming: true, screening: false, ..PolicySpec::default() })
-            .run()
-            .unwrap();
-        assert_eq!(key(&via_setters.result), key(&via_spec.result));
-        assert_eq!(
-            preexec_slice::write_forest(&via_setters.forest),
-            preexec_slice::write_forest(&via_spec.forest)
-        );
     }
 
     #[test]

@@ -1,11 +1,12 @@
 //! The streaming trace path's two contracts (DESIGN.md §13):
 //!
 //! 1. **Equality** — the bounded-memory streaming pipeline is
-//!    byte-identical to the batch pipeline: same slice forest bytes, same
-//!    trace statistics, same final `PipelineResult`, for any program and
-//!    any transport geometry (chunk size, channel depth), at any batch
-//!    thread count. Chunk boundaries are a transport detail; they must
-//!    never be observable in the results.
+//!    byte-identical to the direct pipeline: same slice forest bytes,
+//!    same trace statistics, same final `PipelineResult`, for any program
+//!    and any transport geometry (chunk size, channel depth), at any
+//!    selection thread count. Outside adaptive runs (where the chunk is
+//!    the phase detector's granularity), chunk boundaries are a transport
+//!    detail; they must never be observable in the results.
 //! 2. **Bounded memory** — the streaming path never materializes the
 //!    trace. Its instruction-record high-water mark
 //!    (`stream.peak_window_insts`) is capped by the slicing window plus
@@ -99,8 +100,8 @@ proptest! {
 fn streaming_memory_stays_bounded_on_long_traces() {
     // A trace an order of magnitude longer than the window: mcf at a
     // 40 k budget against a 1024-instruction scope and 512-instruction
-    // chunks. The batch path holds the full trace; the streaming path
-    // must never hold more than window + one chunk.
+    // chunks. The direct path holds at most the window; the streaming
+    // path must never hold more than window + one chunk.
     let w = suite().into_iter().find(|w| w.name == "mcf").expect("suite has mcf");
     let p = w.build(InputSet::Train);
     let cfg = PipelineConfig::paper_default(40_000);

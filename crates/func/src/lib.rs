@@ -44,4 +44,4 @@ pub use replay::Replayer;
 pub use sampling::{Phase, Sampling};
 pub use stats::{LoadSiteStats, RunStats};
 pub use stream::{try_run_trace_chunked, StreamConfig, StreamStats};
-pub use tracer::{run_trace, try_run_trace, TraceConfig};
+pub use tracer::{run_trace, try_run_trace, MeasuredRegion, TraceConfig};

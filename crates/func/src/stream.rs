@@ -318,9 +318,12 @@ mod tests {
     }
 
     #[test]
-    fn emitted_budget_respected_through_chunks() {
+    fn measured_end_respected_through_chunks() {
         let p = long_loop();
-        let cfg = TraceConfig { max_emitted: Some(777), ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            measured: crate::MeasuredRegion { start: 0, end: 777 },
+            ..TraceConfig::default()
+        };
         let stream = StreamConfig { chunk_insts: 100, channel_chunks: 2 };
         let mut n = 0u64;
         let (_, sstats) =

@@ -14,20 +14,43 @@ pub struct TraceConfig {
     /// Hard cap on total architectural steps (off + warm + on). The run
     /// stops at this budget even if the program has not halted.
     pub max_steps: u64,
-    /// Optional cap on *measured* (emitted) instructions.
-    pub max_emitted: Option<u64>,
+    /// The emitted instructions counted in [`RunStats`], and the cap on
+    /// emitted instructions.
+    pub measured: MeasuredRegion,
 }
 
 impl Default for TraceConfig {
-    /// Paper-default caches, always-on sampling, a 100 M-step safety cap.
+    /// Paper-default caches, always-on sampling, a 100 M-step safety cap,
+    /// every emitted instruction measured.
     fn default() -> TraceConfig {
         TraceConfig {
             hierarchy: HierarchyConfig::paper_default(),
             sampling: Sampling::always_on(),
             max_steps: 100_000_000,
-            max_emitted: None,
+            measured: MeasuredRegion::ALL,
         }
     }
+}
+
+/// The measured region of a trace, as emitted `seq`s `start..end`.
+///
+/// Instructions before `start` are emitted — a sink such as the slicing
+/// window still sees them — but not counted in [`RunStats`]; this is how
+/// a pipeline warms its caches and its window without measuring the
+/// warm-up. The run ends, normally and without
+/// [`timed_out`](RunStats::timed_out), once `end` instructions have been
+/// emitted.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MeasuredRegion {
+    /// First counted `seq`.
+    pub start: u64,
+    /// Emitted instructions after which the run stops.
+    pub end: u64,
+}
+
+impl MeasuredRegion {
+    /// Counts every emitted instruction and caps nothing.
+    pub const ALL: MeasuredRegion = MeasuredRegion { start: 0, end: u64::MAX };
 }
 
 /// Runs `program` to completion (or budget), streaming a [`DynInst`] for
@@ -38,7 +61,8 @@ impl Default for TraceConfig {
 /// - **Off**: architectural execution only; caches untouched; nothing
 ///   emitted.
 /// - **Warm**: caches accessed (warmed) but nothing emitted or counted.
-/// - **On**: caches accessed, [`DynInst`] emitted, statistics counted.
+/// - **On**: caches accessed, [`DynInst`] emitted, statistics counted
+///   (inside the [`MeasuredRegion`] of `config.measured`).
 ///
 /// # Example
 ///
@@ -129,15 +153,15 @@ pub(crate) fn run_trace_loop<M: MemBus>(
     mut sink: impl FnMut(&DynInst) -> bool,
 ) -> Result<(), ExecError> {
     while !state.cpu.halted() {
+        // A finished measured region is a complete run, checked before the
+        // watchdog so that a cap landing on the step budget is no time-out.
+        if state.emitted >= config.measured.end {
+            break;
+        }
         if state.stats.total_steps >= config.max_steps {
             // Watchdog: the program did not halt within its step budget.
             state.stats.timed_out = true;
             break;
-        }
-        if let Some(cap) = config.max_emitted {
-            if state.emitted >= cap {
-                break;
-            }
         }
         at_loop_top(state);
         let phase = config.sampling.phase(state.stats.total_steps);
@@ -154,20 +178,27 @@ pub(crate) fn run_trace_loop<M: MemBus>(
         if phase == Phase::Warm {
             continue;
         }
-        // On: count and emit.
-        state.stats.insts += 1;
+        // On: emit, and count inside the measured region.
+        let counted = state.emitted >= config.measured.start;
+        if counted {
+            state.stats.insts += 1;
+        }
         match out.inst.class() {
             OpClass::Load => {
                 let level = level
                     .ok_or(ExecError::Malformed { pc: out.pc, reason: "load without address" })?;
-                state.stats.record_load(out.pc, level);
+                if counted {
+                    state.stats.record_load(out.pc, level);
+                }
             }
             OpClass::Store => {
                 let level = level
                     .ok_or(ExecError::Malformed { pc: out.pc, reason: "store without address" })?;
-                state.stats.record_store(level);
+                if counted {
+                    state.stats.record_store(level);
+                }
             }
-            OpClass::Branch => {
+            OpClass::Branch if counted => {
                 state.stats.branches += 1;
                 if out.taken {
                     state.stats.taken_branches += 1;
@@ -248,12 +279,63 @@ mod tests {
         assert!(!stats.timed_out);
     }
 
+    fn measured(start: u64, end: u64) -> TraceConfig {
+        TraceConfig { measured: MeasuredRegion { start, end }, ..TraceConfig::default() }
+    }
+
     #[test]
-    fn emitted_budget_respected() {
-        let config = TraceConfig { max_emitted: Some(7), ..TraceConfig::default() };
+    fn measured_prefix_is_emitted_with_dense_seqs() {
+        let mut seqs = Vec::new();
+        run_trace(&streaming_loop(), &measured(100, 300), |d| seqs.push(d.seq));
+        assert_eq!(seqs, (0..300).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn measured_prefix_is_not_counted() {
+        let all = run_trace(&streaming_loop(), &measured(0, 300), |_| {});
+        let tail = run_trace(&streaming_loop(), &measured(100, 300), |_| {});
+        // The same 300 steps ran; only the last 200 count.
+        assert_eq!(tail.total_steps, all.total_steps);
+        assert_eq!(tail.insts, 200);
+        // Recount the tail by hand from the emitted stream.
+        let (mut loads, mut branches, mut taken) = (0, 0, 0);
+        run_trace(&streaming_loop(), &measured(0, 300), |d| {
+            if d.seq >= 100 {
+                loads += u64::from(d.inst.op.is_load());
+                if d.inst.class() == OpClass::Branch {
+                    branches += 1;
+                    taken += u64::from(d.taken);
+                }
+            }
+        });
+        assert_eq!((tail.loads, tail.branches, tail.taken_branches), (loads, branches, taken));
+        assert_eq!(tail.load_sites[&4].execs, loads);
+        assert!(all.loads > tail.loads);
+    }
+
+    #[test]
+    fn measured_end_stops_the_run_without_timing_out() {
         let mut n = 0;
-        run_trace(&streaming_loop(), &config, |_| n += 1);
+        let stats = run_trace(&streaming_loop(), &measured(0, 7), |_| n += 1);
         assert_eq!(n, 7);
+        assert_eq!(stats.total_steps, 7);
+        assert!(!stats.timed_out);
+        // A cap that lands on the step budget is still a complete run.
+        let config = TraceConfig { max_steps: 7, ..measured(3, 7) };
+        let stats = run_trace(&streaming_loop(), &config, |_| {});
+        assert_eq!((stats.total_steps, stats.insts), (7, 4));
+        assert!(!stats.timed_out);
+    }
+
+    #[test]
+    fn default_config_measures_everything() {
+        let config = TraceConfig::default();
+        assert_eq!(config.measured, MeasuredRegion::ALL);
+        let mut n = 0;
+        let stats = run_trace(&streaming_loop(), &config, |_| n += 1);
+        assert_eq!(stats.insts, n);
+        assert_eq!(stats.total_steps, n);
+        assert!(!stats.timed_out);
     }
 
     #[test]

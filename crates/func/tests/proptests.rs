@@ -3,7 +3,9 @@
 //! checkpointed re-execution reproduces the recording run exactly.
 
 use preexec_func::exec;
-use preexec_func::{try_run_trace_checkpointed, Cpu, Phase, Replayer, Sampling, TraceConfig};
+use preexec_func::{
+    try_run_trace_checkpointed, Cpu, MeasuredRegion, Phase, Replayer, Sampling, TraceConfig,
+};
 use preexec_isa::{Inst, Op, Program, ProgramBuilder, Reg};
 use preexec_mem::Memory;
 use proptest::prelude::*;
@@ -153,8 +155,9 @@ proptest! {
     /// reproduces the recording run exactly: the same final [`RunStats`]
     /// (including the per-site load breakdown — Debug equality is field
     /// equality) and the same emitted-instruction tail, over randomized
-    /// programs, checkpoint cadences, step budgets, and sampling
-    /// schedules.
+    /// programs, checkpoint cadences, step budgets, sampling schedules,
+    /// and measured-region starts (checkpoints before the start carry
+    /// uncounted statistics, checkpoints after it counted ones).
     #[test]
     fn replay_from_every_checkpoint_reproduces_the_recording_run(
         seed in any::<u64>(),
@@ -166,11 +169,13 @@ proptest! {
         off in 0u64..40,
         warm in 0u64..40,
         on in 1u64..60,
+        start in 1u64..2_000,
     ) {
         let p = chase_program(seed, table_pow, stride, filler);
         let config = TraceConfig {
             sampling: Sampling::new(off, warm, on),
             max_steps: budget,
+            measured: MeasuredRegion { start, end: u64::MAX },
             ..TraceConfig::default()
         };
         let mut full: Vec<String> = Vec::new();

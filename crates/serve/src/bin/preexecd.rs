@@ -15,7 +15,7 @@ options:
   --addr HOST:PORT   listen address (default 127.0.0.1:7099; port 0 = ephemeral)
   --port N           shorthand for --addr 127.0.0.1:N
   --workers N        worker threads (default: one per core)
-  --job-threads N    intra-job threads per worker for slice/score/select
+  --job-threads N    intra-job threads per worker for selection (score/solve)
                      (default: cores/workers; results are identical for any N)
   --queue-cap N      bounded job-queue capacity (default 256)
   --cache-dir PATH   artifact-cache directory (default preexec-cache)

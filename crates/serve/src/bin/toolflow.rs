@@ -12,18 +12,20 @@
 //! submission order, so it is byte-identical for every `N`; `--jobs 1`
 //! additionally *executes* serially, matching the historical behaviour.
 //!
-//! `--threads N` (default 1) additionally parallelizes the slice-tree
-//! construction and candidate scoring *inside* each workload run via
-//! `preexec_core::par`. Results are bit-identical for every `N` — the
-//! fan-outs merge in input order and cross-item accumulation stays
-//! serial (DESIGN.md §11) — so the two knobs compose freely:
+//! `--threads N` (default 1) additionally parallelizes the selection
+//! stage (candidate scoring and per-tree solving) *inside* each workload
+//! run via `preexec_core::par`; the trace and slicing are one serial pass.
+//! Results are bit-identical for every `N` — the fan-outs merge in input
+//! order and cross-item accumulation stays serial (DESIGN.md §11) — so
+//! the two knobs compose freely:
 //! `--jobs` trades throughput across workloads, `--threads` latency
 //! within one.
 //!
 //! `--stream` traces through the bounded-memory streaming path: the
 //! functional simulator runs on a producer thread, feeding the slicer
-//! fixed-size chunks through a bounded channel, so peak memory is
-//! O(window + chunk) instead of O(trace). stdout (slice files and
+//! fixed-size chunks through a bounded channel, so trace generation
+//! overlaps slicing and peak memory stays O(window + chunk), one chunk
+//! above the windowed path's O(window). stdout (slice files and
 //! selections) is byte-identical with and without the flag — the CI
 //! determinism matrix diffs the two.
 //!

@@ -174,30 +174,24 @@ pub struct StageMicros {
 }
 
 /// Service-wide intra-job parallelism counters: cumulative busy/wall
-/// time per parallelized stage, from which the `stats` command derives
-/// the achieved per-stage speedup (`busy / wall` ≈ effective threads).
+/// time of the selection stage (the one stage that fans out), from which
+/// the `stats` command derives the achieved speedup
+/// (`busy / wall` ≈ effective threads).
 #[derive(Debug, Default)]
 pub struct ParCounters {
-    slice_wall_us: AtomicU64,
-    slice_busy_us: AtomicU64,
     select_wall_us: AtomicU64,
     select_busy_us: AtomicU64,
 }
 
 impl ParCounters {
-    /// Accumulates one job's slice-tree-build stage counters.
-    pub fn record_slice(&self, s: &ParStats) {
-        self.slice_wall_us.fetch_add(s.wall_us, Ordering::Relaxed);
-        self.slice_busy_us.fetch_add(s.busy_us, Ordering::Relaxed);
-    }
-
     /// Accumulates one job's selection-stage counters.
     pub fn record_select(&self, s: &ParStats) {
         self.select_wall_us.fetch_add(s.wall_us, Ordering::Relaxed);
         self.select_busy_us.fetch_add(s.busy_us, Ordering::Relaxed);
     }
 
-    /// Serializes both stages as `{wall_us, busy_us, speedup}` objects.
+    /// Serializes the stage as a `{wall_us, busy_us, speedup}` object
+    /// keyed by its name.
     pub fn to_json(&self) -> crate::json::Json {
         fn stage(wall: &AtomicU64, busy: &AtomicU64) -> crate::json::Json {
             let wall = wall.load(Ordering::Relaxed);
@@ -209,10 +203,7 @@ impl ParCounters {
                 ("speedup", crate::json::Json::Num(speedup)),
             ])
         }
-        crate::json::Json::obj(vec![
-            ("slice", stage(&self.slice_wall_us, &self.slice_busy_us)),
-            ("select", stage(&self.select_wall_us, &self.select_busy_us)),
-        ])
+        crate::json::Json::obj(vec![("select", stage(&self.select_wall_us, &self.select_busy_us))])
     }
 }
 
@@ -284,15 +275,16 @@ pub struct JobOutput {
 /// [`JobCompletion::Failed`]; watchdog-truncated timing runs become
 /// [`JobCompletion::TimedOut`] with the (valid) result attached.
 ///
-/// `par` is the *intra-job* thread knob: the slice-tree build and the
-/// selection fan-outs may use up to that many scoped threads while this
+/// `par` is the *intra-job* thread knob: the selection fan-outs may use
+/// up to that many scoped threads while this
 /// job runs (the daemon sizes it against the scheduler pool so
 /// `workers × job_threads` stays bounded by the machine). The job's
 /// result is byte-identical for every setting.
 ///
-/// Note: a trace cut by its instruction budget (`RunStats::timed_out`) is
-/// the *normal* sampling mode, not a job timeout — only the timing sims'
-/// `max_cycles` watchdog marks a job `TimedOut`.
+/// Note: a trace cut by its instruction budget is the *normal* sampling
+/// mode, not a time-out — the pipeline's trace stats never set
+/// `RunStats::timed_out` — and only the timing sims' `max_cycles`
+/// watchdog marks a job `TimedOut`.
 ///
 /// `token`, when given, is consulted at every stage boundary: a tripped
 /// or deadline-expired token aborts the run as
@@ -349,12 +341,9 @@ pub fn run_job(
         ) => return JobCompletion::Cancelled(e),
         Err(e) => return JobCompletion::Failed(e),
     };
-    if !cache_hit {
-        hists.par.record_slice(&out.par.slice);
-        if cacheable {
-            // A failed store only costs a future recompute.
-            let _ = cache.store(&key, &out.forest, &out.result.stats);
-        }
+    if !cache_hit && cacheable {
+        // A failed store only costs a future recompute.
+        let _ = cache.store(&key, &out.forest, &out.result.stats);
     }
     hists.par.record_select(&out.par.select);
     let stage_us = StageMicros {

@@ -18,41 +18,8 @@
 //!
 //! [`SliceForestBuilder`]: crate::SliceForestBuilder
 
-use crate::{SliceError, SliceForest, SliceTree, SliceWindow};
+use crate::{ForestBank, SliceError, SliceForest, SliceWindow};
 use preexec_func::DynInst;
-use preexec_isa::Pc;
-use std::collections::BTreeMap;
-
-/// One phase's accumulating statistics: its trees, per-PC execution
-/// counts, and instruction total — the same triple a [`SliceForest`]
-/// is made of.
-#[derive(Debug, Default)]
-struct Bank {
-    trees: BTreeMap<Pc, SliceTree>,
-    exec_counts: Vec<u64>,
-    observed: u64,
-}
-
-impl Bank {
-    fn count(&mut self, pc: Pc) {
-        let pc = pc as usize;
-        if pc >= self.exec_counts.len() {
-            self.exec_counts.resize(pc + 1, 0);
-        }
-        self.exec_counts[pc] += 1;
-    }
-
-    fn into_forest(self) -> SliceForest {
-        let exec_counts: Vec<(Pc, u64)> = self
-            .exec_counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(pc, &c)| (pc as Pc, c))
-            .collect();
-        SliceForest::from_parts(self.trees.into_values().collect(), exec_counts, self.observed)
-    }
-}
 
 /// Builds a global [`SliceForest`] *and* one forest per program phase
 /// from a single trace pass. Phases are externally driven: the caller
@@ -63,8 +30,8 @@ impl Bank {
 pub struct PhasedForestBuilder {
     window: SliceWindow,
     max_slice_len: usize,
-    global: Bank,
-    phases: Vec<Bank>,
+    global: ForestBank,
+    phases: Vec<ForestBank>,
 }
 
 impl PhasedForestBuilder {
@@ -83,8 +50,8 @@ impl PhasedForestBuilder {
         Ok(PhasedForestBuilder {
             window: SliceWindow::try_new(scope)?,
             max_slice_len,
-            global: Bank::default(),
-            phases: vec![Bank::default()],
+            global: ForestBank::new(),
+            phases: vec![ForestBank::new()],
         })
     }
 
@@ -102,7 +69,7 @@ impl PhasedForestBuilder {
     /// Starts a new phase: subsequent observations accumulate into a
     /// fresh per-phase bank. The slicing window is *not* reset.
     pub fn begin_phase(&mut self) {
-        self.phases.push(Bank::default());
+        self.phases.push(ForestBank::new());
     }
 
     /// Observes a warm-up instruction: enters the window only (mirrors
@@ -117,26 +84,17 @@ impl PhasedForestBuilder {
     /// bank and the current phase's bank; an L2-miss load extracts one
     /// slice and folds it into both trees.
     pub fn observe(&mut self, d: &DynInst) {
-        self.global.observed += 1;
         self.global.count(d.pc);
         // `phases` is never empty (the builder starts in phase 0).
         if let Some(bank) = self.phases.last_mut() {
-            bank.observed += 1;
             bank.count(d.pc);
         }
         self.window.push(d);
         if d.is_l2_miss_load() {
             let slice = self.window.slice_latest(self.max_slice_len);
-            self.global
-                .trees
-                .entry(d.pc)
-                .or_insert_with(|| SliceTree::new(d.pc, d.inst))
-                .insert_slice(&slice);
+            self.global.insert(d.pc, d.inst, &slice);
             if let Some(bank) = self.phases.last_mut() {
-                bank.trees
-                    .entry(d.pc)
-                    .or_insert_with(|| SliceTree::new(d.pc, d.inst))
-                    .insert_slice(&slice);
+                bank.insert(d.pc, d.inst, &slice);
             }
         }
     }
@@ -144,8 +102,8 @@ impl PhasedForestBuilder {
     /// Finishes, producing the global forest plus one forest per phase.
     pub fn finish(self) -> PhasedForest {
         PhasedForest {
-            global: self.global.into_forest(),
-            phases: self.phases.into_iter().map(Bank::into_forest).collect(),
+            global: self.global.finish(),
+            phases: self.phases.into_iter().map(ForestBank::finish).collect(),
         }
     }
 }

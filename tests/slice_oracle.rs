@@ -8,15 +8,26 @@
 //! and collects the slice by one descending sweep over the scope (no
 //! heap, no worklist). A bug in the shared traversal therefore cannot
 //! hide behind an identity test that runs it twice.
+//!
+//! The stats leg does the same for the counting: it recounts every
+//! `RunStats` field and every per-PC `DC_trig` of the measured region
+//! from the recorded stream, and compares them with what each pipeline
+//! trace path reports.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use preexec::func::{run_trace, try_run_trace_checkpointed, DynInst, Replayer, TraceConfig};
-use preexec::isa::{Program, ProgramBuilder, Reg};
-use preexec::mem::HierarchyConfig;
-use preexec::slice::{OnDemandSlicer, SliceEntry, SliceWindow};
+use preexec::experiments::{
+    AdaptiveConfig, Pipeline, PipelineConfig, PolicySpec, SlicingMode, StreamConfig,
+};
+use preexec::func::{
+    run_trace, try_run_trace_checkpointed, DynInst, Replayer, RunStats, TraceConfig,
+};
+use preexec::isa::{OpClass, Pc, Program, ProgramBuilder, Reg};
+use preexec::mem::{HierarchyConfig, MemLevel};
+use preexec::slice::{write_forest, OnDemandSlicer, SliceEntry, SliceForest, SliceWindow};
 use preexec::workloads::{by_name, InputSet};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const SCOPES: [usize; 4] = [1, 7, 64, 1024];
 const MAX_LENS: [usize; 3] = [1, 3, 32];
@@ -138,6 +149,135 @@ fn check_program(p: &Program, config: &TraceConfig, checkpoint_every: u64) -> us
     roots.len()
 }
 
+/// The trace statistics of `cfg`'s measured region, recounted from the
+/// whole recorded stream: every `RunStats` field, the nonzero per-PC
+/// execution counts (`DC_trig`), and the sample length.
+fn recount(p: &Program, cfg: &PipelineConfig) -> (RunStats, Vec<(Pc, u64)>) {
+    let config = TraceConfig {
+        hierarchy: HierarchyConfig::paper_default(),
+        max_steps: cfg.warmup + cfg.budget,
+        ..TraceConfig::default()
+    };
+    let mut trace: Vec<DynInst> = Vec::new();
+    run_trace(p, &config, |d| trace.push(*d));
+    let mut stats = RunStats {
+        // Every step is emitted under always-on sampling, and a budget
+        // cut is a complete run.
+        total_steps: trace.len() as u64,
+        timed_out: false,
+        ..RunStats::default()
+    };
+    let mut counts: BTreeMap<Pc, u64> = BTreeMap::new();
+    for d in trace.iter().filter(|d| d.seq >= cfg.warmup) {
+        stats.insts += 1;
+        *counts.entry(d.pc).or_default() += 1;
+        let l1_miss = d.level.is_some_and(|l| l != MemLevel::L1);
+        let l2_miss = d.level == Some(MemLevel::Memory);
+        match d.inst.class() {
+            OpClass::Load => {
+                stats.loads += 1;
+                stats.l1d_misses += u64::from(l1_miss);
+                stats.l2_misses += u64::from(l2_miss);
+                let site = stats.load_sites.entry(d.pc).or_default();
+                site.execs += 1;
+                site.l1_misses += u64::from(l1_miss);
+                site.l2_misses += u64::from(l2_miss);
+            }
+            OpClass::Store => {
+                stats.stores += 1;
+                stats.l1d_misses += u64::from(l1_miss);
+            }
+            OpClass::Branch => {
+                stats.branches += 1;
+                stats.taken_branches += u64::from(d.taken);
+            }
+            _ => {}
+        }
+    }
+    (stats, counts.into_iter().collect())
+}
+
+/// Checks one path's stats and forest counts against the recount.
+fn check_counts(
+    path: &str,
+    (want_stats, want_counts): &(RunStats, Vec<(Pc, u64)>),
+    stats: &RunStats,
+    forest: &SliceForest,
+) {
+    assert_eq!(
+        format!("{stats:?}"),
+        format!("{want_stats:?}"),
+        "{path}: RunStats"
+    );
+    assert_eq!(
+        &forest.exec_counts().collect::<Vec<_>>(),
+        want_counts,
+        "{path}: DC_trig"
+    );
+    for &(pc, n) in want_counts {
+        assert_eq!(forest.dc_trig(pc), n, "{path}: dc_trig({pc})");
+    }
+    assert_eq!(
+        forest.sample_insts(),
+        want_stats.insts,
+        "{path}: sample_insts"
+    );
+}
+
+/// Every trace path of the pipeline against the recount: windowed,
+/// streaming (in chunks that straddle the warm-up end), on-demand, and
+/// the adaptive run's stats and global forest.
+fn check_stats(p: &Program, cfg: PipelineConfig) {
+    let want = recount(p, &cfg);
+    let spec = PolicySpec {
+        cfg,
+        ..PolicySpec::default()
+    };
+    let windowed = Pipeline::new(p).policy(spec).trace().unwrap();
+    check_counts("windowed", &want, &windowed.stats, &windowed.forest);
+    let streamed = Pipeline::new(p)
+        .policy(PolicySpec {
+            streaming: true,
+            ..spec
+        })
+        .stream_config(StreamConfig {
+            chunk_insts: 97,
+            channel_chunks: 2,
+        })
+        .trace()
+        .unwrap();
+    check_counts("streaming", &want, &streamed.stats, &streamed.forest);
+    let ondemand = Pipeline::new(p)
+        .policy(PolicySpec {
+            slicing: SlicingMode::OnDemand {
+                checkpoint_every: 257,
+            },
+            ..spec
+        })
+        .trace()
+        .unwrap();
+    check_counts("on-demand", &want, &ondemand.stats, &ondemand.forest);
+    let adaptive = Pipeline::new(p)
+        .policy(PolicySpec {
+            adaptive: AdaptiveConfig {
+                enabled: true,
+                ..AdaptiveConfig::default()
+            },
+            ..spec
+        })
+        .stream_config(StreamConfig {
+            chunk_insts: 211,
+            channel_chunks: 2,
+        })
+        .run()
+        .unwrap();
+    check_counts("adaptive", &want, &adaptive.result.stats, &adaptive.forest);
+    assert_eq!(
+        write_forest(&adaptive.forest),
+        write_forest(&windowed.forest)
+    );
+}
+
 /// A pointer chase through a permutation table, with spill/reload
 /// round-trips (store–load dependences), a sub-granule word store read back
 /// by a doubleword load, a misaligned load spanning two granules, and a
@@ -215,6 +355,24 @@ proptest! {
         let config = TraceConfig { hierarchy, max_steps: budget, ..TraceConfig::default() };
         prop_assert!(check_program(&p, &config, every) > 0, "chase produced no misses");
     }
+
+    /// Every pipeline trace path counts what a brute-force recount of
+    /// the recorded stream finds, with and without a warm-up prefix.
+    #[test]
+    fn pipeline_stats_match_recount_on_random_chase_programs(
+        seed in any::<u64>(),
+        table_pow in 6u32..12,
+        stride in 1u64..512,
+        filler in any::<u8>(),
+        budget in 400u64..2_500,
+        back in 1i64..64,
+        warmup in 1u64..1_500,
+    ) {
+        let p = chase_program(seed, table_pow, stride, filler, back);
+        for warmup in [0, warmup] {
+            check_stats(&p, PipelineConfig { budget, warmup, ..PipelineConfig::paper_default(budget) });
+        }
+    }
 }
 
 #[test]
@@ -229,5 +387,15 @@ fn slicers_match_oracle_on_suite_kernels() {
             check_program(&p, &config, 257) > 0,
             "{name} produced no misses"
         );
+    }
+}
+
+#[test]
+fn pipeline_stats_match_recount_on_suite_kernels() {
+    for name in ["vpr.r", "mcf"] {
+        let p = by_name(name).unwrap().build(InputSet::Train);
+        let cfg = PipelineConfig::paper_default(4_000);
+        assert!(cfg.warmup > 0);
+        check_stats(&p, cfg);
     }
 }
