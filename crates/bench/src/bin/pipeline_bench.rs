@@ -1,20 +1,14 @@
 //! `pipeline-bench` — end-to-end pipeline benchmark with per-stage
 //! wall-clock: serial versus N-thread selection, windowed versus
-//! streaming versus on-demand trace.
+//! on-demand trace.
 //!
-//! Runs one workload through the [`Pipeline`] builder and emits five
+//! Runs one workload through the [`Pipeline`] builder and emits four
 //! reports:
 //!
 //! - `BENCH_pipeline.json`: per-stage timings, the selection stage's
 //!   internal [`ParStats`] counters (the only stage that fans out), and
 //!   an `obs` section (the [`preexec_obs`] registry's per-stage
 //!   histograms, counters, and gauges accumulated across the runs);
-//! - `BENCH_stream.json`: windowed versus streaming trace wall clock plus
-//!   a peak-memory proxy in instruction records (the windowed path's
-//!   `scope`-instruction window bound versus the streaming path's
-//!   measured `stream.peak_window_insts` high-water mark of window plus
-//!   in-flight chunk), the transport counters, and the same `obs`
-//!   section;
 //! - `BENCH_score.json`: the two-tier scoring comparison — exact
 //!   (screening off) versus screened selection over the same forest,
 //!   best-of-5 wall clock of the `stage.score`/`stage.screen` spans from
@@ -26,32 +20,31 @@
 //!   high-water mark, and the ondemand-vs-windowed bit-identity verdict;
 //! - `BENCH_adaptive.json`: the phase-adaptive selection leg — the full
 //!   adaptive pipeline's wall clock, the per-phase policy choices and
-//!   payoffs, the static-vs-adaptive p-thread counts, the serial-vs-N
-//!   bit-identity verdict, and the global-forest identity with the
-//!   windowed batch leg.
+//!   payoffs, the static-vs-adaptive p-thread counts and assisted IPC
+//!   (the static value from the serial finish leg's timing run), the
+//!   serial-vs-N bit-identity verdict, and the global-forest identity
+//!   with the windowed leg.
 //!
-//! Every timed stage leg (trace windowed/streaming/on-demand and the
-//! finish stages behind the select timings) is best-of-5 — single shots
-//! confound scheduler noise with stage cost.
+//! Every timed stage leg (trace windowed/on-demand and the finish stages
+//! behind the select timings) is best-of-5 — single shots confound
+//! scheduler noise with stage cost.
 //!
 //! All legs are compared for bit-identity, so every benchmark run
 //! doubles as a determinism check (DESIGN.md §11) covering the thread
-//! axis, the batch/streaming axis, the slicing-mode axis, and the
-//! screening axis (§16).
+//! axis, the slicing-mode axis, and the screening axis (§16).
 //!
 //! Usage: `pipeline-bench [--workload NAME] [--budget B] [--threads N]
-//!         [--out PATH] [--stream-out PATH] [--score-out PATH]
-//!         [--reexec-out PATH] [--adaptive-out PATH] [--check]`
+//!         [--out PATH] [--score-out PATH] [--reexec-out PATH]
+//!         [--adaptive-out PATH] [--check]`
 //!
 //! Defaults: `vpr.r`, 60 000 instructions, one thread per core,
-//! `BENCH_pipeline.json`, `BENCH_stream.json`, `BENCH_score.json`,
-//! `BENCH_reexec.json`, `BENCH_adaptive.json`. Exit codes: 0 success, 2
-//! usage error — or, under `--check`, a screened score stage slower than
-//! the exact one (a screening perf regression), an on-demand peak
-//! residency at or above the configured scope (the bounded-memory
-//! contract), or an adaptive payoff below the static payoff (the
-//! chooser's ties-keep-static contract) — and 1 pipeline or I/O failure
-//! (including any leg mismatch, which would mean a determinism bug).
+//! `BENCH_pipeline.json`, `BENCH_score.json`, `BENCH_reexec.json`,
+//! `BENCH_adaptive.json`. Exit codes: 0 success, 2 usage error — or,
+//! under `--check`, a screened score stage slower than the exact one (a
+//! screening perf regression) or an on-demand peak residency at or above
+//! the configured scope (the bounded-memory contract) — and 1 pipeline
+//! or I/O failure (including any leg mismatch, which would mean a
+//! determinism bug).
 
 use preexec_bench::build;
 use preexec_core::{try_select_pthreads_stats, ScreenStats, Selection, SelectionParams};
@@ -71,7 +64,6 @@ struct Args {
     budget: u64,
     threads: usize,
     out: String,
-    stream_out: String,
     score_out: String,
     reexec_out: String,
     adaptive_out: String,
@@ -85,7 +77,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         threads: std::thread::available_parallelism()
             .map_or(1, std::num::NonZeroUsize::get),
         out: "BENCH_pipeline.json".to_string(),
-        stream_out: "BENCH_stream.json".to_string(),
         score_out: "BENCH_score.json".to_string(),
         reexec_out: "BENCH_reexec.json".to_string(),
         adaptive_out: "BENCH_adaptive.json".to_string(),
@@ -111,7 +102,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                     .ok_or_else(|| format!("bad thread count `{v}`"))?;
             }
             "--out" => args.out = value("--out")?,
-            "--stream-out" => args.stream_out = value("--stream-out")?,
             "--score-out" => args.score_out = value("--score-out")?,
             "--reexec-out" => args.reexec_out = value("--reexec-out")?,
             "--adaptive-out" => args.adaptive_out = value("--adaptive-out")?,
@@ -278,22 +268,6 @@ fn run(args: &Args) -> Result<u8, String> {
     })?;
     let forest_bytes = preexec_slice::write_forest(&arts_serial.forest);
 
-    // The streaming leg: the same window fed in chunks by a producer
-    // thread, trace generation overlapping slicing.
-    let stream_spec = PolicySpec { cfg, streaming: true, ..PolicySpec::default() };
-    let (stream_us, arts_stream) = best_of_us(|| {
-        Pipeline::new(&program)
-            .policy(stream_spec)
-            .trace()
-            .map_err(|e| format!("streaming trace: {e}"))
-    })?;
-    let sstats = arts_stream
-        .stream
-        .ok_or("streaming trace reported no transport stats")?;
-    if forest_bytes != preexec_slice::write_forest(&arts_stream.forest) {
-        return Err("slice forests differ between batch and --stream".to_string());
-    }
-
     // The on-demand re-execution leg: checkpointed trace + interval
     // replay instead of a resident window. The cadence is an eighth of
     // the scope so the replayer's detail cache (4 intervals) stays
@@ -399,37 +373,6 @@ fn run(args: &Args) -> Result<u8, String> {
     json.push('\n');
     std::fs::write(&args.out, &json).map_err(|e| format!("writing {}: {e}", args.out))?;
 
-    // The streaming report: windowed vs streaming wall clock and the
-    // peak-memory proxy. `batch.peak_insts_proxy` is the windowed path's
-    // bound, the `scope` instructions its window holds (the trace itself
-    // is never materialized); `stream.peak_insts_proxy` is the measured
-    // window + in-flight-chunk high-water mark.
-    let stream_speedup = if stream_us == 0 {
-        1.0
-    } else {
-        trace_us as f64 / stream_us as f64
-    };
-    let mut sjson = String::new();
-    let _ = write!(
-        sjson,
-        r#"{{"workload":"{}","budget":{},"batch":{{"wall_us":{},"peak_insts_proxy":{}}},"stream":{{"wall_us":{},"peak_insts_proxy":{},"chunks":{},"backpressure_stalls_us":{},"consumer_stalls_us":{}}},"speedup":{:.3},"identical":true,"obs":"#,
-        args.workload,
-        args.budget,
-        trace_us,
-        cfg.scope,
-        stream_us,
-        sstats.peak_window_insts,
-        sstats.chunks,
-        sstats.backpressure_stalls_us,
-        sstats.consumer_stalls_us,
-        stream_speedup,
-    );
-    obs_json(&mut sjson);
-    sjson.push('}');
-    sjson.push('\n');
-    std::fs::write(&args.stream_out, &sjson)
-        .map_err(|e| format!("writing {}: {e}", args.stream_out))?;
-
     // The two-tier scoring leg: exact (screening off) versus screened
     // selection over the same forest, under the parameters the pipeline
     // itself derived (measured base IPC, clamped the way `select_stage`
@@ -502,7 +445,7 @@ fn run(args: &Args) -> Result<u8, String> {
     std::fs::write(&args.reexec_out, &rjson)
         .map_err(|e| format!("writing {}: {e}", args.reexec_out))?;
 
-    // The adaptive leg: phase detection on the streamed trace, per-phase
+    // The adaptive leg: phase detection on the traced chunks, per-phase
     // forests, the policy chooser, and the deduplicated union — the full
     // `run()`, timed best-of-N serially, then once in parallel for the
     // thread-determinism contract (result AND per-phase report must be
@@ -563,12 +506,14 @@ fn run(args: &Args) -> Result<u8, String> {
     }
     let _ = write!(
         ajson,
-        r#"],"divergent_phases":{},"pthreads":{{"adaptive":{},"static":{}}},"payoff":{{"adaptive":{:.3},"static":{:.3}}},"identical":true,"obs":"#,
+        r#"],"divergent_phases":{},"pthreads":{{"adaptive":{},"static":{}}},"payoff":{{"adaptive":{:.3},"static":{:.3}}},"assisted_ipc":{{"static":{:.4},"adaptive":{:.4}}},"identical":true,"obs":"#,
         rep.divergent_phases,
         rep.adaptive_pthreads,
         rep.static_pthreads,
         rep.adaptive_payoff,
         rep.static_payoff,
+        out_serial.result.assisted.ipc(),
+        out_adaptive.result.assisted.ipc(),
     );
     obs_json(&mut ajson);
     ajson.push('}');
@@ -577,15 +522,12 @@ fn run(args: &Args) -> Result<u8, String> {
         .map_err(|e| format!("writing {}: {e}", args.adaptive_out))?;
 
     eprintln!(
-        "pipeline-bench: {} @ {} insts, {} threads: select {:.2}x -> {}; stream peak {} vs window {} insts -> {}",
+        "pipeline-bench: {} @ {} insts, {} threads: select {:.2}x -> {}",
         args.workload,
         args.budget,
         args.threads,
         select.speedup(),
         args.out,
-        sstats.peak_window_insts,
-        cfg.scope,
-        args.stream_out
     );
     eprintln!(
         "pipeline-bench: score stage: exact {} us vs screened {} us ({} + {} screen, {:.2}x, {} of {} candidates pruned) -> {}",
@@ -611,13 +553,13 @@ fn run(args: &Args) -> Result<u8, String> {
         args.reexec_out
     );
     eprintln!(
-        "pipeline-bench: adaptive leg: {} phases, {} divergent; {} p-threads (static {}), payoff {:.3} vs {:.3} ({} us) -> {}",
+        "pipeline-bench: adaptive leg: {} phases, {} divergent; {} p-threads (static {}), assisted IPC {:.4} vs {:.4} ({} us) -> {}",
         rep.phases.len(),
         rep.divergent_phases,
         rep.adaptive_pthreads,
         rep.static_pthreads,
-        rep.adaptive_payoff,
-        rep.static_payoff,
+        out_adaptive.result.assisted.ipc(),
+        out_serial.result.assisted.ipc(),
         adaptive_us,
         args.adaptive_out
     );
@@ -638,17 +580,6 @@ fn run(args: &Args) -> Result<u8, String> {
         eprintln!(
             "pipeline-bench: --check failed: ondemand peak resident detail ({peak_resident} insts) not under the scope ({})",
             cfg.scope
-        );
-        return Ok(2);
-    }
-    // `--check`: the chooser's ties-keep-static gate. Per-phase payoffs
-    // sum monotonically (the chooser keeps the static variant on ties),
-    // so the adaptive aggregate can never fall below the static one; if
-    // it does, the chooser is broken.
-    if args.check && rep.adaptive_payoff < rep.static_payoff {
-        eprintln!(
-            "pipeline-bench: --check failed: adaptive payoff ({:.3}) below static ({:.3})",
-            rep.adaptive_payoff, rep.static_payoff
         );
         return Ok(2);
     }

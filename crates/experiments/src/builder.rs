@@ -17,20 +17,17 @@
 //! ```
 //!
 //! The builder holds exactly one policy value: every *policy* knob
-//! (config, budget, slicing mode, screening, streaming, adaptive
-//! selection, deadline) is a field of the [`PolicySpec`], and the
+//! (config, budget, slicing mode, screening, adaptive selection,
+//! deadline) is a field of the [`PolicySpec`], and the
 //! [`config`](Pipeline::config) and [`budget`](Pipeline::budget) setters
 //! are thin wrappers that mutate it. [`policy`](Pipeline::policy)
 //! installs a whole spec at once — the same value the toolflow `--policy`
-//! flag, the daemon's v6 `policy` object, and the WAL all carry.
+//! flag, the daemon's `policy` object, and the WAL all carry.
 //!
 //! Execution-environment knobs stay separate from policy:
 //!
 //! - [`threads`](Pipeline::threads) / [`parallelism`](Pipeline::parallelism)
 //!   — the selection stage's fan-out;
-//! - [`stream_config`](Pipeline::stream_config) — transport geometry of
-//!   the streaming path; on adaptive runs also the phase detector's
-//!   granularity (see the setter);
 //! - [`artifacts`](Pipeline::artifacts) — skip the trace stage entirely,
 //!   finishing from a cached forest (the service's cache-hit path);
 //! - [`gate`](Pipeline::gate) — stage-boundary admission (cancellation,
@@ -41,14 +38,13 @@
 //! Adaptive runs are additionally bit-identical at any thread count.
 
 use crate::pipeline::{
-    self, AdaptiveReport, PipelineConfig, PipelineParStats, PipelineResult, StreamRunStats,
-    TracePath,
+    self, AdaptiveReport, PipelineConfig, PipelineParStats, PipelineResult, TracePath,
 };
 use crate::policy::PolicySpec;
 use crate::PipelineError;
 use preexec_core::par::Parallelism;
 use preexec_core::ScreenStats;
-use preexec_func::{RunStats, StreamConfig};
+use preexec_func::RunStats;
 use preexec_isa::Program;
 use preexec_slice::SliceForest;
 use std::time::Instant;
@@ -76,8 +72,6 @@ pub struct TraceArtifacts {
     pub forest: SliceForest,
     /// Functional trace statistics.
     pub stats: RunStats,
-    /// Streaming transport counters; `None` unless the trace streamed.
-    pub stream: Option<StreamRunStats>,
 }
 
 /// Everything one [`Pipeline::run`] produced.
@@ -90,9 +84,6 @@ pub struct PipelineOutput {
     pub forest: SliceForest,
     /// Per-stage parallel-utilization counters.
     pub par: PipelineParStats,
-    /// Streaming transport counters; `None` unless the spec enabled
-    /// streaming (or adaptive selection) and the trace ran.
-    pub stream: Option<StreamRunStats>,
     /// Wall-clock stage timings.
     pub stage_us: StageUs,
     /// Whether the trace stage was skipped via
@@ -157,7 +148,6 @@ pub struct Pipeline<'p> {
     program: &'p Program,
     spec: PolicySpec,
     par: Parallelism,
-    stream: StreamConfig,
     artifacts: Option<(SliceForest, RunStats)>,
     gate: Option<StageGate<'p>>,
 }
@@ -167,7 +157,6 @@ impl std::fmt::Debug for Pipeline<'_> {
         f.debug_struct("Pipeline")
             .field("spec", &self.spec)
             .field("par", &self.par)
-            .field("stream", &self.stream)
             .field("artifacts", &self.artifacts.is_some())
             .field("gate", &self.gate.is_some())
             .finish_non_exhaustive()
@@ -184,7 +173,6 @@ impl<'p> Pipeline<'p> {
             program,
             spec: PolicySpec::default(),
             par: Parallelism::serial(),
-            stream: StreamConfig::default(),
             artifacts: None,
             gate: None,
         }
@@ -192,7 +180,7 @@ impl<'p> Pipeline<'p> {
 
     /// Installs a whole [`PolicySpec`] — the one source of truth for
     /// every policy knob. Replaces any previously set config, budget,
-    /// slicing mode, screening, streaming, or adaptive settings.
+    /// slicing mode, screening, or adaptive settings.
     #[must_use]
     pub fn policy(mut self, spec: PolicySpec) -> Self {
         self.spec = spec;
@@ -225,23 +213,6 @@ impl<'p> Pipeline<'p> {
     #[must_use]
     pub fn parallelism(mut self, par: Parallelism) -> Self {
         self.par = par;
-        self
-    }
-
-    /// Sets the streaming transport geometry (implies nothing about the
-    /// spec's `streaming` flag — the flag still picks the path).
-    ///
-    /// On the streaming path the geometry changes batching, never the
-    /// forest or the result. On adaptive runs it does change results:
-    /// `chunk_insts` is the phase detector's granularity, so a different
-    /// chunk size finds different phases. At `threshold_permille=25`,
-    /// `min_phase_chunks=2` and a 200 k budget, 4096- versus
-    /// 2048-instruction chunks give 3 versus 13 phases on bzip2, 6 versus
-    /// 9 on crafty, 16 versus 41 on gcc and 3 versus 14 on twolf, and a
-    /// different result on all four.
-    #[must_use]
-    pub fn stream_config(mut self, stream: StreamConfig) -> Self {
-        self.stream = stream;
         self
     }
 
@@ -288,7 +259,7 @@ impl<'p> Pipeline<'p> {
     /// Runs the full pipeline (or its post-trace half, given
     /// [`artifacts`](Self::artifacts)). When the spec enables adaptive
     /// selection, the run takes the phased path: phase-partitioned
-    /// streaming trace, per-phase policy choice, and a deduplicated
+    /// trace, per-phase policy choice, and a deduplicated
     /// union selection (see [`AdaptiveReport`]); the returned `forest` is
     /// still the global one, byte-identical to a non-adaptive trace's.
     ///
@@ -351,7 +322,6 @@ impl<'p> Pipeline<'p> {
             result: PipelineResult { stats: arts.stats, base, selection, assisted },
             forest: arts.forest,
             par: PipelineParStats { select: select_par },
-            stream: arts.stream,
             stage_us,
             artifacts_reused,
             screen: screening.then_some(screen),
@@ -360,8 +330,8 @@ impl<'p> Pipeline<'p> {
     }
 
     /// The trace stage under the builder's knobs: supplied artifacts win,
-    /// then the phased path (when `phased`), on-demand re-execution,
-    /// streaming, and the direct windowed path. Returns the artifacts,
+    /// then the phased path (when `phased`), on-demand re-execution, and
+    /// the direct windowed path. Returns the artifacts,
     /// the per-phase forests (empty unless phased), and the stage's
     /// wall-clock microseconds (zero for supplied artifacts).
     fn trace_stage(
@@ -369,13 +339,12 @@ impl<'p> Pipeline<'p> {
         phased: bool,
     ) -> Result<(TraceArtifacts, Vec<SliceForest>, u64), PipelineError> {
         if let Some((forest, stats)) = self.artifacts {
-            return Ok((TraceArtifacts { forest, stats, stream: None }, Vec::new(), 0));
+            return Ok((TraceArtifacts { forest, stats }, Vec::new(), 0));
         }
         self.check_gate("trace")?;
         let path = match self.spec.slicing {
-            _ if phased => TracePath::Phased(self.stream, self.spec.adaptive.phase_config()),
+            _ if phased => TracePath::Phased(self.spec.adaptive.phase_config()),
             SlicingMode::OnDemand { checkpoint_every } => TracePath::OnDemand { checkpoint_every },
-            SlicingMode::Windowed if self.spec.streaming => TracePath::Streamed(self.stream),
             SlicingMode::Windowed => TracePath::Windowed,
         };
         let cfg = self.spec.cfg;
@@ -423,7 +392,6 @@ mod tests {
         let out = Pipeline::new(&p).config(cfg()).run().unwrap();
         assert_eq!(key(&out.result), key(&whole));
         assert!(!out.artifacts_reused);
-        assert!(out.stream.is_none());
         assert!(out.stage_us.trace > 0 && out.stage_us.base_sim > 0);
     }
 
@@ -444,12 +412,10 @@ mod tests {
             .config(cfg())
             .budget(80_000)
             .policy(PolicySpec {
-                streaming: true,
                 screening: false,
                 slicing: SlicingMode::OnDemand { checkpoint_every: 7 },
                 ..PolicySpec::default()
             });
-        assert!(b.spec.streaming);
         assert!(!b.spec.screening);
         assert_eq!(b.spec.slicing, SlicingMode::OnDemand { checkpoint_every: 7 });
         // .policy() replaced the earlier budget wholesale.
@@ -466,20 +432,6 @@ mod tests {
         assert!(out.artifacts_reused);
         assert_eq!(out.stage_us.trace, 0);
         assert_eq!(key(&out.result), key(&whole.result));
-    }
-
-    #[test]
-    fn streaming_run_matches_batch_run() {
-        let p = vpr();
-        let c = cfg();
-        let batch = Pipeline::new(&p).config(c).run().unwrap();
-        let out = Pipeline::new(&p)
-            .policy(PolicySpec { cfg: c, streaming: true, ..PolicySpec::default() })
-            .run()
-            .unwrap();
-        let s = out.stream.expect("streaming stats");
-        assert!(s.chunks > 0);
-        assert_eq!(key(&out.result), key(&batch.result));
     }
 
     fn adaptive_spec(c: PipelineConfig) -> PolicySpec {
@@ -517,10 +469,10 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_global_forest_matches_the_streamed_forest() {
+    fn adaptive_global_forest_matches_the_windowed_forest() {
         // The phase partition never perturbs the global view: an
-        // adaptive run's forest is byte-identical to a plain streamed
-        // (and therefore batch) trace of the same spec.
+        // adaptive run's forest is byte-identical to a plain windowed
+        // trace of the same spec.
         let p = vpr();
         let c = cfg();
         let plain = Pipeline::new(&p).config(c).trace().unwrap();

@@ -63,12 +63,12 @@ pub enum PipelineError {
         over_ms: u64,
     },
     /// Two policy inputs contradict each other — e.g. adaptive selection
-    /// combined with on-demand slicing, or a flat v5 protocol field and
-    /// the nested v6 `policy` object naming different values for the
-    /// same key. Carries the policy key in conflict.
+    /// combined with on-demand slicing, or a toolflow flag and a
+    /// `--policy` entry naming different values for the same key.
+    /// Carries the policy key in conflict.
     ConflictingPolicy {
         /// The policy key the two inputs disagree on (`"slice_mode"`,
-        /// `"deadline_ms"`, ...).
+        /// `"screening"`, ...).
         key: &'static str,
     },
     /// An adaptive-selection knob was out of range (the knobs must all

@@ -45,9 +45,8 @@ pub use error::PipelineError;
 pub use pipeline::{
     run_pipeline, trace_and_slice, trace_and_slice_warm, try_run_pipeline,
     try_trace_and_slice_warm, AdaptiveReport, PhaseReport, PipelineConfig, PipelineParStats,
-    PipelineResult, StreamRunStats,
+    PipelineResult,
 };
 pub use policy::{AdaptiveConfig, PolicySpec};
 pub use preexec_core::par::{ParStats, Parallelism};
 pub use preexec_core::ScreenStats;
-pub use preexec_func::StreamConfig;

@@ -8,8 +8,8 @@ use preexec_core::{
     Selection, SelectionParams, SelectionPrediction, StaticPThread,
 };
 use preexec_func::{
-    try_run_trace, try_run_trace_checkpointed, try_run_trace_chunked, ChunkSummary, DynInst,
-    MeasuredRegion, PhaseConfig, PhaseDetector, Replayer, RunStats, StreamConfig, TraceConfig,
+    try_run_trace, try_run_trace_checkpointed, ChunkSummary, DynInst, MeasuredRegion,
+    PhaseConfig, PhaseDetector, Replayer, RunStats, TraceConfig, PHASE_BLOCK_INSTS,
 };
 use preexec_isa::{Inst, Pc, Program};
 use preexec_mem::HierarchyConfig;
@@ -26,29 +26,6 @@ use preexec_timing::{try_simulate, MachineParams, SimConfig, SimMode, SimResult}
 pub struct PipelineParStats {
     /// The selection fan-outs (per-candidate scoring + per-tree solving).
     pub select: ParStats,
-}
-
-/// What the streaming trace+slice stage measured about itself: transport
-/// counters from the bounded SPSC channel plus the peak slicing-window
-/// occupancy — the number that proves the bounded-memory contract.
-///
-/// Mirrored into the [`preexec_obs`] registry as `stream.chunks`,
-/// `stream.backpressure_stalls_us` (counters) and
-/// `stream.peak_window_insts` (gauge).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StreamRunStats {
-    /// Trace chunks delivered through the channel.
-    pub chunks: u64,
-    /// Peak `window occupancy + in-flight chunk` instructions held by the
-    /// slicer at once. Bounded by `scope + chunk_insts` whatever the
-    /// trace length.
-    pub peak_window_insts: u64,
-    /// Wall-clock time the tracer spent stalled on a full channel
-    /// (consumer slower than producer).
-    pub backpressure_stalls_us: u64,
-    /// Wall-clock time the slicer spent stalled on an empty channel
-    /// (producer slower than consumer).
-    pub consumer_stalls_us: u64,
 }
 
 /// Configuration of one pipeline run.
@@ -240,26 +217,22 @@ pub fn try_trace_and_slice_warm(
     Ok((arts.forest, arts.stats))
 }
 
-/// Which transport carries the trace to which slicing sink. Every path
-/// produces a byte-identical global forest and identical [`RunStats`];
-/// they differ in what stays resident and in what else they report.
+/// Which slicing sink the trace feeds. Every path produces a
+/// byte-identical global forest and identical [`RunStats`]; they differ
+/// in what stays resident and in what else they report.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum TracePath {
     /// The tracer feeds the windowed forest builder directly: `O(scope)`
     /// resident instructions.
     Windowed,
-    /// The tracer runs on a producer thread and hands the windowed
-    /// builder fixed-size chunks over a bounded channel
-    /// ([`preexec_func::try_run_trace_chunked`]): trace generation
-    /// overlaps slicing, and [`StreamRunStats`] reports the transport.
-    Streamed(StreamConfig),
-    /// [`Streamed`](Self::Streamed) with a [`PhaseDetector`] on the chunk
-    /// boundary and a [`PhasedForestBuilder`] keeping one forest per
-    /// detected phase beside the global one. Each chunk is summarized
-    /// before any of it is sliced, so a confirmed shift starts the new
-    /// phase with that whole chunk (the prospective rule of
-    /// [`preexec_func::phase`]); the window runs on across boundaries.
-    Phased(StreamConfig, PhaseConfig),
+    /// The windowed path with a [`PhaseDetector`] on chunks of
+    /// [`PHASE_BLOCK_INSTS`] traced instructions and a
+    /// [`PhasedForestBuilder`] keeping one forest per detected phase
+    /// beside the global one. Each chunk is summarized before any of it is
+    /// sliced, so a confirmed shift starts the new phase with that whole
+    /// chunk (the prospective rule of [`preexec_func::phase`]); the window
+    /// runs on across boundaries.
+    Phased(PhaseConfig),
     /// On-demand re-execution: pass 1 records checkpoints every
     /// `checkpoint_every` emitted instructions
     /// ([`preexec_func::try_run_trace_checkpointed`]) and keeps no
@@ -277,36 +250,47 @@ pub(crate) enum TracePath {
 /// The per-instruction consumer of a [`TracePath`].
 enum Sink {
     Windowed(SliceForestBuilder),
-    Phased(PhasedForestBuilder, PhaseDetector),
+    Phased(PhasedSink),
     /// `DC_trig` counts now, plus the `(seq, pc, inst)` of every measured
     /// L2-miss load, in trace order, to slice by re-execution later.
     OnDemand(ForestBank, Vec<(u64, Pc, Inst)>),
 }
 
+/// The phased builder, its detector, and the chunk of traced records
+/// waiting for the detector's verdict.
+struct PhasedSink {
+    builder: PhasedForestBuilder,
+    detector: PhaseDetector,
+    chunk: Vec<DynInst>,
+}
+
+impl PhasedSink {
+    /// Shows the detector the buffered chunk's summary, then feeds the
+    /// chunk to the builder. Warm-up instructions enter the window but are
+    /// neither summarized, counted nor sliced.
+    fn flush(&mut self, warmup: u64) {
+        if self.chunk.is_empty() {
+            return;
+        }
+        let mut summary = ChunkSummary::default();
+        for d in self.chunk.iter().filter(|d| d.seq >= warmup) {
+            summary.insts += 1;
+            summary.l2_misses += u64::from(d.is_l2_miss_load());
+        }
+        if self.detector.observe_chunk(summary) {
+            self.builder.begin_phase();
+        }
+        for d in self.chunk.drain(..) {
+            if d.seq >= warmup {
+                self.builder.observe(&d);
+            } else {
+                self.builder.observe_warmup(&d);
+            }
+        }
+    }
+}
+
 impl Sink {
-    /// Instructions the sink holds in a slicing window.
-    fn window_len(&self) -> usize {
-        match self {
-            Sink::Windowed(b) => b.window_len(),
-            Sink::Phased(b, _) => b.window_len(),
-            Sink::OnDemand(..) => 0,
-        }
-    }
-
-    /// Lets the phase detector see a chunk before any of it is fed.
-    fn begin_chunk(&mut self, chunk: &[DynInst], warmup: u64) {
-        if let Sink::Phased(builder, detector) = self {
-            let mut summary = ChunkSummary::default();
-            for d in chunk.iter().filter(|d| d.seq >= warmup) {
-                summary.insts += 1;
-                summary.l2_misses += u64::from(d.is_l2_miss_load());
-            }
-            if detector.observe_chunk(summary) {
-                builder.begin_phase();
-            }
-        }
-    }
-
     /// Feeds one traced instruction. Warm-up instructions enter the
     /// window (so early measured slices can reach back through them) but
     /// are neither counted nor sliced.
@@ -315,8 +299,12 @@ impl Sink {
         match self {
             Sink::Windowed(b) if measured => b.observe(d),
             Sink::Windowed(b) => b.observe_warmup(d),
-            Sink::Phased(b, _) if measured => b.observe(d),
-            Sink::Phased(b, _) => b.observe_warmup(d),
+            Sink::Phased(p) => {
+                p.chunk.push(*d);
+                if p.chunk.len() == PHASE_BLOCK_INSTS {
+                    p.flush(warmup);
+                }
+            }
             Sink::OnDemand(bank, requests) if measured => {
                 bank.count(d.pc);
                 if d.is_l2_miss_load() {
@@ -362,40 +350,21 @@ pub(crate) fn trace_and_slice_along(
         ..TraceConfig::default()
     };
     let mut sink = match path {
-        TracePath::Windowed | TracePath::Streamed(_) => {
-            Sink::Windowed(SliceForestBuilder::try_new(scope, max_slice_len)?)
-        }
-        TracePath::Phased(_, phase) => Sink::Phased(
-            PhasedForestBuilder::try_new(scope, max_slice_len)?,
-            PhaseDetector::new(phase),
-        ),
+        TracePath::Windowed => Sink::Windowed(SliceForestBuilder::try_new(scope, max_slice_len)?),
+        TracePath::Phased(phase) => Sink::Phased(PhasedSink {
+            builder: PhasedForestBuilder::try_new(scope, max_slice_len)?,
+            detector: PhaseDetector::new(phase),
+            chunk: Vec::with_capacity(PHASE_BLOCK_INSTS),
+        }),
         TracePath::OnDemand { .. } => Sink::OnDemand(ForestBank::new(), Vec::new()),
     };
 
     let reg = preexec_obs::global();
     let trace_span = reg.span("stage.trace");
-    let mut stream = None;
     let mut checkpoints = None;
     let stats = match path {
-        TracePath::Windowed => try_run_trace(program, &config, |d| sink.feed(d, warmup))?,
-        TracePath::Streamed(geometry) | TracePath::Phased(geometry, _) => {
-            let mut peak = 0;
-            let (stats, s) = try_run_trace_chunked(program, &config, &geometry, |chunk| {
-                // Everything the slicer holds while working a chunk is the
-                // window plus the chunk itself.
-                peak = peak.max(sink.window_len() + chunk.len());
-                sink.begin_chunk(chunk, warmup);
-                for d in chunk {
-                    sink.feed(d, warmup);
-                }
-            })?;
-            stream = Some(StreamRunStats {
-                chunks: s.chunks,
-                peak_window_insts: peak as u64,
-                backpressure_stalls_us: s.producer_stall_us,
-                consumer_stalls_us: s.consumer_stall_us,
-            });
-            stats
+        TracePath::Windowed | TracePath::Phased(_) => {
+            try_run_trace(program, &config, |d| sink.feed(d, warmup))?
         }
         TracePath::OnDemand { checkpoint_every } => {
             let (stats, trace) =
@@ -406,6 +375,10 @@ pub(crate) fn trace_and_slice_along(
             stats
         }
     };
+    // The trace's last chunk may be short.
+    if let Sink::Phased(p) = &mut sink {
+        p.flush(warmup);
+    }
     trace_span.finish();
 
     let mut reexec = None;
@@ -425,19 +398,14 @@ pub(crate) fn trace_and_slice_along(
     let build_span = reg.span("stage.slice_build");
     let (forest, phases) = match sink {
         Sink::Windowed(b) => (b.finish(), Vec::new()),
-        Sink::Phased(b, _) => {
-            let phased = b.finish();
+        Sink::Phased(p) => {
+            let phased = p.builder.finish();
             (phased.global, phased.phases)
         }
         Sink::OnDemand(bank, _) => (bank.finish(), Vec::new()),
     };
     build_span.finish();
 
-    if let Some(s) = &stream {
-        reg.counter("stream.chunks").add(s.chunks);
-        reg.counter("stream.backpressure_stalls_us").add(s.backpressure_stalls_us);
-        reg.gauge("stream.peak_window_insts").set(s.peak_window_insts as i64);
-    }
     if matches!(path, TracePath::Phased(..)) {
         reg.gauge("phase.count").set(phases.len() as i64);
     }
@@ -446,7 +414,7 @@ pub(crate) fn trace_and_slice_along(
         reg.counter("reexec.insts").add(insts);
         reg.gauge("reexec.peak_resident_insts").set(peak as i64);
     }
-    Ok((TraceArtifacts { forest, stats, stream }, phases))
+    Ok((TraceArtifacts { forest, stats }, phases))
 }
 
 /// The [`SelectionParams`] implied by a pipeline config and a measured

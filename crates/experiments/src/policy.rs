@@ -3,19 +3,18 @@
 //!
 //! Nine PRs of organic growth left the configuration surface scattered:
 //! `PipelineConfig` carried the model knobs, while slicing mode,
-//! screening, streaming, and deadlines each grew their own builder
-//! setter, toolflow flag, and flat protocol field. [`PolicySpec`]
-//! collapses that sprawl into a single serde-free typed struct that is
-//! the one source of truth flowing through
-//! [`Pipeline`](crate::Pipeline), the toolflow CLI, the daemon's
-//! `submit`/`submit_batch` verbs (protocol v6's nested `policy`
-//! object), and the WAL round-trip.
+//! screening, and deadlines each grew their own builder setter, toolflow
+//! flag, and flat protocol field. [`PolicySpec`] collapses that sprawl
+//! into a single serde-free typed struct that is the one source of truth
+//! flowing through [`Pipeline`](crate::Pipeline), the toolflow CLI, the
+//! daemon's `submit`/`submit_batch` verbs (the protocol's nested
+//! `policy` object), and the WAL round-trip.
 //!
 //! Validation is centralized here too: [`PolicySpec::try_validate`]
 //! checks the underlying [`PipelineConfig`], the adaptive knobs, and
 //! the *combinations* — adaptive selection requires the windowed
-//! slicing path (phase detection rides the streaming chunk boundary;
-//! the on-demand re-execution path has no chunks), so
+//! slicing path (the phased forest builder slices through the window;
+//! the on-demand re-execution path keeps none), so
 //! `adaptive + ondemand` is rejected with the typed
 //! [`PipelineError::ConflictingPolicy`] code every layer reuses for
 //! contradictory policy inputs.
@@ -65,8 +64,8 @@ impl AdaptiveConfig {
 }
 
 /// The complete, typed policy of one pipeline run: model/budget
-/// configuration, slicing mode, screening, streaming transport,
-/// adaptive selection, and the wall-clock deadline. What a workload
+/// configuration, slicing mode, screening, adaptive selection, and the
+/// wall-clock deadline. What a workload
 /// runs *on* (program, input) stays with the caller; everything about
 /// *how* it runs lives here.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -78,10 +77,6 @@ pub struct PolicySpec {
     /// The static ADVagg screening pre-pass (on by default; never
     /// changes the selected set).
     pub screening: bool,
-    /// The bounded-memory streaming trace transport. Implied (and
-    /// forced) by `adaptive.enabled` — phase detection needs the chunk
-    /// boundary.
-    pub streaming: bool,
     /// Phase-adaptive selection knobs.
     pub adaptive: AdaptiveConfig,
     /// Optional wall-clock deadline in milliseconds, observed at stage
@@ -93,7 +88,7 @@ pub struct PolicySpec {
 impl Default for PolicySpec {
     /// The repo's standard quick-run policy: paper defaults at a
     /// 120 k-instruction budget, windowed slicing, screening on,
-    /// batch transport, adaptive off, no deadline.
+    /// adaptive off, no deadline.
     fn default() -> PolicySpec {
         PolicySpec::paper_default(120_000)
     }
@@ -106,7 +101,6 @@ impl PolicySpec {
             cfg: PipelineConfig::paper_default(budget),
             slicing: SlicingMode::Windowed,
             screening: true,
-            streaming: false,
             adaptive: AdaptiveConfig::default(),
             deadline_ms: None,
         }
@@ -151,7 +145,6 @@ mod tests {
         let spec = PolicySpec::default();
         assert!(spec.try_validate().is_ok());
         assert!(!spec.adaptive.enabled);
-        assert!(!spec.streaming);
         assert!(spec.screening);
         assert_eq!(spec.slicing, SlicingMode::Windowed);
         assert_eq!(spec.deadline_ms, None);

@@ -1,15 +1,13 @@
-//! Cross-thread-count and cross-transport determinism: the full pipeline
-//! must produce byte-identical results at every `Parallelism` setting and
-//! on both trace transports (batch and streaming).
+//! Cross-thread-count and cross-slicing-mode determinism: the full
+//! pipeline must produce byte-identical results at every `Parallelism`
+//! setting and with both slicers (windowed and on-demand).
 //!
-//! This is the contract that makes `--threads N` and `--stream` safe to
-//! default on: the per-candidate scoring fan-out and the per-tree
-//! selection fixed points merge in input order,
-//! every cross-item floating-point accumulation stays serial (see
-//! `preexec_core::par` and DESIGN.md §11), and chunk boundaries are a
-//! transport detail the results never observe (§13). `Debug` formatting
-//! round-trips every `f64` exactly, so string equality below is bitwise
-//! equality of the whole result.
+//! This is the contract that makes `--threads N` safe to default on: the
+//! per-candidate scoring fan-out and the per-tree selection fixed points
+//! merge in input order, and every cross-item floating-point
+//! accumulation stays serial (see `preexec_core::par` and DESIGN.md §11).
+//! `Debug` formatting round-trips every `f64` exactly, so string equality
+//! below is bitwise equality of the whole result.
 
 use preexec_experiments::{
     Pipeline, PipelineConfig, PolicySpec, SlicingMode, DEFAULT_CHECKPOINT_EVERY,
@@ -40,19 +38,8 @@ fn pipeline_is_bit_identical_across_thread_counts() {
         assert!(out.par.select.items > 0, "select stage saw no items");
     }
 
-    // The streaming transport is a third point on the same identity.
-    let streamed = Pipeline::new(&p)
-        .policy(PolicySpec { cfg, streaming: true, ..PolicySpec::default() })
-        .run()
-        .expect("streaming run");
-    assert_eq!(
-        format!("{:?}", streamed.result),
-        ref_fmt,
-        "pipeline output differs between batch and streaming"
-    );
-    assert!(streamed.stream.expect("transport stats").chunks > 0);
-
-    // On-demand re-execution slicing is a fourth.
+    // On-demand re-execution slicing is a third point on the same
+    // identity.
     let ondemand = Pipeline::new(&p)
         .policy(PolicySpec {
             cfg,
@@ -71,7 +58,7 @@ fn pipeline_is_bit_identical_across_thread_counts() {
 #[test]
 fn slice_forest_serializes_identically_across_thread_counts() {
     // The artifact cache persists forests; a thread-count- or
-    // transport-dependent byte stream would poison cache keys across
+    // slicer-dependent byte stream would poison cache keys across
     // daemon configurations.
     let w = suite().into_iter().find(|w| w.name == "mcf").expect("suite has mcf");
     let p = w.build(InputSet::Train);
@@ -88,15 +75,6 @@ fn slice_forest_serializes_identically_across_thread_counts() {
             "forest differs at threads={threads}"
         );
     }
-    let arts_s = Pipeline::new(&p)
-        .policy(PolicySpec { cfg, streaming: true, ..PolicySpec::default() })
-        .trace()
-        .expect("streaming trace");
-    assert_eq!(
-        write_forest(&arts_s.forest),
-        reference,
-        "forest differs between batch and streaming"
-    );
     let arts_o = Pipeline::new(&p)
         .policy(PolicySpec {
             cfg,

@@ -23,9 +23,9 @@ use preexec_slice::write_forest;
 use preexec_workloads::{suite, InputSet};
 use proptest::prelude::*;
 
-/// A randomized pointer-chase kernel (the `tests/streaming` generator
-/// with a store/reload side channel so replay must reconstruct dirtied
-/// pages): unbounded loop, budget-terminated, footprints past the L2.
+/// A randomized pointer-chase kernel with a store/reload side channel so
+/// replay must reconstruct dirtied pages: unbounded loop,
+/// budget-terminated, footprints past the L2.
 fn chase_program(seed: u64, table_pow: u32, stride: u64, filler: u8) -> Program {
     let n = 1u64 << table_pow;
     let stride = stride | 1; // odd ⇒ coprime with a power of two

@@ -31,17 +31,15 @@ pub mod pthread;
 pub mod replay;
 pub mod sampling;
 pub mod stats;
-pub mod stream;
 pub mod tracer;
 
 pub use checkpoint::{try_run_trace_checkpointed, Checkpoint, CheckpointTrace};
 pub use cpu::{Cpu, StepOutcome};
 pub use dyninst::DynInst;
 pub use error::ExecError;
-pub use phase::{ChunkSummary, PhaseConfig, PhaseDetector};
+pub use phase::{ChunkSummary, PhaseConfig, PhaseDetector, PHASE_BLOCK_INSTS};
 pub use pthread::{run_pthread, PThreadOutcome, PThreadRun, SquashReason, PTHREAD_ADDR_LIMIT};
 pub use replay::Replayer;
 pub use sampling::{Phase, Sampling};
 pub use stats::{LoadSiteStats, RunStats};
-pub use stream::{try_run_trace_chunked, StreamConfig, StreamStats};
 pub use tracer::{run_trace, try_run_trace, MeasuredRegion, TraceConfig};

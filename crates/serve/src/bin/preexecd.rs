@@ -35,7 +35,7 @@ options:
   --help             print this help
 
 protocol: one JSON object per line, e.g.
-  {\"cmd\":\"submit\",\"workload\":\"vpr.r\",\"budget\":120000,\"deadline_ms\":60000}
+  {\"cmd\":\"submit\",\"workload\":\"vpr.r\",\"budget\":120000,\"policy\":{\"deadline_ms\":60000}}
   {\"cmd\":\"submit_batch\",\"jobs\":[{\"workload\":\"mcf\",\"budget\":120000}]}
   {\"cmd\":\"status\",\"job\":1}   {\"cmd\":\"result\",\"job\":1}
   {\"cmd\":\"cancel\",\"job\":1}   {\"cmd\":\"stats\"}

@@ -3,7 +3,7 @@
 //! reads the file and generates p-thread sets for several machine
 //! configurations quickly, without re-tracing.
 //!
-//! Usage: `toolflow [--jobs N] [--threads N] [--stream] [--slice-mode windowed|ondemand[:N]] [--no-screen] [--policy k=v,...] [--profile] [workload[,workload...]|all] [budget] [out.slices]`
+//! Usage: `toolflow [--jobs N] [--threads N] [--slice-mode windowed|ondemand[:N]] [--no-screen] [--policy k=v,...] [--profile] [workload[,workload...]|all] [budget] [out.slices]`
 //!        `toolflow [--threads N] [--no-screen] [--profile] --read <file.slices>` (selection only, no re-tracing)
 //!        `toolflow --daemon HOST:PORT [--slice-mode ...] [--policy k=v,...] [workload[,workload...]|all] [budget]` (run via preexecd)
 //!
@@ -21,14 +21,6 @@
 //! `--jobs` trades throughput across workloads, `--threads` latency
 //! within one.
 //!
-//! `--stream` traces through the bounded-memory streaming path: the
-//! functional simulator runs on a producer thread, feeding the slicer
-//! fixed-size chunks through a bounded channel, so trace generation
-//! overlaps slicing and peak memory stays O(window + chunk), one chunk
-//! above the windowed path's O(window). stdout (slice files and
-//! selections) is byte-identical with and without the flag — the CI
-//! determinism matrix diffs the two.
-//!
 //! `--slice-mode ondemand[:N]` traces through the checkpoint-based
 //! re-execution path: the trace pass records a checkpoint every N
 //! emitted instructions (default 4096) and keeps no slicing window;
@@ -37,7 +29,7 @@
 //! O(checkpoints + N) regardless of scope. stdout is byte-identical
 //! with `--slice-mode windowed` (the default) — the CI determinism
 //! matrix diffs the two. With `--daemon` the mode travels in the
-//! submit batch as the protocol's `slice_mode`/`checkpoint_every`
+//! submit batch as the `policy` object's `slice_mode`/`checkpoint_every`
 //! fields.
 //!
 //! `--no-screen` disables the static ADVagg screening pre-pass of the
@@ -49,20 +41,20 @@
 //!
 //! `--policy key=val,...` sets any field of the unified
 //! [`PolicySpec`] directly: `slice_mode=windowed|ondemand[:N]`,
-//! `screening=BOOL`, `streaming=BOOL`, `adaptive=BOOL`,
+//! `screening=BOOL`, `adaptive=BOOL`,
 //! `threshold_permille=N`, `confirm=N`, `min_phase_chunks=N`,
 //! `deadline_ms=N`. The spelling composes with the dedicated flags
-//! (`--stream`, `--no-screen`, `--slice-mode`): restating the same
-//! value both ways is fine, but a flag and a `--policy` entry naming
-//! *different* values for one key exit 2 with the typed
-//! `config.conflicting_policy` error. `--policy adaptive=true` runs
-//! phase-adaptive selection: the trace streams through the phase
-//! detector, each detected phase gets its own policy choice, and the
+//! (`--no-screen`, `--slice-mode`): restating the same value both ways
+//! is fine, but a flag and a `--policy` entry naming *different* values
+//! for one key exit 2 with the typed `config.conflicting_policy` error.
+//! `--policy adaptive=true` runs phase-adaptive selection: the phase
+//! detector reads the trace in fixed chunks, each detected phase gets
+//! its own policy choice, and the
 //! report prints one deterministic line per phase plus a
 //! static-vs-adaptive summary. `--policy adaptive=false` output is
 //! byte-identical to not passing `--policy` at all — the CI adaptive
 //! leg diffs the two. In `--daemon` mode the whole spec travels as the
-//! protocol's nested v6 `policy` object.
+//! protocol's nested `policy` object.
 //!
 //! `--profile` prints a per-stage wall-clock profile table (count, total,
 //! mean, p50/p99 bounds, max — from the [`preexec_obs`] registry) to
@@ -95,7 +87,7 @@
 //! (retried with the backoff policy when the daemon sheds the batch as
 //! `overloaded`), then per-job status polls and `result` fetches. The
 //! daemon owns execution and the artifact cache (possibly sharded), so
-//! `--jobs`/`--threads`/`--stream` do not apply. The exit-code contract
+//! `--jobs`/`--threads` do not apply. The exit-code contract
 //! is unchanged: results print in submission order and the first
 //! failing job's code (5 for pipeline faults and panics) wins.
 
@@ -104,6 +96,7 @@ use preexec_experiments::{
     Pipeline, PipelineError, PolicySpec, SlicingMode, DEFAULT_CHECKPOINT_EVERY,
 };
 use preexec_serve::json::Json;
+use preexec_serve::proto::policy_json;
 use preexec_serve::retry::{retry_with_backoff, Backoff};
 use preexec_serve::scheduler::{JobCompletion, Scheduler};
 use preexec_slice::{read_forest, read_forest_lenient, write_forest, SliceForest};
@@ -154,7 +147,6 @@ fn run(args: &[String]) -> Result<u8, Failure> {
     // Dedicated flags and `--policy` entries are tracked separately as
     // "given or not": a key named by both with different values is a
     // contradiction, not an override order.
-    let mut stream_flag: Option<bool> = None;
     let mut screen_flag: Option<bool> = None;
     let mut slicing_flag: Option<SlicingMode> = None;
     let mut pol = PolicyOverrides::default();
@@ -164,7 +156,6 @@ fn run(args: &[String]) -> Result<u8, Failure> {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--profile" => profile = true,
-            "--stream" => stream_flag = Some(true),
             "--no-screen" => screen_flag = Some(false),
             "--slice-mode" => {
                 let v = it.next().ok_or_else(|| {
@@ -268,7 +259,6 @@ fn run(args: &[String]) -> Result<u8, Failure> {
     if let Some(m) = merge_policy("slice_mode", slicing_flag, pol.slicing)? {
         spec.slicing = m;
     }
-    spec.streaming = merge_policy("streaming", stream_flag, pol.streaming)?.unwrap_or(false);
     spec.screening = merge_policy("screening", screen_flag, pol.screening)?.unwrap_or(true);
     if let Some(on) = pol.adaptive {
         spec.adaptive.enabled = on;
@@ -364,7 +354,6 @@ fn run(args: &[String]) -> Result<u8, Failure> {
 struct PolicyOverrides {
     slicing: Option<SlicingMode>,
     screening: Option<bool>,
-    streaming: Option<bool>,
     adaptive: Option<bool>,
     threshold_permille: Option<u64>,
     confirm: Option<u64>,
@@ -382,7 +371,6 @@ fn parse_policy_overrides(v: &str, pol: &mut PolicyOverrides) -> Result<(), Fail
         match key {
             "slice_mode" => pol.slicing = Some(parse_slice_mode(val)?),
             "screening" => pol.screening = Some(parse_policy_bool(key, val)?),
-            "streaming" => pol.streaming = Some(parse_policy_bool(key, val)?),
             "adaptive" => pol.adaptive = Some(parse_policy_bool(key, val)?),
             "threshold_permille" => {
                 pol.threshold_permille = Some(parse_policy_u64(key, val)?);
@@ -447,35 +435,6 @@ fn parse_slice_mode(v: &str) -> Result<SlicingMode, Failure> {
     Err(Failure::new(2, format!("bad slice mode `{v}` (windowed or ondemand[:N])")))
 }
 
-/// The nested v6 `policy` submit object for daemon mode: the resolved
-/// [`PolicySpec`], every field explicit (no flat v5 spellings).
-fn policy_object(spec: &PolicySpec) -> Json {
-    let mut fields = Vec::new();
-    match spec.slicing {
-        SlicingMode::Windowed => fields.push(("slice_mode", Json::str("windowed"))),
-        SlicingMode::OnDemand { checkpoint_every } => {
-            fields.push(("slice_mode", Json::str("ondemand")));
-            fields.push(("checkpoint_every", Json::num_u64(checkpoint_every)));
-        }
-    }
-    fields.push(("screening", Json::Bool(spec.screening)));
-    fields.push(("streaming", Json::Bool(spec.streaming)));
-    let a = spec.adaptive;
-    fields.push((
-        "adaptive",
-        Json::obj(vec![
-            ("enabled", Json::Bool(a.enabled)),
-            ("threshold_permille", Json::num_u64(a.threshold_permille)),
-            ("confirm", Json::num_u64(a.confirm)),
-            ("min_phase_chunks", Json::num_u64(a.min_phase_chunks)),
-        ]),
-    ));
-    if let Some(ms) = spec.deadline_ms {
-        fields.push(("deadline_ms", Json::num_u64(ms)));
-    }
-    Json::obj(fields)
-}
-
 /// One connection to a preexecd, with the line-oriented request/response
 /// helper daemon mode needs. Requests carry no `id`: this client reads
 /// each response before writing the next request, so ordering alone
@@ -536,7 +495,7 @@ fn run_daemon(
                         Json::obj(vec![
                             ("workload", Json::str(w.name)),
                             ("budget", Json::num_u64(budget)),
-                            ("policy", policy_object(spec)),
+                            ("policy", policy_json(spec)),
                         ])
                     })
                     .collect(),
@@ -707,9 +666,8 @@ fn run_workload(
     let mut report = JobReport::default();
     // Pass 1 (expensive, once): trace and slice, write the file. The
     // spec defaults match the paper toolflow (scope 1024, slice len
-    // 32); `streaming` swaps in the bounded-memory transport and
-    // `ondemand` slicing the checkpointed re-execution path, both with
-    // byte-identical forests.
+    // 32); `ondemand` slicing swaps in the checkpointed re-execution
+    // path, with a byte-identical forest.
     let (forest, stats, adaptive) = if spec.adaptive.enabled {
         let out = match Pipeline::new(program).policy(spec).parallelism(par).run() {
             Ok(x) => x,

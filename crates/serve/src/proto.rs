@@ -9,7 +9,7 @@
 //!
 //! | `cmd` | fields | response payload |
 //! |-------|--------|------------------|
-//! | `submit` | `workload` (required), `input`, `budget`, `warmup`, `scope`, `max_slice_len`, `max_pthread_len`, `optimize`, `merge`, `width`, `mem_latency`, `model_miss_latency`, `model_width`, plus a nested `policy` object (`slice_mode`, `checkpoint_every`, `screening`, `streaming`, `adaptive`, `deadline_ms`) | `job` id (+ `deprecated_fields` when flat v5 policy fields were used) |
+//! | `submit` | `workload` (required), `input`, `budget`, `warmup`, `scope`, `max_slice_len`, `max_pthread_len`, `optimize`, `merge`, `width`, `mem_latency`, `model_miss_latency`, `model_width`, plus a nested `policy` object (`slice_mode`, `checkpoint_every`, `screening`, `adaptive`, `deadline_ms`) | `job` id |
 //! | `submit_batch` | `jobs`: a non-empty array of submit objects | `jobs`: array of ids, in order |
 //! | `status` | `job` | `state` (+ `error` when failed) |
 //! | `result` | `job` | `state`, `cache_hit`, `result{...}` |
@@ -36,15 +36,12 @@
 //! `mem_latency` override the corresponding [`MachineParams`] fields,
 //! the `model_*` fields the selection model's cross-validation knobs.
 //!
-//! Policy fields (slicing mode, screening, streaming, adaptive
-//! selection, deadline) live in the nested `policy` object since
-//! version 6. The flat v5 spellings `slice_mode`, `checkpoint_every`,
-//! and `deadline_ms` still parse through a compat shim: their use is
-//! echoed back in the submit response's `deprecated_fields` array, and
-//! a flat field that contradicts the nested object is rejected with
-//! code `config.conflicting_policy`. Journals written by a v5 daemon
-//! replay unchanged — recovery re-parses the journaled spec through
-//! the same shim.
+//! Policy fields (slicing mode, screening, adaptive selection, deadline)
+//! live only in the nested `policy` object. A top-level `slice_mode`,
+//! `checkpoint_every`, or `deadline_ms` (the flat spellings of protocol
+//! v5) is a `bad_field` error naming the `policy` object; keys the
+//! object does not know (such as the `streaming` flag protocol v6 wrote)
+//! are ignored, so v6 journals replay unchanged.
 //!
 //! [`MachineParams`]: preexec_timing::MachineParams
 
@@ -71,10 +68,10 @@ use std::fmt;
 /// `checkpoint_every` submit fields and the `config.scope_too_large`
 /// admission rejection for scopes past the per-mode caps; version 6
 /// added the nested `policy` submit object (screening, streaming,
-/// adaptive selection), the `deprecated_fields` response note for the
-/// flat v5 policy spellings, and the `config.conflicting_policy`
-/// rejection when flat and nested values disagree.
-pub const PROTOCOL_VERSION: u64 = 6;
+/// adaptive selection) beside the flat v5 spellings; version 7 accepts
+/// policy fields only inside `policy` (a flat one is `bad_field`) and
+/// drops the `streaming` flag.
+pub const PROTOCOL_VERSION: u64 = 7;
 
 /// Largest slicing scope admitted in `"windowed"` mode: the sliding
 /// window keeps the whole scope resident, so past this the daemon would
@@ -463,89 +460,44 @@ pub(crate) fn parse_submit(json: &Json) -> Result<JobSpec, ProtoError> {
     // fail wastes a worker slot and hides the mistake from the client.
     cfg.try_validate().map_err(ProtoError::Config)?;
 
-    // Flat v5 policy spellings (compat shim): still parsed, but their
-    // use is recorded so the response can carry the deprecation note.
-    let mut deprecated = Vec::new();
-    for field in ["slice_mode", "checkpoint_every", "deadline_ms"] {
-        if json.get(field).is_some_and(|v| !matches!(v, Json::Null)) {
-            deprecated.push(field);
-        }
-    }
-    let flat_slicing = parse_slice_mode(json)?;
-    let flat_deadline = opt_u64(json, "deadline_ms")?;
-    let nested = parse_policy_object(json)?;
-
-    // Flat and nested may restate the same value; naming *different*
-    // values for one key is a contradiction the client must resolve.
-    let slicing = match (flat_slicing, nested.slicing) {
-        (Some(f), Some(n)) if f != n => {
-            let key = match (f, n) {
-                (SlicingMode::OnDemand { .. }, SlicingMode::OnDemand { .. }) => {
-                    "checkpoint_every"
-                }
-                _ => "slice_mode",
-            };
-            return Err(ProtoError::Config(PipelineError::ConflictingPolicy { key }));
-        }
-        (f, n) => n.or(f).unwrap_or(SlicingMode::Windowed),
-    };
-    let deadline_ms = match (flat_deadline, nested.deadline_ms) {
-        (Some(f), Some(n)) if f != n => {
-            return Err(ProtoError::Config(PipelineError::ConflictingPolicy {
-                key: "deadline_ms",
-            }));
-        }
-        (f, n) => n.or(f),
-    };
-
-    let mut policy = PolicySpec { cfg, slicing, deadline_ms, ..PolicySpec::default() };
-    if let Some(x) = nested.screening {
-        policy.screening = x;
-    }
-    if let Some(x) = nested.streaming {
-        policy.streaming = x;
-    }
-    if let Some(x) = nested.adaptive {
-        policy.adaptive = x;
-    }
-    policy.try_validate().map_err(ProtoError::Config)?;
-    check_scope_cap(cfg.scope as u64, slicing)?;
+    let policy = parse_policy(json, cfg)?;
     let mut spec =
         JobSpec::new(workload, input, cfg).map_err(ProtoError::UnknownWorkload)?;
     spec.policy = policy;
-    spec.deprecated_fields = deprecated;
     Ok(spec)
 }
 
-/// The policy fields a submit may carry in the nested v6 `policy`
-/// object; `None` means "not given" (distinct from any default, so the
-/// flat-vs-nested conflict check can tell silence from agreement).
-#[derive(Default)]
-struct PolicyFields {
-    slicing: Option<SlicingMode>,
-    screening: Option<bool>,
-    streaming: Option<bool>,
-    deadline_ms: Option<u64>,
-    adaptive: Option<AdaptiveConfig>,
-}
-
-/// Parses the nested v6 `policy` submit object. Absent or null yields
-/// all-`None` fields (the v5 flat shim then supplies any values).
-fn parse_policy_object(json: &Json) -> Result<PolicyFields, ProtoError> {
-    let obj = match json.get("policy") {
-        None | Some(Json::Null) => return Ok(PolicyFields::default()),
-        Some(v @ Json::Obj(_)) => v,
+/// Parses the nested `policy` submit object over the defaults for `cfg`
+/// (absent or null means all defaults), then validates the whole spec
+/// and the per-mode scope cap.
+fn parse_policy(json: &Json, cfg: PipelineConfig) -> Result<PolicySpec, ProtoError> {
+    for field in ["slice_mode", "checkpoint_every", "deadline_ms"] {
+        if json.get(field).is_some() {
+            return Err(ProtoError::BadField { field, expected: "inside the `policy` object" });
+        }
+    }
+    let mut policy = PolicySpec { cfg, ..PolicySpec::default() };
+    match json.get("policy") {
+        None | Some(Json::Null) => {}
+        Some(obj @ Json::Obj(_)) => {
+            if let Some(x) = parse_slice_mode(obj)? {
+                policy.slicing = x;
+            }
+            if let Some(x) = opt_bool(obj, "screening")? {
+                policy.screening = x;
+            }
+            if let Some(x) = parse_adaptive(obj)? {
+                policy.adaptive = x;
+            }
+            policy.deadline_ms = opt_u64(obj, "deadline_ms")?;
+        }
         Some(_) => {
             return Err(ProtoError::BadField { field: "policy", expected: "an object" })
         }
-    };
-    Ok(PolicyFields {
-        slicing: parse_slice_mode(obj)?,
-        screening: opt_bool(obj, "screening")?,
-        streaming: opt_bool(obj, "streaming")?,
-        deadline_ms: opt_u64(obj, "deadline_ms")?,
-        adaptive: parse_adaptive(obj)?,
-    })
+    }
+    policy.try_validate().map_err(ProtoError::Config)?;
+    check_scope_cap(cfg.scope as u64, policy.slicing)?;
+    Ok(policy)
 }
 
 /// Parses the `adaptive` field of a `policy` object: `true`/`false`
@@ -580,10 +532,8 @@ fn parse_adaptive(obj: &Json) -> Result<Option<AdaptiveConfig>, ProtoError> {
 }
 
 /// Parses an optional `slice_mode` (`"windowed"` or `"ondemand"`) plus
-/// `checkpoint_every` pair from `obj` — used both for the flat v5
-/// submit fields and inside the nested `policy` object. `None` means
-/// the mode was not given (a bare `checkpoint_every` is ignored, as in
-/// v5).
+/// `checkpoint_every` pair from a `policy` object. `None` means the mode
+/// was not given (a bare `checkpoint_every` is ignored).
 fn parse_slice_mode(obj: &Json) -> Result<Option<SlicingMode>, ProtoError> {
     let expected = r#""windowed" or "ondemand""#;
     let name = match obj.get("slice_mode") {
@@ -646,8 +596,8 @@ pub fn spec_json(spec: &JobSpec) -> Json {
 }
 
 /// The canonical nested `policy` object: every field explicit, fixed
-/// order, no flat v5 spellings — what the journal persists.
-fn policy_json(p: &PolicySpec) -> Json {
+/// order — what the journal persists and `toolflow --daemon` submits.
+pub fn policy_json(p: &PolicySpec) -> Json {
     let mut fields = Vec::new();
     match p.slicing {
         SlicingMode::Windowed => fields.push(("slice_mode", Json::str("windowed"))),
@@ -657,7 +607,6 @@ fn policy_json(p: &PolicySpec) -> Json {
         }
     }
     fields.push(("screening", Json::Bool(p.screening)));
-    fields.push(("streaming", Json::Bool(p.streaming)));
     let a = p.adaptive;
     fields.push((
         "adaptive",
@@ -804,7 +753,6 @@ mod tests {
         assert_eq!(spec.policy.cfg.max_pthread_len, 32);
         assert!(!spec.policy.adaptive.enabled);
         assert_eq!(spec.policy.deadline_ms, None);
-        assert!(spec.deprecated_fields.is_empty(), "no flat v5 policy fields used");
     }
 
     #[test]
@@ -981,8 +929,9 @@ mod tests {
         // Absent (or null) → windowed.
         for line in [
             r#"{"cmd":"submit","workload":"mcf"}"#,
-            r#"{"cmd":"submit","workload":"mcf","slice_mode":null}"#,
-            r#"{"cmd":"submit","workload":"mcf","slice_mode":"windowed"}"#,
+            r#"{"cmd":"submit","workload":"mcf","policy":null}"#,
+            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":null}}"#,
+            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"windowed"}}"#,
         ] {
             let Ok(Request::Submit(spec)) = parse_request(line) else {
                 panic!("`{line}` must parse");
@@ -991,32 +940,33 @@ mod tests {
         }
         // On-demand defaults its cadence; an explicit one sticks, and a
         // zero cadence is clamped to 1 at the door.
-        let Ok(Request::Submit(spec)) =
-            parse_request(r#"{"cmd":"submit","workload":"mcf","slice_mode":"ondemand"}"#)
-        else {
+        let Ok(Request::Submit(spec)) = parse_request(
+            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"ondemand"}}"#,
+        ) else {
             panic!("ondemand must parse");
         };
         assert_eq!(
             spec.policy.slicing,
             SlicingMode::OnDemand { checkpoint_every: DEFAULT_CHECKPOINT_EVERY }
         );
-        assert_eq!(spec.deprecated_fields, vec!["slice_mode"]);
         let Ok(Request::Submit(spec)) = parse_request(
-            r#"{"cmd":"submit","workload":"mcf","slice_mode":"ondemand","checkpoint_every":512}"#,
+            r#"{"cmd":"submit","workload":"mcf",
+                "policy":{"slice_mode":"ondemand","checkpoint_every":512}}"#,
         ) else {
             panic!("explicit cadence must parse");
         };
         assert_eq!(spec.policy.slicing, SlicingMode::OnDemand { checkpoint_every: 512 });
         let Ok(Request::Submit(spec)) = parse_request(
-            r#"{"cmd":"submit","workload":"mcf","slice_mode":"ondemand","checkpoint_every":0}"#,
+            r#"{"cmd":"submit","workload":"mcf",
+                "policy":{"slice_mode":"ondemand","checkpoint_every":0}}"#,
         ) else {
             panic!("zero cadence must parse");
         };
         assert_eq!(spec.policy.slicing, SlicingMode::OnDemand { checkpoint_every: 1 });
         // Junk modes are typed field errors.
         for line in [
-            r#"{"cmd":"submit","workload":"mcf","slice_mode":"turbo"}"#,
-            r#"{"cmd":"submit","workload":"mcf","slice_mode":7}"#,
+            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"turbo"}}"#,
+            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":7}}"#,
         ] {
             let Err(e) = parse_request(line) else { panic!("`{line}` must be rejected") };
             assert_eq!(e.code(), "bad_field", "`{line}`");
@@ -1036,15 +986,15 @@ mod tests {
         assert_eq!(e.code(), "config.scope_too_large");
         assert!(e.to_string().contains("ondemand"), "{e}");
         // The same scope under on-demand slicing is admitted…
+        let ondemand = r#""policy":{"slice_mode":"ondemand"}"#;
         let line = format!(
-            r#"{{"cmd":"submit","workload":"mcf","scope":{over_windowed},"slice_mode":"ondemand"}}"#
+            r#"{{"cmd":"submit","workload":"mcf","scope":{over_windowed},{ondemand}}}"#
         );
         assert!(matches!(parse_request(&line), Ok(Request::Submit(_))));
         // …but even on-demand has a ceiling.
         let over_all = (MAX_SCOPE + 1).to_string();
-        let line = format!(
-            r#"{{"cmd":"submit","workload":"mcf","scope":{over_all},"slice_mode":"ondemand"}}"#
-        );
+        let line =
+            format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_all},{ondemand}}}"#);
         let Err(e) = parse_request(&line) else { panic!("absurd ondemand scope must be shed") };
         assert_eq!(e.code(), "config.scope_too_large");
         // Scopes at the cap pass.
@@ -1063,7 +1013,7 @@ mod tests {
     #[test]
     fn ondemand_spec_json_round_trips() {
         let line = r#"{"cmd":"submit","workload":"mcf","scope":100000000,
-            "slice_mode":"ondemand","checkpoint_every":2048}"#;
+            "policy":{"slice_mode":"ondemand","checkpoint_every":2048}}"#;
         let Ok(Request::Submit(spec)) = parse_request(line) else {
             panic!("parses");
         };
@@ -1071,7 +1021,6 @@ mod tests {
         let back = parse_submit(&encoded).expect("round-trip parses");
         assert_eq!(back.policy.slicing, SlicingMode::OnDemand { checkpoint_every: 2048 });
         assert_eq!(back.policy.cfg.scope, 100_000_000);
-        assert!(back.deprecated_fields.is_empty(), "canonical form is v6-native");
         assert_eq!(spec_json(&back).encode(), encoded.encode());
     }
 
@@ -1079,12 +1028,11 @@ mod tests {
     fn spec_json_round_trips_through_parse_submit() {
         let line = r#"{"cmd":"submit","workload":"mcf","input":"test","budget":50000,
             "width":4,"mem_latency":140,"optimize":false,"model_width":6.5,
-            "deadline_ms":8000}"#;
+            "policy":{"deadline_ms":8000}}"#;
         let Ok(Request::Submit(spec)) = parse_request(line) else {
             panic!("parses");
         };
         assert_eq!(spec.policy.deadline_ms, Some(8000));
-        assert_eq!(spec.deprecated_fields, vec!["deadline_ms"]);
         let encoded = spec_json(&spec);
         let back = parse_submit(&encoded).expect("round-trip parses");
         assert_eq!(back.workload_name, spec.workload_name);
@@ -1102,15 +1050,14 @@ mod tests {
     fn nested_policy_object_parses_every_field() {
         let line = r#"{"cmd":"submit","workload":"mcf","policy":{
             "slice_mode":"windowed",
-            "screening":false,"streaming":true,"deadline_ms":9000,
+            "screening":false,"deadline_ms":9000,
             "adaptive":{"enabled":true,"threshold_permille":400,
                         "confirm":3,"min_phase_chunks":5}}}"#;
         let Ok(Request::Submit(spec)) = parse_request(line) else {
-            panic!("v6 policy submit must parse");
+            panic!("policy submit must parse");
         };
         assert_eq!(spec.policy.slicing, SlicingMode::Windowed);
         assert!(!spec.policy.screening);
-        assert!(spec.policy.streaming);
         assert_eq!(spec.policy.deadline_ms, Some(9000));
         assert_eq!(
             spec.policy.adaptive,
@@ -1121,63 +1068,48 @@ mod tests {
                 min_phase_chunks: 5,
             }
         );
-        assert!(spec.deprecated_fields.is_empty(), "nested fields are v6-native");
     }
 
     #[test]
-    fn v5_flat_fields_still_parse_and_carry_the_deprecation_note() {
-        let line = r#"{"cmd":"submit","workload":"mcf",
-            "slice_mode":"ondemand","checkpoint_every":256,"deadline_ms":9000}"#;
-        let Ok(Request::Submit(spec)) = parse_request(line) else {
-            panic!("v5 flat submit must parse");
-        };
-        assert_eq!(spec.policy.slicing, SlicingMode::OnDemand { checkpoint_every: 256 });
-        assert_eq!(spec.policy.deadline_ms, Some(9000));
-        assert_eq!(
-            spec.deprecated_fields,
-            vec!["slice_mode", "checkpoint_every", "deadline_ms"]
-        );
-        // The journal re-encode of a v5 submit is the canonical v6
-        // shape, and replaying it drops the deprecation note.
-        let back = parse_submit(&spec_json(&spec)).expect("replay parses");
-        assert_eq!(back.policy, spec.policy);
-        assert!(back.deprecated_fields.is_empty());
-    }
-
-    #[test]
-    fn flat_and_nested_conflicts_are_rejected_with_the_typed_code() {
-        for (line, key) in [
-            (
-                r#"{"cmd":"submit","workload":"mcf","slice_mode":"windowed",
-                    "policy":{"slice_mode":"ondemand"}}"#,
-                "slice_mode",
-            ),
-            (
-                r#"{"cmd":"submit","workload":"mcf","slice_mode":"ondemand",
-                    "checkpoint_every":128,
-                    "policy":{"slice_mode":"ondemand","checkpoint_every":256}}"#,
-                "checkpoint_every",
-            ),
-            (
-                r#"{"cmd":"submit","workload":"mcf","deadline_ms":1000,
-                    "policy":{"deadline_ms":2000}}"#,
-                "deadline_ms",
-            ),
+    fn flat_policy_fields_are_rejected_with_bad_field() {
+        // The v5 flat spellings, alone or beside a nested object, in a
+        // single submit and inside a batch.
+        for (flat, field) in [
+            (r#""slice_mode":"ondemand""#, "slice_mode"),
+            (r#""checkpoint_every":256"#, "checkpoint_every"),
+            (r#""deadline_ms":9000"#, "deadline_ms"),
+            (r#""slice_mode":"windowed","policy":{"slice_mode":"windowed"}"#, "slice_mode"),
         ] {
-            let Err(e) = parse_request(line) else { panic!("`{line}` must be rejected") };
-            assert_eq!(e.code(), "config.conflicting_policy", "`{line}`");
-            assert!(e.to_string().contains(key), "`{line}` → {e}");
+            for line in [
+                format!(r#"{{"cmd":"submit","workload":"mcf",{flat}}}"#),
+                format!(r#"{{"cmd":"submit_batch","jobs":[{{"workload":"mcf",{flat}}}]}}"#),
+            ] {
+                let Err(e) = parse_request(&line) else { panic!("`{line}` must be rejected") };
+                assert_eq!(e.code(), "bad_field", "`{line}`");
+                let msg = e.to_string();
+                assert!(msg.contains(field) && msg.contains("`policy`"), "`{line}` → {msg}");
+            }
         }
-        // Restating the *same* value in both shapes is fine.
-        let line = r#"{"cmd":"submit","workload":"mcf","deadline_ms":1000,
-            "slice_mode":"windowed",
-            "policy":{"slice_mode":"windowed","deadline_ms":1000}}"#;
-        let Ok(Request::Submit(spec)) = parse_request(line) else {
-            panic!("agreeing values must parse");
-        };
-        assert_eq!(spec.policy.deadline_ms, Some(1000));
-        // The flat spellings still earn the deprecation note.
-        assert_eq!(spec.deprecated_fields, vec!["slice_mode", "deadline_ms"]);
+    }
+
+    #[test]
+    fn v6_journal_spec_with_the_retired_streaming_key_replays_unchanged() {
+        // Protocol v6 journaled a `streaming` flag in every policy; the
+        // key never changed results, so replay ignores it.
+        let v6 = Json::parse(
+            r#"{"workload":"mcf","input":"train","budget":50000,"warmup":12500,
+                "policy":{"slice_mode":"windowed","screening":true,"streaming":true,
+                          "adaptive":{"enabled":false,"threshold_permille":500,
+                                      "confirm":2,"min_phase_chunks":4}}}"#,
+        )
+        .expect("parses");
+        let replayed = parse_submit(&v6).expect("v6 journal spec replays");
+        let fresh = Json::parse(r#"{"workload":"mcf","budget":50000}"#).expect("parses");
+        let fresh = parse_submit(&fresh).expect("fresh spec parses");
+        assert_eq!(replayed.policy, fresh.policy);
+        // The re-journaled spec is the canonical v7 form: the retired key
+        // is not written back.
+        assert_eq!(spec_json(&replayed).encode(), spec_json(&fresh).encode());
     }
 
     #[test]
@@ -1220,10 +1152,10 @@ mod tests {
         }
     }
 
-    /// A valid [`PolicySpec`] generator: any slicing mode, screening /
-    /// streaming toggles, deadline, and adaptive knobs — constrained
-    /// only by the spec's own validity rules (knobs ≥ 1; adaptive
-    /// implies windowed slicing).
+    /// A valid [`PolicySpec`] generator: any slicing mode, screening
+    /// toggle, deadline, and adaptive knobs — constrained only by the
+    /// spec's own validity rules (knobs ≥ 1; adaptive implies windowed
+    /// slicing).
     fn policy_strategy() -> impl proptest::strategy::Strategy<Value = PolicySpec> {
         use proptest::prelude::*;
         (
@@ -1234,23 +1166,21 @@ mod tests {
                     .prop_map(|checkpoint_every| SlicingMode::OnDemand { checkpoint_every }),
             ],
             any::<bool>(),
-            any::<bool>(),
             prop_oneof![
                 Just(None),
                 (1u64..1_000_000).prop_map(Some),
             ],
             (any::<bool>(), 1u64..2_000, 1u64..8, 1u64..16),
         )
-            .prop_map(|(budget, slicing, screening, streaming, deadline_ms, a)| {
+            .prop_map(|(budget, slicing, screening, deadline_ms, a)| {
                 let (enabled, threshold_permille, confirm, min_phase_chunks) = a;
                 let adaptive =
                     AdaptiveConfig { enabled, threshold_permille, confirm, min_phase_chunks };
                 let mut spec = PolicySpec::paper_default(budget);
-                // Adaptive selection requires the windowed streaming
-                // path; respect the validity rule the daemon enforces.
+                // Adaptive selection requires the windowed path; respect
+                // the validity rule the daemon enforces.
                 spec.slicing = if enabled { SlicingMode::Windowed } else { slicing };
                 spec.screening = screening;
-                spec.streaming = streaming;
                 spec.adaptive = adaptive;
                 spec.deadline_ms = deadline_ms;
                 spec
@@ -1270,7 +1200,6 @@ mod tests {
             let encoded = spec_json(&spec);
             let back = parse_submit(&encoded).expect("journaled spec replays");
             proptest::prop_assert_eq!(back.policy, spec.policy);
-            proptest::prop_assert!(back.deprecated_fields.is_empty());
             proptest::prop_assert_eq!(spec_json(&back).encode(), encoded.encode());
         }
     }

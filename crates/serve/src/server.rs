@@ -611,15 +611,6 @@ fn dispatch(line: &str, shared: &Arc<Shared>) -> Json {
     with_request_id(resp, id)
 }
 
-/// The `deprecated_fields` response note: the flat v5 policy spellings
-/// a submit used, or `None` (no note) for v6-native submits.
-fn deprecated_fields_json(fields: &[&'static str]) -> Option<Json> {
-    if fields.is_empty() {
-        return None;
-    }
-    Some(Json::Arr(fields.iter().map(|f| Json::str(*f)).collect()))
-}
-
 /// Executes one parsed request.
 fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
     match req {
@@ -635,7 +626,6 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
                 return error_response(&ProtoError::Overloaded(over));
             }
             let journaled_spec = spec_json(&spec);
-            let deprecated = deprecated_fields_json(&spec.deprecated_fields);
             let token = Arc::new(CancelToken::new(spec.policy.deadline_ms));
             match shared.sched.submit(shared.job_fn(*spec, Arc::clone(&token))) {
                 Ok(id) => {
@@ -654,11 +644,7 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
                     if let Some(j) = &shared.journal {
                         j.submit(id, &journaled_spec);
                     }
-                    let mut fields = vec![("job", Json::num_u64(id))];
-                    if let Some(note) = deprecated {
-                        fields.push(("deprecated_fields", note));
-                    }
-                    ok_response(fields)
+                    ok_response(vec![("job", Json::num_u64(id))])
                 }
                 Err(e) => error_response(&ProtoError::from(e)),
             }
@@ -805,17 +791,6 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
                 return error_response(&ProtoError::Overloaded(over));
             }
             let journaled: Vec<Json> = specs.iter().map(spec_json).collect();
-            // One deprecation note for the whole batch: the union of the
-            // flat v5 spellings any of its jobs used, in first-use order.
-            let mut used: Vec<&'static str> = Vec::new();
-            for spec in &specs {
-                for f in &spec.deprecated_fields {
-                    if !used.contains(f) {
-                        used.push(f);
-                    }
-                }
-            }
-            let deprecated = deprecated_fields_json(&used);
             let mut tokens = Vec::with_capacity(specs.len());
             let mut jobs = Vec::with_capacity(specs.len());
             for spec in specs {
@@ -836,14 +811,10 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
                             j.submit(id, spec);
                         }
                     }
-                    let mut fields = vec![(
+                    ok_response(vec![(
                         "jobs",
                         Json::Arr(ids.iter().map(|&id| Json::num_u64(id)).collect()),
-                    )];
-                    if let Some(note) = deprecated {
-                        fields.push(("deprecated_fields", note));
-                    }
-                    ok_response(fields)
+                    )])
                 }
                 Err(e) => error_response(&ProtoError::from(e)),
             }

@@ -40,16 +40,12 @@ pub struct JobSpec {
     /// Input set to build the workload with.
     pub input: InputSet,
     /// The complete run policy: configuration, slicing mode, screening,
-    /// streaming, adaptive selection, and the wall-clock deadline — the
-    /// single source of truth the pipeline, the journal, and the wire
-    /// protocol all share. The slicing mode is not part of the
-    /// artifact-cache key: every mode produces bit-identical forests, so
-    /// a hit under one mode serves the others.
+    /// adaptive selection, and the wall-clock deadline — the single
+    /// source of truth the pipeline, the journal, and the wire protocol
+    /// all share. The slicing mode is not part of the artifact-cache key:
+    /// every mode produces bit-identical forests, so a hit under one mode
+    /// serves the others.
     pub policy: PolicySpec,
-    /// Flat v5 submit fields this spec was built from (the protocol's
-    /// compat shim); echoed back as the `deprecated_fields` note in the
-    /// submit response. Empty for v6-native submits.
-    pub deprecated_fields: Vec<&'static str>,
 }
 
 impl JobSpec {
@@ -71,7 +67,6 @@ impl JobSpec {
                 workload,
                 input,
                 policy: PolicySpec { cfg, ..PolicySpec::default() },
-                deprecated_fields: Vec::new(),
             }),
             None => {
                 let names: Vec<&str> =

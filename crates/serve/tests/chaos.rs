@@ -19,7 +19,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use preexec_experiments::fault;
-use preexec_serve::{canonical_result, check_invariants, Backoff, Json};
+use preexec_serve::{canonical_result, check_invariants, Backoff, JobJournal, Json};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -340,7 +340,8 @@ fn cancel_verb_and_deadlines_stop_jobs_with_typed_codes() {
     let queued = conn.submit("mcf", 30_000);
     // A 1 ms deadline is long expired by the time the 1-worker pool
     // reaches this job: it must cancel at the entry check.
-    let resp = conn.ok(r#"{"cmd":"submit","workload":"vpr.r","budget":32000,"deadline_ms":1}"#);
+    let resp =
+        conn.ok(r#"{"cmd":"submit","workload":"vpr.r","budget":32000,"policy":{"deadline_ms":1}}"#);
     let deadlined = resp.get("job").and_then(Json::as_u64).expect("job id");
 
     // Cancel the queued job: gone before any worker touches it.
@@ -480,6 +481,41 @@ fn corrupt_and_torn_journals_are_tolerated_on_replay() {
     assert_eq!(conn.wait_terminal(fresh), "done");
     drop(conn);
     daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Journals written by older daemons: a v6 spec carrying the retired
+/// `streaming` policy key replays to the same result as a fresh submit,
+/// while a v5 spec with a flat policy field no longer parses and
+/// surfaces as a failed job — never a silent re-run with its deadline
+/// dropped.
+#[test]
+fn pre_v7_journal_specs_replay_or_fail_typed() {
+    let dir = unique_dir("legacy-wal");
+    let journal = JobJournal::open(dir.join("preexecd.wal"), 1).expect("open WAL");
+    let v6 = r#"{"workload":"vpr.r","budget":30000,
+        "policy":{"slice_mode":"windowed","screening":true,"streaming":true}}"#;
+    let v5 = r#"{"workload":"mcf","budget":30000,"deadline_ms":60000}"#;
+    journal.submit(1, &Json::parse(v6).expect("v6 spec parses"));
+    journal.submit(2, &Json::parse(v5).expect("v5 spec parses"));
+    drop(journal);
+
+    let daemon = Daemon::spawn(&dir, &["--workers", "1"], "");
+    let mut conn = daemon.connect();
+    assert_eq!(conn.wait_terminal(1), "done");
+    let replayed = canonical_result(&conn.result(1));
+    let fresh = conn.submit("vpr.r", 30_000);
+    assert_eq!(conn.wait_terminal(fresh), "done");
+    assert_eq!(canonical_result(&conn.result(fresh)), replayed);
+
+    assert_eq!(conn.wait_terminal(2), "failed");
+    let status = conn.ok(r#"{"cmd":"status","job":2}"#);
+    assert_eq!(status.get("code").and_then(Json::as_str), Some("replay_unparseable"));
+    let error = status.get("error").and_then(Json::as_str).expect("error message");
+    assert!(error.contains("deadline_ms"), "{error}");
+    drop(conn);
+    daemon.shutdown();
+    assert_wal_invariants(&dir.join("preexecd.wal"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

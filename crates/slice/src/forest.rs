@@ -101,14 +101,6 @@ impl SliceForestBuilder {
         })
     }
 
-    /// Number of instructions currently held in the slicing window
-    /// (≤ scope). The streaming pipeline samples this to prove its
-    /// bounded-memory contract: window occupancy never exceeds the
-    /// configured scope however long the trace runs.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// Observes a warm-up instruction: it enters the slicing window (so
     /// slices taken early in the measured region can reach back through
     /// it) but is not counted in `DC_trig` statistics and triggers no

@@ -55,12 +55,6 @@ impl PhasedForestBuilder {
         })
     }
 
-    /// Number of instructions currently held in the slicing window
-    /// (≤ scope) — the bounded-memory witness, as on the plain builder.
-    pub fn window_len(&self) -> usize {
-        self.window.len()
-    }
-
     /// Number of phases begun so far (≥ 1).
     pub fn num_phases(&self) -> usize {
         self.phases.len()

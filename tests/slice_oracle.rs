@@ -16,9 +16,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use preexec::experiments::{
-    AdaptiveConfig, Pipeline, PipelineConfig, PolicySpec, SlicingMode, StreamConfig,
-};
+use preexec::experiments::{AdaptiveConfig, Pipeline, PipelineConfig, PolicySpec, SlicingMode};
 use preexec::func::{
     run_trace, try_run_trace_checkpointed, DynInst, Replayer, RunStats, TraceConfig,
 };
@@ -225,8 +223,8 @@ fn check_counts(
 }
 
 /// Every trace path of the pipeline against the recount: windowed,
-/// streaming (in chunks that straddle the warm-up end), on-demand, and
-/// the adaptive run's stats and global forest.
+/// on-demand, and the adaptive run's stats and global forest (whose
+/// first phase-detector chunk straddles the warm-up end).
 fn check_stats(p: &Program, cfg: PipelineConfig) {
     let want = recount(p, &cfg);
     let spec = PolicySpec {
@@ -235,18 +233,6 @@ fn check_stats(p: &Program, cfg: PipelineConfig) {
     };
     let windowed = Pipeline::new(p).policy(spec).trace().unwrap();
     check_counts("windowed", &want, &windowed.stats, &windowed.forest);
-    let streamed = Pipeline::new(p)
-        .policy(PolicySpec {
-            streaming: true,
-            ..spec
-        })
-        .stream_config(StreamConfig {
-            chunk_insts: 97,
-            channel_chunks: 2,
-        })
-        .trace()
-        .unwrap();
-    check_counts("streaming", &want, &streamed.stats, &streamed.forest);
     let ondemand = Pipeline::new(p)
         .policy(PolicySpec {
             slicing: SlicingMode::OnDemand {
@@ -264,10 +250,6 @@ fn check_stats(p: &Program, cfg: PipelineConfig) {
                 ..AdaptiveConfig::default()
             },
             ..spec
-        })
-        .stream_config(StreamConfig {
-            chunk_insts: 211,
-            channel_chunks: 2,
         })
         .run()
         .unwrap();
