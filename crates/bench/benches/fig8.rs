@@ -6,7 +6,9 @@ use preexec_bench::BENCH_BUDGET;
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("fig8");
     g.sample_size(10);
-    g.bench_function("fig8", |b| b.iter(|| std::hint::black_box(preexec_experiments::figures::fig8(BENCH_BUDGET / 2))));
+    g.bench_function("fig8", |b| {
+        b.iter(|| std::hint::black_box(preexec_experiments::figures::fig8(BENCH_BUDGET / 2)))
+    });
     g.finish();
 }
 

@@ -15,7 +15,10 @@ fn bench_trace_and_slice(c: &mut Criterion) {
     c.bench_function("trace_and_slice_40k", |b| {
         b.iter(|| {
             let mut builder = SliceForestBuilder::new(1024, 32);
-            let cfg = TraceConfig { max_steps: 40_000, ..TraceConfig::default() };
+            let cfg = TraceConfig {
+                max_steps: 40_000,
+                ..TraceConfig::default()
+            };
             run_trace(&p, &cfg, |d| builder.observe(d));
             std::hint::black_box(builder.finish())
         })
@@ -25,7 +28,10 @@ fn bench_trace_and_slice(c: &mut Criterion) {
 fn bench_selection(c: &mut Criterion) {
     let p = build("vortex");
     let forest = forest_for(&p, 40_000);
-    let params = SelectionParams { ipc: 0.6, ..SelectionParams::default() };
+    let params = SelectionParams {
+        ipc: 0.6,
+        ..SelectionParams::default()
+    };
     c.bench_function("select_pthreads", |b| {
         b.iter(|| std::hint::black_box(select_pthreads(&forest, &params)))
     });
@@ -59,7 +65,10 @@ fn bench_optimizer(c: &mut Criterion) {
 
 fn bench_timing_sim(c: &mut Criterion) {
     let p = build("crafty");
-    let cfg = SimConfig { max_insts: 40_000, ..SimConfig::default() };
+    let cfg = SimConfig {
+        max_insts: 40_000,
+        ..SimConfig::default()
+    };
     let mut g = c.benchmark_group("timing");
     g.sample_size(10);
     g.bench_function("timing_sim_40k_insts", |b| {

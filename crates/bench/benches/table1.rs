@@ -6,7 +6,9 @@ use preexec_bench::BENCH_BUDGET;
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("table1");
     g.sample_size(10);
-    g.bench_function("table1", |b| b.iter(|| std::hint::black_box(preexec_experiments::tables::table1(BENCH_BUDGET))));
+    g.bench_function("table1", |b| {
+        b.iter(|| std::hint::black_box(preexec_experiments::tables::table1(BENCH_BUDGET)))
+    });
     g.finish();
 }
 

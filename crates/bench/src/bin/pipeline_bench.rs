@@ -74,8 +74,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut args = Args {
         workload: "vpr.r".to_string(),
         budget: 60_000,
-        threads: std::thread::available_parallelism()
-            .map_or(1, std::num::NonZeroUsize::get),
+        threads: std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         out: "BENCH_pipeline.json".to_string(),
         score_out: "BENCH_score.json".to_string(),
         reexec_out: "BENCH_reexec.json".to_string(),
@@ -85,7 +84,9 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     let mut it = argv.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
             "--workload" => args.workload = value("--workload")?,
@@ -146,13 +147,19 @@ fn par_stats_json(out: &mut String, s: &ParStats) {
 /// contribution to the cumulative registry.
 fn hist_sum_us(name: &str) -> u64 {
     let snap = preexec_obs::global().snapshot();
-    snap.histograms.iter().find(|(n, _)| n == name).map_or(0, |(_, h)| h.sum_us())
+    snap.histograms
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, h)| h.sum_us())
 }
 
 /// Current value of one obs counter (0 when it never fired).
 fn counter_val(name: &str) -> u64 {
     let snap = preexec_obs::global().snapshot();
-    snap.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+    snap.counters
+        .iter()
+        .find(|(n, _)| n == name)
+        .map_or(0, |(_, v)| *v)
 }
 
 /// Runs `f` [`BEST_OF`] times and returns the fastest iteration's wall
@@ -218,7 +225,11 @@ fn obs_json(out: &mut String) {
     let snap = preexec_obs::global().snapshot();
     out.push_str(r#"{"stages_hist_us":{"#);
     let mut first = true;
-    for (name, h) in snap.histograms.iter().filter(|(n, _)| n.starts_with("stage.")) {
+    for (name, h) in snap
+        .histograms
+        .iter()
+        .filter(|(n, _)| n.starts_with("stage."))
+    {
         if !first {
             out.push(',');
         }
@@ -379,7 +390,11 @@ fn run(args: &Args) -> Result<u8, String> {
     // clamps it). Serial on both sides so the comparison is pure
     // scoring work, not thread scheduling.
     let params = SelectionParams {
-        ipc: out_serial.result.base.ipc().clamp(0.05, SelectionParams::default().bw_seq),
+        ipc: out_serial
+            .result
+            .base
+            .ipc()
+            .clamp(0.05, SelectionParams::default().bw_seq),
         ..SelectionParams::default()
     };
     let exact = score_leg(&out_serial.forest, &params, false)?;
@@ -452,7 +467,10 @@ fn run(args: &Args) -> Result<u8, String> {
     // bit-identical at any thread count).
     let adaptive_spec = PolicySpec {
         cfg,
-        adaptive: AdaptiveConfig { enabled: true, ..AdaptiveConfig::default() },
+        adaptive: AdaptiveConfig {
+            enabled: true,
+            ..AdaptiveConfig::default()
+        },
         ..PolicySpec::default()
     };
     let (adaptive_us, out_adaptive) = best_of_us(|| {

@@ -32,7 +32,10 @@ pub fn build(name: &str) -> Program {
 /// Traces `program` for `budget` instructions into a slice forest.
 pub fn forest_for(program: &Program, budget: u64) -> SliceForest {
     let mut b = SliceForestBuilder::new(1024, 32);
-    let cfg = TraceConfig { max_steps: budget, ..TraceConfig::default() };
+    let cfg = TraceConfig {
+        max_steps: budget,
+        ..TraceConfig::default()
+    };
     run_trace(program, &cfg, |d| b.observe(d));
     b.finish()
 }

@@ -94,7 +94,11 @@ mod tests {
                 Inst::itype(Op::Addi, Reg::new(1), Reg::new(1), 8)
             };
             let deps = if i == 0 { vec![] } else { vec![i - 1] };
-            v.push(BodyInst { inst, deps, mt_dist: i as f64 * stride });
+            v.push(BodyInst {
+                inst,
+                deps,
+                mt_dist: i as f64 * stride,
+            });
         }
         Body::new(v)
     }

@@ -38,7 +38,10 @@ impl Body {
     pub fn new(insts: Vec<BodyInst>) -> Body {
         for (i, bi) in insts.iter().enumerate() {
             for &d in &bi.deps {
-                assert!(d < i, "body dep {d} of instruction {i} not strictly earlier");
+                assert!(
+                    d < i,
+                    "body dep {d} of instruction {i} not strictly earlier"
+                );
             }
         }
         Body { insts }
@@ -102,14 +105,22 @@ mod tests {
     use preexec_isa::{Op, Reg};
 
     fn bi(inst: Inst, deps: Vec<usize>, mt_dist: f64) -> BodyInst {
-        BodyInst { inst, deps, mt_dist }
+        BodyInst {
+            inst,
+            deps,
+            mt_dist,
+        }
     }
 
     fn chain() -> Body {
         // addi r1,r1,8 ; addi r1,r1,8 ; ld r2,0(r1)
         let a = Inst::itype(Op::Addi, Reg::new(1), Reg::new(1), 8);
         let l = Inst::load(Op::Ld, Reg::new(2), Reg::new(1), 0);
-        Body::new(vec![bi(a, vec![], 0.0), bi(a, vec![0], 12.0), bi(l, vec![1], 24.0)])
+        Body::new(vec![
+            bi(a, vec![], 0.0),
+            bi(a, vec![0], 12.0),
+            bi(l, vec![1], 24.0),
+        ])
     }
 
     #[test]

@@ -46,7 +46,11 @@ pub fn candidate_body(tree: &SliceTree, trigger: NodeId) -> Body {
         // the main thread must sequence at least the k-d slice instructions
         // between the trigger and this node.
         let mt_dist = (trigger_dist - node.dist_pl()).max((k - d) as f64);
-        insts.push(BodyInst { inst: node.inst, deps, mt_dist });
+        insts.push(BodyInst {
+            inst: node.inst,
+            deps,
+            mt_dist,
+        });
     }
     Body::new(insts)
 }
@@ -75,12 +79,42 @@ mod tests {
         };
         let slice = vec![
             root.clone(),
-            mk(8, Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096), 1, vec![2]),
-            mk(7, Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2), 2, vec![3]),
-            mk(4, Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 4), 4, vec![4]),
-            mk(11, Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16), 11, vec![5]),
-            mk(11, Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16), 24, vec![6]),
-            mk(11, Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16), 37, vec![]),
+            mk(
+                8,
+                Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096),
+                1,
+                vec![2],
+            ),
+            mk(
+                7,
+                Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2),
+                2,
+                vec![3],
+            ),
+            mk(
+                4,
+                Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 4),
+                4,
+                vec![4],
+            ),
+            mk(
+                11,
+                Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16),
+                11,
+                vec![5],
+            ),
+            mk(
+                11,
+                Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16),
+                24,
+                vec![6],
+            ),
+            mk(
+                11,
+                Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16),
+                37,
+                vec![],
+            ),
         ];
         let mut t = SliceTree::new(9, root.inst);
         t.insert_slice(&slice);

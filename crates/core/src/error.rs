@@ -38,7 +38,10 @@ impl fmt::Display for ParamsError {
                 write!(f, "ipc must be positive and finite, got {v}")
             }
             ParamsError::IpcExceedsWidth { ipc, bw_seq } => {
-                write!(f, "ipc must be in (0, bw_seq]: ipc {ipc} exceeds bw_seq {bw_seq}")
+                write!(
+                    f,
+                    "ipc must be in (0, bw_seq]: ipc {ipc} exceeds bw_seq {bw_seq}"
+                )
             }
             ParamsError::BadMissLatency(v) => {
                 write!(f, "miss_latency must be positive and finite, got {v}")
@@ -112,13 +115,24 @@ mod tests {
 
     #[test]
     fn display_names_the_field() {
-        assert!(ParamsError::BadBwSeq(f64::NAN).to_string().contains("bw_seq"));
-        assert!(ParamsError::BadIpc(-1.0).to_string().contains("ipc"));
-        assert!(ParamsError::IpcExceedsWidth { ipc: 9.0, bw_seq: 8.0 }
+        assert!(ParamsError::BadBwSeq(f64::NAN)
             .to_string()
-            .contains("exceeds"));
-        assert!(ParamsError::BadMissLatency(0.0).to_string().contains("miss_latency"));
-        assert!(ParamsError::ZeroMaxPthreadLen.to_string().contains("max_pthread_len"));
-        assert!(ParamsError::ZeroSlicingScope.to_string().contains("slicing_scope"));
+            .contains("bw_seq"));
+        assert!(ParamsError::BadIpc(-1.0).to_string().contains("ipc"));
+        assert!(ParamsError::IpcExceedsWidth {
+            ipc: 9.0,
+            bw_seq: 8.0
+        }
+        .to_string()
+        .contains("exceeds"));
+        assert!(ParamsError::BadMissLatency(0.0)
+            .to_string()
+            .contains("miss_latency"));
+        assert!(ParamsError::ZeroMaxPthreadLen
+            .to_string()
+            .contains("max_pthread_len"));
+        assert!(ParamsError::ZeroSlicingScope
+            .to_string()
+            .contains("slicing_scope"));
     }
 }

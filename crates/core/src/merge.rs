@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(m.dc_ptcm, 40);
         assert_eq!(m.targets, vec![9]);
         // Replica destinations are renamed to temporaries.
-        assert!(m.body[5..].iter().all(|i| i.rd.map_or(true, Reg::is_temp)));
+        assert!(m.body[5..].iter().all(|i| i.rd.is_none_or(Reg::is_temp)));
         // Replica uses of renamed values follow the renaming.
         let last = m.body.last().unwrap();
         assert!(last.rs1.unwrap().is_temp());
@@ -275,7 +275,12 @@ mod tests {
         let mk = |imm: i64| {
             let mut body = vec![Inst::itype(Op::Addi, r(1), r(1), imm)];
             for i in 0..33 {
-                body.push(Inst::itype(Op::Addi, r((2 + (i % 20)) as u8), r(1), i as i64));
+                body.push(Inst::itype(
+                    Op::Addi,
+                    r((2 + (i % 20)) as u8),
+                    r(1),
+                    i as i64,
+                ));
             }
             body.push(Inst::load(Op::Ld, r(30), r(2), 0));
             StaticPThread {

@@ -133,7 +133,10 @@ fn fold_constants(body: &mut Body) -> bool {
             let add = insts[j].inst.imm;
             let bi = &mut insts[i];
             if bi.inst.op == Op::Addi {
-                bi.inst = Inst::li(bi.inst.rd.expect("addi has rd"), add.wrapping_add(bi.inst.imm));
+                bi.inst = Inst::li(
+                    bi.inst.rd.expect("addi has rd"),
+                    add.wrapping_add(bi.inst.imm),
+                );
                 bi.deps.retain(|&d| d != j);
             } else {
                 bi.inst.rs1 = Some(Reg::ZERO);
@@ -161,11 +164,7 @@ fn eliminate_store_load(body: &mut Body) -> bool {
         }
         // Find a store among i's deps (the slicer records the feeding
         // store as a dependence of in-body loads).
-        let Some(&s) = insts[i]
-            .deps
-            .iter()
-            .find(|&&d| insts[d].inst.op == Op::Sd)
-        else {
+        let Some(&s) = insts[i].deps.iter().find(|&&d| insts[d].inst.op == Op::Sd) else {
             continue;
         };
         let (load_inst, store_inst) = (insts[i].inst, insts[s].inst);
@@ -188,9 +187,7 @@ fn eliminate_store_load(body: &mut Body) -> bool {
             .find(|&d| defines(&insts[d].inst) == Some(store_base));
         let same_base = match (load_base_dep, store_base_dep) {
             (Some(a), Some(b)) => a == b,
-            (None, None) => {
-                load_base == store_base && !redefined_before(insts, load_base, i)
-            }
+            (None, None) => load_base == store_base && !redefined_before(insts, load_base, i),
             _ => false,
         };
         if !same_base {
@@ -311,7 +308,11 @@ mod tests {
     use super::*;
 
     fn bi(inst: Inst, deps: Vec<usize>) -> BodyInst {
-        BodyInst { inst, deps, mt_dist: 0.0 }
+        BodyInst {
+            inst,
+            deps,
+            mt_dist: 0.0,
+        }
     }
 
     fn r(n: u8) -> Reg {
@@ -404,8 +405,14 @@ mod tests {
         ]);
         let o = optimize_body(&b);
         let text: Vec<String> = o.to_insts().iter().map(|i| i.to_string()).collect();
-        assert!(!text.iter().any(|t| t.starts_with("sd")), "store dead: {text:?}");
-        assert!(!text.iter().any(|t| t.starts_with("ld r3")), "load gone: {text:?}");
+        assert!(
+            !text.iter().any(|t| t.starts_with("sd")),
+            "store dead: {text:?}"
+        );
+        assert!(
+            !text.iter().any(|t| t.starts_with("ld r3")),
+            "load gone: {text:?}"
+        );
         // After mov-elimination + li folding the whole thing can collapse
         // to a single absolute load.
         assert_eq!(text.last().unwrap(), "ld r4, 32768(r0)");

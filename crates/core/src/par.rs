@@ -50,7 +50,9 @@ impl Parallelism {
 
     /// Up to `threads` threads; zero is clamped to one.
     pub fn new(threads: usize) -> Parallelism {
-        Parallelism { threads: threads.max(1) }
+        Parallelism {
+            threads: threads.max(1),
+        }
     }
 
     /// One thread per available core.
@@ -167,7 +169,12 @@ where
         }
         let out: Vec<R> = items.iter().map(&f).collect();
         let wall = elapsed_us(started);
-        let stats = ParStats { wall_us: wall, busy_us: wall, threads: 1, items: items.len() };
+        let stats = ParStats {
+            wall_us: wall,
+            busy_us: wall,
+            threads: 1,
+            items: items.len(),
+        };
         record_stats(&stats);
         return (out, stats);
     }
@@ -297,7 +304,10 @@ mod tests {
         let (out, stats) = map_stats(Parallelism::new(8), &small, |x| x * 3);
         assert_eq!(out, expect, "inline path must match");
         assert_eq!(stats.threads, 1, "small input must not spawn threads");
-        assert!(fallbacks.get() > before, "declined parallelism must be counted");
+        assert!(
+            fallbacks.get() > before,
+            "declined parallelism must be counted"
+        );
     }
 
     #[test]
@@ -313,7 +323,11 @@ mod tests {
         let before = fallbacks.get();
         let items: Vec<u32> = (0..8).collect();
         let _ = map_stats(Parallelism::serial(), &items, |x| x + 1);
-        assert_eq!(fallbacks.get(), before, "serial was requested, not declined");
+        assert_eq!(
+            fallbacks.get(),
+            before,
+            "serial was requested, not declined"
+        );
     }
 
     #[test]

@@ -100,7 +100,10 @@ impl SelectionParams {
             return Err(ParamsError::BadIpc(self.ipc));
         }
         if self.ipc > self.bw_seq {
-            return Err(ParamsError::IpcExceedsWidth { ipc: self.ipc, bw_seq: self.bw_seq });
+            return Err(ParamsError::IpcExceedsWidth {
+                ipc: self.ipc,
+                bw_seq: self.bw_seq,
+            });
         }
         if !(self.miss_latency.is_finite() && self.miss_latency > 0.0) {
             return Err(ParamsError::BadMissLatency(self.miss_latency));
@@ -154,8 +157,14 @@ mod tests {
 
     #[test]
     fn higher_ipc_means_higher_overhead() {
-        let lo = SelectionParams { ipc: 1.0, ..SelectionParams::default() };
-        let hi = SelectionParams { ipc: 4.0, ..SelectionParams::default() };
+        let lo = SelectionParams {
+            ipc: 1.0,
+            ..SelectionParams::default()
+        };
+        let hi = SelectionParams {
+            ipc: 4.0,
+            ..SelectionParams::default()
+        };
         assert!(hi.oh_per_inst() > lo.oh_per_inst());
     }
 
@@ -168,13 +177,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "ipc")]
     fn validate_rejects_zero_ipc() {
-        SelectionParams { ipc: 0.0, ..SelectionParams::default() }.validate();
+        SelectionParams {
+            ipc: 0.0,
+            ..SelectionParams::default()
+        }
+        .validate();
     }
 
     #[test]
     #[should_panic(expected = "ipc")]
     fn validate_rejects_ipc_above_width() {
-        SelectionParams { ipc: 9.0, ..SelectionParams::default() }.validate();
+        SelectionParams {
+            ipc: 9.0,
+            ..SelectionParams::default()
+        }
+        .validate();
     }
 
     #[test]
@@ -182,23 +199,43 @@ mod tests {
         use crate::ParamsError;
         let base = SelectionParams::default;
         assert!(matches!(
-            SelectionParams { bw_seq: f64::NAN, ..base() }.try_validate(),
+            SelectionParams {
+                bw_seq: f64::NAN,
+                ..base()
+            }
+            .try_validate(),
             Err(ParamsError::BadBwSeq(_))
         ));
         assert!(matches!(
-            SelectionParams { bw_seq: -8.0, ..base() }.try_validate(),
+            SelectionParams {
+                bw_seq: -8.0,
+                ..base()
+            }
+            .try_validate(),
             Err(ParamsError::BadBwSeq(_))
         ));
         assert!(matches!(
-            SelectionParams { bw_seq: 0.0, ..base() }.try_validate(),
+            SelectionParams {
+                bw_seq: 0.0,
+                ..base()
+            }
+            .try_validate(),
             Err(ParamsError::BadBwSeq(_))
         ));
         assert!(matches!(
-            SelectionParams { ipc: f64::NAN, ..base() }.try_validate(),
+            SelectionParams {
+                ipc: f64::NAN,
+                ..base()
+            }
+            .try_validate(),
             Err(ParamsError::BadIpc(_))
         ));
         assert!(matches!(
-            SelectionParams { ipc: -1.0, ..base() }.try_validate(),
+            SelectionParams {
+                ipc: -1.0,
+                ..base()
+            }
+            .try_validate(),
             Err(ParamsError::BadIpc(_))
         ));
         assert!(matches!(
@@ -210,19 +247,35 @@ mod tests {
             Err(ParamsError::IpcExceedsWidth { .. })
         ));
         assert!(matches!(
-            SelectionParams { miss_latency: f64::INFINITY, ..base() }.try_validate(),
+            SelectionParams {
+                miss_latency: f64::INFINITY,
+                ..base()
+            }
+            .try_validate(),
             Err(ParamsError::BadMissLatency(_))
         ));
         assert!(matches!(
-            SelectionParams { miss_latency: 0.0, ..base() }.try_validate(),
+            SelectionParams {
+                miss_latency: 0.0,
+                ..base()
+            }
+            .try_validate(),
             Err(ParamsError::BadMissLatency(_))
         ));
         assert!(matches!(
-            SelectionParams { max_pthread_len: 0, ..base() }.try_validate(),
+            SelectionParams {
+                max_pthread_len: 0,
+                ..base()
+            }
+            .try_validate(),
             Err(ParamsError::ZeroMaxPthreadLen)
         ));
         assert!(matches!(
-            SelectionParams { slicing_scope: 0, ..base() }.try_validate(),
+            SelectionParams {
+                slicing_scope: 0,
+                ..base()
+            }
+            .try_validate(),
             Err(ParamsError::ZeroSlicingScope)
         ));
         assert_eq!(base().try_validate(), Ok(()));

@@ -94,12 +94,48 @@ pub struct PolicyVariant {
 /// The fixed policy space. `POLICY_SPACE[0]` is the static policy (no
 /// deltas); the chooser's tie-break toward index 0 makes it the default.
 pub const POLICY_SPACE: &[PolicyVariant] = &[
-    PolicyVariant { name: "static", halve_scope: false, merge: None, optimize: None, phase_ipc: false },
-    PolicyVariant { name: "phase-ipc", halve_scope: false, merge: None, optimize: None, phase_ipc: true },
-    PolicyVariant { name: "half-scope", halve_scope: true, merge: None, optimize: None, phase_ipc: false },
-    PolicyVariant { name: "half-scope+phase-ipc", halve_scope: true, merge: None, optimize: None, phase_ipc: true },
-    PolicyVariant { name: "no-merge", halve_scope: false, merge: Some(false), optimize: None, phase_ipc: false },
-    PolicyVariant { name: "raw-bodies", halve_scope: false, merge: None, optimize: Some(false), phase_ipc: false },
+    PolicyVariant {
+        name: "static",
+        halve_scope: false,
+        merge: None,
+        optimize: None,
+        phase_ipc: false,
+    },
+    PolicyVariant {
+        name: "phase-ipc",
+        halve_scope: false,
+        merge: None,
+        optimize: None,
+        phase_ipc: true,
+    },
+    PolicyVariant {
+        name: "half-scope",
+        halve_scope: true,
+        merge: None,
+        optimize: None,
+        phase_ipc: false,
+    },
+    PolicyVariant {
+        name: "half-scope+phase-ipc",
+        halve_scope: true,
+        merge: None,
+        optimize: None,
+        phase_ipc: true,
+    },
+    PolicyVariant {
+        name: "no-merge",
+        halve_scope: false,
+        merge: Some(false),
+        optimize: None,
+        phase_ipc: false,
+    },
+    PolicyVariant {
+        name: "raw-bodies",
+        halve_scope: false,
+        merge: None,
+        optimize: Some(false),
+        phase_ipc: false,
+    },
 ];
 
 /// Phase-local IPC estimate, self-calibrated against the whole sample.
@@ -271,44 +307,95 @@ mod tests {
 
     #[test]
     fn static_variant_is_first_and_identity() {
-        let base = SelectionParams { ipc: 0.5, ..SelectionParams::default() };
-        let sample = PhaseStats { insts: 40_000, l2_misses: 1600 };
-        let phase = PhaseStats { insts: 10_000, l2_misses: 400 };
+        let base = SelectionParams {
+            ipc: 0.5,
+            ..SelectionParams::default()
+        };
+        let sample = PhaseStats {
+            insts: 40_000,
+            l2_misses: 1600,
+        };
+        let phase = PhaseStats {
+            insts: 10_000,
+            l2_misses: 400,
+        };
         assert_eq!(POLICY_SPACE[0].name, "static");
         assert_eq!(variant_params(&POLICY_SPACE[0], &base, sample, phase), base);
     }
 
     #[test]
     fn variant_params_stay_valid() {
-        let base = SelectionParams { ipc: 0.5, max_pthread_len: 1, ..SelectionParams::default() };
-        let sample = PhaseStats { insts: 1_001_000, l2_misses: 1000 };
+        let base = SelectionParams {
+            ipc: 0.5,
+            max_pthread_len: 1,
+            ..SelectionParams::default()
+        };
+        let sample = PhaseStats {
+            insts: 1_001_000,
+            l2_misses: 1000,
+        };
         for v in POLICY_SPACE {
             for phase in [
                 PhaseStats::default(),
-                PhaseStats { insts: 1_000_000, l2_misses: 0 },
-                PhaseStats { insts: 1000, l2_misses: 1000 },
+                PhaseStats {
+                    insts: 1_000_000,
+                    l2_misses: 0,
+                },
+                PhaseStats {
+                    insts: 1000,
+                    l2_misses: 1000,
+                },
             ] {
                 let p = variant_params(v, &base, sample, phase);
-                assert!(p.try_validate().is_ok(), "variant {} invalid: {p:?}", v.name);
+                assert!(
+                    p.try_validate().is_ok(),
+                    "variant {} invalid: {p:?}",
+                    v.name
+                );
             }
         }
     }
 
     #[test]
     fn overhead_weight_tracks_miss_intensity() {
-        let light = overhead_weight(PhaseStats { insts: 100_000, l2_misses: 0 });
-        let heavy = overhead_weight(PhaseStats { insts: 100_000, l2_misses: 10_000 });
+        let light = overhead_weight(PhaseStats {
+            insts: 100_000,
+            l2_misses: 0,
+        });
+        let heavy = overhead_weight(PhaseStats {
+            insts: 100_000,
+            l2_misses: 10_000,
+        });
         assert!((light - 5.0).abs() < 1e-12);
         assert!(heavy < 1.05 && heavy > 1.0);
     }
 
     #[test]
     fn phase_ipc_estimate_is_monotone_in_miss_rate() {
-        let base = SelectionParams { ipc: 0.5, ..SelectionParams::default() };
-        let sample = PhaseStats { insts: 20_000, l2_misses: 1_000 };
-        let lo = phase_ipc_estimate(&base, sample, PhaseStats { insts: 10_000, l2_misses: 10 });
-        let hi =
-            phase_ipc_estimate(&base, sample, PhaseStats { insts: 10_000, l2_misses: 2_000 });
+        let base = SelectionParams {
+            ipc: 0.5,
+            ..SelectionParams::default()
+        };
+        let sample = PhaseStats {
+            insts: 20_000,
+            l2_misses: 1_000,
+        };
+        let lo = phase_ipc_estimate(
+            &base,
+            sample,
+            PhaseStats {
+                insts: 10_000,
+                l2_misses: 10,
+            },
+        );
+        let hi = phase_ipc_estimate(
+            &base,
+            sample,
+            PhaseStats {
+                insts: 10_000,
+                l2_misses: 2_000,
+            },
+        );
         assert!(lo > hi);
         assert!(hi >= 0.05 && lo <= base.bw_seq);
         // Lighter-than-sample phases sit above the measured IPC,
@@ -321,22 +408,49 @@ mod tests {
         // Equal miss rates — including the whole-trace-as-one-phase
         // case — return the measured IPC bit-for-bit, so the phase-ipc
         // variant ties static instead of drifting on float rounding.
-        let base = SelectionParams { ipc: 0.731, ..SelectionParams::default() };
-        let sample = PhaseStats { insts: 120_000, l2_misses: 16_804 };
-        assert_eq!(phase_ipc_estimate(&base, sample, sample).to_bits(), base.ipc.to_bits());
+        let base = SelectionParams {
+            ipc: 0.731,
+            ..SelectionParams::default()
+        };
+        let sample = PhaseStats {
+            insts: 120_000,
+            l2_misses: 16_804,
+        };
+        assert_eq!(
+            phase_ipc_estimate(&base, sample, sample).to_bits(),
+            base.ipc.to_bits()
+        );
         // Same rate at different magnitude counts as equal too.
-        let scaled = PhaseStats { insts: 30_000, l2_misses: 4_201 };
-        assert_eq!(phase_ipc_estimate(&base, sample, scaled).to_bits(), base.ipc.to_bits());
+        let scaled = PhaseStats {
+            insts: 30_000,
+            l2_misses: 4_201,
+        };
+        assert_eq!(
+            phase_ipc_estimate(&base, sample, scaled).to_bits(),
+            base.ipc.to_bits()
+        );
     }
 
     #[test]
     fn chosen_payoff_never_loses_to_static() {
         let forest = miss_forest();
-        let base = SelectionParams { ipc: 0.5, ..SelectionParams::default() };
-        let sample = PhaseStats { insts: 4000, l2_misses: 260 };
+        let base = SelectionParams {
+            ipc: 0.5,
+            ..SelectionParams::default()
+        };
+        let sample = PhaseStats {
+            insts: 4000,
+            l2_misses: 260,
+        };
         for phase in [
-            PhaseStats { insts: 2000, l2_misses: 256 },
-            PhaseStats { insts: 2000, l2_misses: 4 },
+            PhaseStats {
+                insts: 2000,
+                l2_misses: 256,
+            },
+            PhaseStats {
+                insts: 2000,
+                l2_misses: 4,
+            },
         ] {
             let (choice, _, _) =
                 try_choose_policy(&forest, &base, sample, phase, Parallelism::serial(), true)
@@ -354,15 +468,22 @@ mod tests {
     #[test]
     fn choice_is_thread_count_invariant() {
         let forest = miss_forest();
-        let base = SelectionParams { ipc: 0.5, ..SelectionParams::default() };
-        let sample = PhaseStats { insts: 6000, l2_misses: 300 };
-        let phase = PhaseStats { insts: 2000, l2_misses: 64 };
+        let base = SelectionParams {
+            ipc: 0.5,
+            ..SelectionParams::default()
+        };
+        let sample = PhaseStats {
+            insts: 6000,
+            l2_misses: 300,
+        };
+        let phase = PhaseStats {
+            insts: 2000,
+            l2_misses: 64,
+        };
         let (a, _, _) =
-            try_choose_policy(&forest, &base, sample, phase, Parallelism::serial(), true)
-                .unwrap();
+            try_choose_policy(&forest, &base, sample, phase, Parallelism::serial(), true).unwrap();
         let (b, _, _) =
-            try_choose_policy(&forest, &base, sample, phase, Parallelism::new(4), false)
-                .unwrap();
+            try_choose_policy(&forest, &base, sample, phase, Parallelism::new(4), false).unwrap();
         assert_eq!(a.index, b.index);
         assert_eq!(format!("{:?}", a.selection), format!("{:?}", b.selection));
         assert_eq!(a.payoff.to_bits(), b.payoff.to_bits());
@@ -371,17 +492,26 @@ mod tests {
     #[test]
     fn empty_phase_forest_chooses_static() {
         let forest = SliceForest::from_parts(Vec::new(), Vec::new(), 0);
-        let base = SelectionParams { ipc: 0.5, ..SelectionParams::default() };
+        let base = SelectionParams {
+            ipc: 0.5,
+            ..SelectionParams::default()
+        };
         let (choice, _, _) = try_choose_policy(
             &forest,
             &base,
-            PhaseStats { insts: 1000, l2_misses: 10 },
+            PhaseStats {
+                insts: 1000,
+                l2_misses: 10,
+            },
             PhaseStats::default(),
             Parallelism::serial(),
             true,
         )
         .unwrap();
-        assert_eq!(choice.index, 0, "no misses -> every payoff 0 -> tie keeps static");
+        assert_eq!(
+            choice.index, 0,
+            "no misses -> every payoff 0 -> tie keeps static"
+        );
         assert!(choice.selection.pthreads.is_empty());
     }
 }

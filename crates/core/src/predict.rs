@@ -120,7 +120,10 @@ mod tests {
 
     #[test]
     fn speedup_clamped_at_sequencing_width() {
-        let p = SelectionPrediction { adv_agg: 10_000.0, ..sample() };
+        let p = SelectionPrediction {
+            adv_agg: 10_000.0,
+            ..sample()
+        };
         let s = p.predicted_speedup(1000, 1.0);
         // At IPC 1 on an 8-wide machine, no more than 8x is predictable.
         assert!((s - 8.0).abs() < 1e-9);

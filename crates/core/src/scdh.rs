@@ -24,11 +24,7 @@ pub fn scdh(body: &Body, sc: impl Fn(usize) -> f64) -> f64 {
     assert!(!body.is_empty(), "SCDH of an empty body");
     let mut h = vec![0.0f64; body.len()];
     for (i, bi) in body.insts().iter().enumerate() {
-        let dep_height = bi
-            .deps
-            .iter()
-            .map(|&d| h[d])
-            .fold(0.0f64, f64::max);
+        let dep_height = bi.deps.iter().map(|&d| h[d]).fold(0.0f64, f64::max);
         h[i] = sc(i).max(dep_height) + bi.inst.op.scdh_latency() as f64;
     }
     h[body.root()]
@@ -65,7 +61,11 @@ mod tests {
                 Inst::itype(Op::Addi, Reg::new(1), Reg::new(1), 8)
             };
             let deps = if i == 0 { vec![] } else { vec![i - 1] };
-            v.push(BodyInst { inst, deps, mt_dist: i as f64 * stride });
+            v.push(BodyInst {
+                inst,
+                deps,
+                mt_dist: i as f64 * stride,
+            });
         }
         Body::new(v)
     }
@@ -93,9 +93,21 @@ mod tests {
         let a = Inst::itype(Op::Addi, Reg::new(1), Reg::new(1), 8);
         let l = Inst::load(Op::Ld, Reg::new(2), Reg::new(1), 0);
         let b = Body::new(vec![
-            BodyInst { inst: a, deps: vec![], mt_dist: 0.0 },
-            BodyInst { inst: a, deps: vec![], mt_dist: 1.0 },
-            BodyInst { inst: l, deps: vec![1], mt_dist: 2.0 },
+            BodyInst {
+                inst: a,
+                deps: vec![],
+                mt_dist: 0.0,
+            },
+            BodyInst {
+                inst: a,
+                deps: vec![],
+                mt_dist: 1.0,
+            },
+            BodyInst {
+                inst: l,
+                deps: vec![1],
+                mt_dist: 2.0,
+            },
         ]);
         // pt: h0=1, h1=max(1,0)+1=2, h2=max(2,2)+1=3
         assert_eq!(scdh_pthread(&b), 3.0);
@@ -104,7 +116,11 @@ mod tests {
     #[test]
     fn live_ins_available_at_zero() {
         let l = Inst::load(Op::Ld, Reg::new(2), Reg::new(1), 0);
-        let b = Body::new(vec![BodyInst { inst: l, deps: vec![], mt_dist: 5.0 }]);
+        let b = Body::new(vec![BodyInst {
+            inst: l,
+            deps: vec![],
+            mt_dist: 5.0,
+        }]);
         assert_eq!(scdh_pthread(&b), 1.0); // max(0, -) + 1
         assert_eq!(scdh_main(&b, 2.0), 3.5); // max(2.5, -) + 1
     }
@@ -114,8 +130,16 @@ mod tests {
         let m = Inst::rtype(Op::Mul, Reg::new(1), Reg::new(1), Reg::new(1));
         let l = Inst::load(Op::Ld, Reg::new(2), Reg::new(1), 0);
         let b = Body::new(vec![
-            BodyInst { inst: m, deps: vec![], mt_dist: 0.0 },
-            BodyInst { inst: l, deps: vec![0], mt_dist: 1.0 },
+            BodyInst {
+                inst: m,
+                deps: vec![],
+                mt_dist: 0.0,
+            },
+            BodyInst {
+                inst: l,
+                deps: vec![0],
+                mt_dist: 1.0,
+            },
         ]);
         assert_eq!(scdh_pthread(&b), 4.0); // 3 (mul) + 1 (load issue)
     }

@@ -103,7 +103,11 @@ pub fn advantage_upper_bounds(
             None => continue, // unreachable: only the root has no parent
         };
         let ub_mt = node.dist_pl().max(k) / bw_mt + lat_to_root[parent];
-        let lb_pt = if params.optimize { 1.0 } else { (k - 1.0) + root_lat };
+        let lb_pt = if params.optimize {
+            1.0
+        } else {
+            (k - 1.0) + root_lat
+        };
         let ub_lt = (ub_mt - lb_pt).floor().clamp(0.0, params.miss_latency);
         let lb_oh = oh_inst * if params.optimize { 1.0 } else { k };
         bounds[id] = node.dc_ptcm as f64 * ub_lt - dc_trig_of(node.pc) as f64 * lb_oh;
@@ -189,7 +193,10 @@ mod tests {
                 });
             }
         }
-        out.push(SelectionParams { optimize: false, ..SelectionParams::working_example() });
+        out.push(SelectionParams {
+            optimize: false,
+            ..SelectionParams::working_example()
+        });
         out
     }
 
@@ -285,7 +292,11 @@ mod tests {
                 pc: 1,
                 inst: *p.inst(1),
                 dist: d as u64,
-                dep_positions: if d < depth { vec![d as u32 + 1] } else { vec![] },
+                dep_positions: if d < depth {
+                    vec![d as u32 + 1]
+                } else {
+                    vec![]
+                },
             });
         }
         let mut tree = SliceTree::new(0, *p.inst(0));
@@ -300,14 +311,20 @@ mod tests {
     #[test]
     fn high_launch_cost_candidates_are_pruned() {
         let tree = chain_tree(3);
-        let params = SelectionParams { ipc: 2.0, ..SelectionParams::default() };
+        let params = SelectionParams {
+            ipc: 2.0,
+            ..SelectionParams::default()
+        };
         // Cheap triggers survive…
         let (keep, stats) = screen_tree(&tree, &|_| 1, &params);
         assert!(keep.iter().skip(1).any(|&k| k), "no survivors: {stats:?}");
         assert_eq!(stats.candidates(), 3);
         // …hot triggers covering a single miss cannot pay for themselves.
         let (keep, stats) = screen_tree(&tree, &|_| 1_000_000, &params);
-        assert!(keep.iter().skip(1).all(|&k| !k), "hot trigger kept: {stats:?}");
+        assert!(
+            keep.iter().skip(1).all(|&k| !k),
+            "hot trigger kept: {stats:?}"
+        );
         assert_eq!(stats.survivors, 0);
         assert_eq!(stats.pruned, 3);
     }

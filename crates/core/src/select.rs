@@ -60,7 +60,10 @@ fn score_node(
         dc_trig,
         tree.node(node).dc_ptcm,
     );
-    Some(ScoredCandidate { advantage, exec_body })
+    Some(ScoredCandidate {
+        advantage,
+        exec_body,
+    })
 }
 
 /// Rejects a candidate whose aggregate advantage evaluated to NaN or ±∞:
@@ -386,8 +389,10 @@ pub fn try_select_pthreads_stats(
             validate_candidate_score(sc, trees[ti].1.node(node).pc, node)?;
         }
     }
-    let mut scores: Vec<Vec<Option<ScoredCandidate>>> =
-        trees.iter().map(|(_, tree)| vec![None; tree.len()]).collect();
+    let mut scores: Vec<Vec<Option<ScoredCandidate>>> = trees
+        .iter()
+        .map(|(_, tree)| vec![None; tree.len()])
+        .collect();
     for ((ti, node), sc) in score_items.into_iter().zip(flat_scores) {
         scores[ti][node] = sc;
     }
@@ -454,7 +459,10 @@ pub fn try_select_pthreads_stats(
                 body: sc.exec_body.to_insts(),
                 dc_trig: forest.dc_trig(n.pc),
                 dc_ptcm: n.dc_ptcm,
-                advantage: Advantage { adv_agg: net, ..sc.advantage },
+                advantage: Advantage {
+                    adv_agg: net,
+                    ..sc.advantage
+                },
             });
         }
     }
@@ -478,7 +486,11 @@ pub fn try_select_pthreads_stats(
     let prediction = SelectionPrediction {
         num_static: pthreads.len(),
         launches,
-        avg_pthread_len: if launches == 0 { 0.0 } else { weighted_len / launches as f64 },
+        avg_pthread_len: if launches == 0 {
+            0.0
+        } else {
+            weighted_len / launches as f64
+        },
         misses_covered,
         misses_fully_covered,
         lt_agg,
@@ -486,7 +498,14 @@ pub fn try_select_pthreads_stats(
         adv_agg,
         bw_seq: params.bw_seq,
     };
-    Ok((Selection { pthreads, prediction }, pstats, screen_stats))
+    Ok((
+        Selection {
+            pthreads,
+            prediction,
+        },
+        pstats,
+        screen_stats,
+    ))
 }
 
 #[cfg(test)]
@@ -537,7 +556,13 @@ mod tests {
             .max_by_key(|p| p.dc_ptcm)
             .expect("nonempty");
         assert_eq!(p.trigger, 5);
-        assert!(p.body.iter().filter(|i| i.op == preexec_isa::Op::Addi).count() >= 2);
+        assert!(
+            p.body
+                .iter()
+                .filter(|i| i.op == preexec_isa::Op::Addi)
+                .count()
+                >= 2
+        );
         assert!(p.body.last().unwrap().op.is_load());
         assert!(sel.prediction.misses_covered > 0);
         assert!(sel.prediction.adv_agg > 0.0);
@@ -552,7 +577,10 @@ mod tests {
             optimize: false,
             ..SelectionParams::default()
         };
-        let opt = SelectionParams { optimize: true, ..base };
+        let opt = SelectionParams {
+            optimize: true,
+            ..base
+        };
         let s0 = select_pthreads(&forest, &base);
         let s1 = select_pthreads(&forest, &opt);
         let len0 = s0.prediction.avg_pthread_len;
@@ -568,22 +596,49 @@ mod tests {
     #[test]
     fn tight_length_constraint_reduces_coverage() {
         let forest = forest_for(STREAM);
-        let loose = SelectionParams { ipc: 2.0, optimize: false, merge: false, ..SelectionParams::default() };
-        let tight = SelectionParams { max_pthread_len: 2, ..loose };
+        let loose = SelectionParams {
+            ipc: 2.0,
+            optimize: false,
+            merge: false,
+            ..SelectionParams::default()
+        };
+        let tight = SelectionParams {
+            max_pthread_len: 2,
+            ..loose
+        };
         let sl = select_pthreads(&forest, &loose);
         let st = select_pthreads(&forest, &tight);
         // Short p-threads tolerate less latency per miss.
-        let lt_loose = sl.pthreads.iter().map(|p| p.advantage.lt).fold(0.0, f64::max);
-        let lt_tight = st.pthreads.iter().map(|p| p.advantage.lt).fold(0.0, f64::max);
+        let lt_loose = sl
+            .pthreads
+            .iter()
+            .map(|p| p.advantage.lt)
+            .fold(0.0, f64::max);
+        let lt_tight = st
+            .pthreads
+            .iter()
+            .map(|p| p.advantage.lt)
+            .fold(0.0, f64::max);
         assert!(lt_tight <= lt_loose);
     }
 
     #[test]
     fn higher_latency_selects_longer_pthreads() {
         let forest = forest_for(STREAM);
-        let base = SelectionParams { ipc: 2.0, optimize: false, merge: false, ..SelectionParams::default() };
-        let lo = SelectionParams { miss_latency: 20.0, ..base };
-        let hi = SelectionParams { miss_latency: 140.0, ..base };
+        let base = SelectionParams {
+            ipc: 2.0,
+            optimize: false,
+            merge: false,
+            ..SelectionParams::default()
+        };
+        let lo = SelectionParams {
+            miss_latency: 20.0,
+            ..base
+        };
+        let hi = SelectionParams {
+            miss_latency: 140.0,
+            ..base
+        };
         let s_lo = select_pthreads(&forest, &lo);
         let s_hi = select_pthreads(&forest, &hi);
         assert!(
@@ -604,7 +659,10 @@ mod tests {
             "li r1, 0x4000\n li r2, 0\n li r3, 100\n\
              top: bge r2, r3, done\n ld r4, 0(r1)\n addi r2, r2, 1\n j top\n done: halt",
         );
-        let params = SelectionParams { ipc: 2.0, ..SelectionParams::default() };
+        let params = SelectionParams {
+            ipc: 2.0,
+            ..SelectionParams::default()
+        };
         let sel = select_pthreads(&forest, &params);
         assert!(sel.prediction.misses_covered <= 1);
         assert!(sel.prediction.launches <= 1);
@@ -627,7 +685,11 @@ mod tests {
                 pc: 1,
                 inst: *p.inst(1),
                 dist: d as u64,
-                dep_positions: if d < depth { vec![d as u32 + 1] } else { vec![] },
+                dep_positions: if d < depth {
+                    vec![d as u32 + 1]
+                } else {
+                    vec![]
+                },
             });
         }
         let mut tree = SliceTree::new(0, *p.inst(0));
@@ -664,7 +726,10 @@ mod tests {
         scores[2] = Some(candidate_with_advantage(&tree, 2, 100.0));
         let picks = solve_tree_scored(&tree, &scores);
         assert_eq!(picks.len(), 1, "one winner per leaf path");
-        assert_eq!(picks[0].0, 2, "equal ADVagg must resolve to the deeper node");
+        assert_eq!(
+            picks[0].0, 2,
+            "equal ADVagg must resolve to the deeper node"
+        );
 
         // Sanity: the order is on advantage first — a strictly better
         // shallow candidate still beats the deeper one.
@@ -680,8 +745,16 @@ mod tests {
     fn parallel_selection_is_bit_identical_to_serial() {
         let forest = forest_for(STREAM);
         for params in [
-            SelectionParams { ipc: 2.0, ..SelectionParams::default() },
-            SelectionParams { ipc: 2.0, optimize: false, merge: false, ..SelectionParams::default() },
+            SelectionParams {
+                ipc: 2.0,
+                ..SelectionParams::default()
+            },
+            SelectionParams {
+                ipc: 2.0,
+                optimize: false,
+                merge: false,
+                ..SelectionParams::default()
+            },
         ] {
             let serial = select_pthreads(&forest, &params);
             for threads in [2, 3, 8] {
@@ -706,9 +779,21 @@ mod tests {
         let forest = forest_for(STREAM);
         let total: u64 = forest.trees().map(|(_, t)| t.len() as u64 - 1).sum();
         for params in [
-            SelectionParams { ipc: 2.0, ..SelectionParams::default() },
-            SelectionParams { ipc: 2.0, optimize: false, merge: false, ..SelectionParams::default() },
-            SelectionParams { ipc: 0.5, miss_latency: 78.0, ..SelectionParams::default() },
+            SelectionParams {
+                ipc: 2.0,
+                ..SelectionParams::default()
+            },
+            SelectionParams {
+                ipc: 2.0,
+                optimize: false,
+                merge: false,
+                ..SelectionParams::default()
+            },
+            SelectionParams {
+                ipc: 0.5,
+                miss_latency: 78.0,
+                ..SelectionParams::default()
+            },
         ] {
             for threads in [1, 4] {
                 let par = Parallelism::new(threads);
@@ -730,7 +815,10 @@ mod tests {
     #[test]
     fn screened_score_table_solves_identically() {
         let forest = forest_for(STREAM);
-        let params = SelectionParams { ipc: 2.0, ..SelectionParams::default() };
+        let params = SelectionParams {
+            ipc: 2.0,
+            ..SelectionParams::default()
+        };
         for (_, tree) in forest.trees() {
             let dc = |pc| forest.dc_trig(pc);
             let exact = score_tree_nodes(tree, &dc, &params);
@@ -763,7 +851,10 @@ mod tests {
             let sc = candidate_with_advantage(&tree, 1, bad);
             assert_eq!(
                 validate_candidate_score(&sc, tree.node(1).pc, 1),
-                Err(SliceError::NonFiniteScore { pc: tree.node(1).pc, node: 1 })
+                Err(SliceError::NonFiniteScore {
+                    pc: tree.node(1).pc,
+                    node: 1
+                })
             );
         }
         let ok = candidate_with_advantage(&tree, 1, 3.5);
@@ -773,16 +864,22 @@ mod tests {
     #[test]
     fn invalid_params_surface_as_a_typed_error() {
         let forest = forest_for(STREAM);
-        let bad = SelectionParams { ipc: 0.0, ..SelectionParams::default() };
-        let err = try_select_pthreads_stats(&forest, &bad, Parallelism::serial(), true)
-            .unwrap_err();
+        let bad = SelectionParams {
+            ipc: 0.0,
+            ..SelectionParams::default()
+        };
+        let err =
+            try_select_pthreads_stats(&forest, &bad, Parallelism::serial(), true).unwrap_err();
         assert!(matches!(err, crate::SelectError::Params(_)), "{err:?}");
     }
 
     #[test]
     fn prediction_consistency() {
         let forest = forest_for(STREAM);
-        let params = SelectionParams { ipc: 2.0, ..SelectionParams::default() };
+        let params = SelectionParams {
+            ipc: 2.0,
+            ..SelectionParams::default()
+        };
         let sel = select_pthreads(&forest, &params);
         let p = &sel.prediction;
         assert_eq!(p.num_static, sel.pthreads.len());

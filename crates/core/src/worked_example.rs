@@ -27,7 +27,12 @@ fn r(n: u8) -> Reg {
 }
 
 fn entry(pc: Pc, inst: Inst, dist: u64, deps: Vec<u32>) -> SliceEntry {
-    SliceEntry { pc, inst, dist, dep_positions: deps }
+    SliceEntry {
+        pc,
+        inst,
+        dist,
+        dep_positions: deps,
+    }
 }
 
 /// Instruction #09: `lw r8, 0(r7)` — the problem load.
@@ -49,7 +54,11 @@ fn left_slice(unrollings: usize) -> Vec<SliceEntry> {
     // #09 of iteration i; each further copy is 13 earlier.
     for u in 0..unrollings {
         let dist = 11 + 13 * u as u64;
-        let dep = if u + 1 < unrollings { vec![5 + u as u32] } else { vec![] };
+        let dep = if u + 1 < unrollings {
+            vec![5 + u as u32]
+        } else {
+            vec![]
+        };
         s.push(entry(11, Inst::itype(Op::Addi, r(5), r(5), 16), dist, dep));
     }
     s
@@ -65,7 +74,11 @@ fn right_slice(unrollings: usize) -> Vec<SliceEntry> {
     ];
     for u in 0..unrollings {
         let dist = 10 + 12 * u as u64;
-        let dep = if u + 1 < unrollings { vec![5 + u as u32] } else { vec![] };
+        let dep = if u + 1 < unrollings {
+            vec![5 + u as u32]
+        } else {
+            vec![]
+        };
         s.push(entry(11, Inst::itype(Op::Addi, r(5), r(5), 16), dist, dep));
     }
     s
@@ -88,7 +101,7 @@ fn figure3_tree() -> SliceTree {
 /// 100 iterations; #08/#07/#09 execute 80 times; #04 60; #06 20; #11 100.
 fn dc_trig(pc: Pc) -> u64 {
     match pc {
-        7 | 8 | 9 => 80,
+        7..=9 => 80,
         4 => 60,
         6 => 20,
         11 => 100,
@@ -104,7 +117,13 @@ fn params() -> SelectionParams {
 /// 1=#08, 2=#07, 3=#04, 4..6=#11 by insertion order).
 fn score(t: &SliceTree, node: usize) -> crate::Advantage {
     let body = candidate_body(t, node);
-    aggregate_advantage(&params(), &body, &body, dc_trig(t.node(node).pc), t.node(node).dc_ptcm)
+    aggregate_advantage(
+        &params(),
+        &body,
+        &body,
+        dc_trig(t.node(node).pc),
+        t.node(node).dc_ptcm,
+    )
 }
 
 #[test]
@@ -185,7 +204,10 @@ fn paper_worked_example_tree_solution() {
     assert!(pcs.iter().any(|&(_, len)| len == 5));
     // Net advantages equal raw advantages (no overlap).
     for (n, sc, net) in &picks {
-        assert!((sc.advantage.adv_agg - net).abs() < 1e-9, "node {n} reduced");
+        assert!(
+            (sc.advantage.adv_agg - net).abs() < 1e-9,
+            "node {n} reduced"
+        );
     }
     // The left pick is exactly candidate 5.
     let left = picks
@@ -203,7 +225,7 @@ fn paper_worked_example_dc_invariants() {
     let shared = t.node(1); // #08
     assert_eq!(shared.dc_ptcm, 40);
     assert_eq!(t.node(3).dc_ptcm, 30); // #04
-    // Children of #07 are #04 and #06.
+                                       // Children of #07 are #04 and #06.
     let seven = t.node(2);
     assert_eq!(seven.children.len(), 2);
     let total: u64 = seven.children.iter().map(|&c| t.node(c).dc_ptcm).sum();
@@ -254,8 +276,7 @@ fn overlap_reduction_triggers_when_parent_and_child_selected() {
                 (b, a)
             }
         };
-        let expected_reduction =
-            t.node(child_pick.0).dc_ptcm as f64 * parent_pick.1.advantage.lt;
+        let expected_reduction = t.node(child_pick.0).dc_ptcm as f64 * parent_pick.1.advantage.lt;
         assert!(
             (parent_pick.1.advantage.adv_agg - parent_pick.2 - expected_reduction).abs() < 1e-6
         );

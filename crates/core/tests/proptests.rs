@@ -28,7 +28,11 @@ fn body_strategy() -> impl Strategy<Value = Body> {
                 _ => Inst::itype(Op::Sll, Reg::new(1), Reg::new(1), 1),
             };
             let deps = if i == 0 { vec![] } else { vec![i - 1] };
-            insts.push(BodyInst { inst, deps, mt_dist: dist as f64 });
+            insts.push(BodyInst {
+                inst,
+                deps,
+                mt_dist: dist as f64,
+            });
         }
         dist += 1;
         let deps = if n == 0 { vec![] } else { vec![n - 1] };
@@ -42,7 +46,10 @@ fn body_strategy() -> impl Strategy<Value = Body> {
 }
 
 fn params() -> SelectionParams {
-    SelectionParams { ipc: 2.0, ..SelectionParams::default() }
+    SelectionParams {
+        ipc: 2.0,
+        ..SelectionParams::default()
+    }
 }
 
 proptest! {
@@ -142,7 +149,11 @@ fn slice_strategy(root_pc: Pc) -> impl Strategy<Value = Vec<SliceEntry>> {
                 pc: root_pc + pc_off,
                 inst: inst_of(kind),
                 dist,
-                dep_positions: if i + 1 < n { vec![i as u32 + 2] } else { vec![] },
+                dep_positions: if i + 1 < n {
+                    vec![i as u32 + 2]
+                } else {
+                    vec![]
+                },
             });
         }
         slice
@@ -176,8 +187,11 @@ fn forest_strategy() -> impl Strategy<Value = SliceForest> {
                     t
                 })
                 .collect();
-            let exec_counts =
-                counts.iter().enumerate().map(|(pc, &c)| (pc as Pc, c)).collect();
+            let exec_counts = counts
+                .iter()
+                .enumerate()
+                .map(|(pc, &c)| (pc as Pc, c))
+                .collect();
             SliceForest::from_parts(trees, exec_counts, 1_000_000)
         })
 }
@@ -191,17 +205,19 @@ fn params_strategy() -> impl Strategy<Value = SelectionParams> {
         any::<bool>(),
         any::<bool>(),
     )
-        .prop_map(|(bw_seq, ipc_tenths, miss_latency, max_pthread_len, optimize, merge)| {
-            SelectionParams {
-                bw_seq,
-                ipc: (ipc_tenths as f64 / 10.0).min(bw_seq),
-                miss_latency: miss_latency as f64,
-                max_pthread_len,
-                optimize,
-                merge,
-                ..SelectionParams::default()
-            }
-        })
+        .prop_map(
+            |(bw_seq, ipc_tenths, miss_latency, max_pthread_len, optimize, merge)| {
+                SelectionParams {
+                    bw_seq,
+                    ipc: (ipc_tenths as f64 / 10.0).min(bw_seq),
+                    miss_latency: miss_latency as f64,
+                    max_pthread_len,
+                    optimize,
+                    merge,
+                    ..SelectionParams::default()
+                }
+            },
+        )
 }
 
 proptest! {

@@ -9,11 +9,9 @@
 //! Usage: `ablations [budget]`
 
 use preexec_core::select_pthreads;
-use preexec_experiments::pipeline::{
-    selection_params, sim, trace_and_slice_warm, PipelineConfig,
-};
+use preexec_experiments::pipeline::{selection_params, sim, trace_and_slice_warm, PipelineConfig};
 use preexec_timing::SimMode;
-use preexec_workloads::{suite, InputSet};
+use preexec_workloads::{by_name, InputSet};
 
 fn main() {
     let budget: u64 = std::env::args()
@@ -26,7 +24,7 @@ fn main() {
         "bench", "ablation", "cov%", "full%", "speedup%"
     );
     for name in ["vpr.r", "parser", "twolf"] {
-        let w = suite().into_iter().find(|w| w.name == name).unwrap();
+        let w = by_name(name).expect("every ablated kernel is in the suite");
         let p = w.build(InputSet::Train);
         let base_cfg = PipelineConfig::paper_default(budget);
         let base = sim(&p, &[], &base_cfg, SimMode::Normal);
@@ -35,12 +33,25 @@ fn main() {
             ("default (78cyc, warm)", base_cfg),
             (
                 "model latency = 70",
-                PipelineConfig { model_miss_latency: Some(70.0), ..base_cfg },
+                PipelineConfig {
+                    model_miss_latency: Some(70.0),
+                    ..base_cfg
+                },
             ),
-            ("no trace warm-up", PipelineConfig { warmup: 0, ..base_cfg }),
+            (
+                "no trace warm-up",
+                PipelineConfig {
+                    warmup: 0,
+                    ..base_cfg
+                },
+            ),
             (
                 "no opt, no merge",
-                PipelineConfig { optimize: false, merge: false, ..base_cfg },
+                PipelineConfig {
+                    optimize: false,
+                    merge: false,
+                    ..base_cfg
+                },
             ),
         ];
         for (label, cfg) in variants {

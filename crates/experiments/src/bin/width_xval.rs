@@ -8,5 +8,8 @@ fn main() {
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(200_000);
-    print!("{}", preexec_experiments::figures::width_xval(budget).render());
+    print!(
+        "{}",
+        preexec_experiments::figures::width_xval(budget).render()
+    );
 }

@@ -287,7 +287,10 @@ impl<'p> Pipeline<'p> {
         let artifacts_reused = self.artifacts.is_some();
         let screening = self.spec.screening;
         let (arts, phases, trace_us) = self.trace_stage(adaptive)?;
-        let mut stage_us = StageUs { trace: trace_us, ..StageUs::default() };
+        let mut stage_us = StageUs {
+            trace: trace_us,
+            ..StageUs::default()
+        };
 
         check("base_sim")?;
         let t = Instant::now();
@@ -319,7 +322,12 @@ impl<'p> Pipeline<'p> {
         stage_us.assisted_sim = elapsed_us(t);
 
         Ok(PipelineOutput {
-            result: PipelineResult { stats: arts.stats, base, selection, assisted },
+            result: PipelineResult {
+                stats: arts.stats,
+                base,
+                selection,
+                assisted,
+            },
             forest: arts.forest,
             par: PipelineParStats { select: select_par },
             stage_us,
@@ -413,11 +421,18 @@ mod tests {
             .budget(80_000)
             .policy(PolicySpec {
                 screening: false,
-                slicing: SlicingMode::OnDemand { checkpoint_every: 7 },
+                slicing: SlicingMode::OnDemand {
+                    checkpoint_every: 7,
+                },
                 ..PolicySpec::default()
             });
         assert!(!b.spec.screening);
-        assert_eq!(b.spec.slicing, SlicingMode::OnDemand { checkpoint_every: 7 });
+        assert_eq!(
+            b.spec.slicing,
+            SlicingMode::OnDemand {
+                checkpoint_every: 7
+            }
+        );
         // .policy() replaced the earlier budget wholesale.
         assert_eq!(b.spec.cfg.budget, 120_000);
     }
@@ -428,7 +443,11 @@ mod tests {
         let c = cfg();
         let whole = Pipeline::new(&p).config(c).run().unwrap();
         let arts = Pipeline::new(&p).config(c).trace().unwrap();
-        let out = Pipeline::new(&p).config(c).artifacts(arts.forest, arts.stats).run().unwrap();
+        let out = Pipeline::new(&p)
+            .config(c)
+            .artifacts(arts.forest, arts.stats)
+            .run()
+            .unwrap();
         assert!(out.artifacts_reused);
         assert_eq!(out.stage_us.trace, 0);
         assert_eq!(key(&out.result), key(&whole.result));
@@ -437,7 +456,10 @@ mod tests {
     fn adaptive_spec(c: PipelineConfig) -> PolicySpec {
         PolicySpec {
             cfg: c,
-            adaptive: crate::AdaptiveConfig { enabled: true, ..crate::AdaptiveConfig::default() },
+            adaptive: crate::AdaptiveConfig {
+                enabled: true,
+                ..crate::AdaptiveConfig::default()
+            },
             ..PolicySpec::default()
         }
     }
@@ -453,7 +475,11 @@ mod tests {
         assert!(report.adaptive_payoff >= report.static_payoff);
         let serial_forest = preexec_slice::write_forest(&serial.forest);
         for threads in [2usize, 4] {
-            let out = Pipeline::new(&p).policy(adaptive_spec(c)).threads(threads).run().unwrap();
+            let out = Pipeline::new(&p)
+                .policy(adaptive_spec(c))
+                .threads(threads)
+                .run()
+                .unwrap();
             assert_eq!(key(&out.result), key(&serial.result), "threads={threads}");
             assert_eq!(
                 format!("{:?}", out.adaptive),
@@ -487,7 +513,9 @@ mod tests {
     fn adaptive_rejects_ondemand_and_artifacts() {
         let p = vpr();
         let mut spec = adaptive_spec(cfg());
-        spec.slicing = SlicingMode::OnDemand { checkpoint_every: DEFAULT_CHECKPOINT_EVERY };
+        spec.slicing = SlicingMode::OnDemand {
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+        };
         assert_eq!(
             Pipeline::new(&p).policy(spec).run().unwrap_err(),
             PipelineError::ConflictingPolicy { key: "slice_mode" }
@@ -529,14 +557,24 @@ mod tests {
         // artifacts skips the trace stage and its gate check entirely.
         let no_trace = |stage: &'static str| {
             if stage == "trace" {
-                Err(PipelineError::DeadlineExceeded { stage: "trace", over_ms: 1 })
+                Err(PipelineError::DeadlineExceeded {
+                    stage: "trace",
+                    over_ms: 1,
+                })
             } else {
                 Ok(())
             }
         };
         assert_eq!(
-            Pipeline::new(&p).config(c).gate(&no_trace).run().unwrap_err(),
-            PipelineError::DeadlineExceeded { stage: "trace", over_ms: 1 }
+            Pipeline::new(&p)
+                .config(c)
+                .gate(&no_trace)
+                .run()
+                .unwrap_err(),
+            PipelineError::DeadlineExceeded {
+                stage: "trace",
+                over_ms: 1
+            }
         );
         let arts = Pipeline::new(&p).config(c).trace().unwrap();
         let out = Pipeline::new(&p)
@@ -558,7 +596,9 @@ mod tests {
             let out = Pipeline::new(&p)
                 .policy(PolicySpec {
                     cfg: c,
-                    slicing: SlicingMode::OnDemand { checkpoint_every: DEFAULT_CHECKPOINT_EVERY },
+                    slicing: SlicingMode::OnDemand {
+                        checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+                    },
                     ..PolicySpec::default()
                 })
                 .threads(threads)
@@ -581,18 +621,28 @@ mod tests {
         let small = PipelineConfig::paper_default(2_000);
         for (c, cadences) in [(small, &[1u64][..]), (cfg(), &[257, 1 << 20][..])] {
             let batch = Pipeline::new(&p).config(c).run().unwrap();
-            assert!(batch.forest.num_trees() > 0, "budget {} slices nothing", c.budget);
+            assert!(
+                batch.forest.num_trees() > 0,
+                "budget {} slices nothing",
+                c.budget
+            );
             let batch_forest = preexec_slice::write_forest(&batch.forest);
             for &every in cadences {
                 let out = Pipeline::new(&p)
                     .policy(PolicySpec {
                         cfg: c,
-                        slicing: SlicingMode::OnDemand { checkpoint_every: every },
+                        slicing: SlicingMode::OnDemand {
+                            checkpoint_every: every,
+                        },
                         ..PolicySpec::default()
                     })
                     .run()
                     .unwrap();
-                assert_eq!(key(&out.result), key(&batch.result), "checkpoint_every={every}");
+                assert_eq!(
+                    key(&out.result),
+                    key(&batch.result),
+                    "checkpoint_every={every}"
+                );
                 assert_eq!(
                     preexec_slice::write_forest(&out.forest),
                     batch_forest,

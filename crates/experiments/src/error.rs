@@ -122,10 +122,16 @@ impl fmt::Display for PipelineError {
                 write!(f, "instruction budget must be positive")
             }
             PipelineError::BadModelMissLatency(x) => {
-                write!(f, "model miss latency override must be finite and positive, got {x}")
+                write!(
+                    f,
+                    "model miss latency override must be finite and positive, got {x}"
+                )
             }
             PipelineError::BadModelWidth(x) => {
-                write!(f, "model width override must be finite and positive, got {x}")
+                write!(
+                    f,
+                    "model width override must be finite and positive, got {x}"
+                )
             }
             PipelineError::Machine(e) => write!(f, "invalid machine configuration: {e}"),
             PipelineError::Params(e) => write!(f, "invalid selection parameters: {e}"),
@@ -223,7 +229,11 @@ mod tests {
             PipelineError::Slice(SliceError::ZeroScope).code(),
             PipelineError::Sim(SimError::Machine(MachineError::ZeroWidth)).code(),
             PipelineError::Cancelled { stage: "select" }.code(),
-            PipelineError::DeadlineExceeded { stage: "select", over_ms: 3 }.code(),
+            PipelineError::DeadlineExceeded {
+                stage: "select",
+                over_ms: 3,
+            }
+            .code(),
             PipelineError::ConflictingPolicy { key: "slice_mode" }.code(),
             PipelineError::BadAdaptive { field: "confirm" }.code(),
         ];

@@ -103,18 +103,29 @@ pub fn flip_bit(text: &str, n: usize, byte: usize, bit: u32) -> String {
         let mut bytes = line.as_bytes().to_vec();
         if let Some(b) = bytes.get_mut(byte) {
             let cand = *b ^ (1u8 << (bit % 8));
-            *b = if cand.is_ascii_graphic() || cand == b' ' { cand } else { b'~' };
+            *b = if cand.is_ascii_graphic() || cand == b' ' {
+                cand
+            } else {
+                b'~'
+            };
         }
         String::from_utf8(bytes).expect("ascii-safe flip")
     };
     let mut owned: Vec<String> = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        owned.push(if i == n { flipped(line) } else { line.to_string() });
+        owned.push(if i == n {
+            flipped(line)
+        } else {
+            line.to_string()
+        });
     }
     join_lines(text, owned.iter().map(String::as_str))
 }
 
-fn rebuild_lines<'a>(text: &'a str, mut f: impl FnMut(usize, &'a str, &mut Vec<&'a str>)) -> String {
+fn rebuild_lines<'a>(
+    text: &'a str,
+    mut f: impl FnMut(usize, &'a str, &mut Vec<&'a str>),
+) -> String {
     let mut out: Vec<&str> = Vec::new();
     for (i, line) in text.lines().enumerate() {
         f(i, line, &mut out);
@@ -147,7 +158,9 @@ pub fn poisoned_pthread(trigger: u32) -> StaticPThread {
 /// increments with no loads. With `len` above the step budget it exists
 /// purely to trip the watchdog.
 pub fn runaway_pthread(trigger: u32, len: usize) -> StaticPThread {
-    let body = (0..len).map(|_| Inst::itype(Op::Addi, Reg::new(20), Reg::new(20), 1)).collect();
+    let body = (0..len)
+        .map(|_| Inst::itype(Op::Addi, Reg::new(20), Reg::new(20), 1))
+        .collect();
     hostile_pthread(trigger, body)
 }
 

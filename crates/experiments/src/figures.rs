@@ -101,8 +101,13 @@ fn select_and_bar(
     cfg: &PipelineConfig,
     base: &preexec_timing::SimResult,
 ) -> Bar {
-    let (forest, _) =
-        trace_and_slice_warm(program, cfg.scope, cfg.max_slice_len, cfg.budget, cfg.warmup);
+    let (forest, _) = trace_and_slice_warm(
+        program,
+        cfg.scope,
+        cfg.max_slice_len,
+        cfg.budget,
+        cfg.warmup,
+    );
     let params = selection_params(cfg, base.ipc());
     let selection = select_pthreads(&forest, &params);
     bar_for(label, program, &selection.pthreads, cfg, base)
@@ -129,7 +134,10 @@ pub fn fig4(budget: u64) -> Figure {
         }
         groups.push((w.name.to_string(), bars));
     }
-    Figure { title: "Figure 4: slicing scope x p-thread length".to_string(), groups }
+    Figure {
+        title: "Figure 4: slicing scope x p-thread length".to_string(),
+        groups,
+    }
 }
 
 /// Figure 5: impact of p-thread optimization and merging.
@@ -147,12 +155,19 @@ pub fn fig5(budget: u64) -> Figure {
         let base = sim(&p, &[], &base_cfg, SimMode::Normal);
         let mut bars = Vec::new();
         for (label, optimize, merge) in combos {
-            let cfg = PipelineConfig { optimize, merge, ..base_cfg };
+            let cfg = PipelineConfig {
+                optimize,
+                merge,
+                ..base_cfg
+            };
             bars.push(select_and_bar(label, &p, &cfg, &base));
         }
         groups.push((w.name.to_string(), bars));
     }
-    Figure { title: "Figure 5: p-thread optimization and merging".to_string(), groups }
+    Figure {
+        title: "Figure 5: p-thread optimization and merging".to_string(),
+        groups,
+    }
 }
 
 /// Per-region selection for the granularity study: the trace is cut into
@@ -168,7 +183,10 @@ pub fn granular_select(
     let mut builders: Vec<SliceForestBuilder> = Vec::new();
     let mut current = SliceForestBuilder::new(cfg.scope, cfg.max_slice_len);
     let mut seen: u64 = 0;
-    let trace_cfg = TraceConfig { max_steps: cfg.budget, ..TraceConfig::default() };
+    let trace_cfg = TraceConfig {
+        max_steps: cfg.budget,
+        ..TraceConfig::default()
+    };
     run_trace(program, &trace_cfg, |d| {
         if seen > 0 && seen.is_multiple_of(region_len) && (builders.len() as u64) < regions - 1 {
             let finished = std::mem::replace(
@@ -213,7 +231,10 @@ pub fn fig6(budget: u64) -> Figure {
         }
         groups.push((w.name.to_string(), bars));
     }
-    Figure { title: "Figure 6: selection granularity".to_string(), groups }
+    Figure {
+        title: "Figure 6: selection granularity".to_string(),
+        groups,
+    }
 }
 
 /// Figure 7: impact of the selection input dataset. Scenarios: *perfect*
@@ -238,7 +259,10 @@ pub fn fig7(budget: u64) -> Figure {
         };
         groups.push((w.name.to_string(), vec![perfect, dynamic, statik]));
     }
-    Figure { title: "Figure 7: selection input dataset".to_string(), groups }
+    Figure {
+        title: "Figure 7: selection input dataset".to_string(),
+        groups,
+    }
 }
 
 /// Figure 8: response to memory-latency variations. Four experiments per
@@ -257,8 +281,7 @@ pub fn fig8(budget: u64) -> Figure {
         let mut bars = Vec::new();
         for (sim_lat, model_lat) in cells {
             let cfg = PipelineConfig {
-                machine: preexec_timing::MachineParams::paper_default()
-                    .with_mem_latency(sim_lat),
+                machine: preexec_timing::MachineParams::paper_default().with_mem_latency(sim_lat),
                 model_miss_latency: Some(model_lat),
                 ..PipelineConfig::paper_default(budget)
             };
@@ -272,7 +295,10 @@ pub fn fig8(budget: u64) -> Figure {
         }
         groups.push((w.name.to_string(), bars));
     }
-    Figure { title: "Figure 8: memory latency cross-validation".to_string(), groups }
+    Figure {
+        title: "Figure 8: memory latency cross-validation".to_string(),
+        groups,
+    }
 }
 
 /// §4.5 processor-width cross-validation (the paper reports "similar
@@ -300,7 +326,10 @@ pub fn width_xval(budget: u64) -> Figure {
         }
         groups.push((w.name.to_string(), bars));
     }
-    Figure { title: "Processor width cross-validation (sec. 4.5)".to_string(), groups }
+    Figure {
+        title: "Processor width cross-validation (sec. 4.5)".to_string(),
+        groups,
+    }
 }
 
 #[cfg(test)]

@@ -8,16 +8,16 @@ use preexec_core::{
     Selection, SelectionParams, SelectionPrediction, StaticPThread,
 };
 use preexec_func::{
-    try_run_trace, try_run_trace_checkpointed, ChunkSummary, DynInst, MeasuredRegion,
-    PhaseConfig, PhaseDetector, Replayer, RunStats, TraceConfig, PHASE_BLOCK_INSTS,
+    try_run_trace, try_run_trace_checkpointed, ChunkSummary, DynInst, MeasuredRegion, PhaseConfig,
+    PhaseDetector, Replayer, RunStats, TraceConfig, PHASE_BLOCK_INSTS,
 };
 use preexec_isa::{Inst, Pc, Program};
 use preexec_mem::HierarchyConfig;
 use preexec_slice::{
     ForestBank, OnDemandSlicer, PhasedForestBuilder, SliceForest, SliceForestBuilder,
 };
-use std::collections::BTreeSet;
 use preexec_timing::{try_simulate, MachineParams, SimConfig, SimMode, SimResult};
+use std::collections::BTreeSet;
 
 /// Per-stage parallel-utilization counters for one pipeline run. Only
 /// selection fans out: the trace and slice extraction are one dependent
@@ -212,8 +212,14 @@ pub fn try_trace_and_slice_warm(
     budget: u64,
     warmup: u64,
 ) -> Result<(SliceForest, RunStats), PipelineError> {
-    let (arts, _) =
-        trace_and_slice_along(program, scope, max_slice_len, budget, warmup, TracePath::Windowed)?;
+    let (arts, _) = trace_and_slice_along(
+        program,
+        scope,
+        max_slice_len,
+        budget,
+        warmup,
+        TracePath::Windowed,
+    )?;
     Ok((arts.forest, arts.stats))
 }
 
@@ -391,7 +397,11 @@ pub(crate) fn trace_and_slice_along(
         for &(seq, pc, inst) in requests.iter() {
             bank.insert(pc, inst, &slicer.try_slice_at(seq)?);
         }
-        reexec = Some((trace.num_checkpoints(), slicer.reexec_insts(), slicer.peak_resident_insts()));
+        reexec = Some((
+            trace.num_checkpoints(),
+            slicer.reexec_insts(),
+            slicer.peak_resident_insts(),
+        ));
         reexec_span.finish();
     }
 
@@ -478,7 +488,11 @@ pub fn try_sim(
     cfg: &PipelineConfig,
     mode: SimMode,
 ) -> Result<SimResult, PipelineError> {
-    Ok(try_simulate(program, pthreads, &sim_config(cfg, mode, cfg.budget))?)
+    Ok(try_simulate(
+        program,
+        pthreads,
+        &sim_config(cfg, mode, cfg.budget),
+    )?)
 }
 
 /// Stage: the unassisted timing run (whose IPC feeds the selection
@@ -613,7 +627,10 @@ pub(crate) fn select_adaptive_stage(
         l2_misses: global.total_misses(),
     };
     for (index, forest) in phases.iter().enumerate() {
-        let phase = PhaseStats { insts: forest.sample_insts(), l2_misses: forest.total_misses() };
+        let phase = PhaseStats {
+            insts: forest.sample_insts(),
+            l2_misses: forest.total_misses(),
+        };
         let (choice, cp, cs) = try_choose_policy(forest, &base, sample, phase, par, screening)?;
         pstats.absorb(&cp);
         sstats.absorb(&cs);
@@ -646,14 +663,18 @@ pub(crate) fn select_adaptive_stage(
         }
     }
     agg.num_static = union.len();
-    agg.avg_pthread_len =
-        if agg.launches > 0 { weighted_len / agg.launches as f64 } else { 0.0 };
+    agg.avg_pthread_len = if agg.launches > 0 {
+        weighted_len / agg.launches as f64
+    } else {
+        0.0
+    };
     agg.bw_seq = base.bw_seq;
 
     let divergent_phases = reports.iter().filter(|r| r.policy_index != 0).count();
     let reg = preexec_obs::global();
     reg.counter("adaptive.phases").add(reports.len() as u64);
-    reg.counter("adaptive.divergent_phases").add(divergent_phases as u64);
+    reg.counter("adaptive.divergent_phases")
+        .add(divergent_phases as u64);
     let report = AdaptiveReport {
         phases: reports,
         divergent_phases,
@@ -662,7 +683,15 @@ pub(crate) fn select_adaptive_stage(
         adaptive_payoff,
         static_payoff,
     };
-    Ok((Selection { pthreads: union, prediction: agg }, report, pstats, sstats))
+    Ok((
+        Selection {
+            pthreads: union,
+            prediction: agg,
+        },
+        report,
+        pstats,
+        sstats,
+    ))
 }
 
 /// Full pipeline: trace, slice, select against the measured base IPC, and
@@ -691,7 +720,10 @@ pub fn try_run_pipeline(
     program: &Program,
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
-    crate::Pipeline::new(program).config(*cfg).run().map(|out| out.result)
+    crate::Pipeline::new(program)
+        .config(*cfg)
+        .run()
+        .map(|out| out.result)
 }
 
 /// Selects p-threads from one program sample (e.g. a test input or a
@@ -729,8 +761,11 @@ pub fn try_run_cross_input(
     let base = try_sim(measure_on, &[], cfg, SimMode::Normal)?;
     // IPC presented to the model comes from the *profiled* sample, as a
     // real offline implementation would have it.
-    let profile_base =
-        try_simulate(select_on, &[], &sim_config(cfg, SimMode::Normal, select_budget))?;
+    let profile_base = try_simulate(
+        select_on,
+        &[],
+        &sim_config(cfg, SimMode::Normal, select_budget),
+    )?;
     // Warm-up scales with the profiled run, not the measurement budget:
     // a profile dominated by cold-start misses would mislead selection.
     let warm = cfg.warmup.max(select_budget / 4);
@@ -740,7 +775,12 @@ pub fn try_run_cross_input(
     params.try_validate()?;
     let selection = select_pthreads(&forest, &params);
     let assisted = try_sim(measure_on, &selection.pthreads, cfg, SimMode::Normal)?;
-    Ok(PipelineResult { stats, base, selection, assisted })
+    Ok(PipelineResult {
+        stats,
+        base,
+        selection,
+        assisted,
+    })
 }
 
 #[cfg(test)]
@@ -757,7 +797,11 @@ mod tests {
         let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
         let p = w.build(InputSet::Train);
         let r = run_pipeline(&p, &quick_cfg());
-        assert!(r.base.mem.l2_misses > 500, "base misses {}", r.base.mem.l2_misses);
+        assert!(
+            r.base.mem.l2_misses > 500,
+            "base misses {}",
+            r.base.mem.l2_misses
+        );
         assert!(
             !r.selection.pthreads.is_empty(),
             "vpr.r must select p-threads"
@@ -810,30 +854,83 @@ mod tests {
         use crate::PipelineError;
         let ok = quick_cfg();
         assert_eq!(ok.try_validate(), Ok(()));
-        let cases: [(PipelineConfig, PipelineError); 7] = [
+        let cases: [(PipelineConfig, PipelineError); 9] = [
             (PipelineConfig { scope: 0, ..ok }, PipelineError::ZeroScope),
-            (PipelineConfig { max_slice_len: 0, ..ok }, PipelineError::ZeroMaxSliceLen),
-            (PipelineConfig { max_pthread_len: 0, ..ok }, PipelineError::ZeroMaxPthreadLen),
-            (PipelineConfig { budget: 0, ..ok }, PipelineError::ZeroBudget),
             (
-                PipelineConfig { model_miss_latency: Some(-1.0), ..ok },
+                PipelineConfig {
+                    max_slice_len: 0,
+                    ..ok
+                },
+                PipelineError::ZeroMaxSliceLen,
+            ),
+            (
+                PipelineConfig {
+                    max_pthread_len: 0,
+                    ..ok
+                },
+                PipelineError::ZeroMaxPthreadLen,
+            ),
+            (
+                PipelineConfig { budget: 0, ..ok },
+                PipelineError::ZeroBudget,
+            ),
+            (
+                PipelineConfig {
+                    model_miss_latency: Some(-1.0),
+                    ..ok
+                },
                 PipelineError::BadModelMissLatency(-1.0),
             ),
             (
-                PipelineConfig { model_width: Some(0.0), ..ok },
+                PipelineConfig {
+                    model_width: Some(0.0),
+                    ..ok
+                },
                 PipelineError::BadModelWidth(0.0),
             ),
             (
-                PipelineConfig { machine: ok.machine.with_width(0), ..ok },
+                PipelineConfig {
+                    machine: ok.machine.with_width(0),
+                    ..ok
+                },
                 PipelineError::Machine(preexec_timing::MachineError::ZeroWidth),
+            ),
+            (
+                PipelineConfig {
+                    machine: MachineParams {
+                        mem_bus_divisor: 0,
+                        ..ok.machine
+                    },
+                    ..ok
+                },
+                PipelineError::Machine(preexec_timing::MachineError::ZeroBus),
+            ),
+            (
+                PipelineConfig {
+                    machine: MachineParams {
+                        store_queue_entries: 0,
+                        ..ok.machine
+                    },
+                    ..ok
+                },
+                PipelineError::Machine(preexec_timing::MachineError::ZeroStoreQueue),
             ),
         ];
         for (cfg, want) in cases {
             assert_eq!(cfg.try_validate(), Err(want.clone()), "for {want}");
         }
+        // Every machine error surfaces under one stable code.
+        let zero_bus = PipelineError::Machine(preexec_timing::MachineError::ZeroBus);
+        assert_eq!(zero_bus.code(), "config.machine");
         // NaN overrides are rejected too (can't assert equality on NaN).
-        let nan = PipelineConfig { model_miss_latency: Some(f64::NAN), ..ok };
-        assert!(matches!(nan.try_validate(), Err(PipelineError::BadModelMissLatency(_))));
+        let nan = PipelineConfig {
+            model_miss_latency: Some(f64::NAN),
+            ..ok
+        };
+        assert!(matches!(
+            nan.try_validate(),
+            Err(PipelineError::BadModelMissLatency(_))
+        ));
     }
 
     #[test]
@@ -841,8 +938,14 @@ mod tests {
         use crate::PipelineError;
         let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
         let p = w.build(InputSet::Train);
-        let cfg = PipelineConfig { budget: 0, ..quick_cfg() };
-        assert_eq!(try_run_pipeline(&p, &cfg).unwrap_err(), PipelineError::ZeroBudget);
+        let cfg = PipelineConfig {
+            budget: 0,
+            ..quick_cfg()
+        };
+        assert_eq!(
+            try_run_pipeline(&p, &cfg).unwrap_err(),
+            PipelineError::ZeroBudget
+        );
     }
 
     #[test]

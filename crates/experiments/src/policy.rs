@@ -119,13 +119,17 @@ impl PolicySpec {
         self.cfg.try_validate()?;
         if self.adaptive.enabled {
             if self.adaptive.threshold_permille == 0 {
-                return Err(PipelineError::BadAdaptive { field: "threshold_permille" });
+                return Err(PipelineError::BadAdaptive {
+                    field: "threshold_permille",
+                });
             }
             if self.adaptive.confirm == 0 {
                 return Err(PipelineError::BadAdaptive { field: "confirm" });
             }
             if self.adaptive.min_phase_chunks == 0 {
-                return Err(PipelineError::BadAdaptive { field: "min_phase_chunks" });
+                return Err(PipelineError::BadAdaptive {
+                    field: "min_phase_chunks",
+                });
             }
             if matches!(self.slicing, SlicingMode::OnDemand { .. }) {
                 return Err(PipelineError::ConflictingPolicy { key: "slice_mode" });
@@ -159,15 +163,23 @@ mod tests {
     #[test]
     fn adaptive_rejects_ondemand_with_the_conflict_code() {
         let spec = PolicySpec {
-            slicing: SlicingMode::OnDemand { checkpoint_every: DEFAULT_CHECKPOINT_EVERY },
-            adaptive: AdaptiveConfig { enabled: true, ..AdaptiveConfig::default() },
+            slicing: SlicingMode::OnDemand {
+                checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+            },
+            adaptive: AdaptiveConfig {
+                enabled: true,
+                ..AdaptiveConfig::default()
+            },
             ..PolicySpec::default()
         };
         let e = spec.try_validate().unwrap_err();
         assert_eq!(e, PipelineError::ConflictingPolicy { key: "slice_mode" });
         assert_eq!(e.code(), "config.conflicting_policy");
         // The same combination with adaptive *off* is fine.
-        let off = PolicySpec { adaptive: AdaptiveConfig::default(), ..spec };
+        let off = PolicySpec {
+            adaptive: AdaptiveConfig::default(),
+            ..spec
+        };
         assert!(off.try_validate().is_ok());
     }
 
@@ -176,20 +188,44 @@ mod tests {
         for (field, adaptive) in [
             (
                 "threshold_permille",
-                AdaptiveConfig { enabled: true, threshold_permille: 0, ..AdaptiveConfig::default() },
+                AdaptiveConfig {
+                    enabled: true,
+                    threshold_permille: 0,
+                    ..AdaptiveConfig::default()
+                },
             ),
-            ("confirm", AdaptiveConfig { enabled: true, confirm: 0, ..AdaptiveConfig::default() }),
+            (
+                "confirm",
+                AdaptiveConfig {
+                    enabled: true,
+                    confirm: 0,
+                    ..AdaptiveConfig::default()
+                },
+            ),
             (
                 "min_phase_chunks",
-                AdaptiveConfig { enabled: true, min_phase_chunks: 0, ..AdaptiveConfig::default() },
+                AdaptiveConfig {
+                    enabled: true,
+                    min_phase_chunks: 0,
+                    ..AdaptiveConfig::default()
+                },
             ),
         ] {
-            let spec = PolicySpec { adaptive, ..PolicySpec::default() };
-            assert_eq!(spec.try_validate().unwrap_err(), PipelineError::BadAdaptive { field });
+            let spec = PolicySpec {
+                adaptive,
+                ..PolicySpec::default()
+            };
+            assert_eq!(
+                spec.try_validate().unwrap_err(),
+                PipelineError::BadAdaptive { field }
+            );
         }
         // Disabled adaptive skips the knob checks (the knobs are inert).
         let spec = PolicySpec {
-            adaptive: AdaptiveConfig { confirm: 0, ..AdaptiveConfig::default() },
+            adaptive: AdaptiveConfig {
+                confirm: 0,
+                ..AdaptiveConfig::default()
+            },
             ..PolicySpec::default()
         };
         assert!(spec.try_validate().is_ok());
@@ -198,7 +234,10 @@ mod tests {
     #[test]
     fn bad_pipeline_config_still_surfaces_first() {
         let spec = PolicySpec {
-            cfg: PipelineConfig { budget: 0, ..PipelineConfig::paper_default(1) },
+            cfg: PipelineConfig {
+                budget: 0,
+                ..PipelineConfig::paper_default(1)
+            },
             ..PolicySpec::default()
         };
         assert_eq!(spec.try_validate().unwrap_err(), PipelineError::ZeroBudget);

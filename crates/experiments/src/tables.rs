@@ -3,8 +3,7 @@
 
 use crate::fmt;
 use crate::pipeline::{
-    pct, run_pipeline, selection_params, sim, trace_and_slice, trace_and_slice_warm,
-    PipelineConfig,
+    pct, run_pipeline, selection_params, sim, trace_and_slice, trace_and_slice_warm, PipelineConfig,
 };
 use preexec_core::select_pthreads;
 use preexec_timing::{simulate, SimConfig, SimMode};
@@ -231,14 +230,20 @@ pub fn quick_summary(name: &str, budget: u64) -> Option<Table2Row> {
         lt_ipc: 0.0,
         p_launches: r.selection.prediction.launches,
         p_len: r.selection.prediction.avg_pthread_len,
-        p_covered_pct: pct(r.selection.prediction.misses_covered, r.stats.l2_misses.max(1)),
+        p_covered_pct: pct(
+            r.selection.prediction.misses_covered,
+            r.stats.l2_misses.max(1),
+        ),
         p_full_pct: pct(
             r.selection.prediction.misses_fully_covered,
             r.stats.l2_misses.max(1),
         ),
         p_oh_ipc: 0.0,
         p_lt_ipc: 0.0,
-        p_ipc: r.selection.prediction.predicted_ipc(r.stats.insts, r.base.ipc()),
+        p_ipc: r
+            .selection
+            .prediction
+            .predicted_ipc(r.stats.insts, r.base.ipc()),
     })
 }
 

@@ -17,7 +17,10 @@ use preexec_workloads::{suite, InputSet};
 
 #[test]
 fn pipeline_is_bit_identical_across_thread_counts() {
-    let w = suite().into_iter().find(|w| w.name == "vpr.r").expect("suite has vpr.r");
+    let w = suite()
+        .into_iter()
+        .find(|w| w.name == "vpr.r")
+        .expect("suite has vpr.r");
     let p = w.build(InputSet::Train);
     let cfg = PipelineConfig::paper_default(60_000);
 
@@ -28,7 +31,11 @@ fn pipeline_is_bit_identical_across_thread_counts() {
     assert!(reference.result.base.mem.l2_misses > 0);
 
     for threads in [2, 8] {
-        let out = Pipeline::new(&p).config(cfg).threads(threads).run().expect("parallel run");
+        let out = Pipeline::new(&p)
+            .config(cfg)
+            .threads(threads)
+            .run()
+            .expect("parallel run");
         assert_eq!(
             format!("{:?}", out.result),
             ref_fmt,
@@ -43,7 +50,9 @@ fn pipeline_is_bit_identical_across_thread_counts() {
     let ondemand = Pipeline::new(&p)
         .policy(PolicySpec {
             cfg,
-            slicing: SlicingMode::OnDemand { checkpoint_every: DEFAULT_CHECKPOINT_EVERY },
+            slicing: SlicingMode::OnDemand {
+                checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+            },
             ..PolicySpec::default()
         })
         .run()
@@ -60,15 +69,21 @@ fn slice_forest_serializes_identically_across_thread_counts() {
     // The artifact cache persists forests; a thread-count- or
     // slicer-dependent byte stream would poison cache keys across
     // daemon configurations.
-    let w = suite().into_iter().find(|w| w.name == "mcf").expect("suite has mcf");
+    let w = suite()
+        .into_iter()
+        .find(|w| w.name == "mcf")
+        .expect("suite has mcf");
     let p = w.build(InputSet::Train);
     let cfg = PipelineConfig::paper_default(40_000);
 
     let arts = Pipeline::new(&p).config(cfg).trace().expect("serial trace");
     let reference = write_forest(&arts.forest);
     for threads in [2, 8] {
-        let arts_n =
-            Pipeline::new(&p).config(cfg).threads(threads).trace().expect("parallel trace");
+        let arts_n = Pipeline::new(&p)
+            .config(cfg)
+            .threads(threads)
+            .trace()
+            .expect("parallel trace");
         assert_eq!(
             write_forest(&arts_n.forest),
             reference,
@@ -78,7 +93,9 @@ fn slice_forest_serializes_identically_across_thread_counts() {
     let arts_o = Pipeline::new(&p)
         .policy(PolicySpec {
             cfg,
-            slicing: SlicingMode::OnDemand { checkpoint_every: 777 },
+            slicing: SlicingMode::OnDemand {
+                checkpoint_every: 777,
+            },
             ..PolicySpec::default()
         })
         .trace()

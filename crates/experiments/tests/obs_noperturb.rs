@@ -21,7 +21,10 @@ use preexec_workloads::{suite, InputSet};
 
 #[test]
 fn recording_does_not_perturb_pipeline_output() {
-    let w = suite().into_iter().find(|w| w.name == "vpr.r").expect("suite has vpr.r");
+    let w = suite()
+        .into_iter()
+        .find(|w| w.name == "vpr.r")
+        .expect("suite has vpr.r");
     let p = w.build(InputSet::Train);
     let cfg = PipelineConfig::paper_default(60_000);
     let registry = preexec_obs::global();
@@ -30,7 +33,11 @@ fn recording_does_not_perturb_pipeline_output() {
     // bytes: the Debug rendering of the pipeline result plus the
     // serialized slice forest.
     let run = |threads: usize| {
-        let out = Pipeline::new(&p).config(cfg).threads(threads).run().expect("pipeline");
+        let out = Pipeline::new(&p)
+            .config(cfg)
+            .threads(threads)
+            .run()
+            .expect("pipeline");
         (format!("{:?}", out.result), write_forest(&out.forest))
     };
     let points = [1usize, 8];
@@ -39,8 +46,12 @@ fn recording_does_not_perturb_pipeline_output() {
     // "uninstrumented" configuration without a second code path.
     registry.set_recording(false);
     let reference: Vec<_> = points.iter().map(|&t| run(t)).collect();
-    let quiet_samples: u64 =
-        registry.snapshot().histograms.iter().map(|(_, h)| h.count()).sum();
+    let quiet_samples: u64 = registry
+        .snapshot()
+        .histograms
+        .iter()
+        .map(|(_, h)| h.count())
+        .sum();
     assert_eq!(quiet_samples, 0, "recording off still recorded samples");
 
     // Instrumented: recording on, same runs, same bytes.
@@ -76,9 +87,15 @@ fn recording_does_not_perturb_pipeline_output() {
         assert!(hist_count(stage) > 0, "no samples recorded for {stage}");
     }
     let counter = |name: &str| {
-        snap.counters.iter().find(|(n, _)| n == name).map_or(0, |(_, v)| *v)
+        snap.counters
+            .iter()
+            .find(|(n, _)| n == name)
+            .map_or(0, |(_, v)| *v)
     };
     assert!(counter("pipeline.runs") >= 2, "pipeline.runs not counted");
-    assert!(counter("select.candidates") > 0, "select.candidates not counted");
+    assert!(
+        counter("select.candidates") > 0,
+        "select.candidates not counted"
+    );
     assert!(counter("par.items") > 0, "par pool recorded no items");
 }

@@ -109,7 +109,10 @@ fn ondemand_matches_windowed_on_real_workloads_at_every_thread_count() {
     // at threads 1, 2, and 8. Debug formatting round-trips every f64, so
     // string equality is bitwise equality.
     for name in ["vpr.r", "mcf"] {
-        let w = suite().into_iter().find(|w| w.name == name).expect("suite has workload");
+        let w = suite()
+            .into_iter()
+            .find(|w| w.name == name)
+            .expect("suite has workload");
         let p = w.build(InputSet::Train);
         let cfg = PipelineConfig::paper_default(30_000);
 
@@ -125,7 +128,9 @@ fn ondemand_matches_windowed_on_real_workloads_at_every_thread_count() {
             let ondemand = Pipeline::new(&p)
                 .policy(PolicySpec {
                     cfg,
-                    slicing: SlicingMode::OnDemand { checkpoint_every: 1021 },
+                    slicing: SlicingMode::OnDemand {
+                        checkpoint_every: 1021,
+                    },
                     ..PolicySpec::default()
                 })
                 .threads(threads)

@@ -16,7 +16,10 @@ use preexec_workloads::{suite, InputSet};
 
 #[test]
 fn huge_scope_completes_with_bounded_residency() {
-    let w = suite().into_iter().find(|w| w.name == "mcf").expect("suite has mcf");
+    let w = suite()
+        .into_iter()
+        .find(|w| w.name == "mcf")
+        .expect("suite has mcf");
     let p = w.build(InputSet::Train);
 
     // A scope ~1000× the paper default (1024) and well past the old
@@ -27,7 +30,10 @@ fn huge_scope_completes_with_bounded_residency() {
     cfg.scope = 1_000_000;
     let checkpoint_every = 512u64;
 
-    let windowed = Pipeline::new(&p).config(cfg).trace().expect("windowed trace");
+    let windowed = Pipeline::new(&p)
+        .config(cfg)
+        .trace()
+        .expect("windowed trace");
     let ondemand = Pipeline::new(&p)
         .policy(PolicySpec {
             cfg,
@@ -57,5 +63,8 @@ fn huge_scope_completes_with_bounded_residency() {
         peak > 0 && peak <= bound,
         "peak resident detail {peak} outside (0, {bound}] — scope leaked into residency"
     );
-    assert!((peak as usize) < cfg.scope / 100, "residency not far under scope");
+    assert!(
+        (peak as usize) < cfg.scope / 100,
+        "residency not far under scope"
+    );
 }

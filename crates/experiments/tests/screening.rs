@@ -16,15 +16,25 @@ use preexec_workloads::{suite, InputSet};
 
 #[test]
 fn screened_pipeline_is_bit_identical_to_exact_at_every_thread_count() {
-    let w = suite().into_iter().find(|w| w.name == "vpr.r").expect("suite has vpr.r");
+    let w = suite()
+        .into_iter()
+        .find(|w| w.name == "vpr.r")
+        .expect("suite has vpr.r");
     let p = w.build(InputSet::Train);
     let cfg = PipelineConfig::paper_default(60_000);
 
     let exact = Pipeline::new(&p)
-        .policy(PolicySpec { cfg, screening: false, ..PolicySpec::default() })
+        .policy(PolicySpec {
+            cfg,
+            screening: false,
+            ..PolicySpec::default()
+        })
         .run()
         .expect("exact run");
-    assert!(exact.screen.is_none(), "screening(false) must not report screen stats");
+    assert!(
+        exact.screen.is_none(),
+        "screening(false) must not report screen stats"
+    );
     let ref_fmt = format!("{:?}", exact.result);
     let ref_forest = write_forest(&exact.forest);
     // The run must be non-trivial, or identity proves nothing.
@@ -59,7 +69,10 @@ fn screening_prunes_on_the_standard_kernels() {
     // failing, the bound has gone slack and the two-tier path is paying
     // for exact scores it was built to skip.
     for name in ["vpr.r", "mcf"] {
-        let w = suite().into_iter().find(|w| w.name == name).expect("suite has workload");
+        let w = suite()
+            .into_iter()
+            .find(|w| w.name == name)
+            .expect("suite has workload");
         let p = w.build(InputSet::Train);
         let cfg = PipelineConfig::paper_default(60_000);
         let out = Pipeline::new(&p).config(cfg).run().expect("screened run");

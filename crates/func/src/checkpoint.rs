@@ -31,7 +31,10 @@ struct TrackedMem {
 
 impl TrackedMem {
     fn new(mem: Memory) -> TrackedMem {
-        TrackedMem { mem, dirty: BTreeSet::new() }
+        TrackedMem {
+            mem,
+            dirty: BTreeSet::new(),
+        }
     }
 
     #[inline]
@@ -164,7 +167,10 @@ impl CheckpointTrace {
     /// Total bytes of dirty-page payload across all checkpoints (the
     /// dominant term of the record's memory footprint).
     pub fn page_bytes_held(&self) -> usize {
-        self.checkpoints.iter().map(Checkpoint::page_bytes_held).sum()
+        self.checkpoints
+            .iter()
+            .map(Checkpoint::page_bytes_held)
+            .sum()
     }
 }
 
@@ -225,7 +231,11 @@ pub fn try_run_trace_checkpointed(
     )?;
     Ok((
         state.stats,
-        CheckpointTrace { checkpoint_every: every, emitted: state.emitted, checkpoints },
+        CheckpointTrace {
+            checkpoint_every: every,
+            emitted: state.emitted,
+            checkpoints,
+        },
     ))
 }
 
@@ -259,7 +269,10 @@ mod tests {
         assert_eq!(format!("{s1:?}"), format!("{s2:?}"));
         assert_eq!(trace.emitted(), plain.len() as u64);
         // One checkpoint per opened 128-instruction interval.
-        assert_eq!(trace.num_checkpoints() as u64, trace.emitted().div_ceil(128));
+        assert_eq!(
+            trace.num_checkpoints() as u64,
+            trace.emitted().div_ceil(128)
+        );
     }
 
     #[test]

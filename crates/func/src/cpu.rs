@@ -1,8 +1,8 @@
 //! The architectural CPU: register state plus a single-step interpreter.
 
 use crate::{exec, ExecError};
-use preexec_isa::{Inst, Op, OpClass, Pc, Program, Reg};
 use preexec_isa::reg::NUM_REGS;
+use preexec_isa::{Inst, Op, OpClass, Pc, Program, Reg};
 use preexec_mem::MemBus;
 
 /// The architectural outcome of stepping one instruction.
@@ -54,7 +54,11 @@ pub struct Cpu {
 impl Cpu {
     /// Creates a CPU positioned at the program's entry with zeroed registers.
     pub fn new(program: &Program) -> Cpu {
-        Cpu { regs: [0; NUM_REGS], pc: program.entry(), halted: false }
+        Cpu {
+            regs: [0; NUM_REGS],
+            pc: program.entry(),
+            halted: false,
+        }
     }
 
     /// The current PC.
@@ -197,7 +201,14 @@ impl Cpu {
         }
 
         self.pc = next_pc;
-        Ok(StepOutcome { pc, inst, addr, taken, result, halted: self.halted })
+        Ok(StepOutcome {
+            pc,
+            inst,
+            addr,
+            taken,
+            result,
+            halted: self.halted,
+        })
     }
 
     /// Infallible [`try_step`](Self::try_step) for the hot trace loop,
@@ -246,20 +257,16 @@ mod tests {
 
     #[test]
     fn loop_with_branch() {
-        let (cpu, _) = run(
-            "li r1, 10\nli r2, 0\nli r3, 0\n\
+        let (cpu, _) = run("li r1, 10\nli r2, 0\nli r3, 0\n\
              top: bge r2, r1, done\n add r3, r3, r2\n addi r2, r2, 1\n j top\n\
-             done: halt",
-        );
+             done: halt");
         assert_eq!(cpu.reg(Reg::new(3)), 45); // 0+1+...+9
     }
 
     #[test]
     fn loads_and_stores() {
-        let (cpu, mem) = run(
-            "li r1, 0x100\nli r2, -1\nsd r2, 0(r1)\nld r3, 0(r1)\n\
-             sw r2, 8(r1)\nlw r4, 8(r1)\nsb r2, 16(r1)\nlbu r5, 16(r1)\nlb r6, 16(r1)\nhalt",
-        );
+        let (cpu, mem) = run("li r1, 0x100\nli r2, -1\nsd r2, 0(r1)\nld r3, 0(r1)\n\
+             sw r2, 8(r1)\nlw r4, 8(r1)\nsb r2, 16(r1)\nlbu r5, 16(r1)\nlb r6, 16(r1)\nhalt");
         assert_eq!(cpu.reg(Reg::new(3)), -1);
         assert_eq!(cpu.reg(Reg::new(4)), -1); // lw sign-extends
         assert_eq!(cpu.reg(Reg::new(5)), 255); // lbu zero-extends
@@ -269,10 +276,8 @@ mod tests {
 
     #[test]
     fn jal_and_jr() {
-        let (cpu, _) = run(
-            "jal sub\n li r2, 99\n halt\n\
-             sub: li r1, 5\n jr r31",
-        );
+        let (cpu, _) = run("jal sub\n li r2, 99\n halt\n\
+             sub: li r1, 5\n jr r31");
         assert_eq!(cpu.reg(Reg::new(1)), 5);
         assert_eq!(cpu.reg(Reg::new(2)), 99); // returned and continued
     }

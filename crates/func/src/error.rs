@@ -46,7 +46,10 @@ impl fmt::Display for ExecError {
                 write!(f, "malformed instruction at pc {pc}: {reason}")
             }
             ExecError::StepBudgetExhausted { budget } => {
-                write!(f, "step budget of {budget} exhausted before halt (watchdog)")
+                write!(
+                    f,
+                    "step budget of {budget} exhausted before halt (watchdog)"
+                )
             }
         }
     }
@@ -61,9 +64,16 @@ mod tests {
     #[test]
     fn display_names_the_fault() {
         assert!(ExecError::NotAlu(Op::Lw).to_string().contains("not an ALU"));
-        assert!(ExecError::NotBranch(Op::J).to_string().contains("not a conditional branch"));
+        assert!(ExecError::NotBranch(Op::J)
+            .to_string()
+            .contains("not a conditional branch"));
         assert!(ExecError::CpuHalted.to_string().contains("halted"));
-        assert!(ExecError::Malformed { pc: 3, reason: "no rd" }.to_string().contains("pc 3"));
+        assert!(ExecError::Malformed {
+            pc: 3,
+            reason: "no rd"
+        }
+        .to_string()
+        .contains("pc 3"));
         assert!(ExecError::StepBudgetExhausted { budget: 10 }
             .to_string()
             .contains("watchdog"));

@@ -175,7 +175,10 @@ mod tests {
     #[test]
     fn try_forms_return_typed_errors() {
         assert_eq!(try_alu(Op::Lw, 0, 0, 0), Err(ExecError::NotAlu(Op::Lw)));
-        assert_eq!(try_branch_taken(Op::J, 0, 0), Err(ExecError::NotBranch(Op::J)));
+        assert_eq!(
+            try_branch_taken(Op::J, 0, 0),
+            Err(ExecError::NotBranch(Op::J))
+        );
         assert_eq!(try_alu(Op::Add, 2, 3, 0), Ok(5));
         assert_eq!(try_branch_taken(Op::Beq, 1, 1), Ok(true));
     }

@@ -47,7 +47,11 @@ pub struct PhaseConfig {
 
 impl Default for PhaseConfig {
     fn default() -> PhaseConfig {
-        PhaseConfig { threshold_permille: 500, confirm: 2, min_phase_chunks: 4 }
+        PhaseConfig {
+            threshold_permille: 500,
+            confirm: 2,
+            min_phase_chunks: 4,
+        }
     }
 }
 
@@ -191,7 +195,10 @@ mod tests {
             .iter()
             .enumerate()
             .filter(|&(_, &(insts, misses))| {
-                det.observe_chunk(ChunkSummary { insts, l2_misses: misses })
+                det.observe_chunk(ChunkSummary {
+                    insts,
+                    l2_misses: misses,
+                })
             })
             .map(|(i, _)| i)
             .collect()
@@ -214,8 +221,9 @@ mod tests {
     fn small_jitter_below_threshold_never_splits() {
         // ±20% oscillation around 100 misses/chunk stays below the 50%
         // default threshold.
-        let chunks: Vec<(u64, u64)> =
-            (0..128).map(|i| (4096, if i % 2 == 0 { 80 } else { 120 })).collect();
+        let chunks: Vec<(u64, u64)> = (0..128)
+            .map(|i| (4096, if i % 2 == 0 { 80 } else { 120 }))
+            .collect();
         let mut det = PhaseDetector::new(PhaseConfig::default());
         assert!(feed(&mut det, &chunks).is_empty());
     }
@@ -267,7 +275,10 @@ mod tests {
         // with a large floor, even a clean step cannot confirm.
         let mut chunks = vec![(4096u64, 10u64); 8];
         chunks.extend(vec![(4096, 200); 8]);
-        let cfg = PhaseConfig { min_phase_chunks: 64, ..PhaseConfig::default() };
+        let cfg = PhaseConfig {
+            min_phase_chunks: 64,
+            ..PhaseConfig::default()
+        };
         let mut det = PhaseDetector::new(cfg);
         assert!(feed(&mut det, &chunks).is_empty());
     }
@@ -291,7 +302,11 @@ mod tests {
         assert_eq!(det.cfg.threshold_permille, 1);
         assert_eq!(det.cfg.confirm, 1);
         assert_eq!(det.cfg.min_phase_chunks, 1);
-        assert!(!PhaseConfig { confirm: 0, ..PhaseConfig::default() }.is_valid());
+        assert!(!PhaseConfig {
+            confirm: 0,
+            ..PhaseConfig::default()
+        }
+        .is_valid());
         assert!(PhaseConfig::default().is_valid());
     }
 
@@ -299,8 +314,9 @@ mod tests {
     fn detection_is_chunk_content_deterministic() {
         // Same summaries, same decisions — twice through the same data
         // yields identical split indices.
-        let chunks: Vec<(u64, u64)> =
-            (0..96).map(|i| (4096, if i / 24 % 2 == 0 { 15 } else { 180 })).collect();
+        let chunks: Vec<(u64, u64)> = (0..96)
+            .map(|i| (4096, if i / 24 % 2 == 0 { 15 } else { 180 }))
+            .collect();
         let mut a = PhaseDetector::new(PhaseConfig::default());
         let mut b = PhaseDetector::new(PhaseConfig::default());
         assert_eq!(feed(&mut a, &chunks), feed(&mut b, &chunks));

@@ -114,18 +114,22 @@ pub fn run_pthread(
     for (i, inst) in body.iter().enumerate() {
         if i >= step_budget {
             return PThreadRun {
-                outcome: PThreadOutcome::Squashed { at: i, reason: SquashReason::BudgetExhausted },
+                outcome: PThreadOutcome::Squashed {
+                    at: i,
+                    reason: SquashReason::BudgetExhausted,
+                },
                 executed: i,
                 load_addrs,
                 regs,
             };
         }
-        let squash = |at, reason, executed, load_addrs: &Vec<u64>, regs: &[i64; NUM_REGS]| PThreadRun {
-            outcome: PThreadOutcome::Squashed { at, reason },
-            executed,
-            load_addrs: load_addrs.clone(),
-            regs: *regs,
-        };
+        let squash =
+            |at, reason, executed, load_addrs: &Vec<u64>, regs: &[i64; NUM_REGS]| PThreadRun {
+                outcome: PThreadOutcome::Squashed { at, reason },
+                executed,
+                load_addrs: load_addrs.clone(),
+                regs: *regs,
+            };
         let a = inst.rs1.map_or(0, |r| regs[r.index()]);
         let b = inst.rs2.map_or(0, |r| regs[r.index()]);
         let mut result = 0i64;

@@ -36,7 +36,12 @@ struct ReplayMemory<'a> {
 
 impl<'a> ReplayMemory<'a> {
     fn new(trace: &'a CheckpointTrace, initial: &'a Memory, ckpt_idx: usize) -> ReplayMemory<'a> {
-        ReplayMemory { trace, initial, ckpt_idx, overlay: HashMap::new() }
+        ReplayMemory {
+            trace,
+            initial,
+            ckpt_idx,
+            overlay: HashMap::new(),
+        }
     }
 
     /// The page content as of checkpoint `ckpt_idx`, ignoring the overlay.
@@ -71,7 +76,9 @@ impl<'a> ReplayMemory<'a> {
             };
             self.overlay.insert(page, seeded);
         }
-        self.overlay.get_mut(&page).expect("overlay page just inserted")
+        self.overlay
+            .get_mut(&page)
+            .expect("overlay page just inserted")
     }
 
     fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
@@ -149,12 +156,21 @@ impl<'a> Replayer<'a> {
     /// Builds a replayer for `trace`, reconstructing the initial
     /// data-segment image from `program`. `program` and `config` must be
     /// the ones the recording run used — the trace stores neither.
-    pub fn new(program: &'a Program, config: &'a TraceConfig, trace: &'a CheckpointTrace) -> Replayer<'a> {
+    pub fn new(
+        program: &'a Program,
+        config: &'a TraceConfig,
+        trace: &'a CheckpointTrace,
+    ) -> Replayer<'a> {
         let mut initial = Memory::new();
         for seg in program.data_segments() {
             initial.write_slice(seg.base, &seg.bytes);
         }
-        Replayer { program, config, trace, initial }
+        Replayer {
+            program,
+            config,
+            trace,
+            initial,
+        }
     }
 
     /// The trace being replayed.
@@ -220,10 +236,7 @@ mod tests {
         .unwrap()
     }
 
-    fn record(
-        config: &TraceConfig,
-        every: u64,
-    ) -> (Vec<String>, RunStats, CheckpointTrace) {
+    fn record(config: &TraceConfig, every: u64) -> (Vec<String>, RunStats, CheckpointTrace) {
         let p = feedback_loop();
         let mut emitted = Vec::new();
         let (stats, trace) =
@@ -241,13 +254,18 @@ mod tests {
         for i in 0..trace.num_checkpoints() {
             let start = trace.checkpoint(i).emitted as usize;
             let mut tail = Vec::new();
-            let rstats = replayer.try_replay(i, |d| {
-                tail.push(format!("{d:?}"));
-                true
-            })
-            .unwrap();
+            let rstats = replayer
+                .try_replay(i, |d| {
+                    tail.push(format!("{d:?}"));
+                    true
+                })
+                .unwrap();
             assert_eq!(tail, emitted[start..], "from checkpoint {i}");
-            assert_eq!(format!("{rstats:?}"), format!("{stats:?}"), "from checkpoint {i}");
+            assert_eq!(
+                format!("{rstats:?}"),
+                format!("{stats:?}"),
+                "from checkpoint {i}"
+            );
         }
     }
 

@@ -55,7 +55,11 @@ impl Sampling {
 
     /// An always-on schedule (no fast-forwarding, no warm-up).
     pub fn always_on() -> Sampling {
-        Sampling { off: 0, warm: 0, on: u64::MAX }
+        Sampling {
+            off: 0,
+            warm: 0,
+            on: u64::MAX,
+        }
     }
 
     /// Total instructions per cycle of the schedule.

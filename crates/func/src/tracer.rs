@@ -50,7 +50,10 @@ pub struct MeasuredRegion {
 
 impl MeasuredRegion {
     /// Counts every emitted instruction and caps nothing.
-    pub const ALL: MeasuredRegion = MeasuredRegion { start: 0, end: u64::MAX };
+    pub const ALL: MeasuredRegion = MeasuredRegion {
+        start: 0,
+        end: u64::MAX,
+    };
 }
 
 /// Runs `program` to completion (or budget), streaming a [`DynInst`] for
@@ -78,11 +81,7 @@ impl MeasuredRegion {
 /// assert_eq!(misses, 1); // second load hits
 /// assert_eq!(stats.l2_misses, 1);
 /// ```
-pub fn run_trace(
-    program: &Program,
-    config: &TraceConfig,
-    sink: impl FnMut(&DynInst),
-) -> RunStats {
+pub fn run_trace(program: &Program, config: &TraceConfig, sink: impl FnMut(&DynInst)) -> RunStats {
     match try_run_trace(program, config, sink) {
         Ok(stats) => stats,
         Err(e) => panic!("{e}"),
@@ -117,10 +116,16 @@ pub fn try_run_trace(
         stats: RunStats::new(),
         emitted: 0,
     };
-    run_trace_loop(program, config, &mut state, |_| {}, |d| {
-        sink(d);
-        true
-    })?;
+    run_trace_loop(
+        program,
+        config,
+        &mut state,
+        |_| {},
+        |d| {
+            sink(d);
+            true
+        },
+    )?;
     Ok(state.stats)
 }
 
@@ -185,15 +190,19 @@ pub(crate) fn run_trace_loop<M: MemBus>(
         }
         match out.inst.class() {
             OpClass::Load => {
-                let level = level
-                    .ok_or(ExecError::Malformed { pc: out.pc, reason: "load without address" })?;
+                let level = level.ok_or(ExecError::Malformed {
+                    pc: out.pc,
+                    reason: "load without address",
+                })?;
                 if counted {
                     state.stats.record_load(out.pc, level);
                 }
             }
             OpClass::Store => {
-                let level = level
-                    .ok_or(ExecError::Malformed { pc: out.pc, reason: "store without address" })?;
+                let level = level.ok_or(ExecError::Malformed {
+                    pc: out.pc,
+                    reason: "store without address",
+                })?;
                 if counted {
                     state.stats.record_store(level);
                 }
@@ -267,7 +276,10 @@ mod tests {
 
     #[test]
     fn step_budget_respected() {
-        let config = TraceConfig { max_steps: 100, ..TraceConfig::default() };
+        let config = TraceConfig {
+            max_steps: 100,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&streaming_loop(), &config, |_| {});
         assert_eq!(stats.total_steps, 100);
         assert!(stats.timed_out, "watchdog cutoff must be flagged");
@@ -280,7 +292,10 @@ mod tests {
     }
 
     fn measured(start: u64, end: u64) -> TraceConfig {
-        TraceConfig { measured: MeasuredRegion { start, end }, ..TraceConfig::default() }
+        TraceConfig {
+            measured: MeasuredRegion { start, end },
+            ..TraceConfig::default()
+        }
     }
 
     #[test]
@@ -308,7 +323,10 @@ mod tests {
                 }
             }
         });
-        assert_eq!((tail.loads, tail.branches, tail.taken_branches), (loads, branches, taken));
+        assert_eq!(
+            (tail.loads, tail.branches, tail.taken_branches),
+            (loads, branches, taken)
+        );
         assert_eq!(tail.load_sites[&4].execs, loads);
         assert!(all.loads > tail.loads);
     }
@@ -321,7 +339,10 @@ mod tests {
         assert_eq!(stats.total_steps, 7);
         assert!(!stats.timed_out);
         // A cap that lands on the step budget is still a complete run.
-        let config = TraceConfig { max_steps: 7, ..measured(3, 7) };
+        let config = TraceConfig {
+            max_steps: 7,
+            ..measured(3, 7)
+        };
         let stats = run_trace(&streaming_loop(), &config, |_| {});
         assert_eq!((stats.total_steps, stats.insts), (7, 4));
         assert!(!stats.timed_out);
@@ -356,11 +377,7 @@ mod tests {
     fn warm_phase_warms_caches() {
         // Two-pass program: touch a line, then re-touch it. With the first
         // touch in warm-up and the second in "on", the second is a hit.
-        let p = assemble(
-            "t",
-            "li r1, 0x4000\n ld r2, 0(r1)\n ld r3, 0(r1)\n halt",
-        )
-        .unwrap();
+        let p = assemble("t", "li r1, 0x4000\n ld r2, 0(r1)\n ld r3, 0(r1)\n halt").unwrap();
         // warm = 2 (li + first ld), on = rest.
         let config = TraceConfig {
             sampling: Sampling::new(0, 2, 100),

@@ -94,7 +94,10 @@ pub fn assemble(name: &str, source: &str) -> Result<Program, AsmError> {
     if let Err(bad_pc) = program.validate() {
         return Err(err(
             lines[bad_pc as usize].0,
-            format!("branch target out of range in `{}`", lines[bad_pc as usize].1),
+            format!(
+                "branch target out of range in `{}`",
+                lines[bad_pc as usize].1
+            ),
         ));
     }
     Ok(program)
@@ -127,7 +130,10 @@ fn parse_inst(line: usize, text: &str, labels: &HashMap<String, Pc>) -> Result<I
         if ops.len() == n {
             Ok(())
         } else {
-            Err(err(line, format!("`{mnemonic}` expects {n} operands, got {}", ops.len())))
+            Err(err(
+                line,
+                format!("`{mnemonic}` expects {n} operands, got {}", ops.len()),
+            ))
         }
     };
 
@@ -157,7 +163,10 @@ fn parse_inst(line: usize, text: &str, labels: &HashMap<String, Pc>) -> Result<I
         }
         Mov => {
             want(2)?;
-            Ok(Inst::mov(parse_reg(line, ops[0])?, parse_reg(line, ops[1])?))
+            Ok(Inst::mov(
+                parse_reg(line, ops[0])?,
+                parse_reg(line, ops[1])?,
+            ))
         }
         Lb | Lbu | Lw | Ld => {
             want(2)?;
@@ -208,7 +217,10 @@ fn parse_reg(line: usize, s: &str) -> Result<Reg, AsmError> {
         .parse()
         .map_err(|_| err(line, format!("bad register `{s}`")))?;
     if n >= 32 {
-        return Err(err(line, format!("bad register `{s}` (index must be 0..32)")));
+        return Err(err(
+            line,
+            format!("bad register `{s}` (index must be 0..32)"),
+        ));
     }
     Ok(Reg::new(base + n))
 }
@@ -228,9 +240,12 @@ fn parse_imm(line: usize, s: &str) -> Result<i64, AsmError> {
 }
 
 fn parse_mem(line: usize, s: &str) -> Result<(i64, Reg), AsmError> {
-    let open = s
-        .find('(')
-        .ok_or_else(|| err(line, format!("bad memory operand `{s}` (want offset(base))")))?;
+    let open = s.find('(').ok_or_else(|| {
+        err(
+            line,
+            format!("bad memory operand `{s}` (want offset(base))"),
+        )
+    })?;
     let close = s
         .rfind(')')
         .filter(|&c| c > open)

@@ -62,7 +62,14 @@ impl Inst {
             ),
             "{op} is not a three-register ALU opcode"
         );
-        Inst { op, rd: Some(rd), rs1: Some(rs), rs2: Some(rt), imm: 0, target: None }
+        Inst {
+            op,
+            rd: Some(rd),
+            rs1: Some(rs),
+            rs2: Some(rt),
+            imm: 0,
+            target: None,
+        }
     }
 
     /// Immediate ALU instruction: `op rd, rs, imm`.
@@ -74,18 +81,18 @@ impl Inst {
         assert!(
             matches!(
                 op,
-                Op::Addi
-                    | Op::Andi
-                    | Op::Ori
-                    | Op::Xori
-                    | Op::Sll
-                    | Op::Srl
-                    | Op::Sra
-                    | Op::Slti
+                Op::Addi | Op::Andi | Op::Ori | Op::Xori | Op::Sll | Op::Srl | Op::Sra | Op::Slti
             ),
             "{op} is not an immediate ALU opcode"
         );
-        Inst { op, rd: Some(rd), rs1: Some(rs), rs2: None, imm, target: None }
+        Inst {
+            op,
+            rd: Some(rd),
+            rs1: Some(rs),
+            rs2: None,
+            imm,
+            target: None,
+        }
     }
 
     /// Load instruction: `op rd, offset(base)`.
@@ -95,7 +102,14 @@ impl Inst {
     /// Panics if `op` is not a load.
     pub fn load(op: Op, rd: Reg, base: Reg, offset: i64) -> Inst {
         assert!(op.is_load(), "{op} is not a load");
-        Inst { op, rd: Some(rd), rs1: Some(base), rs2: None, imm: offset, target: None }
+        Inst {
+            op,
+            rd: Some(rd),
+            rs1: Some(base),
+            rs2: None,
+            imm: offset,
+            target: None,
+        }
     }
 
     /// Store instruction: `op value, offset(base)`.
@@ -105,7 +119,14 @@ impl Inst {
     /// Panics if `op` is not a store.
     pub fn store(op: Op, value: Reg, base: Reg, offset: i64) -> Inst {
         assert!(op.is_store(), "{op} is not a store");
-        Inst { op, rd: None, rs1: Some(base), rs2: Some(value), imm: offset, target: None }
+        Inst {
+            op,
+            rd: None,
+            rs1: Some(base),
+            rs2: Some(value),
+            imm: offset,
+            target: None,
+        }
     }
 
     /// Conditional branch: `op rs, rt, target`.
@@ -115,7 +136,14 @@ impl Inst {
     /// Panics if `op` is not a conditional branch.
     pub fn branch(op: Op, rs: Reg, rt: Reg, target: Pc) -> Inst {
         assert!(op.is_branch(), "{op} is not a conditional branch");
-        Inst { op, rd: None, rs1: Some(rs), rs2: Some(rt), imm: 0, target: Some(target) }
+        Inst {
+            op,
+            rd: None,
+            rs1: Some(rs),
+            rs2: Some(rt),
+            imm: 0,
+            target: Some(target),
+        }
     }
 
     /// Direct jump: `j target` or `jal target`.
@@ -126,32 +154,74 @@ impl Inst {
     pub fn jump(op: Op, target: Pc) -> Inst {
         assert!(matches!(op, Op::J | Op::Jal), "{op} is not a direct jump");
         let rd = if op == Op::Jal { Some(Reg::LINK) } else { None };
-        Inst { op, rd, rs1: None, rs2: None, imm: 0, target: Some(target) }
+        Inst {
+            op,
+            rd,
+            rs1: None,
+            rs2: None,
+            imm: 0,
+            target: Some(target),
+        }
     }
 
     /// Indirect jump: `jr rs`.
     pub fn jr(rs: Reg) -> Inst {
-        Inst { op: Op::Jr, rd: None, rs1: Some(rs), rs2: None, imm: 0, target: None }
+        Inst {
+            op: Op::Jr,
+            rd: None,
+            rs1: Some(rs),
+            rs2: None,
+            imm: 0,
+            target: None,
+        }
     }
 
     /// Load immediate: `li rd, imm`.
     pub fn li(rd: Reg, imm: i64) -> Inst {
-        Inst { op: Op::Li, rd: Some(rd), rs1: None, rs2: None, imm, target: None }
+        Inst {
+            op: Op::Li,
+            rd: Some(rd),
+            rs1: None,
+            rs2: None,
+            imm,
+            target: None,
+        }
     }
 
     /// Register move: `mov rd, rs`.
     pub fn mov(rd: Reg, rs: Reg) -> Inst {
-        Inst { op: Op::Mov, rd: Some(rd), rs1: Some(rs), rs2: None, imm: 0, target: None }
+        Inst {
+            op: Op::Mov,
+            rd: Some(rd),
+            rs1: Some(rs),
+            rs2: None,
+            imm: 0,
+            target: None,
+        }
     }
 
     /// `nop`.
     pub fn nop() -> Inst {
-        Inst { op: Op::Nop, rd: None, rs1: None, rs2: None, imm: 0, target: None }
+        Inst {
+            op: Op::Nop,
+            rd: None,
+            rs1: None,
+            rs2: None,
+            imm: 0,
+            target: None,
+        }
     }
 
     /// `halt`.
     pub fn halt() -> Inst {
-        Inst { op: Op::Halt, rd: None, rs1: None, rs2: None, imm: 0, target: None }
+        Inst {
+            op: Op::Halt,
+            rd: None,
+            rs1: None,
+            rs2: None,
+            imm: 0,
+            target: None,
+        }
     }
 
     /// The register this instruction defines, if any.
@@ -321,7 +391,10 @@ mod tests {
         assert_eq!(Inst::jump(Op::J, 0).to_string(), "j 0");
         assert_eq!(Inst::jr(Reg::new(31)).to_string(), "jr r31");
         assert_eq!(Inst::li(Reg::new(4), -3).to_string(), "li r4, -3");
-        assert_eq!(Inst::mov(Reg::new(4), Reg::new(5)).to_string(), "mov r4, r5");
+        assert_eq!(
+            Inst::mov(Reg::new(4), Reg::new(5)).to_string(),
+            "mov r4, r5"
+        );
         assert_eq!(
             Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2).to_string(),
             "sll r7, r7, 2"

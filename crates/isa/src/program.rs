@@ -53,7 +53,12 @@ pub struct Program {
 impl Program {
     /// Creates an empty program.
     pub fn new(name: impl Into<String>) -> Program {
-        Program { name: name.into(), insts: Vec::new(), data: Vec::new(), entry: 0 }
+        Program {
+            name: name.into(),
+            insts: Vec::new(),
+            data: Vec::new(),
+            entry: 0,
+        }
     }
 
     /// The program's name (used in experiment reports).
@@ -166,7 +171,12 @@ impl Program {
 impl fmt::Display for Program {
     /// Disassembles the whole program, one instruction per line with PCs.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "; program `{}` ({} instructions)", self.name, self.insts.len())?;
+        writeln!(
+            f,
+            "; program `{}` ({} instructions)",
+            self.name,
+            self.insts.len()
+        )?;
         for (pc, inst) in self.insts.iter().enumerate() {
             writeln!(f, "#{pc:02}: {inst}")?;
         }

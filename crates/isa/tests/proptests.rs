@@ -66,7 +66,7 @@ proptest! {
     /// Every instruction's def/use sets never mention the zero register.
     #[test]
     fn def_use_never_r0(i in inst()) {
-        prop_assert!(i.def().map_or(true, |r| !r.is_zero()));
+        prop_assert!(i.def().is_none_or(|r| !r.is_zero()));
         prop_assert!(i.uses().all(|r| !r.is_zero()));
     }
 

@@ -1,6 +1,11 @@
 //! A bandwidth-contended bus for the timing simulator.
 
-use std::collections::HashSet;
+use std::collections::VecDeque;
+
+/// How long a booked slot is remembered: a request more than this many
+/// slots past the previous prune forgets every slot more than this many
+/// slots behind it.
+const PRUNE_SLOTS: u64 = 65536;
 
 /// A slot-based bus occupancy model.
 ///
@@ -12,6 +17,12 @@ use std::collections::HashSet;
 /// the earliest free slots at or after `now` — transfers scheduled for
 /// different times interleave correctly instead of serializing in request
 /// order.
+///
+/// Bookings live in a dense window of slot flags starting at a base slot;
+/// every slot outside the window is free. The window spans the slots
+/// remembered since the last prune — about `2 × 65 536` slots — unless a
+/// request lands far below every remembered booking, which grows it down
+/// to that request.
 ///
 /// # Example
 ///
@@ -30,7 +41,9 @@ use std::collections::HashSet;
 pub struct Bus {
     width_bytes: u64,
     cycles_per_beat: u64,
-    booked: HashSet<u64>,
+    /// Whether each slot `base..base + booked.len()` is booked.
+    booked: VecDeque<bool>,
+    base: u64,
     busy_cycles: u64,
     transfers: u64,
     last_prune: u64,
@@ -48,7 +61,8 @@ impl Bus {
         Bus {
             width_bytes,
             cycles_per_beat,
-            booked: HashSet::new(),
+            booked: VecDeque::new(),
+            base: 0,
             busy_cycles: 0,
             transfers: 0,
             last_prune: 0,
@@ -60,25 +74,44 @@ impl Bus {
     /// earliest free slots at or after `now`.
     pub fn transfer(&mut self, now: u64, bytes: u64) -> u64 {
         let beats = bytes.div_ceil(self.width_bytes).max(1);
-        let mut slot = now / self.cycles_per_beat;
+        let now_slot = now / self.cycles_per_beat;
+        // Periodically drop slots far in the past so memory stays bounded.
+        // Pruning before booking forgets the same slots as pruning after:
+        // this request books only slots at or after `now_slot`.
+        if now_slot > self.last_prune + PRUNE_SLOTS {
+            let keep_from = now_slot - PRUNE_SLOTS;
+            while self.base < keep_from && self.booked.pop_front().is_some() {
+                self.base += 1;
+            }
+            self.last_prune = now_slot;
+        }
+        if self.booked.is_empty() {
+            self.base = now_slot;
+        }
+        // A request below the window books free slots the window must
+        // grow down to.
+        while self.base > now_slot {
+            self.booked.push_front(false);
+            self.base -= 1;
+        }
+        let mut slot = (now_slot - self.base) as usize;
         let mut remaining = beats;
-        let mut last_slot = slot;
-        while remaining > 0 {
-            if self.booked.insert(slot) {
-                last_slot = slot;
+        loop {
+            if slot >= self.booked.len() {
+                self.booked.resize(slot + 1, false);
+            }
+            if !self.booked[slot] {
+                self.booked[slot] = true;
                 remaining -= 1;
+                if remaining == 0 {
+                    break;
+                }
             }
             slot += 1;
         }
         self.busy_cycles += beats * self.cycles_per_beat;
         self.transfers += 1;
-        // Periodically drop slots far in the past so memory stays bounded.
-        let now_slot = now / self.cycles_per_beat;
-        if now_slot > self.last_prune + 65536 {
-            self.booked.retain(|&s| s + 65536 >= now_slot);
-            self.last_prune = now_slot;
-        }
-        (last_slot + 1) * self.cycles_per_beat
+        (self.base + slot as u64 + 1) * self.cycles_per_beat
     }
 
     /// Total cycles of occupancy accumulated (for utilization reporting).

@@ -20,15 +20,28 @@ impl CacheConfig {
     /// is not a power of two, or `size_bytes` is not divisible by
     /// `line_bytes * assoc`.
     pub fn new(size_bytes: usize, line_bytes: usize, assoc: usize) -> CacheConfig {
-        assert!(size_bytes > 0 && line_bytes > 0 && assoc > 0, "zero cache parameter");
-        assert!(line_bytes.is_power_of_two(), "line size must be a power of two");
+        assert!(
+            size_bytes > 0 && line_bytes > 0 && assoc > 0,
+            "zero cache parameter"
+        );
+        assert!(
+            line_bytes.is_power_of_two(),
+            "line size must be a power of two"
+        );
         assert!(
             size_bytes.is_multiple_of(line_bytes * assoc),
             "size {size_bytes} not divisible by line*assoc"
         );
         let sets = size_bytes / (line_bytes * assoc);
-        assert!(sets.is_power_of_two(), "set count {sets} must be a power of two");
-        CacheConfig { size_bytes, line_bytes, assoc }
+        assert!(
+            sets.is_power_of_two(),
+            "set count {sets} must be a power of two"
+        );
+        CacheConfig {
+            size_bytes,
+            line_bytes,
+            assoc,
+        }
     }
 
     /// The paper's L1 data cache: 16 KB, 32 B lines, 2-way.
@@ -44,6 +57,19 @@ impl CacheConfig {
     /// Number of sets.
     pub fn num_sets(&self) -> usize {
         self.size_bytes / (self.line_bytes * self.assoc)
+    }
+
+    /// Whether a [`Cache`] can index this geometry with shifts: nonzero
+    /// associativity and a power-of-two line size and set count.
+    /// [`CacheConfig::new`] guarantees it; a literal may not, because the
+    /// fields are public.
+    pub fn is_indexable(&self) -> bool {
+        self.assoc > 0
+            && self.line_bytes.is_power_of_two()
+            && self
+                .line_bytes
+                .checked_mul(self.assoc)
+                .is_some_and(|set_bytes| (self.size_bytes / set_bytes).is_power_of_two())
     }
 
     /// The block (line-aligned) address containing `addr`.
@@ -62,7 +88,12 @@ struct Line {
     lru: u64,
 }
 
-const EMPTY_LINE: Line = Line { valid: false, dirty: false, tag: 0, lru: 0 };
+const EMPTY_LINE: Line = Line {
+    valid: false,
+    dirty: false,
+    tag: 0,
+    lru: 0,
+};
 
 /// The outcome of a cache access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,6 +123,10 @@ pub struct AccessOutcome {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
+    /// `log2(line_bytes)`: an address shifted right by it is its block.
+    line_shift: u32,
+    /// `log2(num_sets)`: a block shifted right by it is its tag.
+    set_shift: u32,
     sets: Vec<Line>,
     tick: u64,
     hits: u64,
@@ -100,9 +135,19 @@ pub struct Cache {
 
 impl Cache {
     /// Creates an empty cache with the given geometry.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the geometry [is indexable](CacheConfig::is_indexable).
     pub fn new(config: CacheConfig) -> Cache {
+        assert!(
+            config.is_indexable(),
+            "cache geometry {config:?} needs a power-of-two line size and set count"
+        );
         Cache {
             config,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: config.num_sets().trailing_zeros(),
             sets: vec![EMPTY_LINE; config.num_sets() * config.assoc],
             tick: 0,
             hits: 0,
@@ -133,13 +178,13 @@ impl Cache {
 
     #[inline]
     fn set_index(&self, addr: u64) -> usize {
-        let block = addr / self.config.line_bytes as u64;
-        (block as usize) & (self.config.num_sets() - 1)
+        let block = addr >> self.line_shift;
+        (block as usize) & ((1 << self.set_shift) - 1)
     }
 
     #[inline]
     fn tag(&self, addr: u64) -> u64 {
-        addr / self.config.line_bytes as u64 / self.config.num_sets() as u64
+        addr >> (self.line_shift + self.set_shift)
     }
 
     fn ways(&mut self, set: usize) -> &mut [Line] {
@@ -154,8 +199,7 @@ impl Cache {
         let tick = self.tick;
         let set = self.set_index(addr);
         let tag = self.tag(addr);
-        let line_bytes = self.config.line_bytes as u64;
-        let num_sets = self.config.num_sets() as u64;
+        let (line_shift, set_shift) = (self.line_shift, self.set_shift);
 
         let ways = self.ways(set);
         for line in ways.iter_mut() {
@@ -163,7 +207,10 @@ impl Cache {
                 line.lru = tick;
                 line.dirty |= is_write;
                 self.hits += 1;
-                return AccessOutcome { hit: true, writeback: None };
+                return AccessOutcome {
+                    hit: true,
+                    writeback: None,
+                };
             }
         }
         // Miss: pick the LRU way (invalid lines first).
@@ -173,13 +220,21 @@ impl Cache {
             .expect("assoc >= 1");
         let writeback = if victim.valid && victim.dirty {
             // Reconstruct the evicted block address from tag and set.
-            Some((victim.tag * num_sets + set as u64) * line_bytes)
+            Some(((victim.tag << set_shift) | set as u64) << line_shift)
         } else {
             None
         };
-        *victim = Line { valid: true, dirty: is_write, tag, lru: tick };
+        *victim = Line {
+            valid: true,
+            dirty: is_write,
+            tag,
+            lru: tick,
+        };
         self.misses += 1;
-        AccessOutcome { hit: false, writeback }
+        AccessOutcome {
+            hit: false,
+            writeback,
+        }
     }
 
     /// Probes for `addr` without changing any state.

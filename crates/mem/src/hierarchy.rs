@@ -32,7 +32,10 @@ pub struct HierarchyConfig {
 impl HierarchyConfig {
     /// The paper's configuration (16 KB/32 B/2-way L1D; 256 KB/64 B/4-way L2).
     pub fn paper_default() -> HierarchyConfig {
-        HierarchyConfig { l1d: CacheConfig::paper_l1d(), l2: CacheConfig::paper_l2() }
+        HierarchyConfig {
+            l1d: CacheConfig::paper_l1d(),
+            l2: CacheConfig::paper_l2(),
+        }
     }
 
     /// A small configuration for tests (1 KB L1, 4 KB L2).
@@ -59,7 +62,10 @@ pub struct FuncHierarchy {
 impl FuncHierarchy {
     /// Creates an empty hierarchy.
     pub fn new(config: HierarchyConfig) -> FuncHierarchy {
-        FuncHierarchy { l1d: Cache::new(config.l1d), l2: Cache::new(config.l2) }
+        FuncHierarchy {
+            l1d: Cache::new(config.l1d),
+            l2: Cache::new(config.l2),
+        }
     }
 
     /// Accesses `addr`, filling both levels on the way in, and returns the

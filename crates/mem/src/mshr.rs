@@ -1,12 +1,13 @@
 //! Miss status holding registers: outstanding-miss tracking with coalescing.
 
-use std::collections::HashMap;
-
 /// A file of miss status holding registers (MSHRs).
 ///
 /// The paper allows "32 simultaneously outstanding misses". Each MSHR
 /// tracks one in-flight block; requests to an already-in-flight block
 /// coalesce onto the existing MSHR (and share its completion time).
+///
+/// The file holds at most `capacity` entries (32 in the paper), so it is a
+/// plain list scanned linearly; no operation depends on its order.
 ///
 /// # Example
 ///
@@ -24,7 +25,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    inflight: HashMap<u64, u64>, // block addr -> completion cycle
+    inflight: Vec<(u64, u64)>, // (block addr, completion cycle)
     coalesced: u64,
     rejected: u64,
 }
@@ -37,7 +38,12 @@ impl MshrFile {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> MshrFile {
         assert!(capacity > 0, "MSHR capacity must be positive");
-        MshrFile { capacity, inflight: HashMap::new(), coalesced: 0, rejected: 0 }
+        MshrFile {
+            capacity,
+            inflight: Vec::new(),
+            coalesced: 0,
+            rejected: 0,
+        }
     }
 
     /// Requests block `block_addr`, proposing `completes_at` as its fill
@@ -46,7 +52,7 @@ impl MshrFile {
     /// Returns the completion cycle of the (possibly pre-existing) entry,
     /// or `None` if the file is full and the request must retry.
     pub fn request(&mut self, block_addr: u64, completes_at: u64) -> Option<u64> {
-        if let Some(&done) = self.inflight.get(&block_addr) {
+        if let Some(done) = self.completion_of(block_addr) {
             self.coalesced += 1;
             return Some(done);
         }
@@ -54,29 +60,32 @@ impl MshrFile {
             self.rejected += 1;
             return None;
         }
-        self.inflight.insert(block_addr, completes_at);
+        self.inflight.push((block_addr, completes_at));
         Some(completes_at)
     }
 
     /// Whether `block_addr` is currently in flight.
     pub fn contains(&self, block_addr: u64) -> bool {
-        self.inflight.contains_key(&block_addr)
+        self.completion_of(block_addr).is_some()
     }
 
     /// The completion cycle of an in-flight block, if any.
     pub fn completion_of(&self, block_addr: u64) -> Option<u64> {
-        self.inflight.get(&block_addr).copied()
+        self.inflight
+            .iter()
+            .find(|&&(block, _)| block == block_addr)
+            .map(|&(_, done)| done)
     }
 
     /// Frees every entry whose completion time is `<= now`.
     pub fn retire_completed(&mut self, now: u64) {
-        self.inflight.retain(|_, &mut done| done > now);
+        self.inflight.retain(|&(_, done)| done > now);
     }
 
     /// The earliest completion time among in-flight entries, if any — the
     /// soonest moment a full file will have a free slot.
     pub fn earliest_completion(&self) -> Option<u64> {
-        self.inflight.values().copied().min()
+        self.inflight.iter().map(|&(_, done)| done).min()
     }
 
     /// Number of occupied entries.

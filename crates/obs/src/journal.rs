@@ -44,7 +44,11 @@ impl Journal {
     /// A journal keeping at most `cap` events, gated on the registry's
     /// shared recording flag.
     pub(crate) fn new(cap: usize, enabled: Arc<AtomicBool>) -> Journal {
-        Journal { ring: Mutex::new(Ring::default()), cap: cap.max(1), enabled }
+        Journal {
+            ring: Mutex::new(Ring::default()),
+            cap: cap.max(1),
+            enabled,
+        }
     }
 
     /// Appends an event (no-op while recording is off).

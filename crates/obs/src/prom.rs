@@ -90,7 +90,11 @@ mod tests {
         }
         let snap = r.snapshot();
         let (_, hist) = &snap.histograms[0];
-        let bounds: Vec<u64> = hist.cumulative_buckets().iter().map(|&(le, _)| le).collect();
+        let bounds: Vec<u64> = hist
+            .cumulative_buckets()
+            .iter()
+            .map(|&(le, _)| le)
+            .collect();
         let mut sorted = bounds.clone();
         sorted.sort_unstable();
         assert_eq!(bounds, sorted, "le bounds must be monotone: {bounds:?}");
@@ -99,7 +103,10 @@ mod tests {
 
     #[test]
     fn names_are_sanitized_for_prometheus() {
-        assert_eq!(series_name("stage.slice-build"), "preexec_stage_slice_build");
+        assert_eq!(
+            series_name("stage.slice-build"),
+            "preexec_stage_slice_build"
+        );
         assert_eq!(series_name("ok_name9"), "preexec_ok_name9");
     }
 }

@@ -32,7 +32,10 @@ pub struct Counter {
 
 impl Counter {
     fn new(enabled: Arc<AtomicBool>) -> Counter {
-        Counter { value: AtomicU64::new(0), enabled }
+        Counter {
+            value: AtomicU64::new(0),
+            enabled,
+        }
     }
 
     /// Adds `n` to the counter (no-op while recording is off).
@@ -62,7 +65,10 @@ pub struct Gauge {
 
 impl Gauge {
     fn new(enabled: Arc<AtomicBool>) -> Gauge {
-        Gauge { value: AtomicI64::new(0), enabled }
+        Gauge {
+            value: AtomicI64::new(0),
+            enabled,
+        }
     }
 
     /// Sets the gauge (no-op while recording is off).
@@ -95,7 +101,10 @@ pub struct SharedHistogram {
 
 impl SharedHistogram {
     fn new(enabled: Arc<AtomicBool>) -> SharedHistogram {
-        SharedHistogram { inner: Mutex::new(Histogram::new()), enabled }
+        SharedHistogram {
+            inner: Mutex::new(Histogram::new()),
+            enabled,
+        }
     }
 
     /// Records one sample of `us` microseconds (no-op while recording is
@@ -130,7 +139,10 @@ pub struct Span {
 impl Span {
     /// Starts a span recording into `hist`.
     pub fn enter(hist: Arc<SharedHistogram>) -> Span {
-        Span { hist, started: Instant::now() }
+        Span {
+            hist,
+            started: Instant::now(),
+        }
     }
 
     /// Ends the span now (equivalent to dropping it).

@@ -102,7 +102,11 @@ impl AdmissionGate {
     /// jobs move the estimate, one outlier does not own it).
     pub fn record_job_us(&self, us: u64) {
         let prev = self.mean_job_us.load(Ordering::Relaxed);
-        let next = if prev == 0 { us } else { prev - prev / 4 + us / 4 };
+        let next = if prev == 0 {
+            us
+        } else {
+            prev - prev / 4 + us / 4
+        };
         self.mean_job_us.store(next.max(1), Ordering::Relaxed);
     }
 
@@ -123,7 +127,10 @@ impl AdmissionGate {
     /// than a tiny wrapped hint (or a debug-mode overflow panic).
     fn retry_hint_ms(&self, waves: u64) -> u64 {
         let wall = self.mean_job_ms();
-        waves.saturating_mul(wall).max(wall).clamp(MIN_RETRY_MS, MAX_RETRY_MS)
+        waves
+            .saturating_mul(wall)
+            .max(wall)
+            .clamp(MIN_RETRY_MS, MAX_RETRY_MS)
     }
 
     /// Admits or sheds a submission given the live occupancy (the same
@@ -142,7 +149,10 @@ impl AdmissionGate {
         self.shed.inc();
         // Expected time until the backlog drains below the mark, spread
         // over the pool.
-        let over = outstanding.saturating_add(1).saturating_sub(self.high_water).max(1);
+        let over = outstanding
+            .saturating_add(1)
+            .saturating_sub(self.high_water)
+            .max(1);
         let waves = over.div_ceil(self.workers) as u64;
         let retry_after_ms = self.retry_hint_ms(waves);
         Err(Overloaded {
@@ -174,7 +184,10 @@ impl AdmissionGate {
             return Ok(());
         }
         self.shed.inc();
-        let over = outstanding.saturating_add(n).saturating_sub(self.high_water).max(1);
+        let over = outstanding
+            .saturating_add(n)
+            .saturating_sub(self.high_water)
+            .max(1);
         let waves = over.div_ceil(self.workers) as u64;
         let retry_after_ms = self.retry_hint_ms(waves);
         Err(Overloaded {
@@ -217,7 +230,10 @@ mod tests {
         assert_eq!(g.mean_job_ms(), DEFAULT_JOB_MS);
         let small = g.admit(2, 0).expect_err("shed").retry_after_ms;
         let large = g.admit(40, 2).expect_err("shed").retry_after_ms;
-        assert!(large > small, "deeper backlog → longer hint ({small} vs {large})");
+        assert!(
+            large > small,
+            "deeper backlog → longer hint ({small} vs {large})"
+        );
         // Feed fast jobs: the hint shrinks toward the clamp floor.
         for _ in 0..32 {
             g.record_job_us(2_000); // 2 ms jobs
@@ -244,7 +260,10 @@ mod tests {
         let e = g.admit(2, 0).expect_err("shed");
         assert_eq!(e.retry_after_ms, DEFAULT_JOB_MS);
         let e = g.admit_batch(2, 0, 3).expect_err("shed");
-        assert_eq!(e.retry_after_ms, DEFAULT_JOB_MS, "batch hint shares the floor");
+        assert_eq!(
+            e.retry_after_ms, DEFAULT_JOB_MS,
+            "batch hint shares the floor"
+        );
         // Once a wall is observed the floor tracks it.
         g.record_job_us(5_000_000); // one 5 s job
         let e = g.admit(2, 0).expect_err("shed");
@@ -264,7 +283,10 @@ mod tests {
         // 3 outstanding + batch of 4: job #4 would cross the mark — the
         // whole batch sheds with one counted rejection.
         let e = g.admit_batch(2, 1, 4).expect_err("batch crosses the mark");
-        assert_eq!(e.outstanding, 3, "reports live occupancy, not occupancy + n");
+        assert_eq!(
+            e.outstanding, 3,
+            "reports live occupancy, not occupancy + n"
+        );
         assert_eq!(registry.counter("admission.shed").get(), 1);
         // The hint accounts for the whole batch draining: a larger batch
         // at the same occupancy yields a hint at least as long.
@@ -273,7 +295,10 @@ mod tests {
         }
         let small = g.admit_batch(6, 0, 2).expect_err("shed").retry_after_ms;
         let large = g.admit_batch(6, 0, 40).expect_err("shed").retry_after_ms;
-        assert!(large >= small, "batch size must widen the hint ({small} vs {large})");
+        assert!(
+            large >= small,
+            "batch size must widen the hint ({small} vs {large})"
+        );
         // n = 1 behaves exactly like single admit; n = 0 is clamped to 1.
         assert!(g.admit_batch(4, 0, 1).is_ok());
         assert!(g.admit_batch(4, 0, 0).is_ok());

@@ -45,11 +45,16 @@ may pipeline many requests per connection before reading any response.
 ";
 
 fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
-    let mut cfg = ServerConfig { addr: "127.0.0.1:7099".to_string(), ..ServerConfig::default() };
+    let mut cfg = ServerConfig {
+        addr: "127.0.0.1:7099".to_string(),
+        ..ServerConfig::default()
+    };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = |name: &str| {
-            it.next().cloned().ok_or_else(|| format!("{name} needs a value"))
+            it.next()
+                .cloned()
+                .ok_or_else(|| format!("{name} needs a value"))
         };
         match arg.as_str() {
             "--addr" => cfg.addr = value("--addr")?,
@@ -64,8 +69,7 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             }
             "--job-threads" => {
                 let v = value("--job-threads")?;
-                cfg.job_threads =
-                    v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
+                cfg.job_threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
             }
             "--queue-cap" => {
                 let v = value("--queue-cap")?;
@@ -74,21 +78,20 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             "--cache-dir" => cfg.cache_dir = value("--cache-dir")?.into(),
             "--cache-max" => {
                 let v = value("--cache-max")?;
-                cfg.cache_max_entries =
-                    v.parse().map_err(|_| format!("bad cache size `{v}`"))?;
+                cfg.cache_max_entries = v.parse().map_err(|_| format!("bad cache size `{v}`"))?;
             }
             "--high-water" => {
                 let v = value("--high-water")?;
-                cfg.high_water =
-                    v.parse().map_err(|_| format!("bad high-water mark `{v}`"))?;
+                cfg.high_water = v
+                    .parse()
+                    .map_err(|_| format!("bad high-water mark `{v}`"))?;
             }
             "--no-journal" => cfg.journal = false,
             "--wal-compact" => cfg.wal_compact = true,
             "--threaded" => cfg.threaded = true,
             "--idle-timeout-ms" => {
                 let v = value("--idle-timeout-ms")?;
-                cfg.idle_timeout_ms =
-                    v.parse().map_err(|_| format!("bad idle timeout `{v}`"))?;
+                cfg.idle_timeout_ms = v.parse().map_err(|_| format!("bad idle timeout `{v}`"))?;
             }
             "--shard-id" => {
                 let v = value("--shard-id")?;
@@ -96,8 +99,12 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             }
             "--shard-peers" => {
                 let v = value("--shard-peers")?;
-                cfg.shard_peers =
-                    v.split(',').map(str::trim).filter(|s| !s.is_empty()).map(String::from).collect();
+                cfg.shard_peers = v
+                    .split(',')
+                    .map(str::trim)
+                    .filter(|s| !s.is_empty())
+                    .map(String::from)
+                    .collect();
             }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown option `{other}`")),

@@ -115,7 +115,10 @@ struct Failure {
 
 impl Failure {
     fn new(code: u8, message: impl Into<String>) -> Failure {
-        Failure { code, message: message.into() }
+        Failure {
+            code,
+            message: message.into(),
+        }
     }
 }
 
@@ -206,7 +209,13 @@ fn run(args: &[String]) -> Result<u8, Failure> {
                 let screening =
                     merge_policy("screening", screen_flag, pol.screening)?.unwrap_or(true);
                 let mut report = JobReport::default();
-                read_and_select(path, &text, Parallelism::new(threads), screening, &mut report);
+                read_and_select(
+                    path,
+                    &text,
+                    Parallelism::new(threads),
+                    screening,
+                    &mut report,
+                );
                 print!("{}", report.stdout);
                 eprint!("{}", report.stderr);
                 if profile {
@@ -279,7 +288,10 @@ fn run(args: &[String]) -> Result<u8, Failure> {
 
     if let Some(addr) = daemon {
         if positional.get(2).is_some() {
-            return Err(Failure::new(2, "an output path does not apply with --daemon"));
+            return Err(Failure::new(
+                2,
+                "an output path does not apply with --daemon",
+            ));
         }
         let code = run_daemon(&addr, &selected, budget, &spec)?;
         return Ok(code);
@@ -388,7 +400,10 @@ fn parse_policy_bool(key: &str, val: &str) -> Result<bool, Failure> {
     match val {
         "true" => Ok(true),
         "false" => Ok(false),
-        _ => Err(Failure::new(2, format!("--policy {key} wants true or false, got `{val}`"))),
+        _ => Err(Failure::new(
+            2,
+            format!("--policy {key} wants true or false, got `{val}`"),
+        )),
     }
 }
 
@@ -422,17 +437,26 @@ fn parse_slice_mode(v: &str) -> Result<SlicingMode, Failure> {
         return Ok(SlicingMode::Windowed);
     }
     if v == "ondemand" {
-        return Ok(SlicingMode::OnDemand { checkpoint_every: DEFAULT_CHECKPOINT_EVERY });
+        return Ok(SlicingMode::OnDemand {
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+        });
     }
     if let Some(n) = v.strip_prefix("ondemand:") {
         let every: u64 = n
             .parse()
             .map_err(|_| Failure::new(2, format!("bad checkpoint cadence `{n}`")))?;
         return Ok(SlicingMode::OnDemand {
-            checkpoint_every: if every == 0 { DEFAULT_CHECKPOINT_EVERY } else { every },
+            checkpoint_every: if every == 0 {
+                DEFAULT_CHECKPOINT_EVERY
+            } else {
+                every
+            },
         });
     }
-    Err(Failure::new(2, format!("bad slice mode `{v}` (windowed or ondemand[:N])")))
+    Err(Failure::new(
+        2,
+        format!("bad slice mode `{v}` (windowed or ondemand[:N])"),
+    ))
 }
 
 /// One connection to a preexecd, with the line-oriented request/response
@@ -451,7 +475,10 @@ impl DaemonConn {
         let reader = writer
             .try_clone()
             .map_err(|e| Failure::new(3, format!("daemon socket at {addr}: {e}")))?;
-        Ok(DaemonConn { reader: BufReader::new(reader), writer })
+        Ok(DaemonConn {
+            reader: BufReader::new(reader),
+            writer,
+        })
     }
 
     fn exchange(&mut self, req: &Json) -> Result<Json, Failure> {
@@ -514,7 +541,11 @@ fn run_daemon(
             if ids.len() != selected.len() {
                 return Err(Failure::new(
                     5,
-                    format!("daemon acked {} of {} batch jobs", ids.len(), selected.len()),
+                    format!(
+                        "daemon acked {} of {} batch jobs",
+                        ids.len(),
+                        selected.len()
+                    ),
                 ));
             }
             break ids;
@@ -528,7 +559,10 @@ fn run_daemon(
             std::thread::sleep(Duration::from_millis(delay));
             continue;
         }
-        let err = resp.get("error").and_then(Json::as_str).unwrap_or("unknown error");
+        let err = resp
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or("unknown error");
         return Err(Failure::new(5, format!("daemon rejected the batch: {err}")));
     };
 
@@ -550,24 +584,41 @@ fn run_daemon(
 /// cancelled, or panicked job — mirroring what a local run of the same
 /// fault would exit with.
 fn fetch_daemon_report(conn: &mut DaemonConn, name: &str, job: u64) -> Result<JobReport, Failure> {
-    let status = Json::obj(vec![("cmd", Json::str("status")), ("job", Json::num_u64(job))]);
+    let status = Json::obj(vec![
+        ("cmd", Json::str("status")),
+        ("job", Json::num_u64(job)),
+    ]);
     loop {
         let resp = conn.exchange(&status)?;
         if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-            let err = resp.get("error").and_then(Json::as_str).unwrap_or("unknown error");
-            return Err(Failure::new(5, format!("status of job {job} ({name}): {err}")));
+            let err = resp
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown error");
+            return Err(Failure::new(
+                5,
+                format!("status of job {job} ({name}): {err}"),
+            ));
         }
         match resp.get("state").and_then(Json::as_str) {
             Some("queued" | "running") => std::thread::sleep(Duration::from_millis(20)),
             _ => break,
         }
     }
-    let resp =
-        conn.exchange(&Json::obj(vec![("cmd", Json::str("result")), ("job", Json::num_u64(job))]))?;
+    let resp = conn.exchange(&Json::obj(vec![
+        ("cmd", Json::str("result")),
+        ("job", Json::num_u64(job)),
+    ]))?;
     let mut report = JobReport::default();
     if resp.get("ok").and_then(Json::as_bool) != Some(true) {
-        let err = resp.get("error").and_then(Json::as_str).unwrap_or("unknown error");
-        let _ = writeln!(report.stderr, "toolflow: result of job {job} ({name}): {err}");
+        let err = resp
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap_or("unknown error");
+        let _ = writeln!(
+            report.stderr,
+            "toolflow: result of job {job} ({name}): {err}"
+        );
         report.code = 5;
         return Ok(report);
     }
@@ -594,7 +645,10 @@ fn fetch_daemon_report(conn: &mut DaemonConn, name: &str, job: u64) -> Result<Jo
             );
         }
         state => {
-            let err = resp.get("error").and_then(Json::as_str).unwrap_or("unknown error");
+            let err = resp
+                .get("error")
+                .and_then(Json::as_str)
+                .unwrap_or("unknown error");
             let code = resp.get("code").and_then(Json::as_str).unwrap_or("unknown");
             let _ = writeln!(
                 report.stderr,
@@ -619,7 +673,11 @@ fn print_profile() {
         "stage", "count", "total_ms", "mean_ms", "p50_ms", "p99_ms", "max_ms"
     );
     let ms = |us: u64| us as f64 / 1000.0;
-    for (name, h) in snap.histograms.iter().filter(|(n, _)| n.starts_with("stage.")) {
+    for (name, h) in snap
+        .histograms
+        .iter()
+        .filter(|(n, _)| n.starts_with("stage."))
+    {
         eprintln!(
             "  {:<20} {:>7} {:>12.2} {:>10.2} {:>10.2} {:>10.2} {:>10.2}",
             name,
@@ -792,10 +850,41 @@ fn select_and_report(
     report: &mut JobReport,
 ) {
     for (label, params) in [
-        ("8-wide, 78-cycle misses", SelectionParams { bw_seq: 8.0, ipc: 0.5, miss_latency: 78.0, ..SelectionParams::default() }),
-        ("8-wide, 148-cycle misses", SelectionParams { bw_seq: 8.0, ipc: 0.5, miss_latency: 148.0, ..SelectionParams::default() }),
-        ("4-wide, 78-cycle misses", SelectionParams { bw_seq: 4.0, ipc: 0.5, miss_latency: 78.0, ..SelectionParams::default() }),
-        ("no optimization", SelectionParams { ipc: 0.5, optimize: false, ..SelectionParams::default() }),
+        (
+            "8-wide, 78-cycle misses",
+            SelectionParams {
+                bw_seq: 8.0,
+                ipc: 0.5,
+                miss_latency: 78.0,
+                ..SelectionParams::default()
+            },
+        ),
+        (
+            "8-wide, 148-cycle misses",
+            SelectionParams {
+                bw_seq: 8.0,
+                ipc: 0.5,
+                miss_latency: 148.0,
+                ..SelectionParams::default()
+            },
+        ),
+        (
+            "4-wide, 78-cycle misses",
+            SelectionParams {
+                bw_seq: 4.0,
+                ipc: 0.5,
+                miss_latency: 78.0,
+                ..SelectionParams::default()
+            },
+        ),
+        (
+            "no optimization",
+            SelectionParams {
+                ipc: 0.5,
+                optimize: false,
+                ..SelectionParams::default()
+            },
+        ),
     ] {
         if let Err(e) = params.try_validate() {
             let _ = writeln!(

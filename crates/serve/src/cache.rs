@@ -233,13 +233,19 @@ impl ArtifactCache {
             return None;
         }
         let stats_text = std::fs::read_to_string(self.stats_path(key)).ok()?;
-        let stats = match Json::parse(&stats_text).ok().and_then(|j| stats_from_json(&j)) {
+        let stats = match Json::parse(&stats_text)
+            .ok()
+            .and_then(|j| stats_from_json(&j))
+        {
             Some(s) => s,
             None => {
                 self.corrupt.inc();
                 self.journal.note(
                     "cache_corrupt",
-                    &format!("stats file failed to parse: {}", self.stats_path(key).display()),
+                    &format!(
+                        "stats file failed to parse: {}",
+                        self.stats_path(key).display()
+                    ),
                 );
                 let _ = std::fs::remove_file(&slices_path);
                 let _ = std::fs::remove_file(self.stats_path(key));
@@ -256,12 +262,7 @@ impl ArtifactCache {
     ///
     /// Propagates filesystem errors (callers treat the cache as
     /// best-effort: a failed store degrades to recomputation next time).
-    pub fn store(
-        &self,
-        key: &TraceKey,
-        forest: &SliceForest,
-        stats: &RunStats,
-    ) -> io::Result<()> {
+    pub fn store(&self, key: &TraceKey, forest: &SliceForest, stats: &RunStats) -> io::Result<()> {
         if crate::chaos::plan().cache_store_fail {
             self.journal.note("chaos", "injected cache store fault");
             return Err(io::Error::other("chaos: injected cache store fault"));
@@ -295,9 +296,8 @@ impl ArtifactCache {
             if path.extension().is_some_and(|x| x == "tmp") {
                 // Old enough that no live writer can still be about to
                 // rename it (writers rename within moments of the write).
-                let orphaned = mtime.is_none_or(|t| {
-                    now.duration_since(t).is_ok_and(|age| age >= self.tmp_grace)
-                });
+                let orphaned = mtime
+                    .is_none_or(|t| now.duration_since(t).is_ok_and(|age| age >= self.tmp_grace));
                 if orphaned {
                     let _ = std::fs::remove_file(&path);
                 }
@@ -360,16 +360,15 @@ impl ArtifactCache {
     /// [`RawStoreError::Invalid`] when the payload fails validation (the
     /// peer maps it to the `shard.bad_payload` protocol code);
     /// [`RawStoreError::Io`] for filesystem failures.
-    pub fn store_raw(
-        &self,
-        digest: u64,
-        slices: &str,
-        stats: &str,
-    ) -> Result<(), RawStoreError> {
+    pub fn store_raw(&self, digest: u64, slices: &str, stats: &str) -> Result<(), RawStoreError> {
         if !read_forest_lenient(slices).is_clean() {
             return Err(RawStoreError::Invalid("slice text failed a clean parse"));
         }
-        if Json::parse(stats).ok().and_then(|j| stats_from_json(&j)).is_none() {
+        if Json::parse(stats)
+            .ok()
+            .and_then(|j| stats_from_json(&j))
+            .is_none()
+        {
             return Err(RawStoreError::Invalid("stats text failed to parse"));
         }
         std::fs::create_dir_all(&self.dir).map_err(RawStoreError::Io)?;
@@ -497,8 +496,8 @@ mod tests {
     use preexec_slice::SliceForestBuilder;
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("preexec-serve-cache-{}-{name}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("preexec-serve-cache-{}-{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -549,7 +548,10 @@ mod tests {
         assert_ne!(base.digest(), other.digest());
         assert_ne!(base.digest(), key("mcf").digest());
         assert_eq!(base.digest(), key("vpr.r").digest());
-        let swapped = TraceKey { input: InputSet::Alt, ..key("vpr.r") };
+        let swapped = TraceKey {
+            input: InputSet::Alt,
+            ..key("vpr.r")
+        };
         assert_ne!(base.digest(), swapped.digest());
     }
 
@@ -615,7 +617,11 @@ mod tests {
         std::fs::write(&path, "\0".repeat(len)).expect("zero-fill");
         assert!(cache.load(&k).is_none(), "zero-filled entry must miss");
         assert_eq!(cache.stats().corrupt, 1);
-        assert!(registry.journal().recent().iter().any(|e| e.kind == "cache_corrupt"));
+        assert!(registry
+            .journal()
+            .recent()
+            .iter()
+            .any(|e| e.kind == "cache_corrupt"));
         // The bad pair was removed; recompute-and-overwrite hits again.
         cache.store(&k, &forest, &stats).expect("re-store");
         assert!(cache.load(&k).is_some());
@@ -717,7 +723,8 @@ mod tests {
         let k = key("vpr.r");
         src.store(&k, &forest, &stats).expect("store");
         let (slices_text, stats_text) = src.load_raw(k.digest()).expect("raw read");
-        dst.store_raw(k.digest(), &slices_text, &stats_text).expect("raw store");
+        dst.store_raw(k.digest(), &slices_text, &stats_text)
+            .expect("raw store");
         let (forest2, stats2) = dst.load(&k).expect("hit after raw store");
         assert_eq!(forest2.num_trees(), forest.num_trees());
         assert_eq!(stats2.insts, stats.insts);

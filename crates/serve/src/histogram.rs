@@ -43,7 +43,10 @@ mod tests {
         assert_eq!(json.get("count").and_then(Json::as_u64), Some(7));
         assert_eq!(json.get("max_us").and_then(Json::as_u64), Some(1_000_000));
         // 0 and 1 share bucket 0; 2 and 3 share bucket 1; 4 is bucket 2.
-        let buckets = json.get("buckets_us").and_then(Json::as_arr).expect("buckets");
+        let buckets = json
+            .get("buckets_us")
+            .and_then(Json::as_arr)
+            .expect("buckets");
         assert_eq!(buckets.len(), 5);
         // Bucket 0's lower bound is 0, not 1: it absorbs 0-µs samples.
         let first = buckets[0].as_arr().expect("pair");
@@ -58,7 +61,13 @@ mod tests {
         let json = histogram_json(&h);
         // Pre-fix this reported 2^40; the bound must cover the sample.
         // (`as_f64`: values past 2^53 exceed `as_u64`'s precision guard.)
-        assert_eq!(json.get("p99_us").and_then(Json::as_f64), Some(u64::MAX as f64));
-        assert_eq!(json.get("max_us").and_then(Json::as_f64), Some(u64::MAX as f64));
+        assert_eq!(
+            json.get("p99_us").and_then(Json::as_f64),
+            Some(u64::MAX as f64)
+        );
+        assert_eq!(
+            json.get("max_us").and_then(Json::as_f64),
+            Some(u64::MAX as f64)
+        );
     }
 }

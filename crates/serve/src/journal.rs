@@ -150,9 +150,10 @@ impl JobJournal {
             Ok(()) => self.appends.inc(),
             Err(e) => {
                 self.append_errors.inc();
-                preexec_obs::global()
-                    .journal()
-                    .note("journal_append_failed", &format!("{}: {e}", self.path.display()));
+                preexec_obs::global().journal().note(
+                    "journal_append_failed",
+                    &format!("{}: {e}", self.path.display()),
+                );
             }
         }
     }
@@ -160,7 +161,10 @@ impl JobJournal {
     /// Records that job `id` (with the given submit-shaped spec) was
     /// acknowledged to a client.
     pub fn submit(&self, id: u64, spec: &Json) {
-        self.append("submit", vec![("job", Json::num_u64(id)), ("spec", spec.clone())]);
+        self.append(
+            "submit",
+            vec![("job", Json::num_u64(id)), ("spec", spec.clone())],
+        );
     }
 
     /// Records that a worker began executing job `id`.
@@ -211,7 +215,10 @@ impl JobJournal {
     /// makes a `shutdown` racing a crash lose nothing.
     pub fn shutdown(&self, queued: &[u64], running: &[u64]) {
         let ids = |v: &[u64]| Json::Arr(v.iter().map(|&i| Json::num_u64(i)).collect());
-        self.append("shutdown", vec![("queued", ids(queued)), ("running", ids(running))]);
+        self.append(
+            "shutdown",
+            vec![("queued", ids(queued)), ("running", ids(running))],
+        );
     }
 }
 
@@ -273,13 +280,19 @@ impl JournalReplay {
     pub fn read(path: &Path) -> JournalReplay {
         match std::fs::read_to_string(path) {
             Ok(text) => JournalReplay::from_text(&text),
-            Err(_) => JournalReplay { next_seq: 1, ..JournalReplay::default() },
+            Err(_) => JournalReplay {
+                next_seq: 1,
+                ..JournalReplay::default()
+            },
         }
     }
 
     /// Folds journal text (see [`read`](Self::read)).
     pub fn from_text(text: &str) -> JournalReplay {
-        let mut replay = JournalReplay { next_seq: 1, ..JournalReplay::default() };
+        let mut replay = JournalReplay {
+            next_seq: 1,
+            ..JournalReplay::default()
+        };
         for line in text.lines() {
             if line.is_empty() {
                 continue;
@@ -322,7 +335,12 @@ impl JournalReplay {
                 }
                 "failed" | "cancelled" => {
                     job.terminal = Some(TerminalRecord {
-                        state: if ev == "failed" { "failed" } else { "cancelled" }.to_string(),
+                        state: if ev == "failed" {
+                            "failed"
+                        } else {
+                            "cancelled"
+                        }
+                        .to_string(),
                         result: None,
                         error: rec.get("error").and_then(Json::as_str).map(String::from),
                         code: rec.get("code").and_then(Json::as_str).map(String::from),
@@ -394,9 +412,7 @@ pub struct CompactionStats {
 pub fn compact_wal(path: &Path) -> std::io::Result<CompactionStats> {
     let text = match std::fs::read_to_string(path) {
         Ok(text) => text,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            return Ok(CompactionStats::default())
-        }
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(CompactionStats::default()),
         Err(e) => return Err(e),
     };
     let replay = JournalReplay::from_text(&text);
@@ -412,7 +428,10 @@ pub fn compact_wal(path: &Path) -> std::io::Result<CompactionStats> {
     let mut pending_kept = 0usize;
     for (&id, job) in &replay.jobs {
         if let Some(spec) = &job.spec {
-            append("submit", vec![("job", Json::num_u64(id)), ("spec", spec.clone())]);
+            append(
+                "submit",
+                vec![("job", Json::num_u64(id)), ("spec", spec.clone())],
+            );
         }
         match &job.terminal {
             None => pending_kept += 1,
@@ -426,8 +445,7 @@ pub fn compact_wal(path: &Path) -> std::io::Result<CompactionStats> {
                     ],
                 ),
                 state => {
-                    let mut fields =
-                        vec![("job", Json::num_u64(id)), ("state", Json::str(state))];
+                    let mut fields = vec![("job", Json::num_u64(id)), ("state", Json::str(state))];
                     if let Some(result) = &t.result {
                         fields.push(("result", result.clone()));
                     }
@@ -493,8 +511,7 @@ pub fn check_invariants(text: &str) -> Vec<String> {
         if let Some(seq) = rec.get("seq").and_then(Json::as_u64) {
             if let Some(prev) = last_seq {
                 if seq <= prev {
-                    violations
-                        .push(format!("line {}: seq {seq} after {prev}", lineno + 1));
+                    violations.push(format!("line {}: seq {seq} after {prev}", lineno + 1));
                 }
             }
             last_seq = Some(seq);
@@ -502,7 +519,10 @@ pub fn check_invariants(text: &str) -> Vec<String> {
             violations.push(format!("line {}: record without seq", lineno + 1));
         }
         let ev = rec.get("ev").and_then(Json::as_str).unwrap_or("");
-        if !matches!(ev, "submit" | "start" | "done" | "failed" | "cancelled" | "shutdown") {
+        if !matches!(
+            ev,
+            "submit" | "start" | "done" | "failed" | "cancelled" | "shutdown"
+        ) {
             violations.push(format!("line {}: unknown event `{ev}`", lineno + 1));
             continue;
         }
@@ -544,7 +564,10 @@ mod tests {
     }
 
     fn spec() -> Json {
-        Json::obj(vec![("workload", Json::str("mcf")), ("budget", Json::num_u64(40_000))])
+        Json::obj(vec![
+            ("workload", Json::str("mcf")),
+            ("budget", Json::num_u64(40_000)),
+        ])
     }
 
     #[test]
@@ -576,7 +599,10 @@ mod tests {
         assert!(!done.is_pending());
         let failed = &replay.jobs[&2];
         let t = failed.terminal.as_ref().expect("terminal");
-        assert_eq!((t.state.as_str(), t.code.as_deref()), ("failed", Some("pipeline.exec")));
+        assert_eq!(
+            (t.state.as_str(), t.code.as_deref()),
+            ("failed", Some("pipeline.exec"))
+        );
         let pending = replay.pending();
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].0, 3);
@@ -596,7 +622,10 @@ mod tests {
         j2.start(1);
         drop(j2);
         let text = std::fs::read_to_string(&path).expect("read");
-        assert!(check_invariants(&text).is_empty(), "seq must keep increasing");
+        assert!(
+            check_invariants(&text).is_empty(),
+            "seq must keep increasing"
+        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -630,8 +659,12 @@ mod tests {
         let cut = &journal_lines[..journal_lines.len() - 10];
         let replay = JournalReplay::from_text(cut);
         assert_eq!(replay.corrupt_records, 1);
-        assert_eq!(replay.jobs[&1].terminal.is_none(), true);
-        assert_eq!(replay.pending().len(), 2, "1 lost its done record, 2 never had one");
+        assert!(replay.jobs[&1].terminal.is_none());
+        assert_eq!(
+            replay.pending().len(),
+            2,
+            "1 lost its done record, 2 never had one"
+        );
     }
 
     #[test]
@@ -705,8 +738,16 @@ mod tests {
         assert_eq!(after.jobs.len(), before.jobs.len());
         assert_eq!(after.max_job_id, before.max_job_id);
         assert_eq!(
-            after.pending().iter().map(|(id, _)| *id).collect::<Vec<_>>(),
-            before.pending().iter().map(|(id, _)| *id).collect::<Vec<_>>(),
+            after
+                .pending()
+                .iter()
+                .map(|(id, _)| *id)
+                .collect::<Vec<_>>(),
+            before
+                .pending()
+                .iter()
+                .map(|(id, _)| *id)
+                .collect::<Vec<_>>(),
         );
         for (id, b) in &before.jobs {
             let a = &after.jobs[id];
@@ -782,7 +823,10 @@ mod tests {
         assert_eq!(stats.records_before, stats.records_after);
         // A missing journal is a clean no-op.
         let _ = std::fs::remove_file(&path);
-        assert_eq!(compact_wal(&path).expect("missing ok"), CompactionStats::default());
+        assert_eq!(
+            compact_wal(&path).expect("missing ok"),
+            CompactionStats::default()
+        );
     }
 
     #[test]
@@ -802,10 +846,15 @@ mod tests {
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2, "submit + terminal");
         for lost in 0..lines.len() {
-            let surviving: Vec<&str> =
-                (0..lines.len()).filter(|&i| i != lost).map(|i| lines[i]).collect();
+            let surviving: Vec<&str> = (0..lines.len())
+                .filter(|&i| i != lost)
+                .map(|i| lines[i])
+                .collect();
             let replay = JournalReplay::from_text(&surviving.join("\n"));
-            assert_eq!(replay.max_job_id, 9, "losing line {lost} must not lose the id");
+            assert_eq!(
+                replay.max_job_id, 9,
+                "losing line {lost} must not lose the id"
+            );
             let job = &replay.jobs[&9];
             assert!(
                 job.terminal.is_some() || job.is_pending(),
@@ -825,23 +874,43 @@ mod tests {
         // Healthy: re-run with identical canonical bytes.
         let payload = Json::obj(vec![("speedup", Json::Num(1.5))]);
         let healthy = [
-            rec(1, "submit", vec![("job", Json::num_u64(1)), ("spec", spec())]),
-            rec(2, "done", vec![("job", Json::num_u64(1)), ("result", payload.clone())]),
+            rec(
+                1,
+                "submit",
+                vec![("job", Json::num_u64(1)), ("spec", spec())],
+            ),
+            rec(
+                2,
+                "done",
+                vec![("job", Json::num_u64(1)), ("result", payload.clone())],
+            ),
             rec(3, "start", vec![("job", Json::num_u64(1))]),
-            rec(4, "done", vec![("job", Json::num_u64(1)), ("result", payload)]),
+            rec(
+                4,
+                "done",
+                vec![("job", Json::num_u64(1)), ("result", payload)],
+            ),
         ]
         .join("\n");
         assert!(check_invariants(&healthy).is_empty());
         // Diverging re-run.
         let diverged = [
-            rec(1, "done", vec![
-                ("job", Json::num_u64(1)),
-                ("result", Json::obj(vec![("speedup", Json::Num(1.5))])),
-            ]),
-            rec(2, "done", vec![
-                ("job", Json::num_u64(1)),
-                ("result", Json::obj(vec![("speedup", Json::Num(9.0))])),
-            ]),
+            rec(
+                1,
+                "done",
+                vec![
+                    ("job", Json::num_u64(1)),
+                    ("result", Json::obj(vec![("speedup", Json::Num(1.5))])),
+                ],
+            ),
+            rec(
+                2,
+                "done",
+                vec![
+                    ("job", Json::num_u64(1)),
+                    ("result", Json::obj(vec![("speedup", Json::Num(9.0))])),
+                ],
+            ),
         ]
         .join("\n");
         assert_eq!(check_invariants(&diverged).len(), 1);
@@ -854,8 +923,16 @@ mod tests {
         assert_eq!(check_invariants(&reordered).len(), 1);
         // Duplicate submit.
         let dup = [
-            rec(1, "submit", vec![("job", Json::num_u64(1)), ("spec", spec())]),
-            rec(2, "submit", vec![("job", Json::num_u64(1)), ("spec", spec())]),
+            rec(
+                1,
+                "submit",
+                vec![("job", Json::num_u64(1)), ("spec", spec())],
+            ),
+            rec(
+                2,
+                "submit",
+                vec![("job", Json::num_u64(1)), ("spec", spec())],
+            ),
         ]
         .join("\n");
         assert_eq!(check_invariants(&dup).len(), 1);

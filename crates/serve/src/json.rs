@@ -184,7 +184,10 @@ impl Json {
     /// separators, trailing garbage, or nesting deeper than an internal
     /// limit.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser {
+            bytes: text.as_bytes(),
+            pos: 0,
+        };
         p.skip_ws();
         let v = p.value(0)?;
         p.skip_ws();
@@ -220,7 +223,10 @@ struct Parser<'a> {
 
 impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> JsonError {
-        JsonError { at: self.pos, message: message.into() }
+        JsonError {
+            at: self.pos,
+            message: message.into(),
+        }
     }
 
     fn peek(&self) -> Option<u8> {
@@ -386,9 +392,7 @@ impl<'a> Parser<'a> {
                 } else {
                     hi
                 };
-                out.push(
-                    char::from_u32(code).ok_or_else(|| self.err("invalid \\u escape"))?,
-                );
+                out.push(char::from_u32(code).ok_or_else(|| self.err("invalid \\u escape"))?);
             }
             c => return Err(self.err(format!("bad escape `\\{}`", c as char))),
         }
@@ -398,7 +402,9 @@ impl<'a> Parser<'a> {
     fn hex4(&mut self) -> Result<u32, JsonError> {
         let mut v = 0u32;
         for _ in 0..4 {
-            let b = self.peek().ok_or_else(|| self.err("truncated \\u escape"))?;
+            let b = self
+                .peek()
+                .ok_or_else(|| self.err("truncated \\u escape"))?;
             let d = match b {
                 b'0'..=b'9' => b - b'0',
                 b'a'..=b'f' => b - b'a' + 10,
@@ -436,11 +442,15 @@ impl<'a> Parser<'a> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("invalid number"))?;
-        let x: f64 = text
-            .parse()
-            .map_err(|_| JsonError { at: start, message: format!("bad number `{text}`") })?;
+        let x: f64 = text.parse().map_err(|_| JsonError {
+            at: start,
+            message: format!("bad number `{text}`"),
+        })?;
         if !x.is_finite() {
-            return Err(JsonError { at: start, message: format!("number `{text}` overflows") });
+            return Err(JsonError {
+                at: start,
+                message: format!("number `{text}` overflows"),
+            });
         }
         Ok(Json::Num(x))
     }
@@ -478,7 +488,10 @@ mod tests {
     fn structures_round_trip() {
         let v = Json::obj(vec![
             ("cmd", Json::str("submit")),
-            ("nested", Json::Arr(vec![Json::Null, Json::obj(vec![("k", Json::Num(3.25))])])),
+            (
+                "nested",
+                Json::Arr(vec![Json::Null, Json::obj(vec![("k", Json::Num(3.25))])]),
+            ),
             ("empty_arr", Json::Arr(vec![])),
             ("empty_obj", Json::Obj(vec![])),
         ]);
@@ -487,18 +500,25 @@ mod tests {
 
     #[test]
     fn parses_whitespace_and_escapes() {
-        let v = Json::parse(" { \"a\" : [ 1 , 2.5e1 , \"\\u0041\\ud83d\\ude80\" ] } ")
-            .expect("parses");
-        assert_eq!(v.get("a").and_then(|a| a.as_arr()).map(<[Json]>::len), Some(3));
+        let v =
+            Json::parse(" { \"a\" : [ 1 , 2.5e1 , \"\\u0041\\ud83d\\ude80\" ] } ").expect("parses");
         assert_eq!(
-            v.get("a").and_then(|a| a.as_arr()).and_then(|a| a[2].as_str()),
+            v.get("a").and_then(|a| a.as_arr()).map(<[Json]>::len),
+            Some(3)
+        );
+        assert_eq!(
+            v.get("a")
+                .and_then(|a| a.as_arr())
+                .and_then(|a| a[2].as_str()),
             Some("A🚀")
         );
     }
 
     #[test]
     fn rejects_garbage_with_positions() {
-        for bad in ["", "{", "[1,", "\"abc", "{\"a\":}", "nul", "1 2", "\"\\q\"", "{1:2}"] {
+        for bad in [
+            "", "{", "[1,", "\"abc", "{\"a\":}", "nul", "1 2", "\"\\q\"", "{1:2}",
+        ] {
             assert!(Json::parse(bad).is_err(), "`{bad}` must not parse");
         }
         let e = Json::parse("[true, xyz]").unwrap_err();

@@ -82,10 +82,10 @@ pub use journal::{
 pub use json::Json;
 pub use proto::{parse_request, ProtoError, Request, PROTOCOL_VERSION};
 pub use reactor::{LineHandler, ReactorConfig};
-pub use shard::{HashRing, ShardStats, ShardedCache, DEFAULT_VNODES};
 pub use retry::{retry_with_backoff, Backoff};
 pub use scheduler::{
     CancelOutcome, JobCompletion, JobId, JobState, Scheduler, SchedulerStats, SubmitError,
 };
 pub use server::{Server, ServerConfig};
 pub use service::{run_job, CancelToken, JobOutput, JobSpec, StageHists, StageMicros};
+pub use shard::{HashRing, ShardStats, ShardedCache, DEFAULT_VNODES};

@@ -206,7 +206,10 @@ impl fmt::Display for ProtoError {
             ProtoError::ScopeTooLarge { scope, cap, mode } => {
                 write!(f, "scope {scope} exceeds the {mode} admission cap {cap}")?;
                 if *mode == "windowed" {
-                    write!(f, "; use slice_mode \"ondemand\" for scopes past window residency")?;
+                    write!(
+                        f,
+                        "; use slice_mode \"ondemand\" for scopes past window residency"
+                    )?;
                 }
                 Ok(())
             }
@@ -291,7 +294,10 @@ pub fn parse_request_json(json: &Json) -> Result<Request, ProtoError> {
     let cmd = json
         .get("cmd")
         .and_then(Json::as_str)
-        .ok_or(ProtoError::BadField { field: "cmd", expected: "a string" })?;
+        .ok_or(ProtoError::BadField {
+            field: "cmd",
+            expected: "a string",
+        })?;
     match cmd {
         "submit" => parse_submit(json).map(|s| Request::Submit(Box::new(s))),
         "submit_batch" => parse_submit_batch(json).map(Request::SubmitBatch),
@@ -334,7 +340,10 @@ fn parse_submit_batch(json: &Json) -> Result<Vec<JobSpec>, ProtoError> {
     let jobs = json
         .get("jobs")
         .and_then(Json::as_arr)
-        .ok_or(ProtoError::BadField { field: "jobs", expected: "an array of submit objects" })?;
+        .ok_or(ProtoError::BadField {
+            field: "jobs",
+            expected: "an array of submit objects",
+        })?;
     if jobs.is_empty() {
         return Err(ProtoError::BadField {
             field: "jobs",
@@ -344,8 +353,10 @@ fn parse_submit_batch(json: &Json) -> Result<Vec<JobSpec>, ProtoError> {
     jobs.iter()
         .enumerate()
         .map(|(index, job)| {
-            parse_submit(job)
-                .map_err(|e| ProtoError::BatchJob { index, inner: Box::new(e) })
+            parse_submit(job).map_err(|e| ProtoError::BatchJob {
+                index,
+                inner: Box::new(e),
+            })
         })
         .collect()
 }
@@ -354,54 +365,68 @@ fn cache_key(json: &Json) -> Result<u64, ProtoError> {
     let text = json
         .get("key")
         .and_then(Json::as_str)
-        .ok_or(ProtoError::BadField { field: "key", expected: "a 16-hex-digit string" })?;
+        .ok_or(ProtoError::BadField {
+            field: "key",
+            expected: "a 16-hex-digit string",
+        })?;
     if text.len() != 16 {
-        return Err(ProtoError::BadField { field: "key", expected: "a 16-hex-digit string" });
+        return Err(ProtoError::BadField {
+            field: "key",
+            expected: "a 16-hex-digit string",
+        });
     }
-    u64::from_str_radix(text, 16)
-        .map_err(|_| ProtoError::BadField { field: "key", expected: "a 16-hex-digit string" })
+    u64::from_str_radix(text, 16).map_err(|_| ProtoError::BadField {
+        field: "key",
+        expected: "a 16-hex-digit string",
+    })
 }
 
 fn required_str(json: &Json, field: &'static str) -> Result<String, ProtoError> {
     json.get(field)
         .and_then(Json::as_str)
         .map(str::to_string)
-        .ok_or(ProtoError::BadField { field, expected: "a string" })
+        .ok_or(ProtoError::BadField {
+            field,
+            expected: "a string",
+        })
 }
 
 fn job_id(json: &Json) -> Result<JobId, ProtoError> {
     json.get("job")
         .and_then(Json::as_u64)
-        .ok_or(ProtoError::BadField { field: "job", expected: "a non-negative integer" })
+        .ok_or(ProtoError::BadField {
+            field: "job",
+            expected: "a non-negative integer",
+        })
 }
 
 fn opt_u64(json: &Json, key: &'static str) -> Result<Option<u64>, ProtoError> {
     match json.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(Some)
-            .ok_or(ProtoError::BadField { field: key, expected: "a non-negative integer" }),
+        Some(v) => v.as_u64().map(Some).ok_or(ProtoError::BadField {
+            field: key,
+            expected: "a non-negative integer",
+        }),
     }
 }
 
 fn opt_f64(json: &Json, key: &'static str) -> Result<Option<f64>, ProtoError> {
     match json.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_f64()
-            .map(Some)
-            .ok_or(ProtoError::BadField { field: key, expected: "a number" }),
+        Some(v) => v.as_f64().map(Some).ok_or(ProtoError::BadField {
+            field: key,
+            expected: "a number",
+        }),
     }
 }
 
 fn opt_bool(json: &Json, key: &'static str) -> Result<Option<bool>, ProtoError> {
     match json.get(key) {
         None | Some(Json::Null) => Ok(None),
-        Some(v) => v
-            .as_bool()
-            .map(Some)
-            .ok_or(ProtoError::BadField { field: key, expected: "a boolean" }),
+        Some(v) => v.as_bool().map(Some).ok_or(ProtoError::BadField {
+            field: key,
+            expected: "a boolean",
+        }),
     }
 }
 
@@ -413,13 +438,17 @@ pub(crate) fn parse_submit(json: &Json) -> Result<JobSpec, ProtoError> {
     let workload = json
         .get("workload")
         .and_then(Json::as_str)
-        .ok_or(ProtoError::BadField { field: "workload", expected: "a string" })?;
+        .ok_or(ProtoError::BadField {
+            field: "workload",
+            expected: "a string",
+        })?;
     let input = match json.get("input") {
         None | Some(Json::Null) => InputSet::Train,
         Some(v) => {
-            let name = v
-                .as_str()
-                .ok_or(ProtoError::BadField { field: "input", expected: "a string" })?;
+            let name = v.as_str().ok_or(ProtoError::BadField {
+                field: "input",
+                expected: "a string",
+            })?;
             parse_input(name).ok_or_else(|| ProtoError::UnknownInput(name.to_string()))?
         }
     };
@@ -444,8 +473,10 @@ pub(crate) fn parse_submit(json: &Json) -> Result<JobSpec, ProtoError> {
         cfg.merge = x;
     }
     if let Some(x) = opt_u64(json, "width")? {
-        cfg.machine.width = u32::try_from(x)
-            .map_err(|_| ProtoError::BadField { field: "width", expected: "a 32-bit integer" })?;
+        cfg.machine.width = u32::try_from(x).map_err(|_| ProtoError::BadField {
+            field: "width",
+            expected: "a 32-bit integer",
+        })?;
     }
     if let Some(x) = opt_u64(json, "mem_latency")? {
         cfg.machine.mem_latency = x;
@@ -461,8 +492,7 @@ pub(crate) fn parse_submit(json: &Json) -> Result<JobSpec, ProtoError> {
     cfg.try_validate().map_err(ProtoError::Config)?;
 
     let policy = parse_policy(json, cfg)?;
-    let mut spec =
-        JobSpec::new(workload, input, cfg).map_err(ProtoError::UnknownWorkload)?;
+    let mut spec = JobSpec::new(workload, input, cfg).map_err(ProtoError::UnknownWorkload)?;
     spec.policy = policy;
     Ok(spec)
 }
@@ -473,10 +503,16 @@ pub(crate) fn parse_submit(json: &Json) -> Result<JobSpec, ProtoError> {
 fn parse_policy(json: &Json, cfg: PipelineConfig) -> Result<PolicySpec, ProtoError> {
     for field in ["slice_mode", "checkpoint_every", "deadline_ms"] {
         if json.get(field).is_some() {
-            return Err(ProtoError::BadField { field, expected: "inside the `policy` object" });
+            return Err(ProtoError::BadField {
+                field,
+                expected: "inside the `policy` object",
+            });
         }
     }
-    let mut policy = PolicySpec { cfg, ..PolicySpec::default() };
+    let mut policy = PolicySpec {
+        cfg,
+        ..PolicySpec::default()
+    };
     match json.get("policy") {
         None | Some(Json::Null) => {}
         Some(obj @ Json::Obj(_)) => {
@@ -492,7 +528,10 @@ fn parse_policy(json: &Json, cfg: PipelineConfig) -> Result<PolicySpec, ProtoErr
             policy.deadline_ms = opt_u64(obj, "deadline_ms")?;
         }
         Some(_) => {
-            return Err(ProtoError::BadField { field: "policy", expected: "an object" })
+            return Err(ProtoError::BadField {
+                field: "policy",
+                expected: "an object",
+            })
         }
     }
     policy.try_validate().map_err(ProtoError::Config)?;
@@ -505,9 +544,10 @@ fn parse_policy(json: &Json, cfg: PipelineConfig) -> Result<PolicySpec, ProtoErr
 fn parse_adaptive(obj: &Json) -> Result<Option<AdaptiveConfig>, ProtoError> {
     match obj.get("adaptive") {
         None | Some(Json::Null) => Ok(None),
-        Some(Json::Bool(b)) => {
-            Ok(Some(AdaptiveConfig { enabled: *b, ..AdaptiveConfig::default() }))
-        }
+        Some(Json::Bool(b)) => Ok(Some(AdaptiveConfig {
+            enabled: *b,
+            ..AdaptiveConfig::default()
+        })),
         Some(v @ Json::Obj(_)) => {
             let mut a = AdaptiveConfig {
                 enabled: opt_bool(v, "enabled")?.unwrap_or(true),
@@ -538,9 +578,10 @@ fn parse_slice_mode(obj: &Json) -> Result<Option<SlicingMode>, ProtoError> {
     let expected = r#""windowed" or "ondemand""#;
     let name = match obj.get("slice_mode") {
         None | Some(Json::Null) => return Ok(None),
-        Some(v) => v
-            .as_str()
-            .ok_or(ProtoError::BadField { field: "slice_mode", expected })?,
+        Some(v) => v.as_str().ok_or(ProtoError::BadField {
+            field: "slice_mode",
+            expected,
+        })?,
     };
     match name {
         "windowed" => Ok(Some(SlicingMode::Windowed)),
@@ -549,7 +590,10 @@ fn parse_slice_mode(obj: &Json) -> Result<Option<SlicingMode>, ProtoError> {
                 .unwrap_or(DEFAULT_CHECKPOINT_EVERY)
                 .max(1),
         })),
-        _ => Err(ProtoError::BadField { field: "slice_mode", expected }),
+        _ => Err(ProtoError::BadField {
+            field: "slice_mode",
+            expected,
+        }),
     }
 }
 
@@ -561,7 +605,11 @@ fn check_scope_cap(scope: u64, mode: SlicingMode) -> Result<(), ProtoError> {
         SlicingMode::OnDemand { .. } => (MAX_SCOPE, "ondemand"),
     };
     if scope > cap {
-        return Err(ProtoError::ScopeTooLarge { scope, cap, mode: name });
+        return Err(ProtoError::ScopeTooLarge {
+            scope,
+            cap,
+            mode: name,
+        });
     }
     Ok(())
 }
@@ -675,10 +723,16 @@ pub fn result_json(out: &JobOutput) -> Json {
         ("speedup", Json::Num(r.speedup())),
         ("coverage_pct", Json::Num(r.coverage_pct())),
         ("full_coverage_pct", Json::Num(r.full_coverage_pct())),
-        ("num_pthreads", Json::num_u64(r.selection.pthreads.len() as u64)),
+        (
+            "num_pthreads",
+            Json::num_u64(r.selection.pthreads.len() as u64),
+        ),
         (
             "predicted_coverage_pct",
-            Json::Num(pct(r.selection.prediction.misses_covered, r.stats.l2_misses)),
+            Json::Num(pct(
+                r.selection.prediction.misses_covered,
+                r.stats.l2_misses,
+            )),
         ),
         ("base", sim_json(&r.base)),
         ("assisted", sim_json(&r.assisted)),
@@ -724,9 +778,18 @@ mod tests {
             parse_request(r#"{"cmd":"cancel","job":5}"#),
             Ok(Request::Cancel(5))
         ));
-        assert!(matches!(parse_request(r#"{"cmd":"stats"}"#), Ok(Request::Stats)));
-        assert!(matches!(parse_request(r#"{"cmd":"metrics"}"#), Ok(Request::Metrics)));
-        assert!(matches!(parse_request(r#"{"cmd":"shutdown"}"#), Ok(Request::Shutdown)));
+        assert!(matches!(
+            parse_request(r#"{"cmd":"stats"}"#),
+            Ok(Request::Stats)
+        ));
+        assert!(matches!(
+            parse_request(r#"{"cmd":"metrics"}"#),
+            Ok(Request::Metrics)
+        ));
+        assert!(matches!(
+            parse_request(r#"{"cmd":"shutdown"}"#),
+            Ok(Request::Shutdown)
+        ));
     }
 
     #[test]
@@ -742,7 +805,10 @@ mod tests {
         assert_eq!(spec.workload_name, "mcf");
         assert_eq!(spec.input, InputSet::Test);
         assert_eq!(spec.policy.cfg.budget, 50_000);
-        assert_eq!(spec.policy.cfg.warmup, 12_500, "warmup defaults to budget/4");
+        assert_eq!(
+            spec.policy.cfg.warmup, 12_500,
+            "warmup defaults to budget/4"
+        );
         assert_eq!(spec.policy.cfg.machine.width, 4);
         assert_eq!(spec.policy.cfg.machine.mem_latency, 140);
         assert!(!spec.policy.cfg.optimize);
@@ -760,15 +826,36 @@ mod tests {
         for (line, needle, code) in [
             ("not json", "JSON", "bad_json"),
             (r#"{"cmd":"submit"}"#, "workload", "bad_field"),
-            (r#"{"cmd":"submit","workload":"nope"}"#, "unknown workload", "unknown_workload"),
+            (
+                r#"{"cmd":"submit","workload":"nope"}"#,
+                "unknown workload",
+                "unknown_workload",
+            ),
             (
                 r#"{"cmd":"submit","workload":"mcf","input":"huge"}"#,
                 "unknown input",
                 "unknown_input",
             ),
-            (r#"{"cmd":"submit","workload":"mcf","budget":0}"#, "budget", "config.zero_budget"),
-            (r#"{"cmd":"submit","workload":"mcf","width":0}"#, "width", "config.machine"),
-            (r#"{"cmd":"submit","workload":"mcf","budget":-3}"#, "budget", "bad_field"),
+            (
+                r#"{"cmd":"submit","workload":"mcf","budget":0}"#,
+                "budget",
+                "config.zero_budget",
+            ),
+            (
+                r#"{"cmd":"submit","workload":"mcf","width":0}"#,
+                "width",
+                "config.machine",
+            ),
+            (
+                r#"{"cmd":"submit","workload":"mcf","mem_latency":1000000000000}"#,
+                "latencies",
+                "config.machine",
+            ),
+            (
+                r#"{"cmd":"submit","workload":"mcf","budget":-3}"#,
+                "budget",
+                "bad_field",
+            ),
             (r#"{"cmd":"status"}"#, "job", "bad_field"),
             (r#"{"cmd":"wat"}"#, "unknown cmd", "unknown_cmd"),
             (r#"{}"#, "cmd", "bad_field"),
@@ -777,7 +864,10 @@ mod tests {
                 panic!("`{line}` must be rejected");
             };
             let msg = e.to_string();
-            assert!(msg.contains(needle), "`{line}` → `{msg}` (wanted `{needle}`)");
+            assert!(
+                msg.contains(needle),
+                "`{line}` → `{msg}` (wanted `{needle}`)"
+            );
             assert_eq!(e.code(), code, "`{line}` code");
         }
     }
@@ -787,8 +877,14 @@ mod tests {
         let Err(e) = parse_request(r#"{"cmd":"submit","workload":"mcf","scope":0}"#) else {
             panic!("zero scope must be rejected");
         };
-        assert_eq!(e, ProtoError::Config(preexec_experiments::PipelineError::ZeroScope));
-        assert_eq!(e.code(), preexec_experiments::PipelineError::ZeroScope.code());
+        assert_eq!(
+            e,
+            ProtoError::Config(preexec_experiments::PipelineError::ZeroScope)
+        );
+        assert_eq!(
+            e.code(),
+            preexec_experiments::PipelineError::ZeroScope.code()
+        );
     }
 
     #[test]
@@ -802,7 +898,10 @@ mod tests {
         );
         let err = error_response(&ProtoError::UnknownJob(7));
         assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));
-        assert_eq!(err.get("error").and_then(Json::as_str), Some("unknown job 7"));
+        assert_eq!(
+            err.get("error").and_then(Json::as_str),
+            Some("unknown job 7")
+        );
         assert_eq!(err.get("code").and_then(Json::as_str), Some("unknown_job"));
         assert_eq!(
             err.get("protocol_version").and_then(Json::as_u64),
@@ -816,9 +915,16 @@ mod tests {
             ProtoError::from(SubmitError::QueueFull { cap: 4 }).code(),
             "queue_full"
         );
-        assert_eq!(ProtoError::from(SubmitError::ShuttingDown).code(), "shutting_down");
         assert_eq!(
-            ProtoError::NotFinished { job: 3, state: "running" }.code(),
+            ProtoError::from(SubmitError::ShuttingDown).code(),
+            "shutting_down"
+        );
+        assert_eq!(
+            ProtoError::NotFinished {
+                job: 3,
+                state: "running"
+            }
+            .code(),
             "job_not_finished"
         );
     }
@@ -837,7 +943,9 @@ mod tests {
         assert_eq!(resp.get("code").and_then(Json::as_str), Some("overloaded"));
         assert_eq!(resp.get("retry_after_ms").and_then(Json::as_u64), Some(750));
         // Other errors stay hint-free.
-        assert!(error_response(&ProtoError::UnknownJob(1)).get("retry_after_ms").is_none());
+        assert!(error_response(&ProtoError::UnknownJob(1))
+            .get("retry_after_ms")
+            .is_none());
     }
 
     #[test]
@@ -870,7 +978,9 @@ mod tests {
             r#"{"cmd":"submit_batch"}"#,
             r#"{"cmd":"submit_batch","jobs":3}"#,
         ] {
-            let Err(e) = parse_request(line) else { panic!("`{line}` must be rejected") };
+            let Err(e) = parse_request(line) else {
+                panic!("`{line}` must be rejected")
+            };
             assert_eq!(e.code(), "bad_field", "`{line}`");
         }
     }
@@ -883,7 +993,10 @@ mod tests {
 
         // String ids survive untouched.
         let json = Json::parse(r#"{"cmd":"stats","id":"req-7"}"#).expect("parses");
-        let resp = with_request_id(error_response(&ProtoError::UnknownJob(1)), request_id(&json));
+        let resp = with_request_id(
+            error_response(&ProtoError::UnknownJob(1)),
+            request_id(&json),
+        );
         assert_eq!(resp.get("id").and_then(Json::as_str), Some("req-7"));
 
         // No id (or a null one) → no echo.
@@ -918,10 +1031,15 @@ mod tests {
             r#"{"cmd":"cache_get","key":"123"}"#,
             r#"{"cmd":"cache_put","key":"00ab34cd56ef7890"}"#,
         ] {
-            let Err(e) = parse_request(line) else { panic!("`{line}` must be rejected") };
+            let Err(e) = parse_request(line) else {
+                panic!("`{line}` must be rejected")
+            };
             assert_eq!(e.code(), "bad_field", "`{line}`");
         }
-        assert_eq!(ProtoError::ShardPayload("corrupt").code(), "shard.bad_payload");
+        assert_eq!(
+            ProtoError::ShardPayload("corrupt").code(),
+            "shard.bad_payload"
+        );
     }
 
     #[test]
@@ -947,7 +1065,9 @@ mod tests {
         };
         assert_eq!(
             spec.policy.slicing,
-            SlicingMode::OnDemand { checkpoint_every: DEFAULT_CHECKPOINT_EVERY }
+            SlicingMode::OnDemand {
+                checkpoint_every: DEFAULT_CHECKPOINT_EVERY
+            }
         );
         let Ok(Request::Submit(spec)) = parse_request(
             r#"{"cmd":"submit","workload":"mcf",
@@ -955,20 +1075,32 @@ mod tests {
         ) else {
             panic!("explicit cadence must parse");
         };
-        assert_eq!(spec.policy.slicing, SlicingMode::OnDemand { checkpoint_every: 512 });
+        assert_eq!(
+            spec.policy.slicing,
+            SlicingMode::OnDemand {
+                checkpoint_every: 512
+            }
+        );
         let Ok(Request::Submit(spec)) = parse_request(
             r#"{"cmd":"submit","workload":"mcf",
                 "policy":{"slice_mode":"ondemand","checkpoint_every":0}}"#,
         ) else {
             panic!("zero cadence must parse");
         };
-        assert_eq!(spec.policy.slicing, SlicingMode::OnDemand { checkpoint_every: 1 });
+        assert_eq!(
+            spec.policy.slicing,
+            SlicingMode::OnDemand {
+                checkpoint_every: 1
+            }
+        );
         // Junk modes are typed field errors.
         for line in [
             r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"turbo"}}"#,
             r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":7}}"#,
         ] {
-            let Err(e) = parse_request(line) else { panic!("`{line}` must be rejected") };
+            let Err(e) = parse_request(line) else {
+                panic!("`{line}` must be rejected")
+            };
             assert_eq!(e.code(), "bad_field", "`{line}`");
             assert!(e.to_string().contains("slice_mode"), "`{line}` → {e}");
         }
@@ -979,23 +1111,23 @@ mod tests {
         // Past the windowed cap: rejected with the stable code and a
         // hint pointing at on-demand slicing.
         let over_windowed = (MAX_WINDOWED_SCOPE + 1).to_string();
-        let line = format!(
-            r#"{{"cmd":"submit","workload":"mcf","scope":{over_windowed}}}"#
-        );
-        let Err(e) = parse_request(&line) else { panic!("absurd windowed scope must be shed") };
+        let line = format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_windowed}}}"#);
+        let Err(e) = parse_request(&line) else {
+            panic!("absurd windowed scope must be shed")
+        };
         assert_eq!(e.code(), "config.scope_too_large");
         assert!(e.to_string().contains("ondemand"), "{e}");
         // The same scope under on-demand slicing is admitted…
         let ondemand = r#""policy":{"slice_mode":"ondemand"}"#;
-        let line = format!(
-            r#"{{"cmd":"submit","workload":"mcf","scope":{over_windowed},{ondemand}}}"#
-        );
+        let line =
+            format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_windowed},{ondemand}}}"#);
         assert!(matches!(parse_request(&line), Ok(Request::Submit(_))));
         // …but even on-demand has a ceiling.
         let over_all = (MAX_SCOPE + 1).to_string();
-        let line =
-            format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_all},{ondemand}}}"#);
-        let Err(e) = parse_request(&line) else { panic!("absurd ondemand scope must be shed") };
+        let line = format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_all},{ondemand}}}"#);
+        let Err(e) = parse_request(&line) else {
+            panic!("absurd ondemand scope must be shed")
+        };
         assert_eq!(e.code(), "config.scope_too_large");
         // Scopes at the cap pass.
         let at_cap = MAX_WINDOWED_SCOPE.to_string();
@@ -1005,7 +1137,9 @@ mod tests {
         let line = format!(
             r#"{{"cmd":"submit_batch","jobs":[{{"workload":"vpr.r"}},{{"workload":"mcf","scope":{over_windowed}}}]}}"#
         );
-        let Err(e) = parse_request(&line) else { panic!("batch with absurd scope must be shed") };
+        let Err(e) = parse_request(&line) else {
+            panic!("batch with absurd scope must be shed")
+        };
         assert_eq!(e.code(), "config.scope_too_large");
         assert!(e.to_string().contains("batch job #1"), "{e}");
     }
@@ -1019,7 +1153,12 @@ mod tests {
         };
         let encoded = spec_json(&spec);
         let back = parse_submit(&encoded).expect("round-trip parses");
-        assert_eq!(back.policy.slicing, SlicingMode::OnDemand { checkpoint_every: 2048 });
+        assert_eq!(
+            back.policy.slicing,
+            SlicingMode::OnDemand {
+                checkpoint_every: 2048
+            }
+        );
         assert_eq!(back.policy.cfg.scope, 100_000_000);
         assert_eq!(spec_json(&back).encode(), encoded.encode());
     }
@@ -1041,7 +1180,10 @@ mod tests {
         assert_eq!(back.policy.cfg.machine.width, spec.policy.cfg.machine.width);
         assert_eq!(back.policy.cfg.model_width, spec.policy.cfg.model_width);
         assert_eq!(back.policy.cfg.optimize, spec.policy.cfg.optimize);
-        assert_eq!(back.policy, spec.policy, "the whole policy survives the journal");
+        assert_eq!(
+            back.policy, spec.policy,
+            "the whole policy survives the journal"
+        );
         // A second encode is byte-identical: the canonical spec form.
         assert_eq!(spec_json(&back).encode(), encoded.encode());
     }
@@ -1078,16 +1220,24 @@ mod tests {
             (r#""slice_mode":"ondemand""#, "slice_mode"),
             (r#""checkpoint_every":256"#, "checkpoint_every"),
             (r#""deadline_ms":9000"#, "deadline_ms"),
-            (r#""slice_mode":"windowed","policy":{"slice_mode":"windowed"}"#, "slice_mode"),
+            (
+                r#""slice_mode":"windowed","policy":{"slice_mode":"windowed"}"#,
+                "slice_mode",
+            ),
         ] {
             for line in [
                 format!(r#"{{"cmd":"submit","workload":"mcf",{flat}}}"#),
                 format!(r#"{{"cmd":"submit_batch","jobs":[{{"workload":"mcf",{flat}}}]}}"#),
             ] {
-                let Err(e) = parse_request(&line) else { panic!("`{line}` must be rejected") };
+                let Err(e) = parse_request(&line) else {
+                    panic!("`{line}` must be rejected")
+                };
                 assert_eq!(e.code(), "bad_field", "`{line}`");
                 let msg = e.to_string();
-                assert!(msg.contains(field) && msg.contains("`policy`"), "`{line}` → {msg}");
+                assert!(
+                    msg.contains(field) && msg.contains("`policy`"),
+                    "`{line}` → {msg}"
+                );
             }
         }
     }
@@ -1120,10 +1270,13 @@ mod tests {
             panic!("adaptive shorthand must parse");
         };
         assert!(spec.policy.adaptive.enabled);
-        assert_eq!(spec.policy.adaptive, AdaptiveConfig {
-            enabled: true,
-            ..AdaptiveConfig::default()
-        });
+        assert_eq!(
+            spec.policy.adaptive,
+            AdaptiveConfig {
+                enabled: true,
+                ..AdaptiveConfig::default()
+            }
+        );
         // The journal round-trip preserves the adaptive knobs exactly.
         let encoded = spec_json(&spec);
         let back = parse_submit(&encoded).expect("replay parses");
@@ -1133,13 +1286,17 @@ mod tests {
         // Adaptive + on-demand slicing is a policy contradiction.
         let line = r#"{"cmd":"submit","workload":"mcf",
             "policy":{"slice_mode":"ondemand","adaptive":true}}"#;
-        let Err(e) = parse_request(line) else { panic!("adaptive+ondemand must fail") };
+        let Err(e) = parse_request(line) else {
+            panic!("adaptive+ondemand must fail")
+        };
         assert_eq!(e.code(), "config.conflicting_policy");
 
         // Zero detector knobs are rejected by the policy validator.
         let line = r#"{"cmd":"submit","workload":"mcf",
             "policy":{"adaptive":{"confirm":0}}}"#;
-        let Err(e) = parse_request(line) else { panic!("zero confirm must fail") };
+        let Err(e) = parse_request(line) else {
+            panic!("zero confirm must fail")
+        };
         assert_eq!(e.code(), "config.bad_adaptive");
 
         // Mistyped policy / adaptive shapes are field errors.
@@ -1147,7 +1304,9 @@ mod tests {
             r#"{"cmd":"submit","workload":"mcf","policy":7}"#,
             r#"{"cmd":"submit","workload":"mcf","policy":{"adaptive":"yes"}}"#,
         ] {
-            let Err(e) = parse_request(line) else { panic!("`{line}` must be rejected") };
+            let Err(e) = parse_request(line) else {
+                panic!("`{line}` must be rejected")
+            };
             assert_eq!(e.code(), "bad_field", "`{line}`");
         }
     }
@@ -1166,20 +1325,25 @@ mod tests {
                     .prop_map(|checkpoint_every| SlicingMode::OnDemand { checkpoint_every }),
             ],
             any::<bool>(),
-            prop_oneof![
-                Just(None),
-                (1u64..1_000_000).prop_map(Some),
-            ],
+            prop_oneof![Just(None), (1u64..1_000_000).prop_map(Some),],
             (any::<bool>(), 1u64..2_000, 1u64..8, 1u64..16),
         )
             .prop_map(|(budget, slicing, screening, deadline_ms, a)| {
                 let (enabled, threshold_permille, confirm, min_phase_chunks) = a;
-                let adaptive =
-                    AdaptiveConfig { enabled, threshold_permille, confirm, min_phase_chunks };
+                let adaptive = AdaptiveConfig {
+                    enabled,
+                    threshold_permille,
+                    confirm,
+                    min_phase_chunks,
+                };
                 let mut spec = PolicySpec::paper_default(budget);
                 // Adaptive selection requires the windowed path; respect
                 // the validity rule the daemon enforces.
-                spec.slicing = if enabled { SlicingMode::Windowed } else { slicing };
+                spec.slicing = if enabled {
+                    SlicingMode::Windowed
+                } else {
+                    slicing
+                };
                 spec.screening = screening;
                 spec.adaptive = adaptive;
                 spec.deadline_ms = deadline_ms;

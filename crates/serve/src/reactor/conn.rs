@@ -21,7 +21,11 @@ pub struct LineTooLong {
 
 impl std::fmt::Display for LineTooLong {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "request line exceeds {} bytes without a newline", self.limit)
+        write!(
+            f,
+            "request line exceeds {} bytes without a newline",
+            self.limit
+        )
     }
 }
 
@@ -35,7 +39,10 @@ pub struct LineBuffer {
 
 impl LineBuffer {
     pub fn new(max_line: usize) -> LineBuffer {
-        LineBuffer { buf: Vec::new(), max_line }
+        LineBuffer {
+            buf: Vec::new(),
+            max_line,
+        }
     }
 
     /// Appends one read fragment. Fails if the pending unterminated data
@@ -51,7 +58,9 @@ impl LineBuffer {
             .rposition(|&b| b == b'\n')
             .map_or(0, |pos| pos + 1);
         if self.buf.len() - tail_start > self.max_line {
-            return Err(LineTooLong { limit: self.max_line });
+            return Err(LineTooLong {
+                limit: self.max_line,
+            });
         }
         Ok(())
     }
@@ -203,17 +212,28 @@ mod tests {
         let mut wq = WriteQueue::new();
         wq.enqueue(b"{\"ok\":true,\"id\":1}\n");
         wq.enqueue(b"{\"ok\":true,\"id\":2}\n");
-        let mut sink = ThrottledSink { accepted: Vec::new(), cap: 3, block_after: None };
+        let mut sink = ThrottledSink {
+            accepted: Vec::new(),
+            cap: 3,
+            block_after: None,
+        };
         assert!(wq.flush_into(&mut sink).unwrap());
         assert!(wq.is_empty());
-        assert_eq!(sink.accepted, b"{\"ok\":true,\"id\":1}\n{\"ok\":true,\"id\":2}\n");
+        assert_eq!(
+            sink.accepted,
+            b"{\"ok\":true,\"id\":1}\n{\"ok\":true,\"id\":2}\n"
+        );
     }
 
     #[test]
     fn wouldblock_pauses_the_queue_and_resumes_where_it_left_off() {
         let mut wq = WriteQueue::new();
         wq.enqueue(b"abcdefghij");
-        let mut sink = ThrottledSink { accepted: Vec::new(), cap: 4, block_after: Some(4) };
+        let mut sink = ThrottledSink {
+            accepted: Vec::new(),
+            cap: 4,
+            block_after: Some(4),
+        };
         // First flush: 4 bytes land, then the "kernel buffer" fills.
         assert!(!wq.flush_into(&mut sink).unwrap());
         assert_eq!(wq.len(), 6);

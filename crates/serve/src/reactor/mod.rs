@@ -120,8 +120,9 @@ mod linux {
         /// The mask this connection currently wants.
         fn desired_mask(&self, cfg: &ReactorConfig) -> u32 {
             let mut mask = 0;
-            let reading =
-                !self.read_closed && !self.close_after_flush && self.writes.len() < cfg.max_write_buf;
+            let reading = !self.read_closed
+                && !self.close_after_flush
+                && self.writes.len() < cfg.max_write_buf;
             if reading {
                 mask |= EPOLLIN | EPOLLRDHUP;
             }
@@ -167,7 +168,9 @@ mod linux {
                     }
                     continue;
                 }
-                let Some(conn) = conns.get_mut(&token) else { continue };
+                let Some(conn) = conns.get_mut(&token) else {
+                    continue;
+                };
                 let mask = ev.events();
                 if mask & (EPOLLERR | EPOLLHUP) != 0 {
                     dead.push(token);
@@ -323,10 +326,7 @@ mod linux {
     fn rearm(epoll: &Epoll, token: u64, conn: &mut Conn, cfg: &ReactorConfig) {
         let want = conn.desired_mask(cfg);
         if want != conn.armed {
-            if epoll
-                .modify(conn.stream.as_raw_fd(), token, want)
-                .is_err()
-            {
+            if epoll.modify(conn.stream.as_raw_fd(), token, want).is_err() {
                 // Losing the registration means losing the connection;
                 // mark it for the finished() sweep.
                 conn.close_after_flush = true;

@@ -70,7 +70,15 @@ mod nr {
 /// Issues a raw syscall and maps the kernel's `-errno` convention into
 /// `io::Result`.
 #[cfg(target_arch = "x86_64")]
-unsafe fn syscall6(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64) -> io::Result<u64> {
+unsafe fn syscall6(
+    nr: u64,
+    a1: u64,
+    a2: u64,
+    a3: u64,
+    a4: u64,
+    a5: u64,
+    a6: u64,
+) -> io::Result<u64> {
     let ret: i64;
     unsafe {
         core::arch::asm!(
@@ -95,7 +103,15 @@ unsafe fn syscall6(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64
 }
 
 #[cfg(target_arch = "aarch64")]
-unsafe fn syscall6(nr: u64, a1: u64, a2: u64, a3: u64, a4: u64, a5: u64, a6: u64) -> io::Result<u64> {
+unsafe fn syscall6(
+    nr: u64,
+    a1: u64,
+    a2: u64,
+    a3: u64,
+    a4: u64,
+    a5: u64,
+    a6: u64,
+) -> io::Result<u64> {
     let ret: i64;
     unsafe {
         core::arch::asm!(
@@ -128,7 +144,9 @@ impl Epoll {
         // SAFETY: epoll_create1 takes no pointers; on success it returns
         // a fresh fd that we immediately take ownership of.
         let fd = unsafe { syscall6(nr::EPOLL_CREATE1, EPOLL_CLOEXEC, 0, 0, 0, 0, 0)? };
-        Ok(Epoll { fd: unsafe { OwnedFd::from_raw_fd(fd as RawFd) } })
+        Ok(Epoll {
+            fd: unsafe { OwnedFd::from_raw_fd(fd as RawFd) },
+        })
     }
 
     fn ctl(&self, op: i32, fd: RawFd, event: Option<EpollEvent>) -> io::Result<()> {
@@ -155,12 +173,26 @@ impl Epoll {
     /// Registers `fd` for `events`, tagging readiness reports with
     /// `token`.
     pub fn add(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_ADD, fd, Some(EpollEvent { events, data: token }))
+        self.ctl(
+            EPOLL_CTL_ADD,
+            fd,
+            Some(EpollEvent {
+                events,
+                data: token,
+            }),
+        )
     }
 
     /// Re-arms an already-registered `fd` with a new event mask.
     pub fn modify(&self, fd: RawFd, token: u64, events: u32) -> io::Result<()> {
-        self.ctl(EPOLL_CTL_MOD, fd, Some(EpollEvent { events, data: token }))
+        self.ctl(
+            EPOLL_CTL_MOD,
+            fd,
+            Some(EpollEvent {
+                events,
+                data: token,
+            }),
+        )
     }
 
     /// Deregisters `fd`. (Closing the fd does this implicitly; explicit
@@ -224,7 +256,9 @@ mod tests {
 
         // Accept, register the peer, and see its data arrive.
         let (peer, _) = listener.accept().unwrap();
-        epoll.add(peer.as_raw_fd(), 7, EPOLLIN | EPOLLRDHUP).unwrap();
+        epoll
+            .add(peer.as_raw_fd(), 7, EPOLLIN | EPOLLRDHUP)
+            .unwrap();
         client.write_all(b"x").unwrap();
         let n = epoll.wait(&mut events, 2_000).unwrap();
         assert!(n >= 1);

@@ -63,7 +63,9 @@ impl Backoff {
         let quarter = (exp / 4).max(1);
         let jitter = self.next_rand() % (2 * quarter + 1);
         let delayed = exp - quarter + jitter;
-        delayed.max(hint_ms.unwrap_or(0)).min(self.cap_ms.max(hint_ms.unwrap_or(0)))
+        delayed
+            .max(hint_ms.unwrap_or(0))
+            .min(self.cap_ms.max(hint_ms.unwrap_or(0)))
     }
 }
 

@@ -259,7 +259,10 @@ impl<T: Send + 'static> Scheduler<T> {
                     .unwrap_or_else(|e| panic!("spawning worker {i}: {e}"))
             })
             .collect();
-        Scheduler { inner, handles: Mutex::new(handles) }
+        Scheduler {
+            inner,
+            handles: Mutex::new(handles),
+        }
     }
 
     /// Enqueues a job, returning its id.
@@ -274,7 +277,9 @@ impl<T: Send + 'static> Scheduler<T> {
             return Err(SubmitError::ShuttingDown);
         }
         if st.queue.len() >= self.inner.queue_cap {
-            return Err(SubmitError::QueueFull { cap: self.inner.queue_cap });
+            return Err(SubmitError::QueueFull {
+                cap: self.inner.queue_cap,
+            });
         }
         let id = st.next_id;
         st.next_id += 1;
@@ -310,7 +315,9 @@ impl<T: Send + 'static> Scheduler<T> {
             return Err(SubmitError::ShuttingDown);
         }
         if st.queue.len() + n > self.inner.queue_cap {
-            return Err(SubmitError::QueueFull { cap: self.inner.queue_cap });
+            return Err(SubmitError::QueueFull {
+                cap: self.inner.queue_cap,
+            });
         }
         let mut ids = Vec::with_capacity(n);
         for job in jobs {
@@ -387,7 +394,8 @@ impl<T: Send + 'static> Scheduler<T> {
             Some(Record::Queued) => {}
         }
         st.queue.retain(|(qid, _)| *qid != id);
-        st.records.insert(id, Record::Finished(JobCompletion::Cancelled(reason)));
+        st.records
+            .insert(id, Record::Finished(JobCompletion::Cancelled(reason)));
         st.cancelled += 1;
         let depth = st.queue.len();
         let reg = preexec_obs::global();
@@ -431,7 +439,13 @@ impl<T: Send + 'static> Scheduler<T> {
             match st.records.get(&id) {
                 None => return None,
                 Some(Record::Finished(c)) => return Some(c.state()),
-                Some(_) => st = self.inner.done_cv.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(_) => {
+                    st = self
+                        .inner
+                        .done_cv
+                        .wait(st)
+                        .unwrap_or_else(PoisonError::into_inner)
+                }
             }
         }
     }
@@ -472,7 +486,11 @@ impl<T: Send + 'static> Scheduler<T> {
         st.accepting = false;
         self.inner.work_cv.notify_all();
         while !st.queue.is_empty() || st.busy > 0 {
-            st = self.inner.done_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = self
+                .inner
+                .done_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
@@ -517,11 +535,13 @@ fn worker_loop<T: Send + 'static>(inner: &SchedInner<T>) {
                 JobCompletion::Panicked(msg) => {
                     reg.counter("sched.failed").inc();
                     reg.counter("sched.panicked").inc();
-                    reg.journal().note("job_panicked", &format!("job {id}: {msg}"));
+                    reg.journal()
+                        .note("job_panicked", &format!("job {id}: {msg}"));
                 }
                 JobCompletion::Cancelled(e) => {
                     reg.counter("sched.cancelled").inc();
-                    reg.journal().note("job_cancelled", &format!("job {id}: {e}"));
+                    reg.journal()
+                        .note("job_cancelled", &format!("job {id}: {e}"));
                 }
             }
             st = lock(&inner.state);
@@ -539,7 +559,10 @@ fn worker_loop<T: Send + 'static>(inner: &SchedInner<T>) {
         } else if !st.accepting {
             return;
         } else {
-            st = inner.work_cv.wait(st).unwrap_or_else(PoisonError::into_inner);
+            st = inner
+                .work_cv
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 }
@@ -603,7 +626,9 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         for _ in 0..2 {
-            sched.submit(Box::new(|_| JobCompletion::Done(()))).expect("fills queue");
+            sched
+                .submit(Box::new(|_| JobCompletion::Done(())))
+                .expect("fills queue");
         }
         assert_eq!(
             sched.submit(Box::new(|_| JobCompletion::Done(()))),
@@ -618,7 +643,11 @@ mod tests {
     fn drain_finishes_queued_work_and_rejects_new() {
         let sched: Scheduler<u32> = Scheduler::new(2, 32);
         let ids: Vec<JobId> = (0..8)
-            .map(|i| sched.submit(Box::new(move |_| JobCompletion::Done(i))).expect("submit"))
+            .map(|i| {
+                sched
+                    .submit(Box::new(move |_| JobCompletion::Done(i)))
+                    .expect("submit")
+            })
             .collect();
         sched.drain();
         for id in ids {
@@ -689,7 +718,9 @@ mod tests {
         while sched.state(blocker) != Some(JobState::Running) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let queued = sched.submit(Box::new(|_| JobCompletion::Done(()))).expect("queued");
+        let queued = sched
+            .submit(Box::new(|_| JobCompletion::Done(())))
+            .expect("queued");
         assert_eq!(
             sched.cancel_queued(queued, PipelineError::Cancelled { stage: "queued" }),
             CancelOutcome::Dequeued
@@ -697,7 +728,9 @@ mod tests {
         assert_eq!(sched.state(queued), Some(JobState::Cancelled));
         assert!(matches!(
             sched.completion(queued),
-            Some(JobCompletion::Cancelled(PipelineError::Cancelled { stage: "queued" }))
+            Some(JobCompletion::Cancelled(PipelineError::Cancelled {
+                stage: "queued"
+            }))
         ));
         // A running job cannot be dequeued; an unknown id is unknown.
         assert_eq!(
@@ -753,7 +786,9 @@ mod tests {
         assert_eq!(sched.stats().queued, 3, "rejected batch admitted nothing");
         // A single job still fits the last slot, and an empty batch is a
         // no-op even at capacity.
-        sched.submit(Box::new(|_| JobCompletion::Done(0))).expect("single fits");
+        sched
+            .submit(Box::new(|_| JobCompletion::Done(0)))
+            .expect("single fits");
         assert_eq!(sched.submit_batch(Vec::new()), Ok(Vec::new()));
         gate.store(1, Ordering::SeqCst);
         sched.shutdown();
@@ -776,7 +811,9 @@ mod tests {
             .submit_replayed(3, Box::new(|_| JobCompletion::Done(300)))
             .expect("replay 3");
         // Fresh submissions allocate above the replayed maximum.
-        let fresh = sched.submit(Box::new(|_| JobCompletion::Done(800))).expect("fresh");
+        let fresh = sched
+            .submit(Box::new(|_| JobCompletion::Done(800)))
+            .expect("fresh");
         assert_eq!(fresh, 8);
         for (id, want) in [(7, 700), (3, 300), (8, 800)] {
             sched.wait(id);
@@ -796,7 +833,9 @@ mod tests {
         let sched: Scheduler<u64> = Scheduler::new(1, 4);
         sched.reserve_ids_through(5);
         sched.reserve_ids_through(2); // never moves backwards
-        let fresh = sched.submit(Box::new(|_| JobCompletion::Done(0))).expect("fresh");
+        let fresh = sched
+            .submit(Box::new(|_| JobCompletion::Done(0)))
+            .expect("fresh");
         assert_eq!(fresh, 6);
         sched.wait(fresh);
         sched.shutdown();
@@ -818,8 +857,12 @@ mod tests {
         while sched.state(blocker) != Some(JobState::Running) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let q1 = sched.submit(Box::new(|_| JobCompletion::Done(()))).expect("q1");
-        let q2 = sched.submit(Box::new(|_| JobCompletion::Done(()))).expect("q2");
+        let q1 = sched
+            .submit(Box::new(|_| JobCompletion::Done(())))
+            .expect("q1");
+        let q2 = sched
+            .submit(Box::new(|_| JobCompletion::Done(())))
+            .expect("q2");
         let (queued, running) = sched.pending_ids();
         assert_eq!(queued, vec![q1, q2]);
         assert_eq!(running, vec![blocker]);
@@ -891,9 +934,15 @@ mod tests {
             );
             for id in &ids {
                 let s = sched.state(*id).expect("known id");
-                assert!(s.is_terminal(), "seed {seed}: job {id} non-terminal after drain");
+                assert!(
+                    s.is_terminal(),
+                    "seed {seed}: job {id} non-terminal after drain"
+                );
             }
-            observer.join().expect("observer panicked").expect("state regression");
+            observer
+                .join()
+                .expect("observer panicked")
+                .expect("state regression");
             sched.shutdown();
         }
     }

@@ -172,7 +172,11 @@ impl Shared {
     /// pipeline under the cancel token, journals the terminal record
     /// *before* the scheduler exposes it, and feeds the admission
     /// gate's job-time estimate.
-    fn job_fn(self: &Arc<Shared>, spec: JobSpec, token: Arc<CancelToken>) -> crate::scheduler::JobFn<JobOutput> {
+    fn job_fn(
+        self: &Arc<Shared>,
+        spec: JobSpec,
+        token: Arc<CancelToken>,
+    ) -> crate::scheduler::JobFn<JobOutput> {
         let shared = Arc::clone(self);
         Box::new(move |id| {
             let start_index = crate::chaos::job_started();
@@ -189,7 +193,9 @@ impl Shared {
             let t0 = Instant::now();
             let par = Parallelism::new(shared.job_threads);
             let completion = run_job(&spec, &shared.cache, &shared.hists, par, Some(&token));
-            shared.admission.record_job_us(t0.elapsed().as_micros() as u64);
+            shared
+                .admission
+                .record_job_us(t0.elapsed().as_micros() as u64);
             if let Some(j) = &shared.journal {
                 match &completion {
                     JobCompletion::Done(out) => j.done(id, "done", &result_json(out)),
@@ -241,7 +247,11 @@ impl Server {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
         let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let workers = if config.workers == 0 { cores } else { config.workers };
+        let workers = if config.workers == 0 {
+            cores
+        } else {
+            config.workers
+        };
         let job_threads = if config.job_threads == 0 {
             (cores / workers).max(1)
         } else {
@@ -281,7 +291,10 @@ impl Server {
                     ),
                 );
             }
-            (Some(JobJournal::open(&journal_path, replay.next_seq)?), Some(replay))
+            (
+                Some(JobJournal::open(&journal_path, replay.next_seq)?),
+                Some(replay),
+            )
         } else {
             (None, None)
         };
@@ -362,7 +375,10 @@ impl Server {
             idle_timeout: Duration::from_millis(self.idle_timeout_ms.max(1)),
             ..crate::reactor::ReactorConfig::default()
         };
-        let mut handler = ReactorHandler { shared: Arc::clone(&self.shared), live: 0 };
+        let mut handler = ReactorHandler {
+            shared: Arc::clone(&self.shared),
+            live: 0,
+        };
         crate::reactor::run(self.listener, &mut handler, &cfg)?;
         // Graceful drain: finish queued + running jobs, then checkpoint
         // the WAL down to its minimal replay-equivalent form.
@@ -387,7 +403,9 @@ impl Server {
             handlers.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
             self.shared.connections_total.inc();
             let shared = Arc::clone(&self.shared);
-            handlers.push(std::thread::spawn(move || handle_connection(stream, &shared)));
+            handlers.push(std::thread::spawn(move || {
+                handle_connection(stream, &shared)
+            }));
             self.shared.handlers_live.set(handlers.len() as i64);
         }
         // Graceful drain: finish queued + running jobs, then collect the
@@ -416,9 +434,10 @@ fn compact_journal_on_exit(shared: &Shared) {
                 stats.bytes_before, stats.bytes_after, stats.records_after
             ),
         ),
-        Err(e) => preexec_obs::global()
-            .journal()
-            .note("wal_compact_failed", &format!("{}: {e}", j.path().display())),
+        Err(e) => preexec_obs::global().journal().note(
+            "wal_compact_failed",
+            &format!("{}: {e}", j.path().display()),
+        ),
     }
 }
 
@@ -443,7 +462,9 @@ impl crate::reactor::LineHandler for ReactorHandler {
             ("protocol_version", Json::num_u64(PROTOCOL_VERSION)),
             (
                 "error",
-                Json::str(format!("request line exceeds {limit} bytes without a newline")),
+                Json::str(format!(
+                    "request line exceeds {limit} bytes without a newline"
+                )),
             ),
             ("code", Json::str("line_too_long")),
         ])
@@ -495,7 +516,11 @@ fn replay_journal(shared: &Arc<Shared>, replay: &JournalReplay) -> (u64, u64) {
             Ok(spec) => {
                 let token = Arc::new(CancelToken::new(spec.policy.deadline_ms));
                 lock(&shared.tokens).insert(id, Arc::clone(&token));
-                if shared.sched.submit_replayed(id, shared.job_fn(spec, token)).is_ok() {
+                if shared
+                    .sched
+                    .submit_replayed(id, shared.job_fn(spec, token))
+                    .is_ok()
+                {
                     replayed += 1;
                 } else {
                     lock(&shared.tokens).remove(&id);
@@ -523,7 +548,9 @@ fn replay_journal(shared: &Arc<Shared>, replay: &JournalReplay) -> (u64, u64) {
         }
     }
     if replayed > 0 || restored > 0 {
-        preexec_obs::global().counter("journal.replayed_pending").add(replayed);
+        preexec_obs::global()
+            .counter("journal.replayed_pending")
+            .add(replayed);
         preexec_obs::global().journal().note(
             "journal_replay",
             &format!("re-enqueued {replayed} pending job(s), restored {restored} result(s)"),
@@ -627,7 +654,10 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
             }
             let journaled_spec = spec_json(&spec);
             let token = Arc::new(CancelToken::new(spec.policy.deadline_ms));
-            match shared.sched.submit(shared.job_fn(*spec, Arc::clone(&token))) {
+            match shared
+                .sched
+                .submit(shared.job_fn(*spec, Arc::clone(&token)))
+            {
                 Ok(id) => {
                     lock(&shared.tokens).insert(id, token);
                     // A fast worker may already have finished (its own
@@ -650,7 +680,10 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
             }
         }
         Request::Cancel(id) => {
-            match shared.sched.cancel_queued(id, PipelineError::Cancelled { stage: "queued" }) {
+            match shared
+                .sched
+                .cancel_queued(id, PipelineError::Cancelled { stage: "queued" })
+            {
                 CancelOutcome::Dequeued => {
                     if let Some(j) = &shared.journal {
                         j.cancelled(id, "cancelled while queued", "pipeline.cancelled");
@@ -720,32 +753,29 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
                     Some(term) => restored_response(id, term),
                     None => error_response(&ProtoError::UnknownJob(id)),
                 },
-                Some(state) => {
-                    error_response(&ProtoError::NotFinished { job: id, state: state.name() })
-                }
+                Some(state) => error_response(&ProtoError::NotFinished {
+                    job: id,
+                    state: state.name(),
+                }),
             },
             Some(completion) => {
                 let state = completion.state();
                 match completion {
-                    JobCompletion::Done(out) | JobCompletion::TimedOut(out) => {
-                        ok_response(vec![
-                            ("job", Json::num_u64(id)),
-                            ("state", Json::str(state.name())),
-                            ("result", result_json(&out)),
-                        ])
-                    }
+                    JobCompletion::Done(out) | JobCompletion::TimedOut(out) => ok_response(vec![
+                        ("job", Json::num_u64(id)),
+                        ("state", Json::str(state.name())),
+                        ("result", result_json(&out)),
+                    ]),
                     // A failed/cancelled job is a served request
                     // (`ok: true`) whose payload is an error; `code`
                     // preserves the PipelineError taxonomy that a bare
                     // string used to flatten away.
-                    JobCompletion::Failed(e) | JobCompletion::Cancelled(e) => {
-                        ok_response(vec![
-                            ("job", Json::num_u64(id)),
-                            ("state", Json::str(state.name())),
-                            ("error", Json::str(e.to_string())),
-                            ("code", Json::str(e.code())),
-                        ])
-                    }
+                    JobCompletion::Failed(e) | JobCompletion::Cancelled(e) => ok_response(vec![
+                        ("job", Json::num_u64(id)),
+                        ("state", Json::str(state.name())),
+                        ("error", Json::str(e.to_string())),
+                        ("code", Json::str(e.code())),
+                    ]),
                     JobCompletion::Panicked(msg) => ok_response(vec![
                         ("job", Json::num_u64(id)),
                         ("state", Json::str(state.name())),
@@ -786,7 +816,10 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
             // §15.2) — a batch cannot jump the soft wall by splitting
             // its head under the line.
             let stats = shared.sched.stats();
-            if let Err(over) = shared.admission.admit_batch(stats.queued, stats.running, specs.len())
+            if let Err(over) =
+                shared
+                    .admission
+                    .admit_batch(stats.queued, stats.running, specs.len())
             {
                 return error_response(&ProtoError::Overloaded(over));
             }
@@ -836,9 +869,7 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
                 Ok(()) => ok_response(vec![("stored", Json::Bool(true))]),
                 // A malformed payload is the *sender's* bug: reject it
                 // typed so the peer counts it and recomputes locally.
-                Err(RawStoreError::Invalid(why)) => {
-                    error_response(&ProtoError::ShardPayload(why))
-                }
+                Err(RawStoreError::Invalid(why)) => error_response(&ProtoError::ShardPayload(why)),
                 // Local disk trouble is ours: the request was well-formed,
                 // so answer ok but unstored — the peer keeps its copy.
                 Err(RawStoreError::Io(e)) => {
@@ -911,7 +942,10 @@ fn stats_response(shared: &Shared) -> Json {
         (
             "admission",
             Json::obj(vec![
-                ("high_water", Json::num_u64(shared.admission.high_water() as u64)),
+                (
+                    "high_water",
+                    Json::num_u64(shared.admission.high_water() as u64),
+                ),
                 ("mean_job_ms", Json::num_u64(shared.admission.mean_job_ms())),
                 ("shed", Json::num_u64(shared.admission.shed_total())),
             ]),
@@ -920,7 +954,10 @@ fn stats_response(shared: &Shared) -> Json {
             "journal",
             Json::obj(vec![
                 ("enabled", Json::Bool(shared.journal.is_some())),
-                ("restored", Json::num_u64(lock(&shared.restored).len() as u64)),
+                (
+                    "restored",
+                    Json::num_u64(lock(&shared.restored).len() as u64),
+                ),
             ]),
         ),
         ("screen", screen_stats_json()),
@@ -956,13 +993,22 @@ fn stats_response(shared: &Shared) -> Json {
 fn metrics_response() -> Json {
     let snap = preexec_obs::global().snapshot();
     let counters = Json::Obj(
-        snap.counters.iter().map(|(name, v)| (name.clone(), Json::num_u64(*v))).collect(),
+        snap.counters
+            .iter()
+            .map(|(name, v)| (name.clone(), Json::num_u64(*v)))
+            .collect(),
     );
     let gauges = Json::Obj(
-        snap.gauges.iter().map(|(name, v)| (name.clone(), Json::Num(*v as f64))).collect(),
+        snap.gauges
+            .iter()
+            .map(|(name, v)| (name.clone(), Json::Num(*v as f64)))
+            .collect(),
     );
     let histograms = Json::Obj(
-        snap.histograms.iter().map(|(name, h)| (name.clone(), histogram_json(h))).collect(),
+        snap.histograms
+            .iter()
+            .map(|(name, h)| (name.clone(), histogram_json(h)))
+            .collect(),
     );
     let events = Json::Arr(
         snap.events

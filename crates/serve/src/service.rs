@@ -17,13 +17,11 @@
 //! against one trace.
 
 use crate::cache::TraceKey;
-use crate::shard::ShardedCache;
 use crate::histogram::{histogram_json, Histogram};
 use crate::scheduler::JobCompletion;
+use crate::shard::ShardedCache;
 use preexec_core::par::{ParStats, Parallelism};
-use preexec_experiments::{
-    Pipeline, PipelineConfig, PipelineError, PipelineResult, PolicySpec,
-};
+use preexec_experiments::{Pipeline, PipelineConfig, PipelineError, PipelineResult, PolicySpec};
 use preexec_workloads::{by_name, InputSet, Workload};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -66,11 +64,13 @@ impl JobSpec {
                 workload_name: workload_name.to_string(),
                 workload,
                 input,
-                policy: PolicySpec { cfg, ..PolicySpec::default() },
+                policy: PolicySpec {
+                    cfg,
+                    ..PolicySpec::default()
+                },
             }),
             None => {
-                let names: Vec<&str> =
-                    preexec_workloads::suite().iter().map(|w| w.name).collect();
+                let names: Vec<&str> = preexec_workloads::suite().iter().map(|w| w.name).collect();
                 Err(format!(
                     "unknown workload `{workload_name}`; available: {}",
                     names.join(", ")
@@ -119,8 +119,7 @@ impl CancelToken {
     pub fn new(deadline_ms: Option<u64>) -> CancelToken {
         CancelToken {
             cancelled: AtomicBool::new(false),
-            deadline: deadline_ms
-                .map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
+            deadline: deadline_ms.map(|ms| Instant::now() + std::time::Duration::from_millis(ms)),
         }
     }
 
@@ -191,14 +190,21 @@ impl ParCounters {
         fn stage(wall: &AtomicU64, busy: &AtomicU64) -> crate::json::Json {
             let wall = wall.load(Ordering::Relaxed);
             let busy = busy.load(Ordering::Relaxed);
-            let speedup = if wall == 0 { 1.0 } else { busy as f64 / wall as f64 };
+            let speedup = if wall == 0 {
+                1.0
+            } else {
+                busy as f64 / wall as f64
+            };
             crate::json::Json::obj(vec![
                 ("wall_us", crate::json::Json::num_u64(wall)),
                 ("busy_us", crate::json::Json::num_u64(busy)),
                 ("speedup", crate::json::Json::Num(speedup)),
             ])
         }
-        crate::json::Json::obj(vec![("select", stage(&self.select_wall_us, &self.select_busy_us))])
+        crate::json::Json::obj(vec![(
+            "select",
+            stage(&self.select_wall_us, &self.select_busy_us),
+        )])
     }
 }
 
@@ -331,9 +337,9 @@ pub fn run_job(
         };
     let out = match pipe.run() {
         Ok(out) => out,
-        Err(
-            e @ (PipelineError::Cancelled { .. } | PipelineError::DeadlineExceeded { .. }),
-        ) => return JobCompletion::Cancelled(e),
+        Err(e @ (PipelineError::Cancelled { .. } | PipelineError::DeadlineExceeded { .. })) => {
+            return JobCompletion::Cancelled(e)
+        }
         Err(e) => return JobCompletion::Failed(e),
     };
     if !cache_hit && cacheable {
@@ -390,8 +396,10 @@ mod tests {
     use std::path::PathBuf;
 
     fn tmp_dir(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir()
-            .join(format!("preexec-serve-service-{}-{name}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!(
+            "preexec-serve-service-{}-{name}",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -401,7 +409,8 @@ mod tests {
     /// the parallel test runner.
     fn isolated_cache(dir: &PathBuf, max_entries: usize) -> (ShardedCache, Registry) {
         let registry = Registry::new();
-        let cache = ShardedCache::local_only(ArtifactCache::with_registry(dir, max_entries, &registry));
+        let cache =
+            ShardedCache::local_only(ArtifactCache::with_registry(dir, max_entries, &registry));
         (cache, registry)
     }
 
@@ -433,8 +442,7 @@ mod tests {
         assert!(second.cache_hit, "identical resubmit must hit the cache");
         assert_eq!(second.stage_us.trace, 0, "hit performs no trace work");
 
-        let direct =
-            try_run_pipeline(&spec.workload.build(spec.input), &cfg).expect("direct run");
+        let direct = try_run_pipeline(&spec.workload.build(spec.input), &cfg).expect("direct run");
         for r in [&first.result, &second.result] {
             assert_eq!(r.base.cycles, direct.base.cycles);
             assert_eq!(r.base.insts, direct.base.insts);
@@ -472,8 +480,11 @@ mod tests {
             .map(|e| e.path())
             .find(|p| p.extension().is_some_and(|x| x == "slices"))
             .expect("cached slices file");
-        std::fs::write(&slices, "preexec-slices version=2 checksum=0000000000000000\ngarbage\n")
-            .expect("corrupt");
+        std::fs::write(
+            &slices,
+            "preexec-slices version=2 checksum=0000000000000000\ngarbage\n",
+        )
+        .expect("corrupt");
         let again = match run_job(&spec, &cache, &hists, Parallelism::new(2), None) {
             JobCompletion::Done(out) => out,
             other => panic!("rerun after corruption: {:?}", other.state()),
@@ -519,7 +530,10 @@ mod tests {
         let dir = tmp_dir("invalid");
         let cache = ShardedCache::local_only(ArtifactCache::new(&dir, 8));
         let hists = StageHists::new();
-        let cfg = PipelineConfig { budget: 0, ..PipelineConfig::paper_default(1) };
+        let cfg = PipelineConfig {
+            budget: 0,
+            ..PipelineConfig::paper_default(1)
+        };
         let spec = JobSpec::new("mcf", InputSet::Train, cfg).expect("spec");
         match run_job(&spec, &cache, &hists, Parallelism::serial(), None) {
             JobCompletion::Failed(e) => {

@@ -121,15 +121,16 @@ const PEER_IO_TIMEOUT: Duration = Duration::from_millis(2_000);
 
 impl PeerClient {
     fn new(addr: String) -> PeerClient {
-        PeerClient { addr, conn: Mutex::new(None) }
+        PeerClient {
+            addr,
+            conn: Mutex::new(None),
+        }
     }
 
     fn connect(&self) -> io::Result<BufReader<TcpStream>> {
-        let addr = self
-            .addr
-            .to_socket_addrs()?
-            .next()
-            .ok_or_else(|| io::Error::other(format!("peer address resolves to nothing: {}", self.addr)))?;
+        let addr = self.addr.to_socket_addrs()?.next().ok_or_else(|| {
+            io::Error::other(format!("peer address resolves to nothing: {}", self.addr))
+        })?;
         let stream = TcpStream::connect_timeout(&addr, PEER_CONNECT_TIMEOUT)?;
         stream.set_read_timeout(Some(PEER_IO_TIMEOUT))?;
         stream.set_write_timeout(Some(PEER_IO_TIMEOUT))?;
@@ -173,10 +174,17 @@ impl PeerClient {
         let mut resp = String::new();
         let n = conn.read_line(&mut resp)?;
         if n == 0 {
-            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "peer closed connection"));
+            return Err(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                "peer closed connection",
+            ));
         }
-        Json::parse(resp.trim())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("peer sent bad JSON: {e}")))
+        Json::parse(resp.trim()).map_err(|e| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("peer sent bad JSON: {e}"),
+            )
+        })
     }
 
     /// Fetches the raw artifact texts for `digest` from this peer.
@@ -186,13 +194,18 @@ impl PeerClient {
         if resp.get("ok").and_then(Json::as_bool) != Some(true) {
             return Err(io::Error::other(format!(
                 "peer refused cache_get: {}",
-                resp.get("error").and_then(Json::as_str).unwrap_or("no error message")
+                resp.get("error")
+                    .and_then(Json::as_str)
+                    .unwrap_or("no error message")
             )));
         }
         if resp.get("hit").and_then(Json::as_bool) != Some(true) {
             return Ok(None);
         }
-        let slices = resp.get("slices").and_then(Json::as_str).map(str::to_string);
+        let slices = resp
+            .get("slices")
+            .and_then(Json::as_str)
+            .map(str::to_string);
         let stats = resp.get("stats").and_then(Json::as_str).map(str::to_string);
         match (slices, stats) {
             (Some(s), Some(t)) => Ok(Some((s, t))),
@@ -216,7 +229,9 @@ impl PeerClient {
         if resp.get("ok").and_then(Json::as_bool) != Some(true) {
             return Err(io::Error::other(format!(
                 "peer refused cache_put: {}",
-                resp.get("error").and_then(Json::as_str).unwrap_or("no error message")
+                resp.get("error")
+                    .and_then(Json::as_str)
+                    .unwrap_or("no error message")
             )));
         }
         // `ok` without `stored` means the owner's disk rejected the
@@ -272,7 +287,11 @@ impl ShardedCache {
         ShardedCache::build(local, Some(topology), registry)
     }
 
-    fn build(local: ArtifactCache, topology: Option<Topology>, registry: &Registry) -> ShardedCache {
+    fn build(
+        local: ArtifactCache,
+        topology: Option<Topology>,
+        registry: &Registry,
+    ) -> ShardedCache {
         ShardedCache {
             local,
             topology,
@@ -292,7 +311,9 @@ impl ShardedCache {
 
     /// `(self_index, shard_count)` when sharded.
     pub fn shard_info(&self) -> Option<(usize, usize)> {
-        self.topology.as_ref().map(|t| (t.self_index, t.ring.shards()))
+        self.topology
+            .as_ref()
+            .map(|t| (t.self_index, t.ring.shards()))
     }
 
     /// A snapshot of the peer-traffic counters.
@@ -323,8 +344,9 @@ impl ShardedCache {
                 // The bytes crossed a network: validate exactly like a
                 // local disk read before trusting them.
                 let recovered = read_forest_lenient(&slices);
-                let stats =
-                    Json::parse(&stats_text).ok().and_then(|j| stats_from_json(&j));
+                let stats = Json::parse(&stats_text)
+                    .ok()
+                    .and_then(|j| stats_from_json(&j));
                 match (recovered.is_clean(), stats) {
                     (true, Some(stats)) => {
                         self.peer_hits.inc();
@@ -420,7 +442,11 @@ mod tests {
             let owner = ring.owner(digest);
             assert!(owner < 3);
             assert_eq!(owner, ring.owner(digest), "owner must be stable");
-            assert_eq!(owner, HashRing::new(3, DEFAULT_VNODES).owner(digest), "ring rebuild");
+            assert_eq!(
+                owner,
+                HashRing::new(3, DEFAULT_VNODES).owner(digest),
+                "ring rebuild"
+            );
         }
     }
 

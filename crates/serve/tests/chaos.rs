@@ -45,8 +45,7 @@ struct Daemon {
 fn unique_dir(name: &str) -> std::path::PathBuf {
     static SPAWNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
     let n = SPAWNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    let dir = std::env::temp_dir()
-        .join(format!("preexec-chaos-{name}-{}-{n}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("preexec-chaos-{name}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }
@@ -57,10 +56,15 @@ impl Daemon {
     /// args and a `PREEXEC_CHAOS` value (`""` = no injection).
     fn spawn(cache_dir: &std::path::Path, args: &[&str], chaos: &str) -> Daemon {
         let mut cmd = Command::new(env!("CARGO_BIN_EXE_preexecd"));
-        cmd.args(["--port", "0", "--cache-dir", cache_dir.to_str().expect("utf-8 dir")])
-            .args(args)
-            .stdout(Stdio::piped())
-            .stderr(Stdio::inherit());
+        cmd.args([
+            "--port",
+            "0",
+            "--cache-dir",
+            cache_dir.to_str().expect("utf-8 dir"),
+        ])
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::inherit());
         if chaos.is_empty() {
             cmd.env_remove("PREEXEC_CHAOS");
         } else {
@@ -70,13 +74,19 @@ impl Daemon {
         let stdout = child.stdout.take().expect("piped stdout");
         let mut reader = BufReader::new(stdout);
         let mut first_line = String::new();
-        reader.read_line(&mut first_line).expect("reading the announce line");
+        reader
+            .read_line(&mut first_line)
+            .expect("reading the announce line");
         let addr = first_line
             .trim()
             .strip_prefix("preexecd listening on ")
             .unwrap_or_else(|| panic!("unexpected announce line: {first_line:?}"))
             .to_string();
-        Daemon { child, addr, _stdout: reader }
+        Daemon {
+            child,
+            addr,
+            _stdout: reader,
+        }
     }
 
     fn connect(&self) -> Conn {
@@ -131,7 +141,9 @@ struct Conn {
 
 impl Conn {
     fn roundtrip(&mut self, request: &str) -> Json {
-        self.stream.write_all(format!("{request}\n").as_bytes()).expect("send");
+        self.stream
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send");
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("recv");
         Json::parse(line.trim()).expect("response parses")
@@ -149,8 +161,9 @@ impl Conn {
     }
 
     fn submit(&mut self, workload: &str, budget: u64) -> u64 {
-        let resp =
-            self.ok(&format!(r#"{{"cmd":"submit","workload":"{workload}","budget":{budget}}}"#));
+        let resp = self.ok(&format!(
+            r#"{{"cmd":"submit","workload":"{workload}","budget":{budget}}}"#
+        ));
         resp.get("job").and_then(Json::as_u64).expect("job id")
     }
 
@@ -159,7 +172,11 @@ impl Conn {
         let deadline = Instant::now() + Duration::from_secs(300);
         loop {
             let resp = self.ok(&format!(r#"{{"cmd":"status","job":{job}}}"#));
-            let state = resp.get("state").and_then(Json::as_str).expect("state").to_string();
+            let state = resp
+                .get("state")
+                .and_then(Json::as_str)
+                .expect("state")
+                .to_string();
             match state.as_str() {
                 "queued" | "running" => {
                     assert!(Instant::now() < deadline, "job {job} stuck in {state}");
@@ -212,7 +229,10 @@ fn reference_results(batch: &[(&str, u64)]) -> Vec<String> {
 fn assert_wal_invariants(path: &std::path::Path) {
     let text = std::fs::read_to_string(path).expect("reading the WAL");
     let violations = check_invariants(&text);
-    assert!(violations.is_empty(), "WAL invariant violations: {violations:?}");
+    assert!(
+        violations.is_empty(),
+        "WAL invariant violations: {violations:?}"
+    );
 }
 
 /// The tentpole proof: SIGKILL the daemon mid-batch, restart it on the
@@ -277,8 +297,10 @@ fn overload_sheds_typed_errors_and_keeps_the_queue_bounded() {
     let mut admitted = 0u64;
     let mut shed = 0u64;
     for i in 0..10 {
-        let resp = conn
-            .roundtrip(&format!(r#"{{"cmd":"submit","workload":"vpr.r","budget":{}}}"#, 40_000 + i));
+        let resp = conn.roundtrip(&format!(
+            r#"{{"cmd":"submit","workload":"vpr.r","budget":{}}}"#,
+            40_000 + i
+        ));
         if resp.get("ok").and_then(Json::as_bool) == Some(true) {
             admitted += 1;
         } else {
@@ -287,9 +309,14 @@ fn overload_sheds_typed_errors_and_keeps_the_queue_bounded() {
                 .get("retry_after_ms")
                 .and_then(Json::as_u64)
                 .expect("overloaded rejection must carry retry_after_ms");
-            assert!((25..=30_000).contains(&hint), "hint {hint} outside the clamp band");
             assert!(
-                resp.get("error").and_then(Json::as_str).is_some_and(|e| e.contains("overloaded")),
+                (25..=30_000).contains(&hint),
+                "hint {hint} outside the clamp band"
+            );
+            assert!(
+                resp.get("error")
+                    .and_then(Json::as_str)
+                    .is_some_and(|e| e.contains("overloaded")),
                 "{}",
                 resp.encode()
             );
@@ -303,7 +330,10 @@ fn overload_sheds_typed_errors_and_keeps_the_queue_bounded() {
         );
     }
     assert!(admitted >= 1, "nothing was admitted");
-    assert!(shed >= 1, "nothing was shed — the flood never hit the high-water mark");
+    assert!(
+        shed >= 1,
+        "nothing was shed — the flood never hit the high-water mark"
+    );
     let stats = conn.ok(r#"{"cmd":"stats"}"#);
     assert_eq!(u64_field(&stats, &["admission", "shed"]), shed);
     assert_eq!(u64_field(&stats, &["admission", "high_water"]), 3);
@@ -350,7 +380,10 @@ fn cancel_verb_and_deadlines_stop_jobs_with_typed_codes() {
     assert_eq!(resp.get("cancelling").and_then(Json::as_bool), Some(false));
     let resp = conn.ok(&format!(r#"{{"cmd":"result","job":{queued}}}"#));
     assert_eq!(resp.get("state").and_then(Json::as_str), Some("cancelled"));
-    assert_eq!(resp.get("code").and_then(Json::as_str), Some("pipeline.cancelled"));
+    assert_eq!(
+        resp.get("code").and_then(Json::as_str),
+        Some("pipeline.cancelled")
+    );
 
     // Cancel the running job: acknowledged as "cancelling", then it
     // stops at the next stage boundary.
@@ -359,7 +392,10 @@ fn cancel_verb_and_deadlines_stop_jobs_with_typed_codes() {
         assert_eq!(resp.get("cancelling").and_then(Json::as_bool), Some(true));
         assert_eq!(conn.wait_terminal(running), "cancelled");
         let resp = conn.ok(&format!(r#"{{"cmd":"status","job":{running}}}"#));
-        assert_eq!(resp.get("code").and_then(Json::as_str), Some("pipeline.cancelled"));
+        assert_eq!(
+            resp.get("code").and_then(Json::as_str),
+            Some("pipeline.cancelled")
+        );
     }
     // (If the job beat the cancel to the finish line the verb reports
     // its terminal state instead — also correct, just not the race this
@@ -381,7 +417,11 @@ fn cancel_verb_and_deadlines_stop_jobs_with_typed_codes() {
     assert_eq!(resp.get("state").and_then(Json::as_str), Some("cancelled"));
 
     let stats = conn.ok(r#"{"cmd":"stats"}"#);
-    assert!(u64_field(&stats, &["jobs", "cancelled"]) >= 2, "{}", stats.encode());
+    assert!(
+        u64_field(&stats, &["jobs", "cancelled"]) >= 2,
+        "{}",
+        stats.encode()
+    );
 
     // Drain accounting: submit one more slow job, then shut down while
     // it is still in flight — the response must say what the daemon
@@ -389,9 +429,12 @@ fn cancel_verb_and_deadlines_stop_jobs_with_typed_codes() {
     let parting = conn.submit("mcf", 33_000);
     drop(conn);
     let drain = daemon.shutdown();
-    let owed =
-        u64_field(&drain, &["queued_jobs"]) + u64_field(&drain, &["running_jobs"]);
-    assert!(owed >= 1, "drain reported nothing in flight: {}", drain.encode());
+    let owed = u64_field(&drain, &["queued_jobs"]) + u64_field(&drain, &["running_jobs"]);
+    assert!(
+        owed >= 1,
+        "drain reported nothing in flight: {}",
+        drain.encode()
+    );
     let replay = preexec_serve::JournalReplay::from_text(
         &std::fs::read_to_string(dir.join("preexecd.wal")).expect("read WAL"),
     );
@@ -416,7 +459,10 @@ fn worker_panic_mid_job_is_contained_and_rerun_on_restart() {
     let victim = conn.submit("vpr.r", 30_000);
     assert_eq!(conn.wait_terminal(victim), "failed");
     let resp = conn.ok(&format!(r#"{{"cmd":"status","job":{victim}}}"#));
-    assert_eq!(resp.get("code").and_then(Json::as_str), Some("job_panicked"));
+    assert_eq!(
+        resp.get("code").and_then(Json::as_str),
+        Some("job_panicked")
+    );
 
     // The daemon survived its worker: it still serves new work.
     let after = conn.submit("mcf", 30_000);
@@ -429,7 +475,11 @@ fn worker_panic_mid_job_is_contained_and_rerun_on_restart() {
     // re-enqueues and finishes it.
     let daemon = Daemon::spawn(&dir, &["--workers", "1"], "");
     let mut conn = daemon.connect();
-    assert_eq!(conn.wait_terminal(victim), "done", "panicked job was not re-run");
+    assert_eq!(
+        conn.wait_terminal(victim),
+        "done",
+        "panicked job was not re-run"
+    );
     let result = conn.result(victim);
     assert_eq!(result.get("workload").and_then(Json::as_str), Some("vpr.r"));
     // The finished job from before the restart is served from the
@@ -477,7 +527,10 @@ fn corrupt_and_torn_journals_are_tolerated_on_replay() {
         assert_eq!(canonical_result(&conn.result(done_id)), done_canon);
     }
     let fresh = conn.submit("mcf", 30_000);
-    assert!(fresh > done_id, "fresh id {fresh} collides with replayed id space");
+    assert!(
+        fresh > done_id,
+        "fresh id {fresh} collides with replayed id space"
+    );
     assert_eq!(conn.wait_terminal(fresh), "done");
     drop(conn);
     daemon.shutdown();
@@ -510,8 +563,14 @@ fn pre_v7_journal_specs_replay_or_fail_typed() {
 
     assert_eq!(conn.wait_terminal(2), "failed");
     let status = conn.ok(r#"{"cmd":"status","job":2}"#);
-    assert_eq!(status.get("code").and_then(Json::as_str), Some("replay_unparseable"));
-    let error = status.get("error").and_then(Json::as_str).expect("error message");
+    assert_eq!(
+        status.get("code").and_then(Json::as_str),
+        Some("replay_unparseable")
+    );
+    let error = status
+        .get("error")
+        .and_then(Json::as_str)
+        .expect("error message");
     assert!(error.contains("deadline_ms"), "{error}");
     drop(conn);
     daemon.shutdown();
@@ -582,6 +641,10 @@ fn fifty_job_kill_and_recover_smoke() {
     daemon.shutdown();
     assert_wal_invariants(&dir.join("preexecd.wal"));
 
-    assert_eq!(recovered, reference_results(&batch), "recovery diverged from the serial run");
+    assert_eq!(
+        recovered,
+        reference_results(&batch),
+        "recovery diverged from the serial run"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -27,8 +27,8 @@ impl Daemon {
         // daemons.
         static SPAWNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let n = SPAWNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let cache_dir = std::env::temp_dir()
-            .join(format!("preexec-daemon-test-{}-{n}", std::process::id()));
+        let cache_dir =
+            std::env::temp_dir().join(format!("preexec-daemon-test-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache_dir);
         let mut child = Command::new(env!("CARGO_BIN_EXE_preexecd"))
             .args([
@@ -54,7 +54,11 @@ impl Daemon {
             .strip_prefix("preexecd listening on ")
             .unwrap_or_else(|| panic!("unexpected announce line: {first_line:?}"))
             .to_string();
-        Daemon { child, addr, cache_dir }
+        Daemon {
+            child,
+            addr,
+            cache_dir,
+        }
     }
 
     fn connect(&self) -> Conn {
@@ -143,9 +147,10 @@ impl Conn {
 fn u64_field(json: &Json, path: &[&str]) -> u64 {
     let mut cur = json.clone();
     for key in path {
-        cur = cur.get(key).cloned().unwrap_or_else(|| {
-            panic!("missing `{}` in {}", path.join("."), json.encode())
-        });
+        cur = cur
+            .get(key)
+            .cloned()
+            .unwrap_or_else(|| panic!("missing `{}` in {}", path.join("."), json.encode()));
     }
     cur.as_u64()
         .unwrap_or_else(|| panic!("`{}` not a u64 in {}", path.join("."), json.encode()))
@@ -173,8 +178,7 @@ fn daemon_serves_jobs_caches_repeats_and_shuts_down() {
     for (job, name) in [(job_vpr, "vpr.r"), (job_mcf, "mcf")] {
         let served = conn.result(job);
         let workload = by_name(name).expect("suite workload");
-        let direct =
-            try_run_pipeline(&workload.build(InputSet::Train), &cfg).expect("direct run");
+        let direct = try_run_pipeline(&workload.build(InputSet::Train), &cfg).expect("direct run");
         assert_eq!(
             served.get("workload").and_then(Json::as_str),
             Some(name),
@@ -207,7 +211,10 @@ fn daemon_serves_jobs_caches_repeats_and_shuts_down() {
     assert_eq!(served.get("cache_hit").and_then(Json::as_bool), Some(true));
     let workload = by_name("vpr.r").expect("suite workload");
     let direct = try_run_pipeline(&workload.build(InputSet::Train), &cfg).expect("direct");
-    assert_eq!(u64_field(&served, &["assisted", "cycles"]), direct.assisted.cycles);
+    assert_eq!(
+        u64_field(&served, &["assisted", "cycles"]),
+        direct.assisted.cycles
+    );
     assert_eq!(u64_field(&served, &["stage_us", "trace"]), 0);
 
     // Service stats reflect the work: three done jobs, one cache hit.
@@ -217,7 +224,10 @@ fn daemon_serves_jobs_caches_repeats_and_shuts_down() {
     assert_eq!(u64_field(&stats, &["cache", "hits"]), 1);
     assert_eq!(u64_field(&stats, &["cache", "misses"]), 2);
     assert!(
-        stats.get("stage_latency_us").and_then(|h| h.get("base_sim")).is_some(),
+        stats
+            .get("stage_latency_us")
+            .and_then(|h| h.get("base_sim"))
+            .is_some(),
         "{}",
         stats.encode()
     );
@@ -229,7 +239,10 @@ fn daemon_serves_jobs_caches_repeats_and_shuts_down() {
 
     // Shutdown drains and the process exits cleanly.
     let resp = conn.ok(r#"{"cmd":"shutdown"}"#);
-    assert_eq!(resp.get("shutting_down").and_then(Json::as_bool), Some(true));
+    assert_eq!(
+        resp.get("shutting_down").and_then(Json::as_bool),
+        Some(true)
+    );
     drop(conn);
     drop(conn2);
     daemon.wait_for_exit();
@@ -259,7 +272,10 @@ fn metrics_verb_reports_the_registry_and_prometheus_text() {
     assert!(u64_field(&metrics, &["counters", "server.connections"]) >= 1);
     assert!(u64_field(&metrics, &["histograms", "stage.base_sim", "count"]) >= 1);
     assert!(
-        metrics.get("gauges").and_then(|g| g.get("sched.queue_depth")).is_some(),
+        metrics
+            .get("gauges")
+            .and_then(|g| g.get("sched.queue_depth"))
+            .is_some(),
         "{}",
         metrics.encode()
     );
@@ -280,7 +296,10 @@ fn metrics_verb_reports_the_registry_and_prometheus_text() {
         "preexec_sched_done_total",
         "preexec_sched_queue_depth",
     ] {
-        assert!(text.contains(series), "missing series `{series}` in:\n{text}");
+        assert!(
+            text.contains(series),
+            "missing series `{series}` in:\n{text}"
+        );
     }
 
     let _ = conn.ok(r#"{"cmd":"shutdown"}"#);
@@ -311,7 +330,10 @@ fn handler_threads_are_reaped_across_many_connections() {
         let mut conn = daemon.connect();
         let stats = conn.ok(r#"{"cmd":"stats"}"#);
         let total = u64_field(&stats, &["connections", "total"]);
-        assert!(total > SHORT_LIVED, "accept loop missed connections: {total}");
+        assert!(
+            total > SHORT_LIVED,
+            "accept loop missed connections: {total}"
+        );
         let live = u64_field(&stats, &["connections", "live_handlers"]);
         if live <= 4 {
             break live;
@@ -322,7 +344,10 @@ fn handler_threads_are_reaped_across_many_connections() {
         );
         std::thread::sleep(Duration::from_millis(100));
     };
-    assert!(live <= 4, "{live} handlers live after {SHORT_LIVED} short connections");
+    assert!(
+        live <= 4,
+        "{live} handlers live after {SHORT_LIVED} short connections"
+    );
 
     let mut conn = daemon.connect();
     conn.ok(r#"{"cmd":"shutdown"}"#);

@@ -40,8 +40,11 @@ fn scalar_strategy() -> impl Strategy<Value = Json> {
 fn container_strategy() -> impl Strategy<Value = Json> {
     prop_oneof![
         prop::collection::vec(scalar_strategy(), 0..6).prop_map(Json::Arr),
-        (prop::collection::vec(string_strategy(), 0..4), scalar_strategy()).prop_map(
-            |(keys, v)| {
+        (
+            prop::collection::vec(string_strategy(), 0..4),
+            scalar_strategy()
+        )
+            .prop_map(|(keys, v)| {
                 Json::Obj(
                     keys.into_iter()
                         .enumerate()
@@ -51,8 +54,7 @@ fn container_strategy() -> impl Strategy<Value = Json> {
                         .map(|(i, k)| (format!("{i}:{k}"), v.clone()))
                         .collect(),
                 )
-            }
-        ),
+            }),
     ]
 }
 

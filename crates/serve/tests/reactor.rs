@@ -20,8 +20,8 @@ impl Daemon {
     fn spawn(extra_args: &[&str]) -> Daemon {
         static SPAWNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let n = SPAWNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let cache_dir = std::env::temp_dir()
-            .join(format!("preexec-reactor-test-{}-{n}", std::process::id()));
+        let cache_dir =
+            std::env::temp_dir().join(format!("preexec-reactor-test-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache_dir);
         let mut args = vec![
             "--port",
@@ -48,7 +48,11 @@ impl Daemon {
             .strip_prefix("preexecd listening on ")
             .unwrap_or_else(|| panic!("unexpected announce line: {first_line:?}"))
             .to_string();
-        Daemon { child, addr, cache_dir }
+        Daemon {
+            child,
+            addr,
+            cache_dir,
+        }
     }
 
     fn connect(&self) -> TcpStream {
@@ -57,9 +61,12 @@ impl Daemon {
 
     fn shutdown_and_wait(mut self) {
         let mut conn = self.connect();
-        conn.write_all(b"{\"cmd\":\"shutdown\"}\n").expect("send shutdown");
+        conn.write_all(b"{\"cmd\":\"shutdown\"}\n")
+            .expect("send shutdown");
         let mut line = String::new();
-        BufReader::new(conn).read_line(&mut line).expect("shutdown ack");
+        BufReader::new(conn)
+            .read_line(&mut line)
+            .expect("shutdown ack");
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
             match self.child.try_wait().expect("try_wait") {
@@ -115,7 +122,9 @@ fn pipelined_requests_answer_in_order_with_ids_echoed() {
 
     // The burst shows up in the pipelined-depth histogram (>= 1 sample;
     // kernel batching decides how many lines share a readiness event).
-    writer.write_all(b"{\"cmd\":\"metrics\"}\n").expect("metrics");
+    writer
+        .write_all(b"{\"cmd\":\"metrics\"}\n")
+        .expect("metrics");
     let mut line = String::new();
     reader.read_line(&mut line).expect("metrics line");
     let metrics = Json::parse(line.trim()).expect("metrics parses");
@@ -145,7 +154,9 @@ fn a_request_split_across_many_writes_reassembles() {
         std::thread::sleep(Duration::from_millis(20));
     }
     let mut line = String::new();
-    BufReader::new(stream).read_line(&mut line).expect("response");
+    BufReader::new(stream)
+        .read_line(&mut line)
+        .expect("response");
     let resp = Json::parse(line.trim()).expect("parses");
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{line}");
     assert_eq!(resp.get("id").and_then(Json::as_u64), Some(7), "{line}");
@@ -171,12 +182,19 @@ fn slow_loris_is_cut_off_but_a_quiet_idle_connection_survives() {
         .set_read_timeout(Some(Duration::from_secs(30)))
         .expect("read timeout");
     let n = loris.read_to_end(&mut buf).expect("loris read");
-    assert_eq!(n, 0, "loris expected EOF, got {:?}", String::from_utf8_lossy(&buf));
+    assert_eq!(
+        n,
+        0,
+        "loris expected EOF, got {:?}",
+        String::from_utf8_lossy(&buf)
+    );
 
     // Well past the timeout, the idler still gets answers.
     let mut reader = BufReader::new(idler.try_clone().expect("clone"));
     let mut idler_w = idler;
-    idler_w.write_all(b"{\"cmd\":\"stats\"}\n").expect("idler write");
+    idler_w
+        .write_all(b"{\"cmd\":\"stats\"}\n")
+        .expect("idler write");
     let mut line = String::new();
     reader.read_line(&mut line).expect("idler response");
     let resp = Json::parse(line.trim()).expect("parses");

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use preexec_experiments::PipelineConfig;
-use preexec_serve::{HashRing, Json, JobSpec, DEFAULT_VNODES};
+use preexec_serve::{HashRing, JobSpec, Json, DEFAULT_VNODES};
 use preexec_workloads::InputSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream};
@@ -67,7 +67,9 @@ impl Cluster {
                 .expect("spawning shard");
             let stdout = child.stdout.take().expect("piped stdout");
             let mut announce = String::new();
-            BufReader::new(stdout).read_line(&mut announce).expect("announce");
+            BufReader::new(stdout)
+                .read_line(&mut announce)
+                .expect("announce");
             assert!(
                 announce.starts_with("preexecd listening on "),
                 "shard {i}: {announce:?}"
@@ -75,7 +77,11 @@ impl Cluster {
             children.push(child);
             dirs.push(dir);
         }
-        Cluster { children, addrs, dirs }
+        Cluster {
+            children,
+            addrs,
+            dirs,
+        }
     }
 
     fn connect(&self, shard: usize) -> Conn {
@@ -130,7 +136,9 @@ struct Conn {
 
 impl Conn {
     fn send(&mut self, request: &str) {
-        self.stream.write_all(format!("{request}\n").as_bytes()).expect("send");
+        self.stream
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send");
     }
 
     fn recv(&mut self) -> Json {
@@ -298,7 +306,10 @@ fn a_pipelined_flood_across_three_shards_is_byte_identical_to_serial() {
             "submit acks out of order: {}",
             resp.encode()
         );
-        job_of.push((i % SHARDS, resp.get("job").and_then(Json::as_u64).expect("job")));
+        job_of.push((
+            i % SHARDS,
+            resp.get("job").and_then(Json::as_u64).expect("job"),
+        ));
     }
 
     // Drain: shard 0 additionally ran the serial seed jobs.

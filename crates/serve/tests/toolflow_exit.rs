@@ -40,11 +40,24 @@ fn one_failed_job_fails_the_whole_run_without_masking_sibling_output() {
 
     // The run fails with the failing job's code — success of vpr.r must
     // not mask it.
-    assert_eq!(out.status.code(), Some(3), "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert_eq!(
+        out.status.code(),
+        Some(3),
+        "stdout:\n{stdout}\nstderr:\n{stderr}"
+    );
     // ... and the failing job must not swallow the good job's report.
-    assert!(stdout.contains("vpr.r: traced"), "good job's output missing:\n{stdout}");
-    assert!(stderr.contains("mcf.slices"), "failing job's diagnostic missing:\n{stderr}");
-    assert!(!stdout.contains("mcf: traced"), "failed job reported success:\n{stdout}");
+    assert!(
+        stdout.contains("vpr.r: traced"),
+        "good job's output missing:\n{stdout}"
+    );
+    assert!(
+        stderr.contains("mcf.slices"),
+        "failing job's diagnostic missing:\n{stderr}"
+    );
+    assert!(
+        !stdout.contains("mcf: traced"),
+        "failed job reported success:\n{stdout}"
+    );
 
     // Same batch, healthy: exits 0 and reports both workloads, byte-wise
     // independent of job count (`--jobs 1` vs `--jobs 2`).
@@ -67,14 +80,24 @@ fn daemon_mode_exits_with_the_first_failing_jobs_code_and_keeps_sibling_output()
     let mut daemon = Command::new(env!("CARGO_BIN_EXE_preexecd"))
         .current_dir(&dir)
         .env("PREEXEC_CHAOS", "panic_job=1")
-        .args(["--port", "0", "--workers", "1", "--no-journal", "--cache-dir", "cache"])
+        .args([
+            "--port",
+            "0",
+            "--workers",
+            "1",
+            "--no-journal",
+            "--cache-dir",
+            "cache",
+        ])
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
         .expect("spawning preexecd");
     let stdout = daemon.stdout.take().expect("piped stdout");
     let mut announce = String::new();
-    BufReader::new(stdout).read_line(&mut announce).expect("announce line");
+    BufReader::new(stdout)
+        .read_line(&mut announce)
+        .expect("announce line");
     let addr = announce
         .trim()
         .strip_prefix("preexecd listening on ")
@@ -86,24 +109,39 @@ fn daemon_mode_exits_with_the_first_failing_jobs_code_and_keeps_sibling_output()
     let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
     // The panicked job maps to code 5 — the same code a local panic
     // exits with — and it is the *first* job, so it wins.
-    assert_eq!(out.status.code(), Some(5), "stdout:\n{stdout}\nstderr:\n{stderr}");
+    assert_eq!(
+        out.status.code(),
+        Some(5),
+        "stdout:\n{stdout}\nstderr:\n{stderr}"
+    );
     assert!(
         stderr.contains("vpr.r") && stderr.contains("job_panicked"),
         "failing job's diagnostic missing:\n{stderr}"
     );
     // The sibling's report still prints, in submission order.
-    assert!(stdout.contains("mcf: daemon job"), "sibling output missing:\n{stdout}");
-    assert!(!stdout.contains("vpr.r: daemon job"), "failed job reported success:\n{stdout}");
+    assert!(
+        stdout.contains("mcf: daemon job"),
+        "sibling output missing:\n{stdout}"
+    );
+    assert!(
+        !stdout.contains("vpr.r: daemon job"),
+        "failed job reported success:\n{stdout}"
+    );
 
     // The chaos injector targets only start index 1; a rerun against the
     // same daemon is healthy and exits 0 with both reports.
     let out = run_toolflow_in(&dir, &["--daemon", &addr, "vpr.r,mcf", "3000"]);
     let stdout = String::from_utf8(out.stdout).expect("utf-8 stdout");
-    assert_eq!(out.status.code(), Some(0), "healthy rerun failed:\n{stdout}");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "healthy rerun failed:\n{stdout}"
+    );
     assert!(stdout.contains("vpr.r: daemon job") && stdout.contains("mcf: daemon job"));
 
     let mut conn = TcpStream::connect(&addr).expect("connect for shutdown");
-    conn.write_all(b"{\"cmd\":\"shutdown\"}\n").expect("send shutdown");
+    conn.write_all(b"{\"cmd\":\"shutdown\"}\n")
+        .expect("send shutdown");
     let mut ack = String::new();
     let _ = BufReader::new(conn).read_line(&mut ack);
     let deadline = Instant::now() + Duration::from_secs(60);

@@ -22,14 +22,23 @@ fn profile_flag_reports_stages_without_touching_stdout() {
 
     let plain = run_toolflow(&["vpr.r", "20000", plain_out.to_str().unwrap()]);
     assert!(plain.status.success(), "plain run failed: {plain:?}");
-    let profiled =
-        run_toolflow(&["--profile", "vpr.r", "20000", profiled_out.to_str().unwrap()]);
-    assert!(profiled.status.success(), "profiled run failed: {profiled:?}");
+    let profiled = run_toolflow(&[
+        "--profile",
+        "vpr.r",
+        "20000",
+        profiled_out.to_str().unwrap(),
+    ]);
+    assert!(
+        profiled.status.success(),
+        "profiled run failed: {profiled:?}"
+    );
 
     // stdout is byte-identical modulo the output path echoed in the
     // trace line; normalize that one difference away.
     let normalize = |bytes: &[u8], path: &str| {
-        String::from_utf8(bytes.to_vec()).expect("utf-8 stdout").replace(path, "OUT")
+        String::from_utf8(bytes.to_vec())
+            .expect("utf-8 stdout")
+            .replace(path, "OUT")
     };
     assert_eq!(
         normalize(&plain.stdout, plain_out.to_str().unwrap()),
@@ -45,9 +54,17 @@ fn profile_flag_reports_stages_without_touching_stdout() {
 
     // The profile table lands on stderr, with the instrumented stages.
     let stderr = String::from_utf8(profiled.stderr).expect("utf-8 stderr");
-    assert!(stderr.contains("toolflow profile"), "no profile header:\n{stderr}");
-    for needle in ["stage.trace", "stage.slice_build", "stage.score", "stage.solve", "par: calls="]
-    {
+    assert!(
+        stderr.contains("toolflow profile"),
+        "no profile header:\n{stderr}"
+    );
+    for needle in [
+        "stage.trace",
+        "stage.slice_build",
+        "stage.score",
+        "stage.solve",
+        "par: calls=",
+    ] {
         assert!(stderr.contains(needle), "missing `{needle}`:\n{stderr}");
     }
     // And the plain run printed none of it.

@@ -84,7 +84,10 @@ mod tests {
         assert!(SliceError::ZeroScope.to_string().contains("positive"));
         assert!(SliceError::ZeroMaxSliceLen.to_string().contains("positive"));
         assert!(SliceError::EmptyWindow.to_string().contains("empty"));
-        let p = ParseForestError { line: 7, message: "boom".into() };
+        let p = ParseForestError {
+            line: 7,
+            message: "boom".into(),
+        };
         assert!(SliceError::from(p).to_string().contains("line 7"));
         let s = SliceError::NonFiniteScore { pc: 42, node: 3 }.to_string();
         assert!(s.contains("non-finite") && s.contains("42") && s.contains("3"));

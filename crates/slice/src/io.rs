@@ -64,7 +64,10 @@ impl fmt::Display for ParseForestError {
 impl Error for ParseForestError {}
 
 fn err(line: usize, message: impl Into<String>) -> ParseForestError {
-    ParseForestError { line, message: message.into() }
+    ParseForestError {
+        line,
+        message: message.into(),
+    }
 }
 
 /// FNV-1a, 64-bit: small, dependency-free, and plenty to catch the
@@ -140,11 +143,7 @@ fn parse_inst(s: &str, line: usize) -> Result<Inst, ParseForestError> {
     Ok(*program.inst(0))
 }
 
-fn field<'a>(
-    parts: &'a [&'a str],
-    key: &str,
-    line: usize,
-) -> Result<&'a str, ParseForestError> {
+fn field<'a>(parts: &'a [&'a str], key: &str, line: usize) -> Result<&'a str, ParseForestError> {
     parts
         .iter()
         .find_map(|p| p.strip_prefix(key).and_then(|r| r.strip_prefix('=')))
@@ -182,7 +181,12 @@ fn find_header(text: &str) -> Result<Option<Header>, ParseForestError> {
             .map_err(|_| err(lineno, "bad version"))?;
         let checksum = u64::from_str_radix(field(&parts, "checksum", lineno)?, 16)
             .map_err(|_| err(lineno, "bad checksum"))?;
-        return Ok(Some(Header { line: lineno, version, checksum, payload_start: next }));
+        return Ok(Some(Header {
+            line: lineno,
+            version,
+            checksum,
+            payload_start: next,
+        }));
     }
     Ok(None)
 }
@@ -238,7 +242,10 @@ fn parse_tree_line(
         .ok_or_else(|| err(lineno, "tree wants a root pc"))?
         .parse()
         .map_err(|_| err(lineno, "bad root pc"))?;
-    let inst = parse_inst(inst_text.ok_or_else(|| err(lineno, "missing inst"))?, lineno)?;
+    let inst = parse_inst(
+        inst_text.ok_or_else(|| err(lineno, "missing inst"))?,
+        lineno,
+    )?;
     let dc = field(parts, "dc", lineno)?
         .parse()
         .map_err(|_| err(lineno, "bad dc"))?;
@@ -270,7 +277,10 @@ fn parse_node_line(
         .parse()
         .map_err(|_| err(lineno, "bad dist_sum"))?;
     let deps = parse_deps(field(parts, "deps", lineno)?, lineno)?;
-    let inst = parse_inst(inst_text.ok_or_else(|| err(lineno, "missing inst"))?, lineno)?;
+    let inst = parse_inst(
+        inst_text.ok_or_else(|| err(lineno, "missing inst"))?,
+        lineno,
+    )?;
     tree.push_node_raw(pc, inst, parent, dc, dist_sum, deps);
     Ok(())
 }
@@ -521,7 +531,11 @@ mod tests {
         let forest = sample_forest();
         let with_header = write_forest(&forest);
         // Strip the header line: this is exactly a version-1 file.
-        let legacy: String = with_header.lines().skip(1).map(|l| format!("{l}\n")).collect();
+        let legacy: String = with_header
+            .lines()
+            .skip(1)
+            .map(|l| format!("{l}\n"))
+            .collect();
         let back = read_forest(&legacy).expect("legacy format accepted");
         assert_eq!(back.num_trees(), forest.num_trees());
     }

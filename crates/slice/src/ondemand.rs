@@ -174,7 +174,9 @@ impl<'a> OnDemandSlicer<'a> {
         self.summaries.retain(|&j, _| j >= lo);
         self.details.retain(|&(j, _)| j >= lo);
         self.resident_insts = self.details.iter().map(|(_, d)| d.len()).sum();
-        slice_from(root_seq, min_seq, self.max_slice_len, |seq| self.entry_view(seq, lo))
+        slice_from(root_seq, min_seq, self.max_slice_len, |seq| {
+            self.entry_view(seq, lo)
+        })
     }
 
     /// The fully resolved dependence record for `seq`, for the traversal.
@@ -194,7 +196,12 @@ impl<'a> OnDemandSlicer<'a> {
             MemRaw::Local(s) => Some(s),
             MemRaw::Earlier { first, last } => self.lookback_mem(first, last, j, lo)?,
         };
-        Ok(EntryView { pc: e.pc, inst: e.inst, reg_deps, mem_dep })
+        Ok(EntryView {
+            pc: e.pc,
+            inst: e.inst,
+            reg_deps,
+            mem_dep,
+        })
     }
 
     /// The newest writer of register index `r` in intervals `lo..from`,
@@ -280,9 +287,10 @@ impl<'a> OnDemandSlicer<'a> {
         })?;
         self.reexec_insts += detail.len() as u64;
         self.resident_insts += detail.len();
-        self.summaries
-            .entry(j)
-            .or_insert(IntervalSummary { reg_writers, granule_writers });
+        self.summaries.entry(j).or_insert(IntervalSummary {
+            reg_writers,
+            granule_writers,
+        });
         self.details.push_front((j, detail));
         while self.details.len() > DETAIL_CACHE_INTERVALS {
             if let Some((_, dropped)) = self.details.pop_back() {
@@ -340,16 +348,19 @@ fn record(
             granule_writers.insert(g, d.seq);
         }
     }
-    DetailEntry { pc: d.pc, inst: d.inst, reg_deps, mem_dep }
+    DetailEntry {
+        pc: d.pc,
+        inst: d.inst,
+        reg_deps,
+        mem_dep,
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::SliceWindow;
-    use preexec_func::{
-        try_run_trace_checkpointed, Replayer, Sampling, TraceConfig,
-    };
+    use preexec_func::{try_run_trace_checkpointed, Replayer, Sampling, TraceConfig};
     use preexec_isa::{assemble, Program};
 
     /// A loop with register induction, same-iteration and cross-iteration
@@ -391,7 +402,10 @@ mod tests {
         let mut od = OnDemandSlicer::try_new(replayer, scope, max_len).unwrap();
         for (seq, want) in &reference {
             let got = od.try_slice_at(*seq).unwrap();
-            assert_eq!(&got, want, "slice at seq {seq} (scope {scope}, every {every})");
+            assert_eq!(
+                &got, want,
+                "slice at seq {seq} (scope {scope}, every {every})"
+            );
         }
         assert!(od.reexec_insts() > 0);
     }
@@ -399,9 +413,14 @@ mod tests {
     #[test]
     fn matches_windowed_across_scopes_and_cadences() {
         let config = TraceConfig::default();
-        for &(scope, every) in
-            &[(64, 16), (64, 64), (64, 256), (1024, 32), (1024, 4096), (7, 3)]
-        {
+        for &(scope, every) in &[
+            (64, 16),
+            (64, 64),
+            (64, 256),
+            (1024, 32),
+            (1024, 4096),
+            (7, 3),
+        ] {
             assert_identical(&config, scope, 32, every);
         }
     }
@@ -433,8 +452,7 @@ mod tests {
             }
         })
         .unwrap();
-        let mut od =
-            OnDemandSlicer::try_new(Replayer::new(&p, &config, &trace), 128, 16).unwrap();
+        let mut od = OnDemandSlicer::try_new(Replayer::new(&p, &config, &trace), 128, 16).unwrap();
         // Descending order: summaries must be rebuilt after eviction.
         for (seq, want) in reference.iter().rev() {
             assert_eq!(&od.try_slice_at(*seq).unwrap(), want, "seq {seq}");

@@ -255,11 +255,7 @@ impl fmt::Display for SliceTree {
     /// Pretty-prints the tree, one node per line, indented by depth —
     /// the textual analogue of the paper's Figure 3.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fn walk(
-            tree: &SliceTree,
-            id: NodeId,
-            f: &mut fmt::Formatter<'_>,
-        ) -> fmt::Result {
+        fn walk(tree: &SliceTree, id: NodeId, f: &mut fmt::Formatter<'_>) -> fmt::Result {
             let n = &tree.nodes[id];
             writeln!(
                 f,
@@ -328,8 +324,16 @@ mod tests {
     #[test]
     fn shared_prefix_shares_nodes() {
         // Two slices agree on #08 then diverge (#04 vs #06) — Figure 3.
-        let s1 = vec![root_entry(vec![1]), entry(8, 1, vec![2]), entry(4, 2, vec![])];
-        let s2 = vec![root_entry(vec![1]), entry(8, 1, vec![2]), entry(6, 2, vec![])];
+        let s1 = vec![
+            root_entry(vec![1]),
+            entry(8, 1, vec![2]),
+            entry(4, 2, vec![]),
+        ];
+        let s2 = vec![
+            root_entry(vec![1]),
+            entry(8, 1, vec![2]),
+            entry(6, 2, vec![]),
+        ];
         let t = tree_with(&[s1.clone(), s1, s2]);
         assert_eq!(t.len(), 4); // root, #08, #04, #06
         assert_eq!(t.root().dc_ptcm, 3);
@@ -355,7 +359,11 @@ mod tests {
 
     #[test]
     fn truncated_slice_keeps_invariant() {
-        let long = vec![root_entry(vec![1]), entry(8, 1, vec![2]), entry(7, 2, vec![])];
+        let long = vec![
+            root_entry(vec![1]),
+            entry(8, 1, vec![2]),
+            entry(7, 2, vec![]),
+        ];
         let short = vec![root_entry(vec![1]), entry(8, 1, vec![])];
         let t = tree_with(&[long, short]);
         // Node #08 has dc=2 but its only child #07 has dc=1.

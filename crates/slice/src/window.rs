@@ -108,7 +108,10 @@ pub(crate) fn slice_from(
     while let Some(seq) = next {
         let e = entry(seq)?;
         for dep in deps(seq, &e) {
-            debug_assert!(dep < seq, "dependence {dep} is not older than consumer {seq}");
+            debug_assert!(
+                dep < seq,
+                "dependence {dep} is not older than consumer {seq}"
+            );
             if dep >= min_seq {
                 heap.push(dep);
             }
@@ -138,7 +141,12 @@ pub(crate) fn slice_from(
             }
             pos[..n].sort_unstable();
             let dep_positions = pos[..n].to_vec();
-            SliceEntry { pc: e.pc, inst: e.inst, dist: root_seq - seq, dep_positions }
+            SliceEntry {
+                pc: e.pc,
+                inst: e.inst,
+                dist: root_seq - seq,
+                dep_positions,
+            }
         })
         .collect())
 }
@@ -240,7 +248,13 @@ impl SliceWindow {
         if self.ring.len() == self.scope {
             self.ring.pop_front();
         }
-        self.ring.push_back(WindowEntry { seq: d.seq, pc: d.pc, inst: d.inst, reg_deps, mem_dep });
+        self.ring.push_back(WindowEntry {
+            seq: d.seq,
+            pc: d.pc,
+            inst: d.inst,
+            reg_deps,
+            mem_dep,
+        });
 
         // Periodically drop memory-writer entries that fell out of scope so
         // the map stays proportional to the write working set of the window.
@@ -295,7 +309,12 @@ impl SliceWindow {
         let min_seq = self.min_seq();
         slice_from(root_seq, min_seq, max_len, |seq| {
             let e = self.entry(seq).expect("slice seq within window");
-            Ok(EntryView { pc: e.pc, inst: e.inst, reg_deps: e.reg_deps, mem_dep: e.mem_dep })
+            Ok(EntryView {
+                pc: e.pc,
+                inst: e.inst,
+                reg_deps: e.reg_deps,
+                mem_dep: e.mem_dep,
+            })
         })
     }
 }
@@ -500,7 +519,10 @@ mod tests {
 
     #[test]
     fn try_new_returns_typed_error() {
-        assert!(matches!(SliceWindow::try_new(0), Err(crate::SliceError::ZeroScope)));
+        assert!(matches!(
+            SliceWindow::try_new(0),
+            Err(crate::SliceError::ZeroScope)
+        ));
         assert!(SliceWindow::try_new(1).is_ok());
     }
 

@@ -152,7 +152,11 @@ fn corrupt(text: &str, kind: u8, a: usize, b: usize) -> String {
             if !bytes.is_empty() {
                 let i = b % bytes.len();
                 let cand = bytes[i] ^ 0x02;
-                bytes[i] = if cand.is_ascii_graphic() || cand == b' ' { cand } else { b'~' };
+                bytes[i] = if cand.is_ascii_graphic() || cand == b' ' {
+                    cand
+                } else {
+                    b'~'
+                };
             }
             let fixed = String::from_utf8(bytes).unwrap();
             let mut out: Vec<String> = lines.iter().map(|s| s.to_string()).collect();

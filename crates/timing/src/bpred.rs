@@ -206,7 +206,10 @@ mod tests {
             bp.predict_and_update(77, taken, Some(9));
         }
         let errors = bp.mispredicts() - before;
-        assert!(errors < 10, "gshare should capture alternation ({errors} errors)");
+        assert!(
+            errors < 10,
+            "gshare should capture alternation ({errors} errors)"
+        );
     }
 
     #[test]
@@ -216,7 +219,9 @@ mod tests {
         let mut x: u64 = 12345;
         let mut wrong = 0;
         for _ in 0..1000 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let taken = (x >> 63) == 1;
             if !bp.predict_and_update(42, taken, Some(7)) {
                 wrong += 1;

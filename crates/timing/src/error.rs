@@ -15,6 +15,15 @@ pub enum MachineError {
     ZeroMshrs,
     /// `pthread_burst` was zero.
     ZeroBurst,
+    /// `backside_bus_bytes`, `mem_bus_bytes` or `mem_bus_divisor` was zero.
+    ZeroBus,
+    /// `store_queue_entries` was zero: no store could ever rename.
+    ZeroStoreQueue,
+    /// `l1d` or `l2` has a line size or set count that is not a power of
+    /// two (or zero associativity).
+    CacheGeometry,
+    /// A latency field exceeded [`MAX_LATENCY`](crate::MAX_LATENCY).
+    LatencyTooLong,
 }
 
 impl fmt::Display for MachineError {
@@ -24,6 +33,10 @@ impl fmt::Display for MachineError {
             MachineError::ZeroWindow => "window must be positive",
             MachineError::ZeroMshrs => "mshrs must be positive",
             MachineError::ZeroBurst => "burst must be positive",
+            MachineError::ZeroBus => "bus widths and memory bus divisor must be positive",
+            MachineError::ZeroStoreQueue => "store queue must be positive",
+            MachineError::CacheGeometry => "cache line size and set count must be powers of two",
+            MachineError::LatencyTooLong => "latencies must not exceed 65536 cycles",
         };
         f.write_str(s)
     }
@@ -81,7 +94,11 @@ mod tests {
     #[test]
     fn display_names_the_fault() {
         assert!(MachineError::ZeroWidth.to_string().contains("width"));
-        assert!(SimError::from(MachineError::ZeroMshrs).to_string().contains("mshrs"));
-        assert!(SimError::from(ExecError::CpuHalted).to_string().contains("main-thread"));
+        assert!(SimError::from(MachineError::ZeroMshrs)
+            .to_string()
+            .contains("mshrs"));
+        assert!(SimError::from(ExecError::CpuHalted)
+            .to_string()
+            .contains("main-thread"));
     }
 }

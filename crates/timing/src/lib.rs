@@ -39,6 +39,6 @@ pub mod sim;
 
 pub use bpred::BranchPredictor;
 pub use error::{MachineError, SimError};
-pub use machine::MachineParams;
+pub use machine::{MachineParams, MAX_LATENCY};
 pub use memsys::MemSys;
 pub use sim::{simulate, try_simulate, SimConfig, SimMode, SimResult};

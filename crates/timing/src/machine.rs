@@ -3,6 +3,12 @@
 use crate::MachineError;
 use preexec_mem::CacheConfig;
 
+/// The longest latency, in cycles, that a [`MachineParams`] field may
+/// give. The simulator books issue slots, completions and bus beats in
+/// dense windows that span from the current cycle to the latest
+/// outstanding event, so latencies bound their size.
+pub const MAX_LATENCY: u64 = 1 << 16;
+
 /// Parameters of the simulated machine, defaulting to the paper's base
 /// configuration (§4.1): an 8-wide dynamically scheduled processor with a
 /// 14-stage pipeline, 80 reservation stations, 128 instructions in flight,
@@ -102,14 +108,18 @@ impl MachineParams {
 
     /// A machine with different memory latency (for the Figure-8 studies).
     pub fn with_mem_latency(self, mem_latency: u64) -> MachineParams {
-        MachineParams { mem_latency, ..self }
+        MachineParams {
+            mem_latency,
+            ..self
+        }
     }
 
     /// Validates the parameters.
     ///
     /// # Panics
     ///
-    /// Panics on zero widths, sizes, or latencies that make no sense.
+    /// Panics on zero widths or sizes, on a latency above
+    /// [`MAX_LATENCY`], and on a cache geometry that is not a power of two.
     pub fn validate(&self) {
         if let Err(e) = self.try_validate() {
             panic!("{e}");
@@ -120,7 +130,9 @@ impl MachineParams {
     ///
     /// # Errors
     ///
-    /// Returns the [`MachineError`] variant naming the zero field.
+    /// Returns the [`MachineError`] variant naming the zero field, the
+    /// cache geometry that cannot be indexed, or the latency that is too
+    /// long.
     pub fn try_validate(&self) -> Result<(), MachineError> {
         if self.width == 0 {
             return Err(MachineError::ZeroWidth);
@@ -133,6 +145,25 @@ impl MachineParams {
         }
         if self.pthread_burst == 0 {
             return Err(MachineError::ZeroBurst);
+        }
+        if self.backside_bus_bytes == 0 || self.mem_bus_bytes == 0 || self.mem_bus_divisor == 0 {
+            return Err(MachineError::ZeroBus);
+        }
+        if self.store_queue_entries == 0 {
+            return Err(MachineError::ZeroStoreQueue);
+        }
+        if !self.l1d.is_indexable() || !self.l2.is_indexable() {
+            return Err(MachineError::CacheGeometry);
+        }
+        let latencies = [
+            self.store_forward_latency,
+            self.agen_latency,
+            self.l1_latency,
+            self.l2_latency,
+            self.mem_latency,
+        ];
+        if latencies.iter().any(|&l| l > MAX_LATENCY) {
+            return Err(MachineError::LatencyTooLong);
         }
         Ok(())
     }
@@ -160,7 +191,9 @@ mod tests {
 
     #[test]
     fn builders() {
-        let m = MachineParams::paper_default().with_width(4).with_mem_latency(140);
+        let m = MachineParams::paper_default()
+            .with_width(4)
+            .with_mem_latency(140);
         assert_eq!(m.width, 4);
         assert_eq!(m.mem_latency, 140);
         assert_eq!(m.rs_entries, 80); // untouched
@@ -169,6 +202,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "width")]
     fn zero_width_rejected() {
-        MachineParams { width: 0, ..MachineParams::paper_default() }.validate();
+        MachineParams {
+            width: 0,
+            ..MachineParams::paper_default()
+        }
+        .validate();
     }
 }

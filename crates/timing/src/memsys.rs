@@ -100,14 +100,17 @@ impl MemSys {
         }
         // A full MSHR file delays the request until a slot frees.
         let start = if self.mshrs.occupancy() >= self.params.mshrs {
-            self.mshrs
-                .earliest_completion()
-                .map_or(at, |t| t.max(at))
+            self.mshrs.earliest_completion().map_or(at, |t| t.max(at))
         } else {
             at
         };
-        let bus_done = self.membus.transfer(start + self.params.mem_latency, self.params.l2.line_bytes as u64);
-        let ready = self.backside.transfer(bus_done, self.params.l1d.line_bytes as u64);
+        let bus_done = self.membus.transfer(
+            start + self.params.mem_latency,
+            self.params.l2.line_bytes as u64,
+        );
+        let ready = self
+            .backside
+            .transfer(bus_done, self.params.l1d.line_bytes as u64);
         if self.mshrs.occupancy() >= self.params.mshrs {
             self.mshrs.retire_completed(start);
         }
@@ -158,7 +161,9 @@ impl MemSys {
         if let Some(wb) = l1.writeback {
             // L1 dirty evictions write back into the L2 over the backside
             // bus; charge occupancy only.
-            let _ = self.backside.transfer(t_l1, self.params.l1d.line_bytes as u64);
+            let _ = self
+                .backside
+                .transfer(t_l1, self.params.l1d.line_bytes as u64);
             let _ = wb;
         }
         if self.perfect_l2 {
@@ -173,7 +178,9 @@ impl MemSys {
         }
         if l2.hit {
             // Possibly a p-thread-covered would-be miss.
-            let fill = self.backside.transfer(t_l2, self.params.l1d.line_bytes as u64);
+            let fill = self
+                .backside
+                .transfer(t_l2, self.params.l1d.line_bytes as u64);
             if let Some(stamp) = self.stamps.remove(&block) {
                 if stamp.ready <= t_l2 {
                     self.stats.covered_full += 1;
@@ -324,7 +331,11 @@ mod tests {
         let mut sorted = times.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        assert_eq!(sorted.len(), times.len(), "ready times must differ: {times:?}");
+        assert_eq!(
+            sorted.len(),
+            times.len(),
+            "ready times must differ: {times:?}"
+        );
     }
 
     #[test]
@@ -332,7 +343,8 @@ mod tests {
         let mut m = memsys();
         m.set_perfect_l2(true);
         let t = m.main_load(0, 0x5000);
-        assert_eq!(t, 0 + 2 + 6);
+        let p = MachineParams::paper_default();
+        assert_eq!(t, p.l1_latency + p.l2_latency); // issued at cycle 0
         assert_eq!(m.stats().l2_misses, 0);
     }
 

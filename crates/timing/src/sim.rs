@@ -1,15 +1,14 @@
 //! The cycle-driven simulation loop.
 
-use crate::{BranchPredictor, MachineParams, MemSys, SimError};
 use crate::memsys::MemStats;
+use crate::{BranchPredictor, MachineParams, MemSys, SimError};
 use preexec_core::StaticPThread;
 use preexec_func::exec;
 use preexec_func::{Cpu, SquashReason, PTHREAD_ADDR_LIMIT};
 use preexec_isa::reg::NUM_REGS;
-use preexec_isa::{Inst, Op, OpClass, Pc, Program};
+use preexec_isa::{Inst, Op, OpClass, Program};
 use preexec_mem::Memory;
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// What the p-threads are allowed to do — the paper's validation modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -146,35 +145,93 @@ struct Ctx {
     store_buffer: HashMap<u64, (i64, u8)>,
 }
 
-/// Issue-bandwidth ledger: at most `width` instructions may begin
-/// execution in any cycle, shared by all threads.
-struct IssueSlots {
-    counts: HashMap<u64, u32>,
-    width: u32,
-    last_prune: u64,
+/// Per-cycle event counts from the current cycle on (DESIGN.md §7.5).
+///
+/// `counts[i]` is the number of events booked at cycle `now + i`, and
+/// `pending` the number booked after `now`. Every booking lands after the
+/// current cycle, so the pending count is an occupancy: as the issue
+/// ledger it counts the instructions waiting in reservation stations to
+/// issue, and as the p-thread register calendar the registers whose
+/// values have not yet completed.
+#[derive(Default)]
+struct Calendar {
+    now: u64,
+    counts: VecDeque<u32>,
+    pending: usize,
 }
 
-impl IssueSlots {
-    fn new(width: u32) -> IssueSlots {
-        IssueSlots { counts: HashMap::new(), width, last_prune: 0 }
+impl Calendar {
+    /// Moves the current cycle forward to `now`: events at or before it
+    /// are no longer pending.
+    fn advance(&mut self, now: u64) {
+        while self.now < now && self.counts.pop_front().is_some() {
+            self.now += 1;
+            if let Some(&n) = self.counts.front() {
+                self.pending -= n as usize;
+            }
+        }
+        self.now = now;
     }
 
-    /// First cycle at or after `earliest` with a free issue slot; books it.
-    fn schedule(&mut self, earliest: u64, now: u64) -> u64 {
-        let mut c = earliest;
-        loop {
-            let n = self.counts.entry(c).or_insert(0);
-            if *n < self.width {
-                *n += 1;
-                break;
-            }
-            c += 1;
+    /// Books one event at cycle `at`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `at` lies after the current cycle.
+    fn book(&mut self, at: u64) {
+        let i = self.offset(at);
+        if i >= self.counts.len() {
+            self.counts.resize(i + 1, 0);
         }
-        if now > self.last_prune + 65536 {
-            self.counts.retain(|&k, _| k >= now);
-            self.last_prune = now;
+        self.counts[i] += 1;
+        self.pending += 1;
+    }
+
+    /// Books the first cycle at or after `earliest` with fewer than
+    /// `width` bookings and returns it: at most `width` instructions may
+    /// begin execution in any cycle, shared by all threads.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `earliest` lies after the current cycle.
+    fn schedule(&mut self, earliest: u64, width: u32) -> u64 {
+        let mut i = self.offset(earliest);
+        while self.counts.get(i).is_some_and(|&n| n >= width) {
+            i += 1;
         }
-        c
+        let at = self.now + i as u64;
+        self.book(at);
+        at
+    }
+
+    /// The index of cycle `at`, which must lie after the current cycle.
+    fn offset(&self, at: u64) -> usize {
+        assert!(
+            at > self.now,
+            "event at cycle {at} is not after cycle {}",
+            self.now
+        );
+        (at - self.now) as usize
+    }
+
+    /// Events booked after the current cycle.
+    fn pending(&self) -> usize {
+        self.pending
+    }
+
+    /// The first cycle after the current one and before `before` with a
+    /// booking.
+    fn next_event_before(&self, before: u64) -> Option<u64> {
+        if self.pending == 0 {
+            return None;
+        }
+        let span = before.saturating_sub(self.now + 1);
+        self.counts
+            .iter()
+            .skip(1)
+            .take(span.min(self.counts.len() as u64) as usize)
+            .position(|&n| n > 0)
+            .map(|i| self.now + 1 + i as u64)
     }
 }
 
@@ -220,19 +277,26 @@ pub fn try_simulate(
     let mut memsys = MemSys::new(*m);
     memsys.set_perfect_l2(config.perfect_l2);
     let mut bp = BranchPredictor::new();
-    let mut slots = IssueSlots::new(m.width);
+    // Issue bookings; the ones after the current cycle occupy
+    // reservation stations.
+    let mut slots = Calendar::default();
 
-    let mut trigger_map: HashMap<Pc, Vec<usize>> = HashMap::new();
+    // P-thread indices by trigger PC, in `pthreads` order. The table is
+    // sized by the program, not by the triggers: a PC past the end of the
+    // code is renamed only on the halting step, which scans instead.
+    let mut by_trigger: Vec<Vec<usize>> = vec![Vec::new(); program.len()];
     for (i, p) in pthreads.iter().enumerate() {
-        trigger_map.entry(p.trigger).or_default().push(i);
+        if let Some(list) = by_trigger.get_mut(p.trigger as usize) {
+            list.push(i);
+        }
     }
 
     let mut rob: VecDeque<u64> = VecDeque::with_capacity(m.rob_entries);
-    let mut rs: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
     let mut reg_ready = [0u64; NUM_REGS];
     let mut store_queue: VecDeque<(u64, u8, u64)> = VecDeque::new();
     let mut contexts: Vec<Option<Ctx>> = (0..m.pthread_contexts).map(|_| None).collect();
-    let mut pthread_regs: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+    // Completion cycles of p-thread register values still in flight.
+    let mut pthread_regs = Calendar::default();
 
     let mut r = SimResult::default();
     let mut cycle: u64 = 0;
@@ -252,15 +316,13 @@ pub fn try_simulate(
             }
         }
 
-        // 2. Free reservation stations whose instructions have issued.
-        while matches!(rs.peek(), Some(&Reverse(t)) if t <= cycle) {
-            rs.pop();
-        }
-        while matches!(pthread_regs.peek(), Some(&Reverse(t)) if t <= cycle) {
-            pthread_regs.pop();
-        }
+        // 2. Free reservation stations whose instructions have issued, and
+        // p-thread registers whose values have completed.
+        slots.advance(cycle);
+        pthread_regs.advance(cycle);
 
         let mut bandwidth = m.width;
+        let injected_before = r.pthread_insts;
 
         // 3. P-thread injection: bursts of `pthread_burst` per context.
         // Injection is sandboxed: a speculative fault (invalid opcode,
@@ -279,10 +341,10 @@ pub fn try_simulate(
                     break;
                 }
                 if config.mode != SimMode::OverheadSequence {
-                    if rs.len() >= m.rs_entries {
+                    if slots.pending() >= m.rs_entries {
                         break;
                     }
-                    if pthread_regs.len() >= m.pthread_phys_regs {
+                    if pthread_regs.pending() >= m.pthread_phys_regs {
                         break;
                     }
                 }
@@ -292,7 +354,14 @@ pub fn try_simulate(
                 }
                 let inst = ctx.body[ctx.next];
                 let outcome = inject_pthread_inst(
-                    ctx, inst, cycle, config.mode, m, &mut memsys, &mem, &mut slots, &mut rs,
+                    ctx,
+                    inst,
+                    cycle,
+                    config.mode,
+                    m,
+                    &mut memsys,
+                    &mem,
+                    &mut slots,
                     &mut pthread_regs,
                 );
                 // The faulting instruction still consumed sequencing
@@ -320,13 +389,11 @@ pub fn try_simulate(
 
         // 4. Main-thread rename/dispatch.
         while bandwidth > 0 && !cpu.halted() && cycle >= rename_stall_until {
-            if rob.len() >= m.rob_entries || rs.len() >= m.rs_entries {
+            if rob.len() >= m.rob_entries || slots.pending() >= m.rs_entries {
                 break;
             }
             // Structural store-queue check before committing to the step.
-            let next_is_store = program
-                .get(cpu.pc())
-                .is_some_and(|i| i.op.is_store());
+            let next_is_store = program.get(cpu.pc()).is_some_and(|i| i.op.is_store());
             if next_is_store && store_queue.len() >= m.store_queue_entries {
                 match store_queue.front() {
                     Some(&(_, _, done)) if done <= cycle => {
@@ -347,13 +414,11 @@ pub fn try_simulate(
 
             let completion = match inst.class() {
                 OpClass::IntAlu | OpClass::IntMul => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
+                    let issue = slots.schedule(earliest, m.width);
                     issue + inst.op.exec_latency() as u64
                 }
                 OpClass::Load => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
+                    let issue = slots.schedule(earliest, m.width);
                     let t = issue + m.agen_latency;
                     let addr = out.addr.expect("load has address");
                     let width = inst.op.mem_width().expect("load width");
@@ -366,8 +431,7 @@ pub fn try_simulate(
                     }
                 }
                 OpClass::Store => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
+                    let issue = slots.schedule(earliest, m.width);
                     let t = issue + m.agen_latency;
                     let addr = out.addr.expect("store has address");
                     let width = inst.op.mem_width().expect("store width");
@@ -379,8 +443,7 @@ pub fn try_simulate(
                     done
                 }
                 OpClass::Branch => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
+                    let issue = slots.schedule(earliest, m.width);
                     r.branches += 1;
                     let correct = bp.predict_and_update(out.pc, out.taken, inst.target);
                     let done = issue + 1;
@@ -392,8 +455,7 @@ pub fn try_simulate(
                     done
                 }
                 OpClass::Jump => {
-                    let issue = slots.schedule(earliest, cycle);
-                    rs.push(Reverse(issue));
+                    let issue = slots.schedule(earliest, m.width);
                     let done = issue + 1;
                     if inst.op == Op::Jr {
                         let correct = bp.predict_indirect(out.pc, cpu.pc());
@@ -415,30 +477,38 @@ pub fn try_simulate(
             bandwidth -= 1;
 
             // P-thread launch at trigger rename.
-            if let Some(list) = trigger_map.get(&out.pc) {
-                for &pi in list {
-                    match contexts.iter_mut().find(|c| c.is_none()) {
-                        Some(free) => {
-                            r.launches += 1;
-                            // Seed values are read through the rename map:
-                            // a live-in becomes usable when its main-thread
-                            // producer completes, not at launch.
-                            let mut ready = reg_ready;
-                            for t in ready.iter_mut() {
-                                *t = (*t).max(cycle);
-                            }
-                            *free = Some(Ctx {
-                                body: pthreads[pi].body.clone(),
-                                next: 0,
-                                regs: cpu.snapshot_regs(),
-                                ready,
-                                burst_left: 0,
-                                next_burst: cycle,
-                                store_buffer: HashMap::new(),
-                            });
+            let past_end: Vec<usize>;
+            let launched = match by_trigger.get(out.pc as usize) {
+                Some(list) => list,
+                None => {
+                    past_end = (0..pthreads.len())
+                        .filter(|&i| pthreads[i].trigger == out.pc)
+                        .collect();
+                    &past_end
+                }
+            };
+            for &pi in launched {
+                match contexts.iter_mut().find(|c| c.is_none()) {
+                    Some(free) => {
+                        r.launches += 1;
+                        // Seed values are read through the rename map:
+                        // a live-in becomes usable when its main-thread
+                        // producer completes, not at launch.
+                        let mut ready = reg_ready;
+                        for t in ready.iter_mut() {
+                            *t = (*t).max(cycle);
                         }
-                        None => r.drops += 1,
+                        *free = Some(Ctx {
+                            body: pthreads[pi].body.clone(),
+                            next: 0,
+                            regs: cpu.snapshot_regs(),
+                            ready,
+                            burst_left: 0,
+                            next_burst: cycle,
+                            store_buffer: HashMap::new(),
+                        });
                     }
+                    None => r.drops += 1,
                 }
             }
             if mispredicted || out.halted {
@@ -456,11 +526,59 @@ pub fn try_simulate(
         if drained || r.insts >= config.max_insts {
             break;
         }
+
+        // 5. Idle-cycle skip: after an iteration that retired, renamed and
+        // injected nothing and left no p-thread context live, every
+        // following iteration changes nothing but the cycle until the next
+        // wake-up event (DESIGN.md §7.5).
+        let idle = retired_now == 0
+            && bandwidth == m.width
+            && r.pthread_insts == injected_before
+            && contexts.iter().all(Option::is_none);
+        if idle {
+            let wake = idle_wake(&rob, rename_stall_until, &slots, &store_queue, cycle);
+            if let Some(wake) = wake {
+                if wake >= config.max_cycles {
+                    // The watchdog fires first, at exactly `max_cycles`.
+                    cycle = config.max_cycles;
+                    r.timed_out = true;
+                    break;
+                }
+                cycle = wake;
+            }
+        }
     }
 
     r.cycles = cycle;
     r.mem = *memsys.stats();
     Ok(r)
+}
+
+/// The first cycle at or after `cycle` at which an idle machine can act
+/// again: the ROB head completes, the rename stall ends, an instruction
+/// issues (freeing its reservation station) or the store-queue head
+/// completes. Events before `cycle` came due during the idle iteration
+/// and blocked nothing.
+fn idle_wake(
+    rob: &VecDeque<u64>,
+    rename_stall_until: u64,
+    slots: &Calendar,
+    store_queue: &VecDeque<(u64, u8, u64)>,
+    cycle: u64,
+) -> Option<u64> {
+    let others = [
+        rob.front().copied(),
+        Some(rename_stall_until),
+        store_queue.front().map(|&(_, _, done)| done),
+    ]
+    .into_iter()
+    .flatten()
+    .filter(|&t| t >= cycle)
+    .min();
+    // The calendar is searched only up to the earliest other event.
+    slots
+        .next_event_before(others.unwrap_or(u64::MAX))
+        .or(others)
 }
 
 /// Store-to-load forwarding: the youngest older store fully containing the
@@ -494,9 +612,8 @@ fn inject_pthread_inst(
     m: &MachineParams,
     memsys: &mut MemSys,
     mem: &Memory,
-    slots: &mut IssueSlots,
-    rs: &mut BinaryHeap<Reverse<u64>>,
-    pthread_regs: &mut BinaryHeap<Reverse<u64>>,
+    slots: &mut Calendar,
+    pthread_regs: &mut Calendar,
 ) -> Result<(), SquashReason> {
     if mode == SimMode::OverheadSequence {
         return Ok(()); // sequenced and discarded
@@ -505,8 +622,7 @@ fn inject_pthread_inst(
         .uses()
         .map(|reg| ctx.ready[reg.index()])
         .fold(cycle, u64::max);
-    let issue = slots.schedule(ready.max(cycle + 1), cycle);
-    rs.push(Reverse(issue));
+    let issue = slots.schedule(ready.max(cycle + 1), m.width);
 
     let a = inst.rs1.map_or(0, |r| ctx.regs[r.index()]);
     let b = inst.rs2.map_or(0, |r| ctx.regs[r.index()]);
@@ -516,8 +632,8 @@ fn inject_pthread_inst(
 
     match inst.class() {
         OpClass::IntAlu | OpClass::IntMul => {
-            result = exec::try_alu(inst.op, a, b, inst.imm)
-                .map_err(|_| SquashReason::InvalidOpcode)?;
+            result =
+                exec::try_alu(inst.op, a, b, inst.imm).map_err(|_| SquashReason::InvalidOpcode)?;
         }
         OpClass::Load => {
             let addr = exec::effective_address(a, inst.imm);
@@ -559,7 +675,7 @@ fn inject_pthread_inst(
         if let Some(def) = inst.def() {
             ctx.regs[def.index()] = result;
             ctx.ready[def.index()] = completion;
-            pthread_regs.push(Reverse(completion));
+            pthread_regs.book(completion);
         }
     }
     Ok(())
@@ -586,7 +702,110 @@ fn read_mem(mem: &Memory, op: Op, addr: u64) -> Option<i64> {
 mod tests {
     use super::*;
     use preexec_core::Advantage;
-    use preexec_isa::{assemble, Reg};
+    use preexec_isa::{assemble, Pc, Reg};
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// The issue ledger the calendar replaced: per-cycle counts in a map,
+    /// pruned of past cycles every 65 536 cycles.
+    struct MapLedger {
+        counts: HashMap<u64, u32>,
+        width: u32,
+        last_prune: u64,
+    }
+
+    impl MapLedger {
+        fn schedule(&mut self, earliest: u64, now: u64) -> u64 {
+            let mut c = earliest;
+            loop {
+                let n = self.counts.entry(c).or_insert(0);
+                if *n < self.width {
+                    *n += 1;
+                    break;
+                }
+                c += 1;
+            }
+            if now > self.last_prune + 65536 {
+                self.counts.retain(|&k, _| k >= now);
+                self.last_prune = now;
+            }
+            c
+        }
+    }
+
+    proptest! {
+        /// As the issue ledger, the calendar books the cycles the map
+        /// ledger books, and its pending count and next event are those of
+        /// a min-heap of the issue cycles popped up to the current cycle
+        /// (the reservation stations it replaced). As the p-thread
+        /// register calendar, it tracks a heap of completion cycles.
+        #[test]
+        fn calendar_matches_heap_and_map_ledger(
+            width in 1u32..4,
+            steps in prop::collection::vec(
+                (0u64..8, prop::collection::vec((any::<bool>(), 1u64..40), 0..6)),
+                1..150
+            )
+        ) {
+            let mut slots = Calendar::default();
+            let mut regs = Calendar::default();
+            let mut ledger = MapLedger {
+                counts: HashMap::new(),
+                width,
+                last_prune: 0,
+            };
+            let mut rs: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+            let mut reg_heap: BinaryHeap<Reverse<u64>> = BinaryHeap::new();
+            let mut now = 0u64;
+            for (jump, bookings) in steps {
+                // Mostly the next cycle; sometimes an idle skip, rarely a
+                // jump past the map ledger's prune horizon.
+                now += match jump {
+                    0..=4 => 1,
+                    5 | 6 => 1 + jump * 7,
+                    _ => 70_000,
+                };
+                slots.advance(now);
+                regs.advance(now);
+                for heap in [&mut rs, &mut reg_heap] {
+                    while matches!(heap.peek(), Some(&Reverse(t)) if t <= now) {
+                        heap.pop();
+                    }
+                }
+                prop_assert_eq!(slots.pending(), rs.len());
+                prop_assert_eq!(regs.pending(), reg_heap.len());
+                let next = rs.peek().map(|&Reverse(t)| t);
+                prop_assert_eq!(slots.next_event_before(u64::MAX), next);
+                let before = now + 1 + jump * 3;
+                prop_assert_eq!(slots.next_event_before(before), next.filter(|&t| t < before));
+                prop_assert_eq!(
+                    regs.next_event_before(u64::MAX),
+                    reg_heap.peek().map(|&Reverse(t)| t)
+                );
+                for (issue, delta) in bookings {
+                    if issue {
+                        let at = slots.schedule(now + delta, width);
+                        prop_assert_eq!(at, ledger.schedule(now + delta, now));
+                        rs.push(Reverse(at));
+                    } else {
+                        regs.book(now + delta);
+                        reg_heap.push(Reverse(now + delta));
+                    }
+                }
+                prop_assert_eq!(slots.pending(), rs.len());
+                prop_assert_eq!(regs.pending(), reg_heap.len());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not after cycle")]
+    fn calendar_rejects_a_booking_at_the_current_cycle() {
+        let mut c = Calendar::default();
+        c.advance(10);
+        c.book(10);
+    }
 
     fn run(src: &str) -> SimResult {
         let p = assemble("t", src).unwrap();
@@ -669,7 +888,9 @@ mod tests {
         let mut perm: Vec<u64> = (0..ENTRIES as u64).collect();
         let mut x: u64 = 0x1234_5678_9abc_def0;
         for i in (1..ENTRIES).rev() {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             let j = (x >> 33) as usize % i;
             perm.swap(i, j);
         }
@@ -678,8 +899,14 @@ mod tests {
             bytes[i * 8..i * 8 + 8].copy_from_slice(&next.to_le_bytes());
         }
         let mut b = ProgramBuilder::new("chase");
-        let (tbl, i, n, cur, tmp, acc) =
-            (Reg::new(1), Reg::new(2), Reg::new(3), Reg::new(4), Reg::new(5), Reg::new(9));
+        let (tbl, i, n, cur, tmp, acc) = (
+            Reg::new(1),
+            Reg::new(2),
+            Reg::new(3),
+            Reg::new(4),
+            Reg::new(5),
+            Reg::new(9),
+        );
         b.li(tbl, BASE as i64);
         b.li(i, 0);
         b.li(n, hops);
@@ -745,7 +972,10 @@ mod tests {
         let perfect = simulate(
             &p,
             &[],
-            &SimConfig { perfect_l2: true, ..SimConfig::default() },
+            &SimConfig {
+                perfect_l2: true,
+                ..SimConfig::default()
+            },
         );
         assert!(
             perfect.ipc() > 2.0 * base.ipc(),
@@ -794,7 +1024,14 @@ mod tests {
         let p = assemble("t", STREAM).unwrap();
         let pt = stream_pthread(4);
         for mode in [SimMode::OverheadExecute, SimMode::OverheadSequence] {
-            let r = simulate(&p, &[pt.clone()], &SimConfig { mode, ..SimConfig::default() });
+            let r = simulate(
+                &p,
+                std::slice::from_ref(&pt),
+                &SimConfig {
+                    mode,
+                    ..SimConfig::default()
+                },
+            );
             assert_eq!(r.covered(), 0, "{mode:?} must not prefetch");
         }
     }
@@ -807,22 +1044,38 @@ mod tests {
         let oh = simulate(
             &p,
             &[pt],
-            &SimConfig { mode: SimMode::OverheadExecute, ..SimConfig::default() },
+            &SimConfig {
+                mode: SimMode::OverheadExecute,
+                ..SimConfig::default()
+            },
         );
-        assert!(oh.ipc() <= base.ipc() * 1.02, "{} vs {}", oh.ipc(), base.ipc());
+        assert!(
+            oh.ipc() <= base.ipc() * 1.02,
+            "{} vs {}",
+            oh.ipc(),
+            base.ipc()
+        );
     }
 
     #[test]
     fn lt_only_at_least_as_fast_as_normal() {
         let p = assemble("t", STREAM).unwrap();
         let pt = stream_pthread(4);
-        let normal = simulate(&p, &[pt.clone()], &SimConfig::default());
+        let normal = simulate(&p, std::slice::from_ref(&pt), &SimConfig::default());
         let lt = simulate(
             &p,
             &[pt],
-            &SimConfig { mode: SimMode::LatencyToleranceOnly, ..SimConfig::default() },
+            &SimConfig {
+                mode: SimMode::LatencyToleranceOnly,
+                ..SimConfig::default()
+            },
         );
-        assert!(lt.ipc() >= normal.ipc() * 0.98, "{} vs {}", lt.ipc(), normal.ipc());
+        assert!(
+            lt.ipc() >= normal.ipc() * 0.98,
+            "{} vs {}",
+            lt.ipc(),
+            normal.ipc()
+        );
     }
 
     #[test]
@@ -848,15 +1101,20 @@ mod tests {
     #[test]
     fn max_insts_respected() {
         let p = assemble("t", STREAM).unwrap();
-        let r = simulate(&p, &[], &SimConfig { max_insts: 500, ..SimConfig::default() });
+        let r = simulate(
+            &p,
+            &[],
+            &SimConfig {
+                max_insts: 500,
+                ..SimConfig::default()
+            },
+        );
         assert!(r.insts >= 500 && r.insts < 600);
     }
 
     #[test]
     fn store_forwarding_is_fast() {
-        let r = run(
-            "li r1, 0x100000\n li r2, 42\n sd r2, 0(r1)\n ld r3, 0(r1)\n halt",
-        );
+        let r = run("li r1, 0x100000\n li r2, 42\n sd r2, 0(r1)\n ld r3, 0(r1)\n halt");
         // The load forwards from the store queue: total run far below a
         // double memory-latency round trip.
         assert!(r.cycles < 100, "cycles {}", r.cycles);
@@ -889,7 +1147,10 @@ mod tests {
     fn pthread_step_budget_squashes_long_bodies() {
         let p = assemble("t", STREAM).unwrap();
         let pt = stream_pthread(16); // 17-instruction body
-        let cfg = SimConfig { pthread_step_budget: 4, ..SimConfig::default() };
+        let cfg = SimConfig {
+            pthread_step_budget: 4,
+            ..SimConfig::default()
+        };
         let r = simulate(&p, &[pt], &cfg);
         assert!(r.squash_count(SquashReason::BudgetExhausted) > 0);
         // No context ever injects past its budget.
@@ -899,7 +1160,14 @@ mod tests {
     #[test]
     fn cycle_watchdog_flags_timeout() {
         let p = assemble("t", STREAM).unwrap();
-        let r = simulate(&p, &[], &SimConfig { max_cycles: 200, ..SimConfig::default() });
+        let r = simulate(
+            &p,
+            &[],
+            &SimConfig {
+                max_cycles: 200,
+                ..SimConfig::default()
+            },
+        );
         assert!(r.timed_out);
         assert_eq!(r.cycles, 200);
         // A drained run is not a timeout.
@@ -910,15 +1178,96 @@ mod tests {
     #[test]
     fn try_simulate_rejects_bad_machine() {
         use crate::{MachineError, SimError};
-        let p = assemble("t", "halt").unwrap();
-        let cfg = SimConfig {
-            machine: MachineParams { width: 0, ..MachineParams::paper_default() },
+        use preexec_mem::CacheConfig;
+        // A store then a load: with no store-queue entry the store could
+        // never rename, and the run would spin to the cycle watchdog.
+        let p = assemble("t", "li r1, 0x100000\n sd r1, 0(r1)\n ld r2, 0(r1)\n halt").unwrap();
+        let ok = MachineParams::paper_default();
+        let cases = [
+            (MachineParams { width: 0, ..ok }, MachineError::ZeroWidth),
+            (
+                MachineParams {
+                    backside_bus_bytes: 0,
+                    ..ok
+                },
+                MachineError::ZeroBus,
+            ),
+            (
+                MachineParams {
+                    mem_bus_bytes: 0,
+                    ..ok
+                },
+                MachineError::ZeroBus,
+            ),
+            (
+                MachineParams {
+                    mem_bus_divisor: 0,
+                    ..ok
+                },
+                MachineError::ZeroBus,
+            ),
+            (
+                MachineParams {
+                    store_queue_entries: 0,
+                    ..ok
+                },
+                MachineError::ZeroStoreQueue,
+            ),
+            (
+                // Three ways: 1365 sets is not a power of two.
+                MachineParams {
+                    l2: CacheConfig { assoc: 3, ..ok.l2 },
+                    ..ok
+                },
+                MachineError::CacheGeometry,
+            ),
+            (
+                MachineParams {
+                    l1d: CacheConfig {
+                        line_bytes: 48,
+                        ..ok.l1d
+                    },
+                    ..ok
+                },
+                MachineError::CacheGeometry,
+            ),
+            (
+                ok.with_mem_latency(crate::MAX_LATENCY + 1),
+                MachineError::LatencyTooLong,
+            ),
+            (
+                MachineParams {
+                    agen_latency: u64::MAX,
+                    ..ok
+                },
+                MachineError::LatencyTooLong,
+            ),
+        ];
+        for (machine, want) in cases {
+            let cfg = SimConfig {
+                machine,
+                ..SimConfig::default()
+            };
+            assert_eq!(
+                try_simulate(&p, &[], &cfg).unwrap_err(),
+                SimError::Machine(want),
+                "{want}"
+            );
+        }
+        let one_entry = SimConfig {
+            machine: MachineParams {
+                store_queue_entries: 1,
+                ..ok
+            },
             ..SimConfig::default()
         };
-        assert_eq!(
-            try_simulate(&p, &[], &cfg).unwrap_err(),
-            SimError::Machine(MachineError::ZeroWidth)
-        );
+        assert!(!simulate(&p, &[], &one_entry).timed_out);
+        // The longest latency allowed still drains.
+        let slow = SimConfig {
+            machine: ok.with_mem_latency(crate::MAX_LATENCY),
+            ..SimConfig::default()
+        };
+        assert!(!simulate(&p, &[], &slow).timed_out);
     }
 
     #[test]
@@ -939,6 +1288,56 @@ mod tests {
              beq r6, r0, skip\n addi r7, r7, 1\n\
              skip: addi r1, r1, 1\n j top\n done: halt",
         );
-        assert!(r.mispredicts > 1000, "random branch mispredicts: {}", r.mispredicts);
+        assert!(
+            r.mispredicts > 1000,
+            "random branch mispredicts: {}",
+            r.mispredicts
+        );
+    }
+
+    /// A p-thread triggered at `trigger` whose body prefetches one block
+    /// far from the main thread's data.
+    fn prefetch_pthread(trigger: Pc) -> StaticPThread {
+        let mut pt = stream_pthread(0);
+        pt.trigger = trigger;
+        pt.body = vec![
+            Inst::li(Reg::new(20), 0x20_0000),
+            Inst::load(Op::Ld, Reg::new(21), Reg::new(20), 0),
+        ];
+        pt
+    }
+
+    #[test]
+    fn trigger_at_the_run_off_the_end_pc_launches_on_the_halting_step() {
+        // No `halt`: the CPU runs off the end, and that halting step is
+        // renamed at PC 5 — one past the last instruction. The main
+        // load's miss keeps the ROB busy while the p-thread injects.
+        let p = assemble(
+            "t",
+            "li r1, 0x100000\n ld r2, 0(r1)\n li r3, 7\n add r4, r2, r3\n addi r5, r4, 1",
+        )
+        .unwrap();
+        let r = simulate(&p, &[prefetch_pthread(5)], &SimConfig::default());
+        assert_eq!(r.launches, 1);
+        assert_eq!(format!("{r:?}"), RUN_OFF_END);
+
+        // A `jr` far past the end halts there instead.
+        let p = assemble("t", "li r1, 0x100000\n ld r2, 0(r1)\n li r3, 5000\n jr r3").unwrap();
+        let r = simulate(&p, &[prefetch_pthread(5000)], &SimConfig::default());
+        assert_eq!(r.launches, 1);
+        assert_eq!(format!("{r:?}"), JR_PAST_END);
+    }
+
+    /// The two runs above, recorded from the hash-map trigger lookup.
+    const RUN_OFF_END: &str = "SimResult { cycles: 92, insts: 6, launches: 1, drops: 0, pthread_insts: 2, branches: 0, mispredicts: 0, squashes: 0, squash_reasons: {}, timed_out: false, mem: MemStats { loads: 1, stores: 0, l1_misses: 1, l2_misses: 1, covered_full: 0, covered_partial: 0, pthread_loads: 1, pthread_prefetches: 1, pthread_useless: 0, writebacks: 0 } }";
+    const JR_PAST_END: &str = "SimResult { cycles: 90, insts: 5, launches: 1, drops: 0, pthread_insts: 2, branches: 0, mispredicts: 1, squashes: 0, squash_reasons: {}, timed_out: false, mem: MemStats { loads: 1, stores: 0, l1_misses: 1, l2_misses: 1, covered_full: 0, covered_partial: 0, pthread_loads: 1, pthread_prefetches: 1, pthread_useless: 0, writebacks: 0 } }";
+
+    #[test]
+    fn trigger_at_u32_max_launches_nothing() {
+        let p = assemble("t", STREAM).unwrap();
+        let base = simulate(&p, &[], &SimConfig::default());
+        let r = simulate(&p, &[prefetch_pthread(u32::MAX)], &SimConfig::default());
+        assert_eq!(r.launches, 0);
+        assert_eq!(format!("{r:?}"), format!("{base:?}"));
     }
 }

@@ -94,7 +94,10 @@ mod tests {
     #[test]
     fn table_load_dominates_misses() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 400_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 400_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         assert!(stats.l2_misses > 5_000, "misses {}", stats.l2_misses);
         // The table load (not the byte load) is the problem load.
@@ -106,7 +109,10 @@ mod tests {
     #[test]
     fn byte_stream_mostly_hits() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 400_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 400_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         // The lb site must have a tiny miss ratio (1 per 32 bytes at L1).
         let lb_site = stats

@@ -63,7 +63,7 @@ pub fn build(input: InputSet) -> Program {
     b.sll(a, idx, 6);
     b.add(a, a, tb);
     b.ld(v, 0, a); // the problem load: TT probe
-    // Data-dependent branches on the probed entry (mispredict-heavy).
+                   // Data-dependent branches on the probed entry (mispredict-heavy).
     b.andi(t, v, 1);
     b.beq(t, Reg::ZERO, "miss1");
     b.add(acc, acc, v);
@@ -98,7 +98,10 @@ mod tests {
     #[test]
     fn probes_miss_and_branches_are_data_dependent() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 500_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 500_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         assert!(stats.l2_misses > 5_000, "misses {}", stats.l2_misses);
         // Taken rate of conditional branches is mixed (neither ~0 nor ~1),

@@ -83,7 +83,10 @@ mod tests {
     #[test]
     fn object_loads_miss_pointer_array_mostly_hits() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 400_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 400_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         assert!(stats.l2_misses > 5_000);
         // Problem load is the object dereference (`ld r5, 0(r4)`).

@@ -47,7 +47,7 @@ pub fn build(input: InputSet) -> Program {
     b.bge(i, n, "done");
     b.add(a, rb, pos);
     b.ld(hdr, 0, a); // the problem load: record header
-    // Next position: header-dependent stride of 64..4096+64 bytes.
+                     // Next position: header-dependent stride of 64..4096+64 bytes.
     b.andi(t, hdr, 63);
     b.sll(t, t, 6);
     b.addi(t, t, 64);
@@ -84,7 +84,10 @@ mod tests {
     #[test]
     fn record_walk_misses() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 400_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 400_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         // Average stride ~2 KB over 8 MB: most hops land on fresh lines.
         assert!(stats.l2_misses > 5_000, "misses {}", stats.l2_misses);

@@ -28,8 +28,8 @@ pub fn build(input: InputSet) -> Program {
         _ => TRAIN_HOPS,
     };
     let mut rng = Lcg::new(0x6d6366 ^ input.seed()); // "mcf"
-    // Two independent successor permutations: whichever field is followed,
-    // the walk keeps visiting fresh nodes.
+                                                     // Two independent successor permutations: whichever field is followed,
+                                                     // the walk keeps visiting fresh nodes.
     let succ_a = cyclic_permutation(nodes, &mut rng);
     let succ_b = cyclic_permutation(nodes, &mut rng);
 
@@ -113,7 +113,10 @@ mod tests {
     #[test]
     fn chase_misses_heavily() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 400_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 400_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         let mpki = stats.l2_mpki();
         assert!(mpki > 40.0, "mcf must be miss-dominated, got {mpki} mpki");
@@ -126,7 +129,10 @@ mod tests {
     #[test]
     fn successor_branch_is_data_dependent() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 400_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 400_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         // Roughly half the nodes take each successor path. Conditional
         // branches: loop bge (never taken until end) + selector beq.

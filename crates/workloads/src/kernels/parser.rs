@@ -78,7 +78,7 @@ pub fn build(input: InputSet) -> Program {
     b.sll(a, hash, 3);
     b.add(a, a, hb);
     b.ld(p, 0, a); // the problem load: bucket head
-    // Walk up to the whole chain comparing keys.
+                   // Walk up to the whole chain comparing keys.
     b.label("walk");
     b.beq(p, Reg::ZERO, "next");
     b.ld(key, 0, p); // node key (serialized chain load)
@@ -115,7 +115,10 @@ mod tests {
     #[test]
     fn lookups_miss_on_heads_and_chains() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 600_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 600_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         assert!(stats.l2_misses > 4_000, "misses {}", stats.l2_misses);
         // At least two distinct miss sites: head load and chain loads.
@@ -126,7 +129,10 @@ mod tests {
     fn chains_average_a_few_nodes() {
         // 192K nodes over 64K buckets: mean chain length 3.
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 600_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 600_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         let head_pc = stats
             .load_sites

@@ -96,7 +96,10 @@ mod tests {
 
     #[test]
     fn train_misses_test_fits_l2() {
-        let cfg = TraceConfig { max_steps: 600_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 600_000,
+            ..TraceConfig::default()
+        };
         let train = run_trace(&build(InputSet::Train), &cfg, |_| {});
         assert!(train.l2_misses > 4_000, "train misses {}", train.l2_misses);
         let test = run_trace(&build(InputSet::Test), &cfg, |_| {});
@@ -114,7 +117,10 @@ mod tests {
         // The two problem loads sit ~24 instructions after the index
         // computation: iteration length must exceed 30.
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 100_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 100_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         let iters = stats.insts / 40; // approximate
         assert!(iters > 1000);

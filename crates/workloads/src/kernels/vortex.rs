@@ -78,7 +78,7 @@ pub fn build(input: InputSet) -> Program {
     b.sll(a, h, 3);
     b.add(a, a, ib);
     b.ld(o, 0, a); // level-1 load: object id
-    // Level 1 -> 2: object line.
+                   // Level 1 -> 2: object line.
     b.sll(a, o, 6);
     b.add(a, a, ob);
     b.ld(q, 0, a); // level-2 load: field id
@@ -114,7 +114,10 @@ mod tests {
     #[test]
     fn three_levels_of_misses() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 600_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 600_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         assert!(stats.l2_misses > 8_000, "misses {}", stats.l2_misses);
         // Both the object and field loads must be significant miss sites.

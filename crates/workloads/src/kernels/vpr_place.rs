@@ -108,7 +108,10 @@ mod tests {
 
     #[test]
     fn train_misses_test_fits_l2() {
-        let cfg = TraceConfig { max_steps: 600_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 600_000,
+            ..TraceConfig::default()
+        };
         let train = run_trace(&build(InputSet::Train), &cfg, |_| {});
         assert!(train.l2_misses > 4_000, "train misses {}", train.l2_misses);
         let test = run_trace(&build(InputSet::Test), &cfg, |_| {});

@@ -56,10 +56,10 @@ pub fn build(input: InputSet) -> Program {
     b.sll(a, idx, 6);
     b.add(a, a, cb);
     b.ld(c, 0, a); // the problem load: cost entry
-    // Relax-or-skip on the loaded cost: a data-dependent branch. VPR's
-    // router is mispredict-heavy (the paper groups vpr.r with crafty and
-    // gcc), which serializes the *main* thread behind each miss while the
-    // control-less p-thread runs ahead unimpeded.
+                   // Relax-or-skip on the loaded cost: a data-dependent branch. VPR's
+                   // router is mispredict-heavy (the paper groups vpr.r with crafty and
+                   // gcc), which serializes the *main* thread behind each miss while the
+                   // control-less p-thread runs ahead unimpeded.
     b.andi(t, c, 1);
     b.beq(t, Reg::ZERO, "skip");
     b.add(acc, acc, c);
@@ -92,7 +92,10 @@ mod tests {
     #[test]
     fn cost_load_misses_frontier_mostly_hits() {
         let p = build(InputSet::Train);
-        let cfg = TraceConfig { max_steps: 500_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 500_000,
+            ..TraceConfig::default()
+        };
         let stats = run_trace(&p, &cfg, |_| {});
         assert!(stats.l2_misses > 5_000, "misses {}", stats.l2_misses);
         let top = stats.problem_loads()[0];

@@ -35,16 +35,46 @@ impl Workload {
 /// ```
 pub fn suite() -> Vec<Workload> {
     vec![
-        Workload { name: "bzip2", builder: kernels::bzip2::build },
-        Workload { name: "crafty", builder: kernels::crafty::build },
-        Workload { name: "gap", builder: kernels::gap::build },
-        Workload { name: "gcc", builder: kernels::gcc::build },
-        Workload { name: "mcf", builder: kernels::mcf::build },
-        Workload { name: "parser", builder: kernels::parser::build },
-        Workload { name: "twolf", builder: kernels::twolf::build },
-        Workload { name: "vortex", builder: kernels::vortex::build },
-        Workload { name: "vpr.p", builder: kernels::vpr_place::build },
-        Workload { name: "vpr.r", builder: kernels::vpr_route::build },
+        Workload {
+            name: "bzip2",
+            builder: kernels::bzip2::build,
+        },
+        Workload {
+            name: "crafty",
+            builder: kernels::crafty::build,
+        },
+        Workload {
+            name: "gap",
+            builder: kernels::gap::build,
+        },
+        Workload {
+            name: "gcc",
+            builder: kernels::gcc::build,
+        },
+        Workload {
+            name: "mcf",
+            builder: kernels::mcf::build,
+        },
+        Workload {
+            name: "parser",
+            builder: kernels::parser::build,
+        },
+        Workload {
+            name: "twolf",
+            builder: kernels::twolf::build,
+        },
+        Workload {
+            name: "vortex",
+            builder: kernels::vortex::build,
+        },
+        Workload {
+            name: "vpr.p",
+            builder: kernels::vpr_place::build,
+        },
+        Workload {
+            name: "vpr.r",
+            builder: kernels::vpr_route::build,
+        },
     ]
 }
 
@@ -63,7 +93,10 @@ mod tests {
         let names: Vec<&str> = suite().iter().map(|w| w.name).collect();
         assert_eq!(
             names,
-            vec!["bzip2", "crafty", "gap", "gcc", "mcf", "parser", "twolf", "vortex", "vpr.p", "vpr.r"]
+            vec![
+                "bzip2", "crafty", "gap", "gcc", "mcf", "parser", "twolf", "vortex", "vpr.p",
+                "vpr.r"
+            ]
         );
     }
 
@@ -75,7 +108,10 @@ mod tests {
 
     #[test]
     fn every_workload_runs_and_misses_on_train() {
-        let cfg = TraceConfig { max_steps: 300_000, ..TraceConfig::default() };
+        let cfg = TraceConfig {
+            max_steps: 300_000,
+            ..TraceConfig::default()
+        };
         for w in suite() {
             let p = w.build(InputSet::Train);
             assert_eq!(p.validate(), Ok(()), "{}", w.name);
@@ -97,11 +133,7 @@ mod tests {
         for w in suite() {
             let p = w.build(InputSet::Test);
             let stats = run_trace(&p, &cfg, |_| {});
-            assert!(
-                stats.total_steps < cfg.max_steps,
-                "{} did not halt",
-                w.name
-            );
+            assert!(stats.total_steps < cfg.max_steps, "{} did not halt", w.name);
         }
     }
 

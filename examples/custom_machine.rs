@@ -6,10 +6,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use preexec::experiments::pipeline::{
-    selection_params, sim, trace_and_slice, PipelineConfig,
-};
 use preexec::core::select_pthreads;
+use preexec::experiments::pipeline::{selection_params, sim, trace_and_slice, PipelineConfig};
 use preexec::timing::{MachineParams, SimMode};
 use preexec::workloads::{suite, InputSet};
 

@@ -40,7 +40,12 @@ exit:
 ";
 
 fn entry(pc: Pc, inst: Inst, dist: u64, deps: Vec<u32>) -> SliceEntry {
-    SliceEntry { pc, inst, dist, dep_positions: deps }
+    SliceEntry {
+        pc,
+        inst,
+        dist,
+        dep_positions: deps,
+    }
 }
 
 fn root_inst() -> Inst {
@@ -51,12 +56,31 @@ fn root_inst() -> Inst {
 fn left_slice(u: usize) -> Vec<SliceEntry> {
     let mut s = vec![
         entry(9, root_inst(), 0, vec![1]),
-        entry(8, Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096), 1, vec![2]),
-        entry(7, Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2), 2, vec![3]),
-        entry(4, Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 4), 4, vec![4]),
+        entry(
+            8,
+            Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096),
+            1,
+            vec![2],
+        ),
+        entry(
+            7,
+            Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2),
+            2,
+            vec![3],
+        ),
+        entry(
+            4,
+            Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 4),
+            4,
+            vec![4],
+        ),
     ];
     for k in 0..u {
-        let dep = if k + 1 < u { vec![5 + k as u32] } else { vec![] };
+        let dep = if k + 1 < u {
+            vec![5 + k as u32]
+        } else {
+            vec![]
+        };
         s.push(entry(
             11,
             Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16),
@@ -71,12 +95,31 @@ fn left_slice(u: usize) -> Vec<SliceEntry> {
 fn right_slice(u: usize) -> Vec<SliceEntry> {
     let mut s = vec![
         entry(9, root_inst(), 0, vec![1]),
-        entry(8, Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096), 1, vec![2]),
-        entry(7, Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2), 2, vec![3]),
-        entry(6, Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 8), 3, vec![4]),
+        entry(
+            8,
+            Inst::itype(Op::Addi, Reg::new(7), Reg::new(7), 4096),
+            1,
+            vec![2],
+        ),
+        entry(
+            7,
+            Inst::itype(Op::Sll, Reg::new(7), Reg::new(7), 2),
+            2,
+            vec![3],
+        ),
+        entry(
+            6,
+            Inst::load(Op::Lw, Reg::new(7), Reg::new(5), 8),
+            3,
+            vec![4],
+        ),
     ];
     for k in 0..u {
-        let dep = if k + 1 < u { vec![5 + k as u32] } else { vec![] };
+        let dep = if k + 1 < u {
+            vec![5 + k as u32]
+        } else {
+            vec![]
+        };
         s.push(entry(
             11,
             Inst::itype(Op::Addi, Reg::new(5), Reg::new(5), 16),
@@ -90,9 +133,9 @@ fn right_slice(u: usize) -> Vec<SliceEntry> {
 fn dc_trig(pc: Pc) -> u64 {
     match pc {
         7..=9 => 80, // 80 iterations contain load #09
-        4 => 60,         // 60 use the #04 computation
-        6 => 20,         // 20 use the #06 computation
-        11 => 100,       // once per iteration
+        4 => 60,     // 60 use the #04 computation
+        6 => 20,     // 20 use the #06 computation
+        11 => 100,   // once per iteration
         _ => 0,
     }
 }

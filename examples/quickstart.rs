@@ -50,7 +50,9 @@ fn main() {
     let mut x: u64 = 0x243f_6a88_85a3_08d3;
     let bytes: Vec<u8> = (0..4000 * 64)
         .map(|_| {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (x >> 33) as u8
         })
         .collect();
@@ -73,7 +75,10 @@ fn main() {
     println!("base:     IPC {:.3} ({} cycles)", base.ipc(), base.cycles);
 
     // 3. Select p-threads with the paper's framework.
-    let params = SelectionParams { ipc: base.ipc(), ..SelectionParams::default() };
+    let params = SelectionParams {
+        ipc: base.ipc(),
+        ..SelectionParams::default()
+    };
     let selection = select_pthreads(&forest, &params);
     println!(
         "selected {} static p-thread(s); predicted coverage {} of {} misses",

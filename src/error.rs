@@ -114,12 +114,15 @@ mod tests {
 
     #[test]
     fn lifts_every_layer() {
-        let e: Error = preexec_isa::assemble("t", "frobnicate r1").unwrap_err().into();
+        let e: Error = preexec_isa::assemble("t", "frobnicate r1")
+            .unwrap_err()
+            .into();
         assert!(matches!(e, Error::Isa(_)));
         assert!(e.source().is_some());
         let e: Error = preexec_core::ParamsError::ZeroMaxPthreadLen.into();
         assert!(e.to_string().starts_with("core:"));
-        let e: Error = preexec_timing::SimError::Machine(preexec_timing::MachineError::ZeroWidth).into();
+        let e: Error =
+            preexec_timing::SimError::Machine(preexec_timing::MachineError::ZeroWidth).into();
         assert!(e.to_string().contains("width"));
         let e: Error = preexec_experiments::PipelineError::ZeroBudget.into();
         assert!(matches!(e, Error::Pipeline(_)));

@@ -3,10 +3,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+use preexec::core::select_pthreads;
 use preexec::experiments::pipeline::{
     run_cross_input, run_pipeline, selection_params, sim, trace_and_slice, PipelineConfig,
 };
-use preexec::core::select_pthreads;
 use preexec::timing::SimMode;
 use preexec::workloads::{suite, InputSet, Workload};
 
@@ -63,7 +63,12 @@ fn fig4_trend_constraints_relax_coverage_saturates() {
     let base = sim(&p, &[], &cfg(), SimMode::Normal);
     let mut coverages = Vec::new();
     for (scope, len) in [(256usize, 8usize), (1024, 32), (2048, 64)] {
-        let c = PipelineConfig { scope, max_slice_len: len, max_pthread_len: len, ..cfg() };
+        let c = PipelineConfig {
+            scope,
+            max_slice_len: len,
+            max_pthread_len: len,
+            ..cfg()
+        };
         let (forest, _) = trace_and_slice(&p, c.scope, c.max_slice_len, c.budget);
         let params = selection_params(&c, base.ipc());
         let sel = select_pthreads(&forest, &params);
@@ -90,11 +95,18 @@ fn fig5_trend_optimization_shortens_and_does_not_hurt() {
     let base = sim(&p, &[], &cfg(), SimMode::Normal);
     let mut results = Vec::new();
     for (optimize, merge) in [(false, false), (true, true)] {
-        let c = PipelineConfig { optimize, merge, ..cfg() };
+        let c = PipelineConfig {
+            optimize,
+            merge,
+            ..cfg()
+        };
         let (forest, _) = trace_and_slice(&p, c.scope, c.max_slice_len, c.budget);
         let params = selection_params(&c, base.ipc());
         let sel = select_pthreads(&forest, &params);
-        results.push((sel.prediction.avg_pthread_len, sel.prediction.misses_covered));
+        results.push((
+            sel.prediction.avg_pthread_len,
+            sel.prediction.misses_covered,
+        ));
     }
     let (_len_plain, cov_plain) = results[0];
     let (_len_opt, cov_opt) = results[1];
@@ -152,8 +164,7 @@ fn fig8_trend_self_validation_not_dominated() {
         let mut ipcs = Vec::new();
         for model_lat in [sim_lat as f64, if sim_lat == 70 { 140.0 } else { 70.0 }] {
             let c = PipelineConfig {
-                machine: preexec::timing::MachineParams::paper_default()
-                    .with_mem_latency(sim_lat),
+                machine: preexec::timing::MachineParams::paper_default().with_mem_latency(sim_lat),
                 model_miss_latency: Some(model_lat),
                 ..cfg()
             };
@@ -185,7 +196,12 @@ fn validation_overhead_modes_agree() {
     let ex = sim(&p, &sel.pthreads, &c, SimMode::OverheadExecute);
     let sq = sim(&p, &sel.pthreads, &c, SimMode::OverheadSequence);
     let rel = (ex.ipc() - sq.ipc()).abs() / base.ipc();
-    assert!(rel < 0.10, "overhead modes diverge: {} vs {}", ex.ipc(), sq.ipc());
+    assert!(
+        rel < 0.10,
+        "overhead modes diverge: {} vs {}",
+        ex.ipc(),
+        sq.ipc()
+    );
     // And neither prefetches.
     assert_eq!(ex.covered(), 0);
     assert_eq!(sq.covered(), 0);

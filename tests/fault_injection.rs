@@ -42,9 +42,7 @@ use preexec::experiments::fault::{
     drop_line, dup_line, flip_bit, poisoned_pthread, runaway_pthread, truncate_bytes,
 };
 use preexec::experiments::{try_run_pipeline, PipelineConfig, PipelineError};
-use preexec::func::{
-    run_pthread, try_run_trace, Cpu, ExecError, SquashReason, TraceConfig,
-};
+use preexec::func::{run_pthread, try_run_trace, Cpu, ExecError, SquashReason, TraceConfig};
 use preexec::isa::{assemble, Inst, Op, Program, Reg};
 use preexec::mem::Memory;
 use preexec::slice::{
@@ -95,9 +93,15 @@ fn s01_truncated_file_errors_strictly_and_recovers_leniently() {
     let text = forest_text();
     for frac in [4, 3, 2] {
         let cut = truncate_bytes(&text, text.len() / frac);
-        assert!(read_forest(&cut).is_err(), "truncation at 1/{frac} must fail strict read");
+        assert!(
+            read_forest(&cut).is_err(),
+            "truncation at 1/{frac} must fail strict read"
+        );
         let rec = read_forest_lenient(&cut);
-        assert!(!rec.diagnostics.is_empty(), "recovery must explain the damage");
+        assert!(
+            !rec.diagnostics.is_empty(),
+            "recovery must explain the damage"
+        );
     }
 }
 
@@ -117,7 +121,10 @@ fn s03_duplicated_line_is_detected_and_recovery_never_panics() {
         if corrupted == text {
             continue;
         }
-        assert!(read_forest(&corrupted).is_err(), "dup of line {n} must fail strict read");
+        assert!(
+            read_forest(&corrupted).is_err(),
+            "dup of line {n} must fail strict read"
+        );
         read_forest_lenient(&corrupted); // must not panic for any n
     }
 }
@@ -128,14 +135,21 @@ fn s04_bit_flip_is_detected_by_checksum() {
     let flipped = flip_bit(&text, 3, 2, 0);
     assert_ne!(flipped, text);
     let e = read_forest(&flipped).unwrap_err();
-    assert!(e.to_string().contains("checksum") || e.to_string().contains("parse"), "got: {e}");
+    assert!(
+        e.to_string().contains("checksum") || e.to_string().contains("parse"),
+        "got: {e}"
+    );
 }
 
 #[test]
 fn s05_future_version_is_rejected() {
     let text = forest_text();
     let header = text.lines().next().unwrap();
-    let bumped = text.replacen(header, "preexec-slices version=99 checksum=0000000000000000", 1);
+    let bumped = text.replacen(
+        header,
+        "preexec-slices version=99 checksum=0000000000000000",
+        1,
+    );
     let e = read_forest(&bumped).unwrap_err();
     assert!(e.to_string().contains("version 99"), "got: {e}");
 }
@@ -164,8 +178,7 @@ fn s08_corrupt_node_in_legacy_file_names_the_line() {
         .lines()
         .position(|l| l.starts_with("node"))
         .expect("fixture has node records");
-    let corrupted = drop_line(&legacy, bad_line)
-        .replacen("node", "noise", 1);
+    let corrupted = drop_line(&legacy, bad_line).replacen("node", "noise", 1);
     let e = read_forest(&corrupted).unwrap_err();
     assert!(e.line >= 1, "line-numbered diagnostic required, got: {e}");
 }
@@ -200,7 +213,10 @@ fn s11_stepping_a_halted_cpu_is_a_typed_error() {
 
 #[test]
 fn s12_trace_watchdog_flags_nonhalting_program() {
-    let config = TraceConfig { max_steps: 5_000, ..TraceConfig::default() };
+    let config = TraceConfig {
+        max_steps: 5_000,
+        ..TraceConfig::default()
+    };
     let stats = try_run_trace(&spin_program(), &config, |_| {}).unwrap();
     assert!(stats.timed_out, "watchdog must flag the spin loop");
     assert!(stats.total_steps <= 5_000);
@@ -216,30 +232,42 @@ fn s13_branch_helper_rejects_non_branch_opcode() {
 
 #[test]
 fn s14_zero_scope_is_a_typed_error() {
-    assert!(matches!(SliceForestBuilder::try_new(0, 32), Err(SliceError::ZeroScope)));
-    assert!(matches!(SliceForestBuilder::try_new(8, 0), Err(SliceError::ZeroMaxSliceLen)));
+    assert!(matches!(
+        SliceForestBuilder::try_new(0, 32),
+        Err(SliceError::ZeroScope)
+    ));
+    assert!(matches!(
+        SliceForestBuilder::try_new(8, 0),
+        Err(SliceError::ZeroMaxSliceLen)
+    ));
 }
 
 #[test]
 fn s15_slicing_an_empty_window_is_a_typed_error() {
     let w = SliceWindow::try_new(16).unwrap();
-    assert!(matches!(w.try_slice_latest(8), Err(SliceError::EmptyWindow)));
+    assert!(matches!(
+        w.try_slice_latest(8),
+        Err(SliceError::EmptyWindow)
+    ));
 }
 
 // --------------------------------------------------------------- p-thread
 
 #[test]
 fn s16_wild_address_load_squashes_in_sandbox() {
-    let body =
-        [Inst::li(Reg::new(20), -8), Inst::load(Op::Ld, Reg::new(21), Reg::new(20), 0)];
+    let body = [
+        Inst::li(Reg::new(20), -8),
+        Inst::load(Op::Ld, Reg::new(21), Reg::new(20), 0),
+    ];
     let run = run_pthread(&body, &[0; preexec::isa::reg::NUM_REGS], &Memory::new(), 64);
     assert_eq!(run.squash_reason(), Some(SquashReason::BadAddress));
 }
 
 #[test]
 fn s17_step_budget_squashes_oversized_body() {
-    let body: Vec<Inst> =
-        (0..50).map(|_| Inst::itype(Op::Addi, Reg::new(20), Reg::new(20), 1)).collect();
+    let body: Vec<Inst> = (0..50)
+        .map(|_| Inst::itype(Op::Addi, Reg::new(20), Reg::new(20), 1))
+        .collect();
     let run = run_pthread(&body, &[0; preexec::isa::reg::NUM_REGS], &Memory::new(), 10);
     assert_eq!(run.squash_reason(), Some(SquashReason::BudgetExhausted));
     assert_eq!(run.executed, 10);
@@ -250,7 +278,10 @@ fn s17_step_budget_squashes_oversized_body() {
 #[test]
 fn s18_poisoned_pthread_is_squashed_and_counted() {
     let p = stream_program();
-    let cfg = SimConfig { max_insts: 3_000, ..SimConfig::default() };
+    let cfg = SimConfig {
+        max_insts: 3_000,
+        ..SimConfig::default()
+    };
     let r = try_simulate(&p, &[poisoned_pthread(4)], &cfg).unwrap();
     assert!(r.squashes > 0, "poisoned launches must be counted");
     assert!(r.squash_count(SquashReason::BadAddress) > 0);
@@ -260,14 +291,22 @@ fn s18_poisoned_pthread_is_squashed_and_counted() {
 #[test]
 fn s19_runaway_pthread_trips_step_budget() {
     let p = stream_program();
-    let cfg = SimConfig { max_insts: 3_000, pthread_step_budget: 16, ..SimConfig::default() };
+    let cfg = SimConfig {
+        max_insts: 3_000,
+        pthread_step_budget: 16,
+        ..SimConfig::default()
+    };
     let r = try_simulate(&p, &[runaway_pthread(4, 64)], &cfg).unwrap();
     assert!(r.squash_count(SquashReason::BudgetExhausted) > 0);
 }
 
 #[test]
 fn s20_cycle_watchdog_ends_nonhalting_simulation() {
-    let cfg = SimConfig { max_cycles: 500, max_insts: u64::MAX, ..SimConfig::default() };
+    let cfg = SimConfig {
+        max_cycles: 500,
+        max_insts: u64::MAX,
+        ..SimConfig::default()
+    };
     let r = try_simulate(&spin_program(), &[], &cfg).unwrap();
     assert!(r.timed_out, "cycle watchdog must flag the spin loop");
 }
@@ -286,11 +325,29 @@ fn s21_invalid_machine_is_a_typed_error() {
 fn s22_selection_params_reject_nan_and_zero_fields() {
     let ok = SelectionParams::default();
     let cases = [
-        (SelectionParams { bw_seq: f64::NAN, ..ok }, "bw_seq NaN"),
+        (
+            SelectionParams {
+                bw_seq: f64::NAN,
+                ..ok
+            },
+            "bw_seq NaN",
+        ),
         (SelectionParams { bw_seq: 0.0, ..ok }, "bw_seq zero"),
         (SelectionParams { ipc: -1.0, ..ok }, "ipc negative"),
-        (SelectionParams { miss_latency: f64::INFINITY, ..ok }, "miss_latency inf"),
-        (SelectionParams { max_pthread_len: 0, ..ok }, "max_pthread_len zero"),
+        (
+            SelectionParams {
+                miss_latency: f64::INFINITY,
+                ..ok
+            },
+            "miss_latency inf",
+        ),
+        (
+            SelectionParams {
+                max_pthread_len: 0,
+                ..ok
+            },
+            "max_pthread_len zero",
+        ),
     ];
     for (params, what) in cases {
         assert!(params.try_validate().is_err(), "{what} must be rejected");
@@ -299,7 +356,11 @@ fn s22_selection_params_reject_nan_and_zero_fields() {
 
 #[test]
 fn s23_ipc_above_width_is_rejected() {
-    let params = SelectionParams { bw_seq: 4.0, ipc: 9.0, ..SelectionParams::default() };
+    let params = SelectionParams {
+        bw_seq: 4.0,
+        ipc: 9.0,
+        ..SelectionParams::default()
+    };
     assert!(matches!(
         params.try_validate(),
         Err(ParamsError::IpcExceedsWidth { .. })
@@ -308,7 +369,10 @@ fn s23_ipc_above_width_is_rejected() {
 
 #[test]
 fn s24_zero_budget_pipeline_fails_before_any_work() {
-    let cfg = PipelineConfig { budget: 0, ..PipelineConfig::paper_default(10_000) };
+    let cfg = PipelineConfig {
+        budget: 0,
+        ..PipelineConfig::paper_default(10_000)
+    };
     let e = try_run_pipeline(&stream_program(), &cfg).unwrap_err();
     assert_eq!(e, PipelineError::ZeroBudget);
 }

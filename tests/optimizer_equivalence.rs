@@ -104,9 +104,7 @@ fn with_deps(insts: Vec<Inst>) -> Body {
                         .filter_map(|r| {
                             if r == base {
                                 // recompute what the store's base dep was
-                                body[..j]
-                                    .iter()
-                                    .rposition(|b| b.inst.def() == Some(base))
+                                body[..j].iter().rposition(|b| b.inst.def() == Some(base))
                             } else {
                                 None
                             }
@@ -124,7 +122,11 @@ fn with_deps(insts: Vec<Inst>) -> Body {
         if let Some(def) = inst.def() {
             last_writer.insert(def, i);
         }
-        body.push(BodyInst { inst, deps, mt_dist: i as f64 * 3.0 });
+        body.push(BodyInst {
+            inst,
+            deps,
+            mt_dist: i as f64 * 3.0,
+        });
     }
     Body::new(body)
 }
@@ -162,7 +164,9 @@ fn seed_regs(seed: i64) -> [i64; 64] {
     let mut regs = [0i64; 64];
     let mut x = seed.wrapping_mul(0x5851_f42d_4c95_7f2d).wrapping_add(7);
     for r in regs.iter_mut().skip(1) {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         // Keep addresses in a sane positive range.
         *r = (x >> 33).abs() % (1 << 20);
     }
