@@ -2,7 +2,7 @@
 //! wall-clock: serial versus N-thread selection, windowed versus
 //! on-demand trace.
 //!
-//! Runs one workload through the [`Pipeline`] builder and emits four
+//! Runs one workload through the [`Pipeline`] builder and emits three
 //! reports:
 //!
 //! - `BENCH_pipeline.json`: per-stage timings, the selection stage's
@@ -17,13 +17,7 @@
 //! - `BENCH_reexec.json`: the on-demand re-execution slicing leg —
 //!   windowed versus checkpointed trace wall clock, the checkpoint and
 //!   re-executed-instruction counts, the peak resident detail
-//!   high-water mark, and the ondemand-vs-windowed bit-identity verdict;
-//! - `BENCH_adaptive.json`: the phase-adaptive selection leg — the full
-//!   adaptive pipeline's wall clock, the per-phase policy choices and
-//!   payoffs, the static-vs-adaptive p-thread counts and assisted IPC
-//!   (the static value from the serial finish leg's timing run), the
-//!   serial-vs-N bit-identity verdict, and the global-forest identity
-//!   with the windowed leg.
+//!   high-water mark, and the ondemand-vs-windowed bit-identity verdict.
 //!
 //! Every timed stage leg (trace windowed/on-demand and the finish stages
 //! behind the select timings) is best-of-5 — single shots confound
@@ -34,22 +28,20 @@
 //! axis, the slicing-mode axis, and the screening axis (§16).
 //!
 //! Usage: `pipeline-bench [--workload NAME] [--budget B] [--threads N]
-//!         [--out PATH] [--score-out PATH] [--reexec-out PATH]
-//!         [--adaptive-out PATH] [--check]`
+//!         [--out PATH] [--score-out PATH] [--reexec-out PATH] [--check]`
 //!
 //! Defaults: `vpr.r`, 60 000 instructions, one thread per core,
-//! `BENCH_pipeline.json`, `BENCH_score.json`, `BENCH_reexec.json`,
-//! `BENCH_adaptive.json`. Exit codes: 0 success, 2 usage error — or,
-//! under `--check`, a screened score stage slower than the exact one (a
-//! screening perf regression) or an on-demand peak residency at or above
-//! the configured scope (the bounded-memory contract) — and 1 pipeline
-//! or I/O failure (including any leg mismatch, which would mean a
-//! determinism bug).
+//! `BENCH_pipeline.json`, `BENCH_score.json`, `BENCH_reexec.json`.
+//! Exit codes: 0 success, 2 usage error — or, under `--check`, a
+//! screened score stage slower than the exact one (a screening perf
+//! regression) or an on-demand peak residency at or above the configured
+//! scope (the bounded-memory contract) — and 1 pipeline or I/O failure
+//! (including any leg mismatch, which would mean a determinism bug).
 
 use preexec_bench::build;
 use preexec_core::{try_select_pthreads_stats, ScreenStats, Selection, SelectionParams};
 use preexec_experiments::{
-    AdaptiveConfig, ParStats, Parallelism, Pipeline, PipelineConfig, PolicySpec, SlicingMode,
+    ParStats, Parallelism, Pipeline, PipelineConfig, PolicySpec, SlicingMode,
 };
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -66,7 +58,6 @@ struct Args {
     out: String,
     score_out: String,
     reexec_out: String,
-    adaptive_out: String,
     check: bool,
 }
 
@@ -78,7 +69,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         out: "BENCH_pipeline.json".to_string(),
         score_out: "BENCH_score.json".to_string(),
         reexec_out: "BENCH_reexec.json".to_string(),
-        adaptive_out: "BENCH_adaptive.json".to_string(),
         check: false,
     };
     let mut it = argv.iter();
@@ -105,7 +95,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
             "--out" => args.out = value("--out")?,
             "--score-out" => args.score_out = value("--score-out")?,
             "--reexec-out" => args.reexec_out = value("--reexec-out")?,
-            "--adaptive-out" => args.adaptive_out = value("--adaptive-out")?,
             "--check" => args.check = true,
             other => return Err(format!("unknown option `{other}`")),
         }
@@ -460,85 +449,6 @@ fn run(args: &Args) -> Result<u8, String> {
     std::fs::write(&args.reexec_out, &rjson)
         .map_err(|e| format!("writing {}: {e}", args.reexec_out))?;
 
-    // The adaptive leg: phase detection on the traced chunks, per-phase
-    // forests, the policy chooser, and the deduplicated union — the full
-    // `run()`, timed best-of-N serially, then once in parallel for the
-    // thread-determinism contract (result AND per-phase report must be
-    // bit-identical at any thread count).
-    let adaptive_spec = PolicySpec {
-        cfg,
-        adaptive: AdaptiveConfig {
-            enabled: true,
-            ..AdaptiveConfig::default()
-        },
-        ..PolicySpec::default()
-    };
-    let (adaptive_us, out_adaptive) = best_of_us(|| {
-        Pipeline::new(&program)
-            .policy(adaptive_spec)
-            .run()
-            .map_err(|e| format!("adaptive run: {e}"))
-    })?;
-    let out_adaptive_par = Pipeline::new(&program)
-        .policy(adaptive_spec)
-        .parallelism(par)
-        .run()
-        .map_err(|e| format!("parallel adaptive run: {e}"))?;
-    if format!("{:?}", out_adaptive.result) != format!("{:?}", out_adaptive_par.result)
-        || format!("{:?}", out_adaptive.adaptive) != format!("{:?}", out_adaptive_par.adaptive)
-    {
-        return Err(format!(
-            "adaptive results differ between --threads 1 and --threads {}",
-            args.threads
-        ));
-    }
-    if forest_bytes != preexec_slice::write_forest(&out_adaptive.forest) {
-        return Err("adaptive global forest differs from the windowed batch forest".to_string());
-    }
-    let rep = out_adaptive
-        .adaptive
-        .as_ref()
-        .ok_or("adaptive run reported no adaptive report")?;
-    let mut ajson = String::new();
-    let _ = write!(
-        ajson,
-        r#"{{"workload":"{}","budget":{},"wall_us":{adaptive_us},"phases":["#,
-        args.workload, args.budget,
-    );
-    for (i, p) in rep.phases.iter().enumerate() {
-        if i > 0 {
-            ajson.push(',');
-        }
-        let _ = write!(
-            ajson,
-            r#"{{"index":{},"insts":{},"l2_misses":{},"policy":"{}","policy_index":{},"pthreads":{},"payoff":{:.3},"static_payoff":{:.3}}}"#,
-            p.index,
-            p.insts,
-            p.l2_misses,
-            p.policy,
-            p.policy_index,
-            p.pthreads,
-            p.payoff,
-            p.static_payoff,
-        );
-    }
-    let _ = write!(
-        ajson,
-        r#"],"divergent_phases":{},"pthreads":{{"adaptive":{},"static":{}}},"payoff":{{"adaptive":{:.3},"static":{:.3}}},"assisted_ipc":{{"static":{:.4},"adaptive":{:.4}}},"identical":true,"obs":"#,
-        rep.divergent_phases,
-        rep.adaptive_pthreads,
-        rep.static_pthreads,
-        rep.adaptive_payoff,
-        rep.static_payoff,
-        out_serial.result.assisted.ipc(),
-        out_adaptive.result.assisted.ipc(),
-    );
-    obs_json(&mut ajson);
-    ajson.push('}');
-    ajson.push('\n');
-    std::fs::write(&args.adaptive_out, &ajson)
-        .map_err(|e| format!("writing {}: {e}", args.adaptive_out))?;
-
     eprintln!(
         "pipeline-bench: {} @ {} insts, {} threads: select {:.2}x -> {}",
         args.workload,
@@ -569,17 +479,6 @@ fn run(args: &Args) -> Result<u8, String> {
         peak_resident,
         cfg.scope,
         args.reexec_out
-    );
-    eprintln!(
-        "pipeline-bench: adaptive leg: {} phases, {} divergent; {} p-threads (static {}), assisted IPC {:.4} vs {:.4} ({} us) -> {}",
-        rep.phases.len(),
-        rep.divergent_phases,
-        rep.adaptive_pthreads,
-        rep.static_pthreads,
-        out_adaptive.result.assisted.ipc(),
-        out_serial.result.assisted.ipc(),
-        adaptive_us,
-        args.adaptive_out
     );
     // `--check`: the screening perf gate. Screened scoring doing *more*
     // work than exact scoring means the screen's savings no longer cover

@@ -57,7 +57,6 @@ pub mod merge;
 pub mod optimize;
 pub mod par;
 pub mod params;
-pub mod policy;
 pub mod predict;
 pub mod pthread;
 pub mod scdh;
@@ -72,10 +71,6 @@ pub use merge::merge_pthreads;
 pub use optimize::optimize_body;
 pub use par::{ParStats, Parallelism};
 pub use params::SelectionParams;
-pub use policy::{
-    overhead_weight, phase_ipc_estimate, phase_payoff, try_choose_policy, variant_params,
-    PhasePolicyChoice, PhaseStats, PolicyVariant, POLICY_SPACE,
-};
 pub use predict::SelectionPrediction;
 pub use pthread::StaticPThread;
 pub use scdh::scdh;

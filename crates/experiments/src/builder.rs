@@ -17,8 +17,8 @@
 //! ```
 //!
 //! The builder holds exactly one policy value: every *policy* knob
-//! (config, budget, slicing mode, screening, adaptive selection,
-//! deadline) is a field of the [`PolicySpec`], and the
+//! (config, budget, slicing mode, screening, deadline) is a field of
+//! the [`PolicySpec`], and the
 //! [`config`](Pipeline::config) and [`budget`](Pipeline::budget) setters
 //! are thin wrappers that mutate it. [`policy`](Pipeline::policy)
 //! installs a whole spec at once — the same value the toolflow `--policy`
@@ -35,11 +35,8 @@
 //!
 //! Every combination produces byte-identical [`PipelineResult`]s — the
 //! determinism contract of DESIGN.md §11 extended to the new axes.
-//! Adaptive runs are additionally bit-identical at any thread count.
 
-use crate::pipeline::{
-    self, AdaptiveReport, PipelineConfig, PipelineParStats, PipelineResult, TracePath,
-};
+use crate::pipeline::{self, PipelineConfig, PipelineParStats, PipelineResult};
 use crate::policy::PolicySpec;
 use crate::PipelineError;
 use preexec_core::par::Parallelism;
@@ -92,9 +89,6 @@ pub struct PipelineOutput {
     /// Candidate counts from the static screening pre-pass of the
     /// selection stage; `None` when the spec disabled screening.
     pub screen: Option<ScreenStats>,
-    /// Per-phase policy choices and static-vs-adaptive aggregates;
-    /// `None` unless the spec enabled adaptive selection.
-    pub adaptive: Option<AdaptiveReport>,
 }
 
 /// Default checkpoint cadence for
@@ -180,7 +174,7 @@ impl<'p> Pipeline<'p> {
 
     /// Installs a whole [`PolicySpec`] — the one source of truth for
     /// every policy knob. Replaces any previously set config, budget,
-    /// slicing mode, screening, or adaptive settings.
+    /// slicing mode, screening, or deadline.
     #[must_use]
     pub fn policy(mut self, spec: PolicySpec) -> Self {
         self.spec = spec;
@@ -252,16 +246,12 @@ impl<'p> Pipeline<'p> {
     /// if the trace faults.
     pub fn trace(self) -> Result<TraceArtifacts, PipelineError> {
         self.spec.try_validate()?;
-        let (artifacts, _, _us) = self.trace_stage(false)?;
+        let (artifacts, _us) = self.trace_stage()?;
         Ok(artifacts)
     }
 
     /// Runs the full pipeline (or its post-trace half, given
-    /// [`artifacts`](Self::artifacts)). When the spec enables adaptive
-    /// selection, the run takes the phased path: phase-partitioned
-    /// trace, per-phase policy choice, and a deduplicated
-    /// union selection (see [`AdaptiveReport`]); the returned `forest` is
-    /// still the global one, byte-identical to a non-adaptive trace's.
+    /// [`artifacts`](Self::artifacts)).
     ///
     /// # Errors
     ///
@@ -270,12 +260,6 @@ impl<'p> Pipeline<'p> {
     pub fn run(self) -> Result<PipelineOutput, PipelineError> {
         self.spec.try_validate()?;
         preexec_obs::global().counter("pipeline.runs").inc();
-        let adaptive = self.spec.adaptive.enabled;
-        // Cached artifacts carry no phase partition, so an adaptive run
-        // cannot honestly start from them.
-        if adaptive && self.artifacts.is_some() {
-            return Err(PipelineError::ConflictingPolicy { key: "artifacts" });
-        }
         let program = self.program;
         let cfg = self.spec.cfg;
         let par = self.par;
@@ -286,7 +270,7 @@ impl<'p> Pipeline<'p> {
         };
         let artifacts_reused = self.artifacts.is_some();
         let screening = self.spec.screening;
-        let (arts, phases, trace_us) = self.trace_stage(adaptive)?;
+        let (arts, trace_us) = self.trace_stage()?;
         let mut stage_us = StageUs {
             trace: trace_us,
             ..StageUs::default()
@@ -299,21 +283,8 @@ impl<'p> Pipeline<'p> {
 
         check("select")?;
         let t = Instant::now();
-        let (selection, report, select_par, screen) = if adaptive {
-            let (selection, report, par, screen) = pipeline::select_adaptive_stage(
-                &arts.forest,
-                &phases,
-                &cfg,
-                base.ipc(),
-                par,
-                screening,
-            )?;
-            (selection, Some(report), par, screen)
-        } else {
-            let (selection, par, screen) =
-                pipeline::select_stage(&arts.forest, &cfg, base.ipc(), par, screening)?;
-            (selection, None, par, screen)
-        };
+        let (selection, select_par, screen) =
+            pipeline::select_stage(&arts.forest, &cfg, base.ipc(), par, screening)?;
         stage_us.select = elapsed_us(t);
 
         check("assisted_sim")?;
@@ -333,39 +304,29 @@ impl<'p> Pipeline<'p> {
             stage_us,
             artifacts_reused,
             screen: screening.then_some(screen),
-            adaptive: report,
         })
     }
 
     /// The trace stage under the builder's knobs: supplied artifacts win,
-    /// then the phased path (when `phased`), on-demand re-execution, and
-    /// the direct windowed path. Returns the artifacts,
-    /// the per-phase forests (empty unless phased), and the stage's
-    /// wall-clock microseconds (zero for supplied artifacts).
-    fn trace_stage(
-        self,
-        phased: bool,
-    ) -> Result<(TraceArtifacts, Vec<SliceForest>, u64), PipelineError> {
+    /// else the trace driver runs under the spec's slicing mode. Returns
+    /// the artifacts and the stage's wall-clock microseconds (zero for
+    /// supplied artifacts).
+    fn trace_stage(self) -> Result<(TraceArtifacts, u64), PipelineError> {
         if let Some((forest, stats)) = self.artifacts {
-            return Ok((TraceArtifacts { forest, stats }, Vec::new(), 0));
+            return Ok((TraceArtifacts { forest, stats }, 0));
         }
         self.check_gate("trace")?;
-        let path = match self.spec.slicing {
-            _ if phased => TracePath::Phased(self.spec.adaptive.phase_config()),
-            SlicingMode::OnDemand { checkpoint_every } => TracePath::OnDemand { checkpoint_every },
-            SlicingMode::Windowed => TracePath::Windowed,
-        };
         let cfg = self.spec.cfg;
         let t = Instant::now();
-        let (arts, phases) = pipeline::trace_and_slice_along(
+        let arts = pipeline::trace_and_slice_along(
             self.program,
             cfg.scope,
             cfg.max_slice_len,
             cfg.budget,
             cfg.warmup,
-            path,
+            self.spec.slicing,
         )?;
-        Ok((arts, phases, elapsed_us(t)))
+        Ok((arts, elapsed_us(t)))
     }
 }
 
@@ -451,84 +412,6 @@ mod tests {
         assert!(out.artifacts_reused);
         assert_eq!(out.stage_us.trace, 0);
         assert_eq!(key(&out.result), key(&whole.result));
-    }
-
-    fn adaptive_spec(c: PipelineConfig) -> PolicySpec {
-        PolicySpec {
-            cfg: c,
-            adaptive: crate::AdaptiveConfig {
-                enabled: true,
-                ..crate::AdaptiveConfig::default()
-            },
-            ..PolicySpec::default()
-        }
-    }
-
-    #[test]
-    fn adaptive_run_is_bit_identical_at_any_thread_count() {
-        let p = vpr();
-        let c = cfg();
-        let serial = Pipeline::new(&p).policy(adaptive_spec(c)).run().unwrap();
-        let report = serial.adaptive.as_ref().expect("adaptive report");
-        assert!(!report.phases.is_empty());
-        // The chooser keeps static on ties, so adaptive never loses.
-        assert!(report.adaptive_payoff >= report.static_payoff);
-        let serial_forest = preexec_slice::write_forest(&serial.forest);
-        for threads in [2usize, 4] {
-            let out = Pipeline::new(&p)
-                .policy(adaptive_spec(c))
-                .threads(threads)
-                .run()
-                .unwrap();
-            assert_eq!(key(&out.result), key(&serial.result), "threads={threads}");
-            assert_eq!(
-                format!("{:?}", out.adaptive),
-                format!("{:?}", serial.adaptive),
-                "report diverged at threads={threads}"
-            );
-            assert_eq!(
-                preexec_slice::write_forest(&out.forest),
-                serial_forest,
-                "forest bytes diverged at threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn adaptive_global_forest_matches_the_windowed_forest() {
-        // The phase partition never perturbs the global view: an
-        // adaptive run's forest is byte-identical to a plain windowed
-        // trace of the same spec.
-        let p = vpr();
-        let c = cfg();
-        let plain = Pipeline::new(&p).config(c).trace().unwrap();
-        let out = Pipeline::new(&p).policy(adaptive_spec(c)).run().unwrap();
-        assert_eq!(
-            preexec_slice::write_forest(&out.forest),
-            preexec_slice::write_forest(&plain.forest)
-        );
-    }
-
-    #[test]
-    fn adaptive_rejects_ondemand_and_artifacts() {
-        let p = vpr();
-        let mut spec = adaptive_spec(cfg());
-        spec.slicing = SlicingMode::OnDemand {
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-        };
-        assert_eq!(
-            Pipeline::new(&p).policy(spec).run().unwrap_err(),
-            PipelineError::ConflictingPolicy { key: "slice_mode" }
-        );
-        let arts = Pipeline::new(&p).config(cfg()).trace().unwrap();
-        assert_eq!(
-            Pipeline::new(&p)
-                .policy(adaptive_spec(cfg()))
-                .artifacts(arts.forest, arts.stats)
-                .run()
-                .unwrap_err(),
-            PipelineError::ConflictingPolicy { key: "artifacts" }
-        );
     }
 
     #[test]

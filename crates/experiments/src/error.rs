@@ -62,21 +62,13 @@ pub enum PipelineError {
         /// How far past the deadline the boundary check ran.
         over_ms: u64,
     },
-    /// Two policy inputs contradict each other — e.g. adaptive selection
-    /// combined with on-demand slicing, or a toolflow flag and a
-    /// `--policy` entry naming different values for the same key.
+    /// Two policy inputs contradict each other: a toolflow flag and a
+    /// `--policy` entry name different values for the same key.
     /// Carries the policy key in conflict.
     ConflictingPolicy {
-        /// The policy key the two inputs disagree on (`"slice_mode"`,
-        /// `"screening"`, ...).
+        /// The policy key the two inputs disagree on (`"slice_mode"` or
+        /// `"screening"`).
         key: &'static str,
-    },
-    /// An adaptive-selection knob was out of range (the knobs must all
-    /// be ≥ 1 when `adaptive` is enabled).
-    BadAdaptive {
-        /// The offending [`AdaptiveConfig`](crate::AdaptiveConfig)
-        /// field.
-        field: &'static str,
     },
 }
 
@@ -103,7 +95,6 @@ impl PipelineError {
             PipelineError::Cancelled { .. } => "pipeline.cancelled",
             PipelineError::DeadlineExceeded { .. } => "pipeline.deadline_exceeded",
             PipelineError::ConflictingPolicy { .. } => "config.conflicting_policy",
-            PipelineError::BadAdaptive { .. } => "config.bad_adaptive",
         }
     }
 }
@@ -146,9 +137,6 @@ impl fmt::Display for PipelineError {
             }
             PipelineError::ConflictingPolicy { key } => {
                 write!(f, "conflicting policy values for `{key}`")
-            }
-            PipelineError::BadAdaptive { field } => {
-                write!(f, "adaptive knob `{field}` must be positive")
             }
         }
     }
@@ -235,7 +223,6 @@ mod tests {
             }
             .code(),
             PipelineError::ConflictingPolicy { key: "slice_mode" }.code(),
-            PipelineError::BadAdaptive { field: "confirm" }.code(),
         ];
         for (i, a) in codes.iter().enumerate() {
             for b in &codes[i + 1..] {

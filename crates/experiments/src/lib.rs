@@ -44,9 +44,8 @@ pub use builder::{
 pub use error::PipelineError;
 pub use pipeline::{
     run_pipeline, trace_and_slice, trace_and_slice_warm, try_run_pipeline,
-    try_trace_and_slice_warm, AdaptiveReport, PhaseReport, PipelineConfig, PipelineParStats,
-    PipelineResult,
+    try_trace_and_slice_warm, PipelineConfig, PipelineParStats, PipelineResult,
 };
-pub use policy::{AdaptiveConfig, PolicySpec};
+pub use policy::PolicySpec;
 pub use preexec_core::par::{ParStats, Parallelism};
 pub use preexec_core::ScreenStats;

@@ -1,23 +1,19 @@
 //! The trace → slice → select → simulate pipeline.
 
-use crate::builder::TraceArtifacts;
+use crate::builder::{SlicingMode, TraceArtifacts};
 use crate::PipelineError;
 use preexec_core::par::{ParStats, Parallelism};
 use preexec_core::{
-    select_pthreads, try_choose_policy, try_select_pthreads_stats, PhaseStats, ScreenStats,
-    Selection, SelectionParams, SelectionPrediction, StaticPThread,
+    select_pthreads, try_select_pthreads_stats, ScreenStats, Selection, SelectionParams,
+    StaticPThread,
 };
 use preexec_func::{
-    try_run_trace, try_run_trace_checkpointed, ChunkSummary, DynInst, MeasuredRegion, PhaseConfig,
-    PhaseDetector, Replayer, RunStats, TraceConfig, PHASE_BLOCK_INSTS,
+    try_run_trace, try_run_trace_checkpointed, MeasuredRegion, Replayer, RunStats, TraceConfig,
 };
 use preexec_isa::{Inst, Pc, Program};
 use preexec_mem::HierarchyConfig;
-use preexec_slice::{
-    ForestBank, OnDemandSlicer, PhasedForestBuilder, SliceForest, SliceForestBuilder,
-};
+use preexec_slice::{ForestBank, OnDemandSlicer, SliceForest, SliceForestBuilder};
 use preexec_timing::{try_simulate, MachineParams, SimConfig, SimMode, SimResult};
-use std::collections::BTreeSet;
 
 /// Per-stage parallel-utilization counters for one pipeline run. Only
 /// selection fans out: the trace and slice extraction are one dependent
@@ -212,123 +208,36 @@ pub fn try_trace_and_slice_warm(
     budget: u64,
     warmup: u64,
 ) -> Result<(SliceForest, RunStats), PipelineError> {
-    let (arts, _) = trace_and_slice_along(
+    let arts = trace_and_slice_along(
         program,
         scope,
         max_slice_len,
         budget,
         warmup,
-        TracePath::Windowed,
+        SlicingMode::Windowed,
     )?;
     Ok((arts.forest, arts.stats))
 }
 
-/// Which slicing sink the trace feeds. Every path produces a
-/// byte-identical global forest and identical [`RunStats`]; they differ
-/// in what stays resident and in what else they report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum TracePath {
-    /// The tracer feeds the windowed forest builder directly: `O(scope)`
-    /// resident instructions.
-    Windowed,
-    /// The windowed path with a [`PhaseDetector`] on chunks of
-    /// [`PHASE_BLOCK_INSTS`] traced instructions and a
-    /// [`PhasedForestBuilder`] keeping one forest per detected phase
-    /// beside the global one. Each chunk is summarized before any of it is
-    /// sliced, so a confirmed shift starts the new phase with that whole
-    /// chunk (the prospective rule of [`preexec_func::phase`]); the window
-    /// runs on across boundaries.
-    Phased(PhaseConfig),
-    /// On-demand re-execution: pass 1 records checkpoints every
-    /// `checkpoint_every` emitted instructions
-    /// ([`preexec_func::try_run_trace_checkpointed`]) and keeps no
-    /// window, only the `seq` of each measured L2-miss load; pass 2
-    /// re-executes bounded intervals ([`OnDemandSlicer`]) to rebuild each
-    /// slice and inserts it into its tree at once. Peak slicing memory is
-    /// `O(checkpoints + checkpoint_every)` whatever the scope. A cadence
-    /// of 0 is clamped to 1.
-    OnDemand {
-        /// Emitted instructions between checkpoints.
-        checkpoint_every: u64,
-    },
-}
-
-/// The per-instruction consumer of a [`TracePath`].
-enum Sink {
-    Windowed(SliceForestBuilder),
-    Phased(PhasedSink),
-    /// `DC_trig` counts now, plus the `(seq, pc, inst)` of every measured
-    /// L2-miss load, in trace order, to slice by re-execution later.
-    OnDemand(ForestBank, Vec<(u64, Pc, Inst)>),
-}
-
-/// The phased builder, its detector, and the chunk of traced records
-/// waiting for the detector's verdict.
-struct PhasedSink {
-    builder: PhasedForestBuilder,
-    detector: PhaseDetector,
-    chunk: Vec<DynInst>,
-}
-
-impl PhasedSink {
-    /// Shows the detector the buffered chunk's summary, then feeds the
-    /// chunk to the builder. Warm-up instructions enter the window but are
-    /// neither summarized, counted nor sliced.
-    fn flush(&mut self, warmup: u64) {
-        if self.chunk.is_empty() {
-            return;
-        }
-        let mut summary = ChunkSummary::default();
-        for d in self.chunk.iter().filter(|d| d.seq >= warmup) {
-            summary.insts += 1;
-            summary.l2_misses += u64::from(d.is_l2_miss_load());
-        }
-        if self.detector.observe_chunk(summary) {
-            self.builder.begin_phase();
-        }
-        for d in self.chunk.drain(..) {
-            if d.seq >= warmup {
-                self.builder.observe(&d);
-            } else {
-                self.builder.observe_warmup(&d);
-            }
-        }
-    }
-}
-
-impl Sink {
-    /// Feeds one traced instruction. Warm-up instructions enter the
-    /// window (so early measured slices can reach back through them) but
-    /// are neither counted nor sliced.
-    fn feed(&mut self, d: &DynInst, warmup: u64) {
-        let measured = d.seq >= warmup;
-        match self {
-            Sink::Windowed(b) if measured => b.observe(d),
-            Sink::Windowed(b) => b.observe_warmup(d),
-            Sink::Phased(p) => {
-                p.chunk.push(*d);
-                if p.chunk.len() == PHASE_BLOCK_INSTS {
-                    p.flush(warmup);
-                }
-            }
-            Sink::OnDemand(bank, requests) if measured => {
-                bank.count(d.pc);
-                if d.is_l2_miss_load() {
-                    requests.push((d.seq, d.pc, d.inst));
-                }
-            }
-            Sink::OnDemand(..) => {}
-        }
-    }
-}
-
 /// The one trace+slice driver: runs the functional cache simulator over
-/// `program` for `warmup + budget` instructions along `path`, and returns
-/// the artifacts plus the per-phase forests (empty unless `path` is
-/// [`TracePath::Phased`]).
+/// `program` for `warmup + budget` instructions and slices under `mode`.
+/// Both modes produce a byte-identical forest and identical [`RunStats`]:
 ///
-/// The tracer counts [`RunStats`] over the measured region
-/// `warmup..warmup + budget` itself; the sink only slices and counts
+/// - [`SlicingMode::Windowed`] feeds every traced instruction to the
+///   windowed forest builder: `O(scope)` resident instructions.
+/// - [`SlicingMode::OnDemand`] records checkpoints every
+///   `checkpoint_every` emitted instructions
+///   ([`preexec_func::try_run_trace_checkpointed`]) and keeps no window,
+///   only the `seq` of each measured L2-miss load; a second pass
+///   re-executes bounded intervals ([`OnDemandSlicer`]) to rebuild each
+///   slice and inserts it into its tree at once. Peak slicing memory is
+///   `O(checkpoints + checkpoint_every)` whatever the scope. A cadence of
+///   0 is clamped to 1.
+///
+/// Warm-up instructions enter the window (so early measured slices can
+/// reach back through them) but are neither counted nor sliced. The
+/// tracer counts [`RunStats`] over the measured region
+/// `warmup..warmup + budget` itself; the slicer only slices and counts
 /// `DC_trig`. Obs spans and metrics are published here and nowhere else.
 ///
 /// # Errors
@@ -343,8 +252,8 @@ pub(crate) fn trace_and_slice_along(
     max_slice_len: usize,
     budget: u64,
     warmup: u64,
-    path: TracePath,
-) -> Result<(TraceArtifacts, Vec<SliceForest>), PipelineError> {
+    mode: SlicingMode,
+) -> Result<TraceArtifacts, PipelineError> {
     let end = warmup.saturating_add(budget);
     // Every step is emitted under always-on sampling, so the region's end
     // and the step watchdog coincide; the tracer checks the end first, so
@@ -355,76 +264,61 @@ pub(crate) fn trace_and_slice_along(
         measured: MeasuredRegion { start: warmup, end },
         ..TraceConfig::default()
     };
-    let mut sink = match path {
-        TracePath::Windowed => Sink::Windowed(SliceForestBuilder::try_new(scope, max_slice_len)?),
-        TracePath::Phased(phase) => Sink::Phased(PhasedSink {
-            builder: PhasedForestBuilder::try_new(scope, max_slice_len)?,
-            detector: PhaseDetector::new(phase),
-            chunk: Vec::with_capacity(PHASE_BLOCK_INSTS),
-        }),
-        TracePath::OnDemand { .. } => Sink::OnDemand(ForestBank::new(), Vec::new()),
-    };
-
     let reg = preexec_obs::global();
-    let trace_span = reg.span("stage.trace");
-    let mut checkpoints = None;
-    let stats = match path {
-        TracePath::Windowed | TracePath::Phased(_) => {
-            try_run_trace(program, &config, |d| sink.feed(d, warmup))?
+    match mode {
+        SlicingMode::Windowed => {
+            let mut builder = SliceForestBuilder::try_new(scope, max_slice_len)?;
+            let trace_span = reg.span("stage.trace");
+            let stats = try_run_trace(program, &config, |d| {
+                if d.seq >= warmup {
+                    builder.observe(d);
+                } else {
+                    builder.observe_warmup(d);
+                }
+            })?;
+            trace_span.finish();
+            let build_span = reg.span("stage.slice_build");
+            let forest = builder.finish();
+            build_span.finish();
+            Ok(TraceArtifacts { forest, stats })
         }
-        TracePath::OnDemand { checkpoint_every } => {
+        SlicingMode::OnDemand { checkpoint_every } => {
+            // `DC_trig` counts now, plus the `(seq, pc, inst)` of every
+            // measured L2-miss load, in trace order, to slice later.
+            let mut bank = ForestBank::new();
+            let mut requests: Vec<(u64, Pc, Inst)> = Vec::new();
+            let trace_span = reg.span("stage.trace");
             let (stats, trace) =
                 try_run_trace_checkpointed(program, &config, checkpoint_every, |d| {
-                    sink.feed(d, warmup);
+                    if d.seq >= warmup {
+                        bank.count(d.pc);
+                        if d.is_l2_miss_load() {
+                            requests.push((d.seq, d.pc, d.inst));
+                        }
+                    }
                 })?;
-            checkpoints = Some(trace);
-            stats
-        }
-    };
-    // The trace's last chunk may be short.
-    if let Sink::Phased(p) = &mut sink {
-        p.flush(warmup);
-    }
-    trace_span.finish();
+            trace_span.finish();
 
-    let mut reexec = None;
-    if let (Some(trace), Sink::OnDemand(bank, requests)) = (&checkpoints, &mut sink) {
-        let reexec_span = reg.span("stage.reexec");
-        let replayer = Replayer::new(program, &config, trace);
-        let mut slicer = OnDemandSlicer::try_new(replayer, scope, max_slice_len)?;
-        // Requests are in trace order, so every tree receives its slices
-        // in the order the windowed builder would insert them.
-        for &(seq, pc, inst) in requests.iter() {
-            bank.insert(pc, inst, &slicer.try_slice_at(seq)?);
+            let reexec_span = reg.span("stage.reexec");
+            let replayer = Replayer::new(program, &config, &trace);
+            let mut slicer = OnDemandSlicer::try_new(replayer, scope, max_slice_len)?;
+            // Requests are in trace order, so every tree receives its
+            // slices in the order the windowed builder would insert them.
+            for (seq, pc, inst) in requests {
+                bank.insert(pc, inst, &slicer.try_slice_at(seq)?);
+            }
+            reexec_span.finish();
+            reg.counter("checkpoint.count")
+                .add(trace.num_checkpoints() as u64);
+            reg.counter("reexec.insts").add(slicer.reexec_insts());
+            reg.gauge("reexec.peak_resident_insts")
+                .set(slicer.peak_resident_insts() as i64);
+            let build_span = reg.span("stage.slice_build");
+            let forest = bank.finish();
+            build_span.finish();
+            Ok(TraceArtifacts { forest, stats })
         }
-        reexec = Some((
-            trace.num_checkpoints(),
-            slicer.reexec_insts(),
-            slicer.peak_resident_insts(),
-        ));
-        reexec_span.finish();
     }
-
-    let build_span = reg.span("stage.slice_build");
-    let (forest, phases) = match sink {
-        Sink::Windowed(b) => (b.finish(), Vec::new()),
-        Sink::Phased(p) => {
-            let phased = p.builder.finish();
-            (phased.global, phased.phases)
-        }
-        Sink::OnDemand(bank, _) => (bank.finish(), Vec::new()),
-    };
-    build_span.finish();
-
-    if matches!(path, TracePath::Phased(..)) {
-        reg.gauge("phase.count").set(phases.len() as i64);
-    }
-    if let Some((checkpoints, insts, peak)) = reexec {
-        reg.counter("checkpoint.count").add(checkpoints as u64);
-        reg.counter("reexec.insts").add(insts);
-        reg.gauge("reexec.peak_resident_insts").set(peak as i64);
-    }
-    Ok((TraceArtifacts { forest, stats }, phases))
 }
 
 /// The [`SelectionParams`] implied by a pipeline config and a measured
@@ -433,8 +327,9 @@ pub fn selection_params(cfg: &PipelineConfig, base_ipc: f64) -> SelectionParams 
     let bw_seq = cfg.model_width.unwrap_or(cfg.machine.width as f64);
     SelectionParams {
         bw_seq,
-        // The model requires 0 < ipc <= bw_seq.
-        ipc: base_ipc.clamp(0.05, bw_seq),
+        // The model requires 0 < ipc <= bw_seq; the 0.05 floor gives way
+        // to a model width below it.
+        ipc: base_ipc.max(0.05).min(bw_seq),
         miss_latency: cfg
             .model_miss_latency
             .unwrap_or_else(|| cfg.machine.l2_miss_latency() as f64),
@@ -532,166 +427,6 @@ pub(crate) fn select_stage(
 ) -> Result<(Selection, ParStats, ScreenStats), PipelineError> {
     let params = selection_params(cfg, base_ipc);
     Ok(try_select_pthreads_stats(forest, &params, par, screening)?)
-}
-
-/// One phase's row in an [`AdaptiveReport`]: what the chooser saw and
-/// what it picked.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhaseReport {
-    /// Phase index (trace order).
-    pub index: usize,
-    /// Measured instructions attributed to the phase.
-    pub insts: u64,
-    /// L2-miss loads among them.
-    pub l2_misses: u64,
-    /// Name of the winning policy variant
-    /// (see [`preexec_core::POLICY_SPACE`]).
-    pub policy: &'static str,
-    /// Its index in the policy space (0 = the static policy).
-    pub policy_index: usize,
-    /// The winning payoff `J = LTagg − κ·OHagg`.
-    pub payoff: f64,
-    /// The static variant's payoff on the same phase.
-    pub static_payoff: f64,
-    /// The overhead weight κ the phase was judged under.
-    pub kappa: f64,
-    /// Static p-threads the winning selection picked for this phase.
-    pub pthreads: usize,
-    /// Misses the winning selection predicts covered within the phase.
-    pub misses_covered: u64,
-}
-
-/// What the adaptive selection stage did: one [`PhaseReport`] per
-/// detected phase plus the static-vs-adaptive aggregates the results
-/// table is built from.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdaptiveReport {
-    /// Per-phase chooser verdicts, in trace order.
-    pub phases: Vec<PhaseReport>,
-    /// Phases whose winning policy was not the static one.
-    pub divergent_phases: usize,
-    /// P-threads the static policy selects on the global forest.
-    pub static_pthreads: usize,
-    /// P-threads in the deduplicated adaptive union.
-    pub adaptive_pthreads: usize,
-    /// Σ per-phase chosen payoffs.
-    pub adaptive_payoff: f64,
-    /// Σ per-phase static payoffs. The chooser keeps the static variant
-    /// on ties, so `adaptive_payoff ≥ static_payoff` by construction.
-    pub static_payoff: f64,
-}
-
-/// The adaptive selection stage: runs the policy chooser
-/// ([`preexec_core::try_choose_policy`]) on every phase forest, then
-/// unions the winning per-phase p-thread sets into one deployable set.
-///
-/// The union deduplicates by trigger PC with first-phase-wins semantics
-/// (phases are visited in trace order, so the earliest phase that wants
-/// a trigger keeps its body — a deterministic rule that needs no score
-/// comparison across phases). The union's prediction aggregates the
-/// per-phase winning predictions: counts sum, the average length is
-/// launch-weighted, and `num_static` is the deduplicated set size.
-///
-/// Bit-identical at any `par`: every per-phase chooser run is, and the
-/// union fold is serial in phase order.
-pub(crate) fn select_adaptive_stage(
-    global: &SliceForest,
-    phases: &[SliceForest],
-    cfg: &PipelineConfig,
-    base_ipc: f64,
-    par: Parallelism,
-    screening: bool,
-) -> Result<(Selection, AdaptiveReport, ParStats, ScreenStats), PipelineError> {
-    let _span = preexec_obs::global().span("stage.select_adaptive");
-    let base = selection_params(cfg, base_ipc);
-    let mut pstats = ParStats::default();
-    let mut sstats = ScreenStats::default();
-
-    // The static baseline: what the non-adaptive pipeline would select
-    // on the global forest. Reported for comparison, never deployed.
-    let (static_sel, sp, ss) = try_select_pthreads_stats(global, &base, par, screening)?;
-    pstats.absorb(&sp);
-    sstats.absorb(&ss);
-
-    let mut reports = Vec::with_capacity(phases.len());
-    let mut union: Vec<StaticPThread> = Vec::new();
-    let mut seen: BTreeSet<Pc> = BTreeSet::new();
-    let mut agg = SelectionPrediction::default();
-    let mut weighted_len = 0.0_f64;
-    let mut adaptive_payoff = 0.0_f64;
-    let mut static_payoff = 0.0_f64;
-    // The whole sample's summary anchors the phase-local IPC estimate:
-    // a phase only moves the model if its rate departs from this.
-    let sample = PhaseStats {
-        insts: global.sample_insts(),
-        l2_misses: global.total_misses(),
-    };
-    for (index, forest) in phases.iter().enumerate() {
-        let phase = PhaseStats {
-            insts: forest.sample_insts(),
-            l2_misses: forest.total_misses(),
-        };
-        let (choice, cp, cs) = try_choose_policy(forest, &base, sample, phase, par, screening)?;
-        pstats.absorb(&cp);
-        sstats.absorb(&cs);
-        let p = &choice.selection.prediction;
-        reports.push(PhaseReport {
-            index,
-            insts: phase.insts,
-            l2_misses: phase.l2_misses,
-            policy: choice.name,
-            policy_index: choice.index,
-            payoff: choice.payoff,
-            static_payoff: choice.static_payoff,
-            kappa: choice.kappa,
-            pthreads: choice.selection.pthreads.len(),
-            misses_covered: p.misses_covered,
-        });
-        agg.launches += p.launches;
-        agg.misses_covered += p.misses_covered;
-        agg.misses_fully_covered += p.misses_fully_covered;
-        agg.lt_agg += p.lt_agg;
-        agg.oh_agg += p.oh_agg;
-        agg.adv_agg += p.adv_agg;
-        weighted_len += p.avg_pthread_len * p.launches as f64;
-        adaptive_payoff += choice.payoff;
-        static_payoff += choice.static_payoff;
-        for pt in choice.selection.pthreads {
-            if seen.insert(pt.trigger) {
-                union.push(pt);
-            }
-        }
-    }
-    agg.num_static = union.len();
-    agg.avg_pthread_len = if agg.launches > 0 {
-        weighted_len / agg.launches as f64
-    } else {
-        0.0
-    };
-    agg.bw_seq = base.bw_seq;
-
-    let divergent_phases = reports.iter().filter(|r| r.policy_index != 0).count();
-    let reg = preexec_obs::global();
-    reg.counter("adaptive.phases").add(reports.len() as u64);
-    reg.counter("adaptive.divergent_phases")
-        .add(divergent_phases as u64);
-    let report = AdaptiveReport {
-        phases: reports,
-        divergent_phases,
-        static_pthreads: static_sel.pthreads.len(),
-        adaptive_pthreads: union.len(),
-        adaptive_payoff,
-        static_payoff,
-    };
-    Ok((
-        Selection {
-            pthreads: union,
-            prediction: agg,
-        },
-        report,
-        pstats,
-        sstats,
-    ))
 }
 
 /// Full pipeline: trace, slice, select against the measured base IPC, and
@@ -955,5 +690,27 @@ mod tests {
         assert!(p.ipc > 0.0);
         let p = selection_params(&cfg, 99.0);
         assert!(p.ipc <= p.bw_seq);
+        // A model width below the IPC floor still gives 0 < ipc <= bw_seq.
+        let narrow = PipelineConfig {
+            model_width: Some(0.01),
+            ..cfg
+        };
+        for base_ipc in [0.0, 0.03, 1.5] {
+            let p = selection_params(&narrow, base_ipc);
+            assert!(p.ipc > 0.0 && p.ipc <= p.bw_seq, "{base_ipc} -> {}", p.ipc);
+            assert!(p.try_validate().is_ok());
+        }
+    }
+
+    #[test]
+    fn model_width_below_the_ipc_floor_runs_to_completion() {
+        let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
+        let p = w.build(InputSet::Train);
+        let cfg = PipelineConfig {
+            model_width: Some(0.01),
+            ..PipelineConfig::paper_default(20_000)
+        };
+        assert_eq!(cfg.try_validate(), Ok(()));
+        assert!(try_run_pipeline(&p, &cfg).is_ok());
     }
 }

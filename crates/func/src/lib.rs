@@ -26,7 +26,6 @@ pub mod cpu;
 pub mod dyninst;
 pub mod error;
 pub mod exec;
-pub mod phase;
 pub mod pthread;
 pub mod replay;
 pub mod sampling;
@@ -37,7 +36,6 @@ pub use checkpoint::{try_run_trace_checkpointed, Checkpoint, CheckpointTrace};
 pub use cpu::{Cpu, StepOutcome};
 pub use dyninst::DynInst;
 pub use error::ExecError;
-pub use phase::{ChunkSummary, PhaseConfig, PhaseDetector, PHASE_BLOCK_INSTS};
 pub use pthread::{run_pthread, PThreadOutcome, PThreadRun, SquashReason, PTHREAD_ADDR_LIMIT};
 pub use replay::Replayer;
 pub use sampling::{Phase, Sampling};

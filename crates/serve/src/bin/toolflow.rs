@@ -41,20 +41,13 @@
 //!
 //! `--policy key=val,...` sets any field of the unified
 //! [`PolicySpec`] directly: `slice_mode=windowed|ondemand[:N]`,
-//! `screening=BOOL`, `adaptive=BOOL`,
-//! `threshold_permille=N`, `confirm=N`, `min_phase_chunks=N`,
-//! `deadline_ms=N`. The spelling composes with the dedicated flags
-//! (`--no-screen`, `--slice-mode`): restating the same value both ways
-//! is fine, but a flag and a `--policy` entry naming *different* values
-//! for one key exit 2 with the typed `config.conflicting_policy` error.
-//! `--policy adaptive=true` runs phase-adaptive selection: the phase
-//! detector reads the trace in fixed chunks, each detected phase gets
-//! its own policy choice, and the
-//! report prints one deterministic line per phase plus a
-//! static-vs-adaptive summary. `--policy adaptive=false` output is
-//! byte-identical to not passing `--policy` at all — the CI adaptive
-//! leg diffs the two. In `--daemon` mode the whole spec travels as the
-//! protocol's nested `policy` object.
+//! `screening=BOOL`, `deadline_ms=N`; any other key exits 2. The
+//! spelling composes with the dedicated flags (`--no-screen`,
+//! `--slice-mode`): restating the same value both ways is fine, but a
+//! flag and a `--policy` entry naming *different* values for one key
+//! exit 2 with the typed `config.conflicting_policy` error. In
+//! `--daemon` mode the whole spec travels as the protocol's nested
+//! `policy` object.
 //!
 //! `--profile` prints a per-stage wall-clock profile table (count, total,
 //! mean, p50/p99 bounds, max — from the [`preexec_obs`] registry) to
@@ -263,24 +256,12 @@ fn run(args: &[String]) -> Result<u8, Failure> {
     }
 
     // Resolve flags + `--policy` entries into the one PolicySpec every
-    // execution path (local, daemon, adaptive) consumes.
+    // execution path (local, daemon) consumes.
     let mut spec = PolicySpec::paper_default(budget);
     if let Some(m) = merge_policy("slice_mode", slicing_flag, pol.slicing)? {
         spec.slicing = m;
     }
     spec.screening = merge_policy("screening", screen_flag, pol.screening)?.unwrap_or(true);
-    if let Some(on) = pol.adaptive {
-        spec.adaptive.enabled = on;
-    }
-    if let Some(x) = pol.threshold_permille {
-        spec.adaptive.threshold_permille = x;
-    }
-    if let Some(x) = pol.confirm {
-        spec.adaptive.confirm = x;
-    }
-    if let Some(x) = pol.min_phase_chunks {
-        spec.adaptive.min_phase_chunks = x;
-    }
     spec.deadline_ms = pol.deadline_ms;
     if let Err(e) = spec.try_validate() {
         return Err(Failure::new(2, format!("{e} ({})", e.code())));
@@ -366,10 +347,6 @@ fn run(args: &[String]) -> Result<u8, Failure> {
 struct PolicyOverrides {
     slicing: Option<SlicingMode>,
     screening: Option<bool>,
-    adaptive: Option<bool>,
-    threshold_permille: Option<u64>,
-    confirm: Option<u64>,
-    min_phase_chunks: Option<u64>,
     deadline_ms: Option<u64>,
 }
 
@@ -383,12 +360,6 @@ fn parse_policy_overrides(v: &str, pol: &mut PolicyOverrides) -> Result<(), Fail
         match key {
             "slice_mode" => pol.slicing = Some(parse_slice_mode(val)?),
             "screening" => pol.screening = Some(parse_policy_bool(key, val)?),
-            "adaptive" => pol.adaptive = Some(parse_policy_bool(key, val)?),
-            "threshold_permille" => {
-                pol.threshold_permille = Some(parse_policy_u64(key, val)?);
-            }
-            "confirm" => pol.confirm = Some(parse_policy_u64(key, val)?),
-            "min_phase_chunks" => pol.min_phase_chunks = Some(parse_policy_u64(key, val)?),
             "deadline_ms" => pol.deadline_ms = Some(parse_policy_u64(key, val)?),
             _ => return Err(Failure::new(2, format!("unknown --policy key `{key}`"))),
         }
@@ -710,10 +681,7 @@ fn print_profile() {
 }
 
 /// Runs one workload end to end (pass 1 trace+write, pass 2
-/// read+select), entirely into the report's buffers. An adaptive spec
-/// runs the full phase-adaptive pipeline first and prints its
-/// deterministic per-phase policy report; the global forest written to
-/// disk (and therefore pass 2) is byte-identical either way.
+/// read+select), entirely into the report's buffers.
 fn run_workload(
     name: &str,
     program: &preexec_isa::Program,
@@ -726,26 +694,13 @@ fn run_workload(
     // spec defaults match the paper toolflow (scope 1024, slice len
     // 32); `ondemand` slicing swaps in the checkpointed re-execution
     // path, with a byte-identical forest.
-    let (forest, stats, adaptive) = if spec.adaptive.enabled {
-        let out = match Pipeline::new(program).policy(spec).parallelism(par).run() {
-            Ok(x) => x,
-            Err(e) => {
-                let _ = writeln!(report.stderr, "toolflow: running {name}: {e}");
-                report.code = 5;
-                return report;
-            }
-        };
-        (out.forest, out.result.stats, out.adaptive)
-    } else {
-        let arts = match Pipeline::new(program).policy(spec).parallelism(par).trace() {
-            Ok(x) => x,
-            Err(e) => {
-                let _ = writeln!(report.stderr, "toolflow: tracing {name}: {e}");
-                report.code = 5;
-                return report;
-            }
-        };
-        (arts.forest, arts.stats, None)
+    let (forest, stats) = match Pipeline::new(program).policy(spec).parallelism(par).trace() {
+        Ok(arts) => (arts.forest, arts.stats),
+        Err(e) => {
+            let _ = writeln!(report.stderr, "toolflow: tracing {name}: {e}");
+            report.code = 5;
+            return report;
+        }
     };
     if let Err(e) = std::fs::write(path, write_forest(&forest)) {
         let _ = writeln!(report.stderr, "toolflow: writing {path}: {e}");
@@ -759,33 +714,6 @@ fn run_workload(
         stats.l2_misses,
         forest.num_trees()
     );
-    if let Some(rep) = &adaptive {
-        for ph in &rep.phases {
-            let _ = writeln!(
-                report.stdout,
-                "  phase {}: {} insts, {} L2 misses -> {} ({} p-threads, \
-                 payoff {:.3} vs static {:.3})",
-                ph.index,
-                ph.insts,
-                ph.l2_misses,
-                ph.policy,
-                ph.pthreads,
-                ph.payoff,
-                ph.static_payoff,
-            );
-        }
-        let _ = writeln!(
-            report.stdout,
-            "  adaptive: {}/{} phases diverge from static; {} p-threads \
-             (static {}), payoff {:.3} vs {:.3}",
-            rep.divergent_phases,
-            rep.phases.len(),
-            rep.adaptive_pthreads,
-            rep.static_pthreads,
-            rep.adaptive_payoff,
-            rep.static_payoff,
-        );
-    }
 
     // Pass 2 (cheap, many times): read the file back and select p-thread
     // sets for several configurations.

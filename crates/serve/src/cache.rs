@@ -350,7 +350,7 @@ impl ArtifactCache {
     }
 
     /// Persists raw artifact texts under this digest — the owner side of
-    /// the shard peer protocol's `cache_put`. Unlike [`load_raw`]
+    /// the shard peer protocol's `cache_put`. Unlike [`load_raw`](Self::load_raw)
     /// (where the requester validates), the *store* side must validate:
     /// a peer's corrupt upload would otherwise sit on disk until some
     /// future lookup pays the counted-miss cleanup for it.

@@ -9,7 +9,7 @@
 //!
 //! | `cmd` | fields | response payload |
 //! |-------|--------|------------------|
-//! | `submit` | `workload` (required), `input`, `budget`, `warmup`, `scope`, `max_slice_len`, `max_pthread_len`, `optimize`, `merge`, `width`, `mem_latency`, `model_miss_latency`, `model_width`, plus a nested `policy` object (`slice_mode`, `checkpoint_every`, `screening`, `adaptive`, `deadline_ms`) | `job` id |
+//! | `submit` | `workload` (required), `input`, `budget`, `warmup`, `scope`, `max_slice_len`, `max_pthread_len`, `optimize`, `merge`, `width`, `mem_latency`, `model_miss_latency`, `model_width`, plus a nested `policy` object (`slice_mode`, `checkpoint_every`, `screening`, `deadline_ms`) | `job` id |
 //! | `submit_batch` | `jobs`: a non-empty array of submit objects | `jobs`: array of ids, in order |
 //! | `status` | `job` | `state` (+ `error` when failed) |
 //! | `result` | `job` | `state`, `cache_hit`, `result{...}` |
@@ -36,12 +36,14 @@
 //! `mem_latency` override the corresponding [`MachineParams`] fields,
 //! the `model_*` fields the selection model's cross-validation knobs.
 //!
-//! Policy fields (slicing mode, screening, adaptive selection, deadline)
-//! live only in the nested `policy` object. A top-level `slice_mode`,
-//! `checkpoint_every`, or `deadline_ms` (the flat spellings of protocol
-//! v5) is a `bad_field` error naming the `policy` object; keys the
-//! object does not know (such as the `streaming` flag protocol v6 wrote)
-//! are ignored, so v6 journals replay unchanged.
+//! Policy fields (slicing mode, screening, deadline) live only in the
+//! nested `policy` object. A top-level `slice_mode`, `checkpoint_every`,
+//! or `deadline_ms` (the flat spellings of protocol v5) is a `bad_field`
+//! error naming the `policy` object; keys the object does not know (such
+//! as the `streaming` flag protocol v6 wrote) are ignored, so v6
+//! journals replay unchanged. The `adaptive` key protocol v7 wrote is
+//! accepted and ignored only in its disabled shapes (see
+//! [`PROTOCOL_VERSION`]).
 //!
 //! [`MachineParams`]: preexec_timing::MachineParams
 
@@ -51,8 +53,7 @@ use crate::scheduler::{JobId, SubmitError};
 use crate::service::{JobOutput, JobSpec};
 use preexec_experiments::pipeline::pct;
 use preexec_experiments::{
-    AdaptiveConfig, PipelineConfig, PipelineError, PolicySpec, SlicingMode,
-    DEFAULT_CHECKPOINT_EVERY,
+    PipelineConfig, PipelineError, PolicySpec, SlicingMode, DEFAULT_CHECKPOINT_EVERY,
 };
 use preexec_workloads::InputSet;
 use std::fmt;
@@ -70,8 +71,11 @@ use std::fmt;
 /// added the nested `policy` submit object (screening, streaming,
 /// adaptive selection) beside the flat v5 spellings; version 7 accepts
 /// policy fields only inside `policy` (a flat one is `bad_field`) and
-/// drops the `streaming` flag.
-pub const PROTOCOL_VERSION: u64 = 7;
+/// drops the `streaming` flag; version 8 removes adaptive selection: a
+/// `policy.adaptive` that is absent, null, `false`, or an object whose
+/// `enabled` is `false` (the shape every v7 journal line carries) is
+/// ignored, and any other `adaptive` is `bad_field`.
+pub const PROTOCOL_VERSION: u64 = 8;
 
 /// Largest slicing scope admitted in `"windowed"` mode: the sliding
 /// window keeps the whole scope resident, so past this the daemon would
@@ -522,9 +526,7 @@ fn parse_policy(json: &Json, cfg: PipelineConfig) -> Result<PolicySpec, ProtoErr
             if let Some(x) = opt_bool(obj, "screening")? {
                 policy.screening = x;
             }
-            if let Some(x) = parse_adaptive(obj)? {
-                policy.adaptive = x;
-            }
+            check_legacy_adaptive(obj)?;
             policy.deadline_ms = opt_u64(obj, "deadline_ms")?;
         }
         Some(_) => {
@@ -539,35 +541,26 @@ fn parse_policy(json: &Json, cfg: PipelineConfig) -> Result<PolicySpec, ProtoErr
     Ok(policy)
 }
 
-/// Parses the `adaptive` field of a `policy` object: `true`/`false`
-/// toggles the default detector knobs, an object overrides them.
-fn parse_adaptive(obj: &Json) -> Result<Option<AdaptiveConfig>, ProtoError> {
-    match obj.get("adaptive") {
-        None | Some(Json::Null) => Ok(None),
-        Some(Json::Bool(b)) => Ok(Some(AdaptiveConfig {
-            enabled: *b,
-            ..AdaptiveConfig::default()
-        })),
-        Some(v @ Json::Obj(_)) => {
-            let mut a = AdaptiveConfig {
-                enabled: opt_bool(v, "enabled")?.unwrap_or(true),
-                ..AdaptiveConfig::default()
-            };
-            if let Some(x) = opt_u64(v, "threshold_permille")? {
-                a.threshold_permille = x;
-            }
-            if let Some(x) = opt_u64(v, "confirm")? {
-                a.confirm = x;
-            }
-            if let Some(x) = opt_u64(v, "min_phase_chunks")? {
-                a.min_phase_chunks = x;
-            }
-            Ok(Some(a))
-        }
-        Some(_) => Err(ProtoError::BadField {
+/// Checks the `adaptive` key of a `policy` object, which protocol v7
+/// wrote into every journal line and `toolflow --daemon` submit. The
+/// disabled shapes (absent, null, `false`, or an object whose `enabled`
+/// is `false`, whatever its other keys) are ignored. Anything else asked
+/// for adaptive selection, which protocol v8 removed; since that changed
+/// results, it is a `bad_field` error, never a silent static run.
+fn check_legacy_adaptive(obj: &Json) -> Result<(), ProtoError> {
+    let disabled = match obj.get("adaptive") {
+        None | Some(Json::Null | Json::Bool(false)) => true,
+        Some(v @ Json::Obj(_)) => matches!(v.get("enabled"), Some(Json::Bool(false))),
+        Some(_) => false,
+    };
+    if disabled {
+        Ok(())
+    } else {
+        Err(ProtoError::BadField {
             field: "adaptive",
-            expected: "a boolean or an object",
-        }),
+            expected: "absent, false, or {\"enabled\":false}: adaptive selection was \
+                       removed in protocol v8",
+        })
     }
 }
 
@@ -615,7 +608,7 @@ fn check_scope_cap(scope: u64, mode: SlicingMode) -> Result<(), ProtoError> {
 }
 
 /// Serializes a [`JobSpec`] back into the submit-object shape
-/// [`parse_submit`] accepts, every field explicit — the durable
+/// `parse_submit` accepts, every field explicit — the durable
 /// journal's `spec` payload. Round-trip exactness is what lets a
 /// restarted daemon re-run the job byte-identically.
 pub fn spec_json(spec: &JobSpec) -> Json {
@@ -655,16 +648,6 @@ pub fn policy_json(p: &PolicySpec) -> Json {
         }
     }
     fields.push(("screening", Json::Bool(p.screening)));
-    let a = p.adaptive;
-    fields.push((
-        "adaptive",
-        Json::obj(vec![
-            ("enabled", Json::Bool(a.enabled)),
-            ("threshold_permille", Json::num_u64(a.threshold_permille)),
-            ("confirm", Json::num_u64(a.confirm)),
-            ("min_phase_chunks", Json::num_u64(a.min_phase_chunks)),
-        ]),
-    ));
     if let Some(ms) = p.deadline_ms {
         fields.push(("deadline_ms", Json::num_u64(ms)));
     }
@@ -814,10 +797,9 @@ mod tests {
         assert!(!spec.policy.cfg.optimize);
         assert_eq!(spec.policy.cfg.model_width, Some(6.5));
         // Defaults match the paper configuration; the policy defaults
-        // are static (no adaptive selection, no deadline).
+        // have no deadline.
         assert_eq!(spec.policy.cfg.scope, 1024);
         assert_eq!(spec.policy.cfg.max_pthread_len, 32);
-        assert!(!spec.policy.adaptive.enabled);
         assert_eq!(spec.policy.deadline_ms, None);
     }
 
@@ -1192,24 +1174,13 @@ mod tests {
     fn nested_policy_object_parses_every_field() {
         let line = r#"{"cmd":"submit","workload":"mcf","policy":{
             "slice_mode":"windowed",
-            "screening":false,"deadline_ms":9000,
-            "adaptive":{"enabled":true,"threshold_permille":400,
-                        "confirm":3,"min_phase_chunks":5}}}"#;
+            "screening":false,"deadline_ms":9000}}"#;
         let Ok(Request::Submit(spec)) = parse_request(line) else {
             panic!("policy submit must parse");
         };
         assert_eq!(spec.policy.slicing, SlicingMode::Windowed);
         assert!(!spec.policy.screening);
         assert_eq!(spec.policy.deadline_ms, Some(9000));
-        assert_eq!(
-            spec.policy.adaptive,
-            AdaptiveConfig {
-                enabled: true,
-                threshold_permille: 400,
-                confirm: 3,
-                min_phase_chunks: 5,
-            }
-        );
     }
 
     #[test]
@@ -1257,64 +1228,76 @@ mod tests {
         let fresh = Json::parse(r#"{"workload":"mcf","budget":50000}"#).expect("parses");
         let fresh = parse_submit(&fresh).expect("fresh spec parses");
         assert_eq!(replayed.policy, fresh.policy);
-        // The re-journaled spec is the canonical v7 form: the retired key
-        // is not written back.
+        // The re-journaled spec is the canonical v8 form: neither retired
+        // key is written back.
         assert_eq!(spec_json(&replayed).encode(), spec_json(&fresh).encode());
     }
 
     #[test]
-    fn adaptive_policy_round_trips_and_rejects_bad_shapes() {
-        // Boolean shorthand takes the detector defaults.
-        let line = r#"{"cmd":"submit","workload":"mcf","policy":{"adaptive":true}}"#;
-        let Ok(Request::Submit(spec)) = parse_request(line) else {
-            panic!("adaptive shorthand must parse");
-        };
-        assert!(spec.policy.adaptive.enabled);
-        assert_eq!(
-            spec.policy.adaptive,
-            AdaptiveConfig {
-                enabled: true,
-                ..AdaptiveConfig::default()
-            }
-        );
-        // The journal round-trip preserves the adaptive knobs exactly.
-        let encoded = spec_json(&spec);
-        let back = parse_submit(&encoded).expect("replay parses");
-        assert_eq!(back.policy, spec.policy);
-        assert_eq!(spec_json(&back).encode(), encoded.encode());
-
-        // Adaptive + on-demand slicing is a policy contradiction.
-        let line = r#"{"cmd":"submit","workload":"mcf",
-            "policy":{"slice_mode":"ondemand","adaptive":true}}"#;
-        let Err(e) = parse_request(line) else {
-            panic!("adaptive+ondemand must fail")
-        };
-        assert_eq!(e.code(), "config.conflicting_policy");
-
-        // Zero detector knobs are rejected by the policy validator.
-        let line = r#"{"cmd":"submit","workload":"mcf",
-            "policy":{"adaptive":{"confirm":0}}}"#;
-        let Err(e) = parse_request(line) else {
-            panic!("zero confirm must fail")
-        };
-        assert_eq!(e.code(), "config.bad_adaptive");
-
-        // Mistyped policy / adaptive shapes are field errors.
-        for line in [
-            r#"{"cmd":"submit","workload":"mcf","policy":7}"#,
-            r#"{"cmd":"submit","workload":"mcf","policy":{"adaptive":"yes"}}"#,
+    fn legacy_adaptive_key_is_ignored_when_disabled_and_rejected_otherwise() {
+        let fresh = Json::parse(r#"{"workload":"mcf","budget":50000}"#).expect("parses");
+        let fresh = parse_submit(&fresh).expect("fresh spec parses");
+        // The disabled shapes: absent, null, false, and an object whose
+        // `enabled` is false, whatever else it carries (the v7 canonical
+        // object included). Each replays to the fresh spec, and the
+        // canonical form no longer writes the key.
+        for adaptive in [
+            "null",
+            "false",
+            r#"{"enabled":false}"#,
+            r#"{"enabled":false,"threshold_permille":500,"confirm":2,"min_phase_chunks":4}"#,
+            r#"{"enabled":false,"threshold_permille":"junk","confirm":0}"#,
         ] {
-            let Err(e) = parse_request(line) else {
-                panic!("`{line}` must be rejected")
-            };
-            assert_eq!(e.code(), "bad_field", "`{line}`");
+            let line = format!(
+                r#"{{"workload":"mcf","budget":50000,"policy":{{"adaptive":{adaptive}}}}}"#
+            );
+            let spec = parse_submit(&Json::parse(&line).expect("parses"))
+                .unwrap_or_else(|e| panic!("`{adaptive}` must be accepted: {e}"));
+            assert_eq!(spec.policy, fresh.policy, "{adaptive}");
+            let encoded = spec_json(&spec).encode();
+            assert_eq!(encoded, spec_json(&fresh).encode(), "{adaptive}");
+            assert!(!encoded.contains("adaptive"), "{encoded}");
         }
+        // Every shape that asked for adaptive selection is a field error
+        // naming the key and the protocol version that removed it.
+        for adaptive in [
+            "true",
+            "{}",
+            r#"{"enabled":true}"#,
+            r#"{"enabled":null}"#,
+            r#"{"enabled":"false"}"#,
+            r#"{"threshold_permille":25,"min_phase_chunks":2}"#,
+            r#""yes""#,
+            "0",
+        ] {
+            for line in [
+                format!(
+                    r#"{{"cmd":"submit","workload":"mcf","policy":{{"adaptive":{adaptive}}}}}"#
+                ),
+                format!(
+                    r#"{{"cmd":"submit_batch","jobs":[{{"workload":"mcf","policy":{{"adaptive":{adaptive}}}}}]}}"#
+                ),
+            ] {
+                let Err(e) = parse_request(&line) else {
+                    panic!("`{line}` must be rejected")
+                };
+                assert_eq!(e.code(), "bad_field", "`{line}`");
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("`adaptive`") && msg.contains("removed in protocol v8"),
+                    "`{line}` → {msg}"
+                );
+            }
+        }
+        // A policy that is not an object is still a field error.
+        let Err(e) = parse_request(r#"{"cmd":"submit","workload":"mcf","policy":7}"#) else {
+            panic!("a non-object policy must be rejected")
+        };
+        assert_eq!(e.code(), "bad_field");
     }
 
     /// A valid [`PolicySpec`] generator: any slicing mode, screening
-    /// toggle, deadline, and adaptive knobs — constrained only by the
-    /// spec's own validity rules (knobs ≥ 1; adaptive implies windowed
-    /// slicing).
+    /// toggle and deadline.
     fn policy_strategy() -> impl proptest::strategy::Strategy<Value = PolicySpec> {
         use proptest::prelude::*;
         (
@@ -1326,26 +1309,11 @@ mod tests {
             ],
             any::<bool>(),
             prop_oneof![Just(None), (1u64..1_000_000).prop_map(Some),],
-            (any::<bool>(), 1u64..2_000, 1u64..8, 1u64..16),
         )
-            .prop_map(|(budget, slicing, screening, deadline_ms, a)| {
-                let (enabled, threshold_permille, confirm, min_phase_chunks) = a;
-                let adaptive = AdaptiveConfig {
-                    enabled,
-                    threshold_permille,
-                    confirm,
-                    min_phase_chunks,
-                };
+            .prop_map(|(budget, slicing, screening, deadline_ms)| {
                 let mut spec = PolicySpec::paper_default(budget);
-                // Adaptive selection requires the windowed path; respect
-                // the validity rule the daemon enforces.
-                spec.slicing = if enabled {
-                    SlicingMode::Windowed
-                } else {
-                    slicing
-                };
+                spec.slicing = slicing;
                 spec.screening = screening;
-                spec.adaptive = adaptive;
                 spec.deadline_ms = deadline_ms;
                 spec
             })

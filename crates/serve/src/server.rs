@@ -8,7 +8,7 @@
 //! dispatch runs on the reactor thread — it only enqueues scheduler work,
 //! so the single thread is never the bottleneck. The original
 //! thread-per-connection loop remains as the non-Linux front end and
-//! behind `--threaded`; both share [`dispatch`], so the protocol is
+//! behind `--threaded`; both share `dispatch`, so the protocol is
 //! identical. In the threaded loop, reads carry a short timeout so
 //! handler threads notice a daemon shutdown promptly instead of blocking
 //! forever on an idle client, which keeps the final join bounded.

@@ -4,8 +4,8 @@
 //! A job is (workload, input, [`PipelineConfig`]). Execution goes
 //! through the [`Pipeline`] builder, whose output separates the four
 //! stages — so the expensive trace+slice stage can be served from the
-//! [`ArtifactCache`] and each stage's wall-clock latency lands in its
-//! own [`Histogram`]:
+//! [`ArtifactCache`](crate::cache::ArtifactCache) and each stage's
+//! wall-clock latency lands in its own [`Histogram`]:
 //!
 //! 1. **trace+slice** (cacheable): keyed by everything it depends on;
 //! 2. **base sim**: machine-dependent, always runs;
@@ -38,11 +38,11 @@ pub struct JobSpec {
     /// Input set to build the workload with.
     pub input: InputSet,
     /// The complete run policy: configuration, slicing mode, screening,
-    /// adaptive selection, and the wall-clock deadline — the single
-    /// source of truth the pipeline, the journal, and the wire protocol
-    /// all share. The slicing mode is not part of the artifact-cache key:
-    /// every mode produces bit-identical forests, so a hit under one mode
-    /// serves the others.
+    /// and the wall-clock deadline — the single source of truth the
+    /// pipeline, the journal, and the wire protocol all share. The
+    /// slicing mode is not part of the artifact-cache key: every mode
+    /// produces bit-identical forests, so a hit under one mode serves
+    /// the others.
     pub policy: PolicySpec,
 }
 
@@ -323,18 +323,13 @@ pub fn run_job(
     if token.is_some() || crate::chaos::plan().slow_job_ms.is_some() {
         pipe = pipe.gate(&gate_fn);
     }
-    // Adaptive jobs bypass the artifact cache entirely: the trace key
-    // carries no adaptive dimension (a cached forest has no per-phase
-    // banks), and the adaptive pipeline rejects injected artifacts.
-    let cacheable = !spec.policy.adaptive.enabled;
-    let cache_hit = cacheable
-        && match cache.load(&key) {
-            Some((forest, stats)) => {
-                pipe = pipe.artifacts(forest, stats);
-                true
-            }
-            None => false,
-        };
+    let cache_hit = match cache.load(&key) {
+        Some((forest, stats)) => {
+            pipe = pipe.artifacts(forest, stats);
+            true
+        }
+        None => false,
+    };
     let out = match pipe.run() {
         Ok(out) => out,
         Err(e @ (PipelineError::Cancelled { .. } | PipelineError::DeadlineExceeded { .. })) => {
@@ -342,7 +337,7 @@ pub fn run_job(
         }
         Err(e) => return JobCompletion::Failed(e),
     };
-    if !cache_hit && cacheable {
+    if !cache_hit {
         // A failed store only costs a future recompute.
         let _ = cache.store(&key, &out.forest, &out.result.stats);
     }
@@ -492,36 +487,6 @@ mod tests {
         assert!(!again.cache_hit, "corrupt entry must recompute");
         assert_eq!(again.result.base.cycles, first.result.base.cycles);
         assert_eq!(cache.local().stats().corrupt, 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn adaptive_jobs_bypass_the_artifact_cache_and_stay_deterministic() {
-        let dir = tmp_dir("adaptive");
-        let (cache, _registry) = isolated_cache(&dir, 8);
-        let hists = StageHists::new();
-        let cfg = PipelineConfig::paper_default(40_000);
-        let mut spec = JobSpec::new("mcf", InputSet::Train, cfg).expect("spec");
-        spec.policy.adaptive = preexec_experiments::AdaptiveConfig {
-            enabled: true,
-            ..preexec_experiments::AdaptiveConfig::default()
-        };
-        let first = match run_job(&spec, &cache, &hists, Parallelism::serial(), None) {
-            JobCompletion::Done(out) => out,
-            other => panic!("first adaptive run: {:?}", other.state()),
-        };
-        assert!(!first.cache_hit);
-        let again = match run_job(&spec, &cache, &hists, Parallelism::new(2), None) {
-            JobCompletion::Done(out) => out,
-            other => panic!("second adaptive run: {:?}", other.state()),
-        };
-        assert!(!again.cache_hit, "adaptive jobs must not consult the cache");
-        assert_eq!(cache.local().stats().hits, 0);
-        assert_eq!(
-            format!("{:?}", first.result),
-            format!("{:?}", again.result),
-            "adaptive runs must be bit-identical at any thread count"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -538,40 +538,59 @@ fn corrupt_and_torn_journals_are_tolerated_on_replay() {
 }
 
 /// Journals written by older daemons: a v6 spec carrying the retired
-/// `streaming` policy key replays to the same result as a fresh submit,
-/// while a v5 spec with a flat policy field no longer parses and
-/// surfaces as a failed job — never a silent re-run with its deadline
-/// dropped.
+/// `streaming` policy key, and a v7 spec carrying the disabled
+/// `adaptive` object every v7 line has, replay to the same result as a
+/// fresh submit. A v5 spec with a flat policy field, and a v7 spec that
+/// enabled adaptive selection, no longer parse and surface as failed
+/// jobs — never a silent re-run with the deadline dropped or as a static
+/// job.
 #[test]
-fn pre_v7_journal_specs_replay_or_fail_typed() {
+fn pre_v8_journal_specs_replay_or_fail_typed() {
     let dir = unique_dir("legacy-wal");
     let journal = JobJournal::open(dir.join("preexecd.wal"), 1).expect("open WAL");
     let v6 = r#"{"workload":"vpr.r","budget":30000,
         "policy":{"slice_mode":"windowed","screening":true,"streaming":true}}"#;
     let v5 = r#"{"workload":"mcf","budget":30000,"deadline_ms":60000}"#;
+    let v7 = |enabled: bool| {
+        format!(
+            r#"{{"workload":"vpr.r","input":"train","budget":30000,"warmup":7500,
+            "scope":1024,"max_slice_len":32,"max_pthread_len":32,"optimize":true,
+            "merge":true,"width":8,"mem_latency":70,
+            "policy":{{"slice_mode":"windowed","screening":true,
+            "adaptive":{{"enabled":{enabled},"threshold_permille":500,"confirm":2,
+            "min_phase_chunks":4}}}}}}"#
+        )
+    };
     journal.submit(1, &Json::parse(v6).expect("v6 spec parses"));
     journal.submit(2, &Json::parse(v5).expect("v5 spec parses"));
+    journal.submit(3, &Json::parse(&v7(false)).expect("v7 spec parses"));
+    journal.submit(4, &Json::parse(&v7(true)).expect("v7 spec parses"));
     drop(journal);
 
     let daemon = Daemon::spawn(&dir, &["--workers", "1"], "");
     let mut conn = daemon.connect();
-    assert_eq!(conn.wait_terminal(1), "done");
-    let replayed = canonical_result(&conn.result(1));
     let fresh = conn.submit("vpr.r", 30_000);
     assert_eq!(conn.wait_terminal(fresh), "done");
-    assert_eq!(canonical_result(&conn.result(fresh)), replayed);
+    let fresh = canonical_result(&conn.result(fresh));
+    for job in [1, 3] {
+        assert_eq!(conn.wait_terminal(job), "done", "job {job}");
+        assert_eq!(canonical_result(&conn.result(job)), fresh, "job {job}");
+    }
 
-    assert_eq!(conn.wait_terminal(2), "failed");
-    let status = conn.ok(r#"{"cmd":"status","job":2}"#);
-    assert_eq!(
-        status.get("code").and_then(Json::as_str),
-        Some("replay_unparseable")
-    );
-    let error = status
-        .get("error")
-        .and_then(Json::as_str)
-        .expect("error message");
-    assert!(error.contains("deadline_ms"), "{error}");
+    for (job, field) in [(2, "deadline_ms"), (4, "adaptive")] {
+        assert_eq!(conn.wait_terminal(job), "failed", "job {job}");
+        let status = conn.ok(&format!(r#"{{"cmd":"status","job":{job}}}"#));
+        assert_eq!(
+            status.get("code").and_then(Json::as_str),
+            Some("replay_unparseable"),
+            "job {job}"
+        );
+        let error = status
+            .get("error")
+            .and_then(Json::as_str)
+            .expect("error message");
+        assert!(error.contains(field), "job {job}: {error}");
+    }
     drop(conn);
     daemon.shutdown();
     assert_wal_invariants(&dir.join("preexecd.wal"));

@@ -308,6 +308,20 @@ fn metrics_verb_reports_the_registry_and_prometheus_text() {
 }
 
 #[test]
+fn model_width_below_the_ipc_floor_runs_to_done() {
+    // A model width under the selection model's 0.05 IPC floor passes
+    // config validation, so the job must run, not fail or panic.
+    let daemon = Daemon::spawn();
+    let mut conn = daemon.connect();
+    let resp = conn.ok(r#"{"cmd":"submit","workload":"vpr.r","model_width":0.01}"#);
+    let job = resp.get("job").and_then(Json::as_u64).expect("job id");
+    conn.wait_done(job);
+    let _ = conn.ok(r#"{"cmd":"shutdown"}"#);
+    drop(conn);
+    daemon.wait_for_exit();
+}
+
+#[test]
 fn handler_threads_are_reaped_across_many_connections() {
     // Regression test for the accept loop collecting every JoinHandle
     // until shutdown: a long-lived daemon serving N short connections

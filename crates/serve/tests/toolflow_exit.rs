@@ -2,7 +2,9 @@
 //! job must make the whole run exit nonzero (with the *first* failing
 //! job's code, in submission order), while every job's buffered output
 //! — including the successes — is still printed. A bad job can neither
-//! be masked by a later success nor swallow its siblings' reports.
+//! be masked by a later success nor swallow its siblings' reports. The
+//! `--policy` keys of the removed adaptive selection exit 2 before any
+//! job runs.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -68,6 +70,25 @@ fn one_failed_job_fails_the_whole_run_without_masking_sibling_output() {
     assert_eq!(parallel.status.code(), Some(0), "{parallel:?}");
     assert_eq!(serial.stdout, parallel.stdout, "--jobs changed stdout");
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn removed_adaptive_policy_keys_are_usage_errors() {
+    let dir = temp_dir("removed-keys");
+    for entry in [
+        "adaptive=false",
+        "adaptive=true",
+        "threshold_permille=25",
+        "confirm=2",
+        "min_phase_chunks=2",
+    ] {
+        let out = run_toolflow_in(&dir, &["--policy", entry, "vpr.r", "20000"]);
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        assert_eq!(out.status.code(), Some(2), "{entry}: {stderr}");
+        assert!(stderr.contains("unknown --policy key"), "{entry}: {stderr}");
+        assert!(out.stdout.is_empty(), "{entry} ran anyway");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -9,9 +9,9 @@ use std::collections::BTreeMap;
 /// The accumulating half of a [`SliceForest`]: the trees, the per-PC
 /// execution counts (`DC_trig`), and the measured-instruction total.
 ///
-/// Every forest producer fills one of these — the windowed builder, each
-/// bank of the phased builder, and the on-demand re-execution path, which
-/// counts during the trace and inserts each slice as it is re-extracted.
+/// Every forest producer fills one of these — the windowed builder and
+/// the on-demand re-execution path, which counts during the trace and
+/// inserts each slice as it is re-extracted.
 /// Trees are independent per problem load, so only the per-load order of
 /// [`insert`](Self::insert) calls shapes the result.
 #[derive(Debug, Default)]

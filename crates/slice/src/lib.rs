@@ -47,7 +47,6 @@ pub mod error;
 pub mod forest;
 pub mod io;
 pub mod ondemand;
-pub mod phased;
 pub mod tree;
 pub mod window;
 
@@ -55,6 +54,5 @@ pub use error::SliceError;
 pub use forest::{ForestBank, SliceForest, SliceForestBuilder};
 pub use io::{read_forest, read_forest_lenient, write_forest, ParseForestError, RecoveredForest};
 pub use ondemand::OnDemandSlicer;
-pub use phased::{PhasedForest, PhasedForestBuilder};
 pub use tree::{NodeId, SliceNode, SliceTree};
 pub use window::{SliceEntry, SliceWindow};

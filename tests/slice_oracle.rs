@@ -13,17 +13,23 @@
 //! `RunStats` field and every per-PC `DC_trig` of the measured region
 //! from the recorded stream, and compares them with what each pipeline
 //! trace path reports.
+//!
+//! The tree leg builds each slice tree from oracle slices by a plain
+//! path insert (no `SliceTree`): a node is keyed by its root-first PC
+//! path, numbered in first-insertion order, and keeps the `inst` and
+//! `dep_positions` of the slice that created it. Each pipeline trace
+//! path's forest must match it node by node.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use preexec::experiments::{AdaptiveConfig, Pipeline, PipelineConfig, PolicySpec, SlicingMode};
+use preexec::experiments::{Pipeline, PipelineConfig, PolicySpec, SlicingMode};
 use preexec::func::{
     run_trace, try_run_trace_checkpointed, DynInst, Replayer, RunStats, TraceConfig,
 };
-use preexec::isa::{OpClass, Pc, Program, ProgramBuilder, Reg};
+use preexec::isa::{Inst, OpClass, Pc, Program, ProgramBuilder, Reg};
 use preexec::mem::{HierarchyConfig, MemLevel};
-use preexec::slice::{write_forest, OnDemandSlicer, SliceEntry, SliceForest, SliceWindow};
-use preexec::workloads::{by_name, InputSet};
+use preexec::slice::{OnDemandSlicer, SliceEntry, SliceForest, SliceWindow};
+use preexec::workloads::{by_name, suite, InputSet};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
@@ -147,10 +153,8 @@ fn check_program(p: &Program, config: &TraceConfig, checkpoint_every: u64) -> us
     roots.len()
 }
 
-/// The trace statistics of `cfg`'s measured region, recounted from the
-/// whole recorded stream: every `RunStats` field, the nonzero per-PC
-/// execution counts (`DC_trig`), and the sample length.
-fn recount(p: &Program, cfg: &PipelineConfig) -> (RunStats, Vec<(Pc, u64)>) {
+/// The whole stream `cfg`'s trace emits, warm-up included.
+fn record(p: &Program, cfg: &PipelineConfig) -> Vec<DynInst> {
     let config = TraceConfig {
         hierarchy: HierarchyConfig::paper_default(),
         max_steps: cfg.warmup + cfg.budget,
@@ -158,6 +162,13 @@ fn recount(p: &Program, cfg: &PipelineConfig) -> (RunStats, Vec<(Pc, u64)>) {
     };
     let mut trace: Vec<DynInst> = Vec::new();
     run_trace(p, &config, |d| trace.push(*d));
+    trace
+}
+
+/// The trace statistics of `cfg`'s measured region, recounted from the
+/// whole recorded stream: every `RunStats` field, the nonzero per-PC
+/// execution counts (`DC_trig`), and the sample length.
+fn recount(trace: &[DynInst], cfg: &PipelineConfig) -> (RunStats, Vec<(Pc, u64)>) {
     let mut stats = RunStats {
         // Every step is emitted under always-on sampling, and a budget
         // cut is a complete run.
@@ -222,17 +233,85 @@ fn check_counts(
     );
 }
 
-/// Every trace path of the pipeline against the recount: windowed,
-/// on-demand, and the adaptive run's stats and global forest (whose
-/// first phase-detector chunk straddles the warm-up end).
-fn check_stats(p: &Program, cfg: PipelineConfig) {
-    let want = recount(p, &cfg);
+/// One node of an oracle slice tree.
+struct OracleNode {
+    /// Static PCs from the root down to this node.
+    path: Vec<Pc>,
+    inst: Inst,
+    dep_positions: Vec<u32>,
+    dc_ptcm: u64,
+    dist_sum: u64,
+}
+
+/// The slice trees of `cfg`'s measured region, built from the oracle
+/// slice of every measured L2-miss load, in trace order, by a plain
+/// path insert. Each tree lists its nodes in first-insertion order.
+fn oracle_trees(trace: &[DynInst], cfg: &PipelineConfig) -> BTreeMap<Pc, Vec<OracleNode>> {
+    let mut trees: BTreeMap<Pc, Vec<OracleNode>> = BTreeMap::new();
+    // Node ids by path; the root PC leading each path keeps the trees
+    // apart.
+    let mut ids: BTreeMap<Vec<Pc>, usize> = BTreeMap::new();
+    let measured_misses =
+        (0..trace.len()).filter(|&i| trace[i].seq >= cfg.warmup && trace[i].is_l2_miss_load());
+    for root in measured_misses {
+        let nodes = trees.entry(trace[root].pc).or_default();
+        let mut path = Vec::new();
+        for e in oracle_slice(trace, root, cfg.scope, cfg.max_slice_len) {
+            path.push(e.pc);
+            let id = *ids.entry(path.clone()).or_insert_with(|| {
+                nodes.push(OracleNode {
+                    path: path.clone(),
+                    inst: e.inst,
+                    dep_positions: e.dep_positions.clone(),
+                    dc_ptcm: 0,
+                    dist_sum: 0,
+                });
+                nodes.len() - 1
+            });
+            nodes[id].dc_ptcm += 1;
+            nodes[id].dist_sum += e.dist;
+        }
+    }
+    trees
+}
+
+/// Checks one path's forest against the oracle trees, node by node.
+fn check_trees(path: &str, want: &BTreeMap<Pc, Vec<OracleNode>>, forest: &SliceForest) {
+    assert_eq!(forest.num_trees(), want.len(), "{path}: tree count");
+    for ((pc, tree), (&want_pc, nodes)) in forest.trees().zip(want) {
+        assert_eq!(pc, want_pc, "{path}: tree roots");
+        assert_eq!(tree.len(), nodes.len(), "{path}: node count of tree {pc}");
+        for ((id, got), want) in tree.iter().zip(nodes) {
+            let ctx = format!("{path}: tree {pc} node {id}");
+            let got_path: Vec<Pc> = tree
+                .path_from_root(id)
+                .into_iter()
+                .map(|n| tree.node(n).pc)
+                .collect();
+            assert_eq!(got_path, want.path, "{ctx}: path");
+            assert_eq!(got.inst, want.inst, "{ctx}: inst");
+            assert_eq!(got.depth as usize + 1, want.path.len(), "{ctx}: depth");
+            assert_eq!(got.dep_depths, want.dep_positions, "{ctx}: dep_depths");
+            assert_eq!(got.dc_ptcm, want.dc_ptcm, "{ctx}: dc_ptcm");
+            let dist_pl = want.dist_sum as f64 / want.dc_ptcm as f64;
+            assert_eq!(got.dist_pl().to_bits(), dist_pl.to_bits(), "{ctx}: dist_pl");
+        }
+    }
+}
+
+/// Every trace path of the pipeline against the recount and the oracle
+/// trees: windowed and on-demand.
+fn check_trace_paths(p: &Program, cfg: PipelineConfig) {
+    let trace = record(p, &cfg);
+    let want = recount(&trace, &cfg);
+    let trees = oracle_trees(&trace, &cfg);
     let spec = PolicySpec {
         cfg,
         ..PolicySpec::default()
     };
     let windowed = Pipeline::new(p).policy(spec).trace().unwrap();
     check_counts("windowed", &want, &windowed.stats, &windowed.forest);
+    check_trees("windowed", &trees, &windowed.forest);
     let ondemand = Pipeline::new(p)
         .policy(PolicySpec {
             slicing: SlicingMode::OnDemand {
@@ -243,21 +322,7 @@ fn check_stats(p: &Program, cfg: PipelineConfig) {
         .trace()
         .unwrap();
     check_counts("on-demand", &want, &ondemand.stats, &ondemand.forest);
-    let adaptive = Pipeline::new(p)
-        .policy(PolicySpec {
-            adaptive: AdaptiveConfig {
-                enabled: true,
-                ..AdaptiveConfig::default()
-            },
-            ..spec
-        })
-        .run()
-        .unwrap();
-    check_counts("adaptive", &want, &adaptive.result.stats, &adaptive.forest);
-    assert_eq!(
-        write_forest(&adaptive.forest),
-        write_forest(&windowed.forest)
-    );
+    check_trees("on-demand", &trees, &ondemand.forest);
 }
 
 /// A pointer chase through a permutation table, with spill/reload
@@ -339,7 +404,8 @@ proptest! {
     }
 
     /// Every pipeline trace path counts what a brute-force recount of
-    /// the recorded stream finds, with and without a warm-up prefix.
+    /// the recorded stream finds, and builds the oracle's trees, with and
+    /// without a warm-up prefix.
     #[test]
     fn pipeline_stats_match_recount_on_random_chase_programs(
         seed in any::<u64>(),
@@ -352,22 +418,30 @@ proptest! {
     ) {
         let p = chase_program(seed, table_pow, stride, filler, back);
         for warmup in [0, warmup] {
-            check_stats(&p, PipelineConfig { budget, warmup, ..PipelineConfig::paper_default(budget) });
+            check_trace_paths(&p, PipelineConfig { budget, warmup, ..PipelineConfig::paper_default(budget) });
         }
     }
 }
 
 #[test]
 fn slicers_match_oracle_on_suite_kernels() {
-    for name in ["vpr.r", "mcf"] {
-        let p = by_name(name).unwrap().build(InputSet::Train);
+    // vpr.r and mcf at 4 000 steps, the other eight at 2 000 to keep the
+    // run short.
+    for w in suite() {
+        let max_steps = if matches!(w.name, "vpr.r" | "mcf") {
+            4_000
+        } else {
+            2_000
+        };
+        let p = w.build(InputSet::Train);
         let config = TraceConfig {
-            max_steps: 4_000,
+            max_steps,
             ..TraceConfig::default()
         };
         assert!(
             check_program(&p, &config, 257) > 0,
-            "{name} produced no misses"
+            "{} produced no misses",
+            w.name
         );
     }
 }
@@ -378,6 +452,20 @@ fn pipeline_stats_match_recount_on_suite_kernels() {
         let p = by_name(name).unwrap().build(InputSet::Train);
         let cfg = PipelineConfig::paper_default(4_000);
         assert!(cfg.warmup > 0);
-        check_stats(&p, cfg);
+        check_trace_paths(&p, cfg);
+    }
+}
+
+#[test]
+fn slice_trees_match_oracle_on_suite_kernels() {
+    for w in suite() {
+        let p = w.build(InputSet::Train);
+        for budget in [2_000, 4_000] {
+            let cfg = PipelineConfig::paper_default(budget);
+            let trees = oracle_trees(&record(&p, &cfg), &cfg);
+            assert!(!trees.is_empty(), "{} @ {budget} has no trees", w.name);
+            let arts = Pipeline::new(&p).config(cfg).trace().unwrap();
+            check_trees(&format!("{} @ {budget}", w.name), &trees, &arts.forest);
+        }
     }
 }
