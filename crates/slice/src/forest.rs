@@ -1,6 +1,16 @@
 //! The slice forest: one slice tree per static problem load, plus the
 //! global trigger statistics (`DC_trig`) the advantage model needs.
+//!
+//! [`SliceForestBuilder`] is the windowed path: at every L2-miss load it
+//! runs the backward-slice traversal into buffers it keeps and walks the
+//! result straight into the load's tree, so a slice allocates only the
+//! tree nodes it creates. [`ForestBank`] is the accumulator both paths
+//! share; the on-demand path inserts materialized slices into it. Counts
+//! are dense by PC while a trace runs; the finished [`SliceForest`]
+//! keeps them as sorted `(pc, count)` pairs, so a forest read from a
+//! file never sizes an allocation by a PC it read.
 
+use crate::window::Traversal;
 use crate::{SliceEntry, SliceError, SliceTree, SliceWindow};
 use preexec_func::DynInst;
 use preexec_isa::{Inst, Pc};
@@ -40,17 +50,28 @@ impl ForestBank {
     /// Folds one miss slice into the tree of the problem load `root_pc`
     /// (created on its first slice).
     pub fn insert(&mut self, root_pc: Pc, root_inst: Inst, slice: &[SliceEntry]) {
+        self.tree(root_pc, root_inst).insert_slice(slice);
+    }
+
+    /// The tree of the problem load `root_pc`, created on first use.
+    fn tree(&mut self, root_pc: Pc, root_inst: Inst) -> &mut SliceTree {
         self.trees
             .entry(root_pc)
             .or_insert_with(|| SliceTree::new(root_pc, root_inst))
-            .insert_slice(slice);
     }
 
     /// Finishes, producing the forest.
     pub fn finish(self) -> SliceForest {
+        let exec_counts = self
+            .exec_counts
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(pc, &c)| (pc as Pc, c))
+            .collect();
         SliceForest {
             trees: self.trees,
-            exec_counts: self.exec_counts,
+            exec_counts,
             sample_insts: self.observed,
         }
     }
@@ -60,12 +81,15 @@ impl ForestBank {
 ///
 /// Feed every traced instruction to [`observe`](Self::observe) (typically
 /// as the sink of [`preexec_func::run_trace`]); the builder maintains the
-/// slicing window, extracts a backward slice at every L2-miss load, and
-/// folds it straight into its tree.
+/// slicing window and, at every L2-miss load, runs the backward-slice
+/// traversal into buffers it reuses and walks the result straight into
+/// the load's tree. No slice is materialized: a slice allocates only the
+/// tree nodes it creates.
 #[derive(Debug)]
 pub struct SliceForestBuilder {
     window: SliceWindow,
     max_slice_len: usize,
+    slice: Traversal,
     bank: ForestBank,
 }
 
@@ -97,6 +121,7 @@ impl SliceForestBuilder {
         Ok(SliceForestBuilder {
             window: SliceWindow::try_new(scope)?,
             max_slice_len,
+            slice: Traversal::with_capacity(max_slice_len),
             bank: ForestBank::new(),
         })
     }
@@ -114,8 +139,10 @@ impl SliceForestBuilder {
         self.bank.count(d.pc);
         self.window.push(d);
         if d.is_l2_miss_load() {
-            let slice = self.window.slice_latest(self.max_slice_len);
-            self.bank.insert(d.pc, d.inst, &slice);
+            self.window
+                .traverse_latest(self.max_slice_len, &mut self.slice)
+                .expect("window holds the load just pushed");
+            self.bank.tree(d.pc, d.inst).insert_path(&self.slice);
         }
     }
 
@@ -131,7 +158,9 @@ impl SliceForestBuilder {
 #[derive(Debug, Clone)]
 pub struct SliceForest {
     trees: BTreeMap<Pc, SliceTree>,
-    exec_counts: Vec<u64>,
+    /// `(pc, count)` for every PC with a nonzero count, ascending by PC.
+    /// Sparse, so a PC read from a slice file never sizes an allocation.
+    exec_counts: Vec<(Pc, u64)>,
     sample_insts: u64,
 }
 
@@ -154,7 +183,9 @@ impl SliceForest {
     /// `DC_trig` for the static instruction at `pc`: its dynamic execution
     /// count over the sample.
     pub fn dc_trig(&self, pc: Pc) -> u64 {
-        self.exec_counts.get(pc as usize).copied().unwrap_or(0)
+        self.exec_counts
+            .binary_search_by_key(&pc, |&(p, _)| p)
+            .map_or(0, |i| self.exec_counts[i].1)
     }
 
     /// Total dynamic instructions in the sample (the "on" phases).
@@ -170,30 +201,31 @@ impl SliceForest {
     /// Iterates over `(pc, execution count)` for every PC with a nonzero
     /// count (serialization).
     pub fn exec_counts(&self) -> impl Iterator<Item = (Pc, u64)> + '_ {
-        self.exec_counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(pc, &c)| (pc as Pc, c))
+        self.exec_counts.iter().copied()
     }
 
-    /// Reassembles a forest from its parts (deserialization).
+    /// Reassembles a forest from its parts (deserialization). The counts
+    /// may come in any order; for a PC listed more than once the last
+    /// count wins, and zero counts are dropped.
     pub fn from_parts(
         trees: Vec<SliceTree>,
-        exec_counts: Vec<(Pc, u64)>,
+        mut exec_counts: Vec<(Pc, u64)>,
         sample_insts: u64,
     ) -> SliceForest {
-        let mut counts = Vec::new();
-        for (pc, c) in exec_counts {
-            let pc = pc as usize;
-            if pc >= counts.len() {
-                counts.resize(pc + 1, 0);
+        // A stable sort keeps each PC's duplicates in input order, and
+        // `dedup_by` hands each later one over to the kept earlier one.
+        exec_counts.sort_by_key(|&(pc, _)| pc);
+        exec_counts.dedup_by(|later, kept| {
+            let dup = later.0 == kept.0;
+            if dup {
+                kept.1 = later.1;
             }
-            counts[pc] = c;
-        }
+            dup
+        });
+        exec_counts.retain(|&(_, c)| c > 0);
         SliceForest {
             trees: trees.into_iter().map(|t| (t.root_pc(), t)).collect(),
-            exec_counts: counts,
+            exec_counts,
             sample_insts,
         }
     }
@@ -244,6 +276,25 @@ mod tests {
     }
 
     #[test]
+    fn root_takes_positions_from_the_first_slice_that_has_them() {
+        // The base register's first producer lies beyond a scope of 8,
+        // every later one (the `addi` four back) within it.
+        let p = assemble(
+            "t",
+            "li r1, 0x100000\n li r2, 0\n li r3, 8\n nop\n nop\n nop\n nop\n nop\n nop\n\
+             top: bge r2, r3, done\n ld r4, 0(r1)\n addi r1, r1, 64\n addi r2, r2, 1\n j top\n\
+             done: halt",
+        )
+        .unwrap();
+        let mut b = SliceForestBuilder::new(8, 32);
+        run_trace(&p, &TraceConfig::default(), |d| b.observe(d));
+        let f = b.finish();
+        let t = f.tree(10).unwrap();
+        assert_eq!(t.root().dc_ptcm, 8);
+        assert_eq!(t.root().dep_depths, vec![1]);
+    }
+
+    #[test]
     fn hits_produce_no_tree() {
         // Re-loading the same line: one miss then hits.
         let f = forest_for(
@@ -253,6 +304,16 @@ mod tests {
         );
         let t = f.tree(4).unwrap();
         assert_eq!(t.root().dc_ptcm, 1); // only the cold miss
+    }
+
+    #[test]
+    fn from_parts_sorts_keeps_the_last_duplicate_and_drops_zeros() {
+        let counts = vec![(7, 3), (2, 5), (7, 4), (9, 0), (2, 0), (1, 1)];
+        let f = SliceForest::from_parts(Vec::new(), counts, 10);
+        assert_eq!(f.exec_counts().collect::<Vec<_>>(), [(1, 1), (7, 4)]);
+        assert_eq!(f.dc_trig(7), 4);
+        assert_eq!(f.dc_trig(2), 0);
+        assert_eq!(f.dc_trig(Pc::MAX), 0);
     }
 
     #[test]

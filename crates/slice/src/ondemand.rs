@@ -12,16 +12,23 @@
 //! bounded only by the recorded trace.
 //!
 //! Identity with the windowed extractor is structural, not coincidental:
-//! both feed the same traversal ([`slice_from`]), the re-execution runs
-//! the same interpreter the recording run used, and the per-interval
-//! dependence records replicate [`SliceWindow::push`]'s last-writer
-//! updates operation for operation. Dependences that cross an interval
-//! boundary are resolved by walking earlier intervals' summaries
-//! (final register writers + granule last-writers); producers older than
-//! the slicing scope are reported as absent, which the traversal treats
-//! identically to the window's out-of-scope filtering.
+//! both run the crate's one backward-slice traversal over the dependence
+//! records they provide, the re-execution runs the same interpreter the
+//! recording run used, and the per-interval dependence records replicate
+//! [`SliceWindow::push`](crate::SliceWindow::push)'s last-writer updates
+//! operation for operation. Dependences that cross an interval boundary
+//! are resolved by walking earlier intervals' summaries (final register
+//! writers + granule last-writers); producers older than the slicing
+//! scope are reported as absent, which the traversal treats identically
+//! to the window's out-of-scope filtering.
+//!
+//! Unlike the windowed forest builder, which walks each traversal
+//! straight into its tree, [`OnDemandSlicer::try_slice_at`] materializes
+//! the slice as a `Vec<SliceEntry>`; the pipeline inserts it with
+//! [`ForestBank::insert`](crate::ForestBank::insert), which runs the
+//! same tree walk over the materialized entries.
 
-use crate::window::{granules, slice_from, EntryView, GRANULE_SHIFT};
+use crate::window::{granules, EntryView, Traversal, GRANULE_SHIFT};
 use crate::{SliceEntry, SliceError};
 use preexec_func::{DynInst, Replayer};
 use preexec_isa::reg::NUM_REGS;
@@ -80,7 +87,8 @@ struct IntervalSummary {
 /// Extracts backward slices from a checkpointed trace by re-executing
 /// only the intervals a slice actually reaches into.
 ///
-/// Slices are byte-identical to [`SliceWindow::slice_latest`] over the
+/// Slices are byte-identical to
+/// [`SliceWindow::slice_latest`](crate::SliceWindow::slice_latest) over the
 /// same trace, scope, and `max_slice_len` (pinned by this crate's tests
 /// and the pipeline's proptests). Requests may arrive in any order;
 /// ascending root order is cheapest because summaries behind the sliding
@@ -148,7 +156,8 @@ impl<'a> OnDemandSlicer<'a> {
     }
 
     /// Extracts the backward slice rooted at the emitted instruction
-    /// `root_seq`, exactly as [`SliceWindow::slice_latest`] would have
+    /// `root_seq`, exactly as
+    /// [`SliceWindow::slice_latest`](crate::SliceWindow::slice_latest) would have
     /// at the moment `root_seq` was the newest instruction in a window
     /// of this slicer's scope.
     ///
@@ -174,9 +183,11 @@ impl<'a> OnDemandSlicer<'a> {
         self.summaries.retain(|&j, _| j >= lo);
         self.details.retain(|&(j, _)| j >= lo);
         self.resident_insts = self.details.iter().map(|(_, d)| d.len()).sum();
-        slice_from(root_seq, min_seq, self.max_slice_len, |seq| {
+        let mut slice = Traversal::with_capacity(self.max_slice_len);
+        slice.run(root_seq, min_seq, self.max_slice_len, |seq| {
             self.entry_view(seq, lo)
-        })
+        })?;
+        Ok(slice.materialize())
     }
 
     /// The fully resolved dependence record for `seq`, for the traversal.

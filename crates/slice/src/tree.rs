@@ -1,5 +1,15 @@
 //! The slice tree (paper §3.2): all backward slices of one static load's
 //! misses, merged by shared root-side structure.
+//!
+//! Every insert runs one path walk over a root-first slice, read one
+//! depth at a time through `SlicePath`: a materialized `&[SliceEntry]`
+//! ([`SliceTree::insert_slice`]) or the traversal's buffers (the forest
+//! builder). The walk reads each depth's PC and distance, and asks for
+//! an entry's dependence positions only when it keeps them: when it
+//! creates that entry's node, and for the root while the root's
+//! `dep_depths` are still empty. So every non-root node keeps the
+//! positions of the slice that created it, and the root keeps the first
+//! non-empty positions any slice gave it.
 
 use crate::SliceEntry;
 use preexec_isa::{Inst, Pc};
@@ -7,6 +17,45 @@ use std::fmt;
 
 /// Index of a node within its [`SliceTree`]. The root is always node 0.
 pub type NodeId = usize;
+
+/// A root-first backward slice as the tree walk reads it, one depth at a
+/// time (depth 0 is the root, the problem load). Implemented by
+/// materialized slices and by the traversal's buffers, so both insert
+/// through the same walk.
+pub(crate) trait SlicePath {
+    /// Number of entries (≥ 1 for a real slice).
+    fn len(&self) -> usize;
+    /// Static PC of the entry at `depth`.
+    fn pc(&self, depth: usize) -> Pc;
+    /// The instruction at `depth`.
+    fn inst(&self, depth: usize) -> Inst;
+    /// Dynamic-instruction distance from the root to the entry at `depth`.
+    fn dist(&self, depth: usize) -> u64;
+    /// Depths of the in-slice producers of the entry at `depth`, ascending.
+    fn dep_positions(&self, depth: usize) -> Vec<u32>;
+}
+
+impl SlicePath for [SliceEntry] {
+    fn len(&self) -> usize {
+        <[SliceEntry]>::len(self)
+    }
+
+    fn pc(&self, depth: usize) -> Pc {
+        self[depth].pc
+    }
+
+    fn inst(&self, depth: usize) -> Inst {
+        self[depth].inst
+    }
+
+    fn dist(&self, depth: usize) -> u64 {
+        self[depth].dist
+    }
+
+    fn dep_positions(&self, depth: usize) -> Vec<u32> {
+        self[depth].dep_positions.clone()
+    }
+}
 
 /// One node of a slice tree.
 ///
@@ -160,31 +209,45 @@ impl SliceTree {
     ///
     /// Panics if the slice is empty or its root PC does not match the tree.
     pub fn insert_slice(&mut self, slice: &[SliceEntry]) {
-        assert!(!slice.is_empty(), "inserting empty slice");
-        assert_eq!(slice[0].pc, self.root_pc, "slice root mismatch");
+        self.insert_path(slice);
+    }
+
+    /// The one path walk behind every insert: follows (or creates) the
+    /// child matching each depth's PC and adds the depth's distance.
+    /// Dependence positions are read only where they are kept — when a
+    /// node is created, and for the root while its `dep_depths` are empty
+    /// (so the root keeps the first non-empty positions it sees).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slice is empty or its root PC does not match the tree.
+    pub(crate) fn insert_path<P: SlicePath + ?Sized>(&mut self, slice: &P) {
+        assert!(slice.len() > 0, "inserting empty slice");
+        assert_eq!(slice.pc(0), self.root_pc, "slice root mismatch");
         self.nodes[0].dc_ptcm += 1;
         if self.nodes[0].dep_depths.is_empty() {
-            self.nodes[0].dep_depths = slice[0].dep_positions.clone();
+            self.nodes[0].dep_depths = slice.dep_positions(0);
         }
         let mut cur: NodeId = 0;
-        for (depth, entry) in slice.iter().enumerate().skip(1) {
+        for depth in 1..slice.len() {
+            let pc = slice.pc(depth);
             let child = self.nodes[cur]
                 .children
                 .iter()
                 .copied()
-                .find(|&c| self.nodes[c].pc == entry.pc);
+                .find(|&c| self.nodes[c].pc == pc);
             let child = match child {
                 Some(c) => c,
                 None => {
                     let id = self.nodes.len();
                     self.nodes.push(SliceNode {
-                        pc: entry.pc,
-                        inst: entry.inst,
+                        pc,
+                        inst: slice.inst(depth),
                         depth: depth as u32,
                         parent: Some(cur),
                         children: Vec::new(),
                         dc_ptcm: 0,
-                        dep_depths: entry.dep_positions.clone(),
+                        dep_depths: slice.dep_positions(depth),
                         dist_sum: 0,
                     });
                     self.nodes[cur].children.push(id);
@@ -192,7 +255,7 @@ impl SliceTree {
                 }
             };
             self.nodes[child].dc_ptcm += 1;
-            self.nodes[child].dist_sum += entry.dist;
+            self.nodes[child].dist_sum += slice.dist(depth);
             cur = child;
         }
     }
@@ -346,6 +409,25 @@ mod tests {
         let d4 = t.node(2);
         let d6 = t.node(3);
         assert_eq!(d4.dc_ptcm + d6.dc_ptcm, shared.dc_ptcm);
+    }
+
+    #[test]
+    fn root_takes_the_first_non_empty_positions_and_nodes_their_first() {
+        let t = tree_with(&[
+            vec![root_entry(vec![]), entry(8, 1, vec![])],
+            vec![
+                root_entry(vec![1]),
+                entry(8, 1, vec![2]),
+                entry(7, 2, vec![]),
+            ],
+            vec![
+                root_entry(vec![1, 2]),
+                entry(8, 2, vec![2]),
+                entry(6, 3, vec![]),
+            ],
+        ]);
+        assert_eq!(t.root().dep_depths, vec![1]);
+        assert_eq!(t.node(1).dep_depths, Vec::<u32>::new());
     }
 
     #[test]

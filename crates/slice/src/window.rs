@@ -1,6 +1,18 @@
 //! The slicing window: a bounded history of dynamic instructions with
 //! last-writer tracking, from which backward slices are extracted.
+//!
+//! This module also holds the crate's one backward-slice traversal
+//! (`Traversal`), which the windowed and on-demand extractors both run.
+//! It fills buffers that its owner reuses from slice to slice: the
+//! slice's sequence numbers, their dependence records and the worklist
+//! heap. The public extractors ([`SliceWindow::try_slice_latest`] and
+//! [`OnDemandSlicer::try_slice_at`](crate::OnDemandSlicer::try_slice_at))
+//! materialize those buffers as a `Vec<SliceEntry>`. The forest builder
+//! never does: it walks the buffers straight into the slice tree, and
+//! computes an entry's dependence positions only when the walk creates
+//! a node for it.
 
+use crate::tree::SlicePath;
 use crate::SliceError;
 use preexec_func::DynInst;
 use preexec_isa::reg::NUM_REGS;
@@ -71,84 +83,140 @@ pub(crate) struct EntryView {
     pub mem_dep: Option<u64>,
 }
 
-/// The backward-slice traversal shared by [`SliceWindow::try_slice_latest`]
-/// and the on-demand slicer: both provide dependence records through
-/// `entry`, so a slice of the same root over the same dependences is
-/// byte-identical whichever extractor produced it — by construction, not
-/// by two traversals kept in sync.
+/// The dependences of `e` (at `seq`) that a slice rooted at `root_seq`
+/// follows. The root's memory dependence is not followed: only its
+/// address computation matters for prefetching.
+fn deps(root_seq: u64, seq: u64, e: &EntryView) -> impl Iterator<Item = u64> {
+    let mem = e.mem_dep.filter(|_| e.inst.op.is_load() && seq != root_seq);
+    e.reg_deps.into_iter().flatten().chain(mem)
+}
+
+/// The backward-slice traversal shared by the forest builder,
+/// [`SliceWindow::try_slice_latest`] and the on-demand slicer, together
+/// with the buffers it fills. Every extractor provides dependence
+/// records through `entry`, so a slice of the same root over the same
+/// dependences is byte-identical whichever extractor produced it — by
+/// construction, not by two traversals kept in sync.
 ///
-/// `entry` is consulted once per visited sequence number, root first;
-/// dependences older than `min_seq` (out of scope) are never followed, so
-/// `entry` may report them as `None` or as their true (sub-`min_seq`)
-/// value interchangeably.
-///
-/// Every dependence is strictly older than its consumer (DESIGN.md §7.5),
-/// so the max-heap worklist pops seqs in non-increasing order: the visited
-/// seqs come out strictly descending (a truncated slice keeps the
-/// instructions nearest the root), a duplicate pops right after its twin,
-/// and no pushed dependence can already be visited. No hashing is needed.
-pub(crate) fn slice_from(
-    root_seq: u64,
-    min_seq: u64,
-    max_len: usize,
-    mut entry: impl FnMut(u64) -> Result<EntryView, SliceError>,
-) -> Result<Vec<SliceEntry>, SliceError> {
-    // The root's memory dependence is not followed: only its address
-    // computation matters for prefetching.
-    let deps = |seq: u64, e: &EntryView| {
-        let mem = e.mem_dep.filter(|_| e.inst.op.is_load() && seq != root_seq);
-        e.reg_deps.into_iter().flatten().chain(mem)
-    };
-    let mut heap: BinaryHeap<u64> = BinaryHeap::new();
-    // Pre-sized for usual slice lengths; a huge `max_len` grows on demand.
-    let cap = max_len.min(256);
-    let mut order: Vec<u64> = Vec::with_capacity(cap); // strictly descending
-    let mut views: Vec<EntryView> = Vec::with_capacity(cap); // parallel to `order`
-    let mut next = Some(root_seq);
-    while let Some(seq) = next {
-        let e = entry(seq)?;
-        for dep in deps(seq, &e) {
-            debug_assert!(
-                dep < seq,
-                "dependence {dep} is not older than consumer {seq}"
-            );
-            if dep >= min_seq {
-                heap.push(dep);
-            }
+/// The slice stays in the buffers, root-first, until the next
+/// [`run`](Self::run), so a caller that keeps its `Traversal` allocates
+/// nothing once they have grown.
+#[derive(Debug)]
+pub(crate) struct Traversal {
+    heap: BinaryHeap<u64>,
+    /// The slice's sequence numbers, root first (strictly descending).
+    members: Vec<u64>,
+    /// The dependence record of each member, parallel to `members`.
+    views: Vec<EntryView>,
+}
+
+impl Traversal {
+    /// Buffers pre-sized for slices of `max_len` (a huge `max_len` grows
+    /// on demand).
+    pub fn with_capacity(max_len: usize) -> Traversal {
+        let cap = max_len.min(256);
+        Traversal {
+            heap: BinaryHeap::new(),
+            members: Vec::with_capacity(cap),
+            views: Vec::with_capacity(cap),
         }
-        order.push(seq);
-        views.push(e);
-        next = if order.len() < max_len {
-            std::iter::from_fn(|| heap.pop()).find(|s| order.last() != Some(s))
-        } else {
-            None
-        };
     }
 
-    // Build entries with intra-slice dependence positions.
-    Ok(order
-        .iter()
-        .zip(&views)
-        .map(|(&seq, e)| {
-            let (mut pos, mut n) = ([0u32; 3], 0);
-            for dep in deps(seq, e) {
-                if let Ok(p) = order.binary_search_by(|probe| dep.cmp(probe)) {
-                    if !pos[..n].contains(&(p as u32)) {
-                        pos[n] = p as u32;
-                        n += 1;
-                    }
+    /// Collects the slice rooted at `root_seq`: at most `max_len` members
+    /// of its backward dependence closure, newest first, none older than
+    /// `min_seq`.
+    ///
+    /// `entry` is consulted once per visited sequence number, root first;
+    /// dependences older than `min_seq` (out of scope) are never
+    /// followed, so `entry` may report them as `None` or as their true
+    /// (sub-`min_seq`) value interchangeably.
+    ///
+    /// Every dependence is strictly older than its consumer (DESIGN.md
+    /// §7.5), so the max-heap worklist pops seqs in non-increasing order:
+    /// the members come out strictly descending (a truncated slice keeps
+    /// the instructions nearest the root), a duplicate pops right after
+    /// its twin, and no pushed dependence can already be a member. No
+    /// hashing is needed.
+    pub fn run(
+        &mut self,
+        root_seq: u64,
+        min_seq: u64,
+        max_len: usize,
+        mut entry: impl FnMut(u64) -> Result<EntryView, SliceError>,
+    ) -> Result<(), SliceError> {
+        self.heap.clear();
+        self.members.clear();
+        self.views.clear();
+        let mut next = Some(root_seq);
+        while let Some(seq) = next {
+            let e = entry(seq)?;
+            for dep in deps(root_seq, seq, &e) {
+                debug_assert!(
+                    dep < seq,
+                    "dependence {dep} is not older than consumer {seq}"
+                );
+                if dep >= min_seq {
+                    self.heap.push(dep);
                 }
             }
-            pos[..n].sort_unstable();
-            let dep_positions = pos[..n].to_vec();
-            SliceEntry {
-                pc: e.pc,
-                inst: e.inst,
-                dist: root_seq - seq,
-                dep_positions,
+            self.members.push(seq);
+            self.views.push(e);
+            next = if self.members.len() < max_len {
+                let last = self.members.last().copied();
+                std::iter::from_fn(|| self.heap.pop()).find(|&s| Some(s) != last)
+            } else {
+                None
+            };
+        }
+        Ok(())
+    }
+
+    /// The slice as the public root-first entries.
+    pub fn materialize(&self) -> Vec<SliceEntry> {
+        (0..self.len())
+            .map(|k| SliceEntry {
+                pc: self.pc(k),
+                inst: self.inst(k),
+                dist: self.dist(k),
+                dep_positions: self.dep_positions(k),
+            })
+            .collect()
+    }
+}
+
+impl SlicePath for Traversal {
+    fn len(&self) -> usize {
+        self.members.len()
+    }
+
+    fn pc(&self, depth: usize) -> Pc {
+        self.views[depth].pc
+    }
+
+    fn inst(&self, depth: usize) -> Inst {
+        self.views[depth].inst
+    }
+
+    fn dist(&self, depth: usize) -> u64 {
+        self.members[0] - self.members[depth]
+    }
+
+    /// The positions of the member's in-slice producers: a binary search
+    /// over the descending `members` per dependence, deduplicated (both
+    /// sources may share one producer) and sorted.
+    fn dep_positions(&self, depth: usize) -> Vec<u32> {
+        let (mut pos, mut n) = ([0u32; 3], 0);
+        for dep in deps(self.members[0], self.members[depth], &self.views[depth]) {
+            if let Ok(p) = self.members.binary_search_by(|probe| dep.cmp(probe)) {
+                if !pos[..n].contains(&(p as u32)) {
+                    pos[n] = p as u32;
+                    n += 1;
+                }
             }
-        })
-        .collect())
+        }
+        pos[..n].sort_unstable();
+        pos[..n].to_vec()
+    }
 }
 
 /// A ring buffer of the last *scope* dynamic instructions, with register
@@ -304,10 +372,20 @@ impl SliceWindow {
     /// Returns [`SliceError::EmptyWindow`] if no instruction has been
     /// pushed yet.
     pub fn try_slice_latest(&self, max_len: usize) -> Result<Vec<SliceEntry>, SliceError> {
+        let mut slice = Traversal::with_capacity(max_len);
+        self.traverse_latest(max_len, &mut slice)?;
+        Ok(slice.materialize())
+    }
+
+    /// Runs the traversal of [`try_slice_latest`](Self::try_slice_latest)
+    /// into the caller's reusable buffers.
+    pub(crate) fn traverse_latest(
+        &self,
+        max_len: usize,
+        slice: &mut Traversal,
+    ) -> Result<(), SliceError> {
         let root = self.ring.back().ok_or(SliceError::EmptyWindow)?;
-        let root_seq = root.seq;
-        let min_seq = self.min_seq();
-        slice_from(root_seq, min_seq, max_len, |seq| {
+        slice.run(root.seq, self.min_seq(), max_len, |seq| {
             let e = self.entry(seq).expect("slice seq within window");
             Ok(EntryView {
                 pc: e.pc,

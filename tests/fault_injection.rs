@@ -34,6 +34,7 @@
 //! | 24 | config | zero pipeline budget | `PipelineError::ZeroBudget` before any work |
 //! | 25 | config | negative model-latency override | `PipelineError::BadModelMissLatency` |
 //! | 26 | umbrella | every layer error lifts into `preexec::Error` | `From` impls |
+//! | 27 | slice I/O | `exec` record with the largest PC | read without sizing an allocation by it |
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -191,6 +192,35 @@ fn s09_lenient_read_drops_damaged_tree_and_keeps_the_rest() {
     let rec = read_forest_lenient(&flip_bit(&text, node_line, 5, 6));
     assert!(!rec.is_clean());
     assert!(rec.forest.num_trees() <= strict.num_trees());
+}
+
+/// Prefixes `payload` with a valid version-2 header (FNV-1a 64 checksum).
+fn with_v2_header(payload: &str) -> String {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in payload.as_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x100_0000_01b3);
+    }
+    format!("preexec-slices version=2 checksum={h:016x}\n{payload}")
+}
+
+#[test]
+fn s27_largest_exec_pc_sizes_no_allocation() {
+    // No value read from the file may size an allocation: a count table
+    // indexed by this PC would ask for 32 GiB and abort both readers.
+    let payload = "forest sample_insts=1\nexec 4294967295 1\n";
+    for text in [payload.to_string(), with_v2_header(payload)] {
+        match read_forest(&text) {
+            Ok(forest) => {
+                assert_eq!(forest.dc_trig(u32::MAX), 1);
+                assert_eq!(forest.dc_trig(0), 0);
+                assert_eq!(forest.exec_counts().collect::<Vec<_>>(), [(u32::MAX, 1)]);
+            }
+            Err(e) => assert!(e.line >= 1, "line-numbered diagnostic required, got: {e}"),
+        }
+        let rec = read_forest_lenient(&text);
+        assert_eq!(rec.forest.dc_trig(u32::MAX), 1);
+    }
 }
 
 // ------------------------------------------------------------------- exec

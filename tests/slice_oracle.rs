@@ -17,8 +17,9 @@
 //! The tree leg builds each slice tree from oracle slices by a plain
 //! path insert (no `SliceTree`): a node is keyed by its root-first PC
 //! path, numbered in first-insertion order, and keeps the `inst` and
-//! `dep_positions` of the slice that created it. Each pipeline trace
-//! path's forest must match it node by node.
+//! `dep_positions` of the slice that created it (the root keeps the
+//! first non-empty ones). Each pipeline trace path's forest must match
+//! it node by node, at every scope and slice length the slice leg uses.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -245,7 +246,9 @@ struct OracleNode {
 
 /// The slice trees of `cfg`'s measured region, built from the oracle
 /// slice of every measured L2-miss load, in trace order, by a plain
-/// path insert. Each tree lists its nodes in first-insertion order.
+/// path insert. Each tree lists its nodes in first-insertion order. A
+/// node keeps the dependence positions of the slice that created it,
+/// except the root, which takes each slice's until they are non-empty.
 fn oracle_trees(trace: &[DynInst], cfg: &PipelineConfig) -> BTreeMap<Pc, Vec<OracleNode>> {
     let mut trees: BTreeMap<Pc, Vec<OracleNode>> = BTreeMap::new();
     // Node ids by path; the root PC leading each path keeps the trees
@@ -268,6 +271,9 @@ fn oracle_trees(trace: &[DynInst], cfg: &PipelineConfig) -> BTreeMap<Pc, Vec<Ora
                 });
                 nodes.len() - 1
             });
+            if id == 0 && nodes[0].dep_positions.is_empty() {
+                nodes[0].dep_positions = e.dep_positions.clone();
+            }
             nodes[id].dc_ptcm += 1;
             nodes[id].dist_sum += e.dist;
         }
@@ -405,7 +411,8 @@ proptest! {
 
     /// Every pipeline trace path counts what a brute-force recount of
     /// the recorded stream finds, and builds the oracle's trees, with and
-    /// without a warm-up prefix.
+    /// without a warm-up prefix, at a scope and slice length drawn from
+    /// the slice leg's.
     #[test]
     fn pipeline_stats_match_recount_on_random_chase_programs(
         seed in any::<u64>(),
@@ -415,10 +422,19 @@ proptest! {
         budget in 400u64..2_500,
         back in 1i64..64,
         warmup in 1u64..1_500,
+        scope in prop::sample::select(SCOPES.to_vec()),
+        max_slice_len in prop::sample::select(MAX_LENS.to_vec()),
     ) {
         let p = chase_program(seed, table_pow, stride, filler, back);
         for warmup in [0, warmup] {
-            check_trace_paths(&p, PipelineConfig { budget, warmup, ..PipelineConfig::paper_default(budget) });
+            let cfg = PipelineConfig {
+                budget,
+                warmup,
+                scope,
+                max_slice_len,
+                ..PipelineConfig::paper_default(budget)
+            };
+            check_trace_paths(&p, cfg);
         }
     }
 }
@@ -466,6 +482,29 @@ fn slice_trees_match_oracle_on_suite_kernels() {
             assert!(!trees.is_empty(), "{} @ {budget} has no trees", w.name);
             let arts = Pipeline::new(&p).config(cfg).trace().unwrap();
             check_trees(&format!("{} @ {budget}", w.name), &trees, &arts.forest);
+        }
+    }
+}
+
+#[test]
+fn trace_paths_match_oracle_on_suite_kernels_at_every_scope_and_length() {
+    // Every (scope, slice length) pair of the slice leg but the paper
+    // default, which `pipeline_stats_match_recount_on_suite_kernels` and
+    // `slice_trees_match_oracle_on_suite_kernels` cover at larger budgets.
+    for w in suite() {
+        let p = w.build(InputSet::Train);
+        for scope in SCOPES {
+            for max_slice_len in MAX_LENS {
+                if (scope, max_slice_len) == (1024, 32) {
+                    continue;
+                }
+                let cfg = PipelineConfig {
+                    scope,
+                    max_slice_len,
+                    ..PipelineConfig::paper_default(2_000)
+                };
+                check_trace_paths(&p, cfg);
+            }
         }
     }
 }
