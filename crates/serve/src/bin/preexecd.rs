@@ -28,10 +28,6 @@ options:
                      reactor (the reactor is the default on Linux)
   --idle-timeout-ms N  close a connection stalled mid-request-line after
                      N ms (slow-loris guard; default 10000)
-  --shard-id N       this daemon's index in the shard ring (default 0)
-  --shard-peers LIST comma-separated HOST:PORT of *all* shards in ring
-                     order, including this one; enables consistent-hash
-                     cache sharding when more than one is given
   --help             print this help
 
 protocol: one JSON object per line, e.g.
@@ -93,29 +89,9 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                 let v = value("--idle-timeout-ms")?;
                 cfg.idle_timeout_ms = v.parse().map_err(|_| format!("bad idle timeout `{v}`"))?;
             }
-            "--shard-id" => {
-                let v = value("--shard-id")?;
-                cfg.shard_id = v.parse().map_err(|_| format!("bad shard id `{v}`"))?;
-            }
-            "--shard-peers" => {
-                let v = value("--shard-peers")?;
-                cfg.shard_peers = v
-                    .split(',')
-                    .map(str::trim)
-                    .filter(|s| !s.is_empty())
-                    .map(String::from)
-                    .collect();
-            }
             "--help" | "-h" => return Err(String::new()),
             other => return Err(format!("unknown option `{other}`")),
         }
-    }
-    if !cfg.shard_peers.is_empty() && cfg.shard_id >= cfg.shard_peers.len() {
-        return Err(format!(
-            "--shard-id {} is out of range for {} shard peer(s)",
-            cfg.shard_id,
-            cfg.shard_peers.len()
-        ));
     }
     Ok(cfg)
 }

@@ -79,7 +79,7 @@
 //! of in-process: one pipelined `submit_batch` over a single connection
 //! (retried with the backoff policy when the daemon sheds the batch as
 //! `overloaded`), then per-job status polls and `result` fetches. The
-//! daemon owns execution and the artifact cache (possibly sharded), so
+//! daemon owns execution and the artifact cache, so
 //! `--jobs`/`--threads` do not apply. The exit-code contract
 //! is unchanged: results print in submission order and the first
 //! failing job's code (5 for pipeline faults and panics) wins.

@@ -34,6 +34,7 @@ use preexec_workloads::InputSet;
 use std::collections::HashSet;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Everything the trace+slice stage depends on: the cache key.
@@ -73,8 +74,7 @@ pub fn parse_input(name: &str) -> Option<InputSet> {
 }
 
 /// FNV-1a, 64-bit — same integrity-grade hash the slice-file header uses.
-/// Also the shard ring's point hash ([`crate::shard::HashRing`]).
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
+fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -126,9 +126,10 @@ impl CacheStats {
     }
 }
 
-/// The on-disk artifact cache. Thread-safe: lookups and stores touch
-/// independent files and the counters are registry-backed atomics, so
-/// workers share one instance behind an [`Arc`] without locking.
+/// The on-disk artifact cache. Thread-safe: every store stages under its
+/// own temp name and renames atomically, and the counters are
+/// registry-backed atomics, so workers share one instance without
+/// locking.
 #[derive(Debug)]
 pub struct ArtifactCache {
     dir: PathBuf,
@@ -176,25 +177,12 @@ impl ArtifactCache {
         }
     }
 
-    /// The cache directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     fn slices_path(&self, key: &TraceKey) -> PathBuf {
-        self.slices_path_for(key.digest())
+        self.dir.join(format!("{:016x}.slices", key.digest()))
     }
 
     fn stats_path(&self, key: &TraceKey) -> PathBuf {
-        self.stats_path_for(key.digest())
-    }
-
-    fn slices_path_for(&self, digest: u64) -> PathBuf {
-        self.dir.join(format!("{digest:016x}.slices"))
-    }
-
-    fn stats_path_for(&self, digest: u64) -> PathBuf {
-        self.dir.join(format!("{digest:016x}.stats"))
+        self.dir.join(format!("{:016x}.stats", key.digest()))
     }
 
     /// Looks up the artifacts for `key`. `None` (a counted miss) when the
@@ -336,48 +324,6 @@ impl ArtifactCache {
         }
     }
 
-    /// Reads the raw on-disk texts (`.slices`, `.stats`) of the entry
-    /// with this digest — the owner side of the shard peer protocol's
-    /// `cache_get`. No validation happens here: the *requesting* shard
-    /// parses and validates before use (it must anyway — the bytes
-    /// crossed a network), so validating twice would double the cost of
-    /// every peer hit. No hit/miss counters either: the requester
-    /// accounts peer traffic under its own `shard.peer_*` series.
-    pub fn load_raw(&self, digest: u64) -> Option<(String, String)> {
-        let slices = std::fs::read_to_string(self.slices_path_for(digest)).ok()?;
-        let stats = std::fs::read_to_string(self.stats_path_for(digest)).ok()?;
-        Some((slices, stats))
-    }
-
-    /// Persists raw artifact texts under this digest — the owner side of
-    /// the shard peer protocol's `cache_put`. Unlike [`load_raw`](Self::load_raw)
-    /// (where the requester validates), the *store* side must validate:
-    /// a peer's corrupt upload would otherwise sit on disk until some
-    /// future lookup pays the counted-miss cleanup for it.
-    ///
-    /// # Errors
-    ///
-    /// [`RawStoreError::Invalid`] when the payload fails validation (the
-    /// peer maps it to the `shard.bad_payload` protocol code);
-    /// [`RawStoreError::Io`] for filesystem failures.
-    pub fn store_raw(&self, digest: u64, slices: &str, stats: &str) -> Result<(), RawStoreError> {
-        if !read_forest_lenient(slices).is_clean() {
-            return Err(RawStoreError::Invalid("slice text failed a clean parse"));
-        }
-        if Json::parse(stats)
-            .ok()
-            .and_then(|j| stats_from_json(&j))
-            .is_none()
-        {
-            return Err(RawStoreError::Invalid("stats text failed to parse"));
-        }
-        std::fs::create_dir_all(&self.dir).map_err(RawStoreError::Io)?;
-        write_atomically(&self.slices_path_for(digest), slices).map_err(RawStoreError::Io)?;
-        write_atomically(&self.stats_path_for(digest), stats).map_err(RawStoreError::Io)?;
-        self.evict_excess();
-        Ok(())
-    }
-
     /// A snapshot of the hit/miss/eviction/corruption counters.
     pub fn stats(&self) -> CacheStats {
         CacheStats {
@@ -388,26 +334,6 @@ impl ArtifactCache {
         }
     }
 }
-
-/// Why [`ArtifactCache::store_raw`] refused a payload.
-#[derive(Debug)]
-pub enum RawStoreError {
-    /// The payload failed validation; carries the reason.
-    Invalid(&'static str),
-    /// The filesystem failed.
-    Io(io::Error),
-}
-
-impl std::fmt::Display for RawStoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RawStoreError::Invalid(why) => write!(f, "invalid artifact payload: {why}"),
-            RawStoreError::Io(e) => write!(f, "artifact store failed: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for RawStoreError {}
 
 /// Serializes [`RunStats`] as one JSON object (load sites sorted by PC so
 /// encoding is deterministic).
@@ -474,13 +400,17 @@ pub fn stats_from_json(json: &Json) -> Option<RunStats> {
 /// atomic rename, so readers never observe a torn entry — *including
 /// after a power loss*: without the fsync, the rename can be durable
 /// while the data blocks are not, leaving a clean-looking entry full of
-/// zeros under the final name. The temp name embeds the target's
-/// extension: the `.slices` and `.stats` halves of one entry must not
-/// share a staging file.
+/// zeros under the final name. Every write stages under its own name,
+/// `<final>.<pid>-<n>.tmp`: two workers that missed on one key both
+/// store it, and a shared staging file would be truncated under one
+/// writer and renamed out from under the other. The `.tmp` extension is
+/// what the eviction scan's orphan sweep matches.
 pub(crate) fn write_atomically(path: &Path, contents: &str) -> io::Result<()> {
     use std::io::Write;
+    static STAGED: AtomicU64 = AtomicU64::new(0);
+    let n = STAGED.fetch_add(1, Ordering::Relaxed);
     let mut tmp_name = path.as_os_str().to_owned();
-    tmp_name.push(".tmp");
+    tmp_name.push(format!(".{}-{n}.tmp", std::process::id()));
     let tmp = PathBuf::from(tmp_name);
     let mut f = std::fs::File::create(&tmp)?;
     f.write_all(contents.as_bytes())?;
@@ -711,39 +641,31 @@ mod tests {
     }
 
     #[test]
-    fn raw_texts_round_trip_between_caches_and_reject_garbage() {
-        // The shard peer protocol moves entries as raw file texts; a
-        // second cache (another shard's local store) must accept them
-        // and serve the identical artifacts as a normal hit.
-        let src_dir = tmp_dir("raw-src");
-        let dst_dir = tmp_dir("raw-dst");
-        let (src, _) = isolated_cache(&src_dir, 8);
-        let (dst, _) = isolated_cache(&dst_dir, 8);
+    fn concurrent_stores_of_one_key_all_succeed_and_never_tear() {
+        // Two workers that miss on one key both trace and both store it.
+        // Each write must stage privately: a shared staging file is
+        // truncated under one writer and renamed out from under another
+        // (`NotFound`), and a reader can catch the torn file, count it
+        // corrupt and delete the entry.
+        let dir = tmp_dir("concurrent-stores");
+        let (cache, _) = isolated_cache(&dir, 8);
         let (forest, stats) = sample_artifacts();
-        let k = key("vpr.r");
-        src.store(&k, &forest, &stats).expect("store");
-        let (slices_text, stats_text) = src.load_raw(k.digest()).expect("raw read");
-        dst.store_raw(k.digest(), &slices_text, &stats_text)
-            .expect("raw store");
-        let (forest2, stats2) = dst.load(&k).expect("hit after raw store");
-        assert_eq!(forest2.num_trees(), forest.num_trees());
-        assert_eq!(stats2.insts, stats.insts);
-        assert_eq!(stats2.load_sites, stats.load_sites);
-
-        // Absent digests read as None; invalid payloads are refused and
-        // leave nothing on disk.
-        assert!(src.load_raw(0xdead_beef).is_none());
-        assert!(matches!(
-            dst.store_raw(999, "garbage", &stats_text),
-            Err(RawStoreError::Invalid(_))
-        ));
-        assert!(matches!(
-            dst.store_raw(999, &slices_text, "{ not json"),
-            Err(RawStoreError::Invalid(_))
-        ));
-        assert!(dst.load_raw(999).is_none());
-        let _ = std::fs::remove_dir_all(&src_dir);
-        let _ = std::fs::remove_dir_all(&dst_dir);
+        let k = key("mcf");
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    start.wait();
+                    for _ in 0..25 {
+                        cache.store(&k, &forest, &stats).expect("concurrent store");
+                        let _ = cache.load(&k);
+                    }
+                });
+            }
+        });
+        assert_eq!(cache.stats().corrupt, 0, "a reader saw a torn entry");
+        assert!(cache.load(&k).is_some(), "the entry must survive the race");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

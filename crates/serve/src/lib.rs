@@ -40,24 +40,18 @@
 //! `toolflow` (the batch CLI, which runs its workloads through the same
 //! scheduler via `--jobs N`).
 //!
-//! The serving tier (DESIGN.md §15) adds two subsystems on top:
-//!
-//! - [`reactor`] — a dependency-free epoll event loop (raw syscalls,
-//!   no libc) that multiplexes every connection on one thread, with
-//!   pipelined request handling: clients may write N request lines
-//!   before reading responses, and responses echo each request's `id`;
-//! - [`shard`] — consistent-hash sharding of the artifact cache across
-//!   daemon processes: a [`shard::HashRing`] assigns each cache key an
-//!   owning shard, peers exchange raw artifacts over the same wire
-//!   protocol (`cache_get`/`cache_put`), and every peer failure
-//!   degrades to local compute rather than a client-visible error.
+//! The serving tier (DESIGN.md §15) is the [`reactor`]: a
+//! dependency-free epoll event loop (raw syscalls, no libc) that
+//! multiplexes every connection on one thread, with pipelined request
+//! handling — clients may write N request lines before reading
+//! responses, and responses echo each request's `id`.
 //!
 //! Everything here is `std`-only: no async runtime, no serde, no
 //! registry dependencies. Jobs run on a fixed OS-thread pool; the
 //! connection front end is the nonblocking [`reactor`] on Linux (a
 //! thread-per-connection fallback remains for other platforms and
 //! `--threaded`). Determinism of the *results* (bit-identical to a
-//! direct pipeline run) is the contract that matters, sharded or not.
+//! direct pipeline run) is the contract that matters.
 
 pub mod admission;
 pub mod cache;
@@ -71,10 +65,9 @@ pub mod retry;
 pub mod scheduler;
 pub mod server;
 pub mod service;
-pub mod shard;
 
 pub use admission::{AdmissionGate, Overloaded};
-pub use cache::{ArtifactCache, CacheStats, RawStoreError, TraceKey};
+pub use cache::{ArtifactCache, CacheStats, TraceKey};
 pub use histogram::{histogram_json, Histogram};
 pub use journal::{
     canonical_result, check_invariants, compact_wal, CompactionStats, JobJournal, JournalReplay,
@@ -88,4 +81,3 @@ pub use scheduler::{
 };
 pub use server::{Server, ServerConfig};
 pub use service::{run_job, CancelToken, JobOutput, JobSpec, StageHists, StageMicros};
-pub use shard::{HashRing, ShardStats, ShardedCache, DEFAULT_VNODES};

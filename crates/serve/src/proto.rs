@@ -16,8 +16,6 @@
 //! | `cancel` | `job` | `state` after the attempt (+ `cancelling: true` when the job is mid-run and will stop at its next stage boundary) |
 //! | `stats` | — | queue/worker/cache/stage-latency report |
 //! | `metrics` | — | full metrics registry: `counters`, `gauges`, `histograms`, `events`, plus a Prometheus-style `prometheus` text rendering |
-//! | `cache_get` | `key` (16 hex digits) | `hit`, plus `slices`/`stats` artifact text on a hit — the shard peer protocol (DESIGN.md §15.3) |
-//! | `cache_put` | `key`, `slices`, `stats` | `stored: true` |
 //! | `shutdown` | — | `shutting_down: true` with the `queued`/`running` counts the drain will finish (journaled, so nothing is silently lost) |
 //!
 //! Pipelining: any request may carry an `id` field (any JSON value);
@@ -74,8 +72,11 @@ use std::fmt;
 /// drops the `streaming` flag; version 8 removes adaptive selection: a
 /// `policy.adaptive` that is absent, null, `false`, or an object whose
 /// `enabled` is `false` (the shape every v7 journal line carries) is
-/// ignored, and any other `adaptive` is `bad_field`.
-pub const PROTOCOL_VERSION: u64 = 8;
+/// ignored, and any other `adaptive` is `bad_field`; version 9 removes
+/// cache sharding: `cache_get` and `cache_put` are `unknown_cmd`, and
+/// the `stats` report has no `shard` section. Journals carry only
+/// submit specs and results, so v8 journals replay unchanged.
+pub const PROTOCOL_VERSION: u64 = 9;
 
 /// Largest slicing scope admitted in `"windowed"` mode: the sliding
 /// window keeps the whole scope resident, so past this the daemon would
@@ -133,9 +134,6 @@ pub enum ProtoError {
         /// Why that job was rejected.
         inner: Box<ProtoError>,
     },
-    /// A `cache_put` payload failed validation (corrupt slice text or
-    /// unparseable stats) — the shard peer refused to persist it.
-    ShardPayload(&'static str),
     /// The submitted slicing scope exceeds the admission cap for the
     /// requested slice mode ([`MAX_WINDOWED_SCOPE`] windowed,
     /// [`MAX_SCOPE`] on-demand). Rejected at the door: a windowed job
@@ -173,7 +171,6 @@ impl ProtoError {
             // handling `overloaded` or `config.*` for single submits
             // needs no new branches for batches.
             ProtoError::BatchJob { inner, .. } => inner.code(),
-            ProtoError::ShardPayload(_) => "shard.bad_payload",
             ProtoError::ScopeTooLarge { .. } => "config.scope_too_large",
         }
     }
@@ -186,7 +183,7 @@ impl fmt::Display for ProtoError {
             ProtoError::UnknownCmd(c) => write!(
                 f,
                 "unknown cmd `{c}` (expected submit, submit_batch, status, result, cancel, \
-                 stats, metrics, cache_get, cache_put, or shutdown)"
+                 stats, metrics, or shutdown)"
             ),
             ProtoError::BadField { field, expected } => {
                 write!(f, "field `{field}` must be {expected}")
@@ -203,9 +200,6 @@ impl fmt::Display for ProtoError {
             }
             ProtoError::BatchJob { index, inner } => {
                 write!(f, "batch job #{index}: {inner}")
-            }
-            ProtoError::ShardPayload(why) => {
-                write!(f, "shard peer rejected the cache payload: {why}")
             }
             ProtoError::ScopeTooLarge { scope, cap, mode } => {
                 write!(f, "scope {scope} exceeds the {mode} admission cap {cap}")?;
@@ -263,18 +257,6 @@ pub enum Request {
     Stats,
     /// Report the full metrics registry (JSON + Prometheus text).
     Metrics,
-    /// Shard peer protocol: fetch the raw cached artifact for a cache
-    /// key digest from the shard that owns it.
-    CacheGet(u64),
-    /// Shard peer protocol: persist a raw artifact on the owning shard.
-    CachePut {
-        /// The cache key digest (owner-addressed).
-        key: u64,
-        /// The `.slices` file text (checksummed v2 format).
-        slices: String,
-        /// The `.stats` sidecar JSON text.
-        stats: String,
-    },
     /// Drain and exit.
     Shutdown,
 }
@@ -310,13 +292,6 @@ pub fn parse_request_json(json: &Json) -> Result<Request, ProtoError> {
         "cancel" => job_id(json).map(Request::Cancel),
         "stats" => Ok(Request::Stats),
         "metrics" => Ok(Request::Metrics),
-        "cache_get" => cache_key(json).map(Request::CacheGet),
-        "cache_put" => {
-            let key = cache_key(json)?;
-            let slices = required_str(json, "slices")?;
-            let stats = required_str(json, "stats")?;
-            Ok(Request::CachePut { key, slices, stats })
-        }
         "shutdown" => Ok(Request::Shutdown),
         other => Err(ProtoError::UnknownCmd(other.to_string())),
     }
@@ -363,36 +338,6 @@ fn parse_submit_batch(json: &Json) -> Result<Vec<JobSpec>, ProtoError> {
             })
         })
         .collect()
-}
-
-fn cache_key(json: &Json) -> Result<u64, ProtoError> {
-    let text = json
-        .get("key")
-        .and_then(Json::as_str)
-        .ok_or(ProtoError::BadField {
-            field: "key",
-            expected: "a 16-hex-digit string",
-        })?;
-    if text.len() != 16 {
-        return Err(ProtoError::BadField {
-            field: "key",
-            expected: "a 16-hex-digit string",
-        });
-    }
-    u64::from_str_radix(text, 16).map_err(|_| ProtoError::BadField {
-        field: "key",
-        expected: "a 16-hex-digit string",
-    })
-}
-
-fn required_str(json: &Json, field: &'static str) -> Result<String, ProtoError> {
-    json.get(field)
-        .and_then(Json::as_str)
-        .map(str::to_string)
-        .ok_or(ProtoError::BadField {
-            field,
-            expected: "a string",
-        })
 }
 
 fn job_id(json: &Json) -> Result<JobId, ProtoError> {
@@ -987,41 +932,6 @@ mod tests {
             let resp = with_request_id(ok_response(vec![]), request_id(&json));
             assert!(resp.get("id").is_none(), "{line}");
         }
-    }
-
-    #[test]
-    fn cache_peer_verbs_parse_and_validate_their_keys() {
-        let Ok(Request::CacheGet(key)) =
-            parse_request(r#"{"cmd":"cache_get","key":"00ab34cd56ef7890"}"#)
-        else {
-            panic!("cache_get must parse");
-        };
-        assert_eq!(key, 0x00ab_34cd_56ef_7890);
-
-        let Ok(Request::CachePut { key, slices, stats }) = parse_request(
-            r#"{"cmd":"cache_put","key":"ffffffffffffffff","slices":"S\nL","stats":"{}"}"#,
-        ) else {
-            panic!("cache_put must parse");
-        };
-        assert_eq!(key, u64::MAX);
-        assert_eq!(slices, "S\nL");
-        assert_eq!(stats, "{}");
-
-        for line in [
-            r#"{"cmd":"cache_get"}"#,
-            r#"{"cmd":"cache_get","key":"xyz"}"#,
-            r#"{"cmd":"cache_get","key":"123"}"#,
-            r#"{"cmd":"cache_put","key":"00ab34cd56ef7890"}"#,
-        ] {
-            let Err(e) = parse_request(line) else {
-                panic!("`{line}` must be rejected")
-            };
-            assert_eq!(e.code(), "bad_field", "`{line}`");
-        }
-        assert_eq!(
-            ProtoError::ShardPayload("corrupt").code(),
-            "shard.bad_payload"
-        );
     }
 
     #[test]

@@ -34,8 +34,8 @@ pub use conn::{LineBuffer, LineTooLong, WriteQueue};
 use std::time::Duration;
 
 /// Tuning for [`run`]. `Default` matches production: 10 s slow-loris
-/// timeout, 32 MiB line limit (peer `cache_put` lines carry whole slice
-/// files), 64 MiB of buffered responses before read backpressure.
+/// timeout, 32 MiB line limit (a `submit_batch` line carries every job
+/// of the batch), 64 MiB of buffered responses before read backpressure.
 #[derive(Clone, Debug)]
 pub struct ReactorConfig {
     /// Close a connection whose partial request line stalls this long.

@@ -1,4 +1,4 @@
-//! The TCP front end: connection handling, dispatch, shard topology.
+//! The TCP front end: connection handling and dispatch.
 //!
 //! Connections speak the newline-delimited JSON protocol of
 //! [`proto`](crate::proto). On Linux the default front end is the
@@ -12,15 +12,6 @@
 //! identical. In the threaded loop, reads carry a short timeout so
 //! handler threads notice a daemon shutdown promptly instead of blocking
 //! forever on an idle client, which keeps the final join bounded.
-//!
-//! Sharding (DESIGN.md §15.3): with `--shard-peers`, the daemon is one
-//! shard of an N-process cluster. Job submission stays shard-local — any
-//! shard accepts any job — but the artifact cache routes through the
-//! [`ShardedCache`]'s hash ring, so each trace artifact is computed and
-//! stored once cluster-wide instead of once per shard. The
-//! `cache_get`/`cache_put` verbs are the peer side: they answer strictly
-//! from the *local* cache (no recursive routing, no cross-shard
-//! deadlock), and every peer failure degrades to local compute.
 //!
 //! Shutdown ("graceful drain"): the `shutdown` command journals and
 //! reports the still-pending job counts, flips a flag, answers the
@@ -40,7 +31,7 @@
 //! byte-identically.
 
 use crate::admission::AdmissionGate;
-use crate::cache::{ArtifactCache, RawStoreError};
+use crate::cache::ArtifactCache;
 use crate::histogram::histogram_json;
 use crate::journal::{compact_wal, JobJournal, JournalReplay, TerminalRecord};
 use crate::json::Json;
@@ -50,7 +41,6 @@ use crate::proto::{
 };
 use crate::scheduler::{CancelOutcome, JobCompletion, JobId, JobState, Scheduler, SubmitError};
 use crate::service::{run_job, CancelToken, JobOutput, JobSpec, StageHists};
-use crate::shard::ShardedCache;
 use preexec_core::par::Parallelism;
 use preexec_experiments::PipelineError;
 use preexec_obs::{render_prometheus, Counter, Gauge, SharedHistogram};
@@ -98,11 +88,6 @@ pub struct ServerConfig {
     /// replay — recovers disk from a journal grown across unclean
     /// shutdowns. Clean shutdowns compact automatically.
     pub wal_compact: bool,
-    /// This daemon's index into `shard_peers` when clustering.
-    pub shard_id: usize,
-    /// The full shard-cluster address list (self included, same order on
-    /// every shard). Fewer than two entries means no sharding.
-    pub shard_peers: Vec<String>,
 }
 
 impl Default for ServerConfig {
@@ -119,8 +104,6 @@ impl Default for ServerConfig {
             threaded: false,
             idle_timeout_ms: 10_000,
             wal_compact: false,
-            shard_id: 0,
-            shard_peers: Vec::new(),
         }
     }
 }
@@ -128,9 +111,8 @@ impl Default for ServerConfig {
 /// Shared service state, one instance per daemon.
 struct Shared {
     sched: Scheduler<JobOutput>,
-    /// The artifact cache behind its shard view (a transparent local
-    /// wrapper when the daemon is not clustered).
-    cache: ShardedCache,
+    /// The local artifact cache every job consults.
+    cache: ArtifactCache,
     hists: StageHists,
     shutting_down: AtomicBool,
     local_addr: SocketAddr,
@@ -299,15 +281,9 @@ impl Server {
             (None, None)
         };
         let registry = preexec_obs::global();
-        let local_cache = ArtifactCache::new(&config.cache_dir, config.cache_max_entries);
-        let cache = if config.shard_peers.len() > 1 {
-            ShardedCache::sharded(local_cache, config.shard_id, &config.shard_peers, registry)
-        } else {
-            ShardedCache::local_only(local_cache)
-        };
         let shared = Arc::new(Shared {
             sched: Scheduler::new(workers, config.queue_cap),
-            cache,
+            cache: ArtifactCache::new(&config.cache_dir, config.cache_max_entries),
             hists: StageHists::new(),
             shutting_down: AtomicBool::new(false),
             local_addr,
@@ -852,55 +828,7 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
                 Err(e) => error_response(&ProtoError::from(e)),
             }
         }
-        Request::CacheGet(key) => {
-            // Peer artifact fetch: answered strictly from the *local*
-            // cache — never forwarded — so shard lookups cannot recurse.
-            match shared.cache.local().load_raw(key) {
-                Some((slices, stats)) => ok_response(vec![
-                    ("hit", Json::Bool(true)),
-                    ("slices", Json::str(slices)),
-                    ("stats", Json::str(stats)),
-                ]),
-                None => ok_response(vec![("hit", Json::Bool(false))]),
-            }
-        }
-        Request::CachePut { key, slices, stats } => {
-            match shared.cache.local().store_raw(key, &slices, &stats) {
-                Ok(()) => ok_response(vec![("stored", Json::Bool(true))]),
-                // A malformed payload is the *sender's* bug: reject it
-                // typed so the peer counts it and recomputes locally.
-                Err(RawStoreError::Invalid(why)) => error_response(&ProtoError::ShardPayload(why)),
-                // Local disk trouble is ours: the request was well-formed,
-                // so answer ok but unstored — the peer keeps its copy.
-                Err(RawStoreError::Io(e)) => {
-                    preexec_obs::global()
-                        .journal()
-                        .note("shard_store_failed", &format!("key {key:016x}: {e}"));
-                    ok_response(vec![("stored", Json::Bool(false))])
-                }
-            }
-        }
     }
-}
-
-/// The `shard` section of the `stats` report: peer-traffic counters plus
-/// (when sharded) this daemon's position in the ring.
-fn shard_stats_json(shared: &Shared) -> Json {
-    let peer = shared.cache.peer_stats();
-    let mut fields = vec![
-        ("peer_hits", Json::num_u64(peer.peer_hits)),
-        ("peer_misses", Json::num_u64(peer.peer_misses)),
-        ("peer_errors", Json::num_u64(peer.peer_errors)),
-        ("peer_puts", Json::num_u64(peer.peer_puts)),
-    ];
-    match shared.cache.shard_info() {
-        Some((self_index, shards)) => {
-            fields.push(("self", Json::num_u64(self_index as u64)));
-            fields.push(("shards", Json::num_u64(shards as u64)));
-        }
-        None => fields.push(("shards", Json::num_u64(1))),
-    }
-    Json::obj(fields)
 }
 
 /// Cumulative screening counters across every selection this daemon has
@@ -920,7 +848,7 @@ fn screen_stats_json() -> Json {
 
 fn stats_response(shared: &Shared) -> Json {
     let sched = shared.sched.stats();
-    let cache = shared.cache.local().stats();
+    let cache = shared.cache.stats();
     ok_response(vec![
         ("queue_depth", Json::num_u64(sched.queued as u64)),
         ("queue_cap", Json::num_u64(shared.queue_cap as u64)),
@@ -971,7 +899,6 @@ fn stats_response(shared: &Shared) -> Json {
                 ("hit_rate", Json::Num(cache.hit_rate())),
             ]),
         ),
-        ("shard", shard_stats_json(shared)),
         ("stage_latency_us", shared.hists.to_json()),
         ("job_threads", Json::num_u64(shared.job_threads as u64)),
         ("parallel", shared.hists.par.to_json()),

@@ -4,8 +4,8 @@
 //! A job is (workload, input, [`PipelineConfig`]). Execution goes
 //! through the [`Pipeline`] builder, whose output separates the four
 //! stages — so the expensive trace+slice stage can be served from the
-//! [`ArtifactCache`](crate::cache::ArtifactCache) and each stage's
-//! wall-clock latency lands in its own [`Histogram`]:
+//! [`ArtifactCache`] and each stage's wall-clock latency lands in its
+//! own [`Histogram`]:
 //!
 //! 1. **trace+slice** (cacheable): keyed by everything it depends on;
 //! 2. **base sim**: machine-dependent, always runs;
@@ -16,10 +16,9 @@
 //! which is the whole point of serving many `MachineParams` variations
 //! against one trace.
 
-use crate::cache::TraceKey;
+use crate::cache::{ArtifactCache, TraceKey};
 use crate::histogram::{histogram_json, Histogram};
 use crate::scheduler::JobCompletion;
-use crate::shard::ShardedCache;
 use preexec_core::par::{ParStats, Parallelism};
 use preexec_experiments::{Pipeline, PipelineConfig, PipelineError, PipelineResult, PolicySpec};
 use preexec_workloads::{by_name, InputSet, Workload};
@@ -292,7 +291,7 @@ pub struct JobOutput {
 /// [`JobCompletion::Cancelled`] before the next stage starts.
 pub fn run_job(
     spec: &JobSpec,
-    cache: &ShardedCache,
+    cache: &ArtifactCache,
     hists: &StageHists,
     par: Parallelism,
     token: Option<&CancelToken>,
@@ -385,7 +384,6 @@ pub fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::ArtifactCache;
     use preexec_experiments::try_run_pipeline;
     use preexec_obs::Registry;
     use std::path::PathBuf;
@@ -402,10 +400,9 @@ mod tests {
     /// A cache with a private registry: these tests assert exact counter
     /// values, which the shared global registry cannot guarantee under
     /// the parallel test runner.
-    fn isolated_cache(dir: &PathBuf, max_entries: usize) -> (ShardedCache, Registry) {
+    fn isolated_cache(dir: &PathBuf, max_entries: usize) -> (ArtifactCache, Registry) {
         let registry = Registry::new();
-        let cache =
-            ShardedCache::local_only(ArtifactCache::with_registry(dir, max_entries, &registry));
+        let cache = ArtifactCache::with_registry(dir, max_entries, &registry);
         (cache, registry)
     }
 
@@ -446,7 +443,7 @@ mod tests {
             assert_eq!(r.stats.insts, direct.stats.insts);
             assert_eq!(r.stats.l2_misses, direct.stats.l2_misses);
         }
-        assert_eq!(cache.local().stats().hits, 1);
+        assert_eq!(cache.stats().hits, 1);
         // Trace histogram has exactly one sample: the hit recorded none.
         let hists_json = hists.to_json();
         let trace_count = hists_json
@@ -486,14 +483,14 @@ mod tests {
         };
         assert!(!again.cache_hit, "corrupt entry must recompute");
         assert_eq!(again.result.base.cycles, first.result.base.cycles);
-        assert_eq!(cache.local().stats().corrupt, 1);
+        assert_eq!(cache.stats().corrupt, 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn invalid_config_fails_with_the_typed_error() {
         let dir = tmp_dir("invalid");
-        let cache = ShardedCache::local_only(ArtifactCache::new(&dir, 8));
+        let cache = ArtifactCache::new(&dir, 8);
         let hists = StageHists::new();
         let cfg = PipelineConfig {
             budget: 0,

@@ -1,6 +1,7 @@
 //! End-to-end daemon test: spawn `preexecd` on an ephemeral port, drive
 //! it over TCP with the newline-delimited JSON protocol, and check that
-//! served results are bit-identical to a direct in-process pipeline run.
+//! served results are bit-identical to a direct in-process pipeline run
+//! and that every response carries protocol version 9.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -93,14 +94,21 @@ struct Conn {
 }
 
 impl Conn {
-    /// One request/response exchange; panics on protocol-level errors.
+    /// One request/response exchange; panics on protocol-level errors
+    /// and on a response without the current protocol version.
     fn roundtrip(&mut self, request: &str) -> Json {
         self.stream
             .write_all(format!("{request}\n").as_bytes())
             .expect("send");
         let mut line = String::new();
         self.reader.read_line(&mut line).expect("recv");
-        Json::parse(line.trim()).expect("response parses")
+        let resp = Json::parse(line.trim()).expect("response parses");
+        assert_eq!(
+            resp.get("protocol_version").and_then(Json::as_u64),
+            Some(9),
+            "{line}"
+        );
+        resp
     }
 
     fn ok(&mut self, request: &str) -> Json {
@@ -166,6 +174,24 @@ fn daemon_serves_jobs_caches_repeats_and_shuts_down() {
     assert_eq!(bad.get("ok").and_then(Json::as_bool), Some(false));
     assert!(bad.get("error").and_then(Json::as_str).is_some());
 
+    // The cache-sharding peer verbs were removed in protocol v9.
+    for line in [
+        r#"{"cmd":"cache_get","key":"00ab34cd56ef7890"}"#,
+        r#"{"cmd":"cache_put","key":"00ab34cd56ef7890","slices":"","stats":"{}"}"#,
+    ] {
+        let resp = conn.roundtrip(line);
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{line}"
+        );
+        assert_eq!(
+            resp.get("code").and_then(Json::as_str),
+            Some("unknown_cmd"),
+            "{line}"
+        );
+    }
+
     // Two different jobs run concurrently on the 2-worker pool.
     let job_vpr = conn.submit("vpr.r");
     let job_mcf = conn.submit("mcf");
@@ -223,6 +249,7 @@ fn daemon_serves_jobs_caches_repeats_and_shuts_down() {
     assert_eq!(u64_field(&stats, &["jobs", "failed"]), 0);
     assert_eq!(u64_field(&stats, &["cache", "hits"]), 1);
     assert_eq!(u64_field(&stats, &["cache", "misses"]), 2);
+    assert!(stats.get("shard").is_none(), "{}", stats.encode());
     assert!(
         stats
             .get("stage_latency_us")
@@ -367,4 +394,18 @@ fn handler_threads_are_reaped_across_many_connections() {
     conn.ok(r#"{"cmd":"shutdown"}"#);
     drop(conn);
     daemon.wait_for_exit();
+}
+
+#[test]
+fn removed_shard_flags_are_usage_errors() {
+    let out = Command::new(env!("CARGO_BIN_EXE_preexecd"))
+        .args(["--shard-id", "0", "--shard-peers", "a,b"])
+        .output()
+        .expect("running preexecd");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(
+        stderr.contains("unknown option `--shard-id`"),
+        "stderr:\n{stderr}"
+    );
 }

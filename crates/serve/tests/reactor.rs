@@ -1,6 +1,8 @@
 //! Integration tests for the epoll serving tier: request pipelining
-//! with `id` echo, partial-line reassembly across writes, the
-//! slow-loris idle sweep, and the `--threaded` fallback front end.
+//! with `id` echo, a 1 000-submit pipelined flood whose results are
+//! byte-identical to a serial run, partial-line reassembly across
+//! writes, the slow-loris idle sweep, and the `--threaded` fallback
+//! front end.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -138,6 +140,171 @@ fn pipelined_requests_answer_in_order_with_ids_echoed() {
 
     drop(writer);
     drop(reader);
+    daemon.shutdown_and_wait();
+}
+
+/// One client connection: requests go out whole, responses come back a
+/// line at a time.
+struct Conn {
+    writer: TcpStream,
+    reader: BufReader<TcpStream>,
+}
+
+impl Conn {
+    fn open(daemon: &Daemon) -> Conn {
+        let writer = daemon.connect();
+        let reader = BufReader::new(writer.try_clone().expect("clone"));
+        Conn { writer, reader }
+    }
+
+    fn send(&mut self, request: &str) {
+        self.writer
+            .write_all(format!("{request}\n").as_bytes())
+            .expect("send");
+    }
+
+    fn recv(&mut self) -> Json {
+        let mut line = String::new();
+        self.reader.read_line(&mut line).expect("recv");
+        assert!(!line.is_empty(), "daemon closed the connection");
+        Json::parse(line.trim()).expect("response parses")
+    }
+
+    fn ok(&mut self, request: &str) -> Json {
+        self.send(request);
+        let resp = self.recv();
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "request `{request}` failed: {}",
+            resp.encode()
+        );
+        resp
+    }
+
+    /// Blocks until the daemon reports `done_target` finished jobs and
+    /// no failed or cancelled ones.
+    fn wait_jobs_done(&mut self, done_target: u64) {
+        let deadline = Instant::now() + Duration::from_secs(600);
+        loop {
+            let stats = self.ok(r#"{"cmd":"stats"}"#);
+            let jobs = stats.get("jobs").cloned().expect("jobs section");
+            let grab = |k: &str| jobs.get(k).and_then(Json::as_u64).unwrap_or(0);
+            assert_eq!(grab("failed"), 0, "failed jobs: {}", stats.encode());
+            assert_eq!(grab("cancelled"), 0, "cancelled jobs: {}", stats.encode());
+            if grab("done") >= done_target {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "stuck at {} of {done_target} done: {}",
+                grab("done"),
+                stats.encode()
+            );
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    }
+}
+
+/// A submit line for (workload, budget) with a pipelining `id`.
+fn submit_line(workload: &str, budget: u64, id: usize) -> String {
+    format!(r#"{{"cmd":"submit","workload":"{workload}","budget":{budget},"id":{id}}}"#)
+}
+
+/// The byte-comparable core of a served result: everything except the
+/// fields that legitimately vary between a cold and a warm run.
+fn canonical(result: &Json) -> String {
+    match result {
+        Json::Obj(pairs) => Json::Obj(
+            pairs
+                .iter()
+                .filter(|(k, _)| k != "cache_hit" && k != "stage_us")
+                .cloned()
+                .collect(),
+        )
+        .encode(),
+        other => other.encode(),
+    }
+}
+
+#[test]
+fn a_pipelined_flood_is_byte_identical_to_serial() {
+    const FLOOD: usize = 1000;
+    const CONNS: usize = 3;
+    // Tiny budgets keep a 1000-job flood fast on a small machine; the
+    // determinism contract is budget-independent.
+    let specs: Vec<(&str, u64)> = (800..803)
+        .flat_map(|budget| [("vpr.r", budget), ("mcf", budget)])
+        .collect();
+    let daemon = Daemon::spawn(&["--queue-cap", "2048", "--no-journal"]);
+
+    // Serial reference: each unique spec once, run to completion before
+    // the next is submitted.
+    let mut serial = Conn::open(&daemon);
+    let mut reference: Vec<String> = Vec::new();
+    for (i, &(workload, budget)) in specs.iter().enumerate() {
+        let resp = serial.ok(&submit_line(workload, budget, i));
+        let job = resp.get("job").and_then(Json::as_u64).expect("job id");
+        serial.wait_jobs_done((i + 1) as u64);
+        let resp = serial.ok(&format!(r#"{{"cmd":"result","job":{job}}}"#));
+        assert_eq!(resp.get("state").and_then(Json::as_str), Some("done"));
+        reference.push(canonical(resp.get("result").expect("result")));
+    }
+
+    // The flood: every submit written before any response is read —
+    // 1000 pipelined requests in flight across the connections.
+    let mut conns: Vec<Conn> = (0..CONNS).map(|_| Conn::open(&daemon)).collect();
+    for i in 0..FLOOD {
+        let (workload, budget) = specs[i % specs.len()];
+        conns[i % CONNS].send(&submit_line(workload, budget, i));
+    }
+    let mut jobs: Vec<u64> = Vec::with_capacity(FLOOD);
+    for i in 0..FLOOD {
+        let resp = conns[i % CONNS].recv();
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "submit {i} failed: {}",
+            resp.encode()
+        );
+        assert_eq!(
+            resp.get("id").and_then(Json::as_u64),
+            Some(i as u64),
+            "submit acks out of order: {}",
+            resp.encode()
+        );
+        jobs.push(resp.get("job").and_then(Json::as_u64).expect("job"));
+    }
+    serial.wait_jobs_done((FLOOD + specs.len()) as u64);
+
+    // Every flood result is byte-identical to the serial reference for
+    // its spec (modulo cache_hit/stage_us). Result fetches are
+    // themselves pipelined, in bounded chunks.
+    let indexed: Vec<(usize, u64)> = jobs.into_iter().enumerate().collect();
+    for chunk in indexed.chunks(100) {
+        for &(i, job) in chunk {
+            conns[i % CONNS].send(&format!(r#"{{"cmd":"result","job":{job},"id":{job}}}"#));
+        }
+        for &(i, job) in chunk {
+            let resp = conns[i % CONNS].recv();
+            assert_eq!(resp.get("id").and_then(Json::as_u64), Some(job));
+            assert_eq!(
+                resp.get("state").and_then(Json::as_str),
+                Some("done"),
+                "{}",
+                resp.encode()
+            );
+            let got = canonical(resp.get("result").expect("result"));
+            assert_eq!(
+                got,
+                reference[i % specs.len()],
+                "flood submit {i} diverged from serial"
+            );
+        }
+    }
+
+    drop(serial);
+    drop(conns);
     daemon.shutdown_and_wait();
 }
 
