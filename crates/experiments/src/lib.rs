@@ -47,5 +47,3 @@ pub use pipeline::{
     try_trace_and_slice_warm, PipelineConfig, PipelineParStats, PipelineResult,
 };
 pub use policy::PolicySpec;
-pub use preexec_core::par::{ParStats, Parallelism};
-pub use preexec_core::ScreenStats;

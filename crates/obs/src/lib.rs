@@ -18,10 +18,9 @@
 //! byte-identical with recording on or off ([`Registry::set_recording`]).
 //! A test in `preexec-experiments` pins this at 1 and 8 threads.
 //!
-//! Snapshots ([`Registry::snapshot`]) are sorted by name and render to
-//! Prometheus-style text via [`render_prometheus`] for the `preexecd`
-//! `metrics` verb, the `toolflow --profile` table, and the
-//! `pipeline-bench` JSON report.
+//! Snapshots ([`Registry::snapshot`]) are sorted by name. They back the
+//! `preexecd` `metrics` verb (JSON, plus Prometheus-style text from
+//! [`render_prometheus`]) and the `toolflow --profile` table.
 
 mod histogram;
 mod journal;

@@ -29,7 +29,7 @@
 use crate::json::Json;
 use preexec_func::{LoadSiteStats, RunStats};
 use preexec_obs::{Counter, Journal, Registry};
-use preexec_slice::{read_forest_lenient, write_forest, SliceForest};
+use preexec_slice::{fnv1a64, read_forest_lenient, write_forest, SliceForest};
 use preexec_workloads::InputSet;
 use std::collections::HashSet;
 use std::io;
@@ -71,16 +71,6 @@ pub fn parse_input(name: &str) -> Option<InputSet> {
         "alt" => Some(InputSet::Alt),
         _ => None,
     }
-}
-
-/// FNV-1a, 64-bit — same integrity-grade hash the slice-file header uses.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 impl TraceKey {

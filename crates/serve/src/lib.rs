@@ -80,4 +80,4 @@ pub use scheduler::{
     CancelOutcome, JobCompletion, JobId, JobState, Scheduler, SchedulerStats, SubmitError,
 };
 pub use server::{Server, ServerConfig};
-pub use service::{run_job, CancelToken, JobOutput, JobSpec, StageHists, StageMicros};
+pub use service::{run_job, CancelToken, JobOutput, JobSpec, StageHists};

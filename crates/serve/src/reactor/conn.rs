@@ -29,11 +29,20 @@ impl std::fmt::Display for LineTooLong {
     }
 }
 
-/// Reassembles `\n`-terminated lines from read fragments. The buffer is
-/// bounded by the line limit (complete lines drain immediately), so the
-/// linear newline scans stay cheap.
+/// Reassembles `\n`-terminated lines from read fragments. The line
+/// limit bounds the unterminated tail; complete lines stay until the
+/// first push after they are popped. Every byte is scanned for a newline
+/// once when it is pushed and once more when its line is popped, so an
+/// unterminated line that grows across many reads costs time linear in
+/// its length.
 pub struct LineBuffer {
     buf: Vec<u8>,
+    /// Start of the unpopped bytes: everything before it belongs to lines
+    /// already returned by [`LineBuffer::next_line`].
+    head: usize,
+    /// Start of the unterminated tail: one past the last newline in
+    /// `buf`, or `head` when there is none.
+    tail: usize,
     max_line: usize,
 }
 
@@ -41,6 +50,8 @@ impl LineBuffer {
     pub fn new(max_line: usize) -> LineBuffer {
         LineBuffer {
             buf: Vec::new(),
+            head: 0,
+            tail: 0,
             max_line,
         }
     }
@@ -49,15 +60,21 @@ impl LineBuffer {
     /// would exceed the line limit (complete lines are only bounded by
     /// the same limit, since they drain immediately).
     pub fn push(&mut self, chunk: &[u8]) -> Result<(), LineTooLong> {
-        self.buf.extend_from_slice(chunk);
+        // Drop the lines already popped. Only the unpopped rest moves:
+        // for a caller that pops every complete line between pushes,
+        // that is at most the part of one read after its last newline.
+        if self.head > 0 {
+            self.buf.drain(..self.head);
+            self.tail -= self.head;
+            self.head = 0;
+        }
         // Only the tail *after the last newline* counts against the
         // limit: everything before it will drain as complete lines.
-        let tail_start = self
-            .buf
-            .iter()
-            .rposition(|&b| b == b'\n')
-            .map_or(0, |pos| pos + 1);
-        if self.buf.len() - tail_start > self.max_line {
+        if let Some(pos) = chunk.iter().rposition(|&b| b == b'\n') {
+            self.tail = self.buf.len() + pos + 1;
+        }
+        self.buf.extend_from_slice(chunk);
+        if self.buf.len() - self.tail > self.max_line {
             return Err(LineTooLong {
                 limit: self.max_line,
             });
@@ -69,16 +86,17 @@ impl LineBuffer {
     /// lossily — the protocol layer reports bad JSON on mojibake, which
     /// is the right error for a non-UTF-8 client.
     pub fn next_line(&mut self) -> Option<String> {
-        let pos = self.buf.iter().position(|&b| b == b'\n')?;
-        let line = String::from_utf8_lossy(&self.buf[..pos]).into_owned();
-        self.buf.drain(..=pos);
+        let complete = &self.buf[self.head..self.tail];
+        let len = complete.iter().position(|&b| b == b'\n')?;
+        let line = String::from_utf8_lossy(&complete[..len]).into_owned();
+        self.head += len + 1;
         Some(line)
     }
 
     /// True when bytes of an unterminated line are pending — the state
     /// the slow-loris timeout watches.
     pub fn has_partial(&self) -> bool {
-        !self.buf.is_empty() && !self.buf.contains(&b'\n')
+        self.tail < self.buf.len()
     }
 }
 
@@ -136,6 +154,7 @@ mod tests {
     #![allow(clippy::unwrap_used)]
 
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn lines_reassemble_across_arbitrary_fragment_boundaries() {
@@ -180,6 +199,53 @@ mod tests {
         let mut lb = LineBuffer::new(16);
         lb.push(b"aaaa\nbbbb\ncccc\ndddd\n").unwrap();
         assert_eq!(lb.next_line().as_deref(), Some("aaaa"));
+    }
+
+    #[test]
+    fn an_overlong_line_is_rejected_in_time_linear_in_its_length() {
+        // The production limit, fed the way the reactor reads: 16 KiB at
+        // a time, with a poll for complete lines and the slow-loris
+        // sweep's check after every read.
+        let max_line = crate::reactor::ReactorConfig::default().max_line;
+        let read = vec![b'x'; 16 * 1024];
+        let bound = Duration::from_secs(5);
+        let start = Instant::now();
+        let mut lb = LineBuffer::new(max_line);
+        let mut fed = 0;
+        while fed <= max_line {
+            let n = read.len().min(max_line + 1 - fed);
+            let pushed = lb.push(&read[..n]);
+            fed += n;
+            if fed <= max_line {
+                assert_eq!(pushed, Ok(()));
+                assert!(lb.has_partial());
+            } else {
+                assert_eq!(pushed, Err(LineTooLong { limit: max_line }));
+            }
+            assert_eq!(lb.next_line(), None);
+            assert!(
+                start.elapsed() < bound,
+                "{fed} of {} bytes took over {bound:?}",
+                max_line + 1
+            );
+        }
+    }
+
+    #[test]
+    fn popped_lines_make_room_without_reordering_the_tail() {
+        let mut lb = LineBuffer::new(8);
+        lb.push(b"aaaaaaa\nbb").unwrap();
+        assert_eq!(lb.next_line().as_deref(), Some("aaaaaaa"));
+        assert!(lb.has_partial());
+        // The 2-byte tail outlives the popped line: 6 more bytes fill it
+        // to the limit, and the newline completes it.
+        lb.push(b"bbbbbb").unwrap();
+        lb.push(b"\ncc").unwrap();
+        assert_eq!(lb.next_line().as_deref(), Some("bbbbbbbb"));
+        assert_eq!(lb.next_line(), None);
+        assert!(lb.has_partial());
+        // The new 2-byte tail plus 7 bytes passes the limit.
+        assert_eq!(lb.push(b"ccccccc"), Err(LineTooLong { limit: 8 }));
     }
 
     /// A sink that accepts at most `cap` bytes per write and can be told

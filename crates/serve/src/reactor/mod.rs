@@ -285,6 +285,7 @@ mod linux {
         cfg: &ReactorConfig,
     ) -> Result<(), ()> {
         let mut buf = [0u8; 16 * 1024];
+        let mut overlong = false;
         while !conn.read_closed && !conn.close_after_flush && conn.writes.len() < cfg.max_write_buf
         {
             match conn.stream.read(&mut buf) {
@@ -292,9 +293,7 @@ mod linux {
                 Ok(n) => {
                     conn.last_progress = Instant::now();
                     if conn.lines.push(&buf[..n]).is_err() {
-                        let resp = handler.overlong_line_response(cfg.max_line);
-                        conn.writes.enqueue(resp.as_bytes());
-                        conn.writes.enqueue(b"\n");
+                        overlong = true;
                         conn.close_after_flush = true;
                     }
                 }
@@ -316,6 +315,13 @@ mod linux {
         }
         if depth > 0 {
             handler.record_pipelined_depth(depth);
+        }
+        // The complete lines ahead of the over-long one were answered
+        // first, so responses stay in request order.
+        if overlong {
+            let resp = handler.overlong_line_response(cfg.max_line);
+            conn.writes.enqueue(resp.as_bytes());
+            conn.writes.enqueue(b"\n");
         }
         match conn.writes.flush_into(&mut conn.stream) {
             Ok(_) => Ok(()),

@@ -8,10 +8,13 @@
 //! dispatch runs on the reactor thread — it only enqueues scheduler work,
 //! so the single thread is never the bottleneck. The original
 //! thread-per-connection loop remains as the non-Linux front end and
-//! behind `--threaded`; both share `dispatch`, so the protocol is
+//! behind `--threaded`. Both frame request lines with the same
+//! [`LineBuffer`] under the same [`ReactorConfig`] (line limit and
+//! slow-loris timeout) and share `dispatch`, so the protocol is
 //! identical. In the threaded loop, reads carry a short timeout so
-//! handler threads notice a daemon shutdown promptly instead of blocking
-//! forever on an idle client, which keeps the final join bounded.
+//! handler threads notice a daemon shutdown and a stalled partial line
+//! promptly instead of blocking forever, which keeps the final join
+//! bounded.
 //!
 //! Shutdown ("graceful drain"): the `shutdown` command journals and
 //! reports the still-pending job counts, flips a flag, answers the
@@ -39,13 +42,14 @@ use crate::proto::{
     error_response, ok_response, parse_request_json, request_id, result_json, spec_json,
     with_request_id, ProtoError, Request, PROTOCOL_VERSION,
 };
+use crate::reactor::{LineBuffer, LineTooLong, ReactorConfig};
 use crate::scheduler::{CancelOutcome, JobCompletion, JobId, JobState, Scheduler, SubmitError};
 use crate::service::{run_job, CancelToken, JobOutput, JobSpec, StageHists};
 use preexec_core::par::Parallelism;
 use preexec_experiments::PipelineError;
 use preexec_obs::{render_prometheus, Counter, Gauge, SharedHistogram};
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -80,9 +84,9 @@ pub struct ServerConfig {
     /// Use the legacy thread-per-connection front end instead of the
     /// epoll reactor (always the case off Linux).
     pub threaded: bool,
-    /// Reactor slow-loris timeout: a connection whose *partial* request
-    /// line makes no progress this long is closed. Idle connections with
-    /// no pending partial line are never reaped.
+    /// Slow-loris timeout, in either front end: a connection whose
+    /// *partial* request line makes no progress this long is closed.
+    /// Idle connections with no pending partial line are never reaped.
     pub idle_timeout_ms: u64,
     /// Compact the WAL (checkpoint-and-truncate) at startup, before
     /// replay — recovers disk from a journal grown across unclean
@@ -207,7 +211,7 @@ pub struct Server {
     restored_results: u64,
     /// Forced thread-per-connection front end.
     threaded: bool,
-    /// Reactor slow-loris timeout.
+    /// Slow-loris timeout.
     idle_timeout_ms: u64,
 }
 
@@ -335,27 +339,27 @@ impl Server {
     /// Propagates listener/epoll errors (per-connection I/O errors only
     /// end that connection).
     pub fn run(self) -> std::io::Result<()> {
+        let cfg = ReactorConfig {
+            idle_timeout: Duration::from_millis(self.idle_timeout_ms.max(1)),
+            ..ReactorConfig::default()
+        };
         #[cfg(target_os = "linux")]
         {
             if !self.threaded {
-                return self.run_reactor();
+                return self.run_reactor(&cfg);
             }
         }
-        self.run_threaded()
+        self.run_threaded(&cfg)
     }
 
     /// The epoll front end: one thread, every connection, pipelined.
     #[cfg(target_os = "linux")]
-    fn run_reactor(self) -> std::io::Result<()> {
-        let cfg = crate::reactor::ReactorConfig {
-            idle_timeout: Duration::from_millis(self.idle_timeout_ms.max(1)),
-            ..crate::reactor::ReactorConfig::default()
-        };
+    fn run_reactor(self, cfg: &ReactorConfig) -> std::io::Result<()> {
         let mut handler = ReactorHandler {
             shared: Arc::clone(&self.shared),
             live: 0,
         };
-        crate::reactor::run(self.listener, &mut handler, &cfg)?;
+        crate::reactor::run(self.listener, &mut handler, cfg)?;
         // Graceful drain: finish queued + running jobs, then checkpoint
         // the WAL down to its minimal replay-equivalent form.
         self.shared.sched.shutdown();
@@ -365,7 +369,7 @@ impl Server {
 
     /// The legacy thread-per-connection front end (non-Linux, and
     /// `--threaded` everywhere).
-    fn run_threaded(self) -> std::io::Result<()> {
+    fn run_threaded(self, cfg: &ReactorConfig) -> std::io::Result<()> {
         let mut handlers = Vec::new();
         loop {
             let (stream, _) = self.listener.accept()?;
@@ -379,8 +383,9 @@ impl Server {
             handlers.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
             self.shared.connections_total.inc();
             let shared = Arc::clone(&self.shared);
+            let cfg = cfg.clone();
             handlers.push(std::thread::spawn(move || {
-                handle_connection(stream, &shared)
+                handle_connection(stream, &shared, &cfg)
             }));
             self.shared.handlers_live.set(handlers.len() as i64);
         }
@@ -433,18 +438,7 @@ impl crate::reactor::LineHandler for ReactorHandler {
     }
 
     fn overlong_line_response(&mut self, limit: usize) -> String {
-        Json::obj(vec![
-            ("ok", Json::Bool(false)),
-            ("protocol_version", Json::num_u64(PROTOCOL_VERSION)),
-            (
-                "error",
-                Json::str(format!(
-                    "request line exceeds {limit} bytes without a newline"
-                )),
-            ),
-            ("code", Json::str("line_too_long")),
-        ])
-        .encode()
+        line_too_long_response(limit)
     }
 
     fn record_pipelined_depth(&mut self, depth: u64) {
@@ -535,42 +529,67 @@ fn replay_journal(shared: &Arc<Shared>, replay: &JournalReplay) -> (u64, u64) {
     (replayed, restored)
 }
 
-/// Serves one connection until EOF, error, or daemon shutdown.
-fn handle_connection(stream: TcpStream, shared: &Arc<Shared>) {
-    // A short read timeout keeps this thread responsive to shutdown; a
-    // longer one would only delay the final join.
+/// The one response a connection gets, in either front end, when its
+/// request line passes the limit; the connection closes after it.
+fn line_too_long_response(limit: usize) -> String {
+    Json::obj(vec![
+        ("ok", Json::Bool(false)),
+        ("protocol_version", Json::num_u64(PROTOCOL_VERSION)),
+        ("error", Json::str(LineTooLong { limit }.to_string())),
+        ("code", Json::str("line_too_long")),
+    ])
+    .encode()
+}
+
+/// Serves one connection until EOF, error, daemon shutdown, an over-long
+/// request line, or a partial line that stalls past the idle timeout:
+/// the reactor's framing and guards on a blocking socket.
+fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, cfg: &ReactorConfig) {
+    // A short read timeout keeps this thread responsive to shutdown and
+    // to the slow-loris clock; a longer one would only delay the final
+    // join.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let Ok(read_half) = stream.try_clone() else {
+    let Ok(write_half) = stream.try_clone() else {
         return;
     };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = BufWriter::new(stream);
-    let mut line = String::new();
+    let mut writer = BufWriter::new(write_half);
+    let mut lines = LineBuffer::new(cfg.max_line);
+    let mut buf = [0u8; 16 * 1024];
+    // Last time `read()` returned bytes — the slow-loris clock.
+    let mut last_progress = Instant::now();
     loop {
-        match reader.read_line(&mut line) {
+        match stream.read(&mut buf) {
             Ok(0) => return, // EOF
-            Ok(_) => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    let response = dispatch(trimmed, shared);
-                    let mut encoded = response.encode();
-                    encoded.push('\n');
-                    if writer.write_all(encoded.as_bytes()).is_err() || writer.flush().is_err() {
+            Ok(n) => {
+                last_progress = Instant::now();
+                let overlong = lines.push(&buf[..n]).is_err();
+                while let Some(line) = lines.next_line() {
+                    let trimmed = line.trim();
+                    if !trimmed.is_empty()
+                        && writeln!(writer, "{}", dispatch(trimmed, shared).encode()).is_err()
+                    {
                         return;
                     }
                 }
-                line.clear();
+                if overlong {
+                    let _ = writeln!(writer, "{}", line_too_long_response(cfg.max_line));
+                    let _ = writer.flush();
+                    return;
+                }
+                if writer.flush().is_err() {
+                    return;
+                }
             }
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                // `read_line` keeps any partial line it already buffered
-                // in `line`; the next iteration finishes it.
-                if shared.shutting_down.load(Ordering::SeqCst) {
+                let stalled = lines.has_partial() && last_progress.elapsed() > cfg.idle_timeout;
+                if stalled || shared.shutting_down.load(Ordering::SeqCst) {
                     return;
                 }
             }
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
             Err(_) => return,
         }
     }

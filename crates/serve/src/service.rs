@@ -20,7 +20,9 @@ use crate::cache::{ArtifactCache, TraceKey};
 use crate::histogram::{histogram_json, Histogram};
 use crate::scheduler::JobCompletion;
 use preexec_core::par::{ParStats, Parallelism};
-use preexec_experiments::{Pipeline, PipelineConfig, PipelineError, PipelineResult, PolicySpec};
+use preexec_experiments::{
+    Pipeline, PipelineConfig, PipelineError, PipelineResult, PolicySpec, StageUs,
+};
 use preexec_workloads::{by_name, InputSet, Workload};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -153,19 +155,6 @@ impl CancelToken {
     }
 }
 
-/// Wall-clock microseconds spent in each stage of one job.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct StageMicros {
-    /// Trace+slice (0 on a cache hit).
-    pub trace: u64,
-    /// Unassisted timing run.
-    pub base_sim: u64,
-    /// P-thread selection.
-    pub select: u64,
-    /// Assisted timing run.
-    pub assisted_sim: u64,
-}
-
 /// Service-wide intra-job parallelism counters: cumulative busy/wall
 /// time of the selection stage (the one stage that fans out), from which
 /// the `stats` command derives the achieved speedup
@@ -235,7 +224,7 @@ impl StageHists {
     /// Records one job's stage timings (a cache hit contributes no trace
     /// sample — it would drag the trace histogram toward zero and hide
     /// the real cost of tracing).
-    pub fn record(&self, us: &StageMicros, cache_hit: bool) {
+    pub fn record(&self, us: &StageUs, cache_hit: bool) {
         if !cache_hit {
             locked(&self.trace).record_us(us.trace);
         }
@@ -266,8 +255,8 @@ pub struct JobOutput {
     pub result: PipelineResult,
     /// Whether the trace stage was served from the artifact cache.
     pub cache_hit: bool,
-    /// Per-stage wall-clock times.
-    pub stage_us: StageMicros,
+    /// Per-stage wall-clock times (trace is 0 on a cache hit).
+    pub stage_us: StageUs,
 }
 
 /// Runs one job to completion: trace (or cache hit), base sim, select,
@@ -341,15 +330,8 @@ pub fn run_job(
         let _ = cache.store(&key, &out.forest, &out.result.stats);
     }
     hists.par.record_select(&out.par.select);
-    let stage_us = StageMicros {
-        trace: out.stage_us.trace,
-        base_sim: out.stage_us.base_sim,
-        select: out.stage_us.select,
-        assisted_sim: out.stage_us.assisted_sim,
-    };
+    hists.record(&out.stage_us, cache_hit);
     let result = out.result;
-
-    hists.record(&stage_us, cache_hit);
     let journal = preexec_obs::global().journal();
     if result.assisted.squashes > 0 {
         journal.note(
@@ -372,7 +354,7 @@ pub fn run_job(
         input: spec.input,
         result,
         cache_hit,
-        stage_us,
+        stage_us: out.stage_us,
     };
     if timed_out {
         JobCompletion::TimedOut(output)

@@ -1,8 +1,8 @@
 //! Integration tests for the epoll serving tier: request pipelining
 //! with `id` echo, a 1 000-submit pipelined flood whose results are
 //! byte-identical to a serial run, partial-line reassembly across
-//! writes, the slow-loris idle sweep, and the `--threaded` fallback
-//! front end.
+//! writes, and the `--threaded` fallback front end. The slow-loris
+//! timeout and the request-line limit run on both front ends.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -330,46 +330,98 @@ fn a_request_split_across_many_writes_reassembles() {
     daemon.shutdown_and_wait();
 }
 
+/// The daemon's two front ends: the epoll reactor (the default on Linux)
+/// and the thread-per-connection fallback. Both guard the same limits.
+const FRONT_ENDS: [&[&str]; 2] = [&[], &["--threaded"]];
+
 #[test]
 fn slow_loris_is_cut_off_but_a_quiet_idle_connection_survives() {
-    let daemon = Daemon::spawn(&["--idle-timeout-ms", "250"]);
+    for front_end in FRONT_ENDS {
+        let mut args = vec!["--idle-timeout-ms", "250"];
+        args.extend_from_slice(front_end);
+        let daemon = Daemon::spawn(&args);
 
-    // The slow loris: half a request line, then silence. The idle sweep
-    // closes it once the timeout passes.
-    let mut loris = daemon.connect();
-    loris.write_all(b"{\"cmd\":\"sta").expect("partial write");
-    loris.flush().expect("flush");
+        // The slow loris: half a request line, then silence. The idle
+        // sweep closes it once the timeout passes.
+        let mut loris = daemon.connect();
+        loris.write_all(b"{\"cmd\":\"sta").expect("partial write");
+        loris.flush().expect("flush");
 
-    // The honest idler: a connection with *no* partial line pending is
-    // not a loris and must stay open arbitrarily long.
-    let idler = daemon.connect();
+        // The honest idler: a connection with *no* partial line pending
+        // is not a loris and must stay open arbitrarily long.
+        let idler = daemon.connect();
 
-    let mut buf = Vec::new();
-    loris
-        .set_read_timeout(Some(Duration::from_secs(30)))
-        .expect("read timeout");
-    let n = loris.read_to_end(&mut buf).expect("loris read");
-    assert_eq!(
-        n,
-        0,
-        "loris expected EOF, got {:?}",
-        String::from_utf8_lossy(&buf)
-    );
+        let mut buf = Vec::new();
+        loris
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .expect("read timeout");
+        let n = loris
+            .read_to_end(&mut buf)
+            .unwrap_or_else(|e| panic!("{front_end:?}: loris read: {e}"));
+        assert_eq!(
+            n,
+            0,
+            "{front_end:?}: loris expected EOF, got {:?}",
+            String::from_utf8_lossy(&buf)
+        );
 
-    // Well past the timeout, the idler still gets answers.
-    let mut reader = BufReader::new(idler.try_clone().expect("clone"));
-    let mut idler_w = idler;
-    idler_w
-        .write_all(b"{\"cmd\":\"stats\"}\n")
-        .expect("idler write");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("idler response");
-    let resp = Json::parse(line.trim()).expect("parses");
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+        // Well past the timeout, the idler still gets answers.
+        let mut reader = BufReader::new(idler.try_clone().expect("clone"));
+        let mut idler_w = idler;
+        idler_w
+            .write_all(b"{\"cmd\":\"stats\"}\n")
+            .expect("idler write");
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("idler response");
+        let resp = Json::parse(line.trim()).expect("parses");
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{front_end:?}: {line}"
+        );
 
-    drop(idler_w);
-    drop(reader);
-    daemon.shutdown_and_wait();
+        drop(idler_w);
+        drop(reader);
+        daemon.shutdown_and_wait();
+    }
+}
+
+#[test]
+fn an_over_long_line_gets_one_line_too_long_response_then_eof() {
+    // The production line limit (32 MiB); one byte more, no newline.
+    let max_line = preexec_serve::ReactorConfig::default().max_line;
+    let request = vec![b'x'; max_line + 1];
+    for front_end in FRONT_ENDS {
+        let daemon = Daemon::spawn(front_end);
+        let mut stream = daemon.connect();
+        // The daemon reads every byte before it answers, so neither side
+        // waits on the other; the timeouts only turn a hang into a
+        // failure.
+        let timeout = Some(Duration::from_secs(60));
+        stream.set_write_timeout(timeout).expect("write timeout");
+        stream.set_read_timeout(timeout).expect("read timeout");
+        stream
+            .write_all(&request)
+            .unwrap_or_else(|e| panic!("{front_end:?}: writing the line: {e}"));
+        let mut response = String::new();
+        stream
+            .read_to_string(&mut response)
+            .unwrap_or_else(|e| panic!("{front_end:?}: reading to EOF: {e}"));
+        let lines: Vec<&str> = response.lines().collect();
+        assert_eq!(lines.len(), 1, "{front_end:?}: {response:?}");
+        let resp = Json::parse(lines[0]).expect("parses");
+        assert_eq!(
+            resp.get("code").and_then(Json::as_str),
+            Some("line_too_long"),
+            "{front_end:?}: {response}"
+        );
+        assert_eq!(
+            resp.get("ok").and_then(Json::as_bool),
+            Some(false),
+            "{front_end:?}"
+        );
+        daemon.shutdown_and_wait();
+    }
 }
 
 #[test]
@@ -386,6 +438,24 @@ fn threaded_fallback_serves_the_same_protocol() {
     let resp = Json::parse(line.trim()).expect("parses");
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{line}");
     assert_eq!(resp.get("id").and_then(Json::as_str), Some("t"), "{line}");
+
+    // A line that is not UTF-8 decodes lossily, as in the reactor, and
+    // is answered as bad JSON on a connection that stays open.
+    writer.write_all(b"\xff\xfe\n").expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("response");
+    let resp = Json::parse(line.trim()).expect("parses");
+    assert_eq!(
+        resp.get("code").and_then(Json::as_str),
+        Some("bad_json"),
+        "{line}"
+    );
+    writer.write_all(b"{\"cmd\":\"stats\"}\n").expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("response");
+    let resp = Json::parse(line.trim()).expect("parses");
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+
     drop(writer);
     drop(reader);
     daemon.shutdown_and_wait();

@@ -72,8 +72,10 @@ fn err(line: usize, message: impl Into<String>) -> ParseForestError {
 
 /// FNV-1a, 64-bit: small, dependency-free, and plenty to catch the
 /// truncation/bit-rot class of corruption a checksum is for (this is an
-/// integrity check, not an authenticity one).
-fn fnv1a64(bytes: &[u8]) -> u64 {
+/// integrity check, not an authenticity one). The workspace's one copy:
+/// the slice-file header, the artifact cache's keys and the daemon's
+/// journal records all use it.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= b as u64;
@@ -458,6 +460,13 @@ mod tests {
         let mut b = SliceForestBuilder::new(1024, 16);
         run_trace(&p, &TraceConfig::default(), |d| b.observe(d));
         b.finish()
+    }
+
+    #[test]
+    fn fnv1a64_matches_the_published_test_vectors() {
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

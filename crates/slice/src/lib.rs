@@ -52,7 +52,9 @@ pub mod window;
 
 pub use error::SliceError;
 pub use forest::{ForestBank, SliceForest, SliceForestBuilder};
-pub use io::{read_forest, read_forest_lenient, write_forest, ParseForestError, RecoveredForest};
+pub use io::{
+    fnv1a64, read_forest, read_forest_lenient, write_forest, ParseForestError, RecoveredForest,
+};
 pub use ondemand::OnDemandSlicer;
 pub use tree::{NodeId, SliceNode, SliceTree};
 pub use window::{SliceEntry, SliceWindow};
