@@ -49,6 +49,8 @@
 //! assert!(!selection.pthreads.is_empty());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod advantage;
 pub mod body;
 pub mod candidate;

@@ -28,6 +28,8 @@
 //! | `fig8` | memory-latency cross-validation |
 //! | `width_xval` | processor-width cross-validation (§4.5, stated) |
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod error;
 pub mod fault;

@@ -21,6 +21,8 @@
 //! assert_eq!(stats.insts, 2 + 4 * 2 + 1); // setup + 4 iterations of 2 + halt
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod checkpoint;
 pub mod cpu;
 pub mod dyninst;

@@ -38,6 +38,8 @@
 //! assert_eq!(program.len(), 9);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod asm;
 pub mod builder;
 pub mod error;

@@ -20,6 +20,8 @@
 //! assert_eq!(h.access(0x4000, false), MemLevel::L1);     // now resident
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bus;
 pub mod cache;
 pub mod hierarchy;

@@ -22,6 +22,8 @@
 //! `preexecd` `metrics` verb (JSON, plus Prometheus-style text from
 //! [`render_prometheus`]) and the `toolflow --profile` table.
 
+#![forbid(unsafe_code)]
+
 mod histogram;
 mod journal;
 mod prom;

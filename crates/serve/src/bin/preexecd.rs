@@ -24,8 +24,6 @@ options:
                      (default 0: derive 3/4*queue-cap + workers)
   --no-journal       disable the durable job journal (WAL + crash recovery)
   --wal-compact      compact the journal at startup (checkpoint + truncate)
-  --threaded         thread-per-connection front end instead of the epoll
-                     reactor (the reactor is the default on Linux)
   --idle-timeout-ms N  close a connection stalled mid-request-line after
                      N ms (slow-loris guard; default 10000)
   --help             print this help
@@ -84,7 +82,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             }
             "--no-journal" => cfg.journal = false,
             "--wal-compact" => cfg.wal_compact = true,
-            "--threaded" => cfg.threaded = true,
             "--idle-timeout-ms" => {
                 let v = value("--idle-timeout-ms")?;
                 cfg.idle_timeout_ms = v.parse().map_err(|_| format!("bad idle timeout `{v}`"))?;
@@ -128,8 +125,5 @@ fn main() {
         );
     }
     let _ = std::io::stdout().flush();
-    if let Err(e) = server.run() {
-        eprintln!("preexecd: serving: {e}");
-        std::process::exit(4);
-    }
+    server.run();
 }

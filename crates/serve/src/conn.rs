@@ -1,15 +1,15 @@
-//! Per-connection buffering for the newline-JSON protocol — the pure,
-//! unit-testable half of the reactor.
+//! Request-line framing for the newline-JSON protocol — the pure,
+//! unit-testable half of a connection.
 //!
 //! [`LineBuffer`] reassembles request lines from arbitrary `read()`
-//! fragments (a newline may land anywhere, including mid-UTF-8);
-//! [`WriteQueue`] absorbs responses and drains them through short
-//! writes and `WouldBlock` without losing bytes or reordering them.
-//! Neither touches a socket: the event loop feeds them chunks, the
-//! tests feed them adversarial ones.
+//! fragments (a newline may land anywhere, including mid-UTF-8). It
+//! never touches a socket: the connection loop feeds it reads, the
+//! tests feed it adversarial fragments.
 
-use std::collections::VecDeque;
-use std::io::{self, Write};
+/// The longest request line the daemon accepts, in bytes: 32 MiB, since
+/// a `submit_batch` line carries every job of the batch. A longer line
+/// gets one `line_too_long` response and the connection closes.
+pub const MAX_LINE: usize = 32 << 20;
 
 /// A request line exceeded the configured maximum without a newline —
 /// the connection is hostile or confused and should be closed after an
@@ -100,55 +100,6 @@ impl LineBuffer {
     }
 }
 
-/// An outgoing byte queue that survives partial writes.
-#[derive(Default)]
-pub struct WriteQueue {
-    buf: VecDeque<u8>,
-}
-
-impl WriteQueue {
-    pub fn new() -> WriteQueue {
-        WriteQueue::default()
-    }
-
-    pub fn enqueue(&mut self, bytes: &[u8]) {
-        self.buf.extend(bytes);
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Writes as much as the sink accepts. Returns `Ok(true)` when the
-    /// queue fully drained, `Ok(false)` when the sink pushed back with
-    /// `WouldBlock` (re-arm write interest and come back later). Short
-    /// writes just advance the queue; `Interrupted` retries in place.
-    pub fn flush_into(&mut self, sink: &mut impl Write) -> io::Result<bool> {
-        while !self.buf.is_empty() {
-            let (front, _) = self.buf.as_slices();
-            match sink.write(front) {
-                Ok(0) => {
-                    return Err(io::Error::new(
-                        io::ErrorKind::WriteZero,
-                        "connection sink accepted zero bytes",
-                    ))
-                }
-                Ok(n) => {
-                    self.buf.drain(..n);
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(true)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(clippy::unwrap_used)]
@@ -203,10 +154,10 @@ mod tests {
 
     #[test]
     fn an_overlong_line_is_rejected_in_time_linear_in_its_length() {
-        // The production limit, fed the way the reactor reads: 16 KiB at
-        // a time, with a poll for complete lines and the slow-loris
-        // sweep's check after every read.
-        let max_line = crate::reactor::ReactorConfig::default().max_line;
+        // The production limit, fed the way the connection loop reads:
+        // 16 KiB at a time, with a poll for complete lines and the
+        // slow-loris check after every read.
+        let max_line = MAX_LINE;
         let read = vec![b'x'; 16 * 1024];
         let bound = Duration::from_secs(5);
         let start = Instant::now();
@@ -246,85 +197,5 @@ mod tests {
         assert!(lb.has_partial());
         // The new 2-byte tail plus 7 bytes passes the limit.
         assert_eq!(lb.push(b"ccccccc"), Err(LineTooLong { limit: 8 }));
-    }
-
-    /// A sink that accepts at most `cap` bytes per write and can be told
-    /// to push back with `WouldBlock` — a full kernel socket buffer in
-    /// miniature.
-    struct ThrottledSink {
-        accepted: Vec<u8>,
-        cap: usize,
-        block_after: Option<usize>,
-    }
-
-    impl Write for ThrottledSink {
-        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-            if let Some(limit) = self.block_after {
-                if self.accepted.len() >= limit {
-                    return Err(io::ErrorKind::WouldBlock.into());
-                }
-            }
-            let n = buf.len().min(self.cap).max(1).min(buf.len());
-            self.accepted.extend_from_slice(&buf[..n]);
-            Ok(n)
-        }
-        fn flush(&mut self) -> io::Result<()> {
-            Ok(())
-        }
-    }
-
-    #[test]
-    fn short_writes_drain_without_loss_or_reorder() {
-        let mut wq = WriteQueue::new();
-        wq.enqueue(b"{\"ok\":true,\"id\":1}\n");
-        wq.enqueue(b"{\"ok\":true,\"id\":2}\n");
-        let mut sink = ThrottledSink {
-            accepted: Vec::new(),
-            cap: 3,
-            block_after: None,
-        };
-        assert!(wq.flush_into(&mut sink).unwrap());
-        assert!(wq.is_empty());
-        assert_eq!(
-            sink.accepted,
-            b"{\"ok\":true,\"id\":1}\n{\"ok\":true,\"id\":2}\n"
-        );
-    }
-
-    #[test]
-    fn wouldblock_pauses_the_queue_and_resumes_where_it_left_off() {
-        let mut wq = WriteQueue::new();
-        wq.enqueue(b"abcdefghij");
-        let mut sink = ThrottledSink {
-            accepted: Vec::new(),
-            cap: 4,
-            block_after: Some(4),
-        };
-        // First flush: 4 bytes land, then the "kernel buffer" fills.
-        assert!(!wq.flush_into(&mut sink).unwrap());
-        assert_eq!(wq.len(), 6);
-        assert_eq!(sink.accepted, b"abcd");
-        // Buffer space frees up (EPOLLOUT in real life): the rest lands
-        // in order.
-        sink.block_after = None;
-        assert!(wq.flush_into(&mut sink).unwrap());
-        assert_eq!(sink.accepted, b"abcdefghij");
-        assert!(wq.is_empty());
-    }
-
-    #[test]
-    fn a_zero_byte_write_is_an_error_not_a_spin() {
-        let mut wq = WriteQueue::new();
-        wq.enqueue(b"x");
-        struct ZeroSink;
-        impl Write for ZeroSink {
-            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
-                Ok(0)
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        assert!(wq.flush_into(&mut ZeroSink).is_err());
     }
 }

@@ -40,27 +40,26 @@
 //! `toolflow` (the batch CLI, which runs its workloads through the same
 //! scheduler via `--jobs N`).
 //!
-//! The serving tier (DESIGN.md §15) is the [`reactor`]: a
-//! dependency-free epoll event loop (raw syscalls, no libc) that
-//! multiplexes every connection on one thread, with pipelined request
-//! handling — clients may write N request lines before reading
-//! responses, and responses echo each request's `id`.
+//! The serving tier (DESIGN.md §15) is one thread per connection over
+//! blocking sockets: [`conn`] frames request lines, and clients may
+//! pipeline N request lines before reading responses, each of which
+//! echoes its request's `id`.
 //!
 //! Everything here is `std`-only: no async runtime, no serde, no
-//! registry dependencies. Jobs run on a fixed OS-thread pool; the
-//! connection front end is the nonblocking [`reactor`] on Linux (a
-//! thread-per-connection fallback remains for other platforms and
-//! `--threaded`). Determinism of the *results* (bit-identical to a
-//! direct pipeline run) is the contract that matters.
+//! registry dependencies. Jobs run on a fixed OS-thread pool.
+//! Determinism of the *results* (bit-identical to a direct pipeline
+//! run) is the contract that matters.
+
+#![forbid(unsafe_code)]
 
 pub mod admission;
 pub mod cache;
 pub mod chaos;
+pub mod conn;
 pub mod histogram;
 pub mod journal;
 pub mod json;
 pub mod proto;
-pub mod reactor;
 pub mod retry;
 pub mod scheduler;
 pub mod server;
@@ -74,7 +73,6 @@ pub use journal::{
 };
 pub use json::Json;
 pub use proto::{parse_request, ProtoError, Request, PROTOCOL_VERSION};
-pub use reactor::{LineHandler, ReactorConfig};
 pub use retry::{retry_with_backoff, Backoff};
 pub use scheduler::{
     CancelOutcome, JobCompletion, JobId, JobState, Scheduler, SchedulerStats, SubmitError,

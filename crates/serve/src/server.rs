@@ -1,28 +1,23 @@
 //! The TCP front end: connection handling and dispatch.
 //!
 //! Connections speak the newline-delimited JSON protocol of
-//! [`proto`](crate::proto). On Linux the default front end is the
-//! [`reactor`](crate::reactor): one thread multiplexes every connection
-//! through epoll, requests pipeline (N request lines in flight per
-//! connection, responses in order, each echoing its request `id`), and
-//! dispatch runs on the reactor thread — it only enqueues scheduler work,
-//! so the single thread is never the bottleneck. The original
-//! thread-per-connection loop remains as the non-Linux front end and
-//! behind `--threaded`. Both frame request lines with the same
-//! [`LineBuffer`] under the same [`ReactorConfig`] (line limit and
-//! slow-loris timeout) and share `dispatch`, so the protocol is
-//! identical. In the threaded loop, reads carry a short timeout so
-//! handler threads notice a daemon shutdown and a stalled partial line
-//! promptly instead of blocking forever, which keeps the final join
-//! bounded.
+//! [`proto`](crate::proto). Each accepted connection gets its own
+//! handler thread over a blocking socket: jobs run for seconds and
+//! connections are few (DESIGN.md §10, §15). Requests pipeline — a
+//! client may write N request lines before reading any response;
+//! responses come back in request order, each echoing its request `id`.
+//! Request lines are framed by [`LineBuffer`] under [`MAX_LINE`]. Reads
+//! carry a short timeout so a handler notices a daemon shutdown and a
+//! stalled partial line (the slow-loris timeout) promptly.
 //!
 //! Shutdown ("graceful drain"): the `shutdown` command journals and
 //! reports the still-pending job counts, flips a flag, answers the
 //! client, and pokes the accept loop with a loopback connection. The
 //! accept loop exits, the scheduler drains (queued and running jobs
 //! finish — and their results hit the durable journal, so even a crash
-//! racing the drain loses nothing), handler threads wind down, and
-//! [`Server::run`] returns.
+//! racing the drain loses nothing), handler threads wind down — those
+//! still writing to a client that stopped reading have their sockets
+//! shut 5 s after the shutdown began — and [`Server::run`] returns.
 //!
 //! Durability (DESIGN.md §14): with journaling on (the default), every
 //! acked submission and every terminal transition is appended to the
@@ -35,6 +30,7 @@
 
 use crate::admission::AdmissionGate;
 use crate::cache::ArtifactCache;
+use crate::conn::{LineBuffer, LineTooLong, MAX_LINE};
 use crate::histogram::histogram_json;
 use crate::journal::{compact_wal, JobJournal, JournalReplay, TerminalRecord};
 use crate::json::Json;
@@ -42,7 +38,6 @@ use crate::proto::{
     error_response, ok_response, parse_request_json, request_id, result_json, spec_json,
     with_request_id, ProtoError, Request, PROTOCOL_VERSION,
 };
-use crate::reactor::{LineBuffer, LineTooLong, ReactorConfig};
 use crate::scheduler::{CancelOutcome, JobCompletion, JobId, JobState, Scheduler, SubmitError};
 use crate::service::{run_job, CancelToken, JobOutput, JobSpec, StageHists};
 use preexec_core::par::Parallelism;
@@ -50,11 +45,21 @@ use preexec_experiments::PipelineError;
 use preexec_obs::{render_prometheus, Counter, Gauge, SharedHistogram};
 use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// How long, from the start of a shutdown, handler threads get to
+/// finish writing their responses before their sockets are shut.
+const SHUTDOWN_FLUSH_DEADLINE: Duration = Duration::from_secs(5);
+
+/// How long the accept loop waits after a failed `accept()` (such as
+/// `EMFILE` while every descriptor is in use) before accepting again,
+/// and how often a shutdown checks whether the handlers have finished.
+const BACKOFF: Duration = Duration::from_millis(50);
 
 /// How the daemon is set up.
 #[derive(Debug, Clone)]
@@ -81,11 +86,8 @@ pub struct ServerConfig {
     /// Admission-control high-water mark in outstanding jobs
     /// (queued + running); 0 derives ¾·`queue_cap` + workers.
     pub high_water: usize,
-    /// Use the legacy thread-per-connection front end instead of the
-    /// epoll reactor (always the case off Linux).
-    pub threaded: bool,
-    /// Slow-loris timeout, in either front end: a connection whose
-    /// *partial* request line makes no progress this long is closed.
+    /// Slow-loris timeout: a connection whose *partial* request line
+    /// makes no progress this long is closed.
     /// Idle connections with no pending partial line are never reaped.
     pub idle_timeout_ms: u64,
     /// Compact the WAL (checkpoint-and-truncate) at startup, before
@@ -105,7 +107,6 @@ impl Default for ServerConfig {
             cache_max_entries: 256,
             journal: true,
             high_water: 0,
-            threaded: false,
             idle_timeout_ms: 10_000,
             wal_compact: false,
         }
@@ -137,14 +138,12 @@ struct Shared {
     /// Connections accepted over the daemon's life (registry counter
     /// `server.connections`).
     connections_total: Arc<Counter>,
-    /// Live connections: handler threads in the threaded front end,
-    /// open reactor connections otherwise — the gauge the boundedness
-    /// test watches (registry gauge `server.handlers_live`).
+    /// Live handler threads after the accept loop's last reap — the
+    /// gauge the boundedness test watches (registry gauge
+    /// `server.handlers_live`).
     handlers_live: Arc<Gauge>,
-    /// Complete request lines drained per readiness event — >1 means
-    /// clients are pipelining (registry histogram
-    /// `server.pipelined_depth`; always present, samples only from the
-    /// reactor front end).
+    /// Complete request lines per read — >1 means clients are
+    /// pipelining (registry histogram `server.pipelined_depth`).
     pipelined_depth: Arc<SharedHistogram>,
 }
 
@@ -209,10 +208,8 @@ pub struct Server {
     replayed_pending: u64,
     /// Finished results restored from the journal at bind.
     restored_results: u64,
-    /// Forced thread-per-connection front end.
-    threaded: bool,
     /// Slow-loris timeout.
-    idle_timeout_ms: u64,
+    idle_timeout: Duration,
 }
 
 impl Server {
@@ -312,8 +309,7 @@ impl Server {
             shared,
             replayed_pending,
             restored_results,
-            threaded: config.threaded,
-            idle_timeout_ms: config.idle_timeout_ms,
+            idle_timeout: Duration::from_millis(config.idle_timeout_ms.max(1)),
         })
     }
 
@@ -329,74 +325,71 @@ impl Server {
     }
 
     /// Serves until a `shutdown` command arrives, then drains the
-    /// scheduler, compacts the WAL, and returns. Blocks the calling
-    /// thread for the daemon's whole life. On Linux this runs the epoll
-    /// reactor unless `threaded` was set; elsewhere it always runs the
-    /// thread-per-connection loop.
-    ///
-    /// # Errors
-    ///
-    /// Propagates listener/epoll errors (per-connection I/O errors only
-    /// end that connection).
-    pub fn run(self) -> std::io::Result<()> {
-        let cfg = ReactorConfig {
-            idle_timeout: Duration::from_millis(self.idle_timeout_ms.max(1)),
-            ..ReactorConfig::default()
-        };
-        #[cfg(target_os = "linux")]
-        {
-            if !self.threaded {
-                return self.run_reactor(&cfg);
-            }
-        }
-        self.run_threaded(&cfg)
-    }
-
-    /// The epoll front end: one thread, every connection, pipelined.
-    #[cfg(target_os = "linux")]
-    fn run_reactor(self, cfg: &ReactorConfig) -> std::io::Result<()> {
-        let mut handler = ReactorHandler {
-            shared: Arc::clone(&self.shared),
-            live: 0,
-        };
-        crate::reactor::run(self.listener, &mut handler, cfg)?;
-        // Graceful drain: finish queued + running jobs, then checkpoint
-        // the WAL down to its minimal replay-equivalent form.
-        self.shared.sched.shutdown();
-        compact_journal_on_exit(&self.shared);
-        Ok(())
-    }
-
-    /// The legacy thread-per-connection front end (non-Linux, and
-    /// `--threaded` everywhere).
-    fn run_threaded(self, cfg: &ReactorConfig) -> std::io::Result<()> {
-        let mut handlers = Vec::new();
+    /// scheduler, winds down the handler threads, compacts the WAL, and
+    /// returns. Blocks the calling thread for the daemon's whole life.
+    /// A failed `accept()` never ends it: the loop backs off briefly and
+    /// accepts again, so a daemon out of file descriptors serves on once
+    /// connections close.
+    pub fn run(self) {
+        let mut handlers: Vec<(JoinHandle<()>, Arc<TcpStream>)> = Vec::new();
         loop {
-            let (stream, _) = self.listener.accept()?;
+            let accepted = self.listener.accept();
             if self.shared.shutting_down.load(Ordering::SeqCst) {
                 // The poke connection (or a late client): stop accepting.
                 break;
             }
-            // Reap finished handlers before spawning the next one, so the
-            // vector tracks live connections rather than growing (and
-            // holding dead threads' stacks) for the daemon's whole life.
-            handlers.retain(|h: &std::thread::JoinHandle<()>| !h.is_finished());
-            self.shared.connections_total.inc();
-            let shared = Arc::clone(&self.shared);
-            let cfg = cfg.clone();
-            handlers.push(std::thread::spawn(move || {
-                handle_connection(stream, &shared, &cfg)
-            }));
+            // Reap finished handlers, so the vector tracks live
+            // connections rather than growing (and holding dead threads'
+            // stacks and sockets) for the daemon's whole life.
+            handlers.retain(|(h, _)| !h.is_finished());
+            match accepted {
+                Ok((stream, _)) => {
+                    self.shared.connections_total.inc();
+                    // Responses to a pipelined burst can take more than
+                    // one write; Nagle would hold the second until the
+                    // client's delayed ACK.
+                    let _ = stream.set_nodelay(true);
+                    let stream = Arc::new(stream);
+                    let shared = Arc::clone(&self.shared);
+                    let conn = Arc::clone(&stream);
+                    let idle_timeout = self.idle_timeout;
+                    let handler = std::thread::spawn(move || {
+                        handle_connection(&conn, &shared, idle_timeout);
+                        // The accept loop holds the socket open until its
+                        // next reap: end the connection now.
+                        let _ = conn.shutdown(Shutdown::Both);
+                    });
+                    handlers.push((handler, stream));
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                // EMFILE, ECONNABORTED and the like: back off, so a
+                // persistent error cannot spin a core, then accept again.
+                Err(_) => std::thread::sleep(BACKOFF),
+            }
             self.shared.handlers_live.set(handlers.len() as i64);
         }
+        let deadline = Instant::now() + SHUTDOWN_FLUSH_DEADLINE;
         // Graceful drain: finish queued + running jobs, then collect the
         // handler threads (their read timeout notices the flag).
         self.shared.sched.shutdown();
-        for h in handlers {
-            let _ = h.join();
-        }
+        join_handlers(handlers, deadline);
         compact_journal_on_exit(&self.shared);
-        Ok(())
+    }
+}
+
+/// Joins every handler thread. Handlers get until `deadline` to finish
+/// on their own; then the sockets still open are shut, which fails a
+/// write blocked on a client that stopped reading — such a handler
+/// would otherwise never return.
+fn join_handlers(handlers: Vec<(JoinHandle<()>, Arc<TcpStream>)>, deadline: Instant) {
+    while Instant::now() < deadline && handlers.iter().any(|(h, _)| !h.is_finished()) {
+        std::thread::sleep(BACKOFF);
+    }
+    for (handler, stream) in handlers {
+        if !handler.is_finished() {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        let _ = handler.join();
     }
 }
 
@@ -419,47 +412,6 @@ fn compact_journal_on_exit(shared: &Shared) {
             "wal_compact_failed",
             &format!("{}: {e}", j.path().display()),
         ),
-    }
-}
-
-/// The reactor-side half of the server: protocol dispatch plus the
-/// connection-lifecycle accounting the threaded front end does inline.
-#[cfg(target_os = "linux")]
-struct ReactorHandler {
-    shared: Arc<Shared>,
-    /// Open connections (single-threaded: only the reactor touches it).
-    live: i64,
-}
-
-#[cfg(target_os = "linux")]
-impl crate::reactor::LineHandler for ReactorHandler {
-    fn handle_line(&mut self, line: &str) -> String {
-        dispatch(line, &self.shared).encode()
-    }
-
-    fn overlong_line_response(&mut self, limit: usize) -> String {
-        line_too_long_response(limit)
-    }
-
-    fn record_pipelined_depth(&mut self, depth: u64) {
-        // The histogram's unit is "request lines per readiness event",
-        // not microseconds — the bucketing works the same.
-        self.shared.pipelined_depth.record_us(depth);
-    }
-
-    fn on_accept(&mut self) {
-        self.shared.connections_total.inc();
-        self.live += 1;
-        self.shared.handlers_live.set(self.live);
-    }
-
-    fn on_close(&mut self) {
-        self.live = (self.live - 1).max(0);
-        self.shared.handlers_live.set(self.live);
-    }
-
-    fn shutting_down(&self) -> bool {
-        self.shared.shutting_down.load(Ordering::SeqCst)
     }
 }
 
@@ -529,31 +481,30 @@ fn replay_journal(shared: &Arc<Shared>, replay: &JournalReplay) -> (u64, u64) {
     (replayed, restored)
 }
 
-/// The one response a connection gets, in either front end, when its
-/// request line passes the limit; the connection closes after it.
-fn line_too_long_response(limit: usize) -> String {
+/// The one response a connection gets when its request line passes
+/// [`MAX_LINE`]; the connection closes after it.
+fn line_too_long_response() -> String {
     Json::obj(vec![
         ("ok", Json::Bool(false)),
         ("protocol_version", Json::num_u64(PROTOCOL_VERSION)),
-        ("error", Json::str(LineTooLong { limit }.to_string())),
+        (
+            "error",
+            Json::str(LineTooLong { limit: MAX_LINE }.to_string()),
+        ),
         ("code", Json::str("line_too_long")),
     ])
     .encode()
 }
 
 /// Serves one connection until EOF, error, daemon shutdown, an over-long
-/// request line, or a partial line that stalls past the idle timeout:
-/// the reactor's framing and guards on a blocking socket.
-fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, cfg: &ReactorConfig) {
+/// request line, or a partial line that stalls past `idle_timeout`.
+fn handle_connection(mut stream: &TcpStream, shared: &Arc<Shared>, idle_timeout: Duration) {
     // A short read timeout keeps this thread responsive to shutdown and
     // to the slow-loris clock; a longer one would only delay the final
     // join.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-    let Ok(write_half) = stream.try_clone() else {
-        return;
-    };
-    let mut writer = BufWriter::new(write_half);
-    let mut lines = LineBuffer::new(cfg.max_line);
+    let mut writer = BufWriter::new(stream);
+    let mut lines = LineBuffer::new(MAX_LINE);
     let mut buf = [0u8; 16 * 1024];
     // Last time `read()` returned bytes — the slow-loris clock.
     let mut last_progress = Instant::now();
@@ -563,16 +514,26 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, cfg: &ReactorC
             Ok(n) => {
                 last_progress = Instant::now();
                 let overlong = lines.push(&buf[..n]).is_err();
+                let mut depth: u64 = 0;
                 while let Some(line) = lines.next_line() {
                     let trimmed = line.trim();
-                    if !trimmed.is_empty()
-                        && writeln!(writer, "{}", dispatch(trimmed, shared).encode()).is_err()
-                    {
+                    if trimmed.is_empty() {
+                        continue;
+                    }
+                    depth += 1;
+                    if writeln!(writer, "{}", dispatch(trimmed, shared).encode()).is_err() {
                         return;
                     }
                 }
+                if depth > 0 {
+                    // The histogram's unit is "request lines per read",
+                    // not microseconds — the bucketing works the same.
+                    shared.pipelined_depth.record_us(depth);
+                }
+                // The complete lines ahead of the over-long one were
+                // answered first, so responses stay in request order.
                 if overlong {
-                    let _ = writeln!(writer, "{}", line_too_long_response(cfg.max_line));
+                    let _ = writeln!(writer, "{}", line_too_long_response());
                     let _ = writer.flush();
                     return;
                 }
@@ -584,7 +545,7 @@ fn handle_connection(mut stream: TcpStream, shared: &Arc<Shared>, cfg: &ReactorC
                 if e.kind() == std::io::ErrorKind::WouldBlock
                     || e.kind() == std::io::ErrorKind::TimedOut =>
             {
-                let stalled = lines.has_partial() && last_progress.elapsed() > cfg.idle_timeout;
+                let stalled = lines.has_partial() && last_progress.elapsed() > idle_timeout;
                 if stalled || shared.shutting_down.load(Ordering::SeqCst) {
                     return;
                 }

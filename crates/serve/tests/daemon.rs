@@ -398,14 +398,23 @@ fn handler_threads_are_reaped_across_many_connections() {
 
 #[test]
 fn removed_shard_flags_are_usage_errors() {
-    let out = Command::new(env!("CARGO_BIN_EXE_preexecd"))
-        .args(["--shard-id", "0", "--shard-peers", "a,b"])
-        .output()
-        .expect("running preexecd");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
-    assert!(
-        stderr.contains("unknown option `--shard-id`"),
-        "stderr:\n{stderr}"
-    );
+    // `--threaded` is gone too: the daemon has one front end.
+    for (args, option) in [
+        (
+            &["--shard-id", "0", "--shard-peers", "a,b"][..],
+            "--shard-id",
+        ),
+        (&["--threaded"][..], "--threaded"),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_preexecd"))
+            .args(args)
+            .output()
+            .expect("running preexecd");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+        assert!(
+            stderr.contains(&format!("unknown option `{option}`")),
+            "stderr:\n{stderr}"
+        );
+    }
 }

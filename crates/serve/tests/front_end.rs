@@ -1,13 +1,15 @@
-//! Integration tests for the epoll serving tier: request pipelining
-//! with `id` echo, a 1 000-submit pipelined flood whose results are
-//! byte-identical to a serial run, partial-line reassembly across
-//! writes, and the `--threaded` fallback front end. The slow-loris
-//! timeout and the request-line limit run on both front ends.
+//! Integration tests for the daemon's connection front end: request
+//! pipelining with `id` echo, a 1 000-submit pipelined flood whose
+//! results are byte-identical to a serial run, partial-line reassembly
+//! across writes, the slow-loris timeout and the request-line limit.
+//! Three more pin guards of the thread-per-connection loop: pipelined
+//! bursts do not wait on delayed ACKs, shutdown is bounded when a client
+//! stops reading, and a failed `accept()` does not end the daemon.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use preexec_serve::Json;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -20,10 +22,16 @@ struct Daemon {
 
 impl Daemon {
     fn spawn(extra_args: &[&str]) -> Daemon {
+        Daemon::spawn_via(Command::new(env!("CARGO_BIN_EXE_preexecd")), extra_args)
+    }
+
+    /// Spawns the daemon through `cmd` — `preexecd` itself, or a command
+    /// that execs it — adding the common arguments and `extra_args`.
+    fn spawn_via(mut cmd: Command, extra_args: &[&str]) -> Daemon {
         static SPAWNS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
         let n = SPAWNS.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let cache_dir =
-            std::env::temp_dir().join(format!("preexec-reactor-test-{}-{n}", std::process::id()));
+            std::env::temp_dir().join(format!("preexec-front-end-test-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache_dir);
         let mut args = vec![
             "--port",
@@ -34,7 +42,7 @@ impl Daemon {
             cache_dir.to_str().expect("utf-8 temp dir"),
         ];
         args.extend_from_slice(extra_args);
-        let mut child = Command::new(env!("CARGO_BIN_EXE_preexecd"))
+        let mut child = cmd
             .args(&args)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -69,21 +77,26 @@ impl Daemon {
         BufReader::new(conn)
             .read_line(&mut line)
             .expect("shutdown ack");
-        let deadline = Instant::now() + Duration::from_secs(60);
+        self.wait_for_exit(Duration::from_secs(60));
+    }
+
+    /// Waits up to `limit` for the daemon to exit, which it must do with
+    /// status 0.
+    fn wait_for_exit(&mut self, limit: Duration) {
+        let deadline = Instant::now() + limit;
         loop {
             match self.child.try_wait().expect("try_wait") {
                 Some(status) => {
                     assert!(status.success(), "preexecd exited with {status}");
-                    break;
+                    return;
                 }
                 None if Instant::now() > deadline => {
                     let _ = self.child.kill();
-                    panic!("preexecd did not exit within 60s of shutdown");
+                    panic!("preexecd did not exit within {limit:?} of shutdown");
                 }
                 None => std::thread::sleep(Duration::from_millis(50)),
             }
         }
-        let _ = std::fs::remove_dir_all(&self.cache_dir);
     }
 }
 
@@ -102,7 +115,7 @@ fn pipelined_requests_answer_in_order_with_ids_echoed() {
     let mut writer = stream;
 
     // Write a burst of requests without reading a single response: the
-    // reactor must queue every answer and preserve order.
+    // daemon must answer every one and preserve order.
     const BURST: usize = 50;
     let mut batch = String::new();
     for i in 0..BURST {
@@ -123,7 +136,7 @@ fn pipelined_requests_answer_in_order_with_ids_echoed() {
     }
 
     // The burst shows up in the pipelined-depth histogram (>= 1 sample;
-    // kernel batching decides how many lines share a readiness event).
+    // kernel batching decides how many lines share a read).
     writer
         .write_all(b"{\"cmd\":\"metrics\"}\n")
         .expect("metrics");
@@ -137,6 +150,23 @@ fn pipelined_requests_answer_in_order_with_ids_echoed() {
         .and_then(Json::as_u64)
         .expect("server.pipelined_depth histogram");
     assert!(depth_count >= 1, "no pipelined-depth samples: {line}");
+
+    // A line that is not UTF-8 decodes lossily and is answered as bad
+    // JSON on a connection that stays open.
+    writer.write_all(b"\xff\xfe\n").expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("response");
+    let resp = Json::parse(line.trim()).expect("parses");
+    assert_eq!(
+        resp.get("code").and_then(Json::as_str),
+        Some("bad_json"),
+        "{line}"
+    );
+    writer.write_all(b"{\"cmd\":\"stats\"}\n").expect("write");
+    line.clear();
+    reader.read_line(&mut line).expect("response");
+    let resp = Json::parse(line.trim()).expect("parses");
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{line}");
 
     drop(writer);
     drop(reader);
@@ -313,8 +343,8 @@ fn a_request_split_across_many_writes_reassembles() {
     let daemon = Daemon::spawn(&[]);
     let mut stream = daemon.connect();
     let request = b"{\"cmd\":\"stats\",\"id\":7}\n";
-    // Dribble the line a few bytes per write; the reactor has to hold
-    // the partial line across readiness events.
+    // Dribble the line a few bytes per write; the daemon has to hold
+    // the partial line across reads.
     for chunk in request.chunks(5) {
         stream.write_all(chunk).expect("chunk");
         stream.flush().expect("flush");
@@ -330,133 +360,166 @@ fn a_request_split_across_many_writes_reassembles() {
     daemon.shutdown_and_wait();
 }
 
-/// The daemon's two front ends: the epoll reactor (the default on Linux)
-/// and the thread-per-connection fallback. Both guard the same limits.
-const FRONT_ENDS: [&[&str]; 2] = [&[], &["--threaded"]];
-
 #[test]
 fn slow_loris_is_cut_off_but_a_quiet_idle_connection_survives() {
-    for front_end in FRONT_ENDS {
-        let mut args = vec!["--idle-timeout-ms", "250"];
-        args.extend_from_slice(front_end);
-        let daemon = Daemon::spawn(&args);
+    let daemon = Daemon::spawn(&["--idle-timeout-ms", "250"]);
 
-        // The slow loris: half a request line, then silence. The idle
-        // sweep closes it once the timeout passes.
-        let mut loris = daemon.connect();
-        loris.write_all(b"{\"cmd\":\"sta").expect("partial write");
-        loris.flush().expect("flush");
+    // The slow loris: half a request line, then silence. The idle
+    // timeout closes it.
+    let mut loris = daemon.connect();
+    loris.write_all(b"{\"cmd\":\"sta").expect("partial write");
+    loris.flush().expect("flush");
 
-        // The honest idler: a connection with *no* partial line pending
-        // is not a loris and must stay open arbitrarily long.
-        let idler = daemon.connect();
+    // The honest idler: a connection with *no* partial line pending is
+    // not a loris and must stay open arbitrarily long.
+    let idler = daemon.connect();
 
-        let mut buf = Vec::new();
-        loris
-            .set_read_timeout(Some(Duration::from_secs(30)))
-            .expect("read timeout");
-        let n = loris
-            .read_to_end(&mut buf)
-            .unwrap_or_else(|e| panic!("{front_end:?}: loris read: {e}"));
-        assert_eq!(
-            n,
-            0,
-            "{front_end:?}: loris expected EOF, got {:?}",
-            String::from_utf8_lossy(&buf)
-        );
+    let mut buf = Vec::new();
+    loris
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("read timeout");
+    let n = loris.read_to_end(&mut buf).expect("loris read");
+    assert_eq!(
+        n,
+        0,
+        "loris expected EOF, got {:?}",
+        String::from_utf8_lossy(&buf)
+    );
 
-        // Well past the timeout, the idler still gets answers.
-        let mut reader = BufReader::new(idler.try_clone().expect("clone"));
-        let mut idler_w = idler;
-        idler_w
-            .write_all(b"{\"cmd\":\"stats\"}\n")
-            .expect("idler write");
-        let mut line = String::new();
-        reader.read_line(&mut line).expect("idler response");
-        let resp = Json::parse(line.trim()).expect("parses");
-        assert_eq!(
-            resp.get("ok").and_then(Json::as_bool),
-            Some(true),
-            "{front_end:?}: {line}"
-        );
+    // Well past the timeout, the idler still gets answers.
+    let mut reader = BufReader::new(idler.try_clone().expect("clone"));
+    let mut idler_w = idler;
+    idler_w
+        .write_all(b"{\"cmd\":\"stats\"}\n")
+        .expect("idler write");
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("idler response");
+    let resp = Json::parse(line.trim()).expect("parses");
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{line}");
 
-        drop(idler_w);
-        drop(reader);
-        daemon.shutdown_and_wait();
-    }
+    drop(idler_w);
+    drop(reader);
+    daemon.shutdown_and_wait();
 }
 
 #[test]
 fn an_over_long_line_gets_one_line_too_long_response_then_eof() {
     // The production line limit (32 MiB); one byte more, no newline.
-    let max_line = preexec_serve::ReactorConfig::default().max_line;
-    let request = vec![b'x'; max_line + 1];
-    for front_end in FRONT_ENDS {
-        let daemon = Daemon::spawn(front_end);
-        let mut stream = daemon.connect();
-        // The daemon reads every byte before it answers, so neither side
-        // waits on the other; the timeouts only turn a hang into a
-        // failure.
-        let timeout = Some(Duration::from_secs(60));
-        stream.set_write_timeout(timeout).expect("write timeout");
-        stream.set_read_timeout(timeout).expect("read timeout");
-        stream
-            .write_all(&request)
-            .unwrap_or_else(|e| panic!("{front_end:?}: writing the line: {e}"));
-        let mut response = String::new();
-        stream
-            .read_to_string(&mut response)
-            .unwrap_or_else(|e| panic!("{front_end:?}: reading to EOF: {e}"));
-        let lines: Vec<&str> = response.lines().collect();
-        assert_eq!(lines.len(), 1, "{front_end:?}: {response:?}");
-        let resp = Json::parse(lines[0]).expect("parses");
-        assert_eq!(
-            resp.get("code").and_then(Json::as_str),
-            Some("line_too_long"),
-            "{front_end:?}: {response}"
-        );
-        assert_eq!(
-            resp.get("ok").and_then(Json::as_bool),
-            Some(false),
-            "{front_end:?}"
-        );
-        daemon.shutdown_and_wait();
-    }
+    let request = vec![b'x'; preexec_serve::conn::MAX_LINE + 1];
+    let daemon = Daemon::spawn(&[]);
+    let mut stream = daemon.connect();
+    // The daemon reads every byte before it answers, so neither side
+    // waits on the other; the timeouts only turn a hang into a failure.
+    let timeout = Some(Duration::from_secs(60));
+    stream.set_write_timeout(timeout).expect("write timeout");
+    stream.set_read_timeout(timeout).expect("read timeout");
+    stream.write_all(&request).expect("writing the line");
+    let mut response = String::new();
+    stream
+        .read_to_string(&mut response)
+        .expect("reading to EOF");
+    let lines: Vec<&str> = response.lines().collect();
+    assert_eq!(lines.len(), 1, "{response:?}");
+    let resp = Json::parse(lines[0]).expect("parses");
+    assert_eq!(
+        resp.get("code").and_then(Json::as_str),
+        Some("line_too_long"),
+        "{response}"
+    );
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    daemon.shutdown_and_wait();
 }
 
 #[test]
-fn threaded_fallback_serves_the_same_protocol() {
-    let daemon = Daemon::spawn(&["--threaded"]);
-    let stream = daemon.connect();
-    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
-    let mut writer = stream;
-    writer
-        .write_all(b"{\"cmd\":\"stats\",\"id\":\"t\"}\n")
-        .expect("write");
-    let mut line = String::new();
-    reader.read_line(&mut line).expect("response");
-    let resp = Json::parse(line.trim()).expect("parses");
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{line}");
-    assert_eq!(resp.get("id").and_then(Json::as_str), Some("t"), "{line}");
-
-    // A line that is not UTF-8 decodes lossily, as in the reactor, and
-    // is answered as bad JSON on a connection that stays open.
-    writer.write_all(b"\xff\xfe\n").expect("write");
-    line.clear();
-    reader.read_line(&mut line).expect("response");
-    let resp = Json::parse(line.trim()).expect("parses");
-    assert_eq!(
-        resp.get("code").and_then(Json::as_str),
-        Some("bad_json"),
-        "{line}"
+fn windows_of_pipelined_requests_do_not_wait_on_delayed_acks() {
+    // Each window's 100 responses (84 bytes each) overflow the daemon's
+    // 8 KiB write buffer, so they leave in two writes. With Nagle's
+    // algorithm on, the second write waits for the client's delayed ACK,
+    // about 40 ms: over 4 s across the 100 windows.
+    const WINDOWS: usize = 100;
+    const WINDOW: usize = 100;
+    let daemon = Daemon::spawn(&["--no-journal"]);
+    let mut conn = Conn::open(&daemon);
+    let window = "{\"cmd\":\"status\",\"job\":999999}\n".repeat(WINDOW);
+    let start = Instant::now();
+    for _ in 0..WINDOWS {
+        conn.writer.write_all(window.as_bytes()).expect("window");
+        for _ in 0..WINDOW {
+            let resp = conn.recv();
+            assert_eq!(
+                resp.get("code").and_then(Json::as_str),
+                Some("unknown_job"),
+                "{}",
+                resp.encode()
+            );
+        }
+    }
+    let elapsed = start.elapsed();
+    assert!(
+        elapsed < Duration::from_secs(2),
+        "{WINDOWS} windows of {WINDOW} requests took {elapsed:?}"
     );
-    writer.write_all(b"{\"cmd\":\"stats\"}\n").expect("write");
-    line.clear();
-    reader.read_line(&mut line).expect("response");
-    let resp = Json::parse(line.trim()).expect("parses");
-    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true), "{line}");
+    drop(conn);
+    daemon.shutdown_and_wait();
+}
 
-    drop(writer);
-    drop(reader);
+#[test]
+fn shutdown_is_bounded_when_a_client_stops_reading() {
+    let mut daemon = Daemon::spawn(&["--no-journal"]);
+    // The stalled client pipelines `metrics` requests for 3 s and never
+    // reads a response: its handler ends up blocked writing to it.
+    let mut stalled = daemon.connect();
+    stalled
+        .set_write_timeout(Some(Duration::from_millis(100)))
+        .expect("write timeout");
+    let burst = "{\"cmd\":\"metrics\"}\n".repeat(64);
+    let bytes = burst.as_bytes();
+    let mut at = 0;
+    let start = Instant::now();
+    while start.elapsed() < Duration::from_secs(3) {
+        match stalled.write(&bytes[at..]) {
+            Ok(n) => at = (at + n) % bytes.len(),
+            // The daemon stopped reading: its buffers are full.
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {}
+            Err(e) => panic!("stalled client write: {e}"),
+        }
+    }
+
+    // Another client's shutdown is acked, and the daemon exits although
+    // the stalled client still holds its connection open.
+    let mut conn = Conn::open(&daemon);
+    conn.ok(r#"{"cmd":"shutdown"}"#);
+    daemon.wait_for_exit(Duration::from_secs(30));
+    drop(stalled);
+}
+
+#[test]
+fn a_daemon_out_of_file_descriptors_keeps_serving() {
+    // 48 descriptors hold fewer than 48 connections, so accepting 80
+    // fails with EMFILE until some of them close.
+    let mut sh = Command::new("sh");
+    sh.args([
+        "-c",
+        r#"ulimit -n 48 && exec "$0" "$@""#,
+        env!("CARGO_BIN_EXE_preexecd"),
+    ]);
+    let daemon = Daemon::spawn_via(sh, &[]);
+    const CONNS: u64 = 80;
+    let conns: Vec<TcpStream> = (0..CONNS).map(|_| daemon.connect()).collect();
+    // The kernel completes all 80 handshakes; give the daemon time to
+    // accept until it runs out of descriptors while all are open.
+    std::thread::sleep(Duration::from_millis(500));
+    drop(conns);
+
+    let mut conn = Conn::open(&daemon);
+    let stats = conn.ok(r#"{"cmd":"stats"}"#);
+    let total = stats
+        .get("connections")
+        .and_then(|c| c.get("total"))
+        .and_then(Json::as_u64)
+        .expect("connections.total");
+    // Every connection was accepted in the end, this one after them.
+    assert!(total > CONNS, "{}", stats.encode());
+    drop(conn);
     daemon.shutdown_and_wait();
 }

@@ -43,6 +43,8 @@
 //! assert!(tree.root().dc_ptcm > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 pub mod forest;
 pub mod io;

@@ -31,6 +31,8 @@
 //! assert!(result.ipc() > 0.5); // a tight ALU loop runs fast
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod bpred;
 pub mod error;
 pub mod machine;

@@ -38,6 +38,8 @@
 //! assert!(program.validate().is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod inputs;
 pub mod kernels;
 pub mod suite;

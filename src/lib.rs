@@ -59,6 +59,8 @@
 //! assert!(assisted.covered() > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod error;
 
 pub use error::Error;
