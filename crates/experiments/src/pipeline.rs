@@ -255,14 +255,13 @@ pub(crate) fn trace_and_slice_along(
     mode: SlicingMode,
 ) -> Result<TraceArtifacts, PipelineError> {
     let end = warmup.saturating_add(budget);
-    // Every step is emitted under always-on sampling, so the region's end
-    // and the step watchdog coincide; the tracer checks the end first, so
-    // a budget cut is a complete run, not a time-out.
+    // Every step is emitted, so the region's end and the step watchdog
+    // coincide; the tracer checks the end first, so a budget cut is a
+    // complete run, not a time-out.
     let config = TraceConfig {
         hierarchy: HierarchyConfig::paper_default(),
         max_steps: end,
         measured: MeasuredRegion { start: warmup, end },
-        ..TraceConfig::default()
     };
     let reg = preexec_obs::global();
     match mode {

@@ -92,7 +92,7 @@ pub struct Checkpoint {
     /// Emitted instructions when the snapshot was taken — the `seq` of
     /// the first instruction a replay from here emits.
     pub emitted: u64,
-    /// Architectural steps (including off/warm phases) when taken.
+    /// Architectural steps when taken.
     pub total_steps: u64,
     pub(crate) cpu: Cpu,
     pub(crate) hierarchy: FuncHierarchy,

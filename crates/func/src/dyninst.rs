@@ -6,7 +6,7 @@ use preexec_mem::MemLevel;
 /// One retired dynamic instruction.
 ///
 /// This is the record the tracer hands to its sink for every instruction
-/// executed in an "on" sampling phase. It carries everything the backward
+/// it executes. It carries everything the backward
 /// slicer and the statistics collector need: the static identity (`pc`,
 /// `inst`), the dynamic sequence number (`seq`, counted over emitted
 /// instructions), and for memory operations, the effective address and the

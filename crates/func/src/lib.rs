@@ -5,8 +5,9 @@
 //! against a two-level cache hierarchy, and streams [`DynInst`] records —
 //! the dynamic instruction trace — to a sink (normally the backward slicer).
 //!
-//! It also implements the paper's cyclic *off / warm-up / on* sampling and
-//! collects the per-program statistics reported in Table 1.
+//! It also collects the per-program statistics reported in Table 1. Every
+//! step is traced: a run's warm-up is the prefix before its
+//! [`MeasuredRegion`], emitted to the sink but not counted.
 //!
 //! # Example
 //!
@@ -30,7 +31,6 @@ pub mod error;
 pub mod exec;
 pub mod pthread;
 pub mod replay;
-pub mod sampling;
 pub mod stats;
 pub mod tracer;
 
@@ -40,6 +40,5 @@ pub use dyninst::DynInst;
 pub use error::ExecError;
 pub use pthread::{run_pthread, PThreadOutcome, PThreadRun, SquashReason, PTHREAD_ADDR_LIMIT};
 pub use replay::Replayer;
-pub use sampling::{Phase, Sampling};
 pub use stats::{LoadSiteStats, RunStats};
 pub use tracer::{run_trace, try_run_trace, MeasuredRegion, TraceConfig};

@@ -219,7 +219,7 @@ impl<'a> Replayer<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{try_run_trace, try_run_trace_checkpointed, Sampling};
+    use crate::try_run_trace_checkpointed;
     use preexec_isa::assemble;
 
     /// A store-then-reload loop whose values depend on earlier stores, so
@@ -285,43 +285,5 @@ mod tests {
             })
             .unwrap();
         assert_eq!(got, emitted[start as usize..end as usize]);
-    }
-
-    #[test]
-    fn replay_under_sampling_schedule_matches() {
-        // Off/warm phases exercise the total_steps-based phase clock: the
-        // snapshot restores total_steps, so the schedule re-aligns.
-        let config = TraceConfig {
-            sampling: Sampling::new(57, 23, 41),
-            ..TraceConfig::default()
-        };
-        let p = feedback_loop();
-        let (emitted, stats, trace) = record(&config, 32);
-        let replayer = Replayer::new(&p, &config, &trace);
-        for i in [0, trace.num_checkpoints() / 2, trace.num_checkpoints() - 1] {
-            let start = trace.checkpoint(i).emitted as usize;
-            let mut tail = Vec::new();
-            let rstats = replayer
-                .try_replay(i, |d| {
-                    tail.push(format!("{d:?}"));
-                    true
-                })
-                .unwrap();
-            assert_eq!(tail, emitted[start..], "from checkpoint {i}");
-            assert_eq!(format!("{rstats:?}"), format!("{stats:?}"));
-        }
-    }
-
-    #[test]
-    fn checkpointed_stream_matches_plain_trace_under_sampling() {
-        let config = TraceConfig {
-            sampling: Sampling::new(13, 7, 29),
-            ..TraceConfig::default()
-        };
-        let p = feedback_loop();
-        let mut plain = Vec::new();
-        try_run_trace(&p, &config, |d| plain.push(format!("{d:?}"))).unwrap();
-        let (emitted, _, _) = record(&config, 32);
-        assert_eq!(emitted, plain);
     }
 }

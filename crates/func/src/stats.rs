@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 /// Per-static-load statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LoadSiteStats {
-    /// Dynamic executions of this static load (in "on" phases).
+    /// Dynamic executions of this static load (in the measured region).
     pub execs: u64,
     /// How many of those missed the L1.
     pub l1_misses: u64,
@@ -15,7 +15,7 @@ pub struct LoadSiteStats {
     pub l2_misses: u64,
 }
 
-/// Statistics accumulated over the measured ("on") portion of a trace.
+/// Statistics accumulated over the measured region of a trace.
 ///
 /// These correspond to the columns of the paper's Table 1: instruction
 /// count, loads, L2 misses — plus the extra detail (per-site miss counts,
@@ -24,7 +24,8 @@ pub struct LoadSiteStats {
 pub struct RunStats {
     /// Dynamic instructions measured (emitted to the sink).
     pub insts: u64,
-    /// Total architectural steps, including off/warm-up phases.
+    /// Total architectural steps, including the warm-up before the
+    /// measured region.
     pub total_steps: u64,
     /// Loads measured.
     pub loads: u64,

@@ -1,6 +1,11 @@
-//! The trace driver: functional execution + cache classification + sampling.
+//! The trace driver: functional execution + cache classification.
+//!
+//! Every architectural step touches the caches and is emitted to the
+//! sink. A run warms up by emitting a prefix it does not count (the
+//! [`MeasuredRegion`] starts after it), so one warm-up plus one measured
+//! region replaces the paper's cyclic off / warm-up / on sampling.
 
-use crate::{Cpu, DynInst, ExecError, Phase, RunStats, Sampling};
+use crate::{Cpu, DynInst, ExecError, RunStats};
 use preexec_isa::{OpClass, Program};
 use preexec_mem::{FuncHierarchy, HierarchyConfig, MemBus, Memory};
 
@@ -9,10 +14,8 @@ use preexec_mem::{FuncHierarchy, HierarchyConfig, MemBus, Memory};
 pub struct TraceConfig {
     /// Cache geometry used for hit/miss classification.
     pub hierarchy: HierarchyConfig,
-    /// Off / warm-up / on sampling schedule.
-    pub sampling: Sampling,
-    /// Hard cap on total architectural steps (off + warm + on). The run
-    /// stops at this budget even if the program has not halted.
+    /// Hard cap on total architectural steps. The run stops at this
+    /// budget even if the program has not halted.
     pub max_steps: u64,
     /// The emitted instructions counted in [`RunStats`], and the cap on
     /// emitted instructions.
@@ -20,12 +23,11 @@ pub struct TraceConfig {
 }
 
 impl Default for TraceConfig {
-    /// Paper-default caches, always-on sampling, a 100 M-step safety cap,
-    /// every emitted instruction measured.
+    /// Paper-default caches, a 100 M-step safety cap, every emitted
+    /// instruction measured.
     fn default() -> TraceConfig {
         TraceConfig {
             hierarchy: HierarchyConfig::paper_default(),
-            sampling: Sampling::always_on(),
             max_steps: 100_000_000,
             measured: MeasuredRegion::ALL,
         }
@@ -56,16 +58,10 @@ impl MeasuredRegion {
     };
 }
 
-/// Runs `program` to completion (or budget), streaming a [`DynInst`] for
-/// every instruction retired in an "on" sampling phase to `sink`, and
-/// returns the accumulated [`RunStats`].
-///
-/// Semantics per phase (paper §4.1):
-/// - **Off**: architectural execution only; caches untouched; nothing
-///   emitted.
-/// - **Warm**: caches accessed (warmed) but nothing emitted or counted.
-/// - **On**: caches accessed, [`DynInst`] emitted, statistics counted
-///   (inside the [`MeasuredRegion`] of `config.measured`).
+/// Runs `program` to completion (or budget), classifying every access
+/// against the caches and streaming a [`DynInst`] for every retired
+/// instruction to `sink`, and returns the [`RunStats`] counted inside the
+/// [`MeasuredRegion`] of `config.measured`.
 ///
 /// # Example
 ///
@@ -138,8 +134,8 @@ pub(crate) struct TraceState<M> {
     pub mem: M,
     pub hierarchy: FuncHierarchy,
     pub stats: RunStats,
-    /// Measured ("on"-phase) instructions emitted so far — the `seq` of
-    /// the next emitted [`DynInst`].
+    /// Instructions emitted so far — the `seq` of the next emitted
+    /// [`DynInst`].
     pub emitted: u64,
 }
 
@@ -169,21 +165,13 @@ pub(crate) fn run_trace_loop<M: MemBus>(
             break;
         }
         at_loop_top(state);
-        let phase = config.sampling.phase(state.stats.total_steps);
         let out = state.cpu.try_step(program, &mut state.mem)?;
         state.stats.total_steps += 1;
-        if phase == Phase::Off {
-            continue;
-        }
-        // Warm and On both touch the caches.
         let level = out.addr.map(|a| {
             let is_write = out.inst.op.is_store();
             state.hierarchy.access(a, is_write)
         });
-        if phase == Phase::Warm {
-            continue;
-        }
-        // On: emit, and count inside the measured region.
+        // Emit every step; count only inside the measured region.
         let counted = state.emitted >= config.measured.start;
         if counted {
             state.stats.insts += 1;
@@ -357,35 +345,6 @@ mod tests {
         assert_eq!(stats.insts, n);
         assert_eq!(stats.total_steps, n);
         assert!(!stats.timed_out);
-    }
-
-    #[test]
-    fn off_phase_emits_nothing_and_skips_caches() {
-        // off=30, warm=0, on=10: the first 30 instructions (which include
-        // all the cold misses of the first lines) are skipped entirely.
-        let config = TraceConfig {
-            sampling: Sampling::new(1_000_000, 0, 10),
-            ..TraceConfig::default()
-        };
-        let stats = run_trace(&streaming_loop(), &config, |_| {});
-        assert_eq!(stats.insts, 0); // program shorter than off phase
-        assert_eq!(stats.l2_misses, 0);
-        assert!(stats.total_steps > 0);
-    }
-
-    #[test]
-    fn warm_phase_warms_caches() {
-        // Two-pass program: touch a line, then re-touch it. With the first
-        // touch in warm-up and the second in "on", the second is a hit.
-        let p = assemble("t", "li r1, 0x4000\n ld r2, 0(r1)\n ld r3, 0(r1)\n halt").unwrap();
-        // warm = 2 (li + first ld), on = rest.
-        let config = TraceConfig {
-            sampling: Sampling::new(0, 2, 100),
-            ..TraceConfig::default()
-        };
-        let stats = run_trace(&p, &config, |_| {});
-        assert_eq!(stats.loads, 1); // only the second load measured
-        assert_eq!(stats.l2_misses, 0); // and it hit, thanks to warm-up
     }
 
     #[test]

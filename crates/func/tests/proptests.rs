@@ -1,11 +1,9 @@
 //! Property tests: the CPU interpreter agrees with the pure operation
-//! semantics, sampling schedules partition the instruction stream, and
-//! checkpointed re-execution reproduces the recording run exactly.
+//! semantics, and checkpointed re-execution reproduces the recording run
+//! exactly.
 
 use preexec_func::exec;
-use preexec_func::{
-    try_run_trace_checkpointed, Cpu, MeasuredRegion, Phase, Replayer, Sampling, TraceConfig,
-};
+use preexec_func::{try_run_trace_checkpointed, Cpu, MeasuredRegion, Replayer, TraceConfig};
 use preexec_isa::{Inst, Op, Program, ProgramBuilder, Reg};
 use preexec_mem::Memory;
 use proptest::prelude::*;
@@ -81,24 +79,6 @@ proptest! {
         let fell_through = cpu.reg(Reg::new(3)) == 1;
         prop_assert_eq!(!fell_through, exec::branch_taken(op, a, b));
     }
-
-    /// Over any window, phase counts match the schedule's arithmetic.
-    #[test]
-    fn sampling_partitions(off in 0u64..50, warm in 0u64..50, on in 1u64..50) {
-        let s = Sampling::new(off, warm, on);
-        let period = s.period();
-        let mut counts = [0u64; 3];
-        for n in 0..period * 3 {
-            match s.phase(n) {
-                Phase::Off => counts[0] += 1,
-                Phase::Warm => counts[1] += 1,
-                Phase::On => counts[2] += 1,
-            }
-        }
-        prop_assert_eq!(counts[0], off * 3);
-        prop_assert_eq!(counts[1], warm * 3);
-        prop_assert_eq!(counts[2], on * 3);
-    }
 }
 
 /// A randomized pointer-chase kernel with a store/reload side channel:
@@ -155,9 +135,9 @@ proptest! {
     /// reproduces the recording run exactly: the same final [`RunStats`]
     /// (including the per-site load breakdown — Debug equality is field
     /// equality) and the same emitted-instruction tail, over randomized
-    /// programs, checkpoint cadences, step budgets, sampling schedules,
-    /// and measured-region starts (checkpoints before the start carry
-    /// uncounted statistics, checkpoints after it counted ones).
+    /// programs, checkpoint cadences, step budgets and measured-region
+    /// starts (checkpoints before the start carry uncounted statistics,
+    /// checkpoints after it counted ones).
     #[test]
     fn replay_from_every_checkpoint_reproduces_the_recording_run(
         seed in any::<u64>(),
@@ -166,14 +146,10 @@ proptest! {
         filler in any::<u8>(),
         every in 1u64..1500,
         budget in 500u64..4_000,
-        off in 0u64..40,
-        warm in 0u64..40,
-        on in 1u64..60,
         start in 1u64..2_000,
     ) {
         let p = chase_program(seed, table_pow, stride, filler);
         let config = TraceConfig {
-            sampling: Sampling::new(off, warm, on),
             max_steps: budget,
             measured: MeasuredRegion { start, end: u64::MAX },
             ..TraceConfig::default()

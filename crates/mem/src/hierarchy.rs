@@ -119,7 +119,6 @@ impl FuncHierarchy {
     }
 
     /// Zeroes hit/miss statistics at both levels, preserving contents.
-    /// Used at the warm-up → measurement transition of a sampling phase.
     pub fn reset_stats(&mut self) {
         self.l1d.reset_stats();
         self.l2.reset_stats();

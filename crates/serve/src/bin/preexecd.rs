@@ -17,11 +17,12 @@ options:
   --workers N        worker threads (default: one per core)
   --job-threads N    intra-job threads per worker for selection (score/solve)
                      (default: cores/workers; results are identical for any N)
-  --queue-cap N      bounded job-queue capacity (default 256)
+  --queue-cap N      bounded job-queue capacity (default 256): a submit the
+                     queue cannot take now is shed as `overloaded` with a
+                     retry_after_ms hint; a batch of more than N jobs is
+                     `queue_full`
   --cache-dir PATH   artifact-cache directory (default preexec-cache)
   --cache-max N      max cache entries before eviction (default 256)
-  --high-water N     admission high-water mark in outstanding jobs
-                     (default 0: derive 3/4*queue-cap + workers)
   --no-journal       disable the durable job journal (WAL + crash recovery)
   --wal-compact      compact the journal at startup (checkpoint + truncate)
   --idle-timeout-ms N  close a connection stalled mid-request-line after
@@ -73,12 +74,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             "--cache-max" => {
                 let v = value("--cache-max")?;
                 cfg.cache_max_entries = v.parse().map_err(|_| format!("bad cache size `{v}`"))?;
-            }
-            "--high-water" => {
-                let v = value("--high-water")?;
-                cfg.high_water = v
-                    .parse()
-                    .map_err(|_| format!("bad high-water mark `{v}`"))?;
             }
             "--no-journal" => cfg.journal = false,
             "--wal-compact" => cfg.wal_compact = true,

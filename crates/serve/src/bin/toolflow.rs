@@ -70,19 +70,20 @@
 //! workload's code; a job lost to a panic contributes code 5. One
 //! failing job can never be masked by a later success.
 //!
-//! The local scheduler's queue is bounded (`2·jobs`, min 4); when it is
-//! full, submission retries with the shared jittered-backoff policy
-//! ([`preexec_serve::retry`]) — the same contract daemon clients use
-//! when preexecd sheds with `retry_after_ms` (DESIGN.md §14.3).
+//! Every workload is known up front, so a local run submits them all as
+//! one batch into a scheduler queue sized to hold it. Each job builds
+//! its own program, so a queued job holds none.
 //!
 //! `--daemon HOST:PORT` runs the workloads through a preexecd instead
-//! of in-process: one pipelined `submit_batch` over a single connection
-//! (retried with the backoff policy when the daemon sheds the batch as
-//! `overloaded`), then per-job status polls and `result` fetches. The
-//! daemon owns execution and the artifact cache, so
-//! `--jobs`/`--threads` do not apply. The exit-code contract
-//! is unchanged: results print in submission order and the first
-//! failing job's code (5 for pipeline faults and panics) wins.
+//! of in-process: one pipelined `submit_batch` over a single connection,
+//! then per-job status polls and `result` fetches. When the daemon sheds
+//! the batch as `overloaded`, it is retried with the shared jittered
+//! backoff of [`preexec_serve::retry`], honoring `retry_after_ms`; a
+//! batch larger than the daemon's queue is `queue_full` and exits 5 at
+//! once. The daemon owns execution and the artifact cache, so
+//! `--jobs`/`--threads` do not apply. The exit-code contract is
+//! unchanged: results print in submission order and the first failing
+//! job's code (5 for pipeline faults and panics) wins.
 
 use preexec_core::{try_select_pthreads_stats, Parallelism, SelectionParams};
 use preexec_experiments::{
@@ -90,8 +91,8 @@ use preexec_experiments::{
 };
 use preexec_serve::json::Json;
 use preexec_serve::proto::policy_json;
-use preexec_serve::retry::{retry_with_backoff, Backoff};
-use preexec_serve::scheduler::{JobCompletion, Scheduler};
+use preexec_serve::retry::Backoff;
+use preexec_serve::scheduler::{JobCompletion, JobFn, Scheduler};
 use preexec_slice::{read_forest, read_forest_lenient, write_forest, SliceForest};
 use preexec_workloads::{suite, InputSet, Workload};
 use std::fmt::Write as _;
@@ -278,33 +279,26 @@ fn run(args: &[String]) -> Result<u8, Failure> {
         return Ok(code);
     }
 
-    // Schedule the workloads over a *bounded* queue; buffer each job's
-    // output and print in submission order. A full queue is handled the
-    // way a shed daemon submit is: back off with jitter and retry.
-    let sched: Scheduler<JobReport> = Scheduler::new(jobs, (jobs * 2).max(4));
-    let ids: Vec<_> = selected
+    // Submit every workload as one batch into a queue sized to hold it;
+    // buffer each job's output and print in submission order. Each job
+    // builds its own program, so a queued job holds none.
+    let sched: Scheduler<JobReport> = Scheduler::new(jobs, selected.len());
+    let batch: Vec<JobFn<JobReport>> = selected
         .iter()
-        .enumerate()
-        .map(|(idx, w)| {
-            let make_job = || {
-                let name = w.name.to_string();
+        .map(|&&w| {
+            let path = positional
+                .get(2)
+                .map_or_else(|| format!("{}.slices", w.name), |p| p.to_string());
+            let par = Parallelism::new(threads);
+            Box::new(move |_id| {
                 let program = w.build(InputSet::Train);
-                let path = positional
-                    .get(2)
-                    .cloned()
-                    .cloned()
-                    .unwrap_or_else(|| format!("{name}.slices"));
-                let par = Parallelism::new(threads);
-                Box::new(move |_id| {
-                    JobCompletion::Done(run_workload(&name, &program, spec, &path, par))
-                })
-            };
-            retry_with_backoff(Backoff::new(2, 200, idx as u64), 3_000, || {
-                sched.submit(make_job()).map_err(|_| None)
-            })
-            .map_err(|_| Failure::new(5, format!("submitting {}: queue stayed full", w.name)))
+                JobCompletion::Done(run_workload(w.name, &program, spec, &path, par))
+            }) as JobFn<JobReport>
         })
-        .collect::<Result<_, _>>()?;
+        .collect();
+    let ids = sched
+        .submit_batch(batch)
+        .map_err(|e| Failure::new(5, format!("submitting the workloads: {e}")))?;
     sched.drain();
 
     let mut first_bad: u8 = 0;
@@ -550,10 +544,10 @@ fn run_daemon(
 }
 
 /// Waits for one daemon job to reach a terminal state and renders its
-/// `result` as a buffered report: code 0 for `done`/`timed_out` (the
-/// timing watchdog is a sampling mode, not a failure), 5 for a failed,
-/// cancelled, or panicked job — mirroring what a local run of the same
-/// fault would exit with.
+/// `result` as a buffered report: code 0 for `done`/`timed_out` (a
+/// timing watchdog cut keeps a valid prefix; it is not a failure), 5 for
+/// a failed, cancelled, or panicked job — mirroring what a local run of
+/// the same fault would exit with.
 fn fetch_daemon_report(conn: &mut DaemonConn, name: &str, job: u64) -> Result<JobReport, Failure> {
     let status = Json::obj(vec![
         ("cmd", Json::str("status")),

@@ -23,9 +23,10 @@
 //! - [`journal`] — the durable job journal (append-only, checksummed
 //!   WAL) behind crash recovery: acked work survives a daemon kill and
 //!   re-runs byte-identically (DESIGN.md §14);
-//! - [`admission`] + [`retry`] — overload protection: a high-water
-//!   admission gate that sheds with `retry_after_ms` hints, and the
-//!   client-side jittered-backoff helper honoring them;
+//! - [`admission`] + [`retry`] — overload protection: the queue cap is
+//!   the one wall, a batch it cannot take now is shed with a
+//!   `retry_after_ms` hint, and the client-side jittered backoff honors
+//!   it;
 //! - [`chaos`] — opt-in fault injection (`PREEXEC_CHAOS`) for the
 //!   daemon-level chaos suite: worker panics, slow stages, cache write
 //!   faults.
@@ -37,8 +38,8 @@
 //! Prometheus-style text rendering.
 //!
 //! Two binaries ship with the crate: `preexecd` (the daemon) and
-//! `toolflow` (the batch CLI, which runs its workloads through the same
-//! scheduler via `--jobs N`).
+//! `toolflow` (the batch CLI, which submits its workloads as one batch to
+//! the same scheduler via `--jobs N`).
 //!
 //! The serving tier (DESIGN.md §15) is one thread per connection over
 //! blocking sockets: [`conn`] frames request lines, and clients may
@@ -73,7 +74,7 @@ pub use journal::{
 };
 pub use json::Json;
 pub use proto::{parse_request, ProtoError, Request, PROTOCOL_VERSION};
-pub use retry::{retry_with_backoff, Backoff};
+pub use retry::Backoff;
 pub use scheduler::{
     CancelOutcome, JobCompletion, JobId, JobState, Scheduler, SchedulerStats, SubmitError,
 };

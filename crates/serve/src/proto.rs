@@ -23,11 +23,13 @@
 //! flight on one connection and match responses explicitly instead of
 //! by arrival order (responses do also arrive in request order).
 //!
-//! Overload: past the admission high-water mark, `submit` fails fast
-//! with code `overloaded` and a `retry_after_ms` hint (DESIGN.md §14.3).
-//! `submit_batch` is admitted or shed *as a whole*: one `overloaded`
-//! decision (and one `retry_after_ms`) for the entire batch — partial
-//! batch admission would force clients to diff which jobs got in.
+//! Overload: `submit` is a `submit_batch` of one, and a batch is
+//! admitted or shed *as a whole* against the job queue's `--queue-cap`
+//! (DESIGN.md §14.3) — partial batch admission would force clients to
+//! diff which jobs got in. A batch the queue's free slots cannot take
+//! now fails fast with code `overloaded` and one `retry_after_ms` hint;
+//! a batch with more jobs than the queue holds can never be admitted and
+//! fails with code `queue_full` and no hint.
 //!
 //! Submit fields default to [`PipelineConfig::paper_default`] at the
 //! given budget (default 120 000 instructions); `width` and
@@ -45,9 +47,10 @@
 //!
 //! [`MachineParams`]: preexec_timing::MachineParams
 
+use crate::admission::Overloaded;
 use crate::cache::parse_input;
 use crate::json::Json;
-use crate::scheduler::{JobId, SubmitError};
+use crate::scheduler::JobId;
 use crate::service::{JobOutput, JobSpec};
 use preexec_experiments::pipeline::pct;
 use preexec_experiments::{
@@ -74,9 +77,13 @@ use std::fmt;
 /// `enabled` is `false` (the shape every v7 journal line carries) is
 /// ignored, and any other `adaptive` is `bad_field`; version 9 removes
 /// cache sharding: `cache_get` and `cache_put` are `unknown_cmd`, and
-/// the `stats` report has no `shard` section. Journals carry only
-/// submit specs and results, so v8 journals replay unchanged.
-pub const PROTOCOL_VERSION: u64 = 9;
+/// the `stats` report has no `shard` section; version 10 makes the queue
+/// cap the only overload wall: `stats.admission` drops the high-water
+/// mark, a batch the queue cannot take now is `overloaded`, and a batch
+/// larger than the queue is `queue_full` without `retry_after_ms`.
+/// Journals carry only submit specs and results, so v8 journals replay
+/// unchanged.
+pub const PROTOCOL_VERSION: u64 = 10;
 
 /// Largest slicing scope admitted in `"windowed"` mode: the sliding
 /// window keeps the whole scope resident, so past this the daemon would
@@ -112,11 +119,19 @@ pub enum ProtoError {
     UnknownInput(String),
     /// The submitted configuration failed validation at the door.
     Config(PipelineError),
-    /// The scheduler rejected the submission (queue full / draining).
-    Submit(SubmitError),
-    /// The admission gate shed the submission (past the high-water
-    /// mark); carries the retry hint.
-    Overloaded(crate::admission::Overloaded),
+    /// The daemon is draining and accepts no new work.
+    ShuttingDown,
+    /// The job queue cannot take the submission now; carries the retry
+    /// hint.
+    Overloaded(Overloaded),
+    /// The batch has more jobs than the job queue holds, so no wait
+    /// would ever admit it.
+    BatchTooLarge {
+        /// Jobs in the batch.
+        jobs: usize,
+        /// The job queue's capacity.
+        cap: usize,
+    },
     /// No job with that id was ever submitted.
     UnknownJob(JobId),
     /// The job exists but has not reached a terminal state.
@@ -162,9 +177,9 @@ impl ProtoError {
             ProtoError::UnknownWorkload(_) => "unknown_workload",
             ProtoError::UnknownInput(_) => "unknown_input",
             ProtoError::Config(e) => e.code(),
-            ProtoError::Submit(SubmitError::QueueFull { .. }) => "queue_full",
-            ProtoError::Submit(SubmitError::ShuttingDown) => "shutting_down",
+            ProtoError::ShuttingDown => "shutting_down",
             ProtoError::Overloaded(_) => "overloaded",
+            ProtoError::BatchTooLarge { .. } => "queue_full",
             ProtoError::UnknownJob(_) => "unknown_job",
             ProtoError::NotFinished { .. } => "job_not_finished",
             // A batch inherits the offending job's code: a client
@@ -192,8 +207,12 @@ impl fmt::Display for ProtoError {
                 write!(f, "unknown input `{name}` (train, test, or alt)")
             }
             ProtoError::Config(e) => write!(f, "{e}"),
-            ProtoError::Submit(e) => write!(f, "{e}"),
+            ProtoError::ShuttingDown => write!(f, "scheduler is shutting down"),
             ProtoError::Overloaded(e) => write!(f, "{e}"),
+            ProtoError::BatchTooLarge { jobs, cap } => write!(
+                f,
+                "batch of {jobs} jobs exceeds the job queue's capacity of {cap}"
+            ),
             ProtoError::UnknownJob(id) => write!(f, "unknown job {id}"),
             ProtoError::NotFinished { job, state } => {
                 write!(f, "job {job} is {state} — poll `status` until it finishes")
@@ -219,17 +238,10 @@ impl std::error::Error for ProtoError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ProtoError::Config(e) => Some(e),
-            ProtoError::Submit(e) => Some(e),
             ProtoError::Overloaded(e) => Some(e),
             ProtoError::BatchJob { inner, .. } => Some(inner.as_ref()),
             _ => None,
         }
-    }
-}
-
-impl From<SubmitError> for ProtoError {
-    fn from(e: SubmitError) -> ProtoError {
-        ProtoError::Submit(e)
     }
 }
 
@@ -242,11 +254,15 @@ impl From<PipelineError> for ProtoError {
 /// A parsed request.
 #[derive(Clone)]
 pub enum Request {
-    /// Enqueue a job.
-    Submit(Box<JobSpec>),
-    /// Enqueue several jobs atomically: all admitted (ids in order) or
-    /// none (one typed error for the batch).
-    SubmitBatch(Vec<JobSpec>),
+    /// Enqueue jobs atomically: all admitted (ids in order) or none (one
+    /// typed error for the lot). `submit` is a batch of one.
+    Submit {
+        /// The jobs, in submission order.
+        jobs: Vec<JobSpec>,
+        /// Whether the verb was `submit_batch` (answered with `jobs`)
+        /// rather than `submit` (answered with `job`).
+        batch: bool,
+    },
     /// Report a job's state.
     Status(JobId),
     /// Report a finished job's result.
@@ -285,8 +301,14 @@ pub fn parse_request_json(json: &Json) -> Result<Request, ProtoError> {
             expected: "a string",
         })?;
     match cmd {
-        "submit" => parse_submit(json).map(|s| Request::Submit(Box::new(s))),
-        "submit_batch" => parse_submit_batch(json).map(Request::SubmitBatch),
+        "submit" => Ok(Request::Submit {
+            jobs: vec![parse_submit(json)?],
+            batch: false,
+        }),
+        "submit_batch" => Ok(Request::Submit {
+            jobs: parse_submit_batch(json)?,
+            batch: true,
+        }),
         "status" => job_id(json).map(Request::Status),
         "result" => job_id(json).map(Request::Result),
         "cancel" => job_id(json).map(Request::Cancel),
@@ -688,11 +710,22 @@ pub fn result_json(out: &JobOutput) -> Json {
 mod tests {
     use super::*;
 
+    /// The one spec of a `submit` line.
+    fn single(line: &str) -> JobSpec {
+        match parse_request(line) {
+            Ok(Request::Submit {
+                mut jobs,
+                batch: false,
+            }) if jobs.len() == 1 => jobs.remove(0),
+            _ => panic!("`{line}` must parse as one submit"),
+        }
+    }
+
     #[test]
     fn parses_each_command() {
         assert!(matches!(
             parse_request(r#"{"cmd":"submit","workload":"vpr.r"}"#),
-            Ok(Request::Submit(_))
+            Ok(Request::Submit { batch: false, .. })
         ));
         assert!(matches!(
             parse_request(r#"{"cmd":"status","job":3}"#),
@@ -722,14 +755,10 @@ mod tests {
 
     #[test]
     fn submit_applies_defaults_and_overrides() {
-        let req = parse_request(
+        let spec = single(
             r#"{"cmd":"submit","workload":"mcf","input":"test","budget":50000,
                 "width":4,"mem_latency":140,"optimize":false,"model_width":6.5}"#,
-        )
-        .expect("parses");
-        let Request::Submit(spec) = req else {
-            panic!("expected submit");
-        };
+        );
         assert_eq!(spec.workload_name, "mcf");
         assert_eq!(spec.input, InputSet::Test);
         assert_eq!(spec.policy.cfg.budget, 50_000);
@@ -839,13 +868,10 @@ mod tests {
     #[test]
     fn submit_errors_map_to_distinct_codes() {
         assert_eq!(
-            ProtoError::from(SubmitError::QueueFull { cap: 4 }).code(),
+            ProtoError::BatchTooLarge { jobs: 5, cap: 4 }.code(),
             "queue_full"
         );
-        assert_eq!(
-            ProtoError::from(SubmitError::ShuttingDown).code(),
-            "shutting_down"
-        );
+        assert_eq!(ProtoError::ShuttingDown.code(), "shutting_down");
         assert_eq!(
             ProtoError::NotFinished {
                 job: 3,
@@ -858,10 +884,8 @@ mod tests {
 
     #[test]
     fn overloaded_rejections_carry_the_retry_hint() {
-        let e = ProtoError::Overloaded(crate::admission::Overloaded {
+        let e = ProtoError::Overloaded(Overloaded {
             retry_after_ms: 750,
-            outstanding: 9,
-            high_water: 8,
         });
         assert_eq!(e.code(), "overloaded");
         assert!(e.to_string().contains("750"));
@@ -869,19 +893,32 @@ mod tests {
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
         assert_eq!(resp.get("code").and_then(Json::as_str), Some("overloaded"));
         assert_eq!(resp.get("retry_after_ms").and_then(Json::as_u64), Some(750));
-        // Other errors stay hint-free.
+        // Other errors stay hint-free, an oversize batch included: no wait
+        // would ever admit it, so its message names the sizes and never
+        // says "retry".
         assert!(error_response(&ProtoError::UnknownJob(1))
             .get("retry_after_ms")
             .is_none());
+        let e = ProtoError::BatchTooLarge { jobs: 3, cap: 2 };
+        let resp = error_response(&e);
+        assert_eq!(resp.get("code").and_then(Json::as_str), Some("queue_full"));
+        assert!(resp.get("retry_after_ms").is_none());
+        let msg = e.to_string();
+        assert!(msg.contains('3') && msg.contains('2'), "{msg}");
+        assert!(!msg.contains("retry"), "{msg}");
     }
 
     #[test]
     fn submit_batch_parses_all_or_rejects_with_the_offending_index() {
-        let Ok(Request::SubmitBatch(specs)) = parse_request(
+        let Ok(Request::Submit {
+            jobs: specs,
+            batch: true,
+        }) = parse_request(
             r#"{"cmd":"submit_batch","jobs":[
                 {"workload":"vpr.r","budget":30000},
                 {"workload":"mcf","budget":40000,"input":"test"}]}"#,
-        ) else {
+        )
+        else {
             panic!("healthy batch must parse");
         };
         assert_eq!(specs.len(), 2);
@@ -943,42 +980,33 @@ mod tests {
             r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":null}}"#,
             r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"windowed"}}"#,
         ] {
-            let Ok(Request::Submit(spec)) = parse_request(line) else {
-                panic!("`{line}` must parse");
-            };
+            let spec = single(line);
             assert_eq!(spec.policy.slicing, SlicingMode::Windowed, "{line}");
         }
         // On-demand defaults its cadence; an explicit one sticks, and a
         // zero cadence is clamped to 1 at the door.
-        let Ok(Request::Submit(spec)) = parse_request(
-            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"ondemand"}}"#,
-        ) else {
-            panic!("ondemand must parse");
-        };
+        let spec =
+            single(r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"ondemand"}}"#);
         assert_eq!(
             spec.policy.slicing,
             SlicingMode::OnDemand {
                 checkpoint_every: DEFAULT_CHECKPOINT_EVERY
             }
         );
-        let Ok(Request::Submit(spec)) = parse_request(
+        let spec = single(
             r#"{"cmd":"submit","workload":"mcf",
                 "policy":{"slice_mode":"ondemand","checkpoint_every":512}}"#,
-        ) else {
-            panic!("explicit cadence must parse");
-        };
+        );
         assert_eq!(
             spec.policy.slicing,
             SlicingMode::OnDemand {
                 checkpoint_every: 512
             }
         );
-        let Ok(Request::Submit(spec)) = parse_request(
+        let spec = single(
             r#"{"cmd":"submit","workload":"mcf",
                 "policy":{"slice_mode":"ondemand","checkpoint_every":0}}"#,
-        ) else {
-            panic!("zero cadence must parse");
-        };
+        );
         assert_eq!(
             spec.policy.slicing,
             SlicingMode::OnDemand {
@@ -1013,7 +1041,7 @@ mod tests {
         let ondemand = r#""policy":{"slice_mode":"ondemand"}"#;
         let line =
             format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_windowed},{ondemand}}}"#);
-        assert!(matches!(parse_request(&line), Ok(Request::Submit(_))));
+        assert!(matches!(parse_request(&line), Ok(Request::Submit { .. })));
         // …but even on-demand has a ceiling.
         let over_all = (MAX_SCOPE + 1).to_string();
         let line = format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_all},{ondemand}}}"#);
@@ -1024,7 +1052,7 @@ mod tests {
         // Scopes at the cap pass.
         let at_cap = MAX_WINDOWED_SCOPE.to_string();
         let line = format!(r#"{{"cmd":"submit","workload":"mcf","scope":{at_cap}}}"#);
-        assert!(matches!(parse_request(&line), Ok(Request::Submit(_))));
+        assert!(matches!(parse_request(&line), Ok(Request::Submit { .. })));
         // A batch inherits the code, naming the offending index.
         let line = format!(
             r#"{{"cmd":"submit_batch","jobs":[{{"workload":"vpr.r"}},{{"workload":"mcf","scope":{over_windowed}}}]}}"#
@@ -1040,9 +1068,7 @@ mod tests {
     fn ondemand_spec_json_round_trips() {
         let line = r#"{"cmd":"submit","workload":"mcf","scope":100000000,
             "policy":{"slice_mode":"ondemand","checkpoint_every":2048}}"#;
-        let Ok(Request::Submit(spec)) = parse_request(line) else {
-            panic!("parses");
-        };
+        let spec = single(line);
         let encoded = spec_json(&spec);
         let back = parse_submit(&encoded).expect("round-trip parses");
         assert_eq!(
@@ -1060,9 +1086,7 @@ mod tests {
         let line = r#"{"cmd":"submit","workload":"mcf","input":"test","budget":50000,
             "width":4,"mem_latency":140,"optimize":false,"model_width":6.5,
             "policy":{"deadline_ms":8000}}"#;
-        let Ok(Request::Submit(spec)) = parse_request(line) else {
-            panic!("parses");
-        };
+        let spec = single(line);
         assert_eq!(spec.policy.deadline_ms, Some(8000));
         let encoded = spec_json(&spec);
         let back = parse_submit(&encoded).expect("round-trip parses");
@@ -1085,9 +1109,7 @@ mod tests {
         let line = r#"{"cmd":"submit","workload":"mcf","policy":{
             "slice_mode":"windowed",
             "screening":false,"deadline_ms":9000}}"#;
-        let Ok(Request::Submit(spec)) = parse_request(line) else {
-            panic!("policy submit must parse");
-        };
+        let spec = single(line);
         assert_eq!(spec.policy.slicing, SlicingMode::Windowed);
         assert!(!spec.policy.screening);
         assert_eq!(spec.policy.deadline_ms, Some(9000));

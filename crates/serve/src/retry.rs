@@ -4,8 +4,7 @@
 //! the daemon sheds with a `retry_after_ms` hint, and a well-behaved
 //! client waits at least that long, backing off exponentially with
 //! jitter so a herd of shed clients does not re-arrive in lockstep.
-//! `toolflow --jobs N` uses this when its bounded local scheduler
-//! reports a full queue.
+//! `toolflow --daemon` uses this when the daemon sheds its batch.
 //!
 //! Everything is deterministic given the seed (a keyed xorshift, no
 //! global RNG), which keeps tests exact and reruns reproducible.
@@ -69,35 +68,6 @@ impl Backoff {
     }
 }
 
-/// Runs `op` until it succeeds or `max_attempts` is exhausted, sleeping
-/// the backoff's delay (floored by the hint the failed attempt
-/// returned) between tries. `op` reports `Err(Some(hint_ms))` for a
-/// shed-with-hint failure, `Err(None)` for a plain retryable one.
-///
-/// # Errors
-///
-/// The last attempt's hint, when all attempts failed.
-pub fn retry_with_backoff<T>(
-    mut backoff: Backoff,
-    max_attempts: u32,
-    mut op: impl FnMut() -> Result<T, Option<u64>>,
-) -> Result<T, Option<u64>> {
-    let mut last_hint = None;
-    for attempt in 0..max_attempts.max(1) {
-        match op() {
-            Ok(v) => return Ok(v),
-            Err(hint) => {
-                last_hint = hint;
-                if attempt + 1 < max_attempts.max(1) {
-                    let delay = backoff.next_delay_ms(hint);
-                    std::thread::sleep(std::time::Duration::from_millis(delay));
-                }
-            }
-        }
-    }
-    Err(last_hint)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -145,27 +115,5 @@ mod tests {
         };
         assert_eq!(schedule(1), schedule(1), "deterministic given the seed");
         assert_ne!(schedule(1), schedule(2), "seeds decorrelate the herd");
-    }
-
-    #[test]
-    fn retry_with_backoff_stops_on_success_and_reports_the_last_hint() {
-        let mut calls = 0;
-        let out = retry_with_backoff(Backoff::new(1, 2, 9), 5, || {
-            calls += 1;
-            if calls < 3 {
-                Err(Some(1))
-            } else {
-                Ok(calls)
-            }
-        });
-        assert_eq!(out, Ok(3));
-
-        let mut calls = 0;
-        let out: Result<(), _> = retry_with_backoff(Backoff::new(1, 2, 9), 3, || {
-            calls += 1;
-            Err(Some(calls))
-        });
-        assert_eq!(out, Err(Some(3)));
-        assert_eq!(calls, 3);
     }
 }

@@ -118,10 +118,12 @@ impl<T> JobCompletion<T> {
 /// Why a submission was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SubmitError {
-    /// The bounded queue is at capacity; retry after jobs drain.
+    /// The bounded queue's free slots cannot take the whole batch.
     QueueFull {
-        /// The configured capacity that was hit.
+        /// The configured capacity.
         cap: usize,
+        /// Jobs already waiting when the batch was refused.
+        queued: usize,
     },
     /// The scheduler is draining and accepts no new work.
     ShuttingDown,
@@ -130,8 +132,8 @@ pub enum SubmitError {
 impl fmt::Display for SubmitError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SubmitError::QueueFull { cap } => {
-                write!(f, "job queue full ({cap} entries); retry later")
+            SubmitError::QueueFull { cap, queued } => {
+                write!(f, "job queue full ({queued} of {cap} slots taken)")
             }
             SubmitError::ShuttingDown => write!(f, "scheduler is shutting down"),
         }
@@ -265,40 +267,11 @@ impl<T: Send + 'static> Scheduler<T> {
         }
     }
 
-    /// Enqueues a job, returning its id.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::QueueFull`] when `queue_cap` jobs are already
-    /// waiting, [`SubmitError::ShuttingDown`] after a drain started.
-    pub fn submit(&self, job: JobFn<T>) -> Result<JobId, SubmitError> {
-        let mut st = lock(&self.inner.state);
-        if !st.accepting {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if st.queue.len() >= self.inner.queue_cap {
-            return Err(SubmitError::QueueFull {
-                cap: self.inner.queue_cap,
-            });
-        }
-        let id = st.next_id;
-        st.next_id += 1;
-        st.submitted += 1;
-        st.records.insert(id, Record::Queued);
-        st.queue.push_back((id, job));
-        let depth = st.queue.len();
-        drop(st);
-        let reg = preexec_obs::global();
-        reg.counter("sched.submitted").inc();
-        reg.gauge("sched.queue_depth").set(depth as i64);
-        self.inner.work_cv.notify_one();
-        Ok(id)
-    }
-
     /// Enqueues a batch of jobs atomically: either every job is accepted
-    /// (contiguous ids, in order) or none is. Admission is all-or-nothing
-    /// so a `submit_batch` client never has to reason about a partially
-    /// accepted batch — on overload the whole batch retries later.
+    /// (contiguous ids, in order) or none is. All-or-nothing admission
+    /// means a client never has to reason about a partially accepted
+    /// batch — on overload the whole batch retries later. A single job
+    /// is a batch of one.
     ///
     /// # Errors
     ///
@@ -306,36 +279,7 @@ impl<T: Send + 'static> Scheduler<T> {
     /// remaining queue capacity, [`SubmitError::ShuttingDown`] after a
     /// drain started. An empty batch is accepted trivially.
     pub fn submit_batch(&self, jobs: Vec<JobFn<T>>) -> Result<Vec<JobId>, SubmitError> {
-        if jobs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let n = jobs.len();
-        let mut st = lock(&self.inner.state);
-        if !st.accepting {
-            return Err(SubmitError::ShuttingDown);
-        }
-        if st.queue.len() + n > self.inner.queue_cap {
-            return Err(SubmitError::QueueFull {
-                cap: self.inner.queue_cap,
-            });
-        }
-        let mut ids = Vec::with_capacity(n);
-        for job in jobs {
-            let id = st.next_id;
-            st.next_id += 1;
-            st.submitted += 1;
-            st.records.insert(id, Record::Queued);
-            st.queue.push_back((id, job));
-            ids.push(id);
-        }
-        let depth = st.queue.len();
-        drop(st);
-        let reg = preexec_obs::global();
-        reg.counter("sched.submitted").add(n as u64);
-        reg.gauge("sched.queue_depth").set(depth as i64);
-        // Every worker may have work now, not just one.
-        self.inner.work_cv.notify_all();
-        Ok(ids)
+        self.enqueue(jobs, None)
     }
 
     /// Re-enqueues a journaled job under its **original id** during
@@ -349,25 +293,54 @@ impl<T: Send + 'static> Scheduler<T> {
     /// [`SubmitError::ShuttingDown`] after a drain started. Replaying an
     /// id that already exists is a caller bug and panics.
     pub fn submit_replayed(&self, id: JobId, job: JobFn<T>) -> Result<JobId, SubmitError> {
+        self.enqueue(vec![job], Some(id)).map(|_| id)
+    }
+
+    /// The one enqueue step under the scheduler lock. Fresh jobs
+    /// (`replayed_from == None`) must fit the queue's free slots and take
+    /// the next ids; replayed jobs bypass the cap and keep the ids from
+    /// `replayed_from` on.
+    fn enqueue(
+        &self,
+        jobs: Vec<JobFn<T>>,
+        replayed_from: Option<JobId>,
+    ) -> Result<Vec<JobId>, SubmitError> {
+        let n = jobs.len();
         let mut st = lock(&self.inner.state);
         if !st.accepting {
             return Err(SubmitError::ShuttingDown);
         }
-        assert!(
-            st.records.insert(id, Record::Queued).is_none(),
-            "job {id} replayed twice"
-        );
-        st.next_id = st.next_id.max(id + 1);
-        st.submitted += 1;
-        st.queue.push_back((id, job));
+        let first = match replayed_from {
+            Some(id) => id,
+            None if st.queue.len() + n > self.inner.queue_cap => {
+                return Err(SubmitError::QueueFull {
+                    cap: self.inner.queue_cap,
+                    queued: st.queue.len(),
+                });
+            }
+            None => st.next_id,
+        };
+        let ids: Vec<JobId> = (first..first + n as u64).collect();
+        st.next_id = st.next_id.max(first + n as u64);
+        st.submitted += n as u64;
+        for (&id, job) in ids.iter().zip(jobs) {
+            assert!(
+                st.records.insert(id, Record::Queued).is_none(),
+                "job {id} enqueued twice"
+            );
+            st.queue.push_back((id, job));
+        }
         let depth = st.queue.len();
         drop(st);
         let reg = preexec_obs::global();
-        reg.counter("sched.submitted").inc();
-        reg.counter("sched.replayed").inc();
+        reg.counter("sched.submitted").add(n as u64);
+        if replayed_from.is_some() {
+            reg.counter("sched.replayed").add(n as u64);
+        }
         reg.gauge("sched.queue_depth").set(depth as i64);
-        self.inner.work_cv.notify_one();
-        Ok(id)
+        // Every worker may have work now, not just one.
+        self.inner.work_cv.notify_all();
+        Ok(ids)
     }
 
     /// Advances the id allocator so fresh submissions start above
@@ -583,14 +556,20 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
+    /// Submits `job` as a batch of one.
+    fn submit_one<T: Send + 'static>(
+        sched: &Scheduler<T>,
+        job: JobFn<T>,
+    ) -> Result<JobId, SubmitError> {
+        sched.submit_batch(vec![job]).map(|ids| ids[0])
+    }
+
     #[test]
     fn jobs_run_and_complete_in_any_submission_order() {
         let sched: Scheduler<u64> = Scheduler::new(4, 64);
         let ids: Vec<JobId> = (0..16u64)
             .map(|i| {
-                sched
-                    .submit(Box::new(move |_| JobCompletion::Done(i * i)))
-                    .expect("submit")
+                submit_one(&sched, Box::new(move |_| JobCompletion::Done(i * i))).expect("submit")
             })
             .collect();
         for (i, id) in ids.iter().enumerate() {
@@ -612,27 +591,27 @@ mod tests {
         let gate = Arc::new(AtomicUsize::new(0));
         // One job occupies the worker; two fill the queue.
         let g = Arc::clone(&gate);
-        let blocker = sched
-            .submit(Box::new(move |_| {
+        let blocker = submit_one(
+            &sched,
+            Box::new(move |_| {
                 while g.load(Ordering::SeqCst) == 0 {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 JobCompletion::Done(())
-            }))
-            .expect("blocker");
+            }),
+        )
+        .expect("blocker");
         // Wait until the blocker actually occupies the worker, then fill
         // the queue to its cap of 2.
         while sched.state(blocker) != Some(JobState::Running) {
             std::thread::sleep(Duration::from_millis(1));
         }
         for _ in 0..2 {
-            sched
-                .submit(Box::new(|_| JobCompletion::Done(())))
-                .expect("fills queue");
+            submit_one(&sched, Box::new(|_| JobCompletion::Done(()))).expect("fills queue");
         }
         assert_eq!(
-            sched.submit(Box::new(|_| JobCompletion::Done(()))),
-            Err(SubmitError::QueueFull { cap: 2 })
+            submit_one(&sched, Box::new(|_| JobCompletion::Done(()))),
+            Err(SubmitError::QueueFull { cap: 2, queued: 2 })
         );
         gate.store(1, Ordering::SeqCst);
         sched.shutdown();
@@ -643,18 +622,14 @@ mod tests {
     fn drain_finishes_queued_work_and_rejects_new() {
         let sched: Scheduler<u32> = Scheduler::new(2, 32);
         let ids: Vec<JobId> = (0..8)
-            .map(|i| {
-                sched
-                    .submit(Box::new(move |_| JobCompletion::Done(i)))
-                    .expect("submit")
-            })
+            .map(|i| submit_one(&sched, Box::new(move |_| JobCompletion::Done(i))).expect("submit"))
             .collect();
         sched.drain();
         for id in ids {
             assert_eq!(sched.state(id), Some(JobState::Done));
         }
         assert_eq!(
-            sched.submit(Box::new(|_| JobCompletion::Done(0))),
+            submit_one(&sched, Box::new(|_| JobCompletion::Done(0))),
             Err(SubmitError::ShuttingDown)
         );
         sched.shutdown();
@@ -663,12 +638,8 @@ mod tests {
     #[test]
     fn panicking_job_fails_without_killing_the_pool() {
         let sched: Scheduler<()> = Scheduler::new(1, 8);
-        let bad = sched
-            .submit(Box::new(|_| panic!("job exploded")))
-            .expect("submit");
-        let good = sched
-            .submit(Box::new(|_| JobCompletion::Done(())))
-            .expect("submit");
+        let bad = submit_one(&sched, Box::new(|_| panic!("job exploded"))).expect("submit");
+        let good = submit_one(&sched, Box::new(|_| JobCompletion::Done(()))).expect("submit");
         assert_eq!(sched.wait(bad), Some(JobState::Failed));
         match sched.completion(bad) {
             Some(JobCompletion::Panicked(msg)) => assert!(msg.contains("exploded")),
@@ -685,7 +656,9 @@ mod tests {
         assert_eq!(JobState::Queued.to_string(), "queued");
         assert!(JobState::Done.is_terminal());
         assert!(!JobState::Running.is_terminal());
-        assert!(SubmitError::QueueFull { cap: 3 }.to_string().contains("3"));
+        assert!(SubmitError::QueueFull { cap: 3, queued: 2 }
+            .to_string()
+            .contains("2 of 3"));
         let c: JobCompletion<u8> = JobCompletion::TimedOut(7);
         assert_eq!(c.state(), JobState::TimedOut);
         assert_eq!(c.output(), Some(&7));
@@ -707,20 +680,20 @@ mod tests {
         let sched: Scheduler<()> = Scheduler::new(1, 8);
         let gate = Arc::new(AtomicUsize::new(0));
         let g = Arc::clone(&gate);
-        let blocker = sched
-            .submit(Box::new(move |_| {
+        let blocker = submit_one(
+            &sched,
+            Box::new(move |_| {
                 while g.load(Ordering::SeqCst) == 0 {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 JobCompletion::Done(())
-            }))
-            .expect("blocker");
+            }),
+        )
+        .expect("blocker");
         while sched.state(blocker) != Some(JobState::Running) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let queued = sched
-            .submit(Box::new(|_| JobCompletion::Done(())))
-            .expect("queued");
+        let queued = submit_one(&sched, Box::new(|_| JobCompletion::Done(()))).expect("queued");
         assert_eq!(
             sched.cancel_queued(queued, PipelineError::Cancelled { stage: "queued" }),
             CancelOutcome::Dequeued
@@ -757,14 +730,16 @@ mod tests {
         let sched: Scheduler<u64> = Scheduler::new(1, 4);
         let gate = Arc::new(AtomicUsize::new(0));
         let g = Arc::clone(&gate);
-        let blocker = sched
-            .submit(Box::new(move |_| {
+        let blocker = submit_one(
+            &sched,
+            Box::new(move |_| {
                 while g.load(Ordering::SeqCst) == 0 {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 JobCompletion::Done(0)
-            }))
-            .expect("blocker");
+            }),
+        )
+        .expect("blocker");
         while sched.state(blocker) != Some(JobState::Running) {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -781,14 +756,12 @@ mod tests {
             .collect();
         assert_eq!(
             sched.submit_batch(too_big),
-            Err(SubmitError::QueueFull { cap: 4 })
+            Err(SubmitError::QueueFull { cap: 4, queued: 3 })
         );
         assert_eq!(sched.stats().queued, 3, "rejected batch admitted nothing");
         // A single job still fits the last slot, and an empty batch is a
         // no-op even at capacity.
-        sched
-            .submit(Box::new(|_| JobCompletion::Done(0)))
-            .expect("single fits");
+        submit_one(&sched, Box::new(|_| JobCompletion::Done(0))).expect("single fits");
         assert_eq!(sched.submit_batch(Vec::new()), Ok(Vec::new()));
         gate.store(1, Ordering::SeqCst);
         sched.shutdown();
@@ -811,9 +784,7 @@ mod tests {
             .submit_replayed(3, Box::new(|_| JobCompletion::Done(300)))
             .expect("replay 3");
         // Fresh submissions allocate above the replayed maximum.
-        let fresh = sched
-            .submit(Box::new(|_| JobCompletion::Done(800)))
-            .expect("fresh");
+        let fresh = submit_one(&sched, Box::new(|_| JobCompletion::Done(800))).expect("fresh");
         assert_eq!(fresh, 8);
         for (id, want) in [(7, 700), (3, 300), (8, 800)] {
             sched.wait(id);
@@ -833,9 +804,7 @@ mod tests {
         let sched: Scheduler<u64> = Scheduler::new(1, 4);
         sched.reserve_ids_through(5);
         sched.reserve_ids_through(2); // never moves backwards
-        let fresh = sched
-            .submit(Box::new(|_| JobCompletion::Done(0)))
-            .expect("fresh");
+        let fresh = submit_one(&sched, Box::new(|_| JobCompletion::Done(0))).expect("fresh");
         assert_eq!(fresh, 6);
         sched.wait(fresh);
         sched.shutdown();
@@ -846,23 +815,21 @@ mod tests {
         let sched: Scheduler<()> = Scheduler::new(1, 8);
         let gate = Arc::new(AtomicUsize::new(0));
         let g = Arc::clone(&gate);
-        let blocker = sched
-            .submit(Box::new(move |_| {
+        let blocker = submit_one(
+            &sched,
+            Box::new(move |_| {
                 while g.load(Ordering::SeqCst) == 0 {
                     std::thread::sleep(Duration::from_millis(1));
                 }
                 JobCompletion::Done(())
-            }))
-            .expect("blocker");
+            }),
+        )
+        .expect("blocker");
         while sched.state(blocker) != Some(JobState::Running) {
             std::thread::sleep(Duration::from_millis(1));
         }
-        let q1 = sched
-            .submit(Box::new(|_| JobCompletion::Done(())))
-            .expect("q1");
-        let q2 = sched
-            .submit(Box::new(|_| JobCompletion::Done(())))
-            .expect("q2");
+        let q1 = submit_one(&sched, Box::new(|_| JobCompletion::Done(()))).expect("q1");
+        let q2 = submit_one(&sched, Box::new(|_| JobCompletion::Done(()))).expect("q2");
         let (queued, running) = sched.pending_ids();
         assert_eq!(queued, vec![q1, q2]);
         assert_eq!(running, vec![blocker]);
@@ -889,8 +856,9 @@ mod tests {
             let ids: Vec<JobId> = (0..12u64)
                 .map(|i| {
                     let mix = (seed.wrapping_mul(31).wrapping_add(i)) % 4;
-                    sched
-                        .submit(Box::new(move |_| match mix {
+                    submit_one(
+                        &sched,
+                        Box::new(move |_| match mix {
                             0 => JobCompletion::Done(0),
                             1 => panic!("chaos {i}"),
                             2 => JobCompletion::TimedOut(1),
@@ -898,8 +866,9 @@ mod tests {
                                 std::thread::yield_now();
                                 JobCompletion::Failed(PipelineError::ZeroBudget)
                             }
-                        }))
-                        .expect("submit")
+                        }),
+                    )
+                    .expect("submit")
                 })
                 .collect();
             // Observer thread: watches every job's state; records any

@@ -75,7 +75,9 @@ pub struct ServerConfig {
     /// its scoped threads only while it runs, so the default keeps the
     /// daemon at about one thread per core whatever the worker count.
     pub job_threads: usize,
-    /// Bounded job-queue capacity.
+    /// Bounded job-queue capacity (at least 1): the one overload wall.
+    /// A batch the queue's free slots cannot take is shed as
+    /// `overloaded`; a batch larger than the capacity is `queue_full`.
     pub queue_cap: usize,
     /// Artifact-cache directory (created lazily on first store).
     pub cache_dir: PathBuf,
@@ -83,9 +85,6 @@ pub struct ServerConfig {
     pub cache_max_entries: usize,
     /// Whether the durable job journal (WAL + crash recovery) is on.
     pub journal: bool,
-    /// Admission-control high-water mark in outstanding jobs
-    /// (queued + running); 0 derives ¾·`queue_cap` + workers.
-    pub high_water: usize,
     /// Slow-loris timeout: a connection whose *partial* request line
     /// makes no progress this long is closed.
     /// Idle connections with no pending partial line are never reaped.
@@ -106,7 +105,6 @@ impl Default for ServerConfig {
             cache_dir: PathBuf::from("preexec-cache"),
             cache_max_entries: 256,
             journal: true,
-            high_water: 0,
             idle_timeout_ms: 10_000,
             wal_compact: false,
         }
@@ -126,7 +124,8 @@ struct Shared {
     job_threads: usize,
     /// The durable WAL; `None` with `--no-journal`.
     journal: Option<JobJournal>,
-    /// The soft wall in front of the queue cap.
+    /// Counts admissions and turns a full queue into `overloaded` with a
+    /// retry hint.
     admission: AdmissionGate,
     /// Live cancel tokens by job id (inserted at submit, removed when
     /// the job reports terminal; a worker *panic* skips the removal, a
@@ -282,16 +281,17 @@ impl Server {
             (None, None)
         };
         let registry = preexec_obs::global();
+        let queue_cap = config.queue_cap.max(1);
         let shared = Arc::new(Shared {
-            sched: Scheduler::new(workers, config.queue_cap),
+            sched: Scheduler::new(workers, queue_cap),
             cache: ArtifactCache::new(&config.cache_dir, config.cache_max_entries),
             hists: StageHists::new(),
             shutting_down: AtomicBool::new(false),
             local_addr,
-            queue_cap: config.queue_cap,
+            queue_cap,
             job_threads,
             journal,
-            admission: AdmissionGate::new(config.high_water, config.queue_cap, workers, registry),
+            admission: AdmissionGate::new(workers, registry),
             tokens: Mutex::new(HashMap::new()),
             restored: Mutex::new(HashMap::new()),
             connections_total: registry.counter("server.connections"),
@@ -597,44 +597,17 @@ fn dispatch(line: &str, shared: &Arc<Shared>) -> Json {
 /// Executes one parsed request.
 fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
     match req {
-        Request::Submit(spec) => {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                return error_response(&ProtoError::from(SubmitError::ShuttingDown));
-            }
-            // Soft wall before the hard queue cap: shed with a typed
-            // error and a retry hint while the daemon can still answer
-            // quickly (DESIGN.md §14.3).
-            let stats = shared.sched.stats();
-            if let Err(over) = shared.admission.admit(stats.queued, stats.running) {
-                return error_response(&ProtoError::Overloaded(over));
-            }
-            let journaled_spec = spec_json(&spec);
-            let token = Arc::new(CancelToken::new(spec.policy.deadline_ms));
-            match shared
-                .sched
-                .submit(shared.job_fn(*spec, Arc::clone(&token)))
-            {
-                Ok(id) => {
-                    lock(&shared.tokens).insert(id, token);
-                    // A fast worker may already have finished (its own
-                    // removal ran before this insert): don't leak the
-                    // token entry.
-                    if shared.sched.state(id).is_some_and(JobState::is_terminal) {
-                        lock(&shared.tokens).remove(&id);
-                    }
-                    // Journal the acked submission *before* the client
-                    // hears the ack: once `ok` is on the wire the job
-                    // must survive a crash. (A fast worker's `start` may
-                    // already sit before this record; replay is
-                    // order-insensitive.)
-                    if let Some(j) = &shared.journal {
-                        j.submit(id, &journaled_spec);
-                    }
-                    ok_response(vec![("job", Json::num_u64(id))])
+        Request::Submit { jobs, batch } => match submit(shared, jobs) {
+            Ok(ids) => {
+                let mut ids: Vec<Json> = ids.into_iter().map(Json::num_u64).collect();
+                if batch {
+                    ok_response(vec![("jobs", Json::Arr(ids))])
+                } else {
+                    ok_response(vec![("job", ids.swap_remove(0))])
                 }
-                Err(e) => error_response(&ProtoError::from(e)),
             }
-        }
+            Err(e) => error_response(&e),
+        },
         Request::Cancel(id) => {
             match shared
                 .sched
@@ -762,53 +735,58 @@ fn dispatch_request(req: Request, shared: &Arc<Shared>) -> Json {
                 ("running_jobs", Json::num_u64(running.len() as u64)),
             ])
         }
-        Request::SubmitBatch(specs) => {
-            if shared.shutting_down.load(Ordering::SeqCst) {
-                return error_response(&ProtoError::from(SubmitError::ShuttingDown));
-            }
-            // One admission decision for the whole batch: either every
-            // job fits under the high-water mark or the lot sheds with a
-            // single typed `overloaded` + `retry_after_ms` (DESIGN.md
-            // §15.2) — a batch cannot jump the soft wall by splitting
-            // its head under the line.
-            let stats = shared.sched.stats();
-            if let Err(over) =
-                shared
-                    .admission
-                    .admit_batch(stats.queued, stats.running, specs.len())
-            {
-                return error_response(&ProtoError::Overloaded(over));
-            }
-            let journaled: Vec<Json> = specs.iter().map(spec_json).collect();
-            let mut tokens = Vec::with_capacity(specs.len());
-            let mut jobs = Vec::with_capacity(specs.len());
-            for spec in specs {
-                let token = Arc::new(CancelToken::new(spec.policy.deadline_ms));
-                tokens.push(Arc::clone(&token));
-                jobs.push(shared.job_fn(spec, token));
-            }
-            match shared.sched.submit_batch(jobs) {
-                Ok(ids) => {
-                    for ((&id, token), spec) in ids.iter().zip(tokens).zip(&journaled) {
-                        lock(&shared.tokens).insert(id, token);
-                        if shared.sched.state(id).is_some_and(JobState::is_terminal) {
-                            lock(&shared.tokens).remove(&id);
-                        }
-                        // Journal before the ack reaches the wire — same
-                        // durability contract as single submit.
-                        if let Some(j) = &shared.journal {
-                            j.submit(id, spec);
-                        }
-                    }
-                    ok_response(vec![(
-                        "jobs",
-                        Json::Arr(ids.iter().map(|&id| Json::num_u64(id)).collect()),
-                    )])
-                }
-                Err(e) => error_response(&ProtoError::from(e)),
-            }
+    }
+}
+
+/// The one way into the scheduler, for `submit` (a batch of one) and
+/// `submit_batch` alike. Refuses while draining and rejects a batch
+/// larger than the queue outright; otherwise the scheduler's capacity
+/// check admits or refuses the whole batch under its lock, and a refusal
+/// is shed as `overloaded` with a retry hint (DESIGN.md §14.3). Admitted
+/// jobs get their cancel tokens, and every acked spec is journaled
+/// before the caller writes the ack.
+fn submit(shared: &Arc<Shared>, specs: Vec<JobSpec>) -> Result<Vec<JobId>, ProtoError> {
+    if shared.shutting_down.load(Ordering::SeqCst) {
+        return Err(ProtoError::ShuttingDown);
+    }
+    let n = specs.len();
+    if n > shared.queue_cap {
+        return Err(ProtoError::BatchTooLarge {
+            jobs: n,
+            cap: shared.queue_cap,
+        });
+    }
+    let journaled: Vec<Json> = specs.iter().map(spec_json).collect();
+    let (tokens, jobs): (Vec<_>, Vec<_>) = specs
+        .into_iter()
+        .map(|spec| {
+            let token = Arc::new(CancelToken::new(spec.policy.deadline_ms));
+            (Arc::clone(&token), shared.job_fn(spec, token))
+        })
+        .unzip();
+    let ids = shared.sched.submit_batch(jobs).map_err(|e| match e {
+        SubmitError::QueueFull { cap, queued } => {
+            ProtoError::Overloaded(shared.admission.shed((queued + n).saturating_sub(cap)))
+        }
+        SubmitError::ShuttingDown => ProtoError::ShuttingDown,
+    })?;
+    shared.admission.record_admitted(n);
+    for ((&id, token), spec) in ids.iter().zip(tokens).zip(&journaled) {
+        lock(&shared.tokens).insert(id, token);
+        // A fast worker may already have finished (its own removal ran
+        // before this insert): don't leak the token entry.
+        if shared.sched.state(id).is_some_and(JobState::is_terminal) {
+            lock(&shared.tokens).remove(&id);
+        }
+        // Journal the acked submission *before* the client hears the
+        // ack: once `ok` is on the wire the job must survive a crash.
+        // (A fast worker's `start` may already sit before this record;
+        // replay is order-insensitive.)
+        if let Some(j) = &shared.journal {
+            j.submit(id, spec);
         }
     }
+    Ok(ids)
 }
 
 /// Cumulative screening counters across every selection this daemon has
@@ -850,10 +828,6 @@ fn stats_response(shared: &Shared) -> Json {
         (
             "admission",
             Json::obj(vec![
-                (
-                    "high_water",
-                    Json::num_u64(shared.admission.high_water() as u64),
-                ),
                 ("mean_job_ms", Json::num_u64(shared.admission.mean_job_ms())),
                 ("shed", Json::num_u64(shared.admission.shed_total())),
             ]),

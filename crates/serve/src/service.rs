@@ -270,8 +270,8 @@ pub struct JobOutput {
 /// `workers × job_threads` stays bounded by the machine). The job's
 /// result is byte-identical for every setting.
 ///
-/// Note: a trace cut by its instruction budget is the *normal* sampling
-/// mode, not a time-out — the pipeline's trace stats never set
+/// Note: a trace cut by its instruction budget is the *normal* end of
+/// a run, not a time-out — the pipeline's trace stats never set
 /// `RunStats::timed_out` — and only the timing sims' `max_cycles`
 /// watchdog marks a job `TimedOut`.
 ///

@@ -1,7 +1,7 @@
 //! End-to-end daemon test: spawn `preexecd` on an ephemeral port, drive
 //! it over TCP with the newline-delimited JSON protocol, and check that
 //! served results are bit-identical to a direct in-process pipeline run
-//! and that every response carries protocol version 9.
+//! and that every response carries protocol version 10.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -23,6 +23,12 @@ struct Daemon {
 
 impl Daemon {
     fn spawn() -> Daemon {
+        Daemon::spawn_with(&["--workers", "2"])
+    }
+
+    /// Spawns a daemon on an ephemeral port and its own cache directory,
+    /// with `args` appended.
+    fn spawn_with(args: &[&str]) -> Daemon {
         // Per-spawn unique dir: tests in this binary run in parallel, and
         // a shared cache would leak artifacts (and cache hits) across
         // daemons.
@@ -35,11 +41,10 @@ impl Daemon {
             .args([
                 "--port",
                 "0",
-                "--workers",
-                "2",
                 "--cache-dir",
                 cache_dir.to_str().expect("utf-8 temp dir"),
             ])
+            .args(args)
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
             .spawn()
@@ -105,7 +110,7 @@ impl Conn {
         let resp = Json::parse(line.trim()).expect("response parses");
         assert_eq!(
             resp.get("protocol_version").and_then(Json::as_u64),
-            Some(9),
+            Some(10),
             "{line}"
         );
         resp
@@ -397,14 +402,70 @@ fn handler_threads_are_reaped_across_many_connections() {
 }
 
 #[test]
+fn a_batch_larger_than_the_queue_is_queue_full_without_a_retry_hint() {
+    // An idle daemon whose queue holds two jobs: no wait would ever
+    // admit a batch of three, so the answer is final and carries no hint.
+    let daemon = Daemon::spawn_with(&["--workers", "1", "--queue-cap", "2", "--no-journal"]);
+    let mut conn = daemon.connect();
+    let jobs = ["vpr.r", "mcf", "gap"]
+        .map(|w| format!(r#"{{"workload":"{w}","budget":30000}}"#))
+        .join(",");
+    let resp = conn.roundtrip(&format!(r#"{{"cmd":"submit_batch","jobs":[{jobs}]}}"#));
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    assert_eq!(
+        resp.get("code").and_then(Json::as_str),
+        Some("queue_full"),
+        "{}",
+        resp.encode()
+    );
+    assert!(resp.get("retry_after_ms").is_none(), "{}", resp.encode());
+    let msg = resp.get("error").and_then(Json::as_str).expect("message");
+    assert!(
+        msg.contains('3') && msg.contains('2') && !msg.contains("retry"),
+        "{msg}"
+    );
+    // Nothing was queued or shed, and the admission report is the
+    // EWMA and the shed count only.
+    let stats = conn.ok(r#"{"cmd":"stats"}"#);
+    assert_eq!(u64_field(&stats, &["jobs", "submitted"]), 0);
+    let Some(Json::Obj(admission)) = stats.get("admission") else {
+        panic!("no admission report: {}", stats.encode());
+    };
+    let keys: Vec<&str> = admission.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(keys, ["mean_job_ms", "shed"]);
+    assert_eq!(u64_field(&stats, &["admission", "shed"]), 0);
+
+    // The batch client gives up at once instead of backing off.
+    let start = Instant::now();
+    let out = Command::new(env!("CARGO_BIN_EXE_toolflow"))
+        .args(["--daemon", &daemon.addr, "vpr.r,mcf,gap", "20000"])
+        .output()
+        .expect("running toolflow");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(5), "stderr:\n{stderr}");
+    assert!(stderr.contains("capacity of 2"), "stderr:\n{stderr}");
+    assert!(
+        start.elapsed() < Duration::from_secs(5),
+        "toolflow took {:?} to give up",
+        start.elapsed()
+    );
+
+    conn.ok(r#"{"cmd":"shutdown"}"#);
+    drop(conn);
+    daemon.wait_for_exit();
+}
+
+#[test]
 fn removed_shard_flags_are_usage_errors() {
-    // `--threaded` is gone too: the daemon has one front end.
+    // `--threaded` and `--high-water` are gone too: the daemon has one
+    // front end and one overload wall.
     for (args, option) in [
         (
             &["--shard-id", "0", "--shard-peers", "a,b"][..],
             "--shard-id",
         ),
         (&["--threaded"][..], "--threaded"),
+        (&["--high-water", "3"][..], "--high-water"),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_preexecd"))
             .args(args)

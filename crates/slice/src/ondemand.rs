@@ -371,7 +371,7 @@ fn record(
 mod tests {
     use super::*;
     use crate::SliceWindow;
-    use preexec_func::{try_run_trace_checkpointed, Replayer, Sampling, TraceConfig};
+    use preexec_func::{try_run_trace_checkpointed, Replayer, TraceConfig};
     use preexec_isa::{assemble, Program};
 
     /// A loop with register induction, same-iteration and cross-iteration
@@ -439,15 +439,6 @@ mod tests {
     #[test]
     fn matches_windowed_with_tiny_max_len() {
         assert_identical(&TraceConfig::default(), 256, 4, 64);
-    }
-
-    #[test]
-    fn matches_windowed_under_sampling() {
-        let config = TraceConfig {
-            sampling: Sampling::new(31, 17, 101),
-            ..TraceConfig::default()
-        };
-        assert_identical(&config, 128, 32, 64);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!
 //! - [`isa`] — the PERI RISC instruction set, assembler and programs;
 //! - [`mem`] — caches, memory, buses, MSHRs;
-//! - [`func`] — functional simulation, tracing, sampling;
+//! - [`func`] — functional simulation and tracing;
 //! - [`slice`](mod@slice) — backward dynamic slicing and **slice trees** (§3.2);
 //! - [`core`] — **aggregate advantage** and p-thread selection, merging
 //!   and optimization (§3.1–3.3) — the paper's contribution;

@@ -171,8 +171,7 @@ fn record(p: &Program, cfg: &PipelineConfig) -> Vec<DynInst> {
 /// execution counts (`DC_trig`), and the sample length.
 fn recount(trace: &[DynInst], cfg: &PipelineConfig) -> (RunStats, Vec<(Pc, u64)>) {
     let mut stats = RunStats {
-        // Every step is emitted under always-on sampling, and a budget
-        // cut is a complete run.
+        // Every step is emitted, and a budget cut is a complete run.
         total_steps: trace.len() as u64,
         timed_out: false,
         ..RunStats::default()
