@@ -34,8 +34,9 @@ use std::time::Instant;
 ///
 /// `Parallelism` is a plain knob, not a pool: each [`map`] call spawns
 /// scoped threads and joins them before returning, so a stage holds its
-/// threads only while it runs. This is what lets the batch service bound
-/// *total* threads as `workers × job_threads` without coordination.
+/// threads only while it runs. No front end sets it: the pipeline,
+/// `toolflow` and the daemon all select serially, and the identity tests
+/// keep the parallel path pinned to the serial one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Parallelism {
     threads: usize,

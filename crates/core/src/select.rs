@@ -291,7 +291,7 @@ pub fn select_pthreads_par(
 }
 
 /// [`select_pthreads_par`] plus utilization counters for the two parallel
-/// stages (scoring + per-tree solving), for the service's speedup gauges.
+/// stages (scoring + per-tree solving).
 ///
 /// Scoring runs behind the static screen (see [`crate::screen`]); use
 /// [`try_select_pthreads_stats`] to disable screening or to handle

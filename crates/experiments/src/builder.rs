@@ -12,35 +12,31 @@
 //!
 //! let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
 //! let p = w.build(InputSet::Train);
-//! let out = Pipeline::new(&p).budget(60_000).threads(2).run().unwrap();
+//! let out = Pipeline::new(&p).budget(60_000).run().unwrap();
 //! assert!(out.result.speedup() >= 1.0);
 //! ```
 //!
 //! The builder holds exactly one policy value: every *policy* knob
-//! (config, budget, slicing mode, screening, deadline) is a field of
-//! the [`PolicySpec`], and the
-//! [`config`](Pipeline::config) and [`budget`](Pipeline::budget) setters
-//! are thin wrappers that mutate it. [`policy`](Pipeline::policy)
-//! installs a whole spec at once — the same value the toolflow `--policy`
-//! flag, the daemon's `policy` object, and the WAL all carry.
+//! (config, budget, slicing mode, deadline) is a field of the
+//! [`PolicySpec`], and the [`config`](Pipeline::config) and
+//! [`budget`](Pipeline::budget) setters are thin wrappers that mutate
+//! it. [`policy`](Pipeline::policy) installs a whole spec at once — the
+//! same value the daemon's `policy` object and the WAL carry.
 //!
-//! Execution-environment knobs stay separate from policy:
+//! Selection always runs serially behind the static screen, the one
+//! path the suite benchmark measures. Two execution knobs stay separate
+//! from policy:
 //!
-//! - [`threads`](Pipeline::threads) / [`parallelism`](Pipeline::parallelism)
-//!   — the selection stage's fan-out;
 //! - [`artifacts`](Pipeline::artifacts) — skip the trace stage entirely,
 //!   finishing from a cached forest (the service's cache-hit path);
 //! - [`gate`](Pipeline::gate) — stage-boundary admission (cancellation,
 //!   deadlines).
 //!
-//! Every combination produces byte-identical [`PipelineResult`]s — the
-//! determinism contract of DESIGN.md §11 extended to the new axes.
+//! Every combination produces byte-identical [`PipelineResult`]s.
 
-use crate::pipeline::{self, PipelineConfig, PipelineParStats, PipelineResult};
+use crate::pipeline::{self, PipelineConfig, PipelineResult};
 use crate::policy::PolicySpec;
 use crate::PipelineError;
-use preexec_core::par::Parallelism;
-use preexec_core::ScreenStats;
 use preexec_func::RunStats;
 use preexec_isa::Program;
 use preexec_slice::SliceForest;
@@ -79,16 +75,11 @@ pub struct PipelineOutput {
     /// The slice forest the selection ran against — returned so callers
     /// (e.g. the artifact cache) can persist it without re-tracing.
     pub forest: SliceForest,
-    /// Per-stage parallel-utilization counters.
-    pub par: PipelineParStats,
     /// Wall-clock stage timings.
     pub stage_us: StageUs,
     /// Whether the trace stage was skipped via
     /// [`artifacts`](Pipeline::artifacts).
     pub artifacts_reused: bool,
-    /// Candidate counts from the static screening pre-pass of the
-    /// selection stage; `None` when the spec disabled screening.
-    pub screen: Option<ScreenStats>,
 }
 
 /// Default checkpoint cadence for
@@ -141,7 +132,6 @@ pub type StageGate<'g> = &'g (dyn Fn(&'static str) -> Result<(), PipelineError> 
 pub struct Pipeline<'p> {
     program: &'p Program,
     spec: PolicySpec,
-    par: Parallelism,
     artifacts: Option<(SliceForest, RunStats)>,
     gate: Option<StageGate<'p>>,
 }
@@ -150,7 +140,6 @@ impl std::fmt::Debug for Pipeline<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pipeline")
             .field("spec", &self.spec)
-            .field("par", &self.par)
             .field("artifacts", &self.artifacts.is_some())
             .field("gate", &self.gate.is_some())
             .finish_non_exhaustive()
@@ -166,7 +155,6 @@ impl<'p> Pipeline<'p> {
         Pipeline {
             program,
             spec: PolicySpec::default(),
-            par: Parallelism::serial(),
             artifacts: None,
             gate: None,
         }
@@ -174,7 +162,7 @@ impl<'p> Pipeline<'p> {
 
     /// Installs a whole [`PolicySpec`] — the one source of truth for
     /// every policy knob. Replaces any previously set config, budget,
-    /// slicing mode, screening, or deadline.
+    /// slicing mode, or deadline.
     #[must_use]
     pub fn policy(mut self, spec: PolicySpec) -> Self {
         self.spec = spec;
@@ -194,19 +182,6 @@ impl<'p> Pipeline<'p> {
     pub fn budget(mut self, budget: u64) -> Self {
         self.spec.cfg.budget = budget;
         self.spec.cfg.warmup = budget / 4;
-        self
-    }
-
-    /// Sets the selection stage's thread count (1 = serial).
-    #[must_use]
-    pub fn threads(self, n: usize) -> Self {
-        self.parallelism(Parallelism::new(n))
-    }
-
-    /// Sets the selection stage's parallelism knob directly.
-    #[must_use]
-    pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.par = par;
         self
     }
 
@@ -262,14 +237,12 @@ impl<'p> Pipeline<'p> {
         preexec_obs::global().counter("pipeline.runs").inc();
         let program = self.program;
         let cfg = self.spec.cfg;
-        let par = self.par;
         let gate = self.gate;
         let check = |stage: &'static str| match gate {
             Some(g) => g(stage),
             None => Ok(()),
         };
         let artifacts_reused = self.artifacts.is_some();
-        let screening = self.spec.screening;
         let (arts, trace_us) = self.trace_stage()?;
         let mut stage_us = StageUs {
             trace: trace_us,
@@ -283,8 +256,7 @@ impl<'p> Pipeline<'p> {
 
         check("select")?;
         let t = Instant::now();
-        let (selection, select_par, screen) =
-            pipeline::select_stage(&arts.forest, &cfg, base.ipc(), par, screening)?;
+        let selection = pipeline::select_stage(&arts.forest, &cfg, base.ipc())?;
         stage_us.select = elapsed_us(t);
 
         check("assisted_sim")?;
@@ -300,10 +272,8 @@ impl<'p> Pipeline<'p> {
                 assisted,
             },
             forest: arts.forest,
-            par: PipelineParStats { select: select_par },
             stage_us,
             artifacts_reused,
-            screen: screening.then_some(screen),
         })
     }
 
@@ -381,13 +351,11 @@ mod tests {
             .config(cfg())
             .budget(80_000)
             .policy(PolicySpec {
-                screening: false,
                 slicing: SlicingMode::OnDemand {
                     checkpoint_every: 7,
                 },
                 ..PolicySpec::default()
             });
-        assert!(!b.spec.screening);
         assert_eq!(
             b.spec.slicing,
             SlicingMode::OnDemand {
@@ -467,33 +435,6 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(key(&out.result), key(&whole.result));
-    }
-
-    #[test]
-    fn ondemand_run_matches_batch_run_across_threads() {
-        let p = vpr();
-        let c = cfg();
-        let batch = Pipeline::new(&p).config(c).run().unwrap();
-        let batch_forest = preexec_slice::write_forest(&batch.forest);
-        for threads in [1usize, 2, 8] {
-            let out = Pipeline::new(&p)
-                .policy(PolicySpec {
-                    cfg: c,
-                    slicing: SlicingMode::OnDemand {
-                        checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-                    },
-                    ..PolicySpec::default()
-                })
-                .threads(threads)
-                .run()
-                .unwrap();
-            assert_eq!(key(&out.result), key(&batch.result), "threads={threads}");
-            assert_eq!(
-                preexec_slice::write_forest(&out.forest),
-                batch_forest,
-                "forest bytes diverged at threads={threads}"
-            );
-        }
     }
 
     #[test]

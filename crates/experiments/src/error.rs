@@ -62,14 +62,6 @@ pub enum PipelineError {
         /// How far past the deadline the boundary check ran.
         over_ms: u64,
     },
-    /// Two policy inputs contradict each other: a toolflow flag and a
-    /// `--policy` entry name different values for the same key.
-    /// Carries the policy key in conflict.
-    ConflictingPolicy {
-        /// The policy key the two inputs disagree on (`"slice_mode"` or
-        /// `"screening"`).
-        key: &'static str,
-    },
 }
 
 impl PipelineError {
@@ -94,7 +86,6 @@ impl PipelineError {
             PipelineError::Sim(_) => "pipeline.sim",
             PipelineError::Cancelled { .. } => "pipeline.cancelled",
             PipelineError::DeadlineExceeded { .. } => "pipeline.deadline_exceeded",
-            PipelineError::ConflictingPolicy { .. } => "config.conflicting_policy",
         }
     }
 }
@@ -134,9 +125,6 @@ impl fmt::Display for PipelineError {
             }
             PipelineError::DeadlineExceeded { stage, over_ms } => {
                 write!(f, "deadline exceeded {over_ms} ms before the {stage} stage")
-            }
-            PipelineError::ConflictingPolicy { key } => {
-                write!(f, "conflicting policy values for `{key}`")
             }
         }
     }
@@ -222,7 +210,6 @@ mod tests {
                 over_ms: 3,
             }
             .code(),
-            PipelineError::ConflictingPolicy { key: "slice_mode" }.code(),
         ];
         for (i, a) in codes.iter().enumerate() {
             for b in &codes[i + 1..] {

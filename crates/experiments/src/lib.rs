@@ -46,6 +46,6 @@ pub use builder::{
 pub use error::PipelineError;
 pub use pipeline::{
     run_pipeline, trace_and_slice, trace_and_slice_warm, try_run_pipeline,
-    try_trace_and_slice_warm, PipelineConfig, PipelineParStats, PipelineResult,
+    try_trace_and_slice_warm, PipelineConfig, PipelineResult,
 };
 pub use policy::PolicySpec;

@@ -2,10 +2,9 @@
 
 use crate::builder::{SlicingMode, TraceArtifacts};
 use crate::PipelineError;
-use preexec_core::par::{ParStats, Parallelism};
+use preexec_core::par::Parallelism;
 use preexec_core::{
-    select_pthreads, try_select_pthreads_stats, ScreenStats, Selection, SelectionParams,
-    StaticPThread,
+    select_pthreads, try_select_pthreads_stats, Selection, SelectionParams, StaticPThread,
 };
 use preexec_func::{
     try_run_trace, try_run_trace_checkpointed, MeasuredRegion, Replayer, RunStats, TraceConfig,
@@ -14,15 +13,6 @@ use preexec_isa::{Inst, Pc, Program};
 use preexec_mem::HierarchyConfig;
 use preexec_slice::{ForestBank, OnDemandSlicer, SliceForest, SliceForestBuilder};
 use preexec_timing::{try_simulate, MachineParams, SimConfig, SimMode, SimResult};
-
-/// Per-stage parallel-utilization counters for one pipeline run. Only
-/// selection fans out: the trace and slice extraction are one dependent
-/// pass over the instruction stream, and the timing sims are serial.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PipelineParStats {
-    /// The selection fan-outs (per-candidate scoring + per-tree solving).
-    pub select: ParStats,
-}
 
 /// Configuration of one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -413,19 +403,17 @@ pub(crate) fn assisted_sim_stage(
 /// Stage: p-thread selection against a slice forest and a measured base
 /// IPC, with the model parameters derived from `cfg` (see
 /// [`selection_params`]). Given a cached forest, re-selection under new
-/// machine parameters needs no re-trace. `screening` toggles the static ADVagg upper-bound pre-pass; the selected set is
-/// byte-identical either way (the screen only prunes candidates that
-/// cannot score positive), so `false` exists purely for benchmarking the
-/// exact path and for bisecting suspected screen regressions.
+/// machine parameters needs no re-trace. Selection runs serially behind
+/// the static ADVagg screen, the path the suite benchmark measures.
 pub(crate) fn select_stage(
     forest: &SliceForest,
     cfg: &PipelineConfig,
     base_ipc: f64,
-    par: Parallelism,
-    screening: bool,
-) -> Result<(Selection, ParStats, ScreenStats), PipelineError> {
+) -> Result<Selection, PipelineError> {
     let params = selection_params(cfg, base_ipc);
-    Ok(try_select_pthreads_stats(forest, &params, par, screening)?)
+    let (selection, _, _) =
+        try_select_pthreads_stats(forest, &params, Parallelism::serial(), true)?;
+    Ok(selection)
 }
 
 /// Full pipeline: trace, slice, select against the measured base IPC, and

@@ -1,31 +1,27 @@
 //! The unified policy specification — one typed value describing
-//! *everything* configurable about a pipeline run.
+//! everything a caller may choose about a pipeline run.
 //!
-//! Nine PRs of organic growth left the configuration surface scattered:
-//! `PipelineConfig` carried the model knobs, while slicing mode,
-//! screening, and deadlines each grew their own builder setter, toolflow
-//! flag, and flat protocol field. [`PolicySpec`] collapses that sprawl
-//! into a single serde-free typed struct that is the one source of truth
-//! flowing through [`Pipeline`](crate::Pipeline), the toolflow CLI, the
-//! daemon's `submit`/`submit_batch` verbs (the protocol's nested
-//! `policy` object), and the WAL round-trip.
+//! [`PolicySpec`] is the one source of truth flowing through
+//! [`Pipeline`](crate::Pipeline), the daemon's `submit`/`submit_batch`
+//! verbs (the protocol's nested `policy` object carries its deadline),
+//! and the WAL round-trip. Selection always runs serially behind the
+//! static screen: neither is a policy choice, since neither changes a
+//! result.
 
 use crate::pipeline::PipelineConfig;
 use crate::{PipelineError, SlicingMode};
 
 /// The complete, typed policy of one pipeline run: model/budget
-/// configuration, slicing mode, screening, and the wall-clock deadline.
-/// What a workload runs *on* (program, input) stays with the caller;
+/// configuration, slicing mode, and the wall-clock deadline. What a
+/// workload runs *on* (program, input) stays with the caller;
 /// everything about *how* it runs lives here.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicySpec {
     /// Machine, model, and budget configuration.
     pub cfg: PipelineConfig,
-    /// How the trace stage extracts slices.
+    /// How the trace stage extracts slices (library-only: no front end
+    /// sets it).
     pub slicing: SlicingMode,
-    /// The static ADVagg screening pre-pass (on by default; never
-    /// changes the selected set).
-    pub screening: bool,
     /// Optional wall-clock deadline in milliseconds, observed at stage
     /// boundaries (service-level; ignored by in-process runs without a
     /// gate).
@@ -34,8 +30,7 @@ pub struct PolicySpec {
 
 impl Default for PolicySpec {
     /// The repo's standard quick-run policy: paper defaults at a
-    /// 120 k-instruction budget, windowed slicing, screening on, no
-    /// deadline.
+    /// 120 k-instruction budget, windowed slicing, no deadline.
     fn default() -> PolicySpec {
         PolicySpec::paper_default(120_000)
     }
@@ -47,7 +42,6 @@ impl PolicySpec {
         PolicySpec {
             cfg: PipelineConfig::paper_default(budget),
             slicing: SlicingMode::Windowed,
-            screening: true,
             deadline_ms: None,
         }
     }
@@ -71,7 +65,6 @@ mod tests {
     fn default_spec_validates() {
         let spec = PolicySpec::default();
         assert!(spec.try_validate().is_ok());
-        assert!(spec.screening);
         assert_eq!(spec.slicing, SlicingMode::Windowed);
         assert_eq!(spec.deadline_ms, None);
     }

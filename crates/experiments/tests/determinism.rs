@@ -1,14 +1,19 @@
-//! Cross-thread-count and cross-slicing-mode determinism: the full
-//! pipeline must produce byte-identical results at every `Parallelism`
-//! setting and with both slicers (windowed and on-demand).
+//! Cross-thread-count and cross-slicing-mode determinism.
 //!
-//! This is the contract that makes `--threads N` safe to default on: the
-//! per-candidate scoring fan-out and the per-tree selection fixed points
-//! merge in input order, and every cross-item floating-point
-//! accumulation stays serial (see `preexec_core::par` and DESIGN.md §11).
-//! `Debug` formatting round-trips every `f64` exactly, so string equality
-//! below is bitwise equality of the whole result.
+//! Every front end selects serially, so the thread axis lives at the
+//! layer that keeps the knob: the screened `try_select_pthreads_stats`
+//! over the traced vpr.r and mcf forests must reproduce the pipeline's
+//! own selection at every `Parallelism` setting (`tests/screening.rs`
+//! covers the exact driver). The per-candidate scoring fan-out and the
+//! per-tree selection fixed points merge in input order, and every
+//! cross-item floating-point accumulation stays serial (see
+//! `preexec_core::par` and DESIGN.md §11). The pipeline must also be
+//! byte-identical with both slicers (windowed and on-demand). `Debug`
+//! formatting round-trips every `f64` exactly, so string equality below
+//! is bitwise equality.
 
+use preexec_core::{try_select_pthreads_stats, Parallelism};
+use preexec_experiments::pipeline::selection_params;
 use preexec_experiments::{
     Pipeline, PipelineConfig, PolicySpec, SlicingMode, DEFAULT_CHECKPOINT_EVERY,
 };
@@ -16,37 +21,43 @@ use preexec_slice::write_forest;
 use preexec_workloads::{suite, InputSet};
 
 #[test]
-fn pipeline_is_bit_identical_across_thread_counts() {
+fn selection_is_bit_identical_across_thread_counts() {
+    for name in ["vpr.r", "mcf"] {
+        let w = suite()
+            .into_iter()
+            .find(|w| w.name == name)
+            .expect("suite has workload");
+        let p = w.build(InputSet::Train);
+        let cfg = PipelineConfig::paper_default(60_000);
+        let out = Pipeline::new(&p).config(cfg).run().expect("pipeline run");
+        let want = format!("{:?}", out.result.selection);
+        // The run must be non-trivial, or identity proves nothing.
+        assert!(!out.result.selection.pthreads.is_empty(), "{name}");
+        let params = selection_params(&cfg, out.result.base.ipc());
+        for threads in [1, 2, 8] {
+            let (sel, par, _) =
+                try_select_pthreads_stats(&out.forest, &params, Parallelism::new(threads), true)
+                    .expect("selection");
+            assert_eq!(
+                format!("{sel:?}"),
+                want,
+                "{name}: selection differs at threads={threads}"
+            );
+            // The fan-outs really ran over the work.
+            assert!(par.items > 0, "{name}: select stage saw no items");
+        }
+    }
+}
+
+#[test]
+fn pipeline_is_bit_identical_across_slicing_modes() {
     let w = suite()
         .into_iter()
         .find(|w| w.name == "vpr.r")
         .expect("suite has vpr.r");
     let p = w.build(InputSet::Train);
     let cfg = PipelineConfig::paper_default(60_000);
-
-    let reference = Pipeline::new(&p).config(cfg).run().expect("serial run");
-    let ref_fmt = format!("{:?}", reference.result);
-    // The run must be non-trivial, or identity proves nothing.
-    assert!(!reference.result.selection.pthreads.is_empty());
-    assert!(reference.result.base.mem.l2_misses > 0);
-
-    for threads in [2, 8] {
-        let out = Pipeline::new(&p)
-            .config(cfg)
-            .threads(threads)
-            .run()
-            .expect("parallel run");
-        assert_eq!(
-            format!("{:?}", out.result),
-            ref_fmt,
-            "pipeline output differs at threads={threads}"
-        );
-        // The parallel stage really ran over the work.
-        assert!(out.par.select.items > 0, "select stage saw no items");
-    }
-
-    // On-demand re-execution slicing is a third point on the same
-    // identity.
+    let windowed = Pipeline::new(&p).config(cfg).run().expect("windowed run");
     let ondemand = Pipeline::new(&p)
         .policy(PolicySpec {
             cfg,
@@ -59,16 +70,15 @@ fn pipeline_is_bit_identical_across_thread_counts() {
         .expect("ondemand run");
     assert_eq!(
         format!("{:?}", ondemand.result),
-        ref_fmt,
+        format!("{:?}", windowed.result),
         "pipeline output differs between windowed and ondemand slicing"
     );
 }
 
 #[test]
-fn slice_forest_serializes_identically_across_thread_counts() {
-    // The artifact cache persists forests; a thread-count- or
-    // slicer-dependent byte stream would poison cache keys across
-    // daemon configurations.
+fn slice_forest_serializes_identically_across_slicing_modes() {
+    // The artifact cache persists forests; a slicer-dependent byte
+    // stream would poison cache keys.
     let w = suite()
         .into_iter()
         .find(|w| w.name == "mcf")
@@ -76,20 +86,10 @@ fn slice_forest_serializes_identically_across_thread_counts() {
     let p = w.build(InputSet::Train);
     let cfg = PipelineConfig::paper_default(40_000);
 
-    let arts = Pipeline::new(&p).config(cfg).trace().expect("serial trace");
-    let reference = write_forest(&arts.forest);
-    for threads in [2, 8] {
-        let arts_n = Pipeline::new(&p)
-            .config(cfg)
-            .threads(threads)
-            .trace()
-            .expect("parallel trace");
-        assert_eq!(
-            write_forest(&arts_n.forest),
-            reference,
-            "forest differs at threads={threads}"
-        );
-    }
+    let arts = Pipeline::new(&p)
+        .config(cfg)
+        .trace()
+        .expect("windowed trace");
     let arts_o = Pipeline::new(&p)
         .policy(PolicySpec {
             cfg,
@@ -102,7 +102,7 @@ fn slice_forest_serializes_identically_across_thread_counts() {
         .expect("ondemand trace");
     assert_eq!(
         write_forest(&arts_o.forest),
-        reference,
+        write_forest(&arts.forest),
         "forest differs between windowed and ondemand slicing"
     );
 }

@@ -1,6 +1,6 @@
 //! The observability layer's no-perturbation contract: instrumented and
 //! uninstrumented runs of the full pipeline produce byte-identical
-//! results, at any thread count.
+//! results.
 //!
 //! The [`preexec_obs`] registry is write-only from the pipeline's point
 //! of view — counters, gauges, histograms, and spans are recorded but
@@ -29,23 +29,17 @@ fn recording_does_not_perturb_pipeline_output() {
     let cfg = PipelineConfig::paper_default(60_000);
     let registry = preexec_obs::global();
 
-    // One full run per thread count — serial and 8-thread — reduced to
-    // bytes: the Debug rendering of the pipeline result plus the
-    // serialized slice forest.
-    let run = |threads: usize| {
-        let out = Pipeline::new(&p)
-            .config(cfg)
-            .threads(threads)
-            .run()
-            .expect("pipeline");
+    // One full run reduced to bytes: the Debug rendering of the
+    // pipeline result plus the serialized slice forest.
+    let run = || {
+        let out = Pipeline::new(&p).config(cfg).run().expect("pipeline");
         (format!("{:?}", out.result), write_forest(&out.forest))
     };
-    let points = [1usize, 8];
 
     // Reference: recording off — every handle is a no-op, which is the
     // "uninstrumented" configuration without a second code path.
     registry.set_recording(false);
-    let reference: Vec<_> = points.iter().map(|&t| run(t)).collect();
+    let (reference_result, reference_forest) = run();
     let quiet_samples: u64 = registry
         .snapshot()
         .histograms
@@ -54,19 +48,17 @@ fn recording_does_not_perturb_pipeline_output() {
         .sum();
     assert_eq!(quiet_samples, 0, "recording off still recorded samples");
 
-    // Instrumented: recording on, same runs, same bytes.
+    // Instrumented: recording on, same run, same bytes.
     registry.set_recording(true);
-    for (i, &threads) in points.iter().enumerate() {
-        let (result, forest) = run(threads);
-        assert_eq!(
-            result, reference[i].0,
-            "pipeline output perturbed by recording at threads={threads}"
-        );
-        assert_eq!(
-            forest, reference[i].1,
-            "slice forest perturbed by recording at threads={threads}"
-        );
-    }
+    let (result, forest) = run();
+    assert_eq!(
+        result, reference_result,
+        "pipeline output perturbed by recording"
+    );
+    assert_eq!(
+        forest, reference_forest,
+        "slice forest perturbed by recording"
+    );
 
     // And the instrumentation really fired: per-stage spans recorded.
     let snap = registry.snapshot();
@@ -92,7 +84,7 @@ fn recording_does_not_perturb_pipeline_output() {
             .find(|(n, _)| n == name)
             .map_or(0, |(_, v)| *v)
     };
-    assert!(counter("pipeline.runs") >= 2, "pipeline.runs not counted");
+    assert!(counter("pipeline.runs") >= 1, "pipeline.runs not counted");
     assert!(
         counter("select.candidates") > 0,
         "select.candidates not counted"

@@ -3,9 +3,9 @@
 //! 1. **Byte identity** — `SlicingMode::OnDemand` produces the same
 //!    slice forest bytes, the same trace statistics, and the same final
 //!    `PipelineResult` as the windowed path, for any program, any
-//!    checkpoint cadence, any scope, and any thread count. Checkpoints
-//!    and replay intervals are an implementation detail; they must never
-//!    be observable in the results.
+//!    checkpoint cadence, and any scope. Checkpoints and replay
+//!    intervals are an implementation detail; they must never be
+//!    observable in the results.
 //! 2. **Unbounded scope** — scopes far past anything a resident window
 //!    was sized for still run (the bounded-memory half lives in
 //!    `tests/ondemand_memory`, where the residency gauge can be read
@@ -103,11 +103,11 @@ proptest! {
 }
 
 #[test]
-fn ondemand_matches_windowed_on_real_workloads_at_every_thread_count() {
+fn ondemand_matches_windowed_on_real_workloads() {
     // The tentpole identity on the integration workloads: on-demand
-    // output is byte-identical to the windowed pipeline on vpr.r and mcf
-    // at threads 1, 2, and 8. Debug formatting round-trips every f64, so
-    // string equality is bitwise equality.
+    // output is byte-identical to the windowed pipeline on vpr.r and
+    // mcf. Debug formatting round-trips every f64, so string equality is
+    // bitwise equality.
     for name in ["vpr.r", "mcf"] {
         let w = suite()
             .into_iter()
@@ -117,35 +117,29 @@ fn ondemand_matches_windowed_on_real_workloads_at_every_thread_count() {
         let cfg = PipelineConfig::paper_default(30_000);
 
         let windowed = Pipeline::new(&p).config(cfg).run().expect("windowed run");
-        let key = format!("{:?}", windowed.result);
-        let bytes = write_forest(&windowed.forest);
         assert!(
             windowed.result.stats.l2_misses > 0,
             "{name}: trivial run proves nothing"
         );
-
-        for threads in [1usize, 2, 8] {
-            let ondemand = Pipeline::new(&p)
-                .policy(PolicySpec {
-                    cfg,
-                    slicing: SlicingMode::OnDemand {
-                        checkpoint_every: 1021,
-                    },
-                    ..PolicySpec::default()
-                })
-                .threads(threads)
-                .run()
-                .expect("ondemand run");
-            assert_eq!(
-                format!("{:?}", ondemand.result),
-                key,
-                "{name}: ondemand differs from windowed at threads={threads}"
-            );
-            assert_eq!(
-                write_forest(&ondemand.forest),
-                bytes,
-                "{name}: ondemand forest differs at threads={threads}"
-            );
-        }
+        let ondemand = Pipeline::new(&p)
+            .policy(PolicySpec {
+                cfg,
+                slicing: SlicingMode::OnDemand {
+                    checkpoint_every: 1021,
+                },
+                ..PolicySpec::default()
+            })
+            .run()
+            .expect("ondemand run");
+        assert_eq!(
+            format!("{:?}", ondemand.result),
+            format!("{:?}", windowed.result),
+            "{name}: ondemand differs from windowed"
+        );
+        assert_eq!(
+            write_forest(&ondemand.forest),
+            write_forest(&windowed.forest),
+            "{name}: ondemand forest differs"
+        );
     }
 }

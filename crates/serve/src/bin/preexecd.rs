@@ -14,9 +14,8 @@ usage: preexecd [options]
 options:
   --addr HOST:PORT   listen address (default 127.0.0.1:7099; port 0 = ephemeral)
   --port N           shorthand for --addr 127.0.0.1:N
-  --workers N        worker threads (default: one per core)
-  --job-threads N    intra-job threads per worker for selection (score/solve)
-                     (default: cores/workers; results are identical for any N)
+  --workers N        worker threads (default: one per core); each job runs
+                     on its worker's thread alone
   --queue-cap N      bounded job-queue capacity (default 256): a submit the
                      queue cannot take now is shed as `overloaded` with a
                      retry_after_ms hint; a batch of more than N jobs is
@@ -61,10 +60,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
             "--workers" => {
                 let v = value("--workers")?;
                 cfg.workers = v.parse().map_err(|_| format!("bad worker count `{v}`"))?;
-            }
-            "--job-threads" => {
-                let v = value("--job-threads")?;
-                cfg.job_threads = v.parse().map_err(|_| format!("bad thread count `{v}`"))?;
             }
             "--queue-cap" => {
                 let v = value("--queue-cap")?;

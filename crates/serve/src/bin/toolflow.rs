@@ -3,51 +3,24 @@
 //! reads the file and generates p-thread sets for several machine
 //! configurations quickly, without re-tracing.
 //!
-//! Usage: `toolflow [--jobs N] [--threads N] [--slice-mode windowed|ondemand[:N]] [--no-screen] [--policy k=v,...] [--profile] [workload[,workload...]|all] [budget] [out.slices]`
-//!        `toolflow [--threads N] [--no-screen] [--profile] --read <file.slices>` (selection only, no re-tracing)
-//!        `toolflow --daemon HOST:PORT [--slice-mode ...] [--policy k=v,...] [workload[,workload...]|all] [budget]` (run via preexecd)
+//! Usage: `toolflow [--jobs N] [--profile] [workload[,workload...]|all] [budget] [out.slices]`
+//!        `toolflow [--profile] --read <file.slices>` (selection only, no re-tracing)
+//!        `toolflow --daemon HOST:PORT [workload[,workload...]|all] [budget]` (run via preexecd)
+//!
+//! Every argument is parsed before anything runs, so an option's place
+//! on the command line never matters. An unknown option anywhere exits
+//! 2, and so do the combinations that would otherwise be ignored: a
+//! workload, budget or output path given with `--read`, `--read` with
+//! `--daemon`, and `--jobs` with `--daemon`.
+//!
+//! Each workload runs the one analysis path the suite benchmark
+//! measures: windowed slicing, then serial selection behind the static
+//! ADVagg screen.
 //!
 //! With several workloads the runs are scheduled over `--jobs N` worker
 //! threads (default 1). Output is buffered per workload and printed in
 //! submission order, so it is byte-identical for every `N`; `--jobs 1`
 //! additionally *executes* serially, matching the historical behaviour.
-//!
-//! `--threads N` (default 1) additionally parallelizes the selection
-//! stage (candidate scoring and per-tree solving) *inside* each workload
-//! run via `preexec_core::par`; the trace and slicing are one serial pass.
-//! Results are bit-identical for every `N` — the fan-outs merge in input
-//! order and cross-item accumulation stays serial (DESIGN.md §11) — so
-//! the two knobs compose freely:
-//! `--jobs` trades throughput across workloads, `--threads` latency
-//! within one.
-//!
-//! `--slice-mode ondemand[:N]` traces through the checkpoint-based
-//! re-execution path: the trace pass records a checkpoint every N
-//! emitted instructions (default 4096) and keeps no slicing window;
-//! each slice is reconstructed later by replaying bounded intervals
-//! from the nearest checkpoint, so peak slicing memory is
-//! O(checkpoints + N) regardless of scope. stdout is byte-identical
-//! with `--slice-mode windowed` (the default) — the CI determinism
-//! matrix diffs the two. With `--daemon` the mode travels in the
-//! submit batch as the `policy` object's `slice_mode`/`checkpoint_every`
-//! fields.
-//!
-//! `--no-screen` disables the static ADVagg screening pre-pass of the
-//! selection stage and scores every candidate exactly. The screen is
-//! admissible — it only skips candidates that provably cannot score
-//! positive — so stdout is byte-identical with and without the flag; the
-//! CI screening leg diffs the two. The flag exists for benchmarking the
-//! exact path and bisecting suspected screen regressions.
-//!
-//! `--policy key=val,...` sets any field of the unified
-//! [`PolicySpec`] directly: `slice_mode=windowed|ondemand[:N]`,
-//! `screening=BOOL`, `deadline_ms=N`; any other key exits 2. The
-//! spelling composes with the dedicated flags (`--no-screen`,
-//! `--slice-mode`): restating the same value both ways is fine, but a
-//! flag and a `--policy` entry naming *different* values for one key
-//! exit 2 with the typed `config.conflicting_policy` error. In
-//! `--daemon` mode the whole spec travels as the protocol's nested
-//! `policy` object.
 //!
 //! `--profile` prints a per-stage wall-clock profile table (count, total,
 //! mean, p50/p99 bounds, max — from the [`preexec_obs`] registry) to
@@ -80,17 +53,14 @@
 //! the batch as `overloaded`, it is retried with the shared jittered
 //! backoff of [`preexec_serve::retry`], honoring `retry_after_ms`; a
 //! batch larger than the daemon's queue is `queue_full` and exits 5 at
-//! once. The daemon owns execution and the artifact cache, so
-//! `--jobs`/`--threads` do not apply. The exit-code contract is
-//! unchanged: results print in submission order and the first failing
-//! job's code (5 for pipeline faults and panics) wins.
+//! once. The daemon owns execution and the artifact cache. The
+//! exit-code contract is unchanged: results print in submission order
+//! and the first failing job's code (5 for pipeline faults and panics)
+//! wins.
 
 use preexec_core::{try_select_pthreads_stats, Parallelism, SelectionParams};
-use preexec_experiments::{
-    Pipeline, PipelineError, PolicySpec, SlicingMode, DEFAULT_CHECKPOINT_EVERY,
-};
+use preexec_experiments::{Pipeline, PolicySpec};
 use preexec_serve::json::Json;
-use preexec_serve::proto::policy_json;
 use preexec_serve::retry::Backoff;
 use preexec_serve::scheduler::{JobCompletion, JobFn, Scheduler};
 use preexec_slice::{read_forest, read_forest_lenient, write_forest, SliceForest};
@@ -137,94 +107,79 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<u8, Failure> {
-    let mut jobs: usize = 1;
-    let mut threads: usize = 1;
-    let mut profile = false;
-    // Dedicated flags and `--policy` entries are tracked separately as
-    // "given or not": a key named by both with different values is a
-    // contradiction, not an override order.
-    let mut screen_flag: Option<bool> = None;
-    let mut slicing_flag: Option<SlicingMode> = None;
-    let mut pol = PolicyOverrides::default();
-    let mut daemon: Option<String> = None;
-    let mut positional: Vec<&String> = Vec::new();
+/// The whole command line, parsed before anything runs.
+#[derive(Default)]
+struct Args {
+    jobs: Option<usize>,
+    profile: bool,
+    read: Option<String>,
+    daemon: Option<String>,
+    positional: Vec<String>,
+}
+
+fn parse_args(args: &[String]) -> Result<Args, Failure> {
+    let mut parsed = Args::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
+        let mut value = |usage: &str| {
+            it.next()
+                .cloned()
+                .ok_or_else(|| Failure::new(2, usage.to_string()))
+        };
         match arg.as_str() {
-            "--profile" => profile = true,
-            "--no-screen" => screen_flag = Some(false),
-            "--slice-mode" => {
-                let v = it.next().ok_or_else(|| {
-                    Failure::new(2, "--slice-mode needs windowed or ondemand[:N]")
-                })?;
-                slicing_flag = Some(parse_slice_mode(v)?);
-            }
-            "--policy" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| Failure::new(2, "--policy needs key=val[,key=val...]"))?;
-                parse_policy_overrides(v, &mut pol)?;
-            }
-            "--daemon" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| Failure::new(2, "--daemon needs HOST:PORT"))?;
-                daemon = Some(v.clone());
-            }
-            "--jobs" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| Failure::new(2, "--jobs needs a value"))?;
-                jobs = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| Failure::new(2, format!("bad job count `{v}`")))?;
-            }
-            "--threads" => {
-                let v = it
-                    .next()
-                    .ok_or_else(|| Failure::new(2, "--threads needs a value"))?;
-                threads = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .ok_or_else(|| Failure::new(2, format!("bad thread count `{v}`")))?;
-            }
+            "--profile" => parsed.profile = true,
             // Selection-only mode: the whole point of the decoupled
             // toolflow is that pass 2 can rerun without re-tracing.
-            "--read" => {
-                let path = it
-                    .next()
-                    .ok_or_else(|| Failure::new(2, "usage: toolflow --read <file.slices>"))?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| Failure::new(3, format!("reading {path}: {e}")))?;
-                let screening =
-                    merge_policy("screening", screen_flag, pol.screening)?.unwrap_or(true);
-                let mut report = JobReport::default();
-                read_and_select(
-                    path,
-                    &text,
-                    Parallelism::new(threads),
-                    screening,
-                    &mut report,
-                );
-                print!("{}", report.stdout);
-                eprint!("{}", report.stderr);
-                if profile {
-                    print_profile();
-                }
-                return Ok(report.code);
+            "--read" => parsed.read = Some(value("usage: toolflow --read <file.slices>")?),
+            "--daemon" => parsed.daemon = Some(value("--daemon needs HOST:PORT")?),
+            "--jobs" => {
+                let v = value("--jobs needs a value")?;
+                let n = v.parse().ok().filter(|&n| n >= 1);
+                parsed.jobs =
+                    Some(n.ok_or_else(|| Failure::new(2, format!("bad job count `{v}`")))?);
             }
             other if other.starts_with("--") => {
                 return Err(Failure::new(2, format!("unknown option `{other}`")));
             }
-            _ => positional.push(arg),
+            _ => parsed.positional.push(arg.clone()),
         }
     }
+    // Combinations one mode would silently ignore are usage errors.
+    if parsed.read.is_some() && !parsed.positional.is_empty() {
+        return Err(Failure::new(
+            2,
+            "--read takes no workload, budget or output path",
+        ));
+    }
+    if parsed.read.is_some() && parsed.daemon.is_some() {
+        return Err(Failure::new(2, "--read does not apply with --daemon"));
+    }
+    if parsed.jobs.is_some() && parsed.daemon.is_some() {
+        return Err(Failure::new(
+            2,
+            "--jobs does not apply with --daemon: the daemon owns execution",
+        ));
+    }
+    Ok(parsed)
+}
 
-    let names = positional.first().map_or("vpr.r", |s| s.as_str());
+fn run(args: &[String]) -> Result<u8, Failure> {
+    let args = parse_args(args)?;
+    if let Some(path) = &args.read {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| Failure::new(3, format!("reading {path}: {e}")))?;
+        let mut report = JobReport::default();
+        read_and_select(path, &text, &mut report);
+        print!("{}", report.stdout);
+        eprint!("{}", report.stderr);
+        if args.profile {
+            print_profile();
+        }
+        return Ok(report.code);
+    }
+
+    let positional = &args.positional;
+    let names = positional.first().map_or("vpr.r", String::as_str);
     let budget: u64 = match positional.get(1) {
         None => 150_000,
         Some(s) => s
@@ -256,43 +211,34 @@ fn run(args: &[String]) -> Result<u8, Failure> {
         ));
     }
 
-    // Resolve flags + `--policy` entries into the one PolicySpec every
-    // execution path (local, daemon) consumes.
-    let mut spec = PolicySpec::paper_default(budget);
-    if let Some(m) = merge_policy("slice_mode", slicing_flag, pol.slicing)? {
-        spec.slicing = m;
-    }
-    spec.screening = merge_policy("screening", screen_flag, pol.screening)?.unwrap_or(true);
-    spec.deadline_ms = pol.deadline_ms;
+    let spec = PolicySpec::paper_default(budget);
     if let Err(e) = spec.try_validate() {
         return Err(Failure::new(2, format!("{e} ({})", e.code())));
     }
 
-    if let Some(addr) = daemon {
+    if let Some(addr) = &args.daemon {
         if positional.get(2).is_some() {
             return Err(Failure::new(
                 2,
                 "an output path does not apply with --daemon",
             ));
         }
-        let code = run_daemon(&addr, &selected, budget, &spec)?;
-        return Ok(code);
+        return run_daemon(addr, &selected, budget);
     }
 
     // Submit every workload as one batch into a queue sized to hold it;
     // buffer each job's output and print in submission order. Each job
     // builds its own program, so a queued job holds none.
-    let sched: Scheduler<JobReport> = Scheduler::new(jobs, selected.len());
+    let sched: Scheduler<JobReport> = Scheduler::new(args.jobs.unwrap_or(1), selected.len());
     let batch: Vec<JobFn<JobReport>> = selected
         .iter()
         .map(|&&w| {
             let path = positional
                 .get(2)
-                .map_or_else(|| format!("{}.slices", w.name), |p| p.to_string());
-            let par = Parallelism::new(threads);
+                .map_or_else(|| format!("{}.slices", w.name), String::clone);
             Box::new(move |_id| {
                 let program = w.build(InputSet::Train);
-                JobCompletion::Done(run_workload(w.name, &program, spec, &path, par))
+                JobCompletion::Done(run_workload(w.name, &program, spec, &path))
             }) as JobFn<JobReport>
         })
         .collect();
@@ -328,100 +274,10 @@ fn run(args: &[String]) -> Result<u8, Failure> {
         }
     }
     sched.shutdown();
-    if profile {
+    if args.profile {
         print_profile();
     }
     Ok(first_bad)
-}
-
-/// The policy fields `--policy key=val,...` may set. `None` means "not
-/// given", so a dedicated flag can still supply the value — and so a
-/// flag/`--policy` contradiction is detectable.
-#[derive(Default)]
-struct PolicyOverrides {
-    slicing: Option<SlicingMode>,
-    screening: Option<bool>,
-    deadline_ms: Option<u64>,
-}
-
-/// Parses one `--policy key=val[,key=val...]` argument into `pol`.
-/// Repeated keys (across entries or flags) keep the last value.
-fn parse_policy_overrides(v: &str, pol: &mut PolicyOverrides) -> Result<(), Failure> {
-    for kv in v.split(',') {
-        let (key, val) = kv.split_once('=').ok_or_else(|| {
-            Failure::new(2, format!("bad --policy entry `{kv}` (want key=value)"))
-        })?;
-        match key {
-            "slice_mode" => pol.slicing = Some(parse_slice_mode(val)?),
-            "screening" => pol.screening = Some(parse_policy_bool(key, val)?),
-            "deadline_ms" => pol.deadline_ms = Some(parse_policy_u64(key, val)?),
-            _ => return Err(Failure::new(2, format!("unknown --policy key `{key}`"))),
-        }
-    }
-    Ok(())
-}
-
-fn parse_policy_bool(key: &str, val: &str) -> Result<bool, Failure> {
-    match val {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(Failure::new(
-            2,
-            format!("--policy {key} wants true or false, got `{val}`"),
-        )),
-    }
-}
-
-fn parse_policy_u64(key: &str, val: &str) -> Result<u64, Failure> {
-    val.parse()
-        .map_err(|_| Failure::new(2, format!("--policy {key} wants a number, got `{val}`")))
-}
-
-/// Merges a dedicated flag's value with a `--policy` entry for the same
-/// key. Both given with different values is the typed policy
-/// contradiction (`config.conflicting_policy`, exit 2); otherwise
-/// whichever was given wins.
-fn merge_policy<T: PartialEq>(
-    key: &'static str,
-    flag: Option<T>,
-    policy: Option<T>,
-) -> Result<Option<T>, Failure> {
-    match (flag, policy) {
-        (Some(f), Some(p)) if f != p => {
-            let e = PipelineError::ConflictingPolicy { key };
-            Err(Failure::new(2, format!("{e} ({})", e.code())))
-        }
-        (f, p) => Ok(p.or(f)),
-    }
-}
-
-/// Parses a `--slice-mode` value: `windowed`, `ondemand`, or
-/// `ondemand:N` (checkpoint cadence; 0 means the default).
-fn parse_slice_mode(v: &str) -> Result<SlicingMode, Failure> {
-    if v == "windowed" {
-        return Ok(SlicingMode::Windowed);
-    }
-    if v == "ondemand" {
-        return Ok(SlicingMode::OnDemand {
-            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
-        });
-    }
-    if let Some(n) = v.strip_prefix("ondemand:") {
-        let every: u64 = n
-            .parse()
-            .map_err(|_| Failure::new(2, format!("bad checkpoint cadence `{n}`")))?;
-        return Ok(SlicingMode::OnDemand {
-            checkpoint_every: if every == 0 {
-                DEFAULT_CHECKPOINT_EVERY
-            } else {
-                every
-            },
-        });
-    }
-    Err(Failure::new(
-        2,
-        format!("bad slice mode `{v}` (windowed or ondemand[:N])"),
-    ))
 }
 
 /// One connection to a preexecd, with the line-oriented request/response
@@ -469,12 +325,7 @@ impl DaemonConn {
 /// with jittered backoff while the daemon sheds it as `overloaded`),
 /// then status polls and `result` fetches, reported in submission order
 /// under the local exit-code contract.
-fn run_daemon(
-    addr: &str,
-    selected: &[&Workload],
-    budget: u64,
-    spec: &PolicySpec,
-) -> Result<u8, Failure> {
+fn run_daemon(addr: &str, selected: &[&Workload], budget: u64) -> Result<u8, Failure> {
     let mut conn = DaemonConn::connect(addr)?;
     let submit = Json::obj(vec![
         ("cmd", Json::str("submit_batch")),
@@ -487,7 +338,6 @@ fn run_daemon(
                         Json::obj(vec![
                             ("workload", Json::str(w.name)),
                             ("budget", Json::num_u64(budget)),
-                            ("policy", policy_json(spec)),
                         ])
                     })
                     .collect(),
@@ -661,13 +511,6 @@ fn print_profile() {
             .map_or(0, |(_, v)| *v)
     };
     eprintln!(
-        "  par: calls={} items={} busy_us={} wall_us={}",
-        counter("par.calls"),
-        counter("par.items"),
-        counter("par.busy_us"),
-        counter("par.wall_us"),
-    );
-    eprintln!(
         "  select: candidates={} pthreads={}",
         counter("select.candidates"),
         counter("select.pthreads"),
@@ -681,14 +524,12 @@ fn run_workload(
     program: &preexec_isa::Program,
     spec: PolicySpec,
     path: &str,
-    par: Parallelism,
 ) -> JobReport {
     let mut report = JobReport::default();
     // Pass 1 (expensive, once): trace and slice, write the file. The
     // spec defaults match the paper toolflow (scope 1024, slice len
-    // 32); `ondemand` slicing swaps in the checkpointed re-execution
-    // path, with a byte-identical forest.
-    let (forest, stats) = match Pipeline::new(program).policy(spec).parallelism(par).trace() {
+    // 32).
+    let (forest, stats) = match Pipeline::new(program).policy(spec).trace() {
         Ok(arts) => (arts.forest, arts.stats),
         Err(e) => {
             let _ = writeln!(report.stderr, "toolflow: tracing {name}: {e}");
@@ -712,7 +553,7 @@ fn run_workload(
     // Pass 2 (cheap, many times): read the file back and select p-thread
     // sets for several configurations.
     match std::fs::read_to_string(path) {
-        Ok(text) => read_and_select(path, &text, par, spec.screening, &mut report),
+        Ok(text) => read_and_select(path, &text, &mut report),
         Err(e) => {
             let _ = writeln!(report.stderr, "toolflow: reading {path}: {e}");
             report.code = 3;
@@ -723,15 +564,9 @@ fn run_workload(
 
 /// Pass 2: parse a slice file (strictly, with best-effort recovery on
 /// corruption) and report p-thread selections.
-fn read_and_select(
-    path: &str,
-    text: &str,
-    par: Parallelism,
-    screening: bool,
-    report: &mut JobReport,
-) {
+fn read_and_select(path: &str, text: &str, report: &mut JobReport) {
     match read_forest(text) {
-        Ok(forest) => select_and_report(&forest, par, screening, report),
+        Ok(forest) => select_and_report(&forest, report),
         Err(strict_err) => {
             // Corruption always exits nonzero, but salvage what we can
             // first: a partially recovered forest still yields a usable
@@ -748,7 +583,7 @@ fn read_and_select(
                     recovered.forest.num_trees(),
                     recovered.skipped_trees
                 );
-                select_and_report(&recovered.forest, par, screening, report);
+                select_and_report(&recovered.forest, report);
             }
             let _ = writeln!(
                 report.stderr,
@@ -761,16 +596,10 @@ fn read_and_select(
     }
 }
 
-/// Selects and prints p-thread sets for several machine configurations.
-/// The selected sets — and therefore stdout — are byte-identical with
-/// screening on or off; the flag only changes how much exact scoring
-/// work the selection stage performs.
-fn select_and_report(
-    forest: &SliceForest,
-    par: Parallelism,
-    screening: bool,
-    report: &mut JobReport,
-) {
+/// Selects and prints p-thread sets for several machine configurations,
+/// on the pipeline's own selection path: serial, behind the static
+/// screen.
+fn select_and_report(forest: &SliceForest, report: &mut JobReport) {
     for (label, params) in [
         (
             "8-wide, 78-cycle misses",
@@ -816,7 +645,7 @@ fn select_and_report(
             report.code = 5;
             return;
         }
-        let sel = match try_select_pthreads_stats(forest, &params, par, screening) {
+        let sel = match try_select_pthreads_stats(forest, &params, Parallelism::serial(), true) {
             Ok((sel, _, _)) => sel,
             Err(e) => {
                 let _ = writeln!(report.stderr, "toolflow: selecting [{label}]: {e}");

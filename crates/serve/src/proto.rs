@@ -9,7 +9,7 @@
 //!
 //! | `cmd` | fields | response payload |
 //! |-------|--------|------------------|
-//! | `submit` | `workload` (required), `input`, `budget`, `warmup`, `scope`, `max_slice_len`, `max_pthread_len`, `optimize`, `merge`, `width`, `mem_latency`, `model_miss_latency`, `model_width`, plus a nested `policy` object (`slice_mode`, `checkpoint_every`, `screening`, `deadline_ms`) | `job` id |
+//! | `submit` | `workload` (required), `input`, `budget`, `warmup`, `scope`, `max_slice_len`, `max_pthread_len`, `optimize`, `merge`, `width`, `mem_latency`, `model_miss_latency`, `model_width`, plus a nested `policy` object (`deadline_ms`) | `job` id |
 //! | `submit_batch` | `jobs`: a non-empty array of submit objects | `jobs`: array of ids, in order |
 //! | `status` | `job` | `state` (+ `error` when failed) |
 //! | `result` | `job` | `state`, `cache_hit`, `result{...}` |
@@ -35,14 +35,17 @@
 //! given budget (default 120 000 instructions); `width` and
 //! `mem_latency` override the corresponding [`MachineParams`] fields,
 //! the `model_*` fields the selection model's cross-validation knobs.
+//! A `scope` above [`MAX_SCOPE`] is shed at the door.
 //!
-//! Policy fields (slicing mode, screening, deadline) live only in the
-//! nested `policy` object. A top-level `slice_mode`, `checkpoint_every`,
-//! or `deadline_ms` (the flat spellings of protocol v5) is a `bad_field`
-//! error naming the `policy` object; keys the object does not know (such
-//! as the `streaming` flag protocol v6 wrote) are ignored, so v6
-//! journals replay unchanged. The `adaptive` key protocol v7 wrote is
-//! accepted and ignored only in its disabled shapes (see
+//! Every job runs one analysis path: windowed slicing, then serial
+//! selection behind the static screen. The nested `policy` object has
+//! one key, `deadline_ms`. Keys it does not know are ignored, so every
+//! older journal replays: v6's `streaming` and v10's `slice_mode`,
+//! `checkpoint_every` and `screening` never changed a result. A
+//! top-level `deadline_ms` (protocol v5's flat spelling) is a
+//! `bad_field` error naming the `policy` object, since dropping it
+//! would run the job without its deadline. The `adaptive` key protocol
+//! v7 wrote is accepted and ignored only in its disabled shapes (see
 //! [`PROTOCOL_VERSION`]).
 //!
 //! [`MachineParams`]: preexec_timing::MachineParams
@@ -53,9 +56,7 @@ use crate::json::Json;
 use crate::scheduler::JobId;
 use crate::service::{JobOutput, JobSpec};
 use preexec_experiments::pipeline::pct;
-use preexec_experiments::{
-    PipelineConfig, PipelineError, PolicySpec, SlicingMode, DEFAULT_CHECKPOINT_EVERY,
-};
+use preexec_experiments::{PipelineConfig, PipelineError, PolicySpec};
 use preexec_workloads::InputSet;
 use std::fmt;
 
@@ -80,21 +81,21 @@ use std::fmt;
 /// the `stats` report has no `shard` section; version 10 makes the queue
 /// cap the only overload wall: `stats.admission` drops the high-water
 /// mark, a batch the queue cannot take now is `overloaded`, and a batch
-/// larger than the queue is `queue_full` without `retry_after_ms`.
-/// Journals carry only submit specs and results, so v8 journals replay
-/// unchanged.
-pub const PROTOCOL_VERSION: u64 = 10;
+/// larger than the queue is `queue_full` without `retry_after_ms`;
+/// version 11 runs every job on one analysis path: the `policy` object's
+/// `slice_mode`, `checkpoint_every` and `screening` keys are ignored like
+/// any key it does not know (so are a top-level `slice_mode` and
+/// `checkpoint_every`), only a top-level `deadline_ms` is still
+/// `bad_field`, one scope cap ([`MAX_SCOPE`]) applies to every job, and
+/// the `stats` report drops its screening counters, its selection
+/// fan-out speedup and its per-job thread count. Journals carry only
+/// submit specs and results, so v8 journals replay unchanged.
+pub const PROTOCOL_VERSION: u64 = 11;
 
-/// Largest slicing scope admitted in `"windowed"` mode: the sliding
-/// window keeps the whole scope resident, so past this the daemon would
-/// commit to gigabytes of window for one job. Larger scopes must opt
-/// into `"ondemand"` slicing, whose residency is checkpoint-bounded.
-pub const MAX_WINDOWED_SCOPE: u64 = 1 << 24;
-
-/// Largest slicing scope admitted at all (`"ondemand"` mode). Beyond
-/// this even sequence-number bookkeeping is outside anything the trace
-/// budget could produce — such a request is a typo, not a plan.
-pub const MAX_SCOPE: u64 = 1 << 32;
+/// Largest slicing scope admitted: the sliding window keeps the whole
+/// scope resident, so past this the daemon would commit to gigabytes of
+/// window for one job.
+pub const MAX_SCOPE: u64 = 1 << 24;
 
 /// A protocol-level failure: why a request line could not be parsed or
 /// served. [`code`](ProtoError::code) is the stable contract; the
@@ -149,19 +150,15 @@ pub enum ProtoError {
         /// Why that job was rejected.
         inner: Box<ProtoError>,
     },
-    /// The submitted slicing scope exceeds the admission cap for the
-    /// requested slice mode ([`MAX_WINDOWED_SCOPE`] windowed,
-    /// [`MAX_SCOPE`] on-demand). Rejected at the door: a windowed job
-    /// with an absurd scope would eagerly commit the daemon to an
-    /// unserviceable resident window.
+    /// The submitted slicing scope exceeds the admission cap
+    /// [`MAX_SCOPE`]. Rejected at the door: a job with an absurd scope
+    /// would eagerly commit the daemon to an unserviceable resident
+    /// window.
     ScopeTooLarge {
         /// The requested scope.
         scope: u64,
         /// The cap it exceeded.
         cap: u64,
-        /// The slice mode the cap belongs to (`"windowed"` or
-        /// `"ondemand"`).
-        mode: &'static str,
     },
 }
 
@@ -220,15 +217,8 @@ impl fmt::Display for ProtoError {
             ProtoError::BatchJob { index, inner } => {
                 write!(f, "batch job #{index}: {inner}")
             }
-            ProtoError::ScopeTooLarge { scope, cap, mode } => {
-                write!(f, "scope {scope} exceeds the {mode} admission cap {cap}")?;
-                if *mode == "windowed" {
-                    write!(
-                        f,
-                        "; use slice_mode \"ondemand\" for scopes past window residency"
-                    )?;
-                }
-                Ok(())
+            ProtoError::ScopeTooLarge { scope, cap } => {
+                write!(f, "scope {scope} exceeds the admission cap {cap}")
             }
         }
     }
@@ -463,22 +453,27 @@ pub(crate) fn parse_submit(json: &Json) -> Result<JobSpec, ProtoError> {
     cfg.try_validate().map_err(ProtoError::Config)?;
 
     let policy = parse_policy(json, cfg)?;
+    let scope = cfg.scope as u64;
+    if scope > MAX_SCOPE {
+        return Err(ProtoError::ScopeTooLarge {
+            scope,
+            cap: MAX_SCOPE,
+        });
+    }
     let mut spec = JobSpec::new(workload, input, cfg).map_err(ProtoError::UnknownWorkload)?;
     spec.policy = policy;
     Ok(spec)
 }
 
 /// Parses the nested `policy` submit object over the defaults for `cfg`
-/// (absent or null means all defaults), then validates the whole spec
-/// and the per-mode scope cap.
+/// (absent or null means all defaults). It reads `deadline_ms`, checks
+/// the legacy `adaptive` key, and ignores every other key.
 fn parse_policy(json: &Json, cfg: PipelineConfig) -> Result<PolicySpec, ProtoError> {
-    for field in ["slice_mode", "checkpoint_every", "deadline_ms"] {
-        if json.get(field).is_some() {
-            return Err(ProtoError::BadField {
-                field,
-                expected: "inside the `policy` object",
-            });
-        }
+    if json.get("deadline_ms").is_some() {
+        return Err(ProtoError::BadField {
+            field: "deadline_ms",
+            expected: "inside the `policy` object",
+        });
     }
     let mut policy = PolicySpec {
         cfg,
@@ -487,12 +482,6 @@ fn parse_policy(json: &Json, cfg: PipelineConfig) -> Result<PolicySpec, ProtoErr
     match json.get("policy") {
         None | Some(Json::Null) => {}
         Some(obj @ Json::Obj(_)) => {
-            if let Some(x) = parse_slice_mode(obj)? {
-                policy.slicing = x;
-            }
-            if let Some(x) = opt_bool(obj, "screening")? {
-                policy.screening = x;
-            }
             check_legacy_adaptive(obj)?;
             policy.deadline_ms = opt_u64(obj, "deadline_ms")?;
         }
@@ -503,8 +492,6 @@ fn parse_policy(json: &Json, cfg: PipelineConfig) -> Result<PolicySpec, ProtoErr
             })
         }
     }
-    policy.try_validate().map_err(ProtoError::Config)?;
-    check_scope_cap(cfg.scope as u64, policy.slicing)?;
     Ok(policy)
 }
 
@@ -531,53 +518,12 @@ fn check_legacy_adaptive(obj: &Json) -> Result<(), ProtoError> {
     }
 }
 
-/// Parses an optional `slice_mode` (`"windowed"` or `"ondemand"`) plus
-/// `checkpoint_every` pair from a `policy` object. `None` means the mode
-/// was not given (a bare `checkpoint_every` is ignored).
-fn parse_slice_mode(obj: &Json) -> Result<Option<SlicingMode>, ProtoError> {
-    let expected = r#""windowed" or "ondemand""#;
-    let name = match obj.get("slice_mode") {
-        None | Some(Json::Null) => return Ok(None),
-        Some(v) => v.as_str().ok_or(ProtoError::BadField {
-            field: "slice_mode",
-            expected,
-        })?,
-    };
-    match name {
-        "windowed" => Ok(Some(SlicingMode::Windowed)),
-        "ondemand" => Ok(Some(SlicingMode::OnDemand {
-            checkpoint_every: opt_u64(obj, "checkpoint_every")?
-                .unwrap_or(DEFAULT_CHECKPOINT_EVERY)
-                .max(1),
-        })),
-        _ => Err(ProtoError::BadField {
-            field: "slice_mode",
-            expected,
-        }),
-    }
-}
-
-/// The per-mode scope admission gate (see [`MAX_WINDOWED_SCOPE`] /
-/// [`MAX_SCOPE`]).
-fn check_scope_cap(scope: u64, mode: SlicingMode) -> Result<(), ProtoError> {
-    let (cap, name) = match mode {
-        SlicingMode::Windowed => (MAX_WINDOWED_SCOPE, "windowed"),
-        SlicingMode::OnDemand { .. } => (MAX_SCOPE, "ondemand"),
-    };
-    if scope > cap {
-        return Err(ProtoError::ScopeTooLarge {
-            scope,
-            cap,
-            mode: name,
-        });
-    }
-    Ok(())
-}
-
 /// Serializes a [`JobSpec`] back into the submit-object shape
 /// `parse_submit` accepts, every field explicit — the durable
 /// journal's `spec` payload. Round-trip exactness is what lets a
-/// restarted daemon re-run the job byte-identically.
+/// restarted daemon re-run the job byte-identically. The policy's
+/// slicing mode is not written: the wire never sets it, and every mode
+/// yields the same result.
 pub fn spec_json(spec: &JobSpec) -> Json {
     let cfg = &spec.policy.cfg;
     let mut fields = vec![
@@ -599,25 +545,11 @@ pub fn spec_json(spec: &JobSpec) -> Json {
     if let Some(x) = cfg.model_width {
         fields.push(("model_width", Json::Num(x)));
     }
-    fields.push(("policy", policy_json(&spec.policy)));
-    Json::obj(fields)
-}
-
-/// The canonical nested `policy` object: every field explicit, fixed
-/// order — what the journal persists and `toolflow --daemon` submits.
-pub fn policy_json(p: &PolicySpec) -> Json {
-    let mut fields = Vec::new();
-    match p.slicing {
-        SlicingMode::Windowed => fields.push(("slice_mode", Json::str("windowed"))),
-        SlicingMode::OnDemand { checkpoint_every } => {
-            fields.push(("slice_mode", Json::str("ondemand")));
-            fields.push(("checkpoint_every", Json::num_u64(checkpoint_every)));
-        }
-    }
-    fields.push(("screening", Json::Bool(p.screening)));
-    if let Some(ms) = p.deadline_ms {
-        fields.push(("deadline_ms", Json::num_u64(ms)));
-    }
+    let policy = match spec.policy.deadline_ms {
+        Some(ms) => vec![("deadline_ms", Json::num_u64(ms))],
+        None => Vec::new(),
+    };
+    fields.push(("policy", Json::obj(policy)));
     Json::obj(fields)
 }
 
@@ -971,114 +903,121 @@ mod tests {
         }
     }
 
+    /// The canonical spec of a plain submit at `budget`.
+    fn fresh(budget: u64) -> JobSpec {
+        let json = format!(r#"{{"workload":"mcf","budget":{budget}}}"#);
+        parse_submit(&Json::parse(&json).expect("parses")).expect("fresh spec parses")
+    }
+
     #[test]
-    fn slice_mode_parses_defaults_and_rejects_junk() {
-        // Absent (or null) → windowed.
-        for line in [
-            r#"{"cmd":"submit","workload":"mcf"}"#,
-            r#"{"cmd":"submit","workload":"mcf","policy":null}"#,
-            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":null}}"#,
-            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"windowed"}}"#,
+    fn removed_policy_keys_are_ignored_junk_included() {
+        // Protocol v10's `slice_mode`, `checkpoint_every` and `screening`
+        // keys never changed a result, so v11 ignores them inside the
+        // `policy` object and at the top level, whatever their values.
+        let want = fresh(50_000);
+        for (extra, policy) in [
+            ("", r#"{"slice_mode":"windowed","screening":true}"#),
+            (
+                "",
+                r#"{"slice_mode":"ondemand","checkpoint_every":7,"screening":false}"#,
+            ),
+            ("", r#"{"slice_mode":"turbo","checkpoint_every":-1}"#),
+            ("", r#"{"slice_mode":7,"screening":"junk"}"#),
+            ("", r#"{"checkpoint_every":"x","screening":null}"#),
+            (r#""slice_mode":"ondemand","#, "null"),
+            (r#""checkpoint_every":256,"#, "{}"),
+            (r#""slice_mode":[1],"checkpoint_every":false,"#, "{}"),
         ] {
-            let spec = single(line);
-            assert_eq!(spec.policy.slicing, SlicingMode::Windowed, "{line}");
+            let body = format!(r#""workload":"mcf","budget":50000,{extra}"policy":{policy}"#);
+            for line in [
+                format!(r#"{{"cmd":"submit",{body}}}"#),
+                format!(r#"{{"cmd":"submit_batch","jobs":[{{{body}}}]}}"#),
+            ] {
+                let Ok(Request::Submit { jobs, .. }) = parse_request(&line) else {
+                    panic!("`{line}` must parse")
+                };
+                assert_eq!(jobs[0].policy, want.policy, "`{line}`");
+                assert_eq!(
+                    spec_json(&jobs[0]).encode(),
+                    spec_json(&want).encode(),
+                    "`{line}`"
+                );
+            }
         }
-        // On-demand defaults its cadence; an explicit one sticks, and a
-        // zero cadence is clamped to 1 at the door.
-        let spec =
-            single(r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"ondemand"}}"#);
-        assert_eq!(
-            spec.policy.slicing,
-            SlicingMode::OnDemand {
-                checkpoint_every: DEFAULT_CHECKPOINT_EVERY
-            }
-        );
+        // The one policy key still parses beside them, and is what the
+        // canonical form writes back.
         let spec = single(
-            r#"{"cmd":"submit","workload":"mcf",
-                "policy":{"slice_mode":"ondemand","checkpoint_every":512}}"#,
+            r#"{"cmd":"submit","workload":"mcf","budget":50000,
+                "policy":{"slice_mode":"ondemand","screening":false,"deadline_ms":9000}}"#,
         );
-        assert_eq!(
-            spec.policy.slicing,
-            SlicingMode::OnDemand {
-                checkpoint_every: 512
-            }
+        assert_eq!(spec.policy.deadline_ms, Some(9000));
+        assert_eq!(spec.policy.slicing, want.policy.slicing);
+        let encoded = spec_json(&spec).encode();
+        assert!(
+            encoded.contains(r#""policy":{"deadline_ms":9000}"#),
+            "{encoded}"
         );
-        let spec = single(
-            r#"{"cmd":"submit","workload":"mcf",
-                "policy":{"slice_mode":"ondemand","checkpoint_every":0}}"#,
-        );
-        assert_eq!(
-            spec.policy.slicing,
-            SlicingMode::OnDemand {
-                checkpoint_every: 1
-            }
-        );
-        // Junk modes are typed field errors.
-        for line in [
-            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":"turbo"}}"#,
-            r#"{"cmd":"submit","workload":"mcf","policy":{"slice_mode":7}}"#,
+    }
+
+    #[test]
+    fn flat_deadline_ms_is_rejected_naming_policy() {
+        // Protocol v5's flat spelling, alone or beside a nested object,
+        // in a single submit and inside a batch: dropping a deadline
+        // silently would change behaviour, so it stays an error.
+        for flat in [
+            r#""deadline_ms":9000"#,
+            r#""deadline_ms":null"#,
+            r#""deadline_ms":9000,"policy":{"deadline_ms":9000}"#,
         ] {
-            let Err(e) = parse_request(line) else {
-                panic!("`{line}` must be rejected")
-            };
-            assert_eq!(e.code(), "bad_field", "`{line}`");
-            assert!(e.to_string().contains("slice_mode"), "`{line}` → {e}");
+            for line in [
+                format!(r#"{{"cmd":"submit","workload":"mcf",{flat}}}"#),
+                format!(r#"{{"cmd":"submit_batch","jobs":[{{"workload":"mcf",{flat}}}]}}"#),
+            ] {
+                let Err(e) = parse_request(&line) else {
+                    panic!("`{line}` must be rejected")
+                };
+                assert_eq!(e.code(), "bad_field", "`{line}`");
+                let msg = e.to_string();
+                assert!(
+                    msg.contains("deadline_ms") && msg.contains("`policy`"),
+                    "`{line}` → {msg}"
+                );
+            }
         }
     }
 
     #[test]
-    fn absurd_scopes_are_rejected_at_admission_per_mode() {
-        // Past the windowed cap: rejected with the stable code and a
-        // hint pointing at on-demand slicing.
-        let over_windowed = (MAX_WINDOWED_SCOPE + 1).to_string();
-        let line = format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_windowed}}}"#);
-        let Err(e) = parse_request(&line) else {
-            panic!("absurd windowed scope must be shed")
-        };
-        assert_eq!(e.code(), "config.scope_too_large");
-        assert!(e.to_string().contains("ondemand"), "{e}");
-        // The same scope under on-demand slicing is admitted…
-        let ondemand = r#""policy":{"slice_mode":"ondemand"}"#;
-        let line =
-            format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_windowed},{ondemand}}}"#);
-        assert!(matches!(parse_request(&line), Ok(Request::Submit { .. })));
-        // …but even on-demand has a ceiling.
-        let over_all = (MAX_SCOPE + 1).to_string();
-        let line = format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over_all},{ondemand}}}"#);
-        let Err(e) = parse_request(&line) else {
-            panic!("absurd ondemand scope must be shed")
-        };
-        assert_eq!(e.code(), "config.scope_too_large");
+    fn absurd_scopes_are_rejected_at_admission() {
+        // One cap for every job: asking for on-demand slicing no longer
+        // lifts it.
+        let over = (MAX_SCOPE + 1).to_string();
+        for policy in ["", r#","policy":{"slice_mode":"ondemand"}"#] {
+            let line = format!(r#"{{"cmd":"submit","workload":"mcf","scope":{over}{policy}}}"#);
+            let Err(e) = parse_request(&line) else {
+                panic!("`{line}` must be shed")
+            };
+            assert_eq!(e.code(), "config.scope_too_large", "`{line}`");
+            assert_eq!(
+                e,
+                ProtoError::ScopeTooLarge {
+                    scope: MAX_SCOPE + 1,
+                    cap: MAX_SCOPE
+                }
+            );
+            assert!(e.to_string().contains(&MAX_SCOPE.to_string()), "{e}");
+        }
         // Scopes at the cap pass.
-        let at_cap = MAX_WINDOWED_SCOPE.to_string();
-        let line = format!(r#"{{"cmd":"submit","workload":"mcf","scope":{at_cap}}}"#);
+        let line = format!(r#"{{"cmd":"submit","workload":"mcf","scope":{MAX_SCOPE}}}"#);
         assert!(matches!(parse_request(&line), Ok(Request::Submit { .. })));
         // A batch inherits the code, naming the offending index.
         let line = format!(
-            r#"{{"cmd":"submit_batch","jobs":[{{"workload":"vpr.r"}},{{"workload":"mcf","scope":{over_windowed}}}]}}"#
+            r#"{{"cmd":"submit_batch","jobs":[{{"workload":"vpr.r"}},{{"workload":"mcf","scope":{over}}}]}}"#
         );
         let Err(e) = parse_request(&line) else {
             panic!("batch with absurd scope must be shed")
         };
         assert_eq!(e.code(), "config.scope_too_large");
         assert!(e.to_string().contains("batch job #1"), "{e}");
-    }
-
-    #[test]
-    fn ondemand_spec_json_round_trips() {
-        let line = r#"{"cmd":"submit","workload":"mcf","scope":100000000,
-            "policy":{"slice_mode":"ondemand","checkpoint_every":2048}}"#;
-        let spec = single(line);
-        let encoded = spec_json(&spec);
-        let back = parse_submit(&encoded).expect("round-trip parses");
-        assert_eq!(
-            back.policy.slicing,
-            SlicingMode::OnDemand {
-                checkpoint_every: 2048
-            }
-        );
-        assert_eq!(back.policy.cfg.scope, 100_000_000);
-        assert_eq!(spec_json(&back).encode(), encoded.encode());
     }
 
     #[test]
@@ -1105,47 +1044,6 @@ mod tests {
     }
 
     #[test]
-    fn nested_policy_object_parses_every_field() {
-        let line = r#"{"cmd":"submit","workload":"mcf","policy":{
-            "slice_mode":"windowed",
-            "screening":false,"deadline_ms":9000}}"#;
-        let spec = single(line);
-        assert_eq!(spec.policy.slicing, SlicingMode::Windowed);
-        assert!(!spec.policy.screening);
-        assert_eq!(spec.policy.deadline_ms, Some(9000));
-    }
-
-    #[test]
-    fn flat_policy_fields_are_rejected_with_bad_field() {
-        // The v5 flat spellings, alone or beside a nested object, in a
-        // single submit and inside a batch.
-        for (flat, field) in [
-            (r#""slice_mode":"ondemand""#, "slice_mode"),
-            (r#""checkpoint_every":256"#, "checkpoint_every"),
-            (r#""deadline_ms":9000"#, "deadline_ms"),
-            (
-                r#""slice_mode":"windowed","policy":{"slice_mode":"windowed"}"#,
-                "slice_mode",
-            ),
-        ] {
-            for line in [
-                format!(r#"{{"cmd":"submit","workload":"mcf",{flat}}}"#),
-                format!(r#"{{"cmd":"submit_batch","jobs":[{{"workload":"mcf",{flat}}}]}}"#),
-            ] {
-                let Err(e) = parse_request(&line) else {
-                    panic!("`{line}` must be rejected")
-                };
-                assert_eq!(e.code(), "bad_field", "`{line}`");
-                let msg = e.to_string();
-                assert!(
-                    msg.contains(field) && msg.contains("`policy`"),
-                    "`{line}` → {msg}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn v6_journal_spec_with_the_retired_streaming_key_replays_unchanged() {
         // Protocol v6 journaled a `streaming` flag in every policy; the
         // key never changed results, so replay ignores it.
@@ -1157,18 +1055,16 @@ mod tests {
         )
         .expect("parses");
         let replayed = parse_submit(&v6).expect("v6 journal spec replays");
-        let fresh = Json::parse(r#"{"workload":"mcf","budget":50000}"#).expect("parses");
-        let fresh = parse_submit(&fresh).expect("fresh spec parses");
+        let fresh = fresh(50_000);
         assert_eq!(replayed.policy, fresh.policy);
-        // The re-journaled spec is the canonical v8 form: neither retired
-        // key is written back.
+        // The re-journaled spec is the canonical form: no retired key is
+        // written back.
         assert_eq!(spec_json(&replayed).encode(), spec_json(&fresh).encode());
     }
 
     #[test]
     fn legacy_adaptive_key_is_ignored_when_disabled_and_rejected_otherwise() {
-        let fresh = Json::parse(r#"{"workload":"mcf","budget":50000}"#).expect("parses");
-        let fresh = parse_submit(&fresh).expect("fresh spec parses");
+        let fresh = fresh(50_000);
         // The disabled shapes: absent, null, false, and an object whose
         // `enabled` is false, whatever else it carries (the v7 canonical
         // object included). Each replays to the fresh spec, and the
@@ -1228,27 +1124,35 @@ mod tests {
         assert_eq!(e.code(), "bad_field");
     }
 
-    /// A valid [`PolicySpec`] generator: any slicing mode, screening
-    /// toggle and deadline.
+    /// A valid [`PolicySpec`] generator: any budget and deadline.
     fn policy_strategy() -> impl proptest::strategy::Strategy<Value = PolicySpec> {
         use proptest::prelude::*;
         (
             1_000u64..200_000,
-            prop_oneof![
-                Just(SlicingMode::Windowed),
-                (1u64..10_000)
-                    .prop_map(|checkpoint_every| SlicingMode::OnDemand { checkpoint_every }),
-            ],
-            any::<bool>(),
             prop_oneof![Just(None), (1u64..1_000_000).prop_map(Some),],
         )
-            .prop_map(|(budget, slicing, screening, deadline_ms)| {
-                let mut spec = PolicySpec::paper_default(budget);
-                spec.slicing = slicing;
-                spec.screening = screening;
-                spec.deadline_ms = deadline_ms;
-                spec
+            .prop_map(|(budget, deadline_ms)| PolicySpec {
+                deadline_ms,
+                ..PolicySpec::paper_default(budget)
             })
+    }
+
+    /// Any JSON value a client or an old journal might put under a
+    /// removed key: valid v10 values and junk alike.
+    fn junk_strategy() -> impl proptest::strategy::Strategy<Value = Json> {
+        use proptest::prelude::*;
+        prop_oneof![
+            prop::sample::select(vec![
+                Json::Null,
+                Json::str("windowed"),
+                Json::str("ondemand"),
+                Json::str("turbo"),
+                Json::Arr(vec![Json::Bool(true)]),
+                Json::obj(vec![("enabled", Json::Bool(true))]),
+            ]),
+            any::<bool>().prop_map(Json::Bool),
+            (-1_000_000i64..1_000_000).prop_map(|n| Json::Num(n as f64)),
+        ]
     }
 
     proptest::proptest! {
@@ -1265,6 +1169,39 @@ mod tests {
             let back = parse_submit(&encoded).expect("journaled spec replays");
             proptest::prop_assert_eq!(back.policy, spec.policy);
             proptest::prop_assert_eq!(spec_json(&back).encode(), encoded.encode());
+        }
+
+        /// The removed keys, with any values, inside `policy` or at the
+        /// top level, leave the parsed spec and its journal form exactly
+        /// as they were.
+        #[test]
+        fn removed_keys_never_change_the_spec(
+            policy in policy_strategy(),
+            slice_mode in junk_strategy(),
+            checkpoint_every in junk_strategy(),
+            screening in junk_strategy(),
+            top_level in proptest::prelude::any::<bool>(),
+        ) {
+            let mut spec =
+                JobSpec::new("mcf", InputSet::Train, policy.cfg).expect("known workload");
+            spec.policy = policy;
+            let canonical = spec_json(&spec);
+            let Json::Obj(mut fields) = canonical.clone() else {
+                panic!("spec_json is an object")
+            };
+            let removed = vec![
+                ("slice_mode".to_string(), slice_mode),
+                ("checkpoint_every".to_string(), checkpoint_every),
+                ("screening".to_string(), screening),
+            ];
+            if top_level {
+                fields.extend(removed.into_iter().take(2));
+            } else if let Some((_, Json::Obj(p))) = fields.iter_mut().find(|(k, _)| k == "policy") {
+                p.extend(removed);
+            }
+            let back = parse_submit(&Json::Obj(fields)).expect("removed keys are ignored");
+            proptest::prop_assert_eq!(back.policy, spec.policy);
+            proptest::prop_assert_eq!(spec_json(&back).encode(), canonical.encode());
         }
     }
 }

@@ -40,7 +40,6 @@ use crate::proto::{
 };
 use crate::scheduler::{CancelOutcome, JobCompletion, JobId, JobState, Scheduler, SubmitError};
 use crate::service::{run_job, CancelToken, JobOutput, JobSpec, StageHists};
-use preexec_core::par::Parallelism;
 use preexec_experiments::PipelineError;
 use preexec_obs::{render_prometheus, Counter, Gauge, SharedHistogram};
 use std::collections::HashMap;
@@ -67,14 +66,9 @@ pub struct ServerConfig {
     /// Listen address; port 0 binds an ephemeral port (the bound address
     /// is reported by [`Server::local_addr`]).
     pub addr: String,
-    /// Worker-pool size (0 means one worker per available core).
+    /// Worker-pool size (0 means one worker per available core). Each
+    /// job runs on its worker's thread alone.
     pub workers: usize,
-    /// Intra-job threads per worker for the parallelizable pipeline
-    /// stages (0 means `cores / workers`, at least 1). Total analysis
-    /// threads are bounded by `workers × job_threads`: each stage holds
-    /// its scoped threads only while it runs, so the default keeps the
-    /// daemon at about one thread per core whatever the worker count.
-    pub job_threads: usize,
     /// Bounded job-queue capacity (at least 1): the one overload wall.
     /// A batch the queue's free slots cannot take is shed as
     /// `overloaded`; a batch larger than the capacity is `queue_full`.
@@ -100,7 +94,6 @@ impl Default for ServerConfig {
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 0,
-            job_threads: 0,
             queue_cap: 256,
             cache_dir: PathBuf::from("preexec-cache"),
             cache_max_entries: 256,
@@ -120,8 +113,6 @@ struct Shared {
     shutting_down: AtomicBool,
     local_addr: SocketAddr,
     queue_cap: usize,
-    /// Resolved intra-job thread count handed to every [`run_job`].
-    job_threads: usize,
     /// The durable WAL; `None` with `--no-journal`.
     journal: Option<JobJournal>,
     /// Counts admissions and turns a full queue into `overloaded` with a
@@ -175,8 +166,7 @@ impl Shared {
                 "chaos: injected worker panic (job start #{start_index})"
             );
             let t0 = Instant::now();
-            let par = Parallelism::new(shared.job_threads);
-            let completion = run_job(&spec, &shared.cache, &shared.hists, par, Some(&token));
+            let completion = run_job(&spec, &shared.cache, &shared.hists, Some(&token));
             shared
                 .admission
                 .record_job_us(t0.elapsed().as_micros() as u64);
@@ -228,16 +218,9 @@ impl Server {
     pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let workers = if config.workers == 0 {
-            cores
-        } else {
-            config.workers
-        };
-        let job_threads = if config.job_threads == 0 {
-            (cores / workers).max(1)
-        } else {
-            config.job_threads
+        let workers = match config.workers {
+            0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+            n => n,
         };
         let journal_path = config.cache_dir.join(Server::JOURNAL_FILE);
         if config.journal && config.wal_compact {
@@ -289,7 +272,6 @@ impl Server {
             shutting_down: AtomicBool::new(false),
             local_addr,
             queue_cap,
-            job_threads,
             journal,
             admission: AdmissionGate::new(workers, registry),
             tokens: Mutex::new(HashMap::new()),
@@ -789,21 +771,6 @@ fn submit(shared: &Arc<Shared>, specs: Vec<JobSpec>) -> Result<Vec<JobId>, Proto
     Ok(ids)
 }
 
-/// Cumulative screening counters across every selection this daemon has
-/// run (the global `screen.pruned` / `screen.survivors` counters the
-/// selection stage maintains): how much exact-scoring work the static
-/// ADVagg pre-pass is skipping in production.
-fn screen_stats_json() -> Json {
-    let obs = preexec_obs::global();
-    let pruned = obs.counter("screen.pruned").get();
-    let survivors = obs.counter("screen.survivors").get();
-    Json::obj(vec![
-        ("pruned", Json::num_u64(pruned)),
-        ("survivors", Json::num_u64(survivors)),
-        ("candidates", Json::num_u64(pruned + survivors)),
-    ])
-}
-
 fn stats_response(shared: &Shared) -> Json {
     let sched = shared.sched.stats();
     let cache = shared.cache.stats();
@@ -842,7 +809,6 @@ fn stats_response(shared: &Shared) -> Json {
                 ),
             ]),
         ),
-        ("screen", screen_stats_json()),
         (
             "cache",
             Json::obj(vec![
@@ -854,8 +820,6 @@ fn stats_response(shared: &Shared) -> Json {
             ]),
         ),
         ("stage_latency_us", shared.hists.to_json()),
-        ("job_threads", Json::num_u64(shared.job_threads as u64)),
-        ("parallel", shared.hists.par.to_json()),
         (
             "connections",
             Json::obj(vec![

@@ -19,12 +19,11 @@
 use crate::cache::{ArtifactCache, TraceKey};
 use crate::histogram::{histogram_json, Histogram};
 use crate::scheduler::JobCompletion;
-use preexec_core::par::{ParStats, Parallelism};
 use preexec_experiments::{
     Pipeline, PipelineConfig, PipelineError, PipelineResult, PolicySpec, StageUs,
 };
 use preexec_workloads::{by_name, InputSet, Workload};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -38,12 +37,12 @@ pub struct JobSpec {
     pub workload: Workload,
     /// Input set to build the workload with.
     pub input: InputSet,
-    /// The complete run policy: configuration, slicing mode, screening,
-    /// and the wall-clock deadline — the single source of truth the
-    /// pipeline, the journal, and the wire protocol all share. The
-    /// slicing mode is not part of the artifact-cache key: every mode
-    /// produces bit-identical forests, so a hit under one mode serves
-    /// the others.
+    /// The complete run policy: configuration and the wall-clock
+    /// deadline — the single source of truth the pipeline, the journal,
+    /// and the wire protocol all share. The wire never sets the slicing
+    /// mode, so every daemon job slices windowed; the mode is not part
+    /// of the artifact-cache key either, since every mode produces
+    /// bit-identical forests.
     pub policy: PolicySpec,
 }
 
@@ -155,47 +154,6 @@ impl CancelToken {
     }
 }
 
-/// Service-wide intra-job parallelism counters: cumulative busy/wall
-/// time of the selection stage (the one stage that fans out), from which
-/// the `stats` command derives the achieved speedup
-/// (`busy / wall` ≈ effective threads).
-#[derive(Debug, Default)]
-pub struct ParCounters {
-    select_wall_us: AtomicU64,
-    select_busy_us: AtomicU64,
-}
-
-impl ParCounters {
-    /// Accumulates one job's selection-stage counters.
-    pub fn record_select(&self, s: &ParStats) {
-        self.select_wall_us.fetch_add(s.wall_us, Ordering::Relaxed);
-        self.select_busy_us.fetch_add(s.busy_us, Ordering::Relaxed);
-    }
-
-    /// Serializes the stage as a `{wall_us, busy_us, speedup}` object
-    /// keyed by its name.
-    pub fn to_json(&self) -> crate::json::Json {
-        fn stage(wall: &AtomicU64, busy: &AtomicU64) -> crate::json::Json {
-            let wall = wall.load(Ordering::Relaxed);
-            let busy = busy.load(Ordering::Relaxed);
-            let speedup = if wall == 0 {
-                1.0
-            } else {
-                busy as f64 / wall as f64
-            };
-            crate::json::Json::obj(vec![
-                ("wall_us", crate::json::Json::num_u64(wall)),
-                ("busy_us", crate::json::Json::num_u64(busy)),
-                ("speedup", crate::json::Json::Num(speedup)),
-            ])
-        }
-        crate::json::Json::obj(vec![(
-            "select",
-            stage(&self.select_wall_us, &self.select_busy_us),
-        )])
-    }
-}
-
 /// The service-wide per-stage latency histograms. Workers record through
 /// a mutex per stage; recording is a handful of integer ops, so
 /// contention is negligible next to stage runtimes.
@@ -205,8 +163,6 @@ pub struct StageHists {
     base_sim: Mutex<Histogram>,
     select: Mutex<Histogram>,
     assisted_sim: Mutex<Histogram>,
-    /// Intra-job parallel-stage utilization (fed by [`run_job`]).
-    pub par: ParCounters,
 }
 
 /// Recovers from mutex poisoning: a histogram is always internally
@@ -262,13 +218,8 @@ pub struct JobOutput {
 /// Runs one job to completion: trace (or cache hit), base sim, select,
 /// assisted sim. Never panics on pipeline faults — they become
 /// [`JobCompletion::Failed`]; watchdog-truncated timing runs become
-/// [`JobCompletion::TimedOut`] with the (valid) result attached.
-///
-/// `par` is the *intra-job* thread knob: the selection fan-outs may use
-/// up to that many scoped threads while this
-/// job runs (the daemon sizes it against the scheduler pool so
-/// `workers × job_threads` stays bounded by the machine). The job's
-/// result is byte-identical for every setting.
+/// [`JobCompletion::TimedOut`] with the (valid) result attached. Each
+/// job runs on its worker's thread alone: selection is serial.
 ///
 /// Note: a trace cut by its instruction budget is the *normal* end of
 /// a run, not a time-out — the pipeline's trace stats never set
@@ -282,7 +233,6 @@ pub fn run_job(
     spec: &JobSpec,
     cache: &ArtifactCache,
     hists: &StageHists,
-    par: Parallelism,
     token: Option<&CancelToken>,
 ) -> JobCompletion<JobOutput> {
     // A job cancelled (or expired) while it sat in the queue never
@@ -298,7 +248,7 @@ pub fn run_job(
     let program = spec.workload.build(spec.input);
     let key = spec.trace_key();
 
-    let mut pipe = Pipeline::new(&program).policy(spec.policy).parallelism(par);
+    let mut pipe = Pipeline::new(&program).policy(spec.policy);
     // One gate serves both masters: the chaos harness's slow-stage
     // injector (inert without a plan) and the cancellation token.
     let gate_fn = move |stage: &'static str| {
@@ -329,7 +279,6 @@ pub fn run_job(
         // A failed store only costs a future recompute.
         let _ = cache.store(&key, &out.forest, &out.result.stats);
     }
-    hists.par.record_select(&out.par.select);
     hists.record(&out.stage_us, cache_hit);
     let result = out.result;
     let journal = preexec_obs::global().journal();
@@ -404,12 +353,12 @@ mod tests {
         let cfg = PipelineConfig::paper_default(60_000);
         let spec = JobSpec::new("vpr.r", InputSet::Train, cfg).expect("spec");
 
-        let first = match run_job(&spec, &cache, &hists, Parallelism::new(2), None) {
+        let first = match run_job(&spec, &cache, &hists, None) {
             JobCompletion::Done(out) => out,
             other => panic!("first run: {:?}", other.state()),
         };
         assert!(!first.cache_hit);
-        let second = match run_job(&spec, &cache, &hists, Parallelism::serial(), None) {
+        let second = match run_job(&spec, &cache, &hists, None) {
             JobCompletion::Done(out) => out,
             other => panic!("second run: {:?}", other.state()),
         };
@@ -443,7 +392,7 @@ mod tests {
         let hists = StageHists::new();
         let cfg = PipelineConfig::paper_default(40_000);
         let spec = JobSpec::new("gap", InputSet::Train, cfg).expect("spec");
-        let first = match run_job(&spec, &cache, &hists, Parallelism::serial(), None) {
+        let first = match run_job(&spec, &cache, &hists, None) {
             JobCompletion::Done(out) => out,
             other => panic!("first run: {:?}", other.state()),
         };
@@ -459,7 +408,7 @@ mod tests {
             "preexec-slices version=2 checksum=0000000000000000\ngarbage\n",
         )
         .expect("corrupt");
-        let again = match run_job(&spec, &cache, &hists, Parallelism::new(2), None) {
+        let again = match run_job(&spec, &cache, &hists, None) {
             JobCompletion::Done(out) => out,
             other => panic!("rerun after corruption: {:?}", other.state()),
         };
@@ -479,7 +428,7 @@ mod tests {
             ..PipelineConfig::paper_default(1)
         };
         let spec = JobSpec::new("mcf", InputSet::Train, cfg).expect("spec");
-        match run_job(&spec, &cache, &hists, Parallelism::serial(), None) {
+        match run_job(&spec, &cache, &hists, None) {
             JobCompletion::Failed(e) => {
                 assert_eq!(e, preexec_experiments::PipelineError::ZeroBudget);
             }

@@ -110,7 +110,7 @@ impl Conn {
         let resp = Json::parse(line.trim()).expect("response parses");
         assert_eq!(
             resp.get("protocol_version").and_then(Json::as_u64),
-            Some(10),
+            Some(11),
             "{line}"
         );
         resp
@@ -254,7 +254,33 @@ fn daemon_serves_jobs_caches_repeats_and_shuts_down() {
     assert_eq!(u64_field(&stats, &["jobs", "failed"]), 0);
     assert_eq!(u64_field(&stats, &["cache", "hits"]), 1);
     assert_eq!(u64_field(&stats, &["cache", "misses"]), 2);
-    assert!(stats.get("shard").is_none(), "{}", stats.encode());
+    // The report's sections are exactly these: no `shard` (protocol
+    // v9), and no screening, selection fan-out or per-job thread count
+    // (protocol v11).
+    let Json::Obj(fields) = &stats else {
+        panic!("stats is an object")
+    };
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(
+        keys,
+        [
+            "ok",
+            "protocol_version",
+            "queue_depth",
+            "queue_cap",
+            "workers",
+            "busy_workers",
+            "utilization",
+            "jobs",
+            "admission",
+            "journal",
+            "cache",
+            "stage_latency_us",
+            "connections",
+        ],
+        "{}",
+        stats.encode()
+    );
     assert!(
         stats
             .get("stage_latency_us")
@@ -457,8 +483,9 @@ fn a_batch_larger_than_the_queue_is_queue_full_without_a_retry_hint() {
 
 #[test]
 fn removed_shard_flags_are_usage_errors() {
-    // `--threaded` and `--high-water` are gone too: the daemon has one
-    // front end and one overload wall.
+    // `--threaded`, `--high-water` and `--job-threads` are gone too: the
+    // daemon has one front end, one overload wall, and runs each job on
+    // its worker's thread alone.
     for (args, option) in [
         (
             &["--shard-id", "0", "--shard-peers", "a,b"][..],
@@ -466,9 +493,13 @@ fn removed_shard_flags_are_usage_errors() {
         ),
         (&["--threaded"][..], "--threaded"),
         (&["--high-water", "3"][..], "--high-water"),
+        (&["--job-threads", "2"][..], "--job-threads"),
     ] {
+        // The trailing `--help` makes a binary that still accepts the
+        // flag print usage and exit 0 instead of serving forever.
         let out = Command::new(env!("CARGO_BIN_EXE_preexecd"))
             .args(args)
+            .arg("--help")
             .output()
             .expect("running preexecd");
         let stderr = String::from_utf8_lossy(&out.stderr);

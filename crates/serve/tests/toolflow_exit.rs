@@ -2,9 +2,10 @@
 //! job must make the whole run exit nonzero (with the *first* failing
 //! job's code, in submission order), while every job's buffered output
 //! — including the successes — is still printed. A bad job can neither
-//! be masked by a later success nor swallow its siblings' reports. The
-//! `--policy` keys of the removed adaptive selection exit 2 before any
-//! job runs.
+//! be masked by a later success nor swallow its siblings' reports. Every
+//! argument is parsed before any mode runs: an unknown option anywhere,
+//! a removed switch, or an option that does not apply in the chosen
+//! mode exits 2 before any work.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -73,21 +74,82 @@ fn one_failed_job_fails_the_whole_run_without_masking_sibling_output() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Asserts a usage error: exit 2, `needle` on stderr, nothing on stdout.
+fn assert_usage_error(out: &std::process::Output, needle: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr:\n{stderr}");
+    assert!(stderr.contains(needle), "wanted `{needle}` in:\n{stderr}");
+    assert!(
+        out.stdout.is_empty(),
+        "ran anyway:\n{}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
 #[test]
-fn removed_adaptive_policy_keys_are_usage_errors() {
-    let dir = temp_dir("removed-keys");
-    for entry in [
-        "adaptive=false",
-        "adaptive=true",
-        "threshold_permille=25",
-        "confirm=2",
-        "min_phase_chunks=2",
+fn removed_switches_are_usage_errors() {
+    // Every front end runs one analysis path, so the route switches are
+    // unknown options that stop the run before any work. That includes
+    // `--policy deadline_ms=1`: a local run has no stage gate to check a
+    // deadline at.
+    let dir = temp_dir("removed-switches");
+    for (args, option) in [
+        (&["--threads", "2"][..], "--threads"),
+        (&["--no-screen"][..], "--no-screen"),
+        (&["--slice-mode", "ondemand"][..], "--slice-mode"),
+        (&["--policy", "deadline_ms=1"][..], "--policy"),
+        (&["--policy", "adaptive=false"][..], "--policy"),
     ] {
-        let out = run_toolflow_in(&dir, &["--policy", entry, "vpr.r", "20000"]);
-        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
-        assert_eq!(out.status.code(), Some(2), "{entry}: {stderr}");
-        assert!(stderr.contains("unknown --policy key"), "{entry}: {stderr}");
-        assert!(out.stdout.is_empty(), "{entry} ran anyway");
+        let mut argv = args.to_vec();
+        argv.extend(["vpr.r", "20000"]);
+        let out = run_toolflow_in(&dir, &argv);
+        assert_usage_error(&out, &format!("unknown option `{option}`"));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn every_argument_is_parsed_before_any_mode_runs() {
+    let dir = temp_dir("parse-first");
+    // An empty slice file is an empty forest, so `--read` alone succeeds.
+    std::fs::write(dir.join("empty.slices"), "").expect("writing the slice file");
+    let alone = run_toolflow_in(&dir, &["--read", "empty.slices"]);
+    assert_eq!(alone.status.code(), Some(0), "{alone:?}");
+    // A port nothing listens on: any attempt to reach it fails with 3.
+    let closed = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("reserving a port")
+        .to_string();
+    for (args, needle) in [
+        (
+            &["--read", "empty.slices", "--bogus-flag", "extra", "args"][..],
+            "unknown option `--bogus-flag`",
+        ),
+        (
+            &["--bogus-flag", "--read", "empty.slices"][..],
+            "--bogus-flag",
+        ),
+        (&["--read", "empty.slices", "vpr.r"][..], "--read"),
+        (&["vpr.r", "--read", "empty.slices"][..], "--read"),
+        (
+            &["--read", "empty.slices", "--daemon", &closed][..],
+            "--daemon",
+        ),
+        (
+            &["--daemon", &closed, "--read", "empty.slices"][..],
+            "--daemon",
+        ),
+        (
+            &["--jobs", "2", "--daemon", &closed, "vpr.r", "3000"][..],
+            "--jobs",
+        ),
+        (
+            &["--daemon", &closed, "vpr.r", "3000", "--jobs", "2"][..],
+            "--jobs",
+        ),
+    ] {
+        let out = run_toolflow_in(&dir, args);
+        assert_usage_error(&out, needle);
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -63,7 +63,7 @@ fn profile_flag_reports_stages_without_touching_stdout() {
         "stage.slice_build",
         "stage.score",
         "stage.solve",
-        "par: calls=",
+        "select: candidates=",
     ] {
         assert!(stderr.contains(needle), "missing `{needle}`:\n{stderr}");
     }
@@ -74,5 +74,35 @@ fn profile_flag_reports_stages_without_touching_stdout() {
         "profile printed without --profile:\n{plain_err}"
     );
 
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn profile_reports_in_read_mode_wherever_the_flag_sits() {
+    let dir = std::env::temp_dir().join(format!("toolflow-profile-read-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let slices = dir.join("vpr.r.slices");
+    let path = slices.to_str().unwrap();
+    let traced = run_toolflow(&["vpr.r", "20000", path]);
+    assert!(traced.status.success(), "trace run failed: {traced:?}");
+
+    let plain = run_toolflow(&["--read", path]);
+    assert!(plain.status.success(), "plain read failed: {plain:?}");
+    let plain_err = String::from_utf8(plain.stderr).expect("utf-8 stderr");
+    assert!(!plain_err.contains("toolflow profile"), "{plain_err}");
+    // Every argument is parsed before read mode runs, so the flag's
+    // place on the command line does not matter.
+    for args in [["--profile", "--read", path], ["--read", path, "--profile"]] {
+        let out = run_toolflow(&args);
+        assert!(out.status.success(), "{args:?}: {out:?}");
+        assert_eq!(out.stdout, plain.stdout, "{args:?} changed stdout");
+        let stderr = String::from_utf8(out.stderr).expect("utf-8 stderr");
+        for needle in ["toolflow profile", "stage.score", "select: candidates="] {
+            assert!(
+                stderr.contains(needle),
+                "{args:?}: missing `{needle}`:\n{stderr}"
+            );
+        }
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
