@@ -24,26 +24,27 @@ use std::collections::BTreeSet;
 /// A [`Memory`] wrapper that records which pages have been written since
 /// the last checkpoint. Reads delegate untouched; the set is drained at
 /// every snapshot.
-struct TrackedMem {
-    mem: Memory,
+struct TrackedMem<'p> {
+    mem: Memory<'p>,
     dirty: BTreeSet<u64>,
 }
 
-impl TrackedMem {
-    fn new(mem: Memory) -> TrackedMem {
+impl<'p> TrackedMem<'p> {
+    fn new(mem: Memory<'p>) -> TrackedMem<'p> {
         TrackedMem {
             mem,
             dirty: BTreeSet::new(),
         }
     }
 
+    /// Marks the pages of a `width`-byte store at `addr`: at most two, as
+    /// no store is wider than a page. Addresses wrap at 2^64, as in
+    /// [`Memory`].
     #[inline]
     fn mark(&mut self, addr: u64, width: u64) {
-        let first = addr >> MEM_PAGE_SHIFT;
-        let last = addr.saturating_add(width - 1) >> MEM_PAGE_SHIFT;
-        for p in first..=last {
-            self.dirty.insert(p);
-        }
+        self.dirty.insert(addr >> MEM_PAGE_SHIFT);
+        self.dirty
+            .insert(addr.wrapping_add(width - 1) >> MEM_PAGE_SHIFT);
     }
 
     /// Snapshots every dirtied page's current content and clears the set.
@@ -51,12 +52,12 @@ impl TrackedMem {
         let dirty = std::mem::take(&mut self.dirty);
         dirty
             .into_iter()
-            .filter_map(|p| self.mem.page_bytes(p).map(|bytes| (p, Box::new(*bytes))))
+            .filter_map(|p| self.mem.page_bytes(p).map(|bytes| (p, bytes)))
             .collect()
     }
 }
 
-impl MemBus for TrackedMem {
+impl MemBus for TrackedMem<'_> {
     #[inline]
     fn read_u8(&self, addr: u64) -> u8 {
         self.mem.read_u8(addr)
@@ -180,7 +181,7 @@ impl CheckpointTrace {
 /// re-executed deterministically (see [`crate::replay`]).
 ///
 /// `checkpoint_every` is clamped to at least 1. The initial data-segment
-/// image is *not* recorded (the replayer reloads it from the program), so
+/// image is *not* recorded (the replayer reads it from the program), so
 /// snapshots hold only pages the program itself dirtied.
 ///
 /// # Errors
@@ -193,13 +194,9 @@ pub fn try_run_trace_checkpointed(
     mut sink: impl FnMut(&DynInst),
 ) -> Result<(RunStats, CheckpointTrace), ExecError> {
     let every = checkpoint_every.max(1);
-    let mut mem = Memory::new();
-    for seg in program.data_segments() {
-        mem.write_slice(seg.base, &seg.bytes);
-    }
     let mut state = TraceState {
         cpu: Cpu::new(program),
-        mem: TrackedMem::new(mem),
+        mem: TrackedMem::new(Memory::from_program(program)),
         hierarchy: FuncHierarchy::new(config.hierarchy),
         stats: RunStats::new(),
         emitted: 0,

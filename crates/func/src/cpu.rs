@@ -233,31 +233,32 @@ mod tests {
     use preexec_isa::assemble;
     use preexec_mem::Memory;
 
-    fn run(src: &str) -> (Cpu, Memory) {
-        let p = assemble("t", src).unwrap();
-        let mut cpu = Cpu::new(&p);
-        let mut mem = Memory::new();
-        for seg in p.data_segments() {
-            mem.write_slice(seg.base, &seg.bytes);
-        }
+    /// Runs `p` to completion from its initial memory image.
+    fn run_program(p: &Program) -> (Cpu, Memory<'_>) {
+        let mut cpu = Cpu::new(p);
+        let mut mem = Memory::from_program(p);
         let mut steps = 0;
         while !cpu.halted() {
-            cpu.step(&p, &mut mem);
+            cpu.step(p, &mut mem);
             steps += 1;
             assert!(steps < 100_000, "runaway program");
         }
         (cpu, mem)
     }
 
+    fn run(src: &str) -> Cpu {
+        run_program(&assemble("t", src).unwrap()).0
+    }
+
     #[test]
     fn arithmetic_program() {
-        let (cpu, _) = run("li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt");
+        let cpu = run("li r1, 6\nli r2, 7\nmul r3, r1, r2\nhalt");
         assert_eq!(cpu.reg(Reg::new(3)), 42);
     }
 
     #[test]
     fn loop_with_branch() {
-        let (cpu, _) = run("li r1, 10\nli r2, 0\nli r3, 0\n\
+        let cpu = run("li r1, 10\nli r2, 0\nli r3, 0\n\
              top: bge r2, r1, done\n add r3, r3, r2\n addi r2, r2, 1\n j top\n\
              done: halt");
         assert_eq!(cpu.reg(Reg::new(3)), 45); // 0+1+...+9
@@ -265,8 +266,13 @@ mod tests {
 
     #[test]
     fn loads_and_stores() {
-        let (cpu, mem) = run("li r1, 0x100\nli r2, -1\nsd r2, 0(r1)\nld r3, 0(r1)\n\
-             sw r2, 8(r1)\nlw r4, 8(r1)\nsb r2, 16(r1)\nlbu r5, 16(r1)\nlb r6, 16(r1)\nhalt");
+        let p = assemble(
+            "t",
+            "li r1, 0x100\nli r2, -1\nsd r2, 0(r1)\nld r3, 0(r1)\n\
+             sw r2, 8(r1)\nlw r4, 8(r1)\nsb r2, 16(r1)\nlbu r5, 16(r1)\nlb r6, 16(r1)\nhalt",
+        )
+        .unwrap();
+        let (cpu, mem) = run_program(&p);
         assert_eq!(cpu.reg(Reg::new(3)), -1);
         assert_eq!(cpu.reg(Reg::new(4)), -1); // lw sign-extends
         assert_eq!(cpu.reg(Reg::new(5)), 255); // lbu zero-extends
@@ -275,8 +281,36 @@ mod tests {
     }
 
     #[test]
+    fn a_run_copies_only_the_pages_it_stores_to() {
+        // Two pages of data, read from end to end: nothing is copied.
+        let mut p = assemble(
+            "t",
+            "li r1, 0x10000\nli r2, 0x12000\nli r3, 0\n\
+             top: bge r1, r2, done\n ld r4, 0(r1)\n add r3, r3, r4\n addi r1, r1, 8\n j top\n\
+             done: halt",
+        )
+        .unwrap();
+        p.add_data(0x10000, (0..8192).map(|i| (i % 7) as u8).collect());
+        let (cpu, mem) = run_program(&p);
+        assert!(cpu.reg(Reg::new(3)) != 0);
+        assert_eq!(mem.written_pages(), 0);
+
+        // One store into the data copies exactly its page.
+        let mut p = assemble(
+            "t",
+            "li r1, 0x10ff8\nli r2, 7\nsd r2, 0(r1)\nld r3, 8(r1)\nhalt",
+        )
+        .unwrap();
+        p.add_data(0x10000, vec![9; 8192]);
+        let (cpu, mem) = run_program(&p);
+        assert_eq!(mem.written_pages(), 1);
+        assert_eq!(mem.read_u64(0x10ff8), 7);
+        assert_eq!(cpu.reg(Reg::new(3)), 0x0909_0909_0909_0909);
+    }
+
+    #[test]
     fn jal_and_jr() {
-        let (cpu, _) = run("jal sub\n li r2, 99\n halt\n\
+        let cpu = run("jal sub\n li r2, 99\n halt\n\
              sub: li r1, 5\n jr r31");
         assert_eq!(cpu.reg(Reg::new(1)), 5);
         assert_eq!(cpu.reg(Reg::new(2)), 99); // returned and continued
@@ -284,7 +318,7 @@ mod tests {
 
     #[test]
     fn r0_stays_zero() {
-        let (cpu, _) = run("li r0, 7\nadd r0, r0, r0\nhalt");
+        let cpu = run("li r0, 7\nadd r0, r0, r0\nhalt");
         assert_eq!(cpu.reg(Reg::ZERO), 0);
     }
 

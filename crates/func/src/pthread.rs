@@ -104,7 +104,7 @@ impl PThreadRun {
 pub fn run_pthread(
     body: &[Inst],
     seed_regs: &[i64; NUM_REGS],
-    mem: &Memory,
+    mem: &Memory<'_>,
     step_budget: usize,
 ) -> PThreadRun {
     let mut regs = *seed_regs;

@@ -29,13 +29,17 @@ const PAGE_MASK: u64 = (MEM_PAGE_SIZE - 1) as u64;
 /// go to an overlay page seeded from that same resolution.
 struct ReplayMemory<'a> {
     trace: &'a CheckpointTrace,
-    initial: &'a Memory,
+    initial: &'a Memory<'a>,
     ckpt_idx: usize,
     overlay: HashMap<u64, Box<[u8; MEM_PAGE_SIZE]>>,
 }
 
 impl<'a> ReplayMemory<'a> {
-    fn new(trace: &'a CheckpointTrace, initial: &'a Memory, ckpt_idx: usize) -> ReplayMemory<'a> {
+    fn new(
+        trace: &'a CheckpointTrace,
+        initial: &'a Memory<'a>,
+        ckpt_idx: usize,
+    ) -> ReplayMemory<'a> {
         ReplayMemory {
             trace,
             initial,
@@ -44,17 +48,14 @@ impl<'a> ReplayMemory<'a> {
         }
     }
 
-    /// The page content as of checkpoint `ckpt_idx`, ignoring the overlay.
-    /// Checkpoint `j` records a page only if it was dirtied in interval
-    /// `j-1..j`, so the newest record at or before `ckpt_idx` is the
-    /// content at the snapshot instant.
-    fn base_page(&self, page: u64) -> Option<&'a [u8; MEM_PAGE_SIZE]> {
-        for j in (0..=self.ckpt_idx).rev() {
-            if let Some(bytes) = self.trace.checkpoint(j).page(page) {
-                return Some(bytes);
-            }
-        }
-        self.initial.page_bytes(page)
+    /// The page content recorded as of checkpoint `ckpt_idx`, if the run
+    /// dirtied the page before then. Checkpoint `j` records a page only if
+    /// it was dirtied in interval `j-1..j`, so the newest record at or
+    /// before `ckpt_idx` is the content at the snapshot instant.
+    fn recorded_page(&self, page: u64) -> Option<&'a [u8; MEM_PAGE_SIZE]> {
+        (0..=self.ckpt_idx)
+            .rev()
+            .find_map(|j| self.trace.checkpoint(j).page(page))
     }
 
     #[inline]
@@ -64,15 +65,21 @@ impl<'a> ReplayMemory<'a> {
         if let Some(p) = self.overlay.get(&page) {
             return p[off];
         }
-        self.base_page(page).map_or(0, |p| p[off])
+        match self.recorded_page(page) {
+            Some(p) => p[off],
+            None => self.initial.read_u8(addr),
+        }
     }
 
     fn overlay_page(&mut self, addr: u64) -> &mut [u8; MEM_PAGE_SIZE] {
         let page = addr >> MEM_PAGE_SHIFT;
         if !self.overlay.contains_key(&page) {
-            let seeded = match self.base_page(page) {
+            let seeded = match self.recorded_page(page) {
                 Some(bytes) => Box::new(*bytes),
-                None => Box::new([0u8; MEM_PAGE_SIZE]),
+                None => self
+                    .initial
+                    .page_bytes(page)
+                    .unwrap_or_else(|| Box::new([0u8; MEM_PAGE_SIZE])),
             };
             self.overlay.insert(page, seeded);
         }
@@ -148,28 +155,25 @@ pub struct Replayer<'a> {
     program: &'a Program,
     config: &'a TraceConfig,
     trace: &'a CheckpointTrace,
-    /// The pre-run memory image (data segments), built once.
-    initial: Memory,
+    /// The pre-run memory image: the program's data segments, read in
+    /// place.
+    initial: Memory<'a>,
 }
 
 impl<'a> Replayer<'a> {
-    /// Builds a replayer for `trace`, reconstructing the initial
-    /// data-segment image from `program`. `program` and `config` must be
-    /// the ones the recording run used — the trace stores neither.
+    /// Builds a replayer for `trace`, reading the initial data-segment
+    /// image from `program`. `program` and `config` must be the ones the
+    /// recording run used — the trace stores neither.
     pub fn new(
         program: &'a Program,
         config: &'a TraceConfig,
         trace: &'a CheckpointTrace,
     ) -> Replayer<'a> {
-        let mut initial = Memory::new();
-        for seg in program.data_segments() {
-            initial.write_slice(seg.base, &seg.bytes);
-        }
         Replayer {
             program,
             config,
             trace,
-            initial,
+            initial: Memory::from_program(program),
         }
     }
 

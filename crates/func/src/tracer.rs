@@ -101,13 +101,9 @@ pub fn try_run_trace(
     config: &TraceConfig,
     mut sink: impl FnMut(&DynInst),
 ) -> Result<RunStats, ExecError> {
-    let mut mem = Memory::new();
-    for seg in program.data_segments() {
-        mem.write_slice(seg.base, &seg.bytes);
-    }
     let mut state = TraceState {
         cpu: Cpu::new(program),
-        mem,
+        mem: Memory::from_program(program),
         hierarchy: FuncHierarchy::new(config.hierarchy),
         stats: RunStats::new(),
         emitted: 0,

@@ -1,6 +1,6 @@
-//! Memory-system substrate: sparse main memory, set-associative caches,
-//! a functional two-level hierarchy, and the timing primitives (buses,
-//! MSHRs) used by the detailed simulator.
+//! Memory-system substrate: guest memory over a program's data segments,
+//! set-associative caches, a functional two-level hierarchy, and the
+//! timing primitives (buses, MSHRs) used by the detailed simulator.
 //!
 //! The functional side answers one question for every access — *which level
 //! services it?* — which is what the tracer and slicer need to find L2

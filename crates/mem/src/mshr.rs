@@ -7,7 +7,11 @@
 /// coalesce onto the existing MSHR (and share its completion time).
 ///
 /// The file holds at most `capacity` entries (32 in the paper), so it is a
-/// plain list scanned linearly; no operation depends on its order.
+/// plain list scanned linearly; no operation depends on its order. The
+/// earliest completion among the entries is kept beside the list, so
+/// [`retire_completed`](Self::retire_completed) returns at once while no
+/// fill is due, which is the common case: the timing simulator calls it on
+/// every main-thread access and every memory fetch.
 ///
 /// # Example
 ///
@@ -26,6 +30,8 @@
 pub struct MshrFile {
     capacity: usize,
     inflight: Vec<(u64, u64)>, // (block addr, completion cycle)
+    /// The earliest completion cycle in `inflight`; `u64::MAX` when empty.
+    earliest: u64,
     coalesced: u64,
     rejected: u64,
 }
@@ -41,6 +47,7 @@ impl MshrFile {
         MshrFile {
             capacity,
             inflight: Vec::new(),
+            earliest: u64::MAX,
             coalesced: 0,
             rejected: 0,
         }
@@ -61,6 +68,7 @@ impl MshrFile {
             return None;
         }
         self.inflight.push((block_addr, completes_at));
+        self.earliest = self.earliest.min(completes_at);
         Some(completes_at)
     }
 
@@ -79,13 +87,22 @@ impl MshrFile {
 
     /// Frees every entry whose completion time is `<= now`.
     pub fn retire_completed(&mut self, now: u64) {
+        if self.earliest > now {
+            return;
+        }
         self.inflight.retain(|&(_, done)| done > now);
+        self.earliest = self
+            .inflight
+            .iter()
+            .map(|&(_, done)| done)
+            .min()
+            .unwrap_or(u64::MAX);
     }
 
     /// The earliest completion time among in-flight entries, if any — the
     /// soonest moment a full file will have a free slot.
     pub fn earliest_completion(&self) -> Option<u64> {
-        self.inflight.iter().map(|&(_, done)| done).min()
+        (!self.inflight.is_empty()).then_some(self.earliest)
     }
 
     /// Number of occupied entries.

@@ -2,9 +2,10 @@
 //! agree with naive reference models, and memory behaves like a byte
 //! array.
 
-use preexec_mem::{Bus, Cache, CacheConfig, Memory, MshrFile};
+use preexec_isa::Program;
+use preexec_mem::{Bus, Cache, CacheConfig, Memory, MshrFile, MEM_PAGE_SHIFT, MEM_PAGE_SIZE};
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// A naive fully-explicit reference cache: per set, a vector of (tag,
 /// dirty) pairs ordered most-recently-used first.
@@ -119,6 +120,123 @@ impl RefMshr {
     }
 }
 
+/// Memory as a plain map from address to byte: the segment bytes, then
+/// every write on top. Absent addresses read zero.
+#[derive(Clone)]
+struct ByteModel {
+    bytes: BTreeMap<u64, u8>,
+}
+
+impl ByteModel {
+    fn seeded(p: &Program) -> ByteModel {
+        let mut bytes = BTreeMap::new();
+        for seg in p.data_segments() {
+            for (i, &b) in seg.bytes.iter().enumerate() {
+                bytes.insert(seg.base.wrapping_add(i as u64), b);
+            }
+        }
+        ByteModel { bytes }
+    }
+
+    /// The little-endian value of the `width` bytes at `addr`.
+    fn read(&self, addr: u64, width: u64) -> u64 {
+        (0..width).rev().fold(0, |v, i| {
+            let b = self.bytes.get(&addr.wrapping_add(i)).copied().unwrap_or(0);
+            (v << 8) | u64::from(b)
+        })
+    }
+
+    fn write(&mut self, addr: u64, width: u64, value: u64) {
+        for i in 0..width {
+            self.bytes
+                .insert(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+        }
+    }
+
+    /// Page `page`, if a segment or a write put any byte in it.
+    fn page(&self, page: u64) -> Option<Box<[u8; MEM_PAGE_SIZE]>> {
+        let start = page << MEM_PAGE_SHIFT;
+        if start >> MEM_PAGE_SHIFT != page {
+            return None;
+        }
+        let mut out = Box::new([0u8; MEM_PAGE_SIZE]);
+        let mut any = false;
+        for (&a, &b) in self.bytes.range(start..=start | (MEM_PAGE_SIZE as u64 - 1)) {
+            out[(a - start) as usize] = b;
+            any = true;
+        }
+        any.then_some(out)
+    }
+}
+
+fn mem_read(mem: &Memory<'_>, addr: u64, width: u64) -> u64 {
+    match width {
+        1 => u64::from(mem.read_u8(addr)),
+        4 => u64::from(mem.read_u32(addr)),
+        _ => mem.read_u64(addr),
+    }
+}
+
+fn mem_write(mem: &mut Memory<'_>, addr: u64, width: u64, value: u64) {
+    match width {
+        1 => mem.write_u8(addr, value as u8),
+        4 => mem.write_u32(addr, value as u32),
+        _ => mem.write_u64(addr, value),
+    }
+}
+
+/// A segment's bytes: never zero, so they differ from untouched memory.
+fn segment_bytes(len: u64, salt: u64) -> Vec<u8> {
+    (0..len).map(|i| ((i * 7 + salt) % 251 + 1) as u8).collect()
+}
+
+/// Four data segments with the shapes the memory tells apart: `a` starts
+/// mid-page, `b` starts in the page where `a` ends (right after it when
+/// the gap is 0), `c` follows `b` after a gap, and `d` ends just below the
+/// top of the address space.
+fn segment_layout(
+    (a_off, a_len, ab_gap, b_len): (u64, u64, u64, u64),
+    (bc_gap, c_len, top_gap, d_len): (u64, u64, u64, u64),
+    salt: u64,
+) -> Vec<(u64, Vec<u8>)> {
+    let page = MEM_PAGE_SIZE as u64;
+    let a_base = 0x40_0000 + a_off;
+    let a_len = if (a_base + a_len) % page == 0 {
+        a_len - 1
+    } else {
+        a_len
+    };
+    let a_end = a_base + a_len;
+    let b_base = a_end + ab_gap % (page - a_end % page);
+    let c_base = b_base + b_len + bc_gap;
+    let d_base = u64::MAX - top_gap - d_len + 1;
+    vec![
+        (a_base, segment_bytes(a_len, salt)),
+        (b_base, segment_bytes(b_len, salt + 50)),
+        (c_base, segment_bytes(c_len, salt + 100)),
+        (d_base, segment_bytes(d_len, salt + 150)),
+    ]
+}
+
+/// Addresses the accesses cluster around: every segment's edges, the
+/// pages around them and its middle, addresses outside every segment,
+/// and the top of the address space.
+fn anchors(p: &Program) -> Vec<u64> {
+    let mask = MEM_PAGE_SIZE as u64 - 1;
+    let mut out = vec![0, 0x1000, 0x7fff_0000, u64::MAX - 3, u64::MAX];
+    for seg in p.data_segments() {
+        let end = seg.base.wrapping_add(seg.bytes.len() as u64);
+        out.extend([
+            seg.base,
+            end,
+            seg.base & !mask,
+            end.wrapping_add(mask) & !mask,
+            seg.base + seg.bytes.len() as u64 / 2,
+        ]);
+    }
+    out
+}
+
 proptest! {
     /// Every transfer completes when the naive slot-set model says, over
     /// clustered requests (contention), forward jumps past the prune
@@ -220,35 +338,76 @@ proptest! {
         prop_assert_eq!(cache.hits() + cache.misses(), accesses.len() as u64);
     }
 
-    /// Memory reads back exactly what was written, at every width.
+    /// Memory is a byte array seeded from the program's data segments.
+    /// Over a segment that starts mid-page, two that share a page, a gap
+    /// between two and a segment just below the top of the address space,
+    /// reads and writes of widths 1, 4 and 8 clustered on page edges,
+    /// segment edges, addresses outside every segment and the top of the
+    /// address space agree with a plain byte map, and so does every page
+    /// `page_bytes` returns. Writes to a clone change neither the original
+    /// nor the segment bytes.
     #[test]
     fn memory_is_a_byte_array(
-        writes in prop::collection::vec((0u64..100_000, any::<u64>(), 0u8..3), 1..100)
+        near in (1u64..4096, 2u64..10_000, 0u64..4096, 1u64..5000),
+        far in (1u64..9000, 1u64..3000, 1u64..64, 1u64..300),
+        salt in 0u64..251,
+        ops in prop::collection::vec(
+            (0usize..64, -12i64..12, any::<u64>(), 0usize..3, any::<bool>()),
+            1..150
+        )
     ) {
-        let mut mem = Memory::new();
-        let mut model: HashMap<u64, u8> = HashMap::new();
-        for &(addr, value, width) in &writes {
-            match width {
-                0 => {
-                    mem.write_u8(addr, value as u8);
-                    model.insert(addr, value as u8);
-                }
-                1 => {
-                    mem.write_u32(addr, value as u32);
-                    for (k, b) in (value as u32).to_le_bytes().iter().enumerate() {
-                        model.insert(addr + k as u64, *b);
-                    }
-                }
-                _ => {
-                    mem.write_u64(addr, value);
-                    for (k, b) in value.to_le_bytes().iter().enumerate() {
-                        model.insert(addr + k as u64, *b);
-                    }
-                }
+        let layout = segment_layout(near, far, salt);
+        let mut program = Program::new("image");
+        for (base, bytes) in &layout {
+            program.add_data(*base, bytes.clone());
+        }
+        let mut mem = Memory::from_program(&program);
+        let mut model = ByteModel::seeded(&program);
+        let anchors = anchors(&program);
+        for (i, &(at, delta, value, width, write)) in ops.iter().enumerate() {
+            let addr = anchors[at % anchors.len()].wrapping_add_signed(delta);
+            let width = [1, 4, 8][width];
+            if write {
+                mem_write(&mut mem, addr, width, value);
+                model.write(addr, width, value);
+            } else {
+                prop_assert_eq!(
+                    mem_read(&mem, addr, width),
+                    model.read(addr, width),
+                    "op {}: {}-byte read at {:#x}", i, width, addr
+                );
             }
         }
-        for (&addr, &byte) in &model {
-            prop_assert_eq!(mem.read_u8(addr), byte, "byte at {:#x}", addr);
+        let pages: HashSet<u64> = anchors
+            .iter()
+            .flat_map(|&a| [a.wrapping_sub(4096), a, a.wrapping_add(4096)])
+            .map(|a| a >> MEM_PAGE_SHIFT)
+            .chain([1 << (64 - MEM_PAGE_SHIFT)])
+            .collect();
+        for &page in &pages {
+            prop_assert_eq!(mem.page_bytes(page), model.page(page), "page {:#x}", page);
+        }
+
+        let mut clone = mem.clone();
+        let mut clone_model = model.clone();
+        for (k, &a) in anchors.iter().enumerate() {
+            clone.write_u64(a, 0xa5a5_a5a5_0000_0000 | k as u64);
+            clone_model.write(a, 8, 0xa5a5_a5a5_0000_0000 | k as u64);
+        }
+        for &a in &anchors {
+            for delta in -12..12 {
+                let addr = a.wrapping_add_signed(delta);
+                prop_assert_eq!(mem_read(&mem, addr, 1), model.read(addr, 1), "{:#x}", addr);
+                prop_assert_eq!(
+                    mem_read(&clone, addr, 1),
+                    clone_model.read(addr, 1),
+                    "clone at {:#x}", addr
+                );
+            }
+        }
+        for (seg, (base, bytes)) in program.data_segments().iter().zip(&layout) {
+            prop_assert_eq!(seg.base, *base);
+            prop_assert!(seg.bytes == *bytes, "segment at {:#x} changed", base);
         }
     }
 

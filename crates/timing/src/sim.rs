@@ -147,27 +147,47 @@ struct Ctx {
 
 /// Per-cycle event counts from the current cycle on (DESIGN.md §7.5).
 ///
-/// `counts[i]` is the number of events booked at cycle `now + i`, and
-/// `pending` the number booked after `now`. Every booking lands after the
-/// current cycle, so the pending count is an occupancy: as the issue
-/// ledger it counts the instructions waiting in reservation stations to
-/// issue, and as the p-thread register calendar the registers whose
-/// values have not yet completed.
+/// The counts sit in a ring whose length is a power of two:
+/// `ring[(head + i) & (ring.len() - 1)]` is the number of events booked at
+/// cycle `now + i` for `i < len`, and every slot from offset `len` on is
+/// zero. `pending` is the number booked after `now`. Every booking lands
+/// after the current cycle, so the pending count is an occupancy: as the
+/// issue ledger it counts the instructions waiting in reservation
+/// stations to issue, and as the p-thread register calendar the registers
+/// whose values have not yet completed. A fill queued on the bus has no
+/// fixed horizon, so a booking past the ring's end doubles the ring.
 #[derive(Default)]
 struct Calendar {
     now: u64,
-    counts: VecDeque<u32>,
+    ring: Vec<u32>,
+    head: usize,
+    len: usize,
     pending: usize,
 }
 
 impl Calendar {
+    /// The ring slot of cycle `now + i`.
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        (self.head + i) & (self.ring.len() - 1)
+    }
+
+    /// The events booked at cycle `now + i`.
+    #[inline]
+    fn count(&self, i: usize) -> u32 {
+        self.ring[self.slot(i)]
+    }
+
     /// Moves the current cycle forward to `now`: events at or before it
     /// are no longer pending.
     fn advance(&mut self, now: u64) {
-        while self.now < now && self.counts.pop_front().is_some() {
+        while self.now < now && self.len > 0 {
+            self.ring[self.head] = 0;
+            self.head = self.slot(1);
+            self.len -= 1;
             self.now += 1;
-            if let Some(&n) = self.counts.front() {
-                self.pending -= n as usize;
+            if self.len > 0 {
+                self.pending -= self.ring[self.head] as usize;
             }
         }
         self.now = now;
@@ -180,11 +200,25 @@ impl Calendar {
     /// Panics unless `at` lies after the current cycle.
     fn book(&mut self, at: u64) {
         let i = self.offset(at);
-        if i >= self.counts.len() {
-            self.counts.resize(i + 1, 0);
+        if i >= self.ring.len() {
+            self.grow(i + 1);
         }
-        self.counts[i] += 1;
+        let slot = self.slot(i);
+        self.ring[slot] += 1;
+        self.len = self.len.max(i + 1);
         self.pending += 1;
+    }
+
+    /// Re-lays the ring out from slot 0 with room for at least `min_len`
+    /// cycles.
+    fn grow(&mut self, min_len: usize) {
+        let size = min_len.next_power_of_two().max(2 * self.ring.len());
+        let mut ring = vec![0; size];
+        for (i, n) in ring.iter_mut().enumerate().take(self.len) {
+            *n = self.count(i);
+        }
+        self.ring = ring;
+        self.head = 0;
     }
 
     /// Books the first cycle at or after `earliest` with fewer than
@@ -196,7 +230,7 @@ impl Calendar {
     /// Panics unless `earliest` lies after the current cycle.
     fn schedule(&mut self, earliest: u64, width: u32) -> u64 {
         let mut i = self.offset(earliest);
-        while self.counts.get(i).is_some_and(|&n| n >= width) {
+        while i < self.len && self.count(i) >= width {
             i += 1;
         }
         let at = self.now + i as u64;
@@ -226,12 +260,10 @@ impl Calendar {
             return None;
         }
         let span = before.saturating_sub(self.now + 1);
-        self.counts
-            .iter()
-            .skip(1)
-            .take(span.min(self.counts.len() as u64) as usize)
-            .position(|&n| n > 0)
-            .map(|i| self.now + 1 + i as u64)
+        let end = span.saturating_add(1).min(self.len as u64) as usize;
+        (1..end)
+            .find(|&i| self.count(i) > 0)
+            .map(|i| self.now + i as u64)
     }
 }
 
@@ -270,10 +302,7 @@ pub fn try_simulate(
     config.machine.try_validate()?;
     let m = &config.machine;
     let mut cpu = Cpu::new(program);
-    let mut mem = Memory::new();
-    for seg in program.data_segments() {
-        mem.write_slice(seg.base, &seg.bytes);
-    }
+    let mut mem = Memory::from_program(program);
     let mut memsys = MemSys::new(*m);
     memsys.set_perfect_l2(config.perfect_l2);
     let mut bp = BranchPredictor::new();
@@ -392,9 +421,11 @@ pub fn try_simulate(
             if rob.len() >= m.rob_entries || slots.pending() >= m.rs_entries {
                 break;
             }
-            // Structural store-queue check before committing to the step.
-            let next_is_store = program.get(cpu.pc()).is_some_and(|i| i.op.is_store());
-            if next_is_store && store_queue.len() >= m.store_queue_entries {
+            // Structural store-queue check before committing to the step;
+            // the next instruction is decoded only while the queue is full.
+            if store_queue.len() >= m.store_queue_entries
+                && program.get(cpu.pc()).is_some_and(|i| i.op.is_store())
+            {
                 match store_queue.front() {
                     Some(&(_, _, done)) if done <= cycle => {
                         store_queue.pop_front();
@@ -582,17 +613,18 @@ fn idle_wake(
 }
 
 /// Store-to-load forwarding: the youngest older store fully containing the
-/// load's bytes supplies the data.
+/// load's bytes supplies the data. Ends wrap at 2^64, as addresses do.
 fn store_forward(
     queue: &VecDeque<(u64, u8, u64)>,
     addr: u64,
     width: u8,
     _fwd_latency: u64,
 ) -> Option<u64> {
+    let end = addr.wrapping_add(width as u64);
     queue
         .iter()
         .rev()
-        .find(|&&(sa, sw, _)| sa <= addr && addr + width as u64 <= sa + sw as u64)
+        .find(|&&(sa, sw, _)| sa <= addr && end <= sa.wrapping_add(sw as u64))
         .map(|&(_, _, done)| done)
 }
 
@@ -611,7 +643,7 @@ fn inject_pthread_inst(
     mode: SimMode,
     m: &MachineParams,
     memsys: &mut MemSys,
-    mem: &Memory,
+    mem: &Memory<'_>,
     slots: &mut Calendar,
     pthread_regs: &mut Calendar,
 ) -> Result<(), SquashReason> {
@@ -688,7 +720,7 @@ fn pthread_mem_access(mode: SimMode, memsys: &mut MemSys, t: u64, addr: u64) -> 
     }
 }
 
-fn read_mem(mem: &Memory, op: Op, addr: u64) -> Option<i64> {
+fn read_mem(mem: &Memory<'_>, op: Op, addr: u64) -> Option<i64> {
     Some(match op {
         Op::Lb => mem.read_u8(addr) as i8 as i64,
         Op::Lbu => mem.read_u8(addr) as i64,

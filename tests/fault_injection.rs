@@ -35,6 +35,7 @@
 //! | 25 | config | negative model-latency override | `PipelineError::BadModelMissLatency` |
 //! | 26 | umbrella | every layer error lifts into `preexec::Error` | `From` impls |
 //! | 27 | slice I/O | `exec` record with the largest PC | read without sizing an allocation by it |
+//! | 28 | exec, timing | load and store whose bytes run past `u64::MAX` | bytes wrap to address 0 in every build |
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -436,5 +437,46 @@ fn s26_every_layer_error_lifts_into_the_umbrella() {
         assert!(!e.to_string().is_empty());
         // Every umbrella variant exposes its layer error as a source.
         assert!(e.source().is_some(), "{e} must have a source");
+    }
+}
+
+// ------------------------------------------------------------------- wrap
+
+#[test]
+fn s28_access_across_the_top_of_the_address_space_wraps() {
+    // Eight bytes at `u64::MAX - 3`: four at the top of the address space,
+    // four at address 0.
+    let load = assemble("wrap-load", "li r1, -4\nld r2, 0(r1)\nhalt").unwrap();
+    let store = assemble(
+        "wrap-store",
+        "li r1, -4\nli r2, 0x1122334455667788\nsd r2, 0(r1)\nld r3, 0(r1)\nld r4, 0(r0)\nhalt",
+    )
+    .unwrap();
+    let loaded = |p: &Program| {
+        let mut values = Vec::new();
+        let stats = try_run_trace(p, &TraceConfig::default(), |d| {
+            if d.inst.op.is_load() {
+                values.push((d.addr, d.result));
+            }
+        })
+        .unwrap();
+        assert!(!stats.timed_out);
+        values
+    };
+    assert_eq!(loaded(&load), [(Some(u64::MAX - 3), 0)]);
+    // The store's upper half lands at address 0, where a plain load sees it.
+    assert_eq!(
+        loaded(&store),
+        [
+            (Some(u64::MAX - 3), 0x1122_3344_5566_7788),
+            (Some(0), 0x1122_3344),
+        ]
+    );
+    // The timing simulator runs both to completion; the store variant's
+    // first load forwards from the wrapped store.
+    for (p, insts) in [(&load, 3), (&store, 6)] {
+        let r = try_simulate(p, &[], &SimConfig::default()).unwrap();
+        assert!(!r.timed_out, "{}", p.name());
+        assert_eq!(r.insts, insts, "{}", p.name());
     }
 }
