@@ -57,12 +57,26 @@ pub fn aggregate_advantage(
 ) -> Advantage {
     let scdh_pt = scdh::scdh_pthread(exec_body);
     let scdh_mt = scdh::scdh_main(main_body, params.bw_seq_mt());
+    advantage_of(params, scdh_pt, scdh_mt, exec_body.len(), dc_trig, dc_ptcm)
+}
+
+/// The one advantage arithmetic behind [`aggregate_advantage`] and the
+/// candidate scorer: the score of a candidate whose executed body has
+/// `exec_len` instructions and the two SCDH heights given.
+pub(crate) fn advantage_of(
+    params: &SelectionParams,
+    scdh_pt: f64,
+    scdh_mt: f64,
+    exec_len: usize,
+    dc_trig: u64,
+    dc_ptcm: u64,
+) -> Advantage {
     // Latency tolerance: whole cycles of hoisting, at most the miss
     // latency ("it does not benefit the main thread to tolerate more
     // latency than the latency of the miss"), never negative.
     let diff = (scdh_mt - scdh_pt).floor();
     let lt = diff.clamp(0.0, params.miss_latency);
-    let oh = exec_body.len() as f64 * params.oh_per_inst();
+    let oh = exec_len as f64 * params.oh_per_inst();
     let lt_agg = dc_ptcm as f64 * lt;
     let oh_agg = dc_trig as f64 * oh;
     Advantage {

@@ -86,10 +86,82 @@ impl Body {
             .map(|(j, _)| j)
             .collect()
     }
+}
 
-    /// Mutable access for the optimizer (crate-internal).
-    pub(crate) fn insts_mut(&mut self) -> &mut Vec<BodyInst> {
-        &mut self.insts
+/// A body held in buffers that outlive it, so that scoring one candidate
+/// after another allocates nothing once the buffers have grown.
+///
+/// `insts[..len]` is the body. The elements past `len` are spares, kept
+/// only for the capacity of their `deps` lists: refilling the buffer
+/// overwrites elements in place, and dead-code elimination swaps removed
+/// instructions past the end instead of dropping them. The lists keep any
+/// shape a slice tree gives them (any length, duplicates included), as
+/// [`crate::candidate_body`] always has.
+#[derive(Debug, Default)]
+pub(crate) struct BodyBuf {
+    insts: Vec<BodyInst>,
+    len: usize,
+}
+
+impl BodyBuf {
+    /// Empties the body, keeping every buffer.
+    pub(crate) fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Appends an instruction with an empty dependence list and returns
+    /// the list to fill.
+    pub(crate) fn push(&mut self, inst: Inst, mt_dist: f64) -> &mut Vec<usize> {
+        if self.len == self.insts.len() {
+            self.insts.push(BodyInst {
+                inst,
+                deps: Vec::new(),
+                mt_dist,
+            });
+        } else {
+            let spare = &mut self.insts[self.len];
+            spare.inst = inst;
+            spare.mt_dist = mt_dist;
+            spare.deps.clear();
+        }
+        self.len += 1;
+        &mut self.insts[self.len - 1].deps
+    }
+
+    /// Replaces the body with a copy of `insts`.
+    pub(crate) fn copy_from(&mut self, insts: &[BodyInst]) {
+        self.clear();
+        for bi in insts {
+            self.push(bi.inst, bi.mt_dist).extend_from_slice(&bi.deps);
+        }
+    }
+
+    /// Number of instructions.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The instructions with their dataflow.
+    pub(crate) fn insts(&self) -> &[BodyInst] {
+        &self.insts[..self.len]
+    }
+
+    /// Mutable access for the optimizer, which rewrites in place.
+    pub(crate) fn insts_mut(&mut self) -> &mut [BodyInst] {
+        &mut self.insts[..self.len]
+    }
+
+    /// Shortens the body to its first `len` instructions; the rest stay
+    /// as spares.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+    }
+
+    /// An owned copy of the body.
+    pub(crate) fn to_body(&self) -> Body {
+        Body {
+            insts: self.insts().to_vec(),
+        }
     }
 }
 
@@ -145,6 +217,24 @@ mod tests {
     fn forward_dep_rejected() {
         let a = Inst::itype(Op::Addi, Reg::new(1), Reg::new(1), 8);
         let _ = Body::new(vec![bi(a, vec![0], 0.0)]);
+    }
+
+    #[test]
+    fn buffer_reuses_its_elements() {
+        let b = chain();
+        let mut buf = BodyBuf::default();
+        buf.copy_from(b.insts());
+        assert_eq!(buf.to_body(), b);
+        buf.truncate(1);
+        assert_eq!(buf.insts(), &b.insts()[..1]);
+        // Refilling overwrites the spares: no stale dependence survives.
+        buf.clear();
+        buf.push(b.insts()[0].inst, 1.0);
+        buf.push(b.insts()[1].inst, 2.0).push(0);
+        assert_eq!(buf.len(), 2);
+        assert!(buf.insts()[0].deps.is_empty());
+        assert_eq!(buf.insts()[1].deps, vec![0]);
+        assert_eq!(buf.insts()[1].mt_dist, 2.0);
     }
 
     #[test]

@@ -1,6 +1,11 @@
-//! Candidate construction: from a slice-tree node to a p-thread body.
+//! Candidate construction and scoring: from a slice-tree node to a
+//! p-thread body and its aggregate advantage.
 
-use crate::{Body, BodyInst};
+use crate::advantage::advantage_of;
+use crate::body::BodyBuf;
+use crate::optimize::Optimizer;
+use crate::scdh::{scdh_main_in, scdh_pthread_in};
+use crate::{Advantage, Body, SelectionParams};
 use preexec_slice::{NodeId, SliceTree};
 
 /// Builds the body of the candidate static p-thread whose trigger is
@@ -25,34 +30,117 @@ use preexec_slice::{NodeId, SliceTree};
 ///
 /// Panics if `trigger` is the root (depth 0): the root is not a candidate.
 pub fn candidate_body(tree: &SliceTree, trigger: NodeId) -> Body {
-    let path = tree.path_from_root(trigger);
-    let k = path.len() - 1; // trigger depth
-    assert!(k >= 1, "the root node is not a p-thread candidate");
-    let trigger_dist = tree.node(trigger).dist_pl();
+    let mut buf = BodyBuf::default();
+    build_body(tree, trigger, &mut buf);
+    buf.to_body()
+}
 
-    let mut insts = Vec::with_capacity(k);
-    // Body position i corresponds to depth d = k-1-i.
-    for i in 0..k {
-        let d = k - 1 - i;
-        let node = tree.node(path[d]);
-        let deps: Vec<usize> = node
-            .dep_depths
-            .iter()
-            .filter(|&&dd| (dd as usize) < k) // within body; deeper = live-in
-            .map(|&dd| k - 1 - dd as usize)
-            .filter(|&p| p < i) // guard against inconsistent annotations
-            .collect();
+/// The one body builder behind [`candidate_body`] and the scorer: fills
+/// `buf` with the body of the candidate triggered at `trigger`.
+///
+/// Walking up from the trigger's parent visits depths `k−1, …, 0`, which
+/// is execution order, so no root path is materialized: body position
+/// `i` holds the node at depth `d = k−1−i`. A dependence depth names an
+/// in-body producer only when it is deeper than the node and shallower
+/// than the trigger; every other depth (deeper = live-in, and any depth
+/// a hand-built tree may hold that is not deeper than its node) adds no
+/// edge, so a dependence list of any shape builds a valid body.
+///
+/// # Panics
+///
+/// Panics if `trigger` is the root.
+pub(crate) fn build_body(tree: &SliceTree, trigger: NodeId, buf: &mut BodyBuf) {
+    let trig = tree.node(trigger);
+    let k = trig.depth as usize; // trigger depth = body length
+    assert!(k >= 1, "the root node is not a p-thread candidate");
+    let trigger_dist = trig.dist_pl();
+    buf.clear();
+    let mut cur = trig.parent;
+    let mut i = 0;
+    while let Some(id) = cur {
+        let node = tree.node(id);
         // Average distances can be slightly inconsistent across slices;
-        // the main thread must sequence at least the k-d slice instructions
-        // between the trigger and this node.
-        let mt_dist = (trigger_dist - node.dist_pl()).max((k - d) as f64);
-        insts.push(BodyInst {
-            inst: node.inst,
-            deps,
-            mt_dist,
-        });
+        // the main thread must sequence at least the k-d = i+1 slice
+        // instructions between the trigger and this node.
+        let mt_dist = (trigger_dist - node.dist_pl()).max((i + 1) as f64);
+        buf.push(node.inst, mt_dist).extend(
+            node.dep_depths
+                .iter()
+                .filter(|&&dd| (dd as usize) < k) // within body; deeper = live-in
+                .map(|&dd| k - 1 - dd as usize)
+                .filter(|&p| p < i), // guard against inconsistent annotations
+        );
+        cur = node.parent;
+        i += 1;
     }
-    Body::new(insts)
+}
+
+/// Scores candidates one after another in buffers that live as long as
+/// the scorer: the body, the SCDH heights and the optimizer's work lists.
+/// Once they have grown to the longest body, scoring a candidate
+/// allocates nothing.
+///
+/// Scoring builds the main-thread body, takes its main-thread SCDH,
+/// optimizes it in place into the body the p-thread executes (when
+/// `params.optimize`), takes that body's p-thread SCDH and combines the
+/// two into `ADV_agg` — the same functions [`candidate_body`],
+/// [`crate::optimize_body`], [`crate::scdh::scdh`] and
+/// [`crate::aggregate_advantage`] wrap.
+#[derive(Debug, Default)]
+pub(crate) struct CandidateScorer {
+    body: BodyBuf,
+    heights: Vec<f64>,
+    optimizer: Optimizer,
+}
+
+impl CandidateScorer {
+    /// Scores the candidate triggered at `trigger`, or returns `None`
+    /// when it is illegal: longer than `params.max_pthread_len` after
+    /// optimization.
+    pub(crate) fn score(
+        &mut self,
+        tree: &SliceTree,
+        trigger: NodeId,
+        dc_trig: u64,
+        params: &SelectionParams,
+    ) -> Option<Advantage> {
+        build_body(tree, trigger, &mut self.body);
+        if !params.optimize && self.body.len() > params.max_pthread_len {
+            return None;
+        }
+        let scdh_mt = scdh_main_in(self.body.insts(), &mut self.heights, params.bw_seq_mt());
+        if params.optimize {
+            self.optimizer.run(&mut self.body);
+        }
+        let len = self.body.len();
+        if len > params.max_pthread_len {
+            return None;
+        }
+        let scdh_pt = scdh_pthread_in(self.body.insts(), &mut self.heights);
+        Some(advantage_of(
+            params,
+            scdh_pt,
+            scdh_mt,
+            len,
+            dc_trig,
+            tree.node(trigger).dc_ptcm,
+        ))
+    }
+
+    /// The body the candidate triggered at `trigger` executes: the
+    /// optimized body when `params.optimize`, else the main-thread body.
+    pub(crate) fn exec_body(
+        &mut self,
+        tree: &SliceTree,
+        trigger: NodeId,
+        params: &SelectionParams,
+    ) -> Body {
+        build_body(tree, trigger, &mut self.body);
+        if params.optimize {
+            self.optimizer.run(&mut self.body);
+        }
+        self.body.to_body()
+    }
 }
 
 #[cfg(test)]

@@ -12,6 +12,7 @@
 //! checks that no intervening instruction redefines a register it extends
 //! the live range of.
 
+use crate::body::BodyBuf;
 use crate::{Body, BodyInst};
 use preexec_isa::{Inst, Op, Reg};
 
@@ -26,23 +27,87 @@ use preexec_isa::{Inst, Op, Reg};
 ///
 /// The targeted load (the body's last instruction) is always preserved.
 pub fn optimize_body(body: &Body) -> Body {
-    let mut b = body.clone();
-    if b.is_empty() {
-        return b;
-    }
-    // Each pass performs at most one rewrite per call; iterate to fixpoint
-    // with a generous safety bound (every rewrite strictly reduces either
-    // instruction count or chain length, so this terminates well inside).
-    for _ in 0..(4 * body.len() + 8) {
-        let changed = fold_constants(&mut b)
-            || eliminate_store_load(&mut b)
-            || eliminate_moves(&mut b)
-            || dce(&mut b);
-        if !changed {
-            break;
+    let mut buf = BodyBuf::default();
+    buf.copy_from(body.insts());
+    Optimizer::default().run(&mut buf);
+    buf.to_body()
+}
+
+/// The optimizer behind [`optimize_body`] and the candidate scorer: it
+/// rewrites a [`BodyBuf`] in place and keeps dead-code elimination's work
+/// lists between bodies, so optimizing allocates nothing once they have
+/// grown.
+#[derive(Debug, Default)]
+pub(crate) struct Optimizer {
+    live: Vec<bool>,
+    remap: Vec<usize>,
+    work: Vec<usize>,
+}
+
+impl Optimizer {
+    /// Rewrites `body` in place to a fixed point.
+    pub(crate) fn run(&mut self, body: &mut BodyBuf) {
+        if body.len() == 0 {
+            return;
+        }
+        // Each pass performs at most one rewrite per call; iterate to
+        // fixpoint with a generous safety bound (every rewrite strictly
+        // reduces either instruction count or chain length, so this
+        // terminates well inside).
+        for _ in 0..(4 * body.len() + 8) {
+            let changed = fold_constants(body.insts_mut())
+                || eliminate_store_load(body.insts_mut())
+                || eliminate_moves(body.insts_mut())
+                || self.dce(body);
+            if !changed {
+                break;
+            }
         }
     }
-    b
+
+    /// Dead-code elimination: drops instructions whose results the
+    /// targeted load does not transitively depend on. Returns whether
+    /// anything was removed. Live instructions move down in order by
+    /// swaps, so the removed ones end up past the new end as spares.
+    fn dce(&mut self, body: &mut BodyBuf) -> bool {
+        let insts = body.insts_mut();
+        let n = insts.len();
+        let root = n - 1;
+        self.live.clear();
+        self.live.resize(n, false);
+        self.work.clear();
+        self.work.push(root);
+        self.live[root] = true;
+        while let Some(i) = self.work.pop() {
+            for &d in &insts[i].deps {
+                if !self.live[d] {
+                    self.live[d] = true;
+                    self.work.push(d);
+                }
+            }
+        }
+        if self.live.iter().all(|&l| l) {
+            return false;
+        }
+        // Compact, remapping dep indices.
+        self.remap.clear();
+        self.remap.resize(n, usize::MAX);
+        let mut next = 0;
+        for i in 0..n {
+            if self.live[i] {
+                self.remap[i] = next;
+                insts.swap(next, i);
+                next += 1;
+            }
+        }
+        for bi in &mut insts[..next] {
+            for d in &mut bi.deps {
+                *d = self.remap[*d];
+            }
+        }
+        body.truncate(next);
+        true
+    }
 }
 
 /// The register an instruction defines (including writes to `r0`, which
@@ -65,20 +130,19 @@ fn redefined_before(insts: &[BodyInst], reg: Reg, to: usize) -> bool {
     insts[..to].iter().any(|bi| defines(&bi.inst) == Some(reg))
 }
 
-/// Positions that consume position `j`'s result through a dep edge.
-fn consumers(insts: &[BodyInst], j: usize) -> Vec<usize> {
-    insts
-        .iter()
-        .enumerate()
-        .filter(|(_, bi)| bi.deps.contains(&j))
-        .map(|(i, _)| i)
-        .collect()
+/// Whether position `i` is the only consumer of position `j`'s result
+/// through a dep edge (`i` itself must consume it).
+fn sole_consumer(insts: &[BodyInst], j: usize, i: usize) -> bool {
+    insts[i].deps.contains(&j)
+        && insts
+            .iter()
+            .enumerate()
+            .all(|(c, bi)| c == i || !bi.deps.contains(&j))
 }
 
 /// One step of constant folding. Returns whether a rewrite happened.
-fn fold_constants(body: &mut Body) -> bool {
-    let root = body.root();
-    let insts = body.insts_mut();
+fn fold_constants(insts: &mut [BodyInst]) -> bool {
+    let root = insts.len() - 1;
     for i in 0..insts.len() {
         let (op_i, rs1_i, rs2_i) = {
             let inst = &insts[i].inst;
@@ -109,7 +173,7 @@ fn fold_constants(body: &mut Body) -> bool {
         }
         // j's result must be consumed only by i (otherwise folding would
         // leave other consumers without their producer).
-        if consumers(insts, j) != vec![i] || j == root {
+        if !sole_consumer(insts, j, i) || j == root {
             continue;
         }
         // After folding, i reads j's source at i's position: nothing may
@@ -120,12 +184,12 @@ fn fold_constants(body: &mut Body) -> bool {
                 continue;
             }
             let add = insts[j].inst.imm;
-            let j_deps = insts[j].deps.clone();
-            let bi = &mut insts[i];
+            let (before, from_i) = insts.split_at_mut(i);
+            let bi = &mut from_i[0];
             bi.inst.rs1 = Some(src);
             bi.inst.imm = bi.inst.imm.wrapping_add(add);
             bi.deps.retain(|&d| d != j);
-            bi.deps.extend(j_deps);
+            bi.deps.extend_from_slice(&before[j].deps);
             bi.deps.sort_unstable();
             bi.deps.dedup();
         } else {
@@ -155,9 +219,8 @@ fn fold_constants(body: &mut Body) -> bool {
 /// Only doubleword pairs (`sd`/`ld`) are eliminated: narrower pairs would
 /// require modeling sub-register extraction, which the ISA's `mov` cannot
 /// express.
-fn eliminate_store_load(body: &mut Body) -> bool {
-    let root = body.root();
-    let insts = body.insts_mut();
+fn eliminate_store_load(insts: &mut [BodyInst]) -> bool {
+    let root = insts.len() - 1;
     for i in 0..insts.len() {
         if i == root || insts[i].inst.op != Op::Ld {
             continue;
@@ -210,7 +273,8 @@ fn eliminate_store_load(body: &mut Body) -> bool {
         let rd = load_inst.rd.expect("load has rd");
         let bi = &mut insts[i];
         bi.inst = Inst::mov(rd, value);
-        bi.deps = value_dep.into_iter().collect();
+        bi.deps.clear();
+        bi.deps.extend(value_dep);
         return true;
     }
     false
@@ -218,9 +282,8 @@ fn eliminate_store_load(body: &mut Body) -> bool {
 
 /// One step of register-move elimination. Returns whether a rewrite
 /// happened.
-fn eliminate_moves(body: &mut Body) -> bool {
-    let root = body.root();
-    let insts = body.insts_mut();
+fn eliminate_moves(insts: &mut [BodyInst]) -> bool {
+    let root = insts.len() - 1;
     for m in 0..insts.len() {
         if m == root || insts[m].inst.op != Op::Mov {
             continue;
@@ -228,18 +291,20 @@ fn eliminate_moves(body: &mut Body) -> bool {
         let src = insts[m].inst.rs1.expect("mov has rs");
         let dst = insts[m].inst.rd.expect("mov has rd");
         let src_dep = insts[m].deps.first().copied();
-        let users = consumers(insts, m);
-        if users.is_empty() {
+        let consumes = |bi: &BodyInst| bi.deps.contains(&m);
+        if !insts.iter().any(consumes) {
             continue; // DCE will take it
         }
         // Every consumer must be rewritable: src must not be redefined
         // between the mov (or its producer) and the consumer.
-        let all_ok = users.iter().all(|&c| !redefined_between(insts, src, m, c));
-        if !all_ok || redefined_between_is_self(dst, src) {
+        let all_ok = insts
+            .iter()
+            .enumerate()
+            .all(|(c, bi)| !consumes(bi) || !redefined_between(insts, src, m, c));
+        if !all_ok {
             continue;
         }
-        for &c in &users {
-            let bi = &mut insts[c];
+        for bi in insts.iter_mut().filter(|bi| consumes(bi)) {
             if bi.inst.rs1 == Some(dst) {
                 bi.inst.rs1 = Some(src);
             }
@@ -254,53 +319,6 @@ fn eliminate_moves(body: &mut Body) -> bool {
         return true;
     }
     false
-}
-
-/// A `mov r, r` needs no liveness checks but is also not worth special
-/// casing; this helper exists to keep `eliminate_moves` readable.
-fn redefined_between_is_self(_dst: Reg, _src: Reg) -> bool {
-    false
-}
-
-/// Dead-code elimination: drops instructions whose results the targeted
-/// load does not transitively depend on. Returns whether anything was
-/// removed.
-fn dce(body: &mut Body) -> bool {
-    let root = body.root();
-    let insts = body.insts_mut();
-    let mut live = vec![false; insts.len()];
-    let mut work = vec![root];
-    live[root] = true;
-    while let Some(i) = work.pop() {
-        for &d in &insts[i].deps {
-            if !live[d] {
-                live[d] = true;
-                work.push(d);
-            }
-        }
-    }
-    if live.iter().all(|&l| l) {
-        return false;
-    }
-    // Compact, remapping dep indices.
-    let mut remap = vec![usize::MAX; insts.len()];
-    let mut next = 0;
-    for (i, &l) in live.iter().enumerate() {
-        if l {
-            remap[i] = next;
-            next += 1;
-        }
-    }
-    let old = std::mem::take(insts);
-    for (i, mut bi) in old.into_iter().enumerate() {
-        if live[i] {
-            for d in &mut bi.deps {
-                *d = remap[*d];
-            }
-            insts.push(bi);
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! bandwidth available to its thread. Live-in values (seeds) are available
 //! at time 0, when the trigger launches both "threads" of the comparison.
 
-use crate::Body;
+use crate::{Body, BodyInst};
 
 /// Computes the SCDH of a body's final instruction (the targeted load)
 /// under the sequencing-constraint function `sc`, which maps a body index
@@ -21,28 +21,53 @@ use crate::Body;
 ///
 /// Panics if the body is empty.
 pub fn scdh(body: &Body, sc: impl Fn(usize) -> f64) -> f64 {
-    assert!(!body.is_empty(), "SCDH of an empty body");
-    let mut h = vec![0.0f64; body.len()];
-    for (i, bi) in body.insts().iter().enumerate() {
-        let dep_height = bi.deps.iter().map(|&d| h[d]).fold(0.0f64, f64::max);
-        h[i] = sc(i).max(dep_height) + bi.inst.op.scdh_latency() as f64;
+    scdh_in(body.insts(), &mut Vec::new(), sc)
+}
+
+/// The one SCDH recursion behind every public entry point and the
+/// candidate scorer, keeping the per-instruction heights in a buffer the
+/// caller reuses.
+///
+/// # Panics
+///
+/// Panics if `insts` is empty.
+pub(crate) fn scdh_in(
+    insts: &[BodyInst],
+    heights: &mut Vec<f64>,
+    sc: impl Fn(usize) -> f64,
+) -> f64 {
+    assert!(!insts.is_empty(), "SCDH of an empty body");
+    heights.clear();
+    for (i, bi) in insts.iter().enumerate() {
+        let dep_height = bi.deps.iter().map(|&d| heights[d]).fold(0.0f64, f64::max);
+        heights.push(sc(i).max(dep_height) + bi.inst.op.scdh_latency() as f64);
     }
-    h[body.root()]
+    heights[insts.len() - 1]
 }
 
 /// SCDH of the body as executed by the **p-thread**: sequencing bandwidth
 /// `BW_seq-pt = 1` ("p-threads are single computations that execute
 /// serially"), so instruction `i` is sequenced at cycle `i`.
 pub fn scdh_pthread(body: &Body) -> f64 {
-    scdh(body, |i| i as f64)
+    scdh_pthread_in(body.insts(), &mut Vec::new())
+}
+
+/// [`scdh_pthread`] over instructions, with a reused height buffer.
+pub(crate) fn scdh_pthread_in(insts: &[BodyInst], heights: &mut Vec<f64>) -> f64 {
+    scdh_in(insts, heights, |i| i as f64)
 }
 
 /// SCDH of the same computation as executed by the **main thread**:
 /// instruction `i` is sequenced at `DIST_trig(i) / BW_seq-mt`, using the
 /// per-instruction main-thread trigger distances carried by the body.
 pub fn scdh_main(body: &Body, bw_seq_mt: f64) -> f64 {
+    scdh_main_in(body.insts(), &mut Vec::new(), bw_seq_mt)
+}
+
+/// [`scdh_main`] over instructions, with a reused height buffer.
+pub(crate) fn scdh_main_in(insts: &[BodyInst], heights: &mut Vec<f64>, bw_seq_mt: f64) -> f64 {
     assert!(bw_seq_mt > 0.0, "bw_seq_mt must be positive");
-    scdh(body, |i| body.insts()[i].mt_dist / bw_seq_mt)
+    scdh_in(insts, heights, |i| insts[i].mt_dist / bw_seq_mt)
 }
 
 #[cfg(test)]

@@ -210,13 +210,13 @@ mod tests {
                 let dc = |pc| forest.dc_trig(pc);
                 let bounds = advantage_upper_bounds(tree, &dc, &params);
                 let exact = score_tree_nodes(tree, &dc, &params);
-                for (id, sc) in exact.iter().enumerate() {
-                    if let Some(sc) = sc {
+                for (id, adv) in exact.iter().enumerate() {
+                    if let Some(adv) = adv {
                         assert!(
-                            bounds[id] >= sc.advantage.adv_agg - 1e-9,
+                            bounds[id] >= adv.adv_agg - 1e-9,
                             "node {id}: bound {} < exact {} (optimize={})",
                             bounds[id],
-                            sc.advantage.adv_agg,
+                            adv.adv_agg,
                             params.optimize
                         );
                     }
@@ -242,10 +242,10 @@ mod tests {
                     if !kept {
                         match &exact[id] {
                             None => {}
-                            Some(sc) => assert!(
-                                sc.advantage.adv_agg <= 0.0,
+                            Some(adv) => assert!(
+                                adv.adv_agg <= 0.0,
                                 "pruned node {id} scores {}",
-                                sc.advantage.adv_agg
+                                adv.adv_agg
                             ),
                         }
                     }

@@ -1,20 +1,19 @@
 //! P-thread selection: per-slice (§3.1) and whole-tree with overlap
 //! correction (§3.2), plus the forest-level driver.
 
-use crate::advantage::aggregate_advantage;
+use crate::candidate::CandidateScorer;
 use crate::error::SelectError;
 use crate::par::{self, ParStats, Parallelism};
 use crate::screen::{self, ScreenStats};
-use crate::{
-    candidate_body, merge_pthreads, optimize_body, Advantage, Body, SelectionParams,
-    SelectionPrediction, StaticPThread,
-};
+use crate::{merge_pthreads, Advantage, Body, SelectionParams, SelectionPrediction, StaticPThread};
 use preexec_isa::Pc;
 use preexec_slice::{NodeId, SliceError, SliceForest, SliceTree};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-/// A scored candidate: its advantage calculation and the body the p-thread
-/// will execute (optimized if optimization is enabled).
+/// A scored candidate with its body: its advantage calculation and the
+/// body the p-thread will execute (optimized if optimization is enabled).
+/// Selection scores every candidate into a table of [`Advantage`]s and
+/// builds a body only for the candidates it picks.
 #[derive(Debug, Clone)]
 pub struct ScoredCandidate {
     /// The advantage calculation (before any overlap reduction).
@@ -32,40 +31,6 @@ pub struct Selection {
     pub prediction: SelectionPrediction,
 }
 
-/// Scores the candidate p-thread triggered at `node`, or returns `None`
-/// when the candidate is illegal (too long after optimization) or scores
-/// zero/negative structurally (empty body).
-fn score_node(
-    tree: &SliceTree,
-    node: NodeId,
-    dc_trig: u64,
-    params: &SelectionParams,
-) -> Option<ScoredCandidate> {
-    let main_body = candidate_body(tree, node);
-    if main_body.is_empty() {
-        return None;
-    }
-    let exec_body = if params.optimize {
-        optimize_body(&main_body)
-    } else {
-        main_body.clone()
-    };
-    if exec_body.is_empty() || exec_body.len() > params.max_pthread_len {
-        return None;
-    }
-    let advantage = aggregate_advantage(
-        params,
-        &exec_body,
-        &main_body,
-        dc_trig,
-        tree.node(node).dc_ptcm,
-    );
-    Some(ScoredCandidate {
-        advantage,
-        exec_body,
-    })
-}
-
 /// Rejects a candidate whose aggregate advantage evaluated to NaN or ±∞:
 /// a non-finite score fed into the net-advantage folds and the
 /// `(adv_agg, node id)` tie-break would silently poison the ordering, so
@@ -75,57 +40,50 @@ fn score_node(
 ///
 /// [`SliceError::NonFiniteScore`] when `adv_agg` is not finite.
 pub fn validate_candidate_score(
-    sc: &ScoredCandidate,
+    advantage: &Advantage,
     pc: Pc,
     node: NodeId,
 ) -> Result<(), SliceError> {
-    if sc.advantage.adv_agg.is_finite() {
+    if advantage.adv_agg.is_finite() {
         Ok(())
     } else {
         Err(SliceError::NonFiniteScore { pc, node })
     }
 }
 
-/// Scores every candidate node of `tree` into a dense table indexed by
-/// [`NodeId`] (`table[0]`, the root, is always `None` — the root is the
-/// problem load itself, not a trigger).
+/// Scores every candidate node of `tree` into a dense table of advantages
+/// indexed by [`NodeId`] (`table[0]`, the root, is always `None` — the
+/// root is the problem load itself, not a trigger; an illegal candidate
+/// is `None` too).
 ///
 /// Every non-root node lies on some root-to-leaf path, so the fixed point
-/// in [`solve_tree_scored`] consults every entry; precomputing the whole
-/// table does the same work as on-demand memoization and is what lets
-/// scoring fan out in parallel (see [`select_pthreads_par`]).
+/// in [`solve_tree_scored`] consults every entry. One scorer serves the
+/// whole tree, so the table is the only allocation that grows with the
+/// number of candidates.
 pub fn score_tree_nodes(
     tree: &SliceTree,
     dc_trig_of: &dyn Fn(Pc) -> u64,
     params: &SelectionParams,
-) -> Vec<Option<ScoredCandidate>> {
-    let mut table: Vec<Option<ScoredCandidate>> = vec![None; tree.len()];
-    for (node, slot) in table.iter_mut().enumerate().skip(1) {
-        *slot = score_node(tree, node, dc_trig_of(tree.node(node).pc), params);
-    }
-    table
+) -> Vec<Option<Advantage>> {
+    score_table(tree, dc_trig_of, params, None)
 }
 
-/// [`score_tree_nodes`] behind the static screen: candidates whose
-/// advantage upper bound cannot beat the null candidate (or that are
-/// statically illegal) are pruned without ever building a body or
-/// running SCDH; only survivors get the exact score. The table is
-/// interchangeable with the unscreened one for selection — pruned slots
-/// hold `None`, and a `None` (or `ADV_agg ≤ 0`) candidate is never
-/// selected (see [`crate::screen`] and DESIGN.md §16).
-pub fn score_tree_nodes_screened(
+/// [`score_tree_nodes`] limited to the nodes `keep` admits (all when
+/// `None`); the others stay `None`.
+fn score_table(
     tree: &SliceTree,
     dc_trig_of: &dyn Fn(Pc) -> u64,
     params: &SelectionParams,
-) -> (Vec<Option<ScoredCandidate>>, ScreenStats) {
-    let (keep, stats) = screen::screen_tree(tree, dc_trig_of, params);
-    let mut table: Vec<Option<ScoredCandidate>> = vec![None; tree.len()];
+    keep: Option<&[bool]>,
+) -> Vec<Option<Advantage>> {
+    let mut scorer = CandidateScorer::default();
+    let mut table = vec![None; tree.len()];
     for (node, slot) in table.iter_mut().enumerate().skip(1) {
-        if keep[node] {
-            *slot = score_node(tree, node, dc_trig_of(tree.node(node).pc), params);
+        if keep.is_none_or(|k| k[node]) {
+            *slot = scorer.score(tree, node, dc_trig_of(tree.node(node).pc), params);
         }
     }
-    (table, stats)
+    table
 }
 
 /// Solves one slice tree: selects the set of p-threads whose
@@ -135,17 +93,34 @@ pub fn score_tree_nodes_screened(
 /// ancestor of another selected p-thread (the double-tolerated latency,
 /// `DC_pt-cm(child) · LT(parent)`), and reselect until stable.
 ///
-/// Returns `(node, scored, net_advantage)` triples.
+/// Returns `(node, scored, net_advantage)` triples, with a body built for
+/// each pick.
 pub fn solve_tree(
     tree: &SliceTree,
     dc_trig_of: &dyn Fn(Pc) -> u64,
     params: &SelectionParams,
 ) -> Vec<(NodeId, ScoredCandidate, f64)> {
+    let mut scorer = CandidateScorer::default();
     solve_tree_scored(tree, &score_tree_nodes(tree, dc_trig_of, params))
+        .into_iter()
+        .map(|(node, advantage, net)| {
+            let exec_body = scorer.exec_body(tree, node, params);
+            (
+                node,
+                ScoredCandidate {
+                    advantage,
+                    exec_body,
+                },
+                net,
+            )
+        })
+        .collect()
 }
 
 /// The overlap-correction fixed point of [`solve_tree`], reading candidate
-/// scores from a precomputed table (as built by [`score_tree_nodes`]).
+/// advantages from a precomputed table (as built by
+/// [`score_tree_nodes`]). Returns `(node, advantage, net_advantage)`
+/// triples.
 ///
 /// Winner picking is deterministic by construction: every comparison
 /// orders candidates by `(net advantage, node id)`, so equal-advantage
@@ -156,8 +131,8 @@ pub fn solve_tree(
 /// thread count can perturb.
 pub fn solve_tree_scored(
     tree: &SliceTree,
-    scores: &[Option<ScoredCandidate>],
-) -> Vec<(NodeId, ScoredCandidate, f64)> {
+    scores: &[Option<Advantage>],
+) -> Vec<(NodeId, Advantage, f64)> {
     let leaves = tree.leaves();
     let mut reductions: HashMap<NodeId, f64> = HashMap::new();
     let mut selected: BTreeSet<NodeId> = BTreeSet::new();
@@ -168,8 +143,8 @@ pub fn solve_tree_scored(
             let path = tree.path_from_root(leaf);
             let mut best: Option<(NodeId, f64)> = None;
             for &node in path.iter().skip(1) {
-                if let Some(sc) = scores.get(node).and_then(Option::as_ref) {
-                    let net = sc.advantage.adv_agg - reductions.get(&node).copied().unwrap_or(0.0);
+                if let Some(adv) = scores.get(node).and_then(Option::as_ref) {
+                    let net = adv.adv_agg - reductions.get(&node).copied().unwrap_or(0.0);
                     // Ties go to the deeper candidate — the larger node id
                     // (see the doc comment): with optimization, unrolled
                     // bodies often fold to the same size and both saturate
@@ -200,9 +175,9 @@ pub fn solve_tree_scored(
         let mut new_reductions: HashMap<NodeId, f64> = HashMap::new();
         for &c in &next {
             if let Some(p) = closest_selected_ancestor(tree, c, &next) {
-                if let Some(psc) = scores.get(p).and_then(Option::as_ref) {
+                if let Some(padv) = scores.get(p).and_then(Option::as_ref) {
                     *new_reductions.entry(p).or_insert(0.0) +=
-                        tree.node(c).dc_ptcm as f64 * psc.advantage.lt;
+                        tree.node(c).dc_ptcm as f64 * padv.lt;
                 }
             }
         }
@@ -217,10 +192,10 @@ pub fn solve_tree_scored(
     selected
         .into_iter()
         .filter_map(|node| {
-            let sc = scores.get(node).and_then(Option::as_ref)?.clone();
-            let net = sc.advantage.adv_agg - reductions.get(&node).copied().unwrap_or(0.0);
+            let adv = *scores.get(node).and_then(Option::as_ref)?;
+            let net = adv.adv_agg - reductions.get(&node).copied().unwrap_or(0.0);
             if net > 0.0 {
-                Some((node, sc, net))
+                Some((node, adv, net))
             } else {
                 None
             }
@@ -267,10 +242,9 @@ pub fn select_pthreads(forest: &SliceForest, params: &SelectionParams) -> Select
     select_pthreads_par(forest, params, Parallelism::serial())
 }
 
-/// [`select_pthreads`] with intra-call parallelism: candidate scoring fans
-/// out over every `(tree, node)` pair and the overlap fixed points fan out
-/// over trees, then the forest-level accumulation runs serially in tree
-/// (problem-load PC) order.
+/// [`select_pthreads`] with intra-call parallelism: candidate scoring and
+/// the overlap fixed points fan out over trees, then the forest-level
+/// accumulation runs serially in tree (problem-load PC) order.
 ///
 /// The result is **byte-identical** to [`select_pthreads`] for every
 /// thread count: scoring each candidate is a pure function of its node,
@@ -339,17 +313,18 @@ pub fn try_select_pthreads_stats(
     params.try_validate()?;
     let obs = preexec_obs::global();
     let trees: Vec<(Pc, &SliceTree)> = forest.trees().collect();
+    let tree_indices: Vec<usize> = (0..trees.len()).collect();
+    let dc_trig = |pc| forest.dc_trig(pc);
 
     // Stage 0 — static screening (optional): one O(tree) fold per tree
     // bounds every candidate from block-level aggregates; the keep-mask
-    // thins the exact-scoring fan-out below without changing its output.
+    // thins exact scoring below without changing its output.
     let mut screen_stats = ScreenStats::default();
     let mut pstats = ParStats::default();
     let keep: Option<Vec<Vec<bool>>> = if screening {
-        let tree_indices: Vec<usize> = (0..trees.len()).collect();
         let screen_span = obs.span("stage.screen");
         let (masks, screen_par) = par::map_stats(par, &tree_indices, |&ti| {
-            screen::screen_tree(trees[ti].1, &|pc| forest.dc_trig(pc), params)
+            screen::screen_tree(trees[ti].1, &dc_trig, params)
         });
         screen_span.finish();
         pstats.absorb(&screen_par);
@@ -365,41 +340,29 @@ pub fn try_select_pthreads_stats(
         None
     };
 
-    // Stage 1 — exactly score the surviving candidates. The fan-out is
-    // flat over (tree, node) pairs rather than over trees so one huge
-    // tree cannot serialize the stage. `select.candidates` counts every
-    // enumerated candidate whether or not the screen admitted it.
+    // Stage 1 — exactly score the surviving candidates into one table of
+    // advantages per tree. Each tree gets one scorer, whose buffers serve
+    // all its candidates. `select.candidates` counts every enumerated
+    // candidate whether or not the screen admitted it.
     let total_candidates: u64 = trees.iter().map(|(_, tree)| tree.len() as u64 - 1).sum();
     obs.counter("select.candidates").add(total_candidates);
-    let score_items: Vec<(usize, NodeId)> = trees
-        .iter()
-        .enumerate()
-        .flat_map(|(ti, (_, tree))| (1..tree.len()).map(move |node| (ti, node)))
-        .filter(|&(ti, node)| keep.as_ref().is_none_or(|k| k[ti][node]))
-        .collect();
     let score_span = obs.span("stage.score");
-    let (flat_scores, score_par) = par::map_stats(par, &score_items, |&(ti, node)| {
-        let (_, tree) = trees[ti];
-        score_node(tree, node, forest.dc_trig(tree.node(node).pc), params)
+    let (scores, score_par) = par::map_stats(par, &tree_indices, |&ti| {
+        let mask = keep.as_ref().map(|k| &k[ti][..]);
+        score_table(trees[ti].1, &dc_trig, params, mask)
     });
     score_span.finish();
     pstats.absorb(&score_par);
-    for (&(ti, node), sc) in score_items.iter().zip(&flat_scores) {
-        if let Some(sc) = sc {
-            validate_candidate_score(sc, trees[ti].1.node(node).pc, node)?;
+    for ((_, tree), table) in trees.iter().zip(&scores) {
+        for (node, adv) in table.iter().enumerate() {
+            if let Some(adv) = adv {
+                validate_candidate_score(adv, tree.node(node).pc, node)?;
+            }
         }
-    }
-    let mut scores: Vec<Vec<Option<ScoredCandidate>>> = trees
-        .iter()
-        .map(|(_, tree)| vec![None; tree.len()])
-        .collect();
-    for ((ti, node), sc) in score_items.into_iter().zip(flat_scores) {
-        scores[ti][node] = sc;
     }
 
     // Stage 2 — per-tree overlap fixed points (independent sub-problems
     // per the paper's §3.2 decomposition).
-    let tree_indices: Vec<usize> = (0..trees.len()).collect();
     let solve_span = obs.span("stage.solve");
     let (all_picks, solve_stats) = par::map_stats(par, &tree_indices, |&ti| {
         solve_tree_scored(trees[ti].1, &scores[ti])
@@ -409,7 +372,8 @@ pub fn try_select_pthreads_stats(
 
     // Stage 3 — serial fold in tree order: the floating-point
     // accumulation sequence is fixed, so aggregates match the serial
-    // driver bit for bit.
+    // driver bit for bit. Each pick's body is built here, once.
+    let mut scorer = CandidateScorer::default();
     let mut pthreads: Vec<StaticPThread> = Vec::new();
     let mut misses_covered: u64 = 0;
     let mut misses_fully_covered: u64 = 0;
@@ -421,9 +385,9 @@ pub fn try_select_pthreads_stats(
         let selected: BTreeSet<NodeId> = picks.iter().map(|(n, _, _)| *n).collect();
         let full: BTreeMap<NodeId, bool> = picks
             .iter()
-            .map(|(n, sc, _)| (*n, sc.advantage.full_coverage))
+            .map(|(n, adv, _)| (*n, adv.full_coverage))
             .collect();
-        for (node, sc, net) in picks {
+        for (node, adv, net) in picks {
             let n = tree.node(node);
             // Coverage union: count a node's misses unless a selected
             // ancestor already counts them.
@@ -431,7 +395,7 @@ pub fn try_select_pthreads_stats(
             if !has_sel_anc {
                 misses_covered += n.dc_ptcm;
             }
-            if sc.advantage.full_coverage {
+            if adv.full_coverage {
                 // Count fully covered misses not already fully covered by
                 // a selected full-coverage ancestor.
                 let anc_full = {
@@ -450,18 +414,18 @@ pub fn try_select_pthreads_stats(
                     misses_fully_covered += n.dc_ptcm;
                 }
             }
-            lt_agg += sc.advantage.lt_agg - (sc.advantage.adv_agg - net);
-            oh_agg += sc.advantage.oh_agg;
+            lt_agg += adv.lt_agg - (adv.adv_agg - net);
+            oh_agg += adv.oh_agg;
             adv_agg += net;
             pthreads.push(StaticPThread {
                 trigger: n.pc,
                 targets: vec![target_pc],
-                body: sc.exec_body.to_insts(),
+                body: scorer.exec_body(tree, node, params).to_insts(),
                 dc_trig: forest.dc_trig(n.pc),
                 dc_ptcm: n.dc_ptcm,
                 advantage: Advantage {
                     adv_agg: net,
-                    ..sc.advantage
+                    ..adv
                 },
             });
         }
@@ -697,19 +661,16 @@ mod tests {
         tree
     }
 
-    fn candidate_with_advantage(tree: &SliceTree, node: NodeId, adv_agg: f64) -> ScoredCandidate {
-        ScoredCandidate {
-            advantage: Advantage {
-                scdh_pt: 1.0,
-                scdh_mt: 10.0,
-                lt: 10.0,
-                oh: 0.0,
-                lt_agg: adv_agg,
-                oh_agg: 0.0,
-                adv_agg,
-                full_coverage: false,
-            },
-            exec_body: candidate_body(tree, node),
+    fn candidate_with_advantage(adv_agg: f64) -> Advantage {
+        Advantage {
+            scdh_pt: 1.0,
+            scdh_mt: 10.0,
+            lt: 10.0,
+            oh: 0.0,
+            lt_agg: adv_agg,
+            oh_agg: 0.0,
+            adv_agg,
+            full_coverage: false,
         }
     }
 
@@ -721,9 +682,9 @@ mod tests {
         // (adv_agg, node id) order the parallel == serial guarantee
         // rests on.
         let tree = chain_tree(2);
-        let mut scores: Vec<Option<ScoredCandidate>> = vec![None; tree.len()];
-        scores[1] = Some(candidate_with_advantage(&tree, 1, 100.0));
-        scores[2] = Some(candidate_with_advantage(&tree, 2, 100.0));
+        let mut scores: Vec<Option<Advantage>> = vec![None; tree.len()];
+        scores[1] = Some(candidate_with_advantage(100.0));
+        scores[2] = Some(candidate_with_advantage(100.0));
         let picks = solve_tree_scored(&tree, &scores);
         assert_eq!(picks.len(), 1, "one winner per leaf path");
         assert_eq!(
@@ -733,9 +694,9 @@ mod tests {
 
         // Sanity: the order is on advantage first — a strictly better
         // shallow candidate still beats the deeper one.
-        let mut scores2: Vec<Option<ScoredCandidate>> = vec![None; tree.len()];
-        scores2[1] = Some(candidate_with_advantage(&tree, 1, 101.0));
-        scores2[2] = Some(candidate_with_advantage(&tree, 2, 100.0));
+        let mut scores2: Vec<Option<Advantage>> = vec![None; tree.len()];
+        scores2[1] = Some(candidate_with_advantage(101.0));
+        scores2[2] = Some(candidate_with_advantage(100.0));
         let picks2 = solve_tree_scored(&tree, &scores2);
         assert_eq!(picks2.len(), 1);
         assert_eq!(picks2[0].0, 1);
@@ -813,32 +774,14 @@ mod tests {
     }
 
     #[test]
-    fn screened_score_table_solves_identically() {
-        let forest = forest_for(STREAM);
-        let params = SelectionParams {
-            ipc: 2.0,
-            ..SelectionParams::default()
-        };
-        for (_, tree) in forest.trees() {
-            let dc = |pc| forest.dc_trig(pc);
-            let exact = score_tree_nodes(tree, &dc, &params);
-            let (screened, stats) = score_tree_nodes_screened(tree, &dc, &params);
-            assert_eq!(stats.candidates() as usize, tree.len() - 1);
-            let a = solve_tree_scored(tree, &exact);
-            let b = solve_tree_scored(tree, &screened);
-            assert_eq!(format!("{a:?}"), format!("{b:?}"));
-        }
-    }
-
-    #[test]
     fn nan_scores_never_win_the_tie_break() {
         // A NaN net advantage fails the `net > 0` gate, and total_cmp
         // keeps the order total even against a poisoned incumbent, so
         // the finite candidate always wins deterministically.
         let tree = chain_tree(2);
-        let mut scores: Vec<Option<ScoredCandidate>> = vec![None; tree.len()];
-        scores[1] = Some(candidate_with_advantage(&tree, 1, 100.0));
-        scores[2] = Some(candidate_with_advantage(&tree, 2, f64::NAN));
+        let mut scores: Vec<Option<Advantage>> = vec![None; tree.len()];
+        scores[1] = Some(candidate_with_advantage(100.0));
+        scores[2] = Some(candidate_with_advantage(f64::NAN));
         let picks = solve_tree_scored(&tree, &scores);
         assert_eq!(picks.len(), 1);
         assert_eq!(picks[0].0, 1, "the finite candidate must win");
@@ -848,16 +791,16 @@ mod tests {
     fn non_finite_scores_are_rejected_with_a_typed_error() {
         let tree = chain_tree(1);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-            let sc = candidate_with_advantage(&tree, 1, bad);
+            let adv = candidate_with_advantage(bad);
             assert_eq!(
-                validate_candidate_score(&sc, tree.node(1).pc, 1),
+                validate_candidate_score(&adv, tree.node(1).pc, 1),
                 Err(SliceError::NonFiniteScore {
                     pc: tree.node(1).pc,
                     node: 1
                 })
             );
         }
-        let ok = candidate_with_advantage(&tree, 1, 3.5);
+        let ok = candidate_with_advantage(3.5);
         assert_eq!(validate_candidate_score(&ok, 0, 1), Ok(()));
     }
 

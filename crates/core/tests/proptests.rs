@@ -1,16 +1,22 @@
 //! Property tests on the model's mathematical structure: SCDH and
-//! aggregate-advantage monotonicities the paper's arguments rely on, plus
-//! the exactness contract of the static screening pass (screened and
-//! unscreened selection must agree bit-for-bit on arbitrary forests).
+//! aggregate-advantage monotonicities the paper's arguments rely on, the
+//! exactness contract of the static screening pass (screened and
+//! unscreened selection must agree bit-for-bit on arbitrary forests), and
+//! candidate scoring and tree solving against the reference definitions
+//! in the root `tests/common/oracle.rs`, which share no code with this
+//! crate.
+
+#[path = "../../../tests/common/oracle.rs"]
+mod oracle;
 
 use preexec_core::advantage::aggregate_advantage;
-use preexec_core::select::{score_tree_nodes, ScoredCandidate};
+use preexec_core::select::{score_tree_nodes, solve_tree_scored};
 use preexec_core::{
-    advantage_upper_bounds, scdh, try_select_pthreads_stats, validate_candidate_score, Body,
-    BodyInst, Parallelism, SelectionParams,
+    advantage_upper_bounds, scdh, try_select_pthreads_stats, validate_candidate_score, Advantage,
+    Body, BodyInst, Parallelism, SelectionParams,
 };
 use preexec_isa::{Inst, Op, Pc, Reg};
-use preexec_slice::{SliceEntry, SliceForest, SliceTree};
+use preexec_slice::{NodeId, SliceEntry, SliceForest, SliceTree};
 use proptest::prelude::*;
 
 /// A random dependence-chain body ending in a load, with non-decreasing
@@ -257,8 +263,8 @@ proptest! {
             let bounds = advantage_upper_bounds(tree, &dc, &p);
             let table = score_tree_nodes(tree, &dc, &p);
             for (node, slot) in table.iter().enumerate().skip(1) {
-                if let Some(sc) = slot {
-                    let adv = sc.advantage.adv_agg;
+                if let Some(a) = slot {
+                    let adv = a.adv_agg;
                     prop_assert!(
                         bounds[node] >= adv - 1e-9 * (1.0 + adv.abs()),
                         "bound {} < exact {} at node {}",
@@ -291,8 +297,7 @@ proptest! {
         insts[at].mt_dist = poison;
         let poisoned = Body::new(insts);
         let adv = aggregate_advantage(&params(), &poisoned, &poisoned, dc_trig, dc_ptcm);
-        let sc = ScoredCandidate { advantage: adv, exec_body: poisoned };
-        let checked = validate_candidate_score(&sc, 7, 3);
+        let checked = validate_candidate_score(&adv, 7, 3);
         prop_assert_eq!(adv.adv_agg.is_finite(), checked.is_ok());
         if let Err(e) = checked {
             prop_assert_eq!(
@@ -304,10 +309,83 @@ proptest! {
         // hand-poisoned score regardless of how the model behaves.
         let mut forced = adv;
         forced.adv_agg = poison;
-        let forced = ScoredCandidate { advantage: forced, exec_body: body };
         prop_assert_eq!(
             validate_candidate_score(&forced, 11, 5),
             Err(preexec_slice::SliceError::NonFiniteScore { pc: 11, node: 5 })
         );
+    }
+}
+
+/// The best objective over every subset of the scored candidates, by
+/// enumeration: the check on the oracle's dynamic program.
+fn brute_force_best(tree: &preexec_slice::SliceTree, scores: &[Option<Advantage>]) -> f64 {
+    let scored: Vec<NodeId> = (1..tree.len()).filter(|&n| scores[n].is_some()).collect();
+    let mut best = 0.0f64;
+    let mut set = Vec::new();
+    for mask in 0u32..(1 << scored.len()) {
+        set.clear();
+        set.extend(
+            scored
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| mask & (1 << i) != 0)
+                .map(|(_, &n)| n),
+        );
+        best = best.max(oracle::objective(tree, scores, &set));
+    }
+    best
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Without optimization, every candidate of every random tree scores
+    /// bit for bit as the reference definition does.
+    #[test]
+    fn unoptimized_scores_match_the_reference(
+        forest in forest_strategy(),
+        p in params_strategy(),
+    ) {
+        let p = SelectionParams { optimize: false, ..p };
+        for (_, tree) in forest.trees() {
+            let dc = |pc: Pc| forest.dc_trig(pc);
+            let table = score_tree_nodes(tree, &dc, &p);
+            for (node, got) in table.iter().enumerate() {
+                let want = if node == 0 {
+                    None
+                } else {
+                    oracle::score(tree, node, dc(tree.node(node).pc), &p)
+                };
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "node {}", node);
+            }
+        }
+    }
+
+    /// The paper's per-leaf procedure never beats the exact optimum of
+    /// its objective, and on trees small enough to enumerate, the exact
+    /// dynamic program equals the best of every subset.
+    #[test]
+    fn heuristic_never_beats_the_exact_optimum(
+        forest in forest_strategy(),
+        p in params_strategy(),
+    ) {
+        for (_, tree) in forest.trees() {
+            let scores = score_tree_nodes(tree, &|pc| forest.dc_trig(pc), &p);
+            let picks: Vec<NodeId> =
+                solve_tree_scored(tree, &scores).into_iter().map(|(n, _, _)| n).collect();
+            let heuristic = oracle::objective(tree, &scores, &picks);
+            let exact = oracle::exact_best(tree, &scores);
+            let tolerance = 1e-9 * (1.0 + exact.abs());
+            prop_assert!(heuristic <= exact + tolerance, "heuristic {} > exact {}", heuristic, exact);
+            if scores.iter().filter(|s| s.is_some()).count() <= 12 {
+                let brute = brute_force_best(tree, &scores);
+                prop_assert!(
+                    (brute - exact).abs() <= tolerance,
+                    "exact {} != brute force {}",
+                    exact,
+                    brute
+                );
+            }
+        }
     }
 }

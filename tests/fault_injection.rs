@@ -36,9 +36,14 @@
 //! | 26 | umbrella | every layer error lifts into `preexec::Error` | `From` impls |
 //! | 27 | slice I/O | `exec` record with the largest PC | read without sizing an allocation by it |
 //! | 28 | exec, timing | load and store whose bytes run past `u64::MAX` | bytes wrap to address 0 in every build |
+//! | 29 | selection | dependence lists of any shape in a slice tree | selection never panics; scores match the reference |
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
+mod common;
+
+use preexec::core::select::score_tree_nodes;
+use preexec::core::{try_select_pthreads_stats, Parallelism};
 use preexec::core::{ParamsError, SelectionParams};
 use preexec::experiments::fault::{
     drop_line, dup_line, flip_bit, poisoned_pthread, runaway_pthread, truncate_bytes,
@@ -48,7 +53,8 @@ use preexec::func::{run_pthread, try_run_trace, Cpu, ExecError, SquashReason, Tr
 use preexec::isa::{assemble, Inst, Op, Program, Reg};
 use preexec::mem::Memory;
 use preexec::slice::{
-    read_forest, read_forest_lenient, write_forest, SliceError, SliceForestBuilder, SliceWindow,
+    read_forest, read_forest_lenient, write_forest, SliceEntry, SliceError, SliceForest,
+    SliceForestBuilder, SliceTree, SliceWindow,
 };
 use preexec::timing::{try_simulate, MachineError, SimConfig, SimError};
 
@@ -479,4 +485,166 @@ fn s28_access_across_the_top_of_the_address_space_wraps() {
         assert!(!r.timed_out, "{}", p.name());
         assert_eq!(r.insts, insts, "{}", p.name());
     }
+}
+
+// -------------------------------------------------------------- selection
+
+/// The instructions of the malformed-dependence fixtures, root first:
+/// a load chain with a store, a move, constants and a multiply, so the
+/// optimizer's folding, store-load and move rewrites all get a look at
+/// the dependence lists.
+const ODD_INSTS: [&str; 9] = [
+    "ld r8, 0(r7)",
+    "addi r7, r7, 16",
+    "ld r7, 8(r6)",
+    "sd r5, 8(r6)",
+    "mov r6, r4",
+    "li r5, 4096",
+    "addi r4, r4, 8",
+    "mul r4, r4, r4",
+    "addi r4, r4, 8",
+];
+
+/// Dependence depths per slice depth that the slicer never writes (it
+/// writes at most two, distinct, ascending and deeper than the entry):
+/// more than two, duplicates, unsorted, the entry's own depth, shallower
+/// depths, depths past the slice and past any tree.
+fn odd_deps(variant: u32) -> Vec<Vec<u32>> {
+    let v = variant;
+    vec![
+        vec![1, 1, 3, 0],
+        vec![5, 2, 2, v],
+        vec![2, 1, 9, u32::MAX],
+        vec![7, 6, 5, 4, 4, 0],
+        vec![5 + v % 3, 8, 3],
+        vec![0, 1, 2, 3, 4, 5, 6, 7, 8],
+        vec![8, 7, 7],
+        vec![],
+        vec![100, 8, 9],
+    ]
+}
+
+/// A branching tree built through `insert_slice` from slices with the odd
+/// dependence lists: shared prefixes, and later slices that stop early
+/// or diverge at a different PC.
+fn odd_tree_inserted() -> SliceTree {
+    let insts: Vec<Inst> = ODD_INSTS
+        .iter()
+        .map(|t| *assemble("odd", t).unwrap().inst(0))
+        .collect();
+    let mut tree = SliceTree::new(100, insts[0]);
+    for variant in 0..6u32 {
+        let deps = odd_deps(variant);
+        let len = 9 - (variant as usize % 4);
+        let slice: Vec<SliceEntry> = (0..len)
+            .map(|d| SliceEntry {
+                pc: if d == 0 {
+                    100
+                } else {
+                    100 - d as u32 - 10 * (variant % 2) * (d as u32 / 4)
+                },
+                inst: insts[d],
+                dist: (d as u64) * (3 + u64::from(variant)),
+                dep_positions: deps[d].clone(),
+            })
+            .collect();
+        tree.insert_slice(&slice);
+    }
+    tree
+}
+
+/// A headerless slice file whose node records carry the odd dependence
+/// lists (`read_forest` keeps them as written).
+fn odd_forest_read() -> SliceForest {
+    let mut text = String::from("forest sample_insts=5000\n");
+    for pc in 90..100 {
+        text.push_str(&format!("exec {pc} {}\n", 40 * (pc - 85)));
+    }
+    text.push_str("tree 100 dc=60 deps=1,1,0,7 inst=ld r8, 0(r7)\n");
+    let rows = [
+        (0, 99, 60, 240, "2,2,5,0"),
+        (1, 98, 50, 400, "4294967295,1,3"),
+        (2, 97, 45, 540, "3,4,5,6,7,8,9"),
+        (3, 96, 40, 640, "6,5"),
+        (4, 95, 30, 600, "0,0,0"),
+        (5, 94, 20, 500, "-"),
+        (2, 93, 5, 90, "3,3,2,1"),
+        (7, 92, 4, 100, "5,4"),
+        (6, 91, 0, 0, "8,8"),
+    ];
+    for (i, (parent, pc, dc, dist_sum, deps)) in rows.into_iter().enumerate() {
+        let inst = ODD_INSTS[(i + 1) % ODD_INSTS.len()];
+        text.push_str(&format!(
+            "node parent={parent} pc={pc} dc={dc} dist_sum={dist_sum} deps={deps} inst={inst}\n"
+        ));
+    }
+    read_forest(&text).unwrap()
+}
+
+/// Selection parameters with and without optimization, a tight length
+/// limit included.
+fn odd_params() -> Vec<SelectionParams> {
+    let mut out = Vec::new();
+    for optimize in [false, true] {
+        for max_pthread_len in [32, 2] {
+            out.push(SelectionParams {
+                ipc: 1.5,
+                miss_latency: 30.0,
+                max_pthread_len,
+                optimize,
+                ..SelectionParams::default()
+            });
+        }
+    }
+    out
+}
+
+#[test]
+fn s29_any_dependence_shape_scores_without_panicking() {
+    let inserted = odd_tree_inserted();
+    assert!(
+        inserted.len() > 12,
+        "fixture must branch: {}",
+        inserted.len()
+    );
+    let counts = (90..100).map(|pc| (pc, 25 * u64::from(pc - 80))).collect();
+    let forests = [
+        SliceForest::from_parts(vec![inserted], counts, 5_000),
+        odd_forest_read(),
+    ];
+    let mut digests = Vec::new();
+    for forest in &forests {
+        for params in odd_params() {
+            for screening in [true, false] {
+                try_select_pthreads_stats(forest, &params, Parallelism::serial(), screening)
+                    .expect("selection over odd dependence lists");
+            }
+            if params.optimize {
+                digests.push(common::candidate_digest(forest, &params));
+                continue;
+            }
+            // Unoptimized, every candidate scores exactly as the reference
+            // definition does.
+            for (_, tree) in forest.trees() {
+                let dc = |pc| forest.dc_trig(pc);
+                let table = score_tree_nodes(tree, &dc, &params);
+                for (node, slot) in table.iter().enumerate().skip(1) {
+                    let want = common::oracle::score(tree, node, dc(tree.node(node).pc), &params);
+                    assert_eq!(format!("{slot:?}"), format!("{want:?}"), "node {node}");
+                }
+            }
+        }
+    }
+    // Optimized, the scores are those recorded before the scorer moved
+    // to reused buffers.
+    assert_eq!(
+        digests,
+        [
+            0xf03e_ac1e_0131_f126,
+            0xd37c_2d8e_870f_2699,
+            0xcce2_ef3a_6b9a_7a9f,
+            0xc7e9_ff81_fa43_6138
+        ],
+        "actual: {digests:#018x?}"
+    );
 }
