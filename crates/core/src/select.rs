@@ -8,7 +8,7 @@ use crate::screen::{self, ScreenStats};
 use crate::{merge_pthreads, Advantage, Body, SelectionParams, SelectionPrediction, StaticPThread};
 use preexec_isa::Pc;
 use preexec_slice::{NodeId, SliceError, SliceForest, SliceTree};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// A scored candidate with its body: its advantage calculation and the
 /// body the p-thread will execute (optimized if optimization is enabled).
@@ -129,71 +129,84 @@ pub fn solve_tree(
 /// parents), so on a path this is exactly the "deeper candidate wins"
 /// rule — but stated as a total order that no iteration schedule or
 /// thread count can perturb.
+///
+/// Each round is one pass over the nodes in id order, parents before
+/// children: a node's best candidate is its parent's, or itself when it
+/// wins under that order. A leaf's best is then the winner of a scan down
+/// its root path, without building the path. The buffers live for the
+/// whole call.
 pub fn solve_tree_scored(
     tree: &SliceTree,
     scores: &[Option<Advantage>],
 ) -> Vec<(NodeId, Advantage, f64)> {
-    let leaves = tree.leaves();
-    let mut reductions: HashMap<NodeId, f64> = HashMap::new();
-    let mut selected: BTreeSet<NodeId> = BTreeSet::new();
+    let n = tree.len();
+    // Overlap reductions by node; `None` is a node no selected
+    // descendant reduces, which differs from a reduction of zero.
+    let mut reductions: Vec<Option<f64>> = vec![None; n];
+    let mut new_reductions: Vec<Option<f64>> = vec![None; n];
+    let mut selected = vec![false; n];
+    let mut next = vec![false; n];
+    let mut best: Vec<Option<(NodeId, f64)>> = vec![None; n];
 
     for _round in 0..32 {
-        let mut next: BTreeSet<NodeId> = BTreeSet::new();
-        for &leaf in &leaves {
-            let path = tree.path_from_root(leaf);
-            let mut best: Option<(NodeId, f64)> = None;
-            for &node in path.iter().skip(1) {
-                if let Some(adv) = scores.get(node).and_then(Option::as_ref) {
-                    let net = adv.adv_agg - reductions.get(&node).copied().unwrap_or(0.0);
-                    // Ties go to the deeper candidate — the larger node id
-                    // (see the doc comment): with optimization, unrolled
-                    // bodies often fold to the same size and both saturate
-                    // LT at L_cm, and the deeper trigger buys lookahead
-                    // slack at no modeled cost (cf. the paper's observation
-                    // that over-specifying latency compensates for
-                    // unmodeled bus contention). `total_cmp` keeps the
-                    // order total even if a caller-supplied score table
-                    // smuggles in a NaN: a poisoned comparison can then
-                    // never un-pick an already-chosen winner.
+        next.fill(false);
+        for node in 1..n {
+            let inherited = tree.node(node).parent.and_then(|p| best[p]);
+            let own = scores
+                .get(node)
+                .and_then(Option::as_ref)
+                .map(|adv| (node, adv.adv_agg - reductions[node].unwrap_or(0.0)));
+            // Ties go to the deeper candidate — the larger node id (see
+            // the doc comment): with optimization, unrolled bodies often
+            // fold to the same size and both saturate LT at L_cm, and the
+            // deeper trigger buys lookahead slack at no modeled cost (cf.
+            // the paper's observation that over-specifying latency
+            // compensates for unmodeled bus contention). `total_cmp` keeps
+            // the order total even if a caller-supplied score table
+            // smuggles in a NaN: a poisoned comparison can then never
+            // un-pick an already-chosen winner.
+            best[node] = match own {
+                Some((node, net))
                     if net > 0.0
-                        && best.is_none_or(|(bn, b)| {
+                        && inherited.is_none_or(|(bn, b)| {
                             net.total_cmp(&b).then_with(|| node.cmp(&bn)).is_ge()
-                        })
-                    {
-                        best = Some((node, net));
-                    }
+                        }) =>
+                {
+                    own
                 }
-            }
-            if let Some((node, _)) = best {
-                next.insert(node);
+                _ => inherited,
+            };
+            if tree.node(node).children.is_empty() {
+                if let Some((winner, _)) = best[node] {
+                    next[winner] = true;
+                }
             }
         }
         // Recompute reductions for the new set: each selected node with a
         // selected proper ancestor double-tolerates its misses at the
         // ancestor's (lower) per-miss latency tolerance. Using the closest
         // selected ancestor chains the corrections up the tree.
-        let mut new_reductions: HashMap<NodeId, f64> = HashMap::new();
-        for &c in &next {
-            if let Some(p) = closest_selected_ancestor(tree, c, &next) {
+        new_reductions.fill(None);
+        for c in (1..n).filter(|&c| next[c]) {
+            if let Some(p) = closest_selected_ancestor(tree, c, |a| next[a]) {
                 if let Some(padv) = scores.get(p).and_then(Option::as_ref) {
-                    *new_reductions.entry(p).or_insert(0.0) +=
-                        tree.node(c).dc_ptcm as f64 * padv.lt;
+                    *new_reductions[p].get_or_insert(0.0) += tree.node(c).dc_ptcm as f64 * padv.lt;
                 }
             }
         }
         let stable = next == selected && !reductions_differ(&reductions, &new_reductions);
-        selected = next;
-        reductions = new_reductions;
+        std::mem::swap(&mut selected, &mut next);
+        std::mem::swap(&mut reductions, &mut new_reductions);
         if stable {
             break;
         }
     }
 
-    selected
-        .into_iter()
+    (1..n)
+        .filter(|&node| selected[node])
         .filter_map(|node| {
             let adv = *scores.get(node).and_then(Option::as_ref)?;
-            let net = adv.adv_agg - reductions.get(&node).copied().unwrap_or(0.0);
+            let net = adv.adv_agg - reductions[node].unwrap_or(0.0);
             if net > 0.0 {
                 Some((node, adv, net))
             } else {
@@ -203,14 +216,15 @@ pub fn solve_tree_scored(
         .collect()
 }
 
+/// The nearest proper ancestor of `node` that `is_selected` admits.
 fn closest_selected_ancestor(
     tree: &SliceTree,
     node: NodeId,
-    selected: &BTreeSet<NodeId>,
+    is_selected: impl Fn(NodeId) -> bool,
 ) -> Option<NodeId> {
     let mut cur = tree.node(node).parent;
     while let Some(p) = cur {
-        if selected.contains(&p) {
+        if is_selected(p) {
             return Some(p);
         }
         cur = tree.node(p).parent;
@@ -218,12 +232,14 @@ fn closest_selected_ancestor(
     None
 }
 
-fn reductions_differ(a: &HashMap<NodeId, f64>, b: &HashMap<NodeId, f64>) -> bool {
-    if a.len() != b.len() {
-        return true;
-    }
-    a.iter()
-        .any(|(k, v)| b.get(k).is_none_or(|w| (v - w).abs() > 1e-9))
+/// Whether two reduction tables differ: in which nodes carry a reduction,
+/// or by more than 1e-9 in one that both carry.
+fn reductions_differ(a: &[Option<f64>], b: &[Option<f64>]) -> bool {
+    a.iter().zip(b).any(|(x, y)| match (x, y) {
+        (Some(v), Some(w)) => (v - w).abs() > 1e-9,
+        (None, None) => false,
+        _ => true,
+    })
 }
 
 /// Runs selection over every slice tree in the forest and returns the
@@ -391,7 +407,8 @@ pub fn try_select_pthreads_stats(
             let n = tree.node(node);
             // Coverage union: count a node's misses unless a selected
             // ancestor already counts them.
-            let has_sel_anc = closest_selected_ancestor(tree, node, &selected).is_some();
+            let has_sel_anc =
+                closest_selected_ancestor(tree, node, |p| selected.contains(&p)).is_some();
             if !has_sel_anc {
                 misses_covered += n.dc_ptcm;
             }

@@ -261,7 +261,7 @@ impl<'p> Pipeline<'p> {
 
         check("assisted_sim")?;
         let t = Instant::now();
-        let assisted = pipeline::assisted_sim_stage(program, &selection.pthreads, &cfg)?;
+        let assisted = pipeline::assisted_sim_stage(program, &selection.pthreads, &cfg, &base)?;
         stage_us.assisted_sim = elapsed_us(t);
 
         Ok(PipelineOutput {
@@ -307,6 +307,7 @@ fn elapsed_us(t: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use preexec_timing::{SimMode, SimResult};
     use preexec_workloads::{suite, InputSet};
 
     fn vpr() -> Program {
@@ -332,6 +333,29 @@ mod tests {
         assert_eq!(key(&out.result), key(&whole));
         assert!(!out.artifacts_reused);
         assert!(out.stage_us.trace > 0 && out.stage_us.base_sim > 0);
+    }
+
+    #[test]
+    fn an_empty_selection_reuses_the_base_run() {
+        // gcc's test input is L2-resident and selects nothing.
+        let w = suite().into_iter().find(|w| w.name == "gcc").unwrap();
+        let p = w.build(InputSet::Test);
+        let c = cfg();
+        let out = Pipeline::new(&p).config(c).run().unwrap();
+        assert!(out.result.selection.pthreads.is_empty());
+        let base = format!("{:?}", out.result.base);
+        assert_eq!(format!("{:?}", out.result.assisted), base);
+        let direct = pipeline::try_sim(&p, &[], &c, SimMode::Normal).unwrap();
+        assert_eq!(format!("{direct:?}"), base);
+        // The simulator ran once: the assisted stage hands back the base
+        // result it is given, even one no simulation of `p` could give.
+        let marker = SimResult {
+            cycles: 1,
+            insts: 7,
+            ..SimResult::default()
+        };
+        let assisted = pipeline::assisted_sim_stage(&p, &[], &c, &marker).unwrap();
+        assert_eq!(format!("{assisted:?}"), format!("{marker:?}"));
     }
 
     #[test]

@@ -390,13 +390,30 @@ pub(crate) fn base_sim_stage(
 }
 
 /// Stage: the p-thread-assisted timing run, timed under the
-/// `stage.assisted_sim` span.
+/// `stage.assisted_sim` span (see [`try_assisted_sim`]).
 pub(crate) fn assisted_sim_stage(
     program: &Program,
     pthreads: &[StaticPThread],
     cfg: &PipelineConfig,
+    base: &SimResult,
 ) -> Result<SimResult, PipelineError> {
     let _span = preexec_obs::global().span("stage.assisted_sim");
+    try_assisted_sim(program, pthreads, cfg, base)
+}
+
+/// The p-thread-assisted timing run of `program`, whose base run under
+/// `cfg` gave `base`. With no p-threads the assisted run is the base
+/// run's very call, and the simulator is deterministic, so `base` is
+/// returned without simulating again.
+fn try_assisted_sim(
+    program: &Program,
+    pthreads: &[StaticPThread],
+    cfg: &PipelineConfig,
+    base: &SimResult,
+) -> Result<SimResult, PipelineError> {
+    if pthreads.is_empty() {
+        return Ok(base.clone());
+    }
     try_sim(program, pthreads, cfg, SimMode::Normal)
 }
 
@@ -496,7 +513,7 @@ pub fn try_run_cross_input(
     let params = selection_params(cfg, profile_base.ipc());
     params.try_validate()?;
     let selection = select_pthreads(&forest, &params);
-    let assisted = try_sim(measure_on, &selection.pthreads, cfg, SimMode::Normal)?;
+    let assisted = try_assisted_sim(measure_on, &selection.pthreads, cfg, &base)?;
     Ok(PipelineResult {
         stats,
         base,

@@ -281,8 +281,8 @@ mod tests {
     }
 
     #[test]
-    fn a_run_copies_only_the_pages_it_stores_to() {
-        // Two pages of data, read from end to end: nothing is copied.
+    fn a_run_holds_only_the_granules_it_stores_to() {
+        // Two pages of data, read from end to end: nothing is held.
         let mut p = assemble(
             "t",
             "li r1, 0x10000\nli r2, 0x12000\nli r3, 0\n\
@@ -293,9 +293,10 @@ mod tests {
         p.add_data(0x10000, (0..8192).map(|i| (i % 7) as u8).collect());
         let (cpu, mem) = run_program(&p);
         assert!(cpu.reg(Reg::new(3)) != 0);
-        assert_eq!(mem.written_pages(), 0);
+        assert_eq!(mem.written_bytes(), 0);
 
-        // One store into the data copies exactly its page.
+        // One store into the data holds its granule and a bitmap of the
+        // segment's 1 024 granules, not a copy of its page.
         let mut p = assemble(
             "t",
             "li r1, 0x10ff8\nli r2, 7\nsd r2, 0(r1)\nld r3, 8(r1)\nhalt",
@@ -303,7 +304,8 @@ mod tests {
         .unwrap();
         p.add_data(0x10000, vec![9; 8192]);
         let (cpu, mem) = run_program(&p);
-        assert_eq!(mem.written_pages(), 1);
+        assert!(mem.written_bytes() > 0);
+        assert!(mem.written_bytes() < 512, "{} bytes", mem.written_bytes());
         assert_eq!(mem.read_u64(0x10ff8), 7);
         assert_eq!(cpu.reg(Reg::new(3)), 0x0909_0909_0909_0909);
     }

@@ -1,15 +1,26 @@
 //! Byte-addressable main memory: a program's data segments, read in
-//! place, under a sparse set of pages that stores have written.
+//! place, under the 8-byte granules that stores have written.
 
 use preexec_isa::{DataSegment, Program};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
-/// log2 of the page size used by [`Memory`] (and by the checkpoint layer,
-/// which snapshots dirty pages at this granularity).
+/// log2 of the page size the checkpoint layer snapshots dirty memory at
+/// (see [`Memory::page_bytes`]).
 pub const PAGE_SHIFT: u32 = 12;
 /// Page size in bytes.
 pub const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
-const PAGE_MASK: u64 = (PAGE_SIZE - 1) as u64;
+
+/// log2 of the granule [`Memory`] keeps written bytes at: 8 bytes, the
+/// widest access, and the granule the slicer tracks memory dependences
+/// at.
+pub const GRANULE_SHIFT: u32 = 3;
+/// Granule size in bytes.
+pub const GRANULE_SIZE: usize = 1 << GRANULE_SHIFT;
+const GRANULE_MASK: u64 = (GRANULE_SIZE - 1) as u64;
+/// Granule indices are `addr >> GRANULE_SHIFT`, so they wrap at 2^61.
+const GRANULE_INDEX_MASK: u64 = u64::MAX >> GRANULE_SHIFT;
+/// Granules per page.
+const PAGE_GRANULES: u64 = 1 << (PAGE_SHIFT - GRANULE_SHIFT);
 
 /// The architectural load/store interface the CPU steps against.
 ///
@@ -63,29 +74,35 @@ impl MemBus for Memory<'_> {
 
 /// A 64-bit byte-addressable memory over a program's data segments.
 ///
-/// The address space is split into 4 KB pages. A page that no store has
-/// touched is *pristine*: its bytes are the program's segment bytes where
-/// a [`DataSegment`] covers them and zero elsewhere, and reads take them
-/// from the segments in place, after a range check over the segments: no
-/// copy, and no hash while no page is written. The first store into a
-/// page copies that one page's pristine bytes into a private 4 KB page,
-/// which then serves every read and write of it. A run that never stores
-/// copies nothing; one that does pays one page copy per page it writes,
-/// spread over its stores.
+/// A byte that no store has reached is *pristine*: its segment's byte
+/// where a [`DataSegment`] covers it and zero elsewhere, read from the
+/// segment in place. Stores write 8-byte granules: the first store into a
+/// granule copies that granule's pristine bytes into a table keyed by
+/// granule index, which then serves every access to it. Each segment
+/// carries a bitmap, one bit per granule it touches, set by the first
+/// store into the granule. A read inside a segment is a range check and a
+/// bit test, and hashes only when its granule was written. A run that
+/// never stores holds nothing; one that does holds about 20 to 40 bytes
+/// per granule it writes, plus one bitmap bit per granule of every
+/// segment it stores into.
 ///
 /// Invariants:
 ///
 /// - segments are borrowed from the program and never written, so clones
-///   share them and differ only in their written pages;
+///   share them and differ only in their written granules;
 /// - segments never overlap ([`Program::add_data`] rejects overlaps), so a
 ///   byte has at most one segment;
+/// - a granule's bit is set in the bitmap of every segment that touches
+///   it exactly when the table holds the granule, and a written granule
+///   with a byte outside every segment is also in a sorted set, which is
+///   empty while no store reached such a byte;
 /// - every byte reads as the last value stored to it, or as its pristine
 ///   byte if no store reached it;
 /// - addresses wrap at 2^64: an access whose bytes run past `u64::MAX`
 ///   continues at address 0.
 ///
-/// All multi-byte accesses are little-endian and may straddle page and
-/// segment boundaries.
+/// All multi-byte accesses are little-endian and may straddle granule,
+/// page and segment boundaries.
 ///
 /// # Example
 ///
@@ -97,18 +114,25 @@ impl MemBus for Memory<'_> {
 /// p.add_data(0x2000, vec![1, 2, 3, 4]);
 /// let mut m = Memory::from_program(&p);
 /// assert_eq!(m.read_u32(0x2000), 0x0403_0201); // segment bytes, little-endian
-/// assert_eq!(m.written_pages(), 0);             // read in place
+/// assert_eq!(m.written_bytes(), 0);             // read in place
 /// m.write_u64(0x1000, 0xdead_beef);
 /// assert_eq!(m.read_u64(0x1000), 0xdead_beef);
 /// assert_eq!(m.read_u64(0x9999), 0);            // untouched memory reads zero
-/// assert_eq!(m.written_pages(), 1);
+/// assert!(m.written_bytes() < 256);             // one granule, not a page
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Memory<'p> {
     /// The program's data segments: the pristine bytes.
     segments: &'p [DataSegment],
-    /// Pages a store has touched, by page index.
-    pages: HashMap<u64, Box<[u8; PAGE_SIZE]>>,
+    /// Per segment, one bit per granule it touches, set once a store
+    /// wrote the granule. A segment's bitmap is allocated by its first
+    /// store.
+    written: Vec<Vec<u64>>,
+    /// The current bytes of every written granule, by granule index.
+    granules: HashMap<u64, [u8; GRANULE_SIZE]>,
+    /// The written granules with a byte outside every segment: the ones
+    /// that no bitmap finds for [`page_bytes`](Memory::page_bytes).
+    loose: BTreeSet<u64>,
 }
 
 impl<'p> Memory<'p> {
@@ -121,104 +145,134 @@ impl<'p> Memory<'p> {
     /// The memory a run of `program` starts from: its data segments, read
     /// in place.
     pub fn from_program(program: &'p Program) -> Memory<'p> {
+        let segments = program.data_segments();
         Memory {
-            segments: program.data_segments(),
-            pages: HashMap::new(),
+            segments,
+            written: vec![Vec::new(); segments.len()],
+            granules: HashMap::new(),
+            loose: BTreeSet::new(),
         }
     }
 
-    /// Number of written pages: pages a store has touched, each held as a
-    /// private 4 KB copy.
-    pub fn written_pages(&self) -> usize {
-        self.pages.len()
+    /// Heap bytes the written state holds, estimated from capacities: the
+    /// table of written granules (key, bytes and a control byte per slot,
+    /// at about one free slot in eight), the sorted set of granules
+    /// outside the segments, and the segments' bitmaps. Zero until the
+    /// first store.
+    pub fn written_bytes(&self) -> usize {
+        let slots = self.granules.capacity() * 8 / 7;
+        let slot_bytes = std::mem::size_of::<(u64, [u8; GRANULE_SIZE])>() + 1;
+        let bitmaps: usize = self.written.iter().map(Vec::capacity).sum();
+        slots * slot_bytes + (self.loose.len() + bitmaps) * std::mem::size_of::<u64>()
     }
 
-    /// The page holding `addr`, copied from its pristine bytes on the first
-    /// write.
+    /// Whether a store wrote granule `i` of segment `seg`'s bitmap.
     #[inline]
-    fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE] {
-        let page = addr >> PAGE_SHIFT;
-        let segments = self.segments;
-        self.pages
-            .entry(page)
-            .or_insert_with(|| pristine_page(segments, page))
+    fn is_written(&self, seg: usize, i: u64) -> bool {
+        self.written[seg]
+            .get((i >> 6) as usize)
+            .is_some_and(|word| word >> (i & 63) & 1 != 0)
     }
 
-    /// The byte at `addr` before any store.
+    /// The current bytes of granule `g`.
+    fn granule(&self, g: u64) -> [u8; GRANULE_SIZE] {
+        match self.granules.get(&g) {
+            Some(bytes) => *bytes,
+            None => pristine_granule(self.segments, g).0,
+        }
+    }
+
+    /// Granule `g`, copied from its pristine bytes on the first write,
+    /// which also records it in the bitmap of every segment touching it.
     #[inline]
-    fn pristine_u8(&self, addr: u64) -> u8 {
-        for seg in self.segments {
-            let i = addr.wrapping_sub(seg.base);
-            if i < seg.bytes.len() as u64 {
-                return seg.bytes[i as usize];
+    fn granule_mut(&mut self, g: u64) -> &mut [u8; GRANULE_SIZE] {
+        let Memory {
+            segments,
+            written,
+            granules,
+            loose,
+        } = self;
+        granules.entry(g).or_insert_with(|| {
+            let (bytes, covered) = pristine_granule(segments, g);
+            if covered < GRANULE_SIZE {
+                loose.insert(g);
             }
-        }
-        0
-    }
-
-    /// The `N` bytes at `addr` before any store, unless a segment edge
-    /// falls inside them.
-    #[inline]
-    fn pristine_run<const N: usize>(&self, addr: u64) -> Option<[u8; N]> {
-        for seg in self.segments {
-            let i = addr.wrapping_sub(seg.base);
-            if i < seg.bytes.len() as u64 {
-                let i = i as usize;
-                return seg.bytes.get(i..i + N)?.try_into().ok();
+            for (seg, bits) in segments.iter().zip(written.iter_mut()) {
+                if let Some(i) = granule_index(seg, g) {
+                    if bits.is_empty() {
+                        *bits = vec![0; granule_count(seg).div_ceil(64) as usize];
+                    }
+                    bits[(i >> 6) as usize] |= 1 << (i & 63);
+                }
             }
-            if seg.base.wrapping_sub(addr) < N as u64 {
-                return None;
-            }
-        }
-        Some([0; N])
-    }
-
-    /// Reads one byte.
-    #[inline]
-    pub fn read_u8(&self, addr: u64) -> u8 {
-        match self.pages.get(&(addr >> PAGE_SHIFT)) {
-            Some(p) => p[(addr & PAGE_MASK) as usize],
-            None => self.pristine_u8(addr),
-        }
-    }
-
-    /// Writes one byte.
-    #[inline]
-    pub fn write_u8(&mut self, addr: u64, value: u8) {
-        self.page_mut(addr)[(addr & PAGE_MASK) as usize] = value;
+            bytes
+        })
     }
 
     /// Reads `N` little-endian bytes starting at `addr`.
     #[inline]
     fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
-        let off = (addr & PAGE_MASK) as usize;
-        if off + N <= PAGE_SIZE {
-            if let Some(p) = self.pages.get(&(addr >> PAGE_SHIFT)) {
-                let mut out = [0u8; N];
-                out.copy_from_slice(&p[off..off + N]);
-                return out;
+        let off = (addr & GRANULE_MASK) as usize;
+        if off + N <= GRANULE_SIZE {
+            let mut outside = true;
+            for (s, seg) in self.segments.iter().enumerate() {
+                let i = addr.wrapping_sub(seg.base);
+                if i < seg.bytes.len() as u64 {
+                    // Inside a segment: pristine unless the granule's bit
+                    // says a store wrote it.
+                    if self.is_written(s, ((seg.base & GRANULE_MASK) + i) >> GRANULE_SHIFT) {
+                        return take(&self.granules[&(addr >> GRANULE_SHIFT)], off);
+                    }
+                    let i = i as usize;
+                    if let Some(bytes) = seg.bytes.get(i..i + N) {
+                        return take(bytes, 0);
+                    }
+                    outside = false; // the segment ends inside the read
+                    break;
+                }
+                if seg.base.wrapping_sub(addr) < N as u64 {
+                    outside = false; // a segment starts inside the read
+                    break;
+                }
             }
-            if let Some(out) = self.pristine_run(addr) {
-                return out;
+            if outside && self.loose.is_empty() {
+                // Outside every segment, where no store has written.
+                return [0; N];
             }
         }
-        // Across a page, a segment edge or the top of the address space.
-        let mut out = [0u8; N];
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.read_u8(addr.wrapping_add(i as u64));
+        // Across a granule, a segment edge or the top of the address
+        // space, or outside every segment after a store there.
+        let mut buf = [0u8; 2 * GRANULE_SIZE];
+        buf[..GRANULE_SIZE].copy_from_slice(&self.granule(addr >> GRANULE_SHIFT));
+        if off + N > GRANULE_SIZE {
+            let next = addr.wrapping_add(GRANULE_SIZE as u64) >> GRANULE_SHIFT;
+            buf[GRANULE_SIZE..].copy_from_slice(&self.granule(next));
         }
-        out
+        take(&buf, off)
     }
 
-    fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        let off = (addr & PAGE_MASK) as usize;
-        if off + bytes.len() <= PAGE_SIZE {
-            self.page_mut(addr)[off..off + bytes.len()].copy_from_slice(bytes);
-            return;
+    /// Writes `N` bytes starting at `addr`, into one granule or two.
+    #[inline]
+    fn write_bytes<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let off = (addr & GRANULE_MASK) as usize;
+        let first = N.min(GRANULE_SIZE - off);
+        self.granule_mut(addr >> GRANULE_SHIFT)[off..off + first].copy_from_slice(&bytes[..first]);
+        if first < N {
+            let next = addr.wrapping_add(GRANULE_SIZE as u64) >> GRANULE_SHIFT;
+            self.granule_mut(next)[..N - first].copy_from_slice(&bytes[first..]);
         }
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
-        }
+    }
+
+    /// Reads one byte.
+    #[inline]
+    pub fn read_u8(&self, addr: u64) -> u8 {
+        self.read_bytes::<1>(addr)[0]
+    }
+
+    /// Writes one byte.
+    #[inline]
+    pub fn write_u8(&mut self, addr: u64, value: u8) {
+        self.write_bytes(addr, [value]);
     }
 
     /// Reads a little-endian `u32`.
@@ -230,7 +284,7 @@ impl<'p> Memory<'p> {
     /// Writes a little-endian `u32`.
     #[inline]
     pub fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// Reads a little-endian `u64`.
@@ -242,60 +296,161 @@ impl<'p> Memory<'p> {
     /// Writes a little-endian `u64`.
     #[inline]
     pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_bytes(addr, value.to_le_bytes());
     }
 
     /// A copy of page `page` (`addr >> PAGE_SHIFT`), if a store or a data
     /// segment touched it. Other pages read as zeros and return `None` —
     /// the checkpoint layer uses this to snapshot only dirtied pages.
+    ///
+    /// The page is built from the segments' bytes, then the written
+    /// granules the page's set bits name (and the granules outside every
+    /// segment that fall in it) are copied over them.
     pub fn page_bytes(&self, page: u64) -> Option<Box<[u8; PAGE_SIZE]>> {
         if page >> (u64::BITS - PAGE_SHIFT) != 0 {
             return None; // no such page: its start address would not fit
         }
-        match self.pages.get(&page) {
-            Some(p) => Some(p.clone()),
-            None => self
-                .segments
-                .iter()
-                .any(|seg| segment_part(seg, page).is_some())
-                .then(|| pristine_page(self.segments, page)),
+        let first = page << (PAGE_SHIFT - GRANULE_SHIFT);
+        let mut loose = self.loose.range(first..first + PAGE_GRANULES).peekable();
+        let start = page << PAGE_SHIFT;
+        let touched = self
+            .segments
+            .iter()
+            .any(|seg| segment_part(seg, start, PAGE_SIZE).is_some());
+        if !touched && loose.peek().is_none() {
+            return None;
         }
+        let mut bytes = pristine_page(self.segments, page);
+        let mut copy = |g: u64| {
+            let at = ((g - first) << GRANULE_SHIFT) as usize;
+            bytes[at..at + GRANULE_SIZE].copy_from_slice(&self.granules[&g]);
+        };
+        for (seg, bits) in self.segments.iter().zip(&self.written) {
+            if bits.is_empty() {
+                continue;
+            }
+            let seg_first = seg.base >> GRANULE_SHIFT;
+            let count = granule_count(seg);
+            // The page's granules as a range of the segment's bitmap.
+            let into_seg = first.wrapping_sub(seg_first) & GRANULE_INDEX_MASK;
+            let into_page = seg_first.wrapping_sub(first) & GRANULE_INDEX_MASK;
+            let (lo, hi) = if into_seg < count {
+                (into_seg, count.min(into_seg + PAGE_GRANULES))
+            } else if into_page < PAGE_GRANULES && count > 0 {
+                (0, count.min(PAGE_GRANULES - into_page))
+            } else {
+                continue;
+            };
+            for_each_set_bit(bits, lo, hi, |i| {
+                copy(seg_first.wrapping_add(i) & GRANULE_INDEX_MASK);
+            });
+        }
+        for &g in loose {
+            copy(g);
+        }
+        Some(bytes)
     }
 }
 
-/// Page `page` before any store: segment bytes where a segment covers it,
-/// zero elsewhere.
-fn pristine_page(segments: &[DataSegment], page: u64) -> Box<[u8; PAGE_SIZE]> {
-    let mut bytes = Box::new([0u8; PAGE_SIZE]);
-    for seg in segments {
-        if let Some((at, part)) = segment_part(seg, page) {
-            bytes[at..at + part.len()].copy_from_slice(part);
+/// The `N` bytes of `bytes` from `off`.
+#[inline]
+fn take<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
+    let mut out = [0u8; N];
+    out.copy_from_slice(&bytes[off..off + N]);
+    out
+}
+
+/// Calls `f` with the index of every set bit of `bits` in `lo..hi`, in
+/// ascending order, one word at a time.
+fn for_each_set_bit(bits: &[u64], lo: u64, hi: u64, mut f: impl FnMut(u64)) {
+    let mut w = lo >> 6;
+    while w << 6 < hi {
+        let mut word = bits[w as usize];
+        let base = w << 6;
+        if lo > base {
+            word &= u64::MAX << (lo - base);
         }
+        if hi - base < 64 {
+            word &= (1 << (hi - base)) - 1;
+        }
+        while word != 0 {
+            f(base + u64::from(word.trailing_zeros()));
+            word &= word - 1;
+        }
+        w += 1;
+    }
+}
+
+/// Number of granules `seg` touches.
+fn granule_count(seg: &DataSegment) -> u64 {
+    if seg.bytes.is_empty() {
+        return 0;
+    }
+    ((seg.base & GRANULE_MASK) + seg.bytes.len() as u64).div_ceil(GRANULE_SIZE as u64)
+}
+
+/// The index of granule `g` in `seg`'s bitmap, if `seg` touches it.
+#[inline]
+fn granule_index(seg: &DataSegment, g: u64) -> Option<u64> {
+    let i = g.wrapping_sub(seg.base >> GRANULE_SHIFT) & GRANULE_INDEX_MASK;
+    (i < granule_count(seg)).then_some(i)
+}
+
+/// Granule `g` before any store, with how many of its bytes segments
+/// cover.
+fn pristine_granule(segments: &[DataSegment], g: u64) -> ([u8; GRANULE_SIZE], usize) {
+    let mut bytes = [0u8; GRANULE_SIZE];
+    let mut covered = 0;
+    for seg in segments {
+        if let Some((at, part)) = segment_part(seg, g << GRANULE_SHIFT, GRANULE_SIZE) {
+            bytes[at..at + part.len()].copy_from_slice(part);
+            covered += part.len();
+        }
+    }
+    (bytes, covered)
+}
+
+/// Page `page` before any store: segment bytes where a segment covers it,
+/// zero elsewhere. A page that one segment covers whole is copied
+/// straight from it, without zeroing first.
+fn pristine_page(segments: &[DataSegment], page: u64) -> Box<[u8; PAGE_SIZE]> {
+    let parts = || {
+        segments
+            .iter()
+            .filter_map(move |seg| segment_part(seg, page << PAGE_SHIFT, PAGE_SIZE))
+    };
+    if let Some((_, whole)) = parts().find(|(_, part)| part.len() == PAGE_SIZE) {
+        if let Ok(bytes) = Box::<[u8]>::from(whole).try_into() {
+            return bytes;
+        }
+    }
+    let mut bytes = Box::new([0u8; PAGE_SIZE]);
+    for (at, part) in parts() {
+        bytes[at..at + part.len()].copy_from_slice(part);
     }
     bytes
 }
 
-/// The bytes of `seg` that lie in page `page`, with the page offset of the
-/// first. A segment shorter than 2^64 − 4 KB cannot both start inside a
-/// page and wrap around to its start, so there are two cases.
-fn segment_part(seg: &DataSegment, page: u64) -> Option<(usize, &[u8])> {
-    let start = page << PAGE_SHIFT;
+/// The bytes of `seg` that lie in the `size`-byte block at `start`, with
+/// the block offset of the first. A segment shorter than 2^64 − `size`
+/// cannot both start inside a block and wrap around to its start, so
+/// there are two cases.
+fn segment_part(seg: &DataSegment, start: u64, size: usize) -> Option<(usize, &[u8])> {
     let len = seg.bytes.len();
     let into_seg = start.wrapping_sub(seg.base);
     if into_seg < len as u64 {
-        // The page starts inside the segment.
+        // The block starts inside the segment.
         let i = into_seg as usize;
-        return Some((0, &seg.bytes[i..len.min(i + PAGE_SIZE)]));
+        return Some((0, &seg.bytes[i..len.min(i + size)]));
     }
-    let into_page = seg.base.wrapping_sub(start);
-    if len > 0 && into_page < PAGE_SIZE as u64 {
-        // The segment starts inside the page.
-        let at = into_page as usize;
-        return Some((at, &seg.bytes[..len.min(PAGE_SIZE - at)]));
+    let into_block = seg.base.wrapping_sub(start);
+    if len > 0 && into_block < size as u64 {
+        // The segment starts inside the block.
+        let at = into_block as usize;
+        return Some((at, &seg.bytes[..len.min(size - at)]));
     }
     None
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,7 +469,7 @@ mod tests {
         let m = Memory::new();
         assert_eq!(m.read_u8(0), 0);
         assert_eq!(m.read_u64(12345), 0);
-        assert_eq!(m.written_pages(), 0);
+        assert_eq!(m.written_bytes(), 0);
         assert_eq!(m.page_bytes(0), None);
     }
 
@@ -343,7 +498,11 @@ mod tests {
         let addr = PAGE_SIZE as u64 - 4; // straddles the first page boundary
         m.write_u64(addr, 0xaabb_ccdd_1122_3344);
         assert_eq!(m.read_u64(addr), 0xaabb_ccdd_1122_3344);
-        assert_eq!(m.written_pages(), 2);
+        // Both pages hold their half, and only those two granules.
+        let (low, high) = (m.page_bytes(0).unwrap(), m.page_bytes(1).unwrap());
+        assert_eq!(low[PAGE_SIZE - 4..], [0x44, 0x33, 0x22, 0x11]);
+        assert_eq!(high[..4], [0xdd, 0xcc, 0xbb, 0xaa]);
+        assert_eq!(m.granules.len(), 2);
     }
 
     #[test]
@@ -356,7 +515,7 @@ mod tests {
         // Straddling the segment's end: the byte past it reads zero.
         assert_eq!(m.read_u32(0x502), 0x0005_0403);
         assert_eq!(m.read_u64(0x4fe), 0x0005_0403_0201_0000);
-        assert_eq!(m.written_pages(), 0);
+        assert_eq!(m.written_bytes(), 0);
     }
 
     #[test]
@@ -381,15 +540,16 @@ mod tests {
                 assert_eq!(g, want, "page {page} offset {off}");
             }
         }
-        assert_eq!(m.written_pages(), 0);
+        assert_eq!(m.written_bytes(), 0);
     }
 
     #[test]
-    fn first_store_copies_one_page_and_keeps_its_segment_bytes() {
+    fn first_store_copies_one_granule_and_keeps_its_segment_bytes() {
         let p = image(&[(0x1ff8, (1..=32).collect())]);
         let mut m = Memory::from_program(&p);
         m.write_u8(0x2004, 0xee);
-        assert_eq!(m.written_pages(), 1);
+        assert_eq!(m.granules.len(), 1);
+        assert_eq!(m.written[0], [1 << 1]);
         assert_eq!(m.read_u64(0x2000), 0x100f_0eee_0c0b_0a09);
         // The neighbouring page is still read from the segment.
         assert_eq!(m.read_u64(0x1ff8), 0x0807_0605_0403_0201);
@@ -414,11 +574,88 @@ mod tests {
     }
 
     #[test]
-    fn pages_allocated_on_write_only() {
+    fn granules_held_on_write_only() {
         let mut m = Memory::new();
         let _ = m.read_u64(0x8000);
-        assert_eq!(m.written_pages(), 0);
+        assert_eq!(m.written_bytes(), 0);
         m.write_u8(0x8000, 1);
-        assert_eq!(m.written_pages(), 1);
+        assert!(m.written_bytes() > 0);
+        assert_eq!(m.granules.len(), 1);
+        assert!(m.loose.contains(&(0x8000 >> GRANULE_SHIFT)));
+    }
+
+    #[test]
+    fn a_granule_shared_by_two_segments_is_marked_in_both() {
+        // `a` ends and `b` starts inside granule 0x201 (0x1008..0x1010).
+        let p = image(&[(0x1000, vec![1; 11]), (0x100b, vec![2; 13])]);
+        let mut m = Memory::from_program(&p);
+        assert_eq!(m.read_u64(0x1008), 0x0202_0202_0201_0101);
+        m.write_u8(0x100a, 0xaa); // a's last byte
+        assert_eq!(m.written[0], [1 << 1]);
+        assert_eq!(m.written[1], [1 << 0]);
+        assert!(m.loose.is_empty());
+        // b's bytes in the granule read through the written copy.
+        assert_eq!(m.read_u32(0x100b), 0x0202_0202);
+        assert_eq!(m.read_u64(0x1008), 0x0202_0202_02aa_0101);
+        let page = m.page_bytes(1).unwrap();
+        assert_eq!(page[0x8..0x10], [1, 1, 0xaa, 2, 2, 2, 2, 2]);
+    }
+
+    #[test]
+    fn a_byte_just_past_a_segment_in_its_last_granule_reads_back() {
+        let p = image(&[(0x100, vec![7; 3])]);
+        let mut m = Memory::from_program(&p);
+        m.write_u8(0x104, 0x55); // outside the segment, in its granule
+        assert!(m.loose.contains(&(0x100 >> GRANULE_SHIFT)));
+        assert_eq!(m.read_u8(0x104), 0x55);
+        assert_eq!(m.read_u32(0x102), 0x0055_0007);
+        assert_eq!(m.read_u8(0x103), 0);
+    }
+
+    #[test]
+    fn scattered_stores_hold_under_a_megabyte() {
+        // gap's pattern on train: one 8-byte store into each of 15 000
+        // shuffled 32-byte objects of an 8 MB arena. Every store lands in
+        // its own granule, and they spread over nearly all 2 048 pages.
+        const OBJECTS: u64 = 256 * 1024;
+        let base = 0x100_0000;
+        let p = image(&[(base, vec![0x5a; (OBJECTS * 32) as usize])]);
+        let mut m = Memory::from_program(&p);
+        let mut x = 0x6761_7000u64;
+        let mut objects: Vec<u64> = (0..OBJECTS).collect();
+        for i in (1..objects.len()).rev() {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            objects.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        let stores = &objects[..15_000];
+        for (k, &o) in stores.iter().enumerate() {
+            m.write_u64(base + o * 32 + 16, k as u64);
+        }
+        let pages: std::collections::HashSet<u64> = stores
+            .iter()
+            .map(|o| (base + o * 32) >> PAGE_SHIFT)
+            .collect();
+        assert!(pages.len() > 2_000, "{} pages", pages.len());
+        assert_eq!(m.granules.len(), 15_000);
+        // A copy of each written page would be 8 MB.
+        assert!(m.written_bytes() < 1 << 20, "{} bytes", m.written_bytes());
+        for (k, &o) in stores.iter().enumerate() {
+            assert_eq!(m.read_u64(base + o * 32 + 16), k as u64);
+            assert_eq!(m.read_u64(base + o * 32 + 8), 0x5a5a_5a5a_5a5a_5a5a);
+        }
+    }
+
+    #[test]
+    fn set_bits_are_visited_in_range_only() {
+        let bits = [0x8000_0000_0000_0001u64, 0b1011, u64::MAX];
+        let mut seen = Vec::new();
+        for_each_set_bit(&bits, 0, 192, |i| seen.push(i));
+        assert_eq!(seen.len(), 2 + 3 + 64);
+        seen.clear();
+        for_each_set_bit(&bits, 63, 67, |i| seen.push(i));
+        assert_eq!(seen, [63, 64, 65]);
+        seen.clear();
+        for_each_set_bit(&bits, 130, 132, |i| seen.push(i));
+        assert_eq!(seen, [130, 131]);
     }
 }

@@ -190,13 +190,15 @@ fn segment_bytes(len: u64, salt: u64) -> Vec<u8> {
     (0..len).map(|i| ((i * 7 + salt) % 251 + 1) as u8).collect()
 }
 
-/// Four data segments with the shapes the memory tells apart: `a` starts
+/// Six data segments with the shapes the memory tells apart: `a` starts
 /// mid-page, `b` starts in the page where `a` ends (right after it when
-/// the gap is 0), `c` follows `b` after a gap, and `d` ends just below the
+/// the gap is 0), `c` follows `b` after a gap, `e` follows `c` and ends
+/// inside an 8-byte granule, where `f` starts, and `d` ends just below the
 /// top of the address space.
 fn segment_layout(
     (a_off, a_len, ab_gap, b_len): (u64, u64, u64, u64),
     (bc_gap, c_len, top_gap, d_len): (u64, u64, u64, u64),
+    (e_off, e_len, ef_gap, f_len): (u64, u64, u64, u64),
     salt: u64,
 ) -> Vec<(u64, Vec<u8>)> {
     let page = MEM_PAGE_SIZE as u64;
@@ -209,32 +211,79 @@ fn segment_layout(
     let a_end = a_base + a_len;
     let b_base = a_end + ab_gap % (page - a_end % page);
     let c_base = b_base + b_len + bc_gap;
+    let e_base = c_base + c_len + e_off;
+    let e_len = if (e_base + e_len).is_multiple_of(8) {
+        e_len + 1
+    } else {
+        e_len
+    };
+    let e_end = e_base + e_len;
+    let f_base = e_end + ef_gap % (8 - e_end % 8);
     let d_base = u64::MAX - top_gap - d_len + 1;
     vec![
         (a_base, segment_bytes(a_len, salt)),
         (b_base, segment_bytes(b_len, salt + 50)),
         (c_base, segment_bytes(c_len, salt + 100)),
+        (e_base, segment_bytes(e_len, salt + 120)),
+        (f_base, segment_bytes(f_len, salt + 140)),
         (d_base, segment_bytes(d_len, salt + 150)),
     ]
 }
 
 /// Addresses the accesses cluster around: every segment's edges, the
-/// pages around them and its middle, addresses outside every segment,
-/// and the top of the address space.
+/// granules and pages around them and its middle, addresses outside
+/// every segment, and the top of the address space. Accesses land within
+/// 12 bytes of an anchor, so unaligned ones straddle granule edges.
 fn anchors(p: &Program) -> Vec<u64> {
     let mask = MEM_PAGE_SIZE as u64 - 1;
     let mut out = vec![0, 0x1000, 0x7fff_0000, u64::MAX - 3, u64::MAX];
     for seg in p.data_segments() {
         let end = seg.base.wrapping_add(seg.bytes.len() as u64);
+        let middle = seg.base + seg.bytes.len() as u64 / 2;
         out.extend([
             seg.base,
             end,
+            seg.base & !7,
+            end.wrapping_add(7) & !7,
             seg.base & !mask,
             end.wrapping_add(mask) & !mask,
-            seg.base + seg.bytes.len() as u64 / 2,
+            middle,
+            middle & !7,
         ]);
     }
     out
+}
+
+/// Whether every 8-byte granule the `width` bytes at `addr` touch is one
+/// that some segment touches.
+fn in_segment_granules(p: &Program, addr: u64, width: u64) -> bool {
+    [addr, addr.wrapping_add(width - 1)].iter().all(|&a| {
+        p.data_segments().iter().any(|seg| {
+            let last = seg.base + seg.bytes.len() as u64 - 1;
+            (seg.base >> 3..=last >> 3).contains(&(a >> 3))
+        })
+    })
+}
+
+/// Writes every byte of the page holding `addr`, `width` bytes at a time
+/// from `shift` bytes below the page, so that unaligned writes straddle
+/// every granule edge and both page edges.
+fn fill_page(
+    mem: &mut Memory<'_>,
+    model: &mut ByteModel,
+    addr: u64,
+    width: u64,
+    shift: u64,
+    seed: u64,
+) {
+    let page = MEM_PAGE_SIZE as u64;
+    let start = (addr & !(page - 1)).wrapping_sub(shift);
+    for k in 0..(page + shift).div_ceil(width) {
+        let at = start.wrapping_add(k * width);
+        let value = seed.wrapping_mul(k + 1).rotate_left(k as u32 % 64);
+        mem_write(mem, at, width, value);
+        model.write(at, width, value);
+    }
 }
 
 proptest! {
@@ -339,24 +388,29 @@ proptest! {
     }
 
     /// Memory is a byte array seeded from the program's data segments.
-    /// Over a segment that starts mid-page, two that share a page, a gap
-    /// between two and a segment just below the top of the address space,
-    /// reads and writes of widths 1, 4 and 8 clustered on page edges,
-    /// segment edges, addresses outside every segment and the top of the
-    /// address space agree with a plain byte map, and so does every page
-    /// `page_bytes` returns. Writes to a clone change neither the original
-    /// nor the segment bytes.
+    /// Over a segment that starts mid-page, two that share a page, two
+    /// that share an 8-byte granule, a gap between two and a segment just
+    /// below the top of the address space, reads and writes of widths 1,
+    /// 4 and 8 clustered on granule edges, page edges, segment edges,
+    /// addresses outside every segment and the top of the address space
+    /// agree with a plain byte map, and so does every page `page_bytes`
+    /// returns. Writes are sparse, except that about one op in 32 writes
+    /// every byte of a page; in half the cases they stay in the segments'
+    /// granules. Writes to a clone change neither the original nor the
+    /// segment bytes.
     #[test]
     fn memory_is_a_byte_array(
         near in (1u64..4096, 2u64..10_000, 0u64..4096, 1u64..5000),
         far in (1u64..9000, 1u64..3000, 1u64..64, 1u64..300),
+        shared in (1u64..3000, 1u64..40, 0u64..8, 1u64..40),
         salt in 0u64..251,
+        near_segments in any::<bool>(),
         ops in prop::collection::vec(
-            (0usize..64, -12i64..12, any::<u64>(), 0usize..3, any::<bool>()),
+            (0usize..128, -12i64..12, any::<u64>(), 0usize..3, 0u8..32),
             1..150
         )
     ) {
-        let layout = segment_layout(near, far, salt);
+        let layout = segment_layout(near, far, shared, salt);
         let mut program = Program::new("image");
         for (base, bytes) in &layout {
             program.add_data(*base, bytes.clone());
@@ -364,10 +418,19 @@ proptest! {
         let mut mem = Memory::from_program(&program);
         let mut model = ByteModel::seeded(&program);
         let anchors = anchors(&program);
-        for (i, &(at, delta, value, width, write)) in ops.iter().enumerate() {
+        for (i, &(at, delta, value, width, kind)) in ops.iter().enumerate() {
             let addr = anchors[at % anchors.len()].wrapping_add_signed(delta);
             let width = [1, 4, 8][width];
-            if write {
+            if kind == 31 && !near_segments {
+                fill_page(&mut mem, &mut model, addr, width, value % 8, value);
+            } else if kind >= 16 {
+                // With `near_segments`, writes stay in granules that a
+                // segment touches, so no written granule lies wholly
+                // outside the segments: reads past a segment's end then
+                // see only the stores that share its last granule.
+                if near_segments && !in_segment_granules(&program, addr, width) {
+                    continue;
+                }
                 mem_write(&mut mem, addr, width, value);
                 model.write(addr, width, value);
             } else {

@@ -7,7 +7,7 @@ use preexec_func::exec;
 use preexec_func::{Cpu, SquashReason, PTHREAD_ADDR_LIMIT};
 use preexec_isa::reg::NUM_REGS;
 use preexec_isa::{Inst, Op, OpClass, Program};
-use preexec_mem::Memory;
+use preexec_mem::{Memory, MEM_GRANULE_SHIFT};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 /// What the p-threads are allowed to do — the paper's validation modes.
@@ -267,6 +267,86 @@ impl Calendar {
     }
 }
 
+/// The main thread's store queue: its youngest stores, oldest first, as
+/// `(address, width, completion)`, with a count of queued stores per
+/// 8-byte granule (DESIGN.md §7.5).
+///
+/// A load can forward only from a store that holds its first byte, so
+/// only from a store that touches the load's granule. The counts sit in a
+/// table indexed by the granule's low bits. A load whose slot counts no
+/// store skips the scan; a slot shared by another granule costs a scan
+/// that finds nothing, never a wrong answer.
+struct StoreQueue {
+    stores: VecDeque<(u64, u8, u64)>,
+    per_granule: Vec<u32>,
+}
+
+impl StoreQueue {
+    /// Slots in the granule count table.
+    const SLOTS: usize = 1024;
+
+    fn new() -> StoreQueue {
+        StoreQueue {
+            stores: VecDeque::new(),
+            per_granule: vec![0; StoreQueue::SLOTS],
+        }
+    }
+
+    /// The count slot of the granule holding `addr`.
+    #[inline]
+    fn slot(addr: u64) -> usize {
+        (addr >> MEM_GRANULE_SHIFT) as usize & (StoreQueue::SLOTS - 1)
+    }
+
+    /// Applies `f` to the count of each of the one or two granules a
+    /// `width`-byte store at `addr` touches.
+    #[inline]
+    fn count(&mut self, addr: u64, width: u8, f: impl Fn(&mut u32)) {
+        let first = StoreQueue::slot(addr);
+        let last = StoreQueue::slot(addr.wrapping_add(u64::from(width.max(1)) - 1));
+        f(&mut self.per_granule[first]);
+        if last != first {
+            f(&mut self.per_granule[last]);
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.stores.len()
+    }
+
+    /// The completion cycle of the oldest store.
+    fn front_done(&self) -> Option<u64> {
+        self.stores.front().map(|&(_, _, done)| done)
+    }
+
+    fn push(&mut self, addr: u64, width: u8, done: u64) {
+        self.count(addr, width, |c| *c += 1);
+        self.stores.push_back((addr, width, done));
+    }
+
+    fn pop_front(&mut self) {
+        if let Some((addr, width, _)) = self.stores.pop_front() {
+            self.count(addr, width, |c| *c -= 1);
+        }
+    }
+
+    /// Store-to-load forwarding: the completion of the youngest queued
+    /// store that holds all `width` bytes of the load at `addr`. Bytes
+    /// wrap at 2^64, as addresses do, so a store at `sa` of `sw` bytes
+    /// holds the load when `addr − sa (mod 2^64) ≤ sw − width`.
+    #[inline]
+    fn forward(&self, addr: u64, width: u8) -> Option<u64> {
+        if self.per_granule[StoreQueue::slot(addr)] == 0 {
+            return None;
+        }
+        self.stores
+            .iter()
+            .rev()
+            .find(|&&(sa, sw, _)| sw >= width && addr.wrapping_sub(sa) <= u64::from(sw - width))
+            .map(|&(_, _, done)| done)
+    }
+}
+
 /// Runs `program` on the timing model, pre-executing `pthreads`.
 ///
 /// Returns cycle counts, retirement statistics, p-thread launch/injection
@@ -322,7 +402,7 @@ pub fn try_simulate(
 
     let mut rob: VecDeque<u64> = VecDeque::with_capacity(m.rob_entries);
     let mut reg_ready = [0u64; NUM_REGS];
-    let mut store_queue: VecDeque<(u64, u8, u64)> = VecDeque::new();
+    let mut store_queue = StoreQueue::new();
     let mut contexts: Vec<Option<Ctx>> = (0..m.pthread_contexts).map(|_| None).collect();
     // Completion cycles of p-thread register values still in flight.
     let mut pthread_regs = Calendar::default();
@@ -426,10 +506,8 @@ pub fn try_simulate(
             if store_queue.len() >= m.store_queue_entries
                 && program.get(cpu.pc()).is_some_and(|i| i.op.is_store())
             {
-                match store_queue.front() {
-                    Some(&(_, _, done)) if done <= cycle => {
-                        store_queue.pop_front();
-                    }
+                match store_queue.front_done() {
+                    Some(done) if done <= cycle => store_queue.pop_front(),
                     _ => break,
                 }
             }
@@ -453,9 +531,7 @@ pub fn try_simulate(
                     let t = issue + m.agen_latency;
                     let addr = out.addr.expect("load has address");
                     let width = inst.op.mem_width().expect("load width");
-                    if let Some(fwd) =
-                        store_forward(&store_queue, addr, width, m.store_forward_latency)
-                    {
+                    if let Some(fwd) = store_queue.forward(addr, width) {
                         fwd.max(t + m.store_forward_latency)
                     } else {
                         memsys.main_load(t, addr)
@@ -467,7 +543,7 @@ pub fn try_simulate(
                     let addr = out.addr.expect("store has address");
                     let width = inst.op.mem_width().expect("store width");
                     let done = memsys.main_store(t, addr);
-                    store_queue.push_back((addr, width, done));
+                    store_queue.push(addr, width, done);
                     if store_queue.len() > m.store_queue_entries {
                         store_queue.pop_front();
                     }
@@ -594,13 +670,13 @@ fn idle_wake(
     rob: &VecDeque<u64>,
     rename_stall_until: u64,
     slots: &Calendar,
-    store_queue: &VecDeque<(u64, u8, u64)>,
+    store_queue: &StoreQueue,
     cycle: u64,
 ) -> Option<u64> {
     let others = [
         rob.front().copied(),
         Some(rename_stall_until),
-        store_queue.front().map(|&(_, _, done)| done),
+        store_queue.front_done(),
     ]
     .into_iter()
     .flatten()
@@ -610,22 +686,6 @@ fn idle_wake(
     slots
         .next_event_before(others.unwrap_or(u64::MAX))
         .or(others)
-}
-
-/// Store-to-load forwarding: the youngest older store fully containing the
-/// load's bytes supplies the data. Ends wrap at 2^64, as addresses do.
-fn store_forward(
-    queue: &VecDeque<(u64, u8, u64)>,
-    addr: u64,
-    width: u8,
-    _fwd_latency: u64,
-) -> Option<u64> {
-    let end = addr.wrapping_add(width as u64);
-    queue
-        .iter()
-        .rev()
-        .find(|&&(sa, sw, _)| sa <= addr && end <= sa.wrapping_add(sw as u64))
-        .map(|&(_, _, done)| done)
 }
 
 /// Injects one p-thread instruction: functional execution on the context's
@@ -829,6 +889,67 @@ mod tests {
                 prop_assert_eq!(regs.pending(), reg_heap.len());
             }
         }
+
+        /// The store queue forwards what a plain scan of its stores
+        /// forwards: the youngest store that holds every byte of the load,
+        /// as sets of addresses that wrap at 2^64. Accesses cluster on
+        /// granule edges, on slots shared by granules 8 KB apart, and on
+        /// the top of the address space; the queue keeps its youngest
+        /// `cap` stores, so counts are also taken back out.
+        #[test]
+        fn store_queue_forwards_what_a_plain_scan_forwards(
+            cap in 1usize..12,
+            ops in prop::collection::vec(
+                (any::<bool>(), 0usize..5, -12i64..12, 0usize..3, 0u64..1000),
+                1..200
+            )
+        ) {
+            let anchors = [0u64, 0x1000, 0x1000 + 8 * StoreQueue::SLOTS as u64, u64::MAX - 3, 0x7ff8];
+            let mut queue = StoreQueue::new();
+            let mut plain: VecDeque<(u64, u8, u64)> = VecDeque::new();
+            for (i, &(store, at, delta, width, done)) in ops.iter().enumerate() {
+                let addr = anchors[at].wrapping_add_signed(delta);
+                let width = [1u8, 4, 8][width];
+                if store {
+                    queue.push(addr, width, done);
+                    plain.push_back((addr, width, done));
+                    if plain.len() > cap {
+                        queue.pop_front();
+                        plain.pop_front();
+                    }
+                } else {
+                    let holds = |&&(sa, sw, _): &&(u64, u8, u64)| {
+                        (0..u64::from(width)).all(|k| {
+                            (0..u64::from(sw)).any(|j| sa.wrapping_add(j) == addr.wrapping_add(k))
+                        })
+                    };
+                    let want = plain.iter().rev().find(holds).map(|&(_, _, d)| d);
+                    prop_assert_eq!(queue.forward(addr, width), want, "load {} at {:#x}", i, addr);
+                }
+                prop_assert_eq!(queue.len(), plain.len());
+                prop_assert_eq!(queue.front_done(), plain.front().map(|&(_, _, d)| d));
+            }
+            while queue.len() > 0 {
+                queue.pop_front();
+            }
+            prop_assert!(queue.per_granule.iter().all(|&c| c == 0));
+        }
+    }
+
+    #[test]
+    fn a_load_that_wraps_past_the_top_forwards_only_from_a_store_holding_its_bytes() {
+        let mut queue = StoreQueue::new();
+        // A byte in the load's granule makes the queue scan. The eight
+        // bytes at address 0 hold none of the four bytes at
+        // `u64::MAX - 1`: two at the top, then two at 0 and 1.
+        queue.push(u64::MAX - 7, 1, 50);
+        queue.push(0, 8, 100);
+        assert_eq!(queue.forward(u64::MAX - 1, 4), None);
+        // A store that wraps the same way holds them.
+        queue.push(u64::MAX - 3, 8, 200);
+        assert_eq!(queue.forward(u64::MAX - 1, 4), Some(200));
+        assert_eq!(queue.forward(0, 4), Some(200));
+        assert_eq!(queue.forward(2, 4), Some(100));
     }
 
     #[test]
