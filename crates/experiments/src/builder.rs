@@ -101,11 +101,11 @@ pub enum SlicingMode {
     #[default]
     Windowed,
     /// Checkpoint-based on-demand re-execution: the trace pass records a
-    /// lightweight checkpoint (architectural registers + dirty pages +
-    /// statistics) every `checkpoint_every` emitted instructions and
-    /// keeps **no window**; each slice is reconstructed later by
-    /// deterministically re-executing bounded intervals from the nearest
-    /// checkpoint. Peak slicing memory is
+    /// lightweight checkpoint (architectural registers + the 8-byte
+    /// granules stores dirtied + statistics) every `checkpoint_every`
+    /// emitted instructions and keeps **no window**; each slice is
+    /// reconstructed later by deterministically re-executing bounded
+    /// intervals from the nearest checkpoint. Peak slicing memory is
     /// `O(checkpoints + checkpoint_every)` regardless of scope, making
     /// scopes far beyond window residency feasible. A cadence of 0 is
     /// clamped to 1.

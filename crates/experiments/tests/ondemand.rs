@@ -24,7 +24,7 @@ use preexec_workloads::{suite, InputSet};
 use proptest::prelude::*;
 
 /// A randomized pointer-chase kernel with a store/reload side channel so
-/// replay must reconstruct dirtied pages: unbounded loop,
+/// replay must reconstruct dirtied granules: unbounded loop,
 /// budget-terminated, footprints past the L2.
 fn chase_program(seed: u64, table_pow: u32, stride: u64, filler: u8) -> Program {
     let n = 1u64 << table_pow;

@@ -3,12 +3,12 @@
 //! The on-demand slicing mode (DESIGN.md §17) replaces the O(scope)
 //! slicing window with O(checkpoint + chunk) state: during the trace,
 //! [`try_run_trace_checkpointed`] snapshots the architectural state every
-//! `checkpoint_every` *emitted* instructions — registers + PC, the pages
-//! dirtied since the previous snapshot, the cache hierarchy, and the
-//! statistics counters. A snapshot is everything [`crate::replay`] needs
-//! to re-execute the trace deterministically from that point, which is
-//! how dynamic slices are reconstructed on demand instead of being held
-//! in memory for the whole trace.
+//! `checkpoint_every` *emitted* instructions — registers + PC, the 8-byte
+//! granules stores dirtied since the previous snapshot, the cache
+//! hierarchy, and the statistics counters. A snapshot is everything
+//! [`crate::replay`] needs to re-execute the trace deterministically from
+//! that point, which is how dynamic slices are reconstructed on demand
+//! instead of being held in memory for the whole trace.
 //!
 //! Checkpoints are aligned to emitted-instruction counts (`seq` space),
 //! so checkpoint `i` is taken immediately before the instruction with
@@ -18,42 +18,58 @@
 
 use crate::tracer::{run_trace_loop, TraceState};
 use crate::{Cpu, DynInst, ExecError, RunStats, TraceConfig};
-use preexec_mem::{FuncHierarchy, MemBus, Memory, MEM_PAGE_SHIFT, MEM_PAGE_SIZE};
-use std::collections::BTreeSet;
+use preexec_mem::{FuncHierarchy, MemBus, Memory, MEM_GRANULE_SHIFT};
 
-/// A [`Memory`] wrapper that records which pages have been written since
-/// the last checkpoint. Reads delegate untouched; the set is drained at
-/// every snapshot.
+/// Bytes in a granule, the unit a checkpoint records stores at: 8, the
+/// widest access, as in [`Memory`].
+pub(crate) const GRANULE_BYTES: usize = 1 << MEM_GRANULE_SHIFT;
+
+/// One recorded granule: its index (`addr >> 3`) and its bytes.
+pub(crate) type Granule = (u64, [u8; GRANULE_BYTES]);
+
+/// A [`Memory`] wrapper that records which granules have been written
+/// since the last checkpoint. Reads delegate untouched; the list is
+/// drained at every snapshot.
 struct TrackedMem<'p> {
     mem: Memory<'p>,
-    dirty: BTreeSet<u64>,
+    /// Granule indices stored to since the last snapshot, unsorted and
+    /// possibly repeated.
+    dirty: Vec<u64>,
 }
 
 impl<'p> TrackedMem<'p> {
     fn new(mem: Memory<'p>) -> TrackedMem<'p> {
         TrackedMem {
             mem,
-            dirty: BTreeSet::new(),
+            dirty: Vec::new(),
         }
     }
 
-    /// Marks the pages of a `width`-byte store at `addr`: at most two, as
-    /// no store is wider than a page. Addresses wrap at 2^64, as in
-    /// [`Memory`].
+    /// Marks the granules of a `width`-byte store at `addr`: one, or two
+    /// when the store straddles a granule edge. Addresses wrap at 2^64,
+    /// as in [`Memory`].
     #[inline]
     fn mark(&mut self, addr: u64, width: u64) {
-        self.dirty.insert(addr >> MEM_PAGE_SHIFT);
-        self.dirty
-            .insert(addr.wrapping_add(width - 1) >> MEM_PAGE_SHIFT);
+        let first = addr >> MEM_GRANULE_SHIFT;
+        let last = addr.wrapping_add(width - 1) >> MEM_GRANULE_SHIFT;
+        self.dirty.push(first);
+        if last != first {
+            self.dirty.push(last);
+        }
     }
 
-    /// Snapshots every dirtied page's current content and clears the set.
-    fn take_dirty(&mut self) -> Vec<(u64, Box<[u8; MEM_PAGE_SIZE]>)> {
-        let dirty = std::mem::take(&mut self.dirty);
-        dirty
-            .into_iter()
-            .filter_map(|p| self.mem.page_bytes(p).map(|bytes| (p, bytes)))
-            .collect()
+    /// Snapshots every dirtied granule's current bytes, sorted by granule
+    /// index, and clears the list.
+    fn take_dirty(&mut self) -> Vec<Granule> {
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        let granules = self
+            .dirty
+            .iter()
+            .map(|&g| (g, self.mem.read_u64(g << MEM_GRANULE_SHIFT).to_le_bytes()))
+            .collect();
+        self.dirty.clear();
+        granules
     }
 }
 
@@ -98,24 +114,16 @@ pub struct Checkpoint {
     pub(crate) cpu: Cpu,
     pub(crate) hierarchy: FuncHierarchy,
     pub(crate) stats: RunStats,
-    /// Pages dirtied since the previous checkpoint, content as of this
-    /// one, sorted by page index.
-    pub(crate) pages: Vec<(u64, Box<[u8; MEM_PAGE_SIZE]>)>,
+    /// Granules stored to since the previous checkpoint, bytes as of
+    /// this one, sorted by granule index.
+    pub(crate) granules: Vec<Granule>,
 }
 
 impl Checkpoint {
-    /// The recorded content of `page` at this checkpoint, if it was
-    /// dirtied in the preceding interval.
-    pub(crate) fn page(&self, page: u64) -> Option<&[u8; MEM_PAGE_SIZE]> {
-        self.pages
-            .binary_search_by_key(&page, |&(p, _)| p)
-            .ok()
-            .map(|i| &*self.pages[i].1)
-    }
-
-    /// Bytes of snapshot payload held (dirty pages only).
-    pub fn page_bytes_held(&self) -> usize {
-        self.pages.len() * MEM_PAGE_SIZE
+    /// Bytes of memory payload held: eight per granule stored to in the
+    /// preceding interval.
+    pub fn bytes_held(&self) -> usize {
+        self.granules.len() * GRANULE_BYTES
     }
 }
 
@@ -165,13 +173,9 @@ impl CheckpointTrace {
         &self.checkpoints[idx]
     }
 
-    /// Total bytes of dirty-page payload across all checkpoints (the
-    /// dominant term of the record's memory footprint).
-    pub fn page_bytes_held(&self) -> usize {
-        self.checkpoints
-            .iter()
-            .map(Checkpoint::page_bytes_held)
-            .sum()
+    /// Total bytes of granule payload across all checkpoints.
+    pub fn bytes_held(&self) -> usize {
+        self.checkpoints.iter().map(Checkpoint::bytes_held).sum()
     }
 }
 
@@ -182,7 +186,7 @@ impl CheckpointTrace {
 ///
 /// `checkpoint_every` is clamped to at least 1. The initial data-segment
 /// image is *not* recorded (the replayer reads it from the program), so
-/// snapshots hold only pages the program itself dirtied.
+/// snapshots hold only the granules the program itself stored to.
 ///
 /// # Errors
 ///
@@ -217,7 +221,7 @@ pub fn try_run_trace_checkpointed(
                     cpu: st.cpu.clone(),
                     hierarchy: st.hierarchy.clone(),
                     stats: st.stats.clone(),
-                    pages: st.mem.take_dirty(),
+                    granules: st.mem.take_dirty(),
                 });
             }
         },
@@ -296,14 +300,60 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_record_only_dirtied_pages() {
+    fn snapshots_record_only_dirtied_granules() {
         let p = chase();
         let (_, trace) =
             try_run_trace_checkpointed(&p, &TraceConfig::default(), 512, |_| {}).unwrap();
-        // The store walks 512 * 64 B = 32 KB = 8 pages total; no snapshot
-        // holds anywhere near the whole image.
+        // One aligned 8-byte store per 6-instruction iteration: an
+        // interval of 512 instructions dirties at most 86 granules.
         for i in 0..trace.num_checkpoints() {
-            assert!(trace.checkpoint(i).page_bytes_held() <= 16 * MEM_PAGE_SIZE);
+            let granules = &trace.checkpoint(i).granules;
+            assert!(granules.len() <= 86, "checkpoint {i}: {}", granules.len());
+            assert!(granules.windows(2).all(|w| w[0].0 < w[1].0));
         }
+        assert_eq!(trace.bytes_held(), 512 * GRANULE_BYTES);
+    }
+
+    #[test]
+    fn scattered_stores_hold_under_a_megabyte_of_checkpoints() {
+        // gap's pattern on train: one 8-byte store into each of 15 000
+        // shuffled 32-byte objects of an 8 MB arena, at the pipeline's
+        // cadence of 4 096. An interval's 683 stores land in about 580
+        // distinct pages, and a copy of each dirtied page held 50 MB.
+        const OBJECTS: u64 = 256 * 1024;
+        const STORES: usize = 15_000;
+        let (arena, list) = (0x100_0000u64, 0x4000_0000u64);
+        let mut objects: Vec<u64> = (0..OBJECTS).collect();
+        let mut x = 0x6761_7000u64;
+        for i in (1..objects.len()).rev() {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            objects.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        let mut p = assemble(
+            "t",
+            &format!(
+                "li r1, {list}\n li r2, {arena}\n li r3, 0\n li r6, {STORES}\n\
+                 top: ld r4, 0(r1)\n add r5, r4, r2\n sd r3, 16(r5)\n\
+                 addi r1, r1, 8\n addi r3, r3, 1\n blt r3, r6, top\n halt"
+            ),
+        )
+        .unwrap();
+        p.add_data(arena, vec![0x5a; (OBJECTS * 32) as usize]);
+        p.add_data(
+            list,
+            objects[..STORES]
+                .iter()
+                .flat_map(|o| (o * 32).to_le_bytes())
+                .collect(),
+        );
+        let (stats, trace) =
+            try_run_trace_checkpointed(&p, &TraceConfig::default(), 4096, |_| {}).unwrap();
+        assert_eq!(stats.insts, 4 + 6 * STORES as u64 + 1);
+        assert_eq!(trace.num_checkpoints(), 22);
+        // Each store before the last checkpoint (store `i` is emitted at
+        // `seq` 6 + 6i) wrote a granule of its own, recorded once.
+        let recorded = (0..STORES).filter(|i| 6 + 6 * i < 21 * 4096).count();
+        assert_eq!(trace.bytes_held(), recorded * GRANULE_BYTES);
+        assert!(trace.bytes_held() < 1 << 20, "{} bytes", trace.bytes_held());
     }
 }

@@ -6,32 +6,36 @@
 //! the program's *initial* memory image (data segments only). To replay
 //! from checkpoint `i` it seeds the shared trace loop with clones of the
 //! snapshot's CPU, hierarchy, and statistics, and runs against a
-//! copy-on-write `ReplayMemory` whose reads resolve, newest first,
-//! through: pages written during this replay, then the dirty-page records
-//! of checkpoints `i, i-1, …, 0`, then the initial image. Because the
-//! interpreter, the cache model, and the loop driving them are the very
-//! same code the recording run executed, the replay emits byte-identical
-//! [`DynInst`]s — determinism is by construction, not by a parallel
-//! implementation kept in sync.
+//! copy-on-write `ReplayMemory` whose reads resolve each 8-byte granule,
+//! newest first, through: granules written during this replay, then the
+//! granule records of checkpoints `i, i-1, …, 0`, then the initial image.
+//! Because the interpreter, the cache model, and the loop driving them are
+//! the very same code the recording run executed, the replay emits
+//! byte-identical [`DynInst`]s — determinism is by construction, not by a
+//! parallel implementation kept in sync.
 
-use crate::checkpoint::CheckpointTrace;
+use crate::checkpoint::{CheckpointTrace, Granule, GRANULE_BYTES};
 use crate::tracer::{run_trace_loop, TraceState};
 use crate::{DynInst, ExecError, RunStats, TraceConfig};
 use preexec_isa::Program;
-use preexec_mem::{MemBus, Memory, MEM_PAGE_SHIFT, MEM_PAGE_SIZE};
+use preexec_mem::{MemBus, Memory, MEM_GRANULE_SHIFT};
 use std::collections::HashMap;
 
-const PAGE_MASK: u64 = (MEM_PAGE_SIZE - 1) as u64;
+const GRANULE_MASK: u64 = GRANULE_BYTES as u64 - 1;
 
 /// Copy-on-write memory view for a replay starting at checkpoint
-/// `ckpt_idx`: reads fall through overlay → checkpoint dirty-page records
-/// (newest not after `ckpt_idx` wins) → initial data-segment image; writes
-/// go to an overlay page seeded from that same resolution.
+/// `ckpt_idx`, kept per 8-byte granule: reads fall through overlay →
+/// checkpoint granule records (newest at or before `ckpt_idx` wins) →
+/// initial data-segment image; a write goes to an overlay granule seeded
+/// from that same resolution.
 struct ReplayMemory<'a> {
-    trace: &'a CheckpointTrace,
+    /// The granule records of checkpoints `ckpt_idx, ckpt_idx - 1, …, 0`
+    /// that hold any, newest first. Empty when no store ran before the
+    /// replay's checkpoint, so reads skip the scan.
+    records: Vec<&'a [Granule]>,
     initial: &'a Memory<'a>,
-    ckpt_idx: usize,
-    overlay: HashMap<u64, Box<[u8; MEM_PAGE_SIZE]>>,
+    /// The granules this replay has written.
+    overlay: HashMap<u64, [u8; GRANULE_BYTES]>,
 }
 
 impl<'a> ReplayMemory<'a> {
@@ -41,65 +45,79 @@ impl<'a> ReplayMemory<'a> {
         ckpt_idx: usize,
     ) -> ReplayMemory<'a> {
         ReplayMemory {
-            trace,
+            records: (0..=ckpt_idx)
+                .rev()
+                .map(|j| &trace.checkpoint(j).granules[..])
+                .filter(|granules| !granules.is_empty())
+                .collect(),
             initial,
-            ckpt_idx,
             overlay: HashMap::new(),
         }
     }
 
-    /// The page content recorded as of checkpoint `ckpt_idx`, if the run
-    /// dirtied the page before then. Checkpoint `j` records a page only if
-    /// it was dirtied in interval `j-1..j`, so the newest record at or
-    /// before `ckpt_idx` is the content at the snapshot instant.
-    fn recorded_page(&self, page: u64) -> Option<&'a [u8; MEM_PAGE_SIZE]> {
-        (0..=self.ckpt_idx)
-            .rev()
-            .find_map(|j| self.trace.checkpoint(j).page(page))
+    /// Granule `g` at the replay's checkpoint. Checkpoint `j` records a
+    /// granule only if a store wrote it in interval `j-1..j`, so the
+    /// newest record at or before the checkpoint is its content at the
+    /// snapshot instant; a granule no record holds is still pristine.
+    fn recorded(records: &[&[Granule]], initial: &Memory<'_>, g: u64) -> [u8; GRANULE_BYTES] {
+        records
+            .iter()
+            .find_map(|granules| {
+                granules
+                    .binary_search_by_key(&g, |&(k, _)| k)
+                    .ok()
+                    .map(|i| granules[i].1)
+            })
+            .unwrap_or_else(|| initial.read_u64(g << MEM_GRANULE_SHIFT).to_le_bytes())
     }
 
+    /// The current bytes of granule `g`.
     #[inline]
-    fn byte(&self, addr: u64) -> u8 {
-        let page = addr >> MEM_PAGE_SHIFT;
-        let off = (addr & PAGE_MASK) as usize;
-        if let Some(p) = self.overlay.get(&page) {
-            return p[off];
-        }
-        match self.recorded_page(page) {
-            Some(p) => p[off],
-            None => self.initial.read_u8(addr),
+    fn granule(&self, g: u64) -> [u8; GRANULE_BYTES] {
+        match self.overlay.get(&g) {
+            Some(bytes) => *bytes,
+            None => Self::recorded(&self.records, self.initial, g),
         }
     }
 
-    fn overlay_page(&mut self, addr: u64) -> &mut [u8; MEM_PAGE_SIZE] {
-        let page = addr >> MEM_PAGE_SHIFT;
-        if !self.overlay.contains_key(&page) {
-            let seeded = match self.recorded_page(page) {
-                Some(bytes) => Box::new(*bytes),
-                None => self
-                    .initial
-                    .page_bytes(page)
-                    .unwrap_or_else(|| Box::new([0u8; MEM_PAGE_SIZE])),
-            };
-            self.overlay.insert(page, seeded);
-        }
-        self.overlay
-            .get_mut(&page)
-            .expect("overlay page just inserted")
+    /// Granule `g` in the overlay, seeded on the replay's first write.
+    fn granule_mut(&mut self, g: u64) -> &mut [u8; GRANULE_BYTES] {
+        let ReplayMemory {
+            records,
+            initial,
+            overlay,
+        } = self;
+        overlay
+            .entry(g)
+            .or_insert_with(|| Self::recorded(records, initial, g))
     }
 
+    /// Reads `N` little-endian bytes at `addr`: one granule, or two when
+    /// the access straddles a granule edge (wrapping at 2^64).
+    #[inline]
     fn read_bytes<const N: usize>(&self, addr: u64) -> [u8; N] {
-        let mut out = [0u8; N];
-        for (i, b) in out.iter_mut().enumerate() {
-            *b = self.byte(addr.wrapping_add(i as u64));
+        let off = (addr & GRANULE_MASK) as usize;
+        let mut buf = [0u8; 2 * GRANULE_BYTES];
+        buf[..GRANULE_BYTES].copy_from_slice(&self.granule(addr >> MEM_GRANULE_SHIFT));
+        if off + N > GRANULE_BYTES {
+            let next = addr.wrapping_add(GRANULE_BYTES as u64) >> MEM_GRANULE_SHIFT;
+            buf[GRANULE_BYTES..].copy_from_slice(&self.granule(next));
         }
+        let mut out = [0u8; N];
+        out.copy_from_slice(&buf[off..off + N]);
         out
     }
 
-    fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = addr.wrapping_add(i as u64);
-            self.overlay_page(a)[(a & PAGE_MASK) as usize] = b;
+    /// Writes `N` bytes at `addr`, into one granule or two.
+    #[inline]
+    fn write_bytes<const N: usize>(&mut self, addr: u64, bytes: [u8; N]) {
+        let off = (addr & GRANULE_MASK) as usize;
+        let first = N.min(GRANULE_BYTES - off);
+        self.granule_mut(addr >> MEM_GRANULE_SHIFT)[off..off + first]
+            .copy_from_slice(&bytes[..first]);
+        if first < N {
+            let next = addr.wrapping_add(GRANULE_BYTES as u64) >> MEM_GRANULE_SHIFT;
+            self.granule_mut(next)[..N - first].copy_from_slice(&bytes[first..]);
         }
     }
 }
@@ -107,7 +125,7 @@ impl<'a> ReplayMemory<'a> {
 impl MemBus for ReplayMemory<'_> {
     #[inline]
     fn read_u8(&self, addr: u64) -> u8 {
-        self.byte(addr)
+        self.read_bytes::<1>(addr)[0]
     }
     #[inline]
     fn read_u32(&self, addr: u64) -> u32 {
@@ -119,15 +137,15 @@ impl MemBus for ReplayMemory<'_> {
     }
     #[inline]
     fn write_u8(&mut self, addr: u64, value: u8) {
-        self.write_bytes(addr, &[value]);
+        self.write_bytes(addr, [value]);
     }
     #[inline]
     fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_bytes(addr, value.to_le_bytes());
     }
     #[inline]
     fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write_bytes(addr, &value.to_le_bytes());
+        self.write_bytes(addr, value.to_le_bytes());
     }
 }
 
@@ -211,12 +229,6 @@ impl<'a> Replayer<'a> {
         };
         run_trace_loop(self.program, self.config, &mut state, |_| {}, |d| sink(d))?;
         Ok(state.stats)
-    }
-
-    /// Instructions replayed by a full [`try_replay`](Self::try_replay)
-    /// from `from_ckpt` (used by callers to pick the cheapest checkpoint).
-    pub fn tail_len(&self, from_ckpt: usize) -> u64 {
-        self.trace.emitted() - self.trace.checkpoint(from_ckpt).emitted
     }
 }
 

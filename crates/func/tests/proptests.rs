@@ -81,12 +81,23 @@ proptest! {
     }
 }
 
-/// A randomized pointer-chase kernel with a store/reload side channel:
-/// walks a cyclic permutation over a `2^table_pow`-entry successor table
-/// (odd stride ⇒ a single full cycle), spills a running accumulator to a
-/// scratch slot and reloads it next iteration (cross-iteration memory
-/// dependence through the dirty-page set), with seed-dependent ALU
-/// filler. The loop is unbounded — the step budget terminates it.
+/// A pointer chase that stores into what it chases. It walks a cyclic
+/// permutation over a `2^table_pow`-entry successor table (odd stride ⇒
+/// a single full cycle), spills a running accumulator to a scratch slot
+/// and reloads it across seed-dependent ALU filler. Each iteration then
+/// stores into memory that the next one reads back first, so a replay
+/// that reconstructs any of it wrong emits a different stream (every
+/// load's value is in its `DynInst`):
+/// - into the table entry the chase loads next: an unaligned `sd` and
+///   `sw` that straddle the granule edge at its start (at entry 0 also
+///   the table's start), keeping its successor index and putting a
+///   counter in its other bytes, and an unaligned `sb` inside it;
+/// - a `sw` across the table's end;
+/// - a `sd` across the top of the address space, which wraps to 0;
+/// - a `sb` into a scratch granule that the prologue wrote whole, so the
+///   rest of the granule must come from the recorded bytes.
+///
+/// The loop is unbounded — the step budget terminates it.
 fn chase_program(seed: u64, table_pow: u32, stride: u64, filler: u8) -> Program {
     let n = 1u64 << table_pow;
     let stride = stride | 1; // odd ⇒ coprime with a power of two
@@ -94,6 +105,7 @@ fn chase_program(seed: u64, table_pow: u32, stride: u64, filler: u8) -> Program 
         .flat_map(|i| ((i + stride) % n).to_le_bytes())
         .collect();
     let base = 0x1000_0000u64;
+    let end = 8 * n as i64; // the table's end, from its base
     let scratch = 0x2000_0000u64;
 
     let (tbase, cur, addr, acc, s, sp) = (
@@ -104,18 +116,33 @@ fn chase_program(seed: u64, table_pow: u32, stride: u64, filler: u8) -> Program 
         Reg::new(5),
         Reg::new(6),
     );
+    let (t, k, v, w, x) = (
+        Reg::new(7),
+        Reg::new(8),
+        Reg::new(9),
+        Reg::new(10),
+        Reg::new(11),
+    );
     let mut b = ProgramBuilder::new("chase");
     b.li(tbase, base as i64);
     b.li(cur, (seed % n) as i64);
     b.li(s, (seed | 1) as i64);
     b.li(sp, scratch as i64);
+    b.sd(s, 8, sp); // the granule the loop's byte store rewrites in part
     b.label("top");
     b.sll(addr, cur, 3);
     b.add(addr, addr, tbase);
     b.ld(cur, 0, addr);
+    b.andi(cur, cur, (n - 1) as i64); // an index whatever the stores wrote
+
+    // Read back what the previous iteration stored.
+    b.lw(t, end, tbase); // past the table's end
+    b.ld(t, -8, Reg::ZERO); // below the top of the address space …
+    b.lw(t, 0, Reg::ZERO); // … and from 0
+    b.ld(t, 8, sp);
     b.sd(acc, 0, sp); // spill …
-    for k in 0..(filler % 4) {
-        match k {
+    for f in 0..(filler % 4) {
+        match f {
             0 => b.add(acc, acc, cur),
             1 => b.xor(s, s, acc),
             2 => b.mul(s, s, cur),
@@ -123,6 +150,25 @@ fn chase_program(seed: u64, table_pow: u32, stride: u64, filler: u8) -> Program 
         };
     }
     b.ld(acc, 0, sp); // … and reload across the filler
+
+    // Store what the next iteration reads back.
+    b.add(k, k, s);
+    b.sll(t, cur, 3);
+    b.add(t, t, tbase); // the entry the chase loads next
+    b.addi(v, cur, stride as i64);
+    b.andi(v, v, (n - 1) as i64); // its successor, as the table holds it
+    b.sll(w, k, 16);
+    b.or(v, v, w); // successor | k << 16
+    b.sll(w, v, 32);
+    b.srl(x, k, 32);
+    b.or(w, w, x);
+    b.sd(w, -4, t); // its low half, and the high half of the entry before
+    b.sll(w, v, 16);
+    b.sw(w, -2, t); // its first two bytes, and the last two before it
+    b.sb(k, 5, t);
+    b.sw(k, end - 2, tbase); // across the table's end
+    b.sd(k, -4, Reg::ZERO); // across 2^64, wrapping to 0
+    b.sb(cur, 8, sp);
     b.j("top");
     b.data(base, table);
     b.build().expect("chase kernel builds")
@@ -137,7 +183,10 @@ proptest! {
     /// equality) and the same emitted-instruction tail, over randomized
     /// programs, checkpoint cadences, step budgets and measured-region
     /// starts (checkpoints before the start carry uncounted statistics,
-    /// checkpoints after it counted ones).
+    /// checkpoints after it counted ones). The programs store 1, 4 and 8
+    /// bytes, unaligned, across granule edges, segment edges and the top
+    /// of the address space, and read each store back in the next
+    /// iteration, so checkpoints fall between stores and their reads.
     #[test]
     fn replay_from_every_checkpoint_reproduces_the_recording_run(
         seed in any::<u64>(),

@@ -31,8 +31,5 @@ pub mod mshr;
 pub use bus::Bus;
 pub use cache::{AccessOutcome, Cache, CacheConfig};
 pub use hierarchy::{FuncHierarchy, HierarchyConfig, MemLevel};
-pub use memory::{
-    MemBus, Memory, GRANULE_SHIFT as MEM_GRANULE_SHIFT, PAGE_SHIFT as MEM_PAGE_SHIFT,
-    PAGE_SIZE as MEM_PAGE_SIZE,
-};
+pub use memory::{MemBus, Memory, GRANULE_SHIFT as MEM_GRANULE_SHIFT};
 pub use mshr::MshrFile;

@@ -2,34 +2,27 @@
 //! place, under the 8-byte granules that stores have written.
 
 use preexec_isa::{DataSegment, Program};
-use std::collections::{BTreeSet, HashMap};
-
-/// log2 of the page size the checkpoint layer snapshots dirty memory at
-/// (see [`Memory::page_bytes`]).
-pub const PAGE_SHIFT: u32 = 12;
-/// Page size in bytes.
-pub const PAGE_SIZE: usize = 1 << PAGE_SHIFT;
+use std::collections::HashMap;
 
 /// log2 of the granule [`Memory`] keeps written bytes at: 8 bytes, the
 /// widest access, and the granule the slicer tracks memory dependences
-/// at.
+/// and the checkpoint layer records stores at.
 pub const GRANULE_SHIFT: u32 = 3;
 /// Granule size in bytes.
 pub const GRANULE_SIZE: usize = 1 << GRANULE_SHIFT;
 const GRANULE_MASK: u64 = (GRANULE_SIZE - 1) as u64;
 /// Granule indices are `addr >> GRANULE_SHIFT`, so they wrap at 2^61.
 const GRANULE_INDEX_MASK: u64 = u64::MAX >> GRANULE_SHIFT;
-/// Granules per page.
-const PAGE_GRANULES: u64 = 1 << (PAGE_SHIFT - GRANULE_SHIFT);
 
 /// The architectural load/store interface the CPU steps against.
 ///
 /// [`Memory`] is the concrete backing store for normal trace runs; the
 /// checkpoint/replay layer substitutes a copy-on-write overlay that
-/// resolves reads against recorded page snapshots. Every implementation
-/// must be little-endian, wrap addresses at 2^64 and read zeros from
-/// addresses that no data segment initialized and no store reached, so
-/// the interpreter semantics are identical whichever bus is plugged in.
+/// resolves reads against the granules its checkpoints recorded. Every
+/// implementation must be little-endian, wrap addresses at 2^64 and read
+/// zeros from addresses that no data segment initialized and no store
+/// reached, so the interpreter semantics are identical whichever bus is
+/// plugged in.
 pub trait MemBus {
     /// Reads one byte.
     fn read_u8(&self, addr: u64) -> u8;
@@ -93,16 +86,16 @@ impl MemBus for Memory<'_> {
 /// - segments never overlap ([`Program::add_data`] rejects overlaps), so a
 ///   byte has at most one segment;
 /// - a granule's bit is set in the bitmap of every segment that touches
-///   it exactly when the table holds the granule, and a written granule
-///   with a byte outside every segment is also in a sorted set, which is
-///   empty while no store reached such a byte;
+///   it exactly when the table holds the granule, and the written
+///   granules with a byte outside every segment are counted, so the count
+///   is zero while no store reached such a byte;
 /// - every byte reads as the last value stored to it, or as its pristine
 ///   byte if no store reached it;
 /// - addresses wrap at 2^64: an access whose bytes run past `u64::MAX`
 ///   continues at address 0.
 ///
-/// All multi-byte accesses are little-endian and may straddle granule,
-/// page and segment boundaries.
+/// All multi-byte accesses are little-endian and may straddle granule
+/// and segment boundaries.
 ///
 /// # Example
 ///
@@ -130,9 +123,9 @@ pub struct Memory<'p> {
     written: Vec<Vec<u64>>,
     /// The current bytes of every written granule, by granule index.
     granules: HashMap<u64, [u8; GRANULE_SIZE]>,
-    /// The written granules with a byte outside every segment: the ones
-    /// that no bitmap finds for [`page_bytes`](Memory::page_bytes).
-    loose: BTreeSet<u64>,
+    /// How many written granules have a byte outside every segment. While
+    /// it is zero, a read outside every segment is zeros.
+    loose: usize,
 }
 
 impl<'p> Memory<'p> {
@@ -150,20 +143,19 @@ impl<'p> Memory<'p> {
             segments,
             written: vec![Vec::new(); segments.len()],
             granules: HashMap::new(),
-            loose: BTreeSet::new(),
+            loose: 0,
         }
     }
 
     /// Heap bytes the written state holds, estimated from capacities: the
     /// table of written granules (key, bytes and a control byte per slot,
-    /// at about one free slot in eight), the sorted set of granules
-    /// outside the segments, and the segments' bitmaps. Zero until the
-    /// first store.
+    /// at about one free slot in eight) and the segments' bitmaps. Zero
+    /// until the first store.
     pub fn written_bytes(&self) -> usize {
         let slots = self.granules.capacity() * 8 / 7;
         let slot_bytes = std::mem::size_of::<(u64, [u8; GRANULE_SIZE])>() + 1;
         let bitmaps: usize = self.written.iter().map(Vec::capacity).sum();
-        slots * slot_bytes + (self.loose.len() + bitmaps) * std::mem::size_of::<u64>()
+        slots * slot_bytes + bitmaps * std::mem::size_of::<u64>()
     }
 
     /// Whether a store wrote granule `i` of segment `seg`'s bitmap.
@@ -195,7 +187,7 @@ impl<'p> Memory<'p> {
         granules.entry(g).or_insert_with(|| {
             let (bytes, covered) = pristine_granule(segments, g);
             if covered < GRANULE_SIZE {
-                loose.insert(g);
+                *loose += 1;
             }
             for (seg, bits) in segments.iter().zip(written.iter_mut()) {
                 if let Some(i) = granule_index(seg, g) {
@@ -235,7 +227,7 @@ impl<'p> Memory<'p> {
                     break;
                 }
             }
-            if outside && self.loose.is_empty() {
+            if outside && self.loose == 0 {
                 // Outside every segment, where no store has written.
                 return [0; N];
             }
@@ -298,58 +290,6 @@ impl<'p> Memory<'p> {
     pub fn write_u64(&mut self, addr: u64, value: u64) {
         self.write_bytes(addr, value.to_le_bytes());
     }
-
-    /// A copy of page `page` (`addr >> PAGE_SHIFT`), if a store or a data
-    /// segment touched it. Other pages read as zeros and return `None` —
-    /// the checkpoint layer uses this to snapshot only dirtied pages.
-    ///
-    /// The page is built from the segments' bytes, then the written
-    /// granules the page's set bits name (and the granules outside every
-    /// segment that fall in it) are copied over them.
-    pub fn page_bytes(&self, page: u64) -> Option<Box<[u8; PAGE_SIZE]>> {
-        if page >> (u64::BITS - PAGE_SHIFT) != 0 {
-            return None; // no such page: its start address would not fit
-        }
-        let first = page << (PAGE_SHIFT - GRANULE_SHIFT);
-        let mut loose = self.loose.range(first..first + PAGE_GRANULES).peekable();
-        let start = page << PAGE_SHIFT;
-        let touched = self
-            .segments
-            .iter()
-            .any(|seg| segment_part(seg, start, PAGE_SIZE).is_some());
-        if !touched && loose.peek().is_none() {
-            return None;
-        }
-        let mut bytes = pristine_page(self.segments, page);
-        let mut copy = |g: u64| {
-            let at = ((g - first) << GRANULE_SHIFT) as usize;
-            bytes[at..at + GRANULE_SIZE].copy_from_slice(&self.granules[&g]);
-        };
-        for (seg, bits) in self.segments.iter().zip(&self.written) {
-            if bits.is_empty() {
-                continue;
-            }
-            let seg_first = seg.base >> GRANULE_SHIFT;
-            let count = granule_count(seg);
-            // The page's granules as a range of the segment's bitmap.
-            let into_seg = first.wrapping_sub(seg_first) & GRANULE_INDEX_MASK;
-            let into_page = seg_first.wrapping_sub(first) & GRANULE_INDEX_MASK;
-            let (lo, hi) = if into_seg < count {
-                (into_seg, count.min(into_seg + PAGE_GRANULES))
-            } else if into_page < PAGE_GRANULES && count > 0 {
-                (0, count.min(PAGE_GRANULES - into_page))
-            } else {
-                continue;
-            };
-            for_each_set_bit(bits, lo, hi, |i| {
-                copy(seg_first.wrapping_add(i) & GRANULE_INDEX_MASK);
-            });
-        }
-        for &g in loose {
-            copy(g);
-        }
-        Some(bytes)
-    }
 }
 
 /// The `N` bytes of `bytes` from `off`.
@@ -358,27 +298,6 @@ fn take<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
     let mut out = [0u8; N];
     out.copy_from_slice(&bytes[off..off + N]);
     out
-}
-
-/// Calls `f` with the index of every set bit of `bits` in `lo..hi`, in
-/// ascending order, one word at a time.
-fn for_each_set_bit(bits: &[u64], lo: u64, hi: u64, mut f: impl FnMut(u64)) {
-    let mut w = lo >> 6;
-    while w << 6 < hi {
-        let mut word = bits[w as usize];
-        let base = w << 6;
-        if lo > base {
-            word &= u64::MAX << (lo - base);
-        }
-        if hi - base < 64 {
-            word &= (1 << (hi - base)) - 1;
-        }
-        while word != 0 {
-            f(base + u64::from(word.trailing_zeros()));
-            word &= word - 1;
-        }
-        w += 1;
-    }
 }
 
 /// Number of granules `seg` touches.
@@ -410,27 +329,6 @@ fn pristine_granule(segments: &[DataSegment], g: u64) -> ([u8; GRANULE_SIZE], us
     (bytes, covered)
 }
 
-/// Page `page` before any store: segment bytes where a segment covers it,
-/// zero elsewhere. A page that one segment covers whole is copied
-/// straight from it, without zeroing first.
-fn pristine_page(segments: &[DataSegment], page: u64) -> Box<[u8; PAGE_SIZE]> {
-    let parts = || {
-        segments
-            .iter()
-            .filter_map(move |seg| segment_part(seg, page << PAGE_SHIFT, PAGE_SIZE))
-    };
-    if let Some((_, whole)) = parts().find(|(_, part)| part.len() == PAGE_SIZE) {
-        if let Ok(bytes) = Box::<[u8]>::from(whole).try_into() {
-            return bytes;
-        }
-    }
-    let mut bytes = Box::new([0u8; PAGE_SIZE]);
-    for (at, part) in parts() {
-        bytes[at..at + part.len()].copy_from_slice(part);
-    }
-    bytes
-}
-
 /// The bytes of `seg` that lie in the `size`-byte block at `start`, with
 /// the block offset of the first. A segment shorter than 2^64 − `size`
 /// cannot both start inside a block and wrap around to its start, so
@@ -451,6 +349,7 @@ fn segment_part(seg: &DataSegment, start: u64, size: usize) -> Option<(usize, &[
     }
     None
 }
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -470,7 +369,6 @@ mod tests {
         assert_eq!(m.read_u8(0), 0);
         assert_eq!(m.read_u64(12345), 0);
         assert_eq!(m.written_bytes(), 0);
-        assert_eq!(m.page_bytes(0), None);
     }
 
     #[test]
@@ -495,13 +393,12 @@ mod tests {
     #[test]
     fn cross_page_access() {
         let mut m = Memory::new();
-        let addr = PAGE_SIZE as u64 - 4; // straddles the first page boundary
+        let addr = 0x1000 - 4; // straddles a granule (and a page) boundary
         m.write_u64(addr, 0xaabb_ccdd_1122_3344);
         assert_eq!(m.read_u64(addr), 0xaabb_ccdd_1122_3344);
-        // Both pages hold their half, and only those two granules.
-        let (low, high) = (m.page_bytes(0).unwrap(), m.page_bytes(1).unwrap());
-        assert_eq!(low[PAGE_SIZE - 4..], [0x44, 0x33, 0x22, 0x11]);
-        assert_eq!(high[..4], [0xdd, 0xcc, 0xbb, 0xaa]);
+        // Both granules hold their half, and only those two are held.
+        assert_eq!(m.read_u64(addr - 4), 0x1122_3344_0000_0000);
+        assert_eq!(m.read_u64(addr + 4), 0x0000_0000_aabb_ccdd);
         assert_eq!(m.granules.len(), 2);
     }
 
@@ -520,25 +417,22 @@ mod tests {
 
     #[test]
     fn segment_spanning_many_pages() {
-        let bytes: Vec<u8> = (0..3 * PAGE_SIZE + 7).map(|i| (i % 251) as u8).collect();
-        let base = PAGE_SIZE as u64 - 3; // start mid-page, cover 4+ pages
+        let bytes: Vec<u8> = (0..3 * 4096 + 7).map(|i| (i % 251) as u8).collect();
+        let base = 4096 - 3; // start mid-granule, cover 4+ pages
         let p = image(&[(base, bytes.clone())]);
         let m = Memory::from_program(&p);
         for (i, &b) in bytes.iter().enumerate() {
             assert_eq!(m.read_u8(base + i as u64), b, "byte {i}");
         }
-        // Every page the segment touches is there, zero-filled around it.
-        assert_eq!(m.page_bytes(5), None);
-        for page in 0..5u64 {
-            let got = m.page_bytes(page).expect("segment page");
-            for (off, &g) in got.iter().enumerate() {
-                let want = ((page << PAGE_SHIFT) + off as u64)
-                    .checked_sub(base)
-                    .and_then(|i| bytes.get(i as usize))
-                    .copied()
-                    .unwrap_or(0);
-                assert_eq!(g, want, "page {page} offset {off}");
-            }
+        // Every granule the segment touches reads whole, zero around it.
+        let end = base + bytes.len() as u64;
+        for g in (base >> GRANULE_SHIFT) - 1..=(end >> GRANULE_SHIFT) + 1 {
+            let want = (0..GRANULE_SIZE as u64).rev().fold(0, |v, k| {
+                let at = (g << GRANULE_SHIFT) + k;
+                let b = at.checked_sub(base).and_then(|i| bytes.get(i as usize));
+                (v << 8) | u64::from(b.copied().unwrap_or(0))
+            });
+            assert_eq!(m.read_u64(g << GRANULE_SHIFT), want, "granule {g:#x}");
         }
         assert_eq!(m.written_bytes(), 0);
     }
@@ -581,7 +475,7 @@ mod tests {
         m.write_u8(0x8000, 1);
         assert!(m.written_bytes() > 0);
         assert_eq!(m.granules.len(), 1);
-        assert!(m.loose.contains(&(0x8000 >> GRANULE_SHIFT)));
+        assert_eq!(m.loose, 1);
     }
 
     #[test]
@@ -593,12 +487,10 @@ mod tests {
         m.write_u8(0x100a, 0xaa); // a's last byte
         assert_eq!(m.written[0], [1 << 1]);
         assert_eq!(m.written[1], [1 << 0]);
-        assert!(m.loose.is_empty());
+        assert_eq!(m.loose, 0);
         // b's bytes in the granule read through the written copy.
         assert_eq!(m.read_u32(0x100b), 0x0202_0202);
         assert_eq!(m.read_u64(0x1008), 0x0202_0202_02aa_0101);
-        let page = m.page_bytes(1).unwrap();
-        assert_eq!(page[0x8..0x10], [1, 1, 0xaa, 2, 2, 2, 2, 2]);
     }
 
     #[test]
@@ -606,7 +498,7 @@ mod tests {
         let p = image(&[(0x100, vec![7; 3])]);
         let mut m = Memory::from_program(&p);
         m.write_u8(0x104, 0x55); // outside the segment, in its granule
-        assert!(m.loose.contains(&(0x100 >> GRANULE_SHIFT)));
+        assert_eq!(m.loose, 1);
         assert_eq!(m.read_u8(0x104), 0x55);
         assert_eq!(m.read_u32(0x102), 0x0055_0007);
         assert_eq!(m.read_u8(0x103), 0);
@@ -631,10 +523,8 @@ mod tests {
         for (k, &o) in stores.iter().enumerate() {
             m.write_u64(base + o * 32 + 16, k as u64);
         }
-        let pages: std::collections::HashSet<u64> = stores
-            .iter()
-            .map(|o| (base + o * 32) >> PAGE_SHIFT)
-            .collect();
+        let pages: std::collections::HashSet<u64> =
+            stores.iter().map(|o| (base + o * 32) >> 12).collect();
         assert!(pages.len() > 2_000, "{} pages", pages.len());
         assert_eq!(m.granules.len(), 15_000);
         // A copy of each written page would be 8 MB.
@@ -643,19 +533,5 @@ mod tests {
             assert_eq!(m.read_u64(base + o * 32 + 16), k as u64);
             assert_eq!(m.read_u64(base + o * 32 + 8), 0x5a5a_5a5a_5a5a_5a5a);
         }
-    }
-
-    #[test]
-    fn set_bits_are_visited_in_range_only() {
-        let bits = [0x8000_0000_0000_0001u64, 0b1011, u64::MAX];
-        let mut seen = Vec::new();
-        for_each_set_bit(&bits, 0, 192, |i| seen.push(i));
-        assert_eq!(seen.len(), 2 + 3 + 64);
-        seen.clear();
-        for_each_set_bit(&bits, 63, 67, |i| seen.push(i));
-        assert_eq!(seen, [63, 64, 65]);
-        seen.clear();
-        for_each_set_bit(&bits, 130, 132, |i| seen.push(i));
-        assert_eq!(seen, [130, 131]);
     }
 }

@@ -3,9 +3,13 @@
 //! array.
 
 use preexec_isa::Program;
-use preexec_mem::{Bus, Cache, CacheConfig, Memory, MshrFile, MEM_PAGE_SHIFT, MEM_PAGE_SIZE};
+use preexec_mem::{Bus, Cache, CacheConfig, Memory, MshrFile};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+
+/// A 4 KB page: the segment layouts and whole-region fills below are
+/// shaped by it.
+const PAGE: u64 = 4096;
 
 /// A naive fully-explicit reference cache: per set, a vector of (tag,
 /// dirty) pairs ordered most-recently-used first.
@@ -121,10 +125,12 @@ impl RefMshr {
 }
 
 /// Memory as a plain map from address to byte: the segment bytes, then
-/// every write on top. Absent addresses read zero.
+/// every write on top. Absent addresses read zero. It also keeps the
+/// 8-byte granules (`addr >> 3`) that writes touched.
 #[derive(Clone)]
 struct ByteModel {
     bytes: BTreeMap<u64, u8>,
+    written: BTreeSet<u64>,
 }
 
 impl ByteModel {
@@ -135,7 +141,10 @@ impl ByteModel {
                 bytes.insert(seg.base.wrapping_add(i as u64), b);
             }
         }
-        ByteModel { bytes }
+        ByteModel {
+            bytes,
+            written: BTreeSet::new(),
+        }
     }
 
     /// The little-endian value of the `width` bytes at `addr`.
@@ -148,24 +157,10 @@ impl ByteModel {
 
     fn write(&mut self, addr: u64, width: u64, value: u64) {
         for i in 0..width {
-            self.bytes
-                .insert(addr.wrapping_add(i), (value >> (8 * i)) as u8);
+            let a = addr.wrapping_add(i);
+            self.bytes.insert(a, (value >> (8 * i)) as u8);
+            self.written.insert(a >> 3);
         }
-    }
-
-    /// Page `page`, if a segment or a write put any byte in it.
-    fn page(&self, page: u64) -> Option<Box<[u8; MEM_PAGE_SIZE]>> {
-        let start = page << MEM_PAGE_SHIFT;
-        if start >> MEM_PAGE_SHIFT != page {
-            return None;
-        }
-        let mut out = Box::new([0u8; MEM_PAGE_SIZE]);
-        let mut any = false;
-        for (&a, &b) in self.bytes.range(start..=start | (MEM_PAGE_SIZE as u64 - 1)) {
-            out[(a - start) as usize] = b;
-            any = true;
-        }
-        any.then_some(out)
     }
 }
 
@@ -201,7 +196,7 @@ fn segment_layout(
     (e_off, e_len, ef_gap, f_len): (u64, u64, u64, u64),
     salt: u64,
 ) -> Vec<(u64, Vec<u8>)> {
-    let page = MEM_PAGE_SIZE as u64;
+    let page = PAGE;
     let a_base = 0x40_0000 + a_off;
     let a_len = if (a_base + a_len) % page == 0 {
         a_len - 1
@@ -235,7 +230,7 @@ fn segment_layout(
 /// every segment, and the top of the address space. Accesses land within
 /// 12 bytes of an anchor, so unaligned ones straddle granule edges.
 fn anchors(p: &Program) -> Vec<u64> {
-    let mask = MEM_PAGE_SIZE as u64 - 1;
+    let mask = PAGE - 1;
     let mut out = vec![0, 0x1000, 0x7fff_0000, u64::MAX - 3, u64::MAX];
     for seg in p.data_segments() {
         let end = seg.base.wrapping_add(seg.bytes.len() as u64);
@@ -276,9 +271,8 @@ fn fill_page(
     shift: u64,
     seed: u64,
 ) {
-    let page = MEM_PAGE_SIZE as u64;
-    let start = (addr & !(page - 1)).wrapping_sub(shift);
-    for k in 0..(page + shift).div_ceil(width) {
+    let start = (addr & !(PAGE - 1)).wrapping_sub(shift);
+    for k in 0..(PAGE + shift).div_ceil(width) {
         let at = start.wrapping_add(k * width);
         let value = seed.wrapping_mul(k + 1).rotate_left(k as u32 % 64);
         mem_write(mem, at, width, value);
@@ -393,8 +387,9 @@ proptest! {
     /// below the top of the address space, reads and writes of widths 1,
     /// 4 and 8 clustered on granule edges, page edges, segment edges,
     /// addresses outside every segment and the top of the address space
-    /// agree with a plain byte map, and so does every page `page_bytes`
-    /// returns. Writes are sparse, except that about one op in 32 writes
+    /// agree with a plain byte map, and so does an aligned 8-byte read of
+    /// every granule a write touched (how the checkpoint recorder reads
+    /// them). Writes are sparse, except that about one op in 32 writes
     /// every byte of a page; in half the cases they stay in the segments'
     /// granules. Writes to a clone change neither the original nor the
     /// segment bytes.
@@ -441,14 +436,12 @@ proptest! {
                 );
             }
         }
-        let pages: HashSet<u64> = anchors
-            .iter()
-            .flat_map(|&a| [a.wrapping_sub(4096), a, a.wrapping_add(4096)])
-            .map(|a| a >> MEM_PAGE_SHIFT)
-            .chain([1 << (64 - MEM_PAGE_SHIFT)])
-            .collect();
-        for &page in &pages {
-            prop_assert_eq!(mem.page_bytes(page), model.page(page), "page {:#x}", page);
+        for &g in &model.written {
+            prop_assert_eq!(
+                mem.read_u64(g << 3),
+                model.read(g << 3, 8),
+                "granule {:#x}", g
+            );
         }
 
         let mut clone = mem.clone();

@@ -91,13 +91,11 @@ impl MemSys {
     }
 
     /// Fetches a block from memory, modeling MSHR occupancy and memory-bus
-    /// contention. Returns the data-ready cycle.
+    /// contention. Returns the data-ready cycle. Both callers have just
+    /// found `block` not in flight, and only retirements can happen since.
     fn fetch_from_memory(&mut self, at: u64, block: u64) -> u64 {
         self.mshrs.retire_completed(at);
-        // Coalesce with an in-flight fetch of the same block.
-        if let Some(done) = self.mshrs.completion_of(block) {
-            return done;
-        }
+        debug_assert!(!self.mshrs.contains(block), "{block:#x} is in flight");
         // A full MSHR file delays the request until a slot frees.
         let start = if self.mshrs.occupancy() >= self.params.mshrs {
             self.mshrs.earliest_completion().map_or(at, |t| t.max(at))
@@ -226,9 +224,9 @@ impl MemSys {
             self.stamps.remove(&self.params.l2.block_of(wb));
         }
         self.mshrs.retire_completed(cycle);
-        if self.mshrs.contains(block) {
+        if let Some(done) = self.mshrs.completion_of(block) {
             self.stats.pthread_useless += 1;
-            return self.mshrs.completion_of(block).expect("in flight");
+            return done;
         }
         let ready = self.fetch_from_memory(t_l2, block);
         self.stats.pthread_prefetches += 1;

@@ -136,7 +136,8 @@ impl SimResult {
 
 /// One live p-thread context.
 struct Ctx {
-    body: Vec<Inst>,
+    /// The index of its p-thread in the simulation's `pthreads`.
+    pthread: usize,
     next: usize,
     regs: [i64; NUM_REGS],
     ready: [u64; NUM_REGS],
@@ -440,12 +441,13 @@ pub fn try_simulate(
         for slot in contexts.iter_mut() {
             let free_bandwidth = config.mode == SimMode::LatencyToleranceOnly;
             let Some(ctx) = slot else { continue };
+            let body = &pthreads[ctx.pthread].body;
             if cycle >= ctx.next_burst && ctx.burst_left == 0 {
                 ctx.burst_left = m.pthread_burst;
                 ctx.next_burst = cycle + m.pthread_burst as u64;
             }
             let mut squashed: Option<SquashReason> = None;
-            while ctx.burst_left > 0 && ctx.next < ctx.body.len() {
+            while ctx.burst_left > 0 && ctx.next < body.len() {
                 if !free_bandwidth && bandwidth == 0 {
                     break;
                 }
@@ -461,7 +463,7 @@ pub fn try_simulate(
                     squashed = Some(SquashReason::BudgetExhausted);
                     break;
                 }
-                let inst = ctx.body[ctx.next];
+                let inst = body[ctx.next];
                 let outcome = inject_pthread_inst(
                     ctx,
                     inst,
@@ -490,7 +492,7 @@ pub fn try_simulate(
                 r.squashes += 1;
                 *r.squash_reasons.entry(reason).or_insert(0) += 1;
                 *slot = None;
-            } else if ctx.next >= ctx.body.len() {
+            } else if ctx.next >= body.len() {
                 // All instructions renamed: the context frees (paper §4.1).
                 *slot = None;
             }
@@ -600,16 +602,14 @@ pub fn try_simulate(
                         r.launches += 1;
                         // Seed values are read through the rename map:
                         // a live-in becomes usable when its main-thread
-                        // producer completes, not at launch.
-                        let mut ready = reg_ready;
-                        for t in ready.iter_mut() {
-                            *t = (*t).max(cycle);
-                        }
+                        // producer completes, not at launch. Injection
+                        // folds ready times from its own cycle, which is
+                        // never before the launch, so they need no clamp.
                         *free = Some(Ctx {
-                            body: pthreads[pi].body.clone(),
+                            pthread: pi,
                             next: 0,
                             regs: cpu.snapshot_regs(),
-                            ready,
+                            ready: reg_ready,
                             burst_left: 0,
                             next_burst: cycle,
                             store_buffer: HashMap::new(),

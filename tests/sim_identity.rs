@@ -42,7 +42,7 @@ const RUNS: [&str; 9] = [
 /// hashing; the gap row before guest memory stopped copying the data
 /// segments. gap is the one kernel here that stores (2 013 stores in its
 /// base run), so its row pins the store queue, store-to-load forwarding
-/// and the copy-on-write pages.
+/// and the written granules of guest memory.
 const PINNED: [(&str, [u64; 9]); 4] = [
     (
         "bzip2",
