@@ -40,11 +40,13 @@ use crate::PipelineError;
 use preexec_func::RunStats;
 use preexec_isa::Program;
 use preexec_slice::SliceForest;
+use std::panic::resume_unwind;
 use std::time::Instant;
 
 /// Wall-clock microseconds spent in each pipeline stage of one
 /// [`Pipeline::run`] (trace includes slicing; zero when the stage was
-/// skipped via [`Pipeline::artifacts`]).
+/// skipped via [`Pipeline::artifacts`]). A run that traces runs `trace`
+/// and `base_sim` at the same time, so the four do not add up to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageUs {
     /// Trace + slice-forest construction.
@@ -117,11 +119,17 @@ pub enum SlicingMode {
 }
 
 /// A stage-boundary hook: consulted with the stage name (`"trace"`,
-/// `"base_sim"`, `"select"`, `"assisted_sim"`) immediately before each
-/// stage starts. Returning an error aborts the run with that error —
-/// this is how the service implements cancellation and wall-clock
-/// deadlines without the pipeline knowing about either: the watchdogs
-/// bound each stage, the gate decides whether the next one may begin.
+/// `"base_sim"`, `"select"`, `"assisted_sim"`) before each stage starts.
+/// Returning an error aborts the run with that error — this is how the
+/// service implements cancellation and wall-clock deadlines without the
+/// pipeline knowing about either: the watchdogs bound each stage, the
+/// gate decides whether the next one may begin.
+///
+/// A run that traces runs `trace` and `base_sim` at the same time, so it
+/// asks for `trace` and then `base_sim` before either starts. A cancel
+/// or a deadline that lands while they run is seen at `select`. The gate
+/// is only ever called on the thread that called
+/// [`Pipeline::run`].
 pub type StageGate<'g> = &'g (dyn Fn(&'static str) -> Result<(), PipelineError> + Sync);
 
 /// Builder for one pipeline run over one workload program.
@@ -221,83 +229,109 @@ impl<'p> Pipeline<'p> {
     /// if the trace faults.
     pub fn trace(self) -> Result<TraceArtifacts, PipelineError> {
         self.spec.try_validate()?;
-        let (artifacts, _us) = self.trace_stage()?;
-        Ok(artifacts)
+        if let Some((forest, stats)) = self.artifacts {
+            return Ok(TraceArtifacts { forest, stats });
+        }
+        self.check_gate("trace")?;
+        trace_driver(self.program, &self.spec)
     }
 
     /// Runs the full pipeline (or its post-trace half, given
     /// [`artifacts`](Self::artifacts)).
     ///
+    /// A run that traces asks the gate for `trace` and then `base_sim`
+    /// before either starts, then runs the base simulation on one scoped
+    /// helper thread while the caller traces and slices: the base run
+    /// depends only on the program and the machine, never on the trace.
+    /// The two stages overlap in wall time, so their [`StageUs`] entries
+    /// no longer add up to the run. Given artifacts, the base simulation
+    /// runs on the caller and no thread is spawned.
+    ///
     /// # Errors
     ///
     /// Configuration variants of [`PipelineError`] before any work
-    /// starts; wrapped layer errors if a stage faults.
-    pub fn run(self) -> Result<PipelineOutput, PipelineError> {
+    /// starts; wrapped layer errors if a stage faults. When the trace and
+    /// the base simulation both fault, the trace's error is returned.
+    ///
+    /// # Panics
+    ///
+    /// A panic on the helper thread is re-raised on the caller.
+    pub fn run(mut self) -> Result<PipelineOutput, PipelineError> {
         self.spec.try_validate()?;
         preexec_obs::global().counter("pipeline.runs").inc();
-        let program = self.program;
-        let cfg = self.spec.cfg;
-        let gate = self.gate;
-        let check = |stage: &'static str| match gate {
-            Some(g) => g(stage),
-            None => Ok(()),
+        let (program, cfg) = (self.program, self.spec.cfg);
+        let base_sim = || timed(|| pipeline::base_sim_stage(program, &cfg));
+        let mut stage_us = StageUs::default();
+        let artifacts = self.artifacts.take();
+        let artifacts_reused = artifacts.is_some();
+        let (arts, base) = match artifacts {
+            Some((forest, stats)) => {
+                self.check_gate("base_sim")?;
+                let (base, us) = base_sim();
+                stage_us.base_sim = us;
+                (TraceArtifacts { forest, stats }, base?)
+            }
+            None => {
+                self.check_gate("trace")?;
+                self.check_gate("base_sim")?;
+                // The helper allocates in a glibc arena of its own, which
+                // stays resident: keep everything but the base simulation
+                // on the caller.
+                let ((arts, trace_us), (base, base_us)) = std::thread::scope(|s| {
+                    let helper = s.spawn(base_sim);
+                    let traced = timed(|| trace_driver(program, &self.spec));
+                    let base = helper.join().unwrap_or_else(|e| resume_unwind(e));
+                    (traced, base)
+                });
+                stage_us.trace = trace_us;
+                stage_us.base_sim = base_us;
+                (arts?, base?)
+            }
         };
-        let artifacts_reused = self.artifacts.is_some();
-        let (arts, trace_us) = self.trace_stage()?;
-        let mut stage_us = StageUs {
-            trace: trace_us,
-            ..StageUs::default()
-        };
 
-        check("base_sim")?;
-        let t = Instant::now();
-        let base = pipeline::base_sim_stage(program, &cfg)?;
-        stage_us.base_sim = elapsed_us(t);
+        self.check_gate("select")?;
+        let (selection, us) = timed(|| pipeline::select_stage(&arts.forest, &cfg, base.ipc()));
+        stage_us.select = us;
+        let selection = selection?;
 
-        check("select")?;
-        let t = Instant::now();
-        let selection = pipeline::select_stage(&arts.forest, &cfg, base.ipc())?;
-        stage_us.select = elapsed_us(t);
-
-        check("assisted_sim")?;
-        let t = Instant::now();
-        let assisted = pipeline::assisted_sim_stage(program, &selection.pthreads, &cfg, &base)?;
-        stage_us.assisted_sim = elapsed_us(t);
+        self.check_gate("assisted_sim")?;
+        let (assisted, us) =
+            timed(|| pipeline::assisted_sim_stage(program, &selection.pthreads, &cfg, &base));
+        stage_us.assisted_sim = us;
 
         Ok(PipelineOutput {
             result: PipelineResult {
                 stats: arts.stats,
                 base,
                 selection,
-                assisted,
+                assisted: assisted?,
             },
             forest: arts.forest,
             stage_us,
             artifacts_reused,
         })
     }
+}
 
-    /// The trace stage under the builder's knobs: supplied artifacts win,
-    /// else the trace driver runs under the spec's slicing mode. Returns
-    /// the artifacts and the stage's wall-clock microseconds (zero for
-    /// supplied artifacts).
-    fn trace_stage(self) -> Result<(TraceArtifacts, u64), PipelineError> {
-        if let Some((forest, stats)) = self.artifacts {
-            return Ok((TraceArtifacts { forest, stats }, 0));
-        }
-        self.check_gate("trace")?;
-        let cfg = self.spec.cfg;
-        let t = Instant::now();
-        let arts = pipeline::trace_and_slice_along(
-            self.program,
-            cfg.scope,
-            cfg.max_slice_len,
-            cfg.budget,
-            cfg.warmup,
-            self.spec.slicing,
-        )?;
-        Ok((arts, elapsed_us(t)))
-    }
+/// The trace driver under the spec's scope, slice length, budget,
+/// warm-up and slicing mode.
+fn trace_driver(program: &Program, spec: &PolicySpec) -> Result<TraceArtifacts, PipelineError> {
+    let cfg = spec.cfg;
+    pipeline::trace_and_slice_along(
+        program,
+        cfg.scope,
+        cfg.max_slice_len,
+        cfg.budget,
+        cfg.warmup,
+        spec.slicing,
+    )
+}
+
+/// Runs `f`, returning its value and its wall-clock microseconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let t = Instant::now();
+    let value = f();
+    (value, elapsed_us(t))
 }
 
 fn elapsed_us(t: Instant) -> u64 {
@@ -307,8 +341,10 @@ fn elapsed_us(t: Instant) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use preexec_isa::{Inst, Op, Reg};
     use preexec_timing::{SimMode, SimResult};
     use preexec_workloads::{suite, InputSet};
+    use std::sync::Mutex;
 
     fn vpr() -> Program {
         let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
@@ -323,16 +359,6 @@ mod tests {
     /// equality is byte equality on the results.
     fn key(r: &PipelineResult) -> String {
         format!("{r:?}")
-    }
-
-    #[test]
-    fn builder_matches_monolithic_run() {
-        let p = vpr();
-        let whole = pipeline::try_run_pipeline(&p, &cfg()).unwrap();
-        let out = Pipeline::new(&p).config(cfg()).run().unwrap();
-        assert_eq!(key(&out.result), key(&whole));
-        assert!(!out.artifacts_reused);
-        assert!(out.stage_us.trace > 0 && out.stage_us.base_sim > 0);
     }
 
     #[test]
@@ -459,6 +485,58 @@ mod tests {
             .run()
             .unwrap();
         assert_eq!(key(&out.result), key(&whole.result));
+
+        // `trace` and `base_sim` run together, so the gate is asked about
+        // both before either starts. On a program that faults in both
+        // stages, a gate error proves that neither started.
+        let bad = faulting_program();
+        let run_rejecting = |rejected: &'static str| {
+            let asked = Mutex::new(Vec::new());
+            let gate = |stage: &'static str| {
+                asked.lock().unwrap().push(stage);
+                if stage == rejected {
+                    Err(PipelineError::Cancelled { stage })
+                } else {
+                    Ok(())
+                }
+            };
+            let err = Pipeline::new(&bad).config(c).gate(&gate).run().unwrap_err();
+            (err, asked.into_inner().unwrap())
+        };
+        // A gate that rejects `base_sim` now stops before any work.
+        assert_eq!(
+            run_rejecting("base_sim"),
+            (
+                PipelineError::Cancelled { stage: "base_sim" },
+                vec!["trace", "base_sim"]
+            )
+        );
+        // A gate that rejects `trace` still stops first.
+        assert_eq!(
+            run_rejecting("trace"),
+            (PipelineError::Cancelled { stage: "trace" }, vec!["trace"])
+        );
+        // Admitting both starts both, and the trace's fault wins.
+        let (err, asked) = run_rejecting("select");
+        assert!(matches!(err, PipelineError::Exec(_)), "{err:?}");
+        assert_eq!(asked, vec!["trace", "base_sim"]);
+    }
+
+    /// A program both the tracer and the timing simulator reject at its
+    /// first instruction (an ALU op with no destination): any stage that
+    /// starts on it fails with a fault instead of the gate's error.
+    fn faulting_program() -> Program {
+        let mut p = Program::new("no-rd");
+        p.push(Inst {
+            op: Op::Add,
+            rd: None,
+            rs1: Some(Reg::new(1)),
+            rs2: Some(Reg::new(2)),
+            imm: 0,
+            target: None,
+        });
+        p.push(Inst::halt());
+        p
     }
 
     #[test]

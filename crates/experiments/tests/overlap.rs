@@ -1,0 +1,131 @@
+//! `Pipeline::run` overlaps the base simulation with trace+slice on a
+//! helper thread. These tests hold it to the serial toolflow: the stages
+//! run one after another by hand must give byte-identical outputs, and
+//! when both overlapped stages fault, the trace's error is the one
+//! returned, as when the trace ran first. `Debug` formatting round-trips
+//! every `f64` exactly, so string equality below is bitwise equality.
+
+use preexec_core::select_pthreads;
+use preexec_experiments::pipeline::{selection_params, try_sim};
+use preexec_experiments::{
+    Pipeline, PipelineConfig, PipelineError, PipelineResult, PolicySpec, SlicingMode,
+    DEFAULT_CHECKPOINT_EVERY,
+};
+use preexec_func::ExecError;
+use preexec_isa::{Inst, Op, Program, Reg};
+use preexec_slice::write_forest;
+use preexec_timing::{SimError, SimMode};
+use preexec_workloads::{suite, InputSet};
+
+/// Trace, base simulation, selection and assisted simulation, one after
+/// another on the calling thread.
+fn by_hand(p: &Program, spec: PolicySpec) -> (PipelineResult, String) {
+    let cfg = spec.cfg;
+    let arts = Pipeline::new(p).policy(spec).trace().expect("trace");
+    let base = try_sim(p, &[], &cfg, SimMode::Normal).expect("base sim");
+    let selection = select_pthreads(&arts.forest, &selection_params(&cfg, base.ipc()));
+    let assisted = try_sim(p, &selection.pthreads, &cfg, SimMode::Normal).expect("assisted sim");
+    let result = PipelineResult {
+        stats: arts.stats,
+        base,
+        selection,
+        assisted,
+    };
+    (result, write_forest(&arts.forest))
+}
+
+#[test]
+fn run_equals_its_stages_run_one_after_another() {
+    let modes = [
+        SlicingMode::Windowed,
+        SlicingMode::OnDemand {
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+        },
+    ];
+    let mut empty = Vec::new();
+    for w in suite() {
+        let p = w.build(InputSet::Test);
+        for slicing in modes {
+            let spec = PolicySpec {
+                cfg: PipelineConfig::paper_default(20_000),
+                slicing,
+                ..PolicySpec::default()
+            };
+            let out = Pipeline::new(&p).policy(spec).run().expect("run");
+            let (want, want_forest) = by_hand(&p, spec);
+            assert_eq!(
+                format!("{:?}", out.result),
+                format!("{want:?}"),
+                "{} {slicing:?}",
+                w.name
+            );
+            assert_eq!(
+                write_forest(&out.forest),
+                want_forest,
+                "{} {slicing:?}",
+                w.name
+            );
+            assert!(!out.artifacts_reused);
+            assert!(out.stage_us.trace > 0 && out.stage_us.base_sim > 0);
+            if want.selection.pthreads.is_empty() {
+                empty.push(w.name);
+            }
+        }
+    }
+    // gcc's test input is L2-resident and selects nothing: the run hands
+    // back the base simulation as the assisted one.
+    assert!(empty.contains(&"gcc"), "empty selections: {empty:?}");
+}
+
+/// A program whose first instruction is an ALU op with no destination,
+/// which the tracer and the timing simulator both reject.
+fn faulting_program() -> Program {
+    let mut p = Program::new("no-rd");
+    p.push(Inst {
+        op: Op::Add,
+        rd: None,
+        rs1: Some(Reg::new(1)),
+        rs2: Some(Reg::new(2)),
+        imm: 0,
+        target: None,
+    });
+    p.push(Inst::halt());
+    p
+}
+
+#[test]
+fn a_fault_in_both_overlapped_stages_returns_the_trace_error() {
+    let p = faulting_program();
+    let cfg = PipelineConfig::paper_default(1_000);
+    let fault = ExecError::Malformed {
+        pc: 0,
+        reason: "ALU op without rd",
+    };
+    // Each stage faults on its own...
+    assert_eq!(
+        Pipeline::new(&p).config(cfg).trace().unwrap_err(),
+        PipelineError::Exec(fault)
+    );
+    assert_eq!(
+        try_sim(&p, &[], &cfg, SimMode::Normal).unwrap_err(),
+        PipelineError::Sim(SimError::Exec(fault))
+    );
+    // ...and the run returns the trace's error, in both slicing modes.
+    for slicing in [
+        SlicingMode::Windowed,
+        SlicingMode::OnDemand {
+            checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
+        },
+    ] {
+        let spec = PolicySpec {
+            cfg,
+            slicing,
+            ..PolicySpec::default()
+        };
+        assert_eq!(
+            Pipeline::new(&p).policy(spec).run().unwrap_err(),
+            PipelineError::Exec(fault),
+            "{slicing:?}"
+        );
+    }
+}

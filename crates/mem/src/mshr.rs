@@ -63,6 +63,17 @@ impl MshrFile {
             self.coalesced += 1;
             return Some(done);
         }
+        self.insert(block_addr, completes_at)
+    }
+
+    /// Allocates an entry for `block_addr`, which the caller has found not
+    /// in flight, completing at `completes_at`: [`request`](Self::request)
+    /// without the coalesce scan.
+    ///
+    /// Returns `completes_at`, or `None` if the file is full and the
+    /// request must retry.
+    pub fn insert(&mut self, block_addr: u64, completes_at: u64) -> Option<u64> {
+        debug_assert!(!self.contains(block_addr), "{block_addr:#x} is in flight");
         if self.inflight.len() >= self.capacity {
             self.rejected += 1;
             return None;
@@ -132,6 +143,17 @@ mod tests {
         assert_eq!(m.request(0x40, 200), Some(100));
         assert_eq!(m.coalesced(), 1);
         assert_eq!(m.occupancy(), 1);
+    }
+
+    #[test]
+    fn insert_allocates_without_coalescing() {
+        let mut m = MshrFile::new(2);
+        assert_eq!(m.insert(0x40, 100), Some(100));
+        assert_eq!(m.insert(0x80, 50), Some(50));
+        assert_eq!(m.insert(0xc0, 70), None);
+        assert_eq!(m.rejected(), 1);
+        assert_eq!(m.coalesced(), 0);
+        assert_eq!(m.earliest_completion(), Some(50));
     }
 
     #[test]

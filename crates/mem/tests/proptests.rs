@@ -119,6 +119,15 @@ impl RefMshr {
             self.rejected += 1;
             return None;
         }
+        self.insert(block, completes_at)
+    }
+
+    /// A request for a block known not to be in flight.
+    fn insert(&mut self, block: u64, completes_at: u64) -> Option<u64> {
+        if self.inflight.len() >= self.capacity {
+            self.rejected += 1;
+            return None;
+        }
         self.inflight.insert(block, completes_at);
         Some(completes_at)
     }
@@ -283,12 +292,15 @@ fn fill_page(
 proptest! {
     /// Every transfer completes when the naive slot-set model says, over
     /// clustered requests (contention), forward jumps past the prune
-    /// horizon, and requests far behind the latest one.
+    /// horizon, and requests far behind the latest one. Jumps just past
+    /// the horizon followed by requests just below the last prune's
+    /// horizon check that a prune forgets the slots it drops even when
+    /// they share a word of the bus's slot bits with slots it keeps.
     #[test]
     fn bus_matches_slot_set_model(
         cycles_per_beat in 1u64..5,
         width_bytes in prop::sample::select(vec![8u64, 32]),
-        requests in prop::collection::vec((0u8..8, 0u64..400_000, 1u64..200), 1..150)
+        requests in prop::collection::vec((0u8..10, 0u64..400_000, 1u64..200), 1..150)
     ) {
         let mut bus = Bus::new(width_bytes, cycles_per_beat);
         let mut reference = RefBus::new(width_bytes, cycles_per_beat);
@@ -298,6 +310,9 @@ proptest! {
                 0..=4 => latest + delta % 64,
                 5 => latest + 65536 * cycles_per_beat + delta,
                 6 => latest.saturating_sub(delta),
+                7 => latest + (65536 + delta % 128) * cycles_per_beat,
+                8 => (reference.last_prune.saturating_sub(65536) * cycles_per_beat)
+                    .saturating_sub(delta % 256),
                 _ => latest + delta % 4096,
             };
             latest = latest.max(now);
@@ -308,11 +323,12 @@ proptest! {
         prop_assert_eq!(bus.transfers(), reference.transfers);
     }
 
-    /// Requests, retirements and lookups agree with a map model.
+    /// Requests, inserts of blocks not in flight, retirements and lookups
+    /// agree with a map model.
     #[test]
     fn mshr_matches_map_model(
         capacity in 1usize..6,
-        ops in prop::collection::vec((0u8..5, 0u64..10, 0u64..300), 1..200)
+        ops in prop::collection::vec((0u8..6, 0u64..10, 0u64..300), 1..200)
     ) {
         let mut mshrs = MshrFile::new(capacity);
         let mut reference = RefMshr {
@@ -330,6 +346,10 @@ proptest! {
                 2 => {
                     mshrs.retire_completed(t);
                     reference.inflight.retain(|_, &mut done| done > t);
+                }
+                // `insert` is only for a block not in flight.
+                5 if !reference.inflight.contains_key(&block) => {
+                    prop_assert_eq!(mshrs.insert(block, t), reference.insert(block, t), "op {}", i);
                 }
                 _ => {
                     prop_assert_eq!(mshrs.contains(block), reference.inflight.contains_key(&block));

@@ -67,7 +67,8 @@ pub struct ServerConfig {
     /// is reported by [`Server::local_addr`]).
     pub addr: String,
     /// Worker-pool size (0 means one worker per available core). Each
-    /// job runs on its worker's thread alone.
+    /// job runs on its worker's thread, plus one helper thread for its
+    /// base simulation while it traces.
     pub workers: usize,
     /// Bounded job-queue capacity (at least 1): the one overload wall.
     /// A batch the queue's free slots cannot take is shed as

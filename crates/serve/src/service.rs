@@ -219,7 +219,9 @@ pub struct JobOutput {
 /// assisted sim. Never panics on pipeline faults — they become
 /// [`JobCompletion::Failed`]; watchdog-truncated timing runs become
 /// [`JobCompletion::TimedOut`] with the (valid) result attached. Each
-/// job runs on its worker's thread alone: selection is serial.
+/// job runs on its worker's thread, except that a job that traces runs
+/// its base simulation on one helper thread meanwhile; selection is
+/// serial.
 ///
 /// Note: a trace cut by its instruction budget is the *normal* end of
 /// a run, not a time-out — the pipeline's trace stats never set

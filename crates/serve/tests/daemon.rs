@@ -484,8 +484,8 @@ fn a_batch_larger_than_the_queue_is_queue_full_without_a_retry_hint() {
 #[test]
 fn removed_shard_flags_are_usage_errors() {
     // `--threaded`, `--high-water` and `--job-threads` are gone too: the
-    // daemon has one front end, one overload wall, and runs each job on
-    // its worker's thread alone.
+    // daemon has one front end, one overload wall, and no per-job thread
+    // count.
     for (args, option) in [
         (
             &["--shard-id", "0", "--shard-peers", "a,b"][..],

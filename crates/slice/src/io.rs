@@ -37,6 +37,7 @@ use crate::{SliceForest, SliceTree};
 use preexec_isa::{assemble, Inst, Pc};
 use std::error::Error;
 use std::fmt;
+use std::fmt::Write as _;
 
 /// Version written by [`write_forest`]. Version 1 is the original
 /// headerless format, still accepted on read.
@@ -86,37 +87,44 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Serializes a forest to the text format, prefixed with a version and
 /// checksum header covering every byte after the header line.
+///
+/// The text is built in one buffer: the header goes first with a zero
+/// checksum, overwritten once the body after it is complete, so the body
+/// is never copied.
 pub fn write_forest(forest: &SliceForest) -> String {
-    let mut body = String::new();
-    body.push_str(&format!("forest sample_insts={}\n", forest.sample_insts()));
+    let mut out = format!(
+        "preexec-slices version={FORMAT_VERSION} checksum={:016x}\n",
+        0
+    );
+    let body = out.len();
+    let _ = writeln!(out, "forest sample_insts={}", forest.sample_insts());
     for (pc, count) in forest.exec_counts() {
-        body.push_str(&format!("exec {pc} {count}\n"));
+        let _ = writeln!(out, "exec {pc} {count}");
     }
     for (root_pc, tree) in forest.trees() {
         let root = tree.root();
-        body.push_str(&format!(
-            "tree {root_pc} dc={} deps={} inst={}\n",
+        let _ = writeln!(
+            out,
+            "tree {root_pc} dc={} deps={} inst={}",
             root.dc_ptcm,
             join(&root.dep_depths),
             root.inst
-        ));
+        );
         for (id, node) in tree.iter().skip(1) {
-            body.push_str(&format!(
-                "node parent={} pc={} dc={} dist_sum={} deps={} inst={}\n",
+            let _ = writeln!(
+                out,
+                "node parent={} pc={} dc={} dist_sum={} deps={} inst={}",
                 node.parent.expect("non-root has parent"),
                 node.pc,
                 node.dc_ptcm,
                 tree.dist_sum(id),
                 join(&node.dep_depths),
                 node.inst
-            ));
+            );
         }
     }
-    let mut out = format!(
-        "preexec-slices version={FORMAT_VERSION} checksum={:016x}\n",
-        fnv1a64(body.as_bytes())
-    );
-    out.push_str(&body);
+    let checksum = format!("{:016x}", fnv1a64(&out.as_bytes()[body..]));
+    out.replace_range(body - 1 - checksum.len()..body - 1, &checksum);
     out
 }
 

@@ -95,7 +95,6 @@ impl MemSys {
     /// found `block` not in flight, and only retirements can happen since.
     fn fetch_from_memory(&mut self, at: u64, block: u64) -> u64 {
         self.mshrs.retire_completed(at);
-        debug_assert!(!self.mshrs.contains(block), "{block:#x} is in flight");
         // A full MSHR file delays the request until a slot frees.
         let start = if self.mshrs.occupancy() >= self.params.mshrs {
             self.mshrs.earliest_completion().map_or(at, |t| t.max(at))
@@ -112,7 +111,7 @@ impl MemSys {
         if self.mshrs.occupancy() >= self.params.mshrs {
             self.mshrs.retire_completed(start);
         }
-        let _ = self.mshrs.request(block, ready);
+        let _ = self.mshrs.insert(block, ready);
         ready
     }
 
