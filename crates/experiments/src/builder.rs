@@ -253,6 +253,13 @@ impl<'p> Pipeline<'p> {
     /// starts; wrapped layer errors if a stage faults. When the trace and
     /// the base simulation both fault, the trace's error is returned.
     ///
+    /// Nothing stops the helper early, so a trace that faults returns its
+    /// error only once the base simulation has ended: at most one base
+    /// simulation later, which its cycle watchdog bounds (`budget × 64`
+    /// cycles, at least 2^22). A run that traces successfully pays that
+    /// simulation anyway, and a faulting trace is a broken program or
+    /// configuration, not a path worth a cancel flag between the threads.
+    ///
     /// # Panics
     ///
     /// A panic on the helper thread is re-raised on the caller.

@@ -18,11 +18,11 @@ const PRUNE_SLOTS: u64 = 65536;
 /// different times interleave correctly instead of serializing in request
 /// order.
 ///
-/// Bookings live in a dense window of slot bits, 64 to a word, starting
-/// at a base slot that is a multiple of 64; every slot outside the window
-/// is free. The window spans the slots remembered since the last prune —
-/// about `2 × 65 536` slots, 16 KB of words — unless a request lands far
-/// below every remembered booking, which grows it down to that request.
+/// Bookings live in a dense window of slot flags starting at a base slot;
+/// every slot outside the window is free. The window spans the slots
+/// remembered since the last prune — about `2 × 65 536` slots — unless a
+/// request lands far below every remembered booking, which grows it down
+/// to that request.
 ///
 /// # Example
 ///
@@ -41,9 +41,8 @@ const PRUNE_SLOTS: u64 = 65536;
 pub struct Bus {
     width_bytes: u64,
     cycles_per_beat: u64,
-    /// Bit `i % 64` of word `i / 64` is set when slot `base + i` is booked.
-    booked: VecDeque<u64>,
-    /// The first slot of `booked[0]`, a multiple of 64.
+    /// Whether each slot `base..base + booked.len()` is booked.
+    booked: VecDeque<bool>,
     base: u64,
     busy_cycles: u64,
     transfers: u64,
@@ -81,35 +80,28 @@ impl Bus {
         // this request books only slots at or after `now_slot`.
         if now_slot > self.last_prune + PRUNE_SLOTS {
             let keep_from = now_slot - PRUNE_SLOTS;
-            while self.base + 64 <= keep_from && self.booked.pop_front().is_some() {
-                self.base += 64;
-            }
-            if let (Some(word), Some(below)) = (
-                self.booked.front_mut(),
-                keep_from.checked_sub(self.base).filter(|&n| n > 0),
-            ) {
-                *word &= u64::MAX << below;
+            while self.base < keep_from && self.booked.pop_front().is_some() {
+                self.base += 1;
             }
             self.last_prune = now_slot;
         }
         if self.booked.is_empty() {
-            self.base = now_slot & !63;
+            self.base = now_slot;
         }
         // A request below the window books free slots the window must
         // grow down to.
         while self.base > now_slot {
-            self.booked.push_front(0);
-            self.base -= 64;
+            self.booked.push_front(false);
+            self.base -= 1;
         }
-        let mut slot = now_slot - self.base;
+        let mut slot = (now_slot - self.base) as usize;
         let mut remaining = beats;
         loop {
-            let (word, bit) = ((slot / 64) as usize, 1u64 << (slot % 64));
-            if word >= self.booked.len() {
-                self.booked.resize(word + 1, 0);
+            if slot >= self.booked.len() {
+                self.booked.resize(slot + 1, false);
             }
-            if self.booked[word] & bit == 0 {
-                self.booked[word] |= bit;
+            if !self.booked[slot] {
+                self.booked[slot] = true;
                 remaining -= 1;
                 if remaining == 0 {
                     break;
@@ -119,7 +111,7 @@ impl Bus {
         }
         self.busy_cycles += beats * self.cycles_per_beat;
         self.transfers += 1;
-        (self.base + slot + 1) * self.cycles_per_beat
+        (self.base + slot as u64 + 1) * self.cycles_per_beat
     }
 
     /// Total cycles of occupancy accumulated (for utilization reporting).

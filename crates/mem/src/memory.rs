@@ -2,7 +2,7 @@
 //! place, under the 8-byte granules that stores have written.
 
 use preexec_isa::{DataSegment, Program};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// log2 of the granule [`Memory`] keeps written bytes at: 8 bytes, the
 /// widest access, and the granule the slicer tracks memory dependences
@@ -70,19 +70,16 @@ impl MemBus for Memory<'_> {
 /// A byte that no store has reached is *pristine*: its segment's byte
 /// where a [`DataSegment`] covers it and zero elsewhere, read from the
 /// segment in place. Stores write 8-byte granules: the first store into a
-/// granule copies that granule's pristine bytes into a table keyed by
-/// granule index, which then serves every access to it. The written
-/// granules are spread over sixteen such tables by a hash of the index,
-/// so no table grows into one large block: a hash table that doubles
-/// leaves behind blocks that no later doubling fits, and under glibc one
-/// table's growth held about twice its final size (gap's test input:
-/// 548 KB of blocks for a final table of 278 KB). Each segment
-/// carries a bitmap, one bit per granule it touches, set by the first
-/// store into the granule. A read inside a segment is a range check and a
-/// bit test, and hashes only when its granule was written. A run that
-/// never stores holds nothing; one that does holds about 20 to 40 bytes
-/// per granule it writes, plus one bitmap bit per granule of every
-/// segment it stores into.
+/// granule copies that granule's pristine bytes into a B-tree keyed by
+/// granule index, which then serves every access to it. The tree grows a
+/// node at a time, so it never holds an old and a new table at once, as a
+/// hash table that doubles does, and leaves no outgrown blocks behind.
+/// Each segment carries a bitmap, one bit per granule it touches, set by
+/// the first store into the granule. A read inside a segment is a range
+/// check and a bit test, and searches the tree only when its granule was
+/// written. A run that never stores holds nothing; one that does holds
+/// about 20 to 40 bytes per granule it writes, plus one bitmap bit per
+/// granule of every segment it stores into.
 ///
 /// Invariants:
 ///
@@ -91,7 +88,7 @@ impl MemBus for Memory<'_> {
 /// - segments never overlap ([`Program::add_data`] rejects overlaps), so a
 ///   byte has at most one segment;
 /// - a granule's bit is set in the bitmap of every segment that touches
-///   it exactly when a table holds the granule, and the written
+///   it exactly when the tree holds the granule, and the written
 ///   granules with a byte outside every segment are counted, so the count
 ///   is zero while no store reached such a byte;
 /// - every byte reads as the last value stored to it, or as its pristine
@@ -126,9 +123,8 @@ pub struct Memory<'p> {
     /// wrote the granule. A segment's bitmap is allocated by its first
     /// store.
     written: Vec<Vec<u64>>,
-    /// The current bytes of every written granule, by granule index, in
-    /// the table `table_of` picks.
-    granules: [HashMap<u64, [u8; GRANULE_SIZE]>; GRANULE_TABLES],
+    /// The current bytes of every written granule, by granule index.
+    granules: BTreeMap<u64, [u8; GRANULE_SIZE]>,
     /// How many written granules have a byte outside every segment. While
     /// it is zero, a read outside every segment is zeros.
     loose: usize,
@@ -148,20 +144,19 @@ impl<'p> Memory<'p> {
         Memory {
             segments,
             written: vec![Vec::new(); segments.len()],
-            granules: Default::default(),
+            granules: BTreeMap::new(),
             loose: 0,
         }
     }
 
-    /// Heap bytes the written state holds, estimated from capacities: the
-    /// tables of written granules (key, bytes and a control byte per slot,
-    /// at about one free slot in eight) and the segments' bitmaps. Zero
-    /// until the first store.
+    /// Heap bytes the written state holds, estimated: the tree of written
+    /// granules (16 bytes of index and bytes per granule, in nodes a
+    /// little over half full) and the segments' bitmaps. Zero until the
+    /// first store.
     pub fn written_bytes(&self) -> usize {
-        let slots = self.granules.iter().map(HashMap::capacity).sum::<usize>() * 8 / 7;
-        let slot_bytes = std::mem::size_of::<(u64, [u8; GRANULE_SIZE])>() + 1;
+        let entry_bytes = std::mem::size_of::<(u64, [u8; GRANULE_SIZE])>();
         let bitmaps: usize = self.written.iter().map(Vec::capacity).sum();
-        slots * slot_bytes + bitmaps * std::mem::size_of::<u64>()
+        self.granules.len() * entry_bytes * 7 / 4 + bitmaps * std::mem::size_of::<u64>()
     }
 
     /// Whether a store wrote granule `i` of segment `seg`'s bitmap.
@@ -174,7 +169,7 @@ impl<'p> Memory<'p> {
 
     /// The current bytes of granule `g`.
     fn granule(&self, g: u64) -> [u8; GRANULE_SIZE] {
-        match self.granules[table_of(g)].get(&g) {
+        match self.granules.get(&g) {
             Some(bytes) => *bytes,
             None => pristine_granule(self.segments, g).0,
         }
@@ -190,7 +185,7 @@ impl<'p> Memory<'p> {
             granules,
             loose,
         } = self;
-        granules[table_of(g)].entry(g).or_insert_with(|| {
+        granules.entry(g).or_insert_with(|| {
             let (bytes, covered) = pristine_granule(segments, g);
             if covered < GRANULE_SIZE {
                 *loose += 1;
@@ -219,8 +214,7 @@ impl<'p> Memory<'p> {
                     // Inside a segment: pristine unless the granule's bit
                     // says a store wrote it.
                     if self.is_written(s, ((seg.base & GRANULE_MASK) + i) >> GRANULE_SHIFT) {
-                        let g = addr >> GRANULE_SHIFT;
-                        return take(&self.granules[table_of(g)][&g], off);
+                        return take(&self.granules[&(addr >> GRANULE_SHIFT)], off);
                     }
                     let i = i as usize;
                     if let Some(bytes) = seg.bytes.get(i..i + N) {
@@ -305,17 +299,6 @@ fn take<const N: usize>(bytes: &[u8], off: usize) -> [u8; N] {
     let mut out = [0u8; N];
     out.copy_from_slice(&bytes[off..off + N]);
     out
-}
-
-/// How many tables hold the written granules.
-const GRANULE_TABLES: usize = 16;
-
-/// The table that holds granule `g`: the top bits of a multiplicative
-/// hash, since the low bits of the granules a program writes are often
-/// all alike (gap writes one field of each 32-byte object).
-#[inline]
-fn table_of(g: u64) -> usize {
-    (g.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> (64 - GRANULE_TABLES.trailing_zeros())) as usize
 }
 
 /// Number of granules `seg` touches.
@@ -417,7 +400,7 @@ mod tests {
         // Both granules hold their half, and only those two are held.
         assert_eq!(m.read_u64(addr - 4), 0x1122_3344_0000_0000);
         assert_eq!(m.read_u64(addr + 4), 0x0000_0000_aabb_ccdd);
-        assert_eq!(m.granules.iter().map(HashMap::len).sum::<usize>(), 2);
+        assert_eq!(m.granules.len(), 2);
     }
 
     #[test]
@@ -460,7 +443,7 @@ mod tests {
         let p = image(&[(0x1ff8, (1..=32).collect())]);
         let mut m = Memory::from_program(&p);
         m.write_u8(0x2004, 0xee);
-        assert_eq!(m.granules.iter().map(HashMap::len).sum::<usize>(), 1);
+        assert_eq!(m.granules.len(), 1);
         assert_eq!(m.written[0], [1 << 1]);
         assert_eq!(m.read_u64(0x2000), 0x100f_0eee_0c0b_0a09);
         // The neighbouring page is still read from the segment.
@@ -492,7 +475,7 @@ mod tests {
         assert_eq!(m.written_bytes(), 0);
         m.write_u8(0x8000, 1);
         assert!(m.written_bytes() > 0);
-        assert_eq!(m.granules.iter().map(HashMap::len).sum::<usize>(), 1);
+        assert_eq!(m.granules.len(), 1);
         assert_eq!(m.loose, 1);
     }
 
@@ -544,7 +527,7 @@ mod tests {
         let pages: std::collections::HashSet<u64> =
             stores.iter().map(|o| (base + o * 32) >> 12).collect();
         assert!(pages.len() > 2_000, "{} pages", pages.len());
-        assert_eq!(m.granules.iter().map(HashMap::len).sum::<usize>(), 15_000);
+        assert_eq!(m.granules.len(), 15_000);
         // A copy of each written page would be 8 MB.
         assert!(m.written_bytes() < 1 << 20, "{} bytes", m.written_bytes());
         for (k, &o) in stores.iter().enumerate() {

@@ -1,10 +1,13 @@
-//! Miss status holding registers: outstanding-miss tracking with coalescing.
+//! Miss status holding registers: outstanding-miss tracking.
 
 /// A file of miss status holding registers (MSHRs).
 ///
 /// The paper allows "32 simultaneously outstanding misses". Each MSHR
-/// tracks one in-flight block; requests to an already-in-flight block
-/// coalesce onto the existing MSHR (and share its completion time).
+/// tracks one in-flight block. A request for a block already in flight
+/// coalesces with it: the caller finds the entry with
+/// [`completion_of`](Self::completion_of), shares its completion time and
+/// allocates nothing, so [`insert`](Self::insert) is only for a block not
+/// in flight.
 ///
 /// The file holds at most `capacity` entries (32 in the paper), so it is a
 /// plain list scanned linearly; no operation depends on its order. The
@@ -19,12 +22,12 @@
 /// use preexec_mem::MshrFile;
 ///
 /// let mut m = MshrFile::new(2);
-/// assert_eq!(m.request(0x100, 70), Some(70)); // new miss, completes at 70
-/// assert_eq!(m.request(0x100, 99), Some(70)); // coalesces
-/// assert_eq!(m.request(0x200, 80), Some(80));
-/// assert_eq!(m.request(0x300, 90), None);     // file full
+/// assert_eq!(m.insert(0x100, 70), Some(70)); // new miss, completes at 70
+/// assert_eq!(m.completion_of(0x100), Some(70)); // a later miss coalesces
+/// assert_eq!(m.insert(0x200, 80), Some(80));
+/// assert_eq!(m.insert(0x300, 90), None);     // file full
 /// m.retire_completed(75);
-/// assert_eq!(m.request(0x300, 90), Some(90)); // slot freed
+/// assert_eq!(m.insert(0x300, 90), Some(90)); // slot freed
 /// ```
 #[derive(Debug, Clone)]
 pub struct MshrFile {
@@ -32,7 +35,6 @@ pub struct MshrFile {
     inflight: Vec<(u64, u64)>, // (block addr, completion cycle)
     /// The earliest completion cycle in `inflight`; `u64::MAX` when empty.
     earliest: u64,
-    coalesced: u64,
     rejected: u64,
 }
 
@@ -48,27 +50,12 @@ impl MshrFile {
             capacity,
             inflight: Vec::new(),
             earliest: u64::MAX,
-            coalesced: 0,
             rejected: 0,
         }
     }
 
-    /// Requests block `block_addr`, proposing `completes_at` as its fill
-    /// time if a new entry is allocated.
-    ///
-    /// Returns the completion cycle of the (possibly pre-existing) entry,
-    /// or `None` if the file is full and the request must retry.
-    pub fn request(&mut self, block_addr: u64, completes_at: u64) -> Option<u64> {
-        if let Some(done) = self.completion_of(block_addr) {
-            self.coalesced += 1;
-            return Some(done);
-        }
-        self.insert(block_addr, completes_at)
-    }
-
     /// Allocates an entry for `block_addr`, which the caller has found not
-    /// in flight, completing at `completes_at`: [`request`](Self::request)
-    /// without the coalesce scan.
+    /// in flight, completing at `completes_at`.
     ///
     /// Returns `completes_at`, or `None` if the file is full and the
     /// request must retry.
@@ -121,12 +108,7 @@ impl MshrFile {
         self.inflight.len()
     }
 
-    /// Requests that coalesced onto an existing entry.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced
-    }
-
-    /// Requests rejected because the file was full.
+    /// Inserts rejected because the file was full.
     pub fn rejected(&self) -> u64 {
         self.rejected
     }
@@ -137,48 +119,39 @@ mod tests {
     use super::*;
 
     #[test]
-    fn coalescing_shares_completion() {
-        let mut m = MshrFile::new(4);
-        assert_eq!(m.request(0x40, 100), Some(100));
-        assert_eq!(m.request(0x40, 200), Some(100));
-        assert_eq!(m.coalesced(), 1);
-        assert_eq!(m.occupancy(), 1);
-    }
-
-    #[test]
-    fn insert_allocates_without_coalescing() {
+    fn insert_tracks_the_earliest_completion() {
         let mut m = MshrFile::new(2);
         assert_eq!(m.insert(0x40, 100), Some(100));
         assert_eq!(m.insert(0x80, 50), Some(50));
         assert_eq!(m.insert(0xc0, 70), None);
         assert_eq!(m.rejected(), 1);
-        assert_eq!(m.coalesced(), 0);
+        assert_eq!(m.occupancy(), 2);
         assert_eq!(m.earliest_completion(), Some(50));
     }
 
     #[test]
     fn capacity_enforced() {
         let mut m = MshrFile::new(1);
-        assert!(m.request(0x40, 10).is_some());
-        assert!(m.request(0x80, 10).is_none());
+        assert!(m.insert(0x40, 10).is_some());
+        assert!(m.insert(0x80, 10).is_none());
         assert_eq!(m.rejected(), 1);
     }
 
     #[test]
     fn retire_frees_slots() {
         let mut m = MshrFile::new(1);
-        m.request(0x40, 10);
+        m.insert(0x40, 10);
         m.retire_completed(9);
         assert!(m.contains(0x40));
         m.retire_completed(10);
         assert!(!m.contains(0x40));
-        assert!(m.request(0x80, 20).is_some());
+        assert!(m.insert(0x80, 20).is_some());
     }
 
     #[test]
     fn completion_lookup() {
         let mut m = MshrFile::new(2);
-        m.request(0x40, 33);
+        m.insert(0x40, 33);
         assert_eq!(m.completion_of(0x40), Some(33));
         assert_eq!(m.completion_of(0x80), None);
     }
