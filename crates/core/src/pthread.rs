@@ -36,11 +36,6 @@ impl StaticPThread {
     pub fn size(&self) -> usize {
         self.body.len()
     }
-
-    /// Expected useless launches: `DC_trig − DC_pt-cm`.
-    pub fn useless_launches(&self) -> u64 {
-        self.dc_trig.saturating_sub(self.dc_ptcm)
-    }
 }
 
 impl fmt::Display for StaticPThread {
@@ -87,10 +82,8 @@ mod tests {
     }
 
     #[test]
-    fn size_and_useless() {
-        let p = sample();
-        assert_eq!(p.size(), 2);
-        assert_eq!(p.useless_launches(), 70);
+    fn size_is_the_body_length() {
+        assert_eq!(sample().size(), 2);
     }
 
     #[test]

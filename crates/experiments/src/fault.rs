@@ -34,15 +34,6 @@ pub fn dup_line(text: &str, n: usize) -> String {
     })
 }
 
-/// Keeps only the first `n` lines, modeling a writer killed mid-file.
-pub fn truncate_at_line(text: &str, n: usize) -> String {
-    rebuild_lines(text, |i, line, out| {
-        if i < n {
-            out.push(line);
-        }
-    })
-}
-
 /// Keeps only the first `n` bytes, cutting mid-line (the classic partial
 /// `write(2)` on a full disk). Clamped to a UTF-8 boundary so the result
 /// stays a valid `&str`.
@@ -80,15 +71,6 @@ pub fn append_garbage(text: &str) -> String {
     }
     out.push_str("deadbeefdeadbeef {\"ev\":\"noise\",\"seq\":0}\n");
     out
-}
-
-/// Replaces line `n` (0-based) with `with`.
-///
-/// Out-of-range `n` returns the text unchanged.
-pub fn replace_line(text: &str, n: usize, with: &str) -> String {
-    rebuild_lines(text, |i, line, out| {
-        out.push(if i == n { with } else { line });
-    })
 }
 
 /// Flips bit `bit` of byte `byte` within line `n` (0-based everywhere),
@@ -185,8 +167,6 @@ mod tests {
     fn line_surgeries() {
         assert_eq!(drop_line(T, 1), "alpha\ncharlie\n");
         assert_eq!(dup_line(T, 0), "alpha\nalpha\nbravo\ncharlie\n");
-        assert_eq!(truncate_at_line(T, 2), "alpha\nbravo\n");
-        assert_eq!(replace_line(T, 2, "x"), "alpha\nbravo\nx\n");
         assert_eq!(drop_line(T, 99), T);
     }
 

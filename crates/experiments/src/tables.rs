@@ -3,7 +3,7 @@
 
 use crate::fmt;
 use crate::pipeline::{
-    pct, run_pipeline, selection_params, sim, trace_and_slice, trace_and_slice_warm, PipelineConfig,
+    pct, selection_params, sim, trace_and_slice, trace_and_slice_warm, PipelineConfig,
 };
 use preexec_core::select_pthreads;
 use preexec_timing::{simulate, SimConfig, SimMode};
@@ -210,43 +210,6 @@ pub fn render_table2(rows: &[Table2Row]) -> String {
     fmt::render(&out)
 }
 
-/// Convenience: Table-2-adjacent summary for one workload (used by tests
-/// and examples).
-pub fn quick_summary(name: &str, budget: u64) -> Option<Table2Row> {
-    let w = suite().into_iter().find(|w| w.name == name)?;
-    let cfg = PipelineConfig::paper_default(budget);
-    let p = w.build(InputSet::Train);
-    let r = run_pipeline(&p, &cfg);
-    Some(Table2Row {
-        name: name.to_string(),
-        base_ipc: r.base.ipc(),
-        ipc: r.assisted.ipc(),
-        launches: r.assisted.launches,
-        insts_per_pt: r.assisted.avg_pthread_len(),
-        covered_pct: r.coverage_pct(),
-        full_pct: r.full_coverage_pct(),
-        oh_execute_ipc: 0.0,
-        oh_sequence_ipc: 0.0,
-        lt_ipc: 0.0,
-        p_launches: r.selection.prediction.launches,
-        p_len: r.selection.prediction.avg_pthread_len,
-        p_covered_pct: pct(
-            r.selection.prediction.misses_covered,
-            r.stats.l2_misses.max(1),
-        ),
-        p_full_pct: pct(
-            r.selection.prediction.misses_fully_covered,
-            r.stats.l2_misses.max(1),
-        ),
-        p_oh_ipc: 0.0,
-        p_lt_ipc: 0.0,
-        p_ipc: r
-            .selection
-            .prediction
-            .predicted_ipc(r.stats.insts, r.base.ipc()),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,12 +246,5 @@ mod tests {
             mcf.ipc,
             median
         );
-    }
-
-    #[test]
-    fn quick_summary_roundtrip() {
-        let row = quick_summary("vpr.r", 60_000).unwrap();
-        assert!(row.covered_pct > 0.0);
-        assert!(row.p_launches > 0);
     }
 }

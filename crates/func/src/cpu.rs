@@ -25,7 +25,7 @@ pub struct StepOutcome {
 /// Architectural CPU state: 64 registers (32 architectural + 32 merge
 /// temporaries) and a program counter.
 ///
-/// The CPU interprets one instruction per [`Cpu::step`] against a
+/// The CPU interprets one instruction per [`Cpu::try_step`] against a
 /// [`MemBus`], usually a [`Memory`](preexec_mem::Memory). It performs no
 /// timing and no cache classification — the tracer layers those on top.
 ///
@@ -40,7 +40,7 @@ pub struct StepOutcome {
 /// let mut cpu = Cpu::new(&p);
 /// let mut mem = Memory::new();
 /// while !cpu.halted() {
-///     cpu.step(&p, &mut mem);
+///     cpu.try_step(&p, &mut mem).unwrap();
 /// }
 /// assert_eq!(cpu.reg(preexec_isa::Reg::new(3)), 5);
 /// ```
@@ -151,13 +151,8 @@ impl Cpu {
                 let base = self.reg(inst.rs1.ok_or(malformed("load without base"))?);
                 let ea = exec::effective_address(base, inst.imm);
                 addr = Some(ea);
-                result = match inst.op {
-                    Op::Lb => mem.read_u8(ea) as i8 as i64,
-                    Op::Lbu => mem.read_u8(ea) as i64,
-                    Op::Lw => mem.read_u32(ea) as i32 as i64,
-                    Op::Ld => mem.read_u64(ea) as i64,
-                    _ => return Err(malformed("unknown load width")),
-                };
+                result =
+                    exec::load_value(mem, inst.op, ea).ok_or(malformed("unknown load width"))?;
                 let rd = inst.rd.ok_or(malformed("load without rd"))?;
                 self.set_reg(rd, result);
             }
@@ -210,21 +205,6 @@ impl Cpu {
             halted: self.halted,
         })
     }
-
-    /// Infallible [`try_step`](Self::try_step) for the hot trace loop,
-    /// where the caller guards `halted()` and the program came from the
-    /// assembler (so instructions are well-formed by construction).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the CPU is already halted or the instruction is
-    /// malformed.
-    pub fn step<M: MemBus>(&mut self, program: &Program, mem: &mut M) -> StepOutcome {
-        match self.try_step(program, mem) {
-            Ok(out) => out,
-            Err(e) => panic!("{e}"),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -239,7 +219,7 @@ mod tests {
         let mut mem = Memory::from_program(p);
         let mut steps = 0;
         while !cpu.halted() {
-            cpu.step(p, &mut mem);
+            cpu.try_step(p, &mut mem).unwrap();
             steps += 1;
             assert!(steps < 100_000, "runaway program");
         }
@@ -329,8 +309,8 @@ mod tests {
         let p = assemble("t", "nop").unwrap();
         let mut cpu = Cpu::new(&p);
         let mut mem = Memory::new();
-        cpu.step(&p, &mut mem);
-        let out = cpu.step(&p, &mut mem);
+        cpu.try_step(&p, &mut mem).unwrap();
+        let out = cpu.try_step(&p, &mut mem).unwrap();
         assert!(out.halted);
         assert!(cpu.halted());
     }
@@ -340,8 +320,8 @@ mod tests {
         let p = assemble("t", "li r1, 0x40\nld r2, 8(r1)\nhalt").unwrap();
         let mut cpu = Cpu::new(&p);
         let mut mem = Memory::new();
-        cpu.step(&p, &mut mem);
-        let out = cpu.step(&p, &mut mem);
+        cpu.try_step(&p, &mut mem).unwrap();
+        let out = cpu.try_step(&p, &mut mem).unwrap();
         assert_eq!(out.addr, Some(0x48));
     }
 
@@ -350,20 +330,10 @@ mod tests {
         let p = assemble("t", "li r1, 1\nbeq r1, r1, 3\nnop\nhalt").unwrap();
         let mut cpu = Cpu::new(&p);
         let mut mem = Memory::new();
-        cpu.step(&p, &mut mem);
-        let out = cpu.step(&p, &mut mem);
+        cpu.try_step(&p, &mut mem).unwrap();
+        let out = cpu.try_step(&p, &mut mem).unwrap();
         assert!(out.taken);
         assert_eq!(cpu.pc(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "halted")]
-    fn stepping_halted_cpu_panics() {
-        let p = assemble("t", "halt").unwrap();
-        let mut cpu = Cpu::new(&p);
-        let mut mem = Memory::new();
-        cpu.step(&p, &mut mem);
-        cpu.step(&p, &mut mem);
     }
 
     #[test]

@@ -1,14 +1,14 @@
-//! Pure operation semantics, shared by the functional simulator, the
-//! timing simulator's execution stage, and the p-thread interpreter.
+//! Pure operation semantics, shared by the functional simulator's CPU and
+//! the timing simulator's p-thread injection.
 //!
-//! Each operation has a fallible form (`try_alu`, `try_branch_taken`) that
-//! returns a typed [`ExecError`] on a class mismatch — the form speculative
-//! paths (the p-thread sandbox) must use — and an infallible fast-path
-//! wrapper (`alu`, `branch_taken`) for callers that have already matched on
-//! the opcode class.
+//! Every operation reports a misused opcode instead of panicking:
+//! [`try_alu`] and [`try_branch_taken`] return a typed [`ExecError`], and
+//! [`load_value`] returns `None` for an opcode that is not a load. The main
+//! thread turns these into errors, a p-thread into a squash.
 
 use crate::ExecError;
 use preexec_isa::Op;
+use preexec_mem::MemBus;
 
 /// Computes the result of an ALU operation.
 ///
@@ -48,19 +48,6 @@ pub fn try_alu(op: Op, a: i64, b: i64, imm: i64) -> Result<i64, ExecError> {
     })
 }
 
-/// Infallible [`try_alu`] for callers that already matched the class.
-///
-/// # Panics
-///
-/// Panics if `op` is not an ALU-class opcode.
-#[inline]
-pub fn alu(op: Op, a: i64, b: i64, imm: i64) -> i64 {
-    match try_alu(op, a, b, imm) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Evaluates a conditional branch: does `op` with sources `a`, `b` take?
 ///
 /// # Errors
@@ -80,78 +67,80 @@ pub fn try_branch_taken(op: Op, a: i64, b: i64) -> Result<bool, ExecError> {
     })
 }
 
-/// Infallible [`try_branch_taken`] for callers that already matched the
-/// class.
-///
-/// # Panics
-///
-/// Panics if `op` is not a conditional branch.
-#[inline]
-pub fn branch_taken(op: Op, a: i64, b: i64) -> bool {
-    match try_branch_taken(op, a, b) {
-        Ok(v) => v,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 /// Computes the effective address of a memory operation.
 #[inline]
 pub fn effective_address(base: i64, offset: i64) -> u64 {
     base.wrapping_add(offset) as u64
 }
 
+/// Reads the value a load `op` returns from `addr`: the bytes of its
+/// width, sign- or zero-extended to 64 bits.
+///
+/// Returns `None` if `op` is not a load.
+#[inline]
+pub fn load_value<M: MemBus + ?Sized>(mem: &M, op: Op, addr: u64) -> Option<i64> {
+    Some(match op {
+        Op::Lb => mem.read_u8(addr) as i8 as i64,
+        Op::Lbu => mem.read_u8(addr) as i64,
+        Op::Lw => mem.read_u32(addr) as i32 as i64,
+        Op::Ld => mem.read_u64(addr) as i64,
+        _ => return None,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use preexec_mem::Memory;
 
     #[test]
     fn arithmetic() {
-        assert_eq!(alu(Op::Add, 2, 3, 0), 5);
-        assert_eq!(alu(Op::Sub, 2, 3, 0), -1);
-        assert_eq!(alu(Op::Mul, -4, 3, 0), -12);
-        assert_eq!(alu(Op::Add, i64::MAX, 1, 0), i64::MIN); // wrapping
+        assert_eq!(try_alu(Op::Add, 2, 3, 0), Ok(5));
+        assert_eq!(try_alu(Op::Sub, 2, 3, 0), Ok(-1));
+        assert_eq!(try_alu(Op::Mul, -4, 3, 0), Ok(-12));
+        assert_eq!(try_alu(Op::Add, i64::MAX, 1, 0), Ok(i64::MIN)); // wrapping
     }
 
     #[test]
     fn logic() {
-        assert_eq!(alu(Op::And, 0b1100, 0b1010, 0), 0b1000);
-        assert_eq!(alu(Op::Or, 0b1100, 0b1010, 0), 0b1110);
-        assert_eq!(alu(Op::Xor, 0b1100, 0b1010, 0), 0b0110);
-        assert_eq!(alu(Op::Nor, 0, 0, 0), -1);
+        assert_eq!(try_alu(Op::And, 0b1100, 0b1010, 0), Ok(0b1000));
+        assert_eq!(try_alu(Op::Or, 0b1100, 0b1010, 0), Ok(0b1110));
+        assert_eq!(try_alu(Op::Xor, 0b1100, 0b1010, 0), Ok(0b0110));
+        assert_eq!(try_alu(Op::Nor, 0, 0, 0), Ok(-1));
     }
 
     #[test]
     fn shifts() {
-        assert_eq!(alu(Op::Sll, 1, 0, 4), 16);
-        assert_eq!(alu(Op::Srl, -1, 0, 60), 15); // logical
-        assert_eq!(alu(Op::Sra, -16, 0, 2), -4); // arithmetic
-        assert_eq!(alu(Op::Sllv, 1, 5, 0), 32);
-        assert_eq!(alu(Op::Sll, 1, 0, 64), 1); // shift amount mod 64
+        assert_eq!(try_alu(Op::Sll, 1, 0, 4), Ok(16));
+        assert_eq!(try_alu(Op::Srl, -1, 0, 60), Ok(15)); // logical
+        assert_eq!(try_alu(Op::Sra, -16, 0, 2), Ok(-4)); // arithmetic
+        assert_eq!(try_alu(Op::Sllv, 1, 5, 0), Ok(32));
+        assert_eq!(try_alu(Op::Sll, 1, 0, 64), Ok(1)); // shift amount mod 64
     }
 
     #[test]
     fn comparisons() {
-        assert_eq!(alu(Op::Slt, -1, 1, 0), 1);
-        assert_eq!(alu(Op::Sltu, -1, 1, 0), 0); // unsigned: -1 is huge
-        assert_eq!(alu(Op::Slti, 3, 0, 5), 1);
+        assert_eq!(try_alu(Op::Slt, -1, 1, 0), Ok(1));
+        assert_eq!(try_alu(Op::Sltu, -1, 1, 0), Ok(0)); // unsigned: -1 is huge
+        assert_eq!(try_alu(Op::Slti, 3, 0, 5), Ok(1));
     }
 
     #[test]
     fn moves() {
-        assert_eq!(alu(Op::Li, 0, 0, 42), 42);
-        assert_eq!(alu(Op::Mov, 7, 0, 0), 7);
+        assert_eq!(try_alu(Op::Li, 0, 0, 42), Ok(42));
+        assert_eq!(try_alu(Op::Mov, 7, 0, 0), Ok(7));
     }
 
     #[test]
     fn branches() {
-        assert!(branch_taken(Op::Beq, 1, 1));
-        assert!(!branch_taken(Op::Beq, 1, 2));
-        assert!(branch_taken(Op::Bne, 1, 2));
-        assert!(branch_taken(Op::Blt, -5, 0));
-        assert!(branch_taken(Op::Bge, 0, 0));
-        assert!(branch_taken(Op::Ble, 0, 0));
-        assert!(branch_taken(Op::Bgt, 1, 0));
-        assert!(!branch_taken(Op::Bgt, 0, 0));
+        assert_eq!(try_branch_taken(Op::Beq, 1, 1), Ok(true));
+        assert_eq!(try_branch_taken(Op::Beq, 1, 2), Ok(false));
+        assert_eq!(try_branch_taken(Op::Bne, 1, 2), Ok(true));
+        assert_eq!(try_branch_taken(Op::Blt, -5, 0), Ok(true));
+        assert_eq!(try_branch_taken(Op::Bge, 0, 0), Ok(true));
+        assert_eq!(try_branch_taken(Op::Ble, 0, 0), Ok(true));
+        assert_eq!(try_branch_taken(Op::Bgt, 1, 0), Ok(true));
+        assert_eq!(try_branch_taken(Op::Bgt, 0, 0), Ok(false));
     }
 
     #[test]
@@ -161,25 +150,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not an ALU opcode")]
-    fn alu_rejects_non_alu() {
-        let _ = alu(Op::Lw, 0, 0, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not a conditional branch")]
-    fn branch_rejects_non_branch() {
-        let _ = branch_taken(Op::J, 0, 0);
-    }
-
-    #[test]
     fn try_forms_return_typed_errors() {
         assert_eq!(try_alu(Op::Lw, 0, 0, 0), Err(ExecError::NotAlu(Op::Lw)));
         assert_eq!(
             try_branch_taken(Op::J, 0, 0),
             Err(ExecError::NotBranch(Op::J))
         );
-        assert_eq!(try_alu(Op::Add, 2, 3, 0), Ok(5));
-        assert_eq!(try_branch_taken(Op::Beq, 1, 1), Ok(true));
+        assert_eq!(load_value(&Memory::new(), Op::Sd, 0), None);
     }
 }

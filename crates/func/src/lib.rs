@@ -29,7 +29,6 @@ pub mod cpu;
 pub mod dyninst;
 pub mod error;
 pub mod exec;
-pub mod pthread;
 pub mod replay;
 pub mod stats;
 pub mod tracer;
@@ -38,7 +37,6 @@ pub use checkpoint::{try_run_trace_checkpointed, Checkpoint, CheckpointTrace};
 pub use cpu::{Cpu, StepOutcome};
 pub use dyninst::DynInst;
 pub use error::ExecError;
-pub use pthread::{run_pthread, PThreadOutcome, PThreadRun, SquashReason, PTHREAD_ADDR_LIMIT};
 pub use replay::Replayer;
 pub use stats::{LoadSiteStats, RunStats};
 pub use tracer::{run_trace, try_run_trace, MeasuredRegion, TraceConfig};

@@ -24,7 +24,7 @@ fn alu_op() -> impl Strategy<Value = Op> {
 
 proptest! {
     /// Stepping an r-type instruction through the CPU produces exactly
-    /// `exec::alu` of the source values.
+    /// `exec::try_alu` of the source values.
     #[test]
     fn cpu_matches_alu_semantics(op in alu_op(), a in any::<i64>(), b in any::<i64>()) {
         let mut p = Program::new("t");
@@ -35,9 +35,9 @@ proptest! {
         let mut cpu = Cpu::new(&p);
         let mut mem = Memory::new();
         while !cpu.halted() {
-            cpu.step(&p, &mut mem);
+            cpu.try_step(&p, &mut mem).unwrap();
         }
-        prop_assert_eq!(cpu.reg(Reg::new(3)), exec::alu(op, a, b, 0));
+        prop_assert_eq!(cpu.reg(Reg::new(3)), exec::try_alu(op, a, b, 0).unwrap());
     }
 
     /// Memory round trip through the CPU at every width.
@@ -52,13 +52,13 @@ proptest! {
         let mut cpu = Cpu::new(&p);
         let mut mem = Memory::new();
         while !cpu.halted() {
-            cpu.step(&p, &mut mem);
+            cpu.try_step(&p, &mut mem).unwrap();
         }
         prop_assert_eq!(cpu.reg(Reg::new(3)), value);
     }
 
     /// Branch semantics: the CPU takes a branch exactly when
-    /// `exec::branch_taken` says so.
+    /// `exec::try_branch_taken` says so.
     #[test]
     fn cpu_matches_branch_semantics(
         op in prop::sample::select(vec![Op::Beq, Op::Bne, Op::Blt, Op::Bge, Op::Ble, Op::Bgt]),
@@ -74,10 +74,10 @@ proptest! {
         let mut cpu = Cpu::new(&p);
         let mut mem = Memory::new();
         while !cpu.halted() {
-            cpu.step(&p, &mut mem);
+            cpu.try_step(&p, &mut mem).unwrap();
         }
         let fell_through = cpu.reg(Reg::new(3)) == 1;
-        prop_assert_eq!(!fell_through, exec::branch_taken(op, a, b));
+        prop_assert_eq!(!fell_through, exec::try_branch_taken(op, a, b).unwrap());
     }
 }
 

@@ -252,12 +252,6 @@ impl Inst {
     pub fn class(&self) -> OpClass {
         self.op.class()
     }
-
-    /// Whether the instruction is a memory operation.
-    #[inline]
-    pub fn is_mem(&self) -> bool {
-        self.op.is_load() || self.op.is_store()
-    }
 }
 
 impl fmt::Display for Inst {

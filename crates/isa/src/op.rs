@@ -162,18 +162,6 @@ impl Op {
         self.class() == OpClass::Branch
     }
 
-    /// Whether this opcode unconditionally transfers control.
-    #[inline]
-    pub fn is_jump(self) -> bool {
-        self.class() == OpClass::Jump
-    }
-
-    /// Whether this opcode can redirect the PC (branch or jump).
-    #[inline]
-    pub fn is_control(self) -> bool {
-        matches!(self.class(), OpClass::Branch | OpClass::Jump)
-    }
-
     /// Access width in bytes for memory operations, `None` otherwise.
     pub fn mem_width(self) -> Option<u8> {
         use Op::*;
@@ -359,12 +347,8 @@ mod tests {
 
     #[test]
     fn control_predicates() {
-        assert!(Op::Beq.is_control());
-        assert!(Op::J.is_control());
-        assert!(Op::J.is_jump());
         assert!(!Op::J.is_branch());
         assert!(Op::Bge.is_branch());
-        assert!(!Op::Add.is_control());
     }
 
     #[test]

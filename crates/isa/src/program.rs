@@ -47,7 +47,6 @@ pub struct Program {
     name: String,
     insts: Vec<Inst>,
     data: Vec<DataSegment>,
-    entry: Pc,
 }
 
 impl Program {
@@ -57,7 +56,6 @@ impl Program {
             name: name.into(),
             insts: Vec::new(),
             data: Vec::new(),
-            entry: 0,
         }
     }
 
@@ -66,22 +64,9 @@ impl Program {
         &self.name
     }
 
-    /// The entry PC (defaults to 0).
+    /// The entry PC: execution starts at the first instruction.
     pub fn entry(&self) -> Pc {
-        self.entry
-    }
-
-    /// Sets the entry PC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `entry` is out of range for the current instruction count.
-    pub fn set_entry(&mut self, entry: Pc) {
-        assert!(
-            (entry as usize) < self.insts.len().max(1),
-            "entry {entry} out of range"
-        );
-        self.entry = entry;
+        0
     }
 
     /// Number of static instructions.

@@ -91,11 +91,6 @@ impl Reg {
         assert!(n < 32, "temporary index {n} out of range (0..32)");
         Reg(NUM_ARCH_REGS as u8 + n)
     }
-
-    /// Iterates over all architectural registers (`r0`–`r31`).
-    pub fn arch_regs() -> impl Iterator<Item = Reg> {
-        (0..NUM_ARCH_REGS as u8).map(Reg)
-    }
 }
 
 impl fmt::Display for Reg {
@@ -150,13 +145,5 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn new_panics_out_of_range() {
         let _ = Reg::new(64);
-    }
-
-    #[test]
-    fn arch_regs_iterates_32() {
-        let regs: Vec<Reg> = Reg::arch_regs().collect();
-        assert_eq!(regs.len(), 32);
-        assert_eq!(regs[0], Reg::ZERO);
-        assert_eq!(regs[31], Reg::LINK);
     }
 }

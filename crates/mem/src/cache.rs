@@ -247,20 +247,6 @@ impl Cache {
             .any(|l| l.valid && l.tag == tag)
     }
 
-    /// Invalidates the line containing `addr`, if present. Returns whether
-    /// a line was dropped.
-    pub fn invalidate(&mut self, addr: u64) -> bool {
-        let set = self.set_index(addr);
-        let tag = self.tag(addr);
-        for line in self.ways(set) {
-            if line.valid && line.tag == tag {
-                line.valid = false;
-                return true;
-            }
-        }
-        false
-    }
-
     /// Invalidates everything and clears statistics.
     pub fn clear(&mut self) {
         self.sets.fill(EMPTY_LINE);
@@ -340,15 +326,6 @@ mod tests {
         c.access(256, false); // evicts 0, not 128
         assert!(!c.probe(0));
         assert!(c.probe(128));
-    }
-
-    #[test]
-    fn invalidate() {
-        let mut c = tiny();
-        c.access(0, false);
-        assert!(c.invalidate(32)); // same line as 0
-        assert!(!c.probe(0));
-        assert!(!c.invalidate(0)); // already gone
     }
 
     #[test]

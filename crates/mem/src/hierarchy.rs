@@ -81,16 +81,6 @@ impl FuncHierarchy {
         }
     }
 
-    /// Fills only the L2 with the line containing `addr`, as a p-thread
-    /// prefetch does (the paper disables the L1 fill path for p-thread
-    /// loads so that coverage validation is not perturbed).
-    ///
-    /// Returns `true` if the line was already L2-resident (a useless
-    /// prefetch from the cache's point of view).
-    pub fn prefetch_l2(&mut self, addr: u64) -> bool {
-        self.l2.access(addr, false).hit
-    }
-
     /// Probes without side effects: the level that *would* service `addr`.
     pub fn probe(&self, addr: u64) -> MemLevel {
         if self.l1d.probe(addr) {
@@ -145,15 +135,6 @@ mod tests {
         h.access(0x200, false);
         h.access(0x400, false); // evicts 0x0 from L1; L2 still holds it
         assert_eq!(h.access(0x0, false), MemLevel::L2);
-    }
-
-    #[test]
-    fn prefetch_fills_l2_only() {
-        let mut h = FuncHierarchy::new(HierarchyConfig::tiny());
-        assert!(!h.prefetch_l2(0x3000)); // was not resident
-        assert_eq!(h.probe(0x3000), MemLevel::L2); // not L1
-        assert_eq!(h.access(0x3000, false), MemLevel::L2);
-        assert!(h.prefetch_l2(0x3000)); // now redundant
     }
 
     #[test]

@@ -59,11 +59,6 @@ impl ChaosPlan {
         }
         plan
     }
-
-    /// Whether any injector is armed.
-    pub fn is_active(&self) -> bool {
-        *self != ChaosPlan::default()
-    }
 }
 
 static PLAN: OnceLock<ChaosPlan> = OnceLock::new();
@@ -114,12 +109,10 @@ mod tests {
         assert_eq!(plan.panic_job, Some(3));
         assert_eq!(plan.slow_job_ms, Some(150));
         assert!(plan.cache_store_fail);
-        assert!(plan.is_active());
 
         // Unknown keys, malformed values, junk: ignored, never fatal.
         let plan = ChaosPlan::parse("panic_job=abc,future_knob=7,,=,noise");
         assert_eq!(plan, ChaosPlan::default());
-        assert!(!plan.is_active());
         assert_eq!(ChaosPlan::parse(""), ChaosPlan::default());
     }
 

@@ -157,15 +157,6 @@ impl BranchPredictor {
     pub fn mispredicts(&self) -> u64 {
         self.mispredicts
     }
-
-    /// Misprediction rate in `[0, 1]`.
-    pub fn mispredict_rate(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.mispredicts as f64 / self.lookups as f64
-        }
-    }
 }
 
 impl Default for BranchPredictor {
@@ -252,11 +243,11 @@ mod tests {
     }
 
     #[test]
-    fn rate_accounting() {
+    fn lookup_accounting() {
         let mut bp = BranchPredictor::new();
-        assert_eq!(bp.mispredict_rate(), 0.0);
+        assert_eq!(bp.mispredicts(), 0);
         bp.predict_and_update(1, true, Some(2));
         assert!(bp.lookups() == 1);
-        assert!(bp.mispredict_rate() > 0.0); // cold predictor was wrong
+        assert_eq!(bp.mispredicts(), 1); // cold predictor was wrong
     }
 }

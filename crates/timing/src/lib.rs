@@ -43,4 +43,6 @@ pub use bpred::BranchPredictor;
 pub use error::{MachineError, SimError};
 pub use machine::{MachineParams, MAX_LATENCY};
 pub use memsys::MemSys;
-pub use sim::{simulate, try_simulate, SimConfig, SimMode, SimResult};
+pub use sim::{
+    simulate, try_simulate, SimConfig, SimMode, SimResult, SquashReason, PTHREAD_ADDR_LIMIT,
+};

@@ -3,12 +3,12 @@
 use crate::memsys::MemStats;
 use crate::{BranchPredictor, MachineParams, MemSys, SimError};
 use preexec_core::StaticPThread;
-use preexec_func::exec;
-use preexec_func::{Cpu, SquashReason, PTHREAD_ADDR_LIMIT};
+use preexec_func::{exec, Cpu};
 use preexec_isa::reg::NUM_REGS;
 use preexec_isa::{Inst, Op, OpClass, Program};
 use preexec_mem::{Memory, MEM_GRANULE_SHIFT};
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt;
 
 /// What the p-threads are allowed to do — the paper's validation modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -56,6 +56,41 @@ impl Default for SimConfig {
             max_cycles: 4_000_000_000,
             pthread_step_budget: 4096,
         }
+    }
+}
+
+/// P-thread loads at or past this address are wild speculative addresses
+/// and squash the p-thread (a 48-bit virtual address space, matching
+/// common 64-bit implementations). Guest memory would accept any
+/// address; the guard exists so that a poisoned pointer chase is
+/// *counted* as a fault instead of prefetching from it.
+pub const PTHREAD_ADDR_LIMIT: u64 = 1 << 48;
+
+/// Why a speculative p-thread was squashed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum SquashReason {
+    /// A body instruction's opcode does not belong to the class its
+    /// encoding claims (e.g. a load opcode in an ALU slot).
+    InvalidOpcode,
+    /// A body instruction's operands are inconsistent (missing width,
+    /// missing register) — typically a corrupted slice file.
+    Malformed,
+    /// A load computed an address outside the speculative address space
+    /// ([`PTHREAD_ADDR_LIMIT`]) — typically a poisoned live-in register.
+    BadAddress,
+    /// The per-launch step watchdog ran out before the body finished.
+    BudgetExhausted,
+}
+
+impl fmt::Display for SquashReason {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = match self {
+            SquashReason::InvalidOpcode => "invalid opcode",
+            SquashReason::Malformed => "malformed instruction",
+            SquashReason::BadAddress => "out-of-range address",
+            SquashReason::BudgetExhausted => "step budget exhausted",
+        };
+        f.write_str(s)
     }
 }
 
@@ -731,24 +766,20 @@ fn inject_pthread_inst(
             let addr = exec::effective_address(a, inst.imm);
             if addr >= PTHREAD_ADDR_LIMIT {
                 // A poisoned pointer chase: squash instead of prefetching
-                // from a wild address (see `preexec_func::pthread`).
+                // from a wild address.
                 return Err(SquashReason::BadAddress);
             }
             let width = inst.op.mem_width().ok_or(SquashReason::Malformed)?;
             let t = issue + m.agen_latency;
-            // Forward from the p-thread's own speculative stores.
-            if let Some(&(v, w)) = ctx.store_buffer.get(&addr) {
-                if w == width {
-                    result = v;
-                    completion = t + m.store_forward_latency;
-                } else {
-                    result = read_mem(mem, inst.op, addr).ok_or(SquashReason::Malformed)?;
-                    completion = pthread_mem_access(mode, memsys, t, addr);
-                }
-            } else {
-                result = read_mem(mem, inst.op, addr).ok_or(SquashReason::Malformed)?;
-                completion = pthread_mem_access(mode, memsys, t, addr);
-            }
+            // Forward from the p-thread's own speculative store of the
+            // same width; otherwise read memory.
+            (result, completion) = match ctx.store_buffer.get(&addr) {
+                Some(&(v, w)) if w == width => (v, t + m.store_forward_latency),
+                _ => (
+                    exec::load_value(mem, inst.op, addr).ok_or(SquashReason::Malformed)?,
+                    pthread_mem_access(mode, memsys, t, addr),
+                ),
+            };
         }
         OpClass::Store => {
             // Speculative: buffered locally, never written to memory.
@@ -778,16 +809,6 @@ fn pthread_mem_access(mode: SimMode, memsys: &mut MemSys, t: u64, addr: u64) -> 
         SimMode::OverheadExecute => memsys.pthread_load_inert(t),
         _ => memsys.pthread_load(t, addr),
     }
-}
-
-fn read_mem(mem: &Memory<'_>, op: Op, addr: u64) -> Option<i64> {
-    Some(match op {
-        Op::Lb => mem.read_u8(addr) as i8 as i64,
-        Op::Lbu => mem.read_u8(addr) as i64,
-        Op::Lw => mem.read_u32(addr) as i32 as i64,
-        Op::Ld => mem.read_u64(addr) as i64,
-        _ => return None,
-    })
 }
 
 #[cfg(test)]
@@ -1448,16 +1469,97 @@ mod tests {
         );
     }
 
+    /// A p-thread triggered at `trigger` that runs `body`.
+    fn body_pthread(trigger: Pc, body: Vec<Inst>) -> StaticPThread {
+        StaticPThread {
+            trigger,
+            body,
+            ..stream_pthread(0)
+        }
+    }
+
     /// A p-thread triggered at `trigger` whose body prefetches one block
     /// far from the main thread's data.
     fn prefetch_pthread(trigger: Pc) -> StaticPThread {
-        let mut pt = stream_pthread(0);
-        pt.trigger = trigger;
-        pt.body = vec![
-            Inst::li(Reg::new(20), 0x20_0000),
-            Inst::load(Op::Ld, Reg::new(21), Reg::new(20), 0),
-        ];
-        pt
+        body_pthread(
+            trigger,
+            vec![
+                Inst::li(Reg::new(20), 0x20_0000),
+                Inst::load(Op::Ld, Reg::new(21), Reg::new(20), 0),
+            ],
+        )
+    }
+
+    #[test]
+    fn pthread_stores_stay_private() {
+        // The loop runs 300 times only while the word at 0x100000 reads
+        // zero: the p-thread's store of 100 there would cut it short if it
+        // reached memory.
+        let p = assemble(
+            "t",
+            "li r1, 0x100000\n li r2, 0\n li r3, 300\n\
+             top: ld r4, 0(r1)\n add r2, r2, r4\n addi r2, r2, 1\n blt r2, r3, top\n halt",
+        )
+        .unwrap();
+        let store = body_pthread(
+            5,
+            vec![
+                Inst::li(Reg::new(20), 100),
+                Inst::store(Op::Sd, Reg::new(20), Reg::new(1), 0),
+            ],
+        );
+        let base = simulate(&p, &[], &SimConfig::default());
+        let r = simulate(&p, &[store], &SimConfig::default());
+        assert_eq!((r.insts, r.branches), (base.insts, base.branches));
+        assert!(r.launches > 100, "launches {}", r.launches);
+    }
+
+    #[test]
+    fn a_pthread_load_forwards_from_its_own_store_of_the_same_width() {
+        let p = assemble("t", STREAM).unwrap();
+        let run = |load| {
+            let pt = body_pthread(
+                5,
+                vec![
+                    Inst::li(Reg::new(20), 0x20_0000),
+                    Inst::store(Op::Sd, Reg::new(20), Reg::new(20), 0),
+                    Inst::load(load, Reg::new(21), Reg::new(20), 0),
+                ],
+            );
+            simulate(&p, &[pt], &SimConfig::default())
+        };
+        let (same, narrower) = (run(Op::Ld), run(Op::Lw));
+        assert!(same.launches > 0);
+        // Only the narrower load reads memory.
+        assert_eq!(same.mem.pthread_loads, 0);
+        assert!(narrower.mem.pthread_loads > 0);
+    }
+
+    #[test]
+    fn pthread_control_flow_is_inert() {
+        // The trigger sets r31 to a block that the main thread loads after
+        // sixteen fillers, so it renames the load after the p-thread has
+        // injected. Taken control flow would skip the p-thread's load of
+        // that block, and a jal that wrote its link would move it.
+        let src = format!(
+            "li r31, 0x200000\n{}ld r4, 0(r31)\nhalt",
+            "addi r5, r5, 1\n".repeat(16)
+        );
+        let p = assemble("t", &src).unwrap();
+        let pt = body_pthread(
+            0,
+            vec![
+                Inst::branch(Op::Beq, Reg::ZERO, Reg::ZERO, 99),
+                Inst::jump(Op::J, 99),
+                Inst::jump(Op::Jal, 99),
+                Inst::load(Op::Ld, Reg::new(20), Reg::LINK, 0),
+            ],
+        );
+        let base = simulate(&p, &[], &SimConfig::default());
+        let r = simulate(&p, &[pt], &SimConfig::default());
+        assert_eq!(base.covered(), 0);
+        assert_eq!((r.launches, r.pthread_insts, r.squashes), (1, 4, 0));
+        assert_eq!(r.covered(), 1);
     }
 
     #[test]

@@ -54,6 +54,5 @@ proptest! {
         }
         prop_assert_eq!(bp.lookups(), outcomes.len() as u64);
         prop_assert!(bp.mispredicts() <= bp.lookups());
-        prop_assert!((0.0..=1.0).contains(&bp.mispredict_rate()));
     }
 }

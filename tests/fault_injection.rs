@@ -23,8 +23,6 @@
 //! | 13 | exec | branch helper on non-branch | `ExecError::NotBranch` |
 //! | 14 | slice | zero slicing scope | `SliceError::ZeroScope` |
 //! | 15 | slice | slicing an empty window | `SliceError::EmptyWindow` |
-//! | 16 | p-thread | wild-address load in sandbox | `BadAddress` squash |
-//! | 17 | p-thread | body longer than step budget | `BudgetExhausted` squash |
 //! | 18 | timing | poisoned p-thread at launch | counted `BadAddress` squash, run completes |
 //! | 19 | timing | runaway p-thread body | counted `BudgetExhausted` squash |
 //! | 20 | timing | non-halting main thread | cycle-watchdog `timed_out` flag |
@@ -49,14 +47,14 @@ use preexec::experiments::fault::{
     drop_line, dup_line, flip_bit, poisoned_pthread, runaway_pthread, truncate_bytes,
 };
 use preexec::experiments::{try_run_pipeline, PipelineConfig, PipelineError};
-use preexec::func::{run_pthread, try_run_trace, Cpu, ExecError, SquashReason, TraceConfig};
-use preexec::isa::{assemble, Inst, Op, Program, Reg};
+use preexec::func::{try_run_trace, Cpu, ExecError, TraceConfig};
+use preexec::isa::{assemble, Inst, Op, Program};
 use preexec::mem::Memory;
 use preexec::slice::{
     read_forest, read_forest_lenient, write_forest, SliceEntry, SliceError, SliceForest,
     SliceForestBuilder, SliceTree, SliceWindow,
 };
-use preexec::timing::{try_simulate, MachineError, SimConfig, SimError};
+use preexec::timing::{try_simulate, MachineError, SimConfig, SimError, SquashReason};
 
 /// A small streaming loop that misses in the L2 once per iteration —
 /// enough to produce a non-trivial slice forest quickly.
@@ -288,28 +286,6 @@ fn s15_slicing_an_empty_window_is_a_typed_error() {
     ));
 }
 
-// --------------------------------------------------------------- p-thread
-
-#[test]
-fn s16_wild_address_load_squashes_in_sandbox() {
-    let body = [
-        Inst::li(Reg::new(20), -8),
-        Inst::load(Op::Ld, Reg::new(21), Reg::new(20), 0),
-    ];
-    let run = run_pthread(&body, &[0; preexec::isa::reg::NUM_REGS], &Memory::new(), 64);
-    assert_eq!(run.squash_reason(), Some(SquashReason::BadAddress));
-}
-
-#[test]
-fn s17_step_budget_squashes_oversized_body() {
-    let body: Vec<Inst> = (0..50)
-        .map(|_| Inst::itype(Op::Addi, Reg::new(20), Reg::new(20), 1))
-        .collect();
-    let run = run_pthread(&body, &[0; preexec::isa::reg::NUM_REGS], &Memory::new(), 10);
-    assert_eq!(run.squash_reason(), Some(SquashReason::BudgetExhausted));
-    assert_eq!(run.executed, 10);
-}
-
 // ----------------------------------------------------------------- timing
 
 #[test]
@@ -334,7 +310,14 @@ fn s19_runaway_pthread_trips_step_budget() {
         ..SimConfig::default()
     };
     let r = try_simulate(&p, &[runaway_pthread(4, 64)], &cfg).unwrap();
-    assert!(r.squash_count(SquashReason::BudgetExhausted) > 0);
+    let cut = r.squash_count(SquashReason::BudgetExhausted);
+    assert!(cut > 0);
+    assert_eq!(r.squashes, cut);
+    // The watchdog cuts each launch at exactly its budget: none injects
+    // more, and each squashed one injected all of it.
+    let budget = cfg.pthread_step_budget as u64;
+    assert!(r.pthread_insts <= budget * r.launches, "{r:?}");
+    assert!(r.pthread_insts >= budget * cut, "{r:?}");
 }
 
 #[test]

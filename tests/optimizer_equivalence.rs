@@ -65,7 +65,7 @@ fn execute(body: &Body, mut regs: [i64; 64]) -> (Option<u64>, [i64; 64]) {
                 store_val[i] = Some(b);
             }
             _ => {
-                let v = preexec::func::exec::alu(inst.op, a, b, inst.imm);
+                let v = preexec::func::exec::try_alu(inst.op, a, b, inst.imm).unwrap();
                 if let Some(rd) = inst.rd {
                     if !rd.is_zero() {
                         regs[rd.index()] = v;
