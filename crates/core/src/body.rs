@@ -76,16 +76,6 @@ impl Body {
         assert!(!self.insts.is_empty(), "empty body has no root");
         self.insts.len() - 1
     }
-
-    /// The indices of instructions that consume instruction `i`'s result.
-    pub fn consumers(&self, i: usize) -> Vec<usize> {
-        self.insts
-            .iter()
-            .enumerate()
-            .filter(|(_, b)| b.deps.contains(&i))
-            .map(|(j, _)| j)
-            .collect()
-    }
 }
 
 /// A body held in buffers that outlive it, so that scoring one candidate
@@ -202,14 +192,6 @@ mod tests {
         assert_eq!(b.root(), 2);
         assert_eq!(b.to_insts().len(), 3);
         assert!(!b.is_empty());
-    }
-
-    #[test]
-    fn consumers() {
-        let b = chain();
-        assert_eq!(b.consumers(0), vec![1]);
-        assert_eq!(b.consumers(1), vec![2]);
-        assert!(b.consumers(2).is_empty());
     }
 
     #[test]

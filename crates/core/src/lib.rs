@@ -78,8 +78,7 @@ pub use pthread::StaticPThread;
 pub use scdh::scdh;
 pub use screen::{advantage_upper_bounds, screen_tree, ScreenStats};
 pub use select::{
-    select_pthreads, select_pthreads_par, select_pthreads_stats, solve_tree,
-    try_select_pthreads_stats, validate_candidate_score, Selection,
+    select_pthreads, solve_tree, try_select_pthreads_stats, validate_candidate_score, Selection,
 };
 
 #[cfg(test)]

@@ -73,21 +73,10 @@ impl SelectionParams {
         }
     }
 
-    /// Validates the parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any quantity is non-positive, non-finite, or if the IPC
-    /// exceeds the sequencing width.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`validate`](Self::validate): every invalid field maps to
-    /// a distinct [`ParamsError`] variant (the first offending field, in
-    /// declaration order, is reported).
+    /// Validates the parameters: every invalid field maps to a distinct
+    /// [`ParamsError`] variant (the first offending field, in declaration
+    /// order, is reported). Rejects any non-positive or non-finite
+    /// quantity, and an IPC above the sequencing width.
     ///
     /// # Errors
     ///
@@ -170,28 +159,30 @@ mod tests {
 
     #[test]
     fn validate_accepts_defaults() {
-        SelectionParams::default().validate();
-        SelectionParams::working_example().validate();
+        assert_eq!(SelectionParams::default().try_validate(), Ok(()));
+        assert_eq!(SelectionParams::working_example().try_validate(), Ok(()));
     }
 
     #[test]
-    #[should_panic(expected = "ipc")]
     fn validate_rejects_zero_ipc() {
-        SelectionParams {
+        let e = SelectionParams {
             ipc: 0.0,
             ..SelectionParams::default()
         }
-        .validate();
+        .try_validate()
+        .unwrap_err();
+        assert!(e.to_string().contains("ipc"), "{e}");
     }
 
     #[test]
-    #[should_panic(expected = "ipc")]
     fn validate_rejects_ipc_above_width() {
-        SelectionParams {
+        let e = SelectionParams {
             ipc: 9.0,
             ..SelectionParams::default()
         }
-        .validate();
+        .try_validate()
+        .unwrap_err();
+        assert!(e.to_string().contains("ipc"), "{e}");
     }
 
     #[test]

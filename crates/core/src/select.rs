@@ -249,61 +249,32 @@ fn reductions_differ(a: &[Option<f64>], b: &[Option<f64>]) -> bool {
 /// sub-problem per static problem load (trees never overlap by
 /// construction); each tree is solved with [`solve_tree`]; and if
 /// merging is enabled, selected p-threads sharing a trigger are merged.
+/// Selection runs serially behind the static screen; use
+/// [`try_select_pthreads_stats`] for typed errors, counters, or another
+/// thread count.
 ///
 /// # Panics
 ///
 /// Panics if `params` fail validation (see
-/// [`SelectionParams::validate`]).
+/// [`SelectionParams::try_validate`]) or a candidate scores non-finite.
 pub fn select_pthreads(forest: &SliceForest, params: &SelectionParams) -> Selection {
-    select_pthreads_par(forest, params, Parallelism::serial())
-}
-
-/// [`select_pthreads`] with intra-call parallelism: candidate scoring and
-/// the overlap fixed points fan out over trees, then the forest-level
-/// accumulation runs serially in tree (problem-load PC) order.
-///
-/// The result is **byte-identical** to [`select_pthreads`] for every
-/// thread count: scoring each candidate is a pure function of its node,
-/// the per-tree fixed point consumes an identical score table, and the
-/// cross-tree floating-point accumulation never changes order (see
-/// [`crate::par`] for the chunking/merge contract and
-/// [`solve_tree_scored`] for the `(adv_agg, node id)` tie-break).
-///
-/// # Panics
-///
-/// Panics if `params` fail validation.
-pub fn select_pthreads_par(
-    forest: &SliceForest,
-    params: &SelectionParams,
-    par: Parallelism,
-) -> Selection {
-    select_pthreads_stats(forest, params, par).0
-}
-
-/// [`select_pthreads_par`] plus utilization counters for the two parallel
-/// stages (scoring + per-tree solving).
-///
-/// Scoring runs behind the static screen (see [`crate::screen`]); use
-/// [`try_select_pthreads_stats`] to disable screening or to handle
-/// faults as typed errors.
-///
-/// # Panics
-///
-/// Panics if `params` fail validation or a candidate scores non-finite.
-pub fn select_pthreads_stats(
-    forest: &SliceForest,
-    params: &SelectionParams,
-    par: Parallelism,
-) -> (Selection, ParStats) {
-    match try_select_pthreads_stats(forest, params, par, true) {
-        Ok((selection, pstats, _)) => (selection, pstats),
+    match try_select_pthreads_stats(forest, params, Parallelism::serial(), true) {
+        Ok((selection, _, _)) => selection,
         Err(e) => panic!("{e}"),
     }
 }
 
 /// The fallible, fully-knobbed selection driver: everything
-/// [`select_pthreads_stats`] does, with screening switchable and faults
-/// surfaced as typed errors instead of panics.
+/// [`select_pthreads`] does, with intra-call parallelism, utilization
+/// counters, screening switchable, and faults surfaced as typed errors
+/// instead of panics.
+///
+/// Candidate scoring and the overlap fixed points fan out over trees,
+/// then the forest-level accumulation runs serially in tree
+/// (problem-load PC) order, so the result is **byte-identical** for
+/// every thread count (see [`crate::par`] for the chunking/merge
+/// contract and [`solve_tree_scored`] for the `(adv_agg, node id)`
+/// tie-break).
 ///
 /// With `screening` on (the production default), a cheap per-tree pass
 /// bounds every candidate's `ADV_agg` from block-level aggregates and
@@ -736,7 +707,9 @@ mod tests {
         ] {
             let serial = select_pthreads(&forest, &params);
             for threads in [2, 3, 8] {
-                let par = select_pthreads_par(&forest, &params, Parallelism::new(threads));
+                let (par, _, _) =
+                    try_select_pthreads_stats(&forest, &params, Parallelism::new(threads), true)
+                        .unwrap();
                 // Debug formatting round-trips every f64 exactly, so this
                 // is a bitwise comparison of the whole selection.
                 assert_eq!(

@@ -8,12 +8,10 @@
 //!
 //! Usage: `ablations [budget]`
 
-use preexec_core::select_pthreads;
-use preexec_experiments::pipeline::{selection_params, sim, trace_and_slice_warm, PipelineConfig};
-use preexec_timing::SimMode;
+use preexec_experiments::{Pipeline, PipelineConfig, PipelineError};
 use preexec_workloads::{by_name, InputSet};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let budget: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -27,7 +25,6 @@ fn main() {
         let w = by_name(name).expect("every ablated kernel is in the suite");
         let p = w.build(InputSet::Train);
         let base_cfg = PipelineConfig::paper_default(budget);
-        let base = sim(&p, &[], &base_cfg, SimMode::Normal);
 
         let variants: [(&str, PipelineConfig); 4] = [
             ("default (78cyc, warm)", base_cfg),
@@ -55,11 +52,10 @@ fn main() {
             ),
         ];
         for (label, cfg) in variants {
-            let (forest, _) =
-                trace_and_slice_warm(&p, cfg.scope, cfg.max_slice_len, cfg.budget, cfg.warmup);
-            let params = selection_params(&cfg, base.ipc());
-            let sel = select_pthreads(&forest, &params);
-            let assisted = sim(&p, &sel.pthreads, &cfg, SimMode::Normal);
+            // No variant changes the machine or the budget, so each run's
+            // base simulation is the same.
+            let r = Pipeline::new(&p).config(cfg).run()?.result;
+            let (base, assisted) = (&r.base, &r.assisted);
             let misses = base.mem.l2_misses.max(1) as f64;
             println!(
                 "{:<8} {:<26} {:>6.1} {:>6.1} {:>8.1}",
@@ -71,4 +67,5 @@ fn main() {
             );
         }
     }
+    Ok(())
 }

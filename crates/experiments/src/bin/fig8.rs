@@ -3,10 +3,12 @@
 //! Usage: `fig8 [budget]` — per-benchmark instruction budget
 //! (default 200_000).
 
-fn main() {
+fn main() -> Result<(), preexec_experiments::PipelineError> {
     let budget: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .unwrap_or(200_000);
-    print!("{}", preexec_experiments::figures::fig8(budget).render());
+    let figure = preexec_experiments::figures::fig8(budget)?;
+    print!("{}", figure.render());
+    Ok(())
 }

@@ -1,10 +1,8 @@
 //! The [`Pipeline`] builder — the single front door to the trace →
-//! slice → select → simulate toolflow.
-//!
-//! Historically every combination of knobs grew its own free function
-//! (`try_run_pipeline`, `try_run_pipeline_par`,
-//! `try_run_pipeline_with_artifacts`, `try_select_par`, …). The builder
-//! collapses that surface into one typed entry point:
+//! slice → select → simulate toolflow. Every standard run goes through
+//! it: the service's jobs, `toolflow`, the suite benchmark, and each row
+//! and bar of the paper's tables, figures and ablations. One typed entry
+//! point, one config check:
 //!
 //! ```
 //! use preexec_experiments::Pipeline;

@@ -14,8 +14,10 @@
 //!    base machine, the p-thread-assisted machine, and the validation
 //!    modes (overhead-only execute/sequence, latency-tolerance-only).
 //!
-//! One experiment module (and one binary under `src/bin/`) exists per
-//! table/figure:
+//! Every row and bar that runs this chain is one [`Pipeline`] run, so
+//! it passes the pipeline's config check: a bad configuration is a typed
+//! [`PipelineError`], never a NaN table or a panic. One experiment module
+//! (and one binary under `src/bin/`) exists per table/figure:
 //!
 //! | target | paper content |
 //! |--------|---------------|
@@ -44,8 +46,5 @@ pub use builder::{
     DEFAULT_CHECKPOINT_EVERY,
 };
 pub use error::PipelineError;
-pub use pipeline::{
-    run_pipeline, trace_and_slice, trace_and_slice_warm, try_run_pipeline,
-    try_trace_and_slice_warm, PipelineConfig, PipelineResult,
-};
+pub use pipeline::{PipelineConfig, PipelineResult};
 pub use policy::PolicySpec;

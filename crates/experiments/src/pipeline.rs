@@ -1,11 +1,9 @@
 //! The trace → slice → select → simulate pipeline.
 
 use crate::builder::{SlicingMode, TraceArtifacts};
-use crate::PipelineError;
+use crate::{Pipeline, PipelineError};
 use preexec_core::par::Parallelism;
-use preexec_core::{
-    select_pthreads, try_select_pthreads_stats, Selection, SelectionParams, StaticPThread,
-};
+use preexec_core::{try_select_pthreads_stats, Selection, SelectionParams, StaticPThread};
 use preexec_func::{
     try_run_trace, try_run_trace_checkpointed, MeasuredRegion, Replayer, RunStats, TraceConfig,
 };
@@ -58,17 +56,6 @@ impl PipelineConfig {
             model_width: None,
             budget,
             warmup: budget / 4,
-        }
-    }
-
-    /// Validates the configuration, panicking on the first bad field.
-    ///
-    /// # Panics
-    ///
-    /// Panics with the [`try_validate`](Self::try_validate) error message.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
         }
     }
 
@@ -149,64 +136,6 @@ pub fn pct(x: u64, base: u64) -> f64 {
     } else {
         100.0 * x as f64 / base as f64
     }
-}
-
-/// Runs the functional cache simulator over `program`, building the slice
-/// forest and collecting the trace statistics.
-pub fn trace_and_slice(
-    program: &Program,
-    scope: usize,
-    max_slice_len: usize,
-    budget: u64,
-) -> (SliceForest, RunStats) {
-    trace_and_slice_warm(program, scope, max_slice_len, budget, 0)
-}
-
-/// [`trace_and_slice`] with a cache warm-up prefix: the first `warmup`
-/// instructions warm the caches and the slicing window but are neither
-/// counted nor sliced, so cold misses do not masquerade as steady-state
-/// problem loads.
-///
-/// # Panics
-///
-/// Panics on a zero scope or slice length, or if the trace faults; use
-/// [`try_trace_and_slice_warm`] to handle those as typed errors.
-pub fn trace_and_slice_warm(
-    program: &Program,
-    scope: usize,
-    max_slice_len: usize,
-    budget: u64,
-    warmup: u64,
-) -> (SliceForest, RunStats) {
-    match try_trace_and_slice_warm(program, scope, max_slice_len, budget, warmup) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`trace_and_slice_warm`].
-///
-/// # Errors
-///
-/// Returns [`PipelineError::Slice`] for invalid slicing parameters and
-/// [`PipelineError::Exec`] if the functional trace faults (e.g. a memory
-/// instruction reports no cache level).
-pub fn try_trace_and_slice_warm(
-    program: &Program,
-    scope: usize,
-    max_slice_len: usize,
-    budget: u64,
-    warmup: u64,
-) -> Result<(SliceForest, RunStats), PipelineError> {
-    let arts = trace_and_slice_along(
-        program,
-        scope,
-        max_slice_len,
-        budget,
-        warmup,
-        SlicingMode::Windowed,
-    )?;
-    Ok((arts.forest, arts.stats))
 }
 
 /// The one trace+slice driver: runs the functional cache simulator over
@@ -329,38 +258,9 @@ pub fn selection_params(cfg: &PipelineConfig, base_ipc: f64) -> SelectionParams 
     }
 }
 
-/// The [`SimConfig`] a pipeline config implies at a given instruction
-/// budget.
-fn sim_config(cfg: &PipelineConfig, mode: SimMode, budget: u64) -> SimConfig {
-    SimConfig {
-        machine: cfg.machine,
-        mode,
-        perfect_l2: false,
-        max_insts: budget,
-        max_cycles: budget.saturating_mul(64).max(1 << 22),
-        ..SimConfig::default()
-    }
-}
-
-/// Runs a timing simulation of `program` with `pthreads` under `cfg`.
-///
-/// # Panics
-///
-/// Panics on invalid machine parameters or a main-thread fault; use
-/// [`try_sim`] to handle those as typed errors.
-pub fn sim(
-    program: &Program,
-    pthreads: &[StaticPThread],
-    cfg: &PipelineConfig,
-    mode: SimMode,
-) -> SimResult {
-    match try_sim(program, pthreads, cfg, mode) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`sim`].
+/// Runs a timing simulation of `program` with `pthreads` under `cfg`'s
+/// machine for `cfg.budget` instructions, behind a cycle watchdog of
+/// `budget × 64` cycles (at least 2^22).
 ///
 /// # Errors
 ///
@@ -372,11 +272,15 @@ pub fn try_sim(
     cfg: &PipelineConfig,
     mode: SimMode,
 ) -> Result<SimResult, PipelineError> {
-    Ok(try_simulate(
-        program,
-        pthreads,
-        &sim_config(cfg, mode, cfg.budget),
-    )?)
+    let sim = SimConfig {
+        machine: cfg.machine,
+        mode,
+        perfect_l2: false,
+        max_insts: cfg.budget,
+        max_cycles: cfg.budget.saturating_mul(64).max(1 << 22),
+        ..SimConfig::default()
+    };
+    Ok(try_simulate(program, pthreads, &sim)?)
 }
 
 /// Stage: the unassisted timing run (whose IPC feeds the selection
@@ -433,89 +337,46 @@ pub(crate) fn select_stage(
     Ok(selection)
 }
 
-/// Full pipeline: trace, slice, select against the measured base IPC, and
-/// measure the assisted machine.
-///
-/// # Panics
-///
-/// Panics on an invalid configuration or a simulator fault; use
-/// [`try_run_pipeline`] to handle those as typed errors.
-pub fn run_pipeline(program: &Program, cfg: &PipelineConfig) -> PipelineResult {
-    match try_run_pipeline(program, cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`run_pipeline`]: validates the configuration up front, then
-/// traces, slices, selects, and simulates, propagating the first typed
-/// error from any stage.
-///
-/// # Errors
-///
-/// Configuration variants of [`PipelineError`] before any work starts;
-/// wrapped layer errors if a stage faults.
-pub fn try_run_pipeline(
-    program: &Program,
-    cfg: &PipelineConfig,
-) -> Result<PipelineResult, PipelineError> {
-    crate::Pipeline::new(program)
-        .config(*cfg)
-        .run()
-        .map(|out| out.result)
-}
-
 /// Selects p-threads from one program sample (e.g. a test input or a
 /// short profiling phase) and measures them on another (the reference
 /// run) — the Figure-7 methodology.
 ///
-/// # Panics
-///
-/// Panics on an invalid configuration or a simulator fault; use
-/// [`try_run_cross_input`] to handle those as typed errors.
-pub fn run_cross_input(
-    select_on: &Program,
-    select_budget: u64,
-    measure_on: &Program,
-    cfg: &PipelineConfig,
-) -> PipelineResult {
-    match try_run_cross_input(select_on, select_budget, measure_on, cfg) {
-        Ok(r) => r,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// Fallible [`run_cross_input`].
+/// The profiled sample is traced through [`Pipeline::trace`] for
+/// `select_budget` instructions and simulated at that budget for the
+/// IPC the model sees; selection is the pipeline's own serial, screened
+/// call. The returned `base` and `assisted` runs are of `measure_on`
+/// under `cfg`, and `stats` are the profile's.
 ///
 /// # Errors
 ///
-/// Same taxonomy as [`try_run_pipeline`].
+/// Configuration variants of [`PipelineError`] before any work starts
+/// (a zero `select_budget` is [`PipelineError::ZeroBudget`]); wrapped
+/// layer errors if a stage faults.
 pub fn try_run_cross_input(
     select_on: &Program,
     select_budget: u64,
     measure_on: &Program,
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
+    let profile = PipelineConfig {
+        budget: select_budget,
+        // Warm-up scales with the profiled run, not the measurement
+        // budget: a profile dominated by cold-start misses would mislead
+        // selection.
+        warmup: cfg.warmup.max(select_budget / 4),
+        ..*cfg
+    };
     cfg.try_validate()?;
+    profile.try_validate()?;
     let base = try_sim(measure_on, &[], cfg, SimMode::Normal)?;
     // IPC presented to the model comes from the *profiled* sample, as a
     // real offline implementation would have it.
-    let profile_base = try_simulate(
-        select_on,
-        &[],
-        &sim_config(cfg, SimMode::Normal, select_budget),
-    )?;
-    // Warm-up scales with the profiled run, not the measurement budget:
-    // a profile dominated by cold-start misses would mislead selection.
-    let warm = cfg.warmup.max(select_budget / 4);
-    let (forest, stats) =
-        try_trace_and_slice_warm(select_on, cfg.scope, cfg.max_slice_len, select_budget, warm)?;
-    let params = selection_params(cfg, profile_base.ipc());
-    params.try_validate()?;
-    let selection = select_pthreads(&forest, &params);
+    let profile_base = try_sim(select_on, &[], &profile, SimMode::Normal)?;
+    let arts = Pipeline::new(select_on).config(profile).trace()?;
+    let selection = select_stage(&arts.forest, cfg, profile_base.ipc())?;
     let assisted = try_assisted_sim(measure_on, &selection.pthreads, cfg, &base)?;
     Ok(PipelineResult {
-        stats,
+        stats: arts.stats,
         base,
         selection,
         assisted,
@@ -531,11 +392,15 @@ mod tests {
         PipelineConfig::paper_default(120_000)
     }
 
+    fn run(p: &Program, cfg: PipelineConfig) -> PipelineResult {
+        Pipeline::new(p).config(cfg).run().unwrap().result
+    }
+
     #[test]
     fn pipeline_runs_on_vpr_route() {
         let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
         let p = w.build(InputSet::Train);
-        let r = run_pipeline(&p, &quick_cfg());
+        let r = run(&p, quick_cfg());
         assert!(
             r.base.mem.l2_misses > 500,
             "base misses {}",
@@ -553,7 +418,7 @@ mod tests {
     fn pipeline_runs_on_mcf_with_low_coverage() {
         let w = suite().into_iter().find(|w| w.name == "mcf").unwrap();
         let p = w.build(InputSet::Train);
-        let r = run_pipeline(&p, &quick_cfg());
+        let r = run(&p, quick_cfg());
         // The control-divergent chase defeats pre-execution: deep slices
         // cover exponentially few misses, so full coverage stays low in
         // absolute terms and — the paper's Table-2 shape — *lowest in the
@@ -565,7 +430,7 @@ mod tests {
             r.full_coverage_pct()
         );
         let vpr = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
-        let rv = run_pipeline(&vpr.build(InputSet::Train), &quick_cfg());
+        let rv = run(&vpr.build(InputSet::Train), quick_cfg());
         assert!(
             r.full_coverage_pct() < rv.full_coverage_pct(),
             "mcf ({}) must be covered less than vpr.r ({})",
@@ -580,7 +445,7 @@ mod tests {
         let train = w.build(InputSet::Train);
         let test = w.build(InputSet::Test);
         let cfg = quick_cfg();
-        let r = run_cross_input(&test, 60_000, &train, &cfg);
+        let r = try_run_cross_input(&test, 60_000, &train, &cfg).unwrap();
         // Test-input selection still produces valid p-threads for train.
         assert!(r.base.insts > 0);
         for pt in &r.selection.pthreads {
@@ -673,21 +538,6 @@ mod tests {
     }
 
     #[test]
-    fn try_run_pipeline_rejects_bad_config_before_work() {
-        use crate::PipelineError;
-        let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
-        let p = w.build(InputSet::Train);
-        let cfg = PipelineConfig {
-            budget: 0,
-            ..quick_cfg()
-        };
-        assert_eq!(
-            try_run_pipeline(&p, &cfg).unwrap_err(),
-            PipelineError::ZeroBudget
-        );
-    }
-
-    #[test]
     fn selection_params_clamp_ipc() {
         let cfg = quick_cfg();
         let p = selection_params(&cfg, 0.0);
@@ -715,6 +565,6 @@ mod tests {
             ..PipelineConfig::paper_default(20_000)
         };
         assert_eq!(cfg.try_validate(), Ok(()));
-        assert!(try_run_pipeline(&p, &cfg).is_ok());
+        assert!(Pipeline::new(&p).config(cfg).run().is_ok());
     }
 }

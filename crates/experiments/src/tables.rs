@@ -2,11 +2,9 @@
 //! model validation).
 
 use crate::fmt;
-use crate::pipeline::{
-    pct, selection_params, sim, trace_and_slice, trace_and_slice_warm, PipelineConfig,
-};
-use preexec_core::select_pthreads;
-use preexec_timing::{simulate, SimConfig, SimMode};
+use crate::pipeline::{pct, try_sim, PipelineConfig, PipelineResult};
+use crate::{Pipeline, PipelineError};
+use preexec_timing::{try_simulate, SimConfig, SimMode};
 use preexec_workloads::{suite, InputSet};
 
 /// One row of Table 1.
@@ -28,15 +26,29 @@ pub struct Table1Row {
 
 /// Computes Table 1 over the whole suite at `budget` instructions per
 /// benchmark.
-pub fn table1(budget: u64) -> Vec<Table1Row> {
+///
+/// # Errors
+///
+/// Configuration variants of [`PipelineError`] (a zero `budget` is
+/// [`PipelineError::ZeroBudget`]) before any work; wrapped layer errors
+/// if a trace or simulation faults.
+pub fn table1(budget: u64) -> Result<Vec<Table1Row>, PipelineError> {
     let cfg = PipelineConfig::paper_default(budget);
+    // The characterization counts a cold trace of the whole budget; it
+    // keeps no slices, so it slices as little as the trace allows.
+    let cold = PipelineConfig {
+        scope: 64,
+        max_slice_len: 2,
+        warmup: 0,
+        ..cfg
+    };
     suite()
         .into_iter()
         .map(|w| {
             let p = w.build(InputSet::Train);
-            let (_, stats) = trace_and_slice(&p, 64, 2, budget);
-            let base = sim(&p, &[], &cfg, SimMode::Normal);
-            let perfect = simulate(
+            let stats = Pipeline::new(&p).config(cold).trace()?.stats;
+            let base = try_sim(&p, &[], &cfg, SimMode::Normal)?;
+            let perfect = try_simulate(
                 &p,
                 &[],
                 &SimConfig {
@@ -45,15 +57,15 @@ pub fn table1(budget: u64) -> Vec<Table1Row> {
                     max_insts: budget,
                     ..SimConfig::default()
                 },
-            );
-            Table1Row {
+            )?;
+            Ok(Table1Row {
                 name: w.name.to_string(),
                 insts: stats.insts,
                 loads: stats.loads,
                 l2_misses: stats.l2_misses,
                 ipc: base.ipc(),
                 perfect_ipc: perfect.ipc(),
-            }
+            })
         })
         .collect()
 }
@@ -123,26 +135,31 @@ pub struct Table2Row {
     pub p_ipc: f64,
 }
 
-/// Computes Table 2 over the whole suite.
-pub fn table2(budget: u64) -> Vec<Table2Row> {
+/// Computes Table 2 over the whole suite: each row is one [`Pipeline`]
+/// run plus the three validation modes over its selection.
+///
+/// # Errors
+///
+/// As [`table1`].
+pub fn table2(budget: u64) -> Result<Vec<Table2Row>, PipelineError> {
     let cfg = PipelineConfig::paper_default(budget);
     suite()
         .into_iter()
         .map(|w| {
             let p = w.build(InputSet::Train);
-            let base = sim(&p, &[], &cfg, SimMode::Normal);
-            let (forest, stats) =
-                trace_and_slice_warm(&p, cfg.scope, cfg.max_slice_len, budget, cfg.warmup);
-            let params = selection_params(&cfg, base.ipc());
-            let selection = select_pthreads(&forest, &params);
+            let PipelineResult {
+                stats,
+                base,
+                selection,
+                assisted,
+            } = Pipeline::new(&p).config(cfg).run()?.result;
             let pts = &selection.pthreads;
-            let assisted = sim(&p, pts, &cfg, SimMode::Normal);
-            let oh_exec = sim(&p, pts, &cfg, SimMode::OverheadExecute);
-            let oh_seq = sim(&p, pts, &cfg, SimMode::OverheadSequence);
-            let lt_only = sim(&p, pts, &cfg, SimMode::LatencyToleranceOnly);
+            let oh_exec = try_sim(&p, pts, &cfg, SimMode::OverheadExecute)?;
+            let oh_seq = try_sim(&p, pts, &cfg, SimMode::OverheadSequence)?;
+            let lt_only = try_sim(&p, pts, &cfg, SimMode::LatencyToleranceOnly)?;
             let pr = &selection.prediction;
             let base_misses = base.mem.l2_misses;
-            Table2Row {
+            Ok(Table2Row {
                 name: w.name.to_string(),
                 base_ipc: base.ipc(),
                 ipc: assisted.ipc(),
@@ -160,7 +177,7 @@ pub fn table2(budget: u64) -> Vec<Table2Row> {
                 p_oh_ipc: pr.predicted_overhead_ipc(stats.insts, base.ipc()),
                 p_lt_ipc: pr.predicted_lt_ipc(stats.insts, base.ipc()),
                 p_ipc: pr.predicted_ipc(stats.insts, base.ipc()),
-            }
+            })
         })
         .collect()
 }
@@ -216,7 +233,7 @@ mod tests {
 
     #[test]
     fn table1_has_ten_rows_and_sane_values() {
-        let rows = table1(60_000);
+        let rows = table1(60_000).unwrap();
         assert_eq!(rows.len(), 10);
         for r in &rows {
             assert!(r.ipc > 0.0 && r.ipc <= 8.0, "{}: ipc {}", r.name, r.ipc);
@@ -235,7 +252,7 @@ mod tests {
 
     #[test]
     fn mcf_is_among_the_slowest() {
-        let rows = table1(60_000);
+        let rows = table1(60_000).unwrap();
         let mcf = rows.iter().find(|r| r.name == "mcf").unwrap();
         let mut ipcs: Vec<f64> = rows.iter().map(|r| r.ipc).collect();
         ipcs.sort_by(f64::total_cmp);

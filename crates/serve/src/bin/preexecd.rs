@@ -23,8 +23,9 @@ options:
                      `queue_full`
   --cache-dir PATH   artifact-cache directory (default preexec-cache)
   --cache-max N      max cache entries before eviction (default 256)
-  --no-journal       disable the durable job journal (WAL + crash recovery)
-  --wal-compact      compact the journal at startup (checkpoint + truncate)
+  --no-journal       disable the durable job journal (WAL + crash recovery);
+                     with it on, the journal is compacted at every start
+                     and every clean shutdown
   --idle-timeout-ms N  close a connection stalled mid-request-line after
                      N ms (slow-loris guard; default 10000)
   --help             print this help
@@ -72,7 +73,6 @@ fn parse_args(args: &[String]) -> Result<ServerConfig, String> {
                 cfg.cache_max_entries = v.parse().map_err(|_| format!("bad cache size `{v}`"))?;
             }
             "--no-journal" => cfg.journal = false,
-            "--wal-compact" => cfg.wal_compact = true,
             "--idle-timeout-ms" => {
                 let v = value("--idle-timeout-ms")?;
                 cfg.idle_timeout_ms = v.parse().map_err(|_| format!("bad idle timeout `{v}`"))?;

@@ -23,8 +23,7 @@
 //!
 //! Injection sites live in production code (`cache::store`, the server's
 //! job wrapper) but are inert without the variable, the standard
-//! failpoint pattern. Tests in the daemon's own process can also install
-//! a plan programmatically with [`set_plan_for_tests`].
+//! failpoint pattern.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
@@ -71,13 +70,6 @@ pub fn plan() -> &'static ChaosPlan {
         Ok(spec) => ChaosPlan::parse(&spec),
         Err(_) => ChaosPlan::default(),
     })
-}
-
-/// Installs `plan` for this process, for tests that cannot use the
-/// environment (it is read once; set the variable before any probe for
-/// spawned-daemon tests instead). First caller wins — like the env path.
-pub fn set_plan_for_tests(plan: ChaosPlan) {
-    let _ = PLAN.set(plan);
 }
 
 /// Marks one job as started and returns its 1-based start index —

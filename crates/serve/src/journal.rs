@@ -389,9 +389,11 @@ pub struct CompactionStats {
 ///   high-water mark (`max_job_id`) survives single-line loss the same
 ///   way;
 /// - the latest terminal record (`done`/`failed`/`cancelled`), re-runs
-///   folded away.
+///   folded away;
+/// - for a job with neither (its `submit` line lost, only `start`s
+///   left), one `start` record, so that replay still knows its id.
 ///
-/// Everything else — `start` records, `shutdown` markers, superseded
+/// Everything else — other `start` records, `shutdown` markers, superseded
 /// re-run terminals, corrupt lines — is dropped. Sequence numbers are
 /// renumbered from 1 (per-file monotonicity is the invariant; absolute
 /// values are not), and the rewrite is atomic (tmp + rename), so a crash
@@ -425,7 +427,14 @@ pub fn compact_wal(path: &Path) -> std::io::Result<CompactionStats> {
             );
         }
         match &job.terminal {
-            None => pending_kept += 1,
+            None => {
+                pending_kept += 1;
+                // Its submit line was lost: a `start` keeps the id, and
+                // with it `max_job_id`, through replay.
+                if job.spec.is_none() {
+                    append("start", vec![("job", Json::num_u64(id))]);
+                }
+            }
             Some(t) => match t.state.as_str() {
                 s @ ("failed" | "cancelled") => append(
                     s,
@@ -716,6 +725,7 @@ mod tests {
         j.done(5, "done", &payload);
         j.shutdown(&[6], &[]);
         // Job 6 stays pending: acked, never started.
+        j.start(7); // a job whose submit line was lost
         drop(j);
 
         let before_text = std::fs::read_to_string(&path).expect("read");
@@ -759,16 +769,16 @@ mod tests {
         }
         // The compacted file is smaller, invariant-clean, and keeps the
         // submit+terminal redundancy: exactly 2 records per finished job,
-        // 1 per pending job.
+        // 1 per unfinished job.
         assert!(stats.bytes_after < stats.bytes_before, "{stats:?}");
-        assert_eq!(stats.records_after, 5 * 2 + 1);
-        assert_eq!((stats.jobs_kept, stats.pending_kept), (6, 1));
+        assert_eq!(stats.records_after, 5 * 2 + 2);
+        assert_eq!((stats.jobs_kept, stats.pending_kept), (7, 2));
         assert!(check_invariants(&after_text).is_empty());
         assert_eq!(after.corrupt_records, 0);
         // Seqs renumber from 1 and a reopened journal continues cleanly.
         assert_eq!(after.next_seq, stats.records_after + 1);
         let j2 = JobJournal::open(&path, after.next_seq).expect("reopen");
-        j2.submit(7, &spec());
+        j2.submit(8, &spec());
         drop(j2);
         assert!(check_invariants(&std::fs::read_to_string(&path).expect("read")).is_empty());
         let _ = std::fs::remove_file(&path);

@@ -32,7 +32,7 @@ use crate::admission::AdmissionGate;
 use crate::cache::ArtifactCache;
 use crate::conn::{LineBuffer, LineTooLong, MAX_LINE};
 use crate::histogram::histogram_json;
-use crate::journal::{compact_wal, JobJournal, JournalReplay, TerminalRecord};
+use crate::journal::{compact_wal, CompactionStats, JobJournal, JournalReplay, TerminalRecord};
 use crate::json::Json;
 use crate::proto::{
     error_response, ok_response, parse_request_json, request_id, result_json, spec_json,
@@ -45,7 +45,7 @@ use preexec_obs::{render_prometheus, Counter, Gauge, SharedHistogram};
 use std::collections::HashMap;
 use std::io::{BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
@@ -78,16 +78,14 @@ pub struct ServerConfig {
     pub cache_dir: PathBuf,
     /// Maximum artifact-cache entries before eviction.
     pub cache_max_entries: usize,
-    /// Whether the durable job journal (WAL + crash recovery) is on.
+    /// Whether the durable job journal (WAL + crash recovery) is on. The
+    /// journal is compacted at every bind, before replay, and after
+    /// every clean shutdown.
     pub journal: bool,
     /// Slow-loris timeout: a connection whose *partial* request line
     /// makes no progress this long is closed.
     /// Idle connections with no pending partial line are never reaped.
     pub idle_timeout_ms: u64,
-    /// Compact the WAL (checkpoint-and-truncate) at startup, before
-    /// replay — recovers disk from a journal grown across unclean
-    /// shutdowns. Clean shutdowns compact automatically.
-    pub wal_compact: bool,
 }
 
 impl Default for ServerConfig {
@@ -100,7 +98,6 @@ impl Default for ServerConfig {
             cache_max_entries: 256,
             journal: true,
             idle_timeout_ms: 10_000,
-            wal_compact: false,
         }
     }
 }
@@ -224,35 +221,23 @@ impl Server {
             n => n,
         };
         let journal_path = config.cache_dir.join(Server::JOURNAL_FILE);
-        if config.journal && config.wal_compact {
-            // Operator-requested startup compaction (a journal grown
-            // across unclean shutdowns). Failure is not fatal: the
-            // uncompacted journal still replays.
-            match compact_wal(&journal_path) {
-                Ok(stats) => preexec_obs::global().journal().note(
-                    "wal_compacted",
-                    &format!(
-                        "startup compaction: {} -> {} bytes, {} record(s) kept",
-                        stats.bytes_before, stats.bytes_after, stats.records_after
-                    ),
-                ),
-                Err(e) => preexec_obs::global().journal().note(
-                    "wal_compact_failed",
-                    &format!("startup compaction of {}: {e}", journal_path.display()),
-                ),
-            }
-        }
         let (journal, replay) = if config.journal {
+            // A journal grown across unclean shutdowns shrinks to its
+            // submit + terminal pairs before replay, which replays the
+            // compacted file to the same state. Compaction drops the
+            // corrupt lines, so they are counted from its stats.
+            let dropped =
+                compact_journal(&journal_path, "startup").map_or(0, |s| s.corrupt_dropped);
             let replay = JournalReplay::read(&journal_path);
-            if replay.corrupt_records > 0 {
+            let corrupt = dropped + replay.corrupt_records;
+            if corrupt > 0 {
                 preexec_obs::global()
                     .counter("journal.corrupt_records")
-                    .add(replay.corrupt_records);
+                    .add(corrupt);
                 preexec_obs::global().journal().note(
                     "journal_corrupt",
                     &format!(
-                        "{} corrupt record(s) skipped replaying {}",
-                        replay.corrupt_records,
+                        "{corrupt} corrupt record(s) skipped replaying {}",
                         journal_path.display()
                     ),
                 );
@@ -356,7 +341,11 @@ impl Server {
         // handler threads (their read timeout notices the flag).
         self.shared.sched.shutdown();
         join_handlers(handlers, deadline);
-        compact_journal_on_exit(&self.shared);
+        // Every job is terminal (or journaled pending via the shutdown
+        // record), and no append races the rewrite after the drain.
+        if let Some(j) = &self.shared.journal {
+            compact_journal(j.path(), "shutdown");
+        }
     }
 }
 
@@ -376,25 +365,30 @@ fn join_handlers(handlers: Vec<(JoinHandle<()>, Arc<TcpStream>)>, deadline: Inst
     }
 }
 
-/// Checkpoint-and-truncate the WAL after a clean drain: every job is
-/// terminal (or journaled pending via the shutdown record), so the
-/// journal boils down to submit + terminal pairs. Runs strictly after
-/// the scheduler drain — no appends race the rewrite. Failure degrades
-/// to an uncompacted (still replayable) journal.
-fn compact_journal_on_exit(shared: &Shared) {
-    let Some(j) = &shared.journal else { return };
-    match compact_wal(j.path()) {
-        Ok(stats) => preexec_obs::global().journal().note(
-            "wal_compacted",
-            &format!(
-                "shutdown compaction: {} -> {} bytes, {} record(s) kept",
-                stats.bytes_before, stats.bytes_after, stats.records_after
-            ),
-        ),
-        Err(e) => preexec_obs::global().journal().note(
-            "wal_compact_failed",
-            &format!("{}: {e}", j.path().display()),
-        ),
+/// Checkpoint-and-truncate the WAL at `path` (see [`compact_wal`]) and
+/// note the result, naming the occasion (`startup` or `shutdown`), in
+/// the obs journal. Failure is not fatal: it leaves the uncompacted
+/// journal, which still replays, and returns `None`.
+fn compact_journal(path: &Path, occasion: &str) -> Option<CompactionStats> {
+    let events = preexec_obs::global().journal();
+    match compact_wal(path) {
+        Ok(stats) => {
+            events.note(
+                "wal_compacted",
+                &format!(
+                    "{occasion} compaction: {} -> {} bytes, {} record(s) kept",
+                    stats.bytes_before, stats.bytes_after, stats.records_after
+                ),
+            );
+            Some(stats)
+        }
+        Err(e) => {
+            events.note(
+                "wal_compact_failed",
+                &format!("{occasion} compaction of {}: {e}", path.display()),
+            );
+            None
+        }
     }
 }
 

@@ -317,7 +317,7 @@ pub fn run_job(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use preexec_experiments::try_run_pipeline;
+    use preexec_experiments::Pipeline;
     use preexec_obs::Registry;
     use std::path::PathBuf;
 
@@ -367,7 +367,12 @@ mod tests {
         assert!(second.cache_hit, "identical resubmit must hit the cache");
         assert_eq!(second.stage_us.trace, 0, "hit performs no trace work");
 
-        let direct = try_run_pipeline(&spec.workload.build(spec.input), &cfg).expect("direct run");
+        let program = spec.workload.build(spec.input);
+        let direct = Pipeline::new(&program)
+            .config(cfg)
+            .run()
+            .expect("direct run")
+            .result;
         for r in [&first.result, &second.result] {
             assert_eq!(r.base.cycles, direct.base.cycles);
             assert_eq!(r.base.insts, direct.base.insts);

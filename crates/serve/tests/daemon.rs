@@ -5,20 +5,35 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use preexec_experiments::{try_run_pipeline, PipelineConfig};
-use preexec_serve::Json;
+use preexec_experiments::{Pipeline, PipelineConfig, PipelineResult};
+use preexec_serve::{JobJournal, JournalReplay, Json, Server};
 use preexec_workloads::{by_name, InputSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
+use std::process::{Child, ChildStdout, Command, Stdio};
 use std::time::{Duration, Instant};
 
 const BUDGET: u64 = 60_000;
+
+/// The oracle: the same job run in process through the pipeline.
+fn direct_run(workload: &str, cfg: PipelineConfig) -> PipelineResult {
+    let program = by_name(workload)
+        .expect("suite workload")
+        .build(InputSet::Train);
+    Pipeline::new(&program)
+        .config(cfg)
+        .run()
+        .expect("direct run")
+        .result
+}
 
 struct Daemon {
     child: Child,
     addr: String,
     cache_dir: std::path::PathBuf,
+    /// Held open: a daemon that prints after its announce line (the
+    /// journal-recovery line) would fail writing to a closed pipe.
+    _stdout: BufReader<ChildStdout>,
 }
 
 impl Daemon {
@@ -37,6 +52,12 @@ impl Daemon {
         let cache_dir =
             std::env::temp_dir().join(format!("preexec-daemon-test-{}-{n}", std::process::id()));
         let _ = std::fs::remove_dir_all(&cache_dir);
+        Daemon::spawn_in(cache_dir, args)
+    }
+
+    /// Spawns a daemon on an ephemeral port over `cache_dir` as it is,
+    /// with `args` appended.
+    fn spawn_in(cache_dir: std::path::PathBuf, args: &[&str]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_preexecd"))
             .args([
                 "--port",
@@ -50,9 +71,9 @@ impl Daemon {
             .spawn()
             .expect("spawning preexecd");
         // The daemon announces its (ephemeral) address on stdout.
-        let stdout = child.stdout.take().expect("piped stdout");
+        let mut stdout = BufReader::new(child.stdout.take().expect("piped stdout"));
         let mut first_line = String::new();
-        BufReader::new(stdout)
+        stdout
             .read_line(&mut first_line)
             .expect("reading the announce line");
         let addr = first_line
@@ -64,6 +85,7 @@ impl Daemon {
             child,
             addr,
             cache_dir,
+            _stdout: stdout,
         }
     }
 
@@ -73,8 +95,15 @@ impl Daemon {
         Conn { stream, reader }
     }
 
-    /// Waits (bounded) for the daemon process to exit after `shutdown`.
-    fn wait_for_exit(mut self) {
+    /// Waits (bounded) for the daemon process to exit after `shutdown`,
+    /// then removes its cache directory.
+    fn wait_for_exit(self) {
+        let _ = std::fs::remove_dir_all(self.wait_for_exit_keeping_dir());
+    }
+
+    /// Waits (bounded) for the daemon process to exit after `shutdown`;
+    /// returns its cache directory, left in place.
+    fn wait_for_exit_keeping_dir(mut self) -> std::path::PathBuf {
         let deadline = Instant::now() + Duration::from_secs(60);
         loop {
             match self.child.try_wait().expect("try_wait") {
@@ -89,7 +118,7 @@ impl Daemon {
                 None => std::thread::sleep(Duration::from_millis(50)),
             }
         }
-        let _ = std::fs::remove_dir_all(&self.cache_dir);
+        self.cache_dir
     }
 }
 
@@ -208,8 +237,7 @@ fn daemon_serves_jobs_caches_repeats_and_shuts_down() {
     let cfg = PipelineConfig::paper_default(BUDGET);
     for (job, name) in [(job_vpr, "vpr.r"), (job_mcf, "mcf")] {
         let served = conn.result(job);
-        let workload = by_name(name).expect("suite workload");
-        let direct = try_run_pipeline(&workload.build(InputSet::Train), &cfg).expect("direct run");
+        let direct = direct_run(name, cfg);
         assert_eq!(
             served.get("workload").and_then(Json::as_str),
             Some(name),
@@ -240,8 +268,7 @@ fn daemon_serves_jobs_caches_repeats_and_shuts_down() {
     conn.wait_done(again);
     let served = conn.result(again);
     assert_eq!(served.get("cache_hit").and_then(Json::as_bool), Some(true));
-    let workload = by_name("vpr.r").expect("suite workload");
-    let direct = try_run_pipeline(&workload.build(InputSet::Train), &cfg).expect("direct");
+    let direct = direct_run("vpr.r", cfg);
     assert_eq!(
         u64_field(&served, &["assisted", "cycles"]),
         direct.assisted.cycles
@@ -374,6 +401,44 @@ fn model_width_below_the_ipc_floor_runs_to_done() {
     let resp = conn.ok(r#"{"cmd":"submit","workload":"vpr.r","model_width":0.01}"#);
     let job = resp.get("job").and_then(Json::as_u64).expect("job id");
     conn.wait_done(job);
+    let _ = conn.ok(r#"{"cmd":"shutdown"}"#);
+    drop(conn);
+    daemon.wait_for_exit();
+}
+
+#[test]
+fn startup_compacts_the_journal_before_replay() {
+    // First life: one job, then a clean shutdown, which compacts the
+    // journal to the job's submit + done pair.
+    let daemon = Daemon::spawn_with(&["--workers", "1"]);
+    let mut conn = daemon.connect();
+    let job = conn.submit("vpr.r");
+    conn.wait_done(job);
+    let result = conn.result(job).encode();
+    let _ = conn.ok(r#"{"cmd":"shutdown"}"#);
+    drop(conn);
+    let dir = daemon.wait_for_exit_keeping_dir();
+    let wal = dir.join(Server::JOURNAL_FILE);
+    let pair = std::fs::read_to_string(&wal).expect("read WAL");
+    assert_eq!(JournalReplay::from_text(&pair).records, 2, "{pair}");
+
+    // The records a re-run and an unclean end leave behind the pair.
+    let journal = JobJournal::open(&wal, JournalReplay::read(&wal).next_seq).expect("open WAL");
+    journal.start(job);
+    journal.shutdown(&[], &[job]);
+    drop(journal);
+    let grown = std::fs::read_to_string(&wal).expect("read WAL");
+    assert_eq!(JournalReplay::from_text(&grown).records, 4, "{grown}");
+
+    // Second life: bind compacts before it replays, so the file is the
+    // pair again by the time the daemon listens, and the job answers as
+    // it did.
+    let daemon = Daemon::spawn_in(dir, &["--workers", "1"]);
+    assert_eq!(std::fs::read_to_string(&wal).expect("read WAL"), pair);
+    let mut conn = daemon.connect();
+    let status = conn.ok(&format!(r#"{{"cmd":"status","job":{job}}}"#));
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
+    assert_eq!(conn.result(job).encode(), result);
     let _ = conn.ok(r#"{"cmd":"shutdown"}"#);
     drop(conn);
     daemon.wait_for_exit();

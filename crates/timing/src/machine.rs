@@ -116,18 +116,6 @@ impl MachineParams {
 
     /// Validates the parameters.
     ///
-    /// # Panics
-    ///
-    /// Panics on zero widths or sizes, on a latency above
-    /// [`MAX_LATENCY`], and on a cache geometry that is not a power of two.
-    pub fn validate(&self) {
-        if let Err(e) = self.try_validate() {
-            panic!("{e}");
-        }
-    }
-
-    /// Fallible [`validate`](Self::validate).
-    ///
     /// # Errors
     ///
     /// Returns the [`MachineError`] variant naming the zero field, the
@@ -186,7 +174,7 @@ mod tests {
         assert_eq!(m.mem_latency, 70);
         assert_eq!(m.l2_miss_latency(), 78);
         assert_eq!(m.mispredict_penalty(), 7);
-        m.validate();
+        assert_eq!(m.try_validate(), Ok(()));
     }
 
     #[test]
@@ -200,12 +188,13 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "width")]
     fn zero_width_rejected() {
-        MachineParams {
+        let e = MachineParams {
             width: 0,
             ..MachineParams::paper_default()
         }
-        .validate();
+        .try_validate()
+        .unwrap_err();
+        assert!(e.to_string().contains("width"), "{e}");
     }
 }

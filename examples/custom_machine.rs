@@ -6,12 +6,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use preexec::core::select_pthreads;
-use preexec::experiments::pipeline::{selection_params, sim, trace_and_slice, PipelineConfig};
-use preexec::timing::{MachineParams, SimMode};
+use preexec::experiments::{Pipeline, PipelineConfig, PipelineError};
+use preexec::timing::MachineParams;
 use preexec::workloads::{suite, InputSet};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
     let program = w.build(InputSet::Train);
     let budget = 120_000;
@@ -27,11 +26,8 @@ fn main() {
             model_miss_latency: Some(model_lat),
             ..PipelineConfig::paper_default(budget)
         };
-        let base = sim(&program, &[], &cfg, SimMode::Normal);
-        let (forest, _) = trace_and_slice(&program, cfg.scope, cfg.max_slice_len, budget);
-        let params = selection_params(&cfg, base.ipc());
-        let selection = select_pthreads(&forest, &params);
-        let assisted = sim(&program, &selection.pthreads, &cfg, SimMode::Normal);
+        let r = Pipeline::new(&program).config(cfg).run()?.result;
+        let (base, assisted) = (&r.base, &r.assisted);
         println!(
             "p{sim_lat}(t{:<3}) {:>11.3} {:>8.3} {:>6.1} {:>6.1} {:>6.1}",
             model_lat as u64,
@@ -46,4 +42,5 @@ fn main() {
     println!("Within each simulated latency, the self-validation row should");
     println!("match or beat the cross-validation row; selecting for higher");
     println!("latency yields longer p-threads (paper sec. 4.5).");
+    Ok(())
 }

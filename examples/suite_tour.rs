@@ -6,10 +6,10 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use preexec::experiments::pipeline::{run_pipeline, PipelineConfig};
+use preexec::experiments::{Pipeline, PipelineConfig, PipelineError};
 use preexec::workloads::{suite, InputSet};
 
-fn main() {
+fn main() -> Result<(), PipelineError> {
     let budget: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -21,7 +21,7 @@ fn main() {
     );
     for w in suite() {
         let program = w.build(InputSet::Train);
-        let r = run_pipeline(&program, &cfg);
+        let r = Pipeline::new(&program).config(cfg).run()?.result;
         println!(
             "{:<8} {:>8.3} {:>8.3} {:>8.2}x {:>6.1} {:>6.1} {:>9}",
             w.name,
@@ -33,4 +33,5 @@ fn main() {
             r.selection.pthreads.len()
         );
     }
+    Ok(())
 }

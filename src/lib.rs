@@ -61,10 +61,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod error;
-
-pub use error::Error;
-
 pub use preexec_core as core;
 pub use preexec_experiments as experiments;
 pub use preexec_func as func;

@@ -3,10 +3,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use preexec::core::select_pthreads;
-use preexec::experiments::pipeline::{
-    run_cross_input, run_pipeline, selection_params, sim, trace_and_slice, PipelineConfig,
-};
+use preexec::experiments::pipeline::{try_run_cross_input, try_sim};
+use preexec::experiments::{Pipeline, PipelineConfig, PipelineResult};
+use preexec::isa::Program;
 use preexec::timing::SimMode;
 use preexec::workloads::{suite, InputSet, Workload};
 
@@ -20,12 +19,18 @@ fn cfg() -> PipelineConfig {
     PipelineConfig::paper_default(BUDGET)
 }
 
+/// One pipeline run (trace warmed by a quarter of the budget, like every
+/// figure's).
+fn run(p: &Program, cfg: &PipelineConfig) -> PipelineResult {
+    Pipeline::new(p).config(*cfg).run().unwrap().result
+}
+
 #[test]
 fn pre_execution_improves_every_kernel_or_breaks_even() {
     // Paper Table 2: improvements up to 24%, with one benchmark (crafty)
     // showing a 1% degradation. Allow the same small tolerance.
     for w in suite() {
-        let r = run_pipeline(&w.build(InputSet::Train), &cfg());
+        let r = run(&w.build(InputSet::Train), &cfg());
         assert!(
             r.speedup() > 0.97,
             "{} regressed: {:.3}x",
@@ -40,13 +45,13 @@ fn coverage_spans_the_paper_range() {
     // Paper: coverage between 10% (mcf) and 82% (vpr.p/vpr.r class).
     // Check both ends exist in our suite: a high-coverage kernel and a
     // low-full-coverage kernel.
-    let best = run_pipeline(&workload("vpr.r").build(InputSet::Train), &cfg());
+    let best = run(&workload("vpr.r").build(InputSet::Train), &cfg());
     assert!(
         best.full_coverage_pct() > 60.0,
         "vpr.r full coverage {}",
         best.full_coverage_pct()
     );
-    let worst = run_pipeline(&workload("gcc").build(InputSet::Train), &cfg());
+    let worst = run(&workload("gcc").build(InputSet::Train), &cfg());
     assert!(
         worst.full_coverage_pct() < 20.0,
         "gcc full coverage {}",
@@ -60,7 +65,6 @@ fn fig4_trend_constraints_relax_coverage_saturates() {
     // are relaxed, then saturate.
     let w = workload("vortex");
     let p = w.build(InputSet::Train);
-    let base = sim(&p, &[], &cfg(), SimMode::Normal);
     let mut coverages = Vec::new();
     for (scope, len) in [(256usize, 8usize), (1024, 32), (2048, 64)] {
         let c = PipelineConfig {
@@ -69,11 +73,8 @@ fn fig4_trend_constraints_relax_coverage_saturates() {
             max_pthread_len: len,
             ..cfg()
         };
-        let (forest, _) = trace_and_slice(&p, c.scope, c.max_slice_len, c.budget);
-        let params = selection_params(&c, base.ipc());
-        let sel = select_pthreads(&forest, &params);
-        let assisted = sim(&p, &sel.pthreads, &c, SimMode::Normal);
-        coverages.push(100.0 * assisted.covered() as f64 / base.mem.l2_misses.max(1) as f64);
+        let r = run(&p, &c);
+        coverages.push(100.0 * r.assisted.covered() as f64 / r.base.mem.l2_misses.max(1) as f64);
     }
     // Tightest constraints must not beat the relaxed ones by much, and the
     // most relaxed configuration should be within noise of the middle one
@@ -92,7 +93,6 @@ fn fig4_trend_constraints_relax_coverage_saturates() {
 fn fig5_trend_optimization_shortens_and_does_not_hurt() {
     let w = workload("parser");
     let p = w.build(InputSet::Train);
-    let base = sim(&p, &[], &cfg(), SimMode::Normal);
     let mut results = Vec::new();
     for (optimize, merge) in [(false, false), (true, true)] {
         let c = PipelineConfig {
@@ -100,9 +100,7 @@ fn fig5_trend_optimization_shortens_and_does_not_hurt() {
             merge,
             ..cfg()
         };
-        let (forest, _) = trace_and_slice(&p, c.scope, c.max_slice_len, c.budget);
-        let params = selection_params(&c, base.ipc());
-        let sel = select_pthreads(&forest, &params);
+        let sel = run(&p, &c).selection;
         results.push((
             sel.prediction.avg_pthread_len,
             sel.prediction.misses_covered,
@@ -129,7 +127,7 @@ fn fig7_trend_l2_resident_test_inputs_select_nothing() {
         let w = workload(name);
         let train = w.build(InputSet::Train);
         let test = w.build(InputSet::Test);
-        let r = run_cross_input(&test, 4 * BUDGET, &train, &cfg());
+        let r = try_run_cross_input(&test, 4 * BUDGET, &train, &cfg()).unwrap();
         // Cold misses alone cannot justify per-iteration launches; at most
         // a couple of marginal one-shot p-threads appear.
         assert!(
@@ -144,8 +142,8 @@ fn fig7_trend_l2_resident_test_inputs_select_nothing() {
 fn fig7_trend_dynamic_profile_approaches_perfect() {
     let w = workload("vpr.r");
     let train = w.build(InputSet::Train);
-    let perfect = run_pipeline(&train, &cfg());
-    let dynamic = run_cross_input(&train, BUDGET / 8, &train, &cfg());
+    let perfect = run(&train, &cfg());
+    let dynamic = try_run_cross_input(&train, BUDGET / 8, &train, &cfg()).unwrap();
     assert!(
         dynamic.assisted.ipc() > 0.8 * perfect.assisted.ipc(),
         "dynamic {} vs perfect {}",
@@ -168,11 +166,7 @@ fn fig8_trend_self_validation_not_dominated() {
                 model_miss_latency: Some(model_lat),
                 ..cfg()
             };
-            let base = sim(&p, &[], &c, SimMode::Normal);
-            let (forest, _) = trace_and_slice(&p, c.scope, c.max_slice_len, c.budget);
-            let params = selection_params(&c, base.ipc());
-            let sel = select_pthreads(&forest, &params);
-            ipcs.push(sim(&p, &sel.pthreads, &c, SimMode::Normal).ipc());
+            ipcs.push(run(&p, &c).assisted.ipc());
         }
         let (self_ipc, cross_ipc) = (ipcs[0], ipcs[1]);
         assert!(
@@ -189,13 +183,11 @@ fn validation_overhead_modes_agree() {
     let w = workload("crafty");
     let p = w.build(InputSet::Train);
     let c = cfg();
-    let base = sim(&p, &[], &c, SimMode::Normal);
-    let (forest, _) = trace_and_slice(&p, c.scope, c.max_slice_len, c.budget);
-    let params = selection_params(&c, base.ipc());
-    let sel = select_pthreads(&forest, &params);
-    let ex = sim(&p, &sel.pthreads, &c, SimMode::OverheadExecute);
-    let sq = sim(&p, &sel.pthreads, &c, SimMode::OverheadSequence);
-    let rel = (ex.ipc() - sq.ipc()).abs() / base.ipc();
+    let r = run(&p, &c);
+    let pts = &r.selection.pthreads;
+    let ex = try_sim(&p, pts, &c, SimMode::OverheadExecute).unwrap();
+    let sq = try_sim(&p, pts, &c, SimMode::OverheadSequence).unwrap();
+    let rel = (ex.ipc() - sq.ipc()).abs() / r.base.ipc();
     assert!(
         rel < 0.10,
         "overhead modes diverge: {} vs {}",
@@ -212,7 +204,7 @@ fn validation_predicted_launches_track_measured() {
     // Paper §4.3: launch counts correlate well (we model no wrong path,
     // so ours should be close up to context drops).
     for name in ["gap", "vpr.r", "crafty"] {
-        let r = run_pipeline(&workload(name).build(InputSet::Train), &cfg());
+        let r = run(&workload(name).build(InputSet::Train), &cfg());
         let predicted = r.selection.prediction.launches as f64;
         let measured = (r.assisted.launches + r.assisted.drops) as f64;
         if predicted == 0.0 {

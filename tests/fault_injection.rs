@@ -31,10 +31,10 @@
 //! | 23 | config | IPC above sequencing width | `ParamsError::IpcExceedsWidth` |
 //! | 24 | config | zero pipeline budget | `PipelineError::ZeroBudget` before any work |
 //! | 25 | config | negative model-latency override | `PipelineError::BadModelMissLatency` |
-//! | 26 | umbrella | every layer error lifts into `preexec::Error` | `From` impls |
 //! | 27 | slice I/O | `exec` record with the largest PC | read without sizing an allocation by it |
 //! | 28 | exec, timing | load and store whose bytes run past `u64::MAX` | bytes wrap to address 0 in every build |
 //! | 29 | selection | dependence lists of any shape in a slice tree | selection never panics; scores match the reference |
+//! | 30 | config | zero budget to every table and figure | `PipelineError::ZeroBudget`, no NaN table |
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -46,7 +46,7 @@ use preexec::core::{ParamsError, SelectionParams};
 use preexec::experiments::fault::{
     drop_line, dup_line, flip_bit, poisoned_pthread, runaway_pthread, truncate_bytes,
 };
-use preexec::experiments::{try_run_pipeline, PipelineConfig, PipelineError};
+use preexec::experiments::{figures, tables, Pipeline, PipelineConfig, PipelineError};
 use preexec::func::{try_run_trace, Cpu, ExecError, TraceConfig};
 use preexec::isa::{assemble, Inst, Op, Program};
 use preexec::mem::Memory;
@@ -393,7 +393,10 @@ fn s24_zero_budget_pipeline_fails_before_any_work() {
         budget: 0,
         ..PipelineConfig::paper_default(10_000)
     };
-    let e = try_run_pipeline(&stream_program(), &cfg).unwrap_err();
+    let e = Pipeline::new(&stream_program())
+        .config(cfg)
+        .run()
+        .unwrap_err();
     assert_eq!(e, PipelineError::ZeroBudget);
 }
 
@@ -404,28 +407,30 @@ fn s25_bad_model_override_is_rejected() {
         ..PipelineConfig::paper_default(10_000)
     };
     assert_eq!(
-        try_run_pipeline(&stream_program(), &cfg).unwrap_err(),
+        Pipeline::new(&stream_program())
+            .config(cfg)
+            .run()
+            .unwrap_err(),
         PipelineError::BadModelMissLatency(-70.0)
     );
 }
 
-// --------------------------------------------------------------- umbrella
-
 #[test]
-fn s26_every_layer_error_lifts_into_the_umbrella() {
-    use std::error::Error as _;
-    let faults: Vec<preexec::Error> = vec![
-        assemble("t", "frobnicate r1").unwrap_err().into(),
-        ExecError::CpuHalted.into(),
-        SliceError::ZeroScope.into(),
-        ParamsError::ZeroMaxPthreadLen.into(),
-        SimError::Machine(MachineError::ZeroMshrs).into(),
-        PipelineError::ZeroBudget.into(),
+fn s30_every_table_and_figure_rejects_a_zero_budget() {
+    type FigureFn = fn(u64) -> Result<figures::Figure, PipelineError>;
+    let zero = PipelineError::ZeroBudget;
+    assert_eq!(tables::table1(0).unwrap_err(), zero);
+    assert_eq!(tables::table2(0).unwrap_err(), zero);
+    let figure_fns: [(&str, FigureFn); 6] = [
+        ("fig4", figures::fig4),
+        ("fig5", figures::fig5),
+        ("fig6", figures::fig6),
+        ("fig7", figures::fig7),
+        ("fig8", figures::fig8),
+        ("width_xval", figures::width_xval),
     ];
-    for e in faults {
-        assert!(!e.to_string().is_empty());
-        // Every umbrella variant exposes its layer error as a source.
-        assert!(e.source().is_some(), "{e} must have a source");
+    for (name, figure) in figure_fns {
+        assert_eq!(figure(0).unwrap_err(), zero, "{name}");
     }
 }
 
