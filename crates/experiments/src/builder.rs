@@ -35,26 +35,50 @@
 use crate::pipeline::{self, PipelineConfig, PipelineResult};
 use crate::policy::PolicySpec;
 use crate::PipelineError;
+use preexec_core::{Selection, StaticPThread};
 use preexec_func::RunStats;
 use preexec_isa::Program;
-use preexec_slice::SliceForest;
+use preexec_slice::{SliceForest, SliceForestBuilder};
+use preexec_timing::{simulate_alike, SimResult};
+use std::ops::ControlFlow;
 use std::panic::resume_unwind;
-use std::time::Instant;
+use std::sync::{mpsc, OnceLock};
+use std::thread;
+use std::time::{Duration, Instant};
 
 /// Wall-clock microseconds spent in each pipeline stage of one
 /// [`Pipeline::run`] (trace includes slicing; zero when the stage was
 /// skipped via [`Pipeline::artifacts`]). A run that traces runs `trace`
-/// and `base_sim` at the same time, so the four do not add up to it.
+/// and `base_sim` at the same time, and on a [`Speculation::Hit`] the
+/// assisted simulation too, so the four do not add up to it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageUs {
-    /// Trace + slice-forest construction.
+    /// Trace + slice-forest construction, and the partial selection of a
+    /// run that speculates.
     pub trace: u64,
     /// Unassisted timing simulation.
     pub base_sim: u64,
-    /// P-thread selection.
+    /// P-thread selection on the whole forest.
     pub select: u64,
-    /// Assisted timing simulation.
+    /// Assisted timing simulation: the helper's on a hit.
     pub assisted_sim: u64,
+}
+
+/// What became of one [`Pipeline::run`]'s speculative assisted simulation
+/// (see [`Pipeline::run`]). It never changes the run's [`PipelineResult`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub enum Speculation {
+    /// None ran: the run was given artifacts, sliced on demand, or its
+    /// trace ended before the base simulation did.
+    #[default]
+    NotAttempted,
+    /// The final selection simulates alike the partial one
+    /// ([`simulate_alike`]), so the helper's simulation is the run's
+    /// assisted result.
+    Hit,
+    /// The selections differ: the helper's simulation was thrown away and
+    /// the caller simulated the final selection.
+    Miss,
 }
 
 /// What [`Pipeline::trace`] produces: the slice forest plus everything
@@ -80,6 +104,9 @@ pub struct PipelineOutput {
     /// Whether the trace stage was skipped via
     /// [`artifacts`](Pipeline::artifacts).
     pub artifacts_reused: bool,
+    /// Whether this run's speculative assisted simulation hit, missed or
+    /// was not attempted.
+    pub speculation: Speculation,
 }
 
 /// Default checkpoint cadence for
@@ -125,9 +152,13 @@ pub enum SlicingMode {
 ///
 /// A run that traces runs `trace` and `base_sim` at the same time, so it
 /// asks for `trace` and then `base_sim` before either starts. A cancel
-/// or a deadline that lands while they run is seen at `select`. The gate
-/// is only ever called on the thread that called
-/// [`Pipeline::run`].
+/// or a deadline that lands while they run is seen at `select`. A run
+/// that speculates (see [`Pipeline::run`]) asks the same four stages:
+/// its partial selection and speculative simulation ask nothing, and a
+/// cancel or a deadline seen at `select` or `assisted_sim` returns once
+/// the helper thread has ended, at most one assisted simulation later,
+/// which its cycle watchdog bounds. The gate is only ever called on the
+/// thread that called [`Pipeline::run`].
 pub type StageGate<'g> = &'g (dyn Fn(&'static str) -> Result<(), PipelineError> + Sync);
 
 /// Builder for one pipeline run over one workload program.
@@ -231,7 +262,7 @@ impl<'p> Pipeline<'p> {
             return Ok(TraceArtifacts { forest, stats });
         }
         self.check_gate("trace")?;
-        trace_driver(self.program, &self.spec)
+        trace_driver(self.program, &self.spec, |_, _| ControlFlow::Break(()))
     }
 
     /// Runs the full pipeline (or its post-trace half, given
@@ -244,6 +275,21 @@ impl<'p> Pipeline<'p> {
     /// The two stages overlap in wall time, so their [`StageUs`] entries
     /// no longer add up to the run. Given artifacts, the base simulation
     /// runs on the caller and no thread is spawned.
+    ///
+    /// When the base simulation ends before a windowed trace does, the run
+    /// speculates: at its next measured instruction the caller selects on
+    /// the forest built so far, with the real base IPC, and hands those
+    /// p-threads to the helper, which simulates them while the trace goes
+    /// on. After the trace the caller selects on the whole forest as
+    /// always. If the two selections [simulate alike](simulate_alike), the
+    /// helper's result is the assisted one, byte for byte what the caller
+    /// would simulate, since the simulator is deterministic
+    /// ([`Speculation::Hit`]); otherwise the caller simulates the final
+    /// selection once the helper has ended ([`Speculation::Miss`]). On a
+    /// run that speculates the `stage.score`, `stage.solve` and
+    /// `stage.merge` spans count two selections. On-demand slicing and
+    /// given artifacts never speculate, and the gate is asked as it is
+    /// without speculation (see [`StageGate`]).
     ///
     /// # Errors
     ///
@@ -261,47 +307,53 @@ impl<'p> Pipeline<'p> {
     /// # Panics
     ///
     /// A panic on the helper thread is re-raised on the caller.
-    pub fn run(mut self) -> Result<PipelineOutput, PipelineError> {
+    pub fn run(self) -> Result<PipelineOutput, PipelineError> {
+        self.run_snapshot_at(None)
+    }
+
+    /// [`run`](Self::run), with the speculative snapshot taken at measured
+    /// instruction `at` (where the caller waits for the base simulation)
+    /// instead of the first measured instruction after the base
+    /// simulation ends: the seam through which the tests force hits and
+    /// misses.
+    fn run_snapshot_at(mut self, at: Option<u64>) -> Result<PipelineOutput, PipelineError> {
         self.spec.try_validate()?;
-        preexec_obs::global().counter("pipeline.runs").inc();
+        let reg = preexec_obs::global();
+        reg.counter("pipeline.runs").inc();
         let (program, cfg) = (self.program, self.spec.cfg);
-        let base_sim = || timed(|| pipeline::base_sim_stage(program, &cfg));
         let mut stage_us = StageUs::default();
         let artifacts = self.artifacts.take();
         let artifacts_reused = artifacts.is_some();
-        let (arts, base) = match artifacts {
+        let (arts, base, selection, speculated) = match artifacts {
             Some((forest, stats)) => {
                 self.check_gate("base_sim")?;
-                let (base, us) = base_sim();
+                let (base, us) = timed(|| pipeline::base_sim_stage(program, &cfg));
                 stage_us.base_sim = us;
-                (TraceArtifacts { forest, stats }, base?)
+                let base = base?;
+                let selection = self.select(&forest, base.ipc(), &mut stage_us)?;
+                (TraceArtifacts { forest, stats }, base, selection, None)
             }
             None => {
                 self.check_gate("trace")?;
                 self.check_gate("base_sim")?;
-                // The helper allocates in a glibc arena of its own, which
-                // stays resident: keep everything but the base simulation
-                // on the caller.
-                let ((arts, trace_us), (base, base_us)) = std::thread::scope(|s| {
-                    let helper = s.spawn(base_sim);
-                    let traced = timed(|| trace_driver(program, &self.spec));
-                    let base = helper.join().unwrap_or_else(|e| resume_unwind(e));
-                    (traced, base)
-                });
-                stage_us.trace = trace_us;
-                stage_us.base_sim = base_us;
-                (arts?, base?)
+                self.trace_speculating(at, &mut stage_us)?
             }
         };
 
-        self.check_gate("select")?;
-        let (selection, us) = timed(|| pipeline::select_stage(&arts.forest, &cfg, base.ipc()));
-        stage_us.select = us;
-        let selection = selection?;
-
         self.check_gate("assisted_sim")?;
-        let (assisted, us) =
-            timed(|| pipeline::assisted_sim_stage(program, &selection.pthreads, &cfg, &base));
+        let simulate =
+            || timed(|| pipeline::assisted_sim_stage(program, &selection.pthreads, &cfg, &base));
+        let (speculation, (assisted, us)) = match speculated {
+            Some(s) if simulate_alike(&s.pthreads, &selection.pthreads) => {
+                reg.counter("pipeline.speculation.hit").inc();
+                (Speculation::Hit, s.assisted)
+            }
+            Some(_) => {
+                reg.counter("pipeline.speculation.miss").inc();
+                (Speculation::Miss, simulate())
+            }
+            None => (Speculation::NotAttempted, simulate()),
+        };
         stage_us.assisted_sim = us;
 
         Ok(PipelineOutput {
@@ -314,13 +366,114 @@ impl<'p> Pipeline<'p> {
             forest: arts.forest,
             stage_us,
             artifacts_reused,
+            speculation,
         })
+    }
+
+    /// The traced half of [`run`](Self::run), up to the final selection:
+    /// the caller traces and slices while one scoped helper runs the base
+    /// simulation and then, if the caller's snapshot lends it p-threads
+    /// before the trace ends, their assisted simulation. The helper
+    /// allocates in a glibc arena of its own, which stays resident, so
+    /// nothing but the two simulations runs there. With the base IPC known
+    /// at the end of the trace, the final selection is made before the
+    /// join, beside the helper's simulation.
+    fn trace_speculating(
+        &self,
+        at: Option<u64>,
+        stage_us: &mut StageUs,
+    ) -> Result<(TraceArtifacts, SimResult, Selection, Option<Speculated>), PipelineError> {
+        let (program, cfg) = (self.program, self.spec.cfg);
+        let base_ipc = OnceLock::new();
+        let (traced, selected, (ran, base_us)) = thread::scope(|s| {
+            let base_ipc = &base_ipc;
+            let (lend, lent) = mpsc::channel::<Vec<StaticPThread>>();
+            let helper = s.spawn(move || {
+                let (ran, us) = timed(|| pipeline::base_sim_stage(program, &cfg));
+                let ran = ran.map(|base| {
+                    let _ = base_ipc.set(base.ipc());
+                    // Waits until the caller lends p-threads or drops
+                    // `lend` at the end of its trace.
+                    let speculated = lent.recv().ok().map(|pthreads| Speculated {
+                        assisted: timed(|| {
+                            pipeline::assisted_sim_stage(program, &pthreads, &cfg, &base)
+                        }),
+                        pthreads,
+                    });
+                    (base, speculated)
+                });
+                (ran, us)
+            });
+            let helper_ended = || helper.is_finished();
+            // Owns `lend`, so the helper stops waiting when the trace ends.
+            let snapshot = move |seq: u64, builder: &mut SliceForestBuilder| {
+                match at {
+                    None if base_ipc.get().is_none() => return ControlFlow::Continue(()),
+                    Some(at) if seq < at => return ControlFlow::Continue(()),
+                    Some(_) => {
+                        while base_ipc.get().is_none() && !helper_ended() {
+                            thread::park_timeout(Duration::from_millis(1));
+                        }
+                    }
+                    None => {}
+                }
+                // A guess, so it asks no gate, and an error only means
+                // that nothing is lent.
+                if let Some(&ipc) = base_ipc.get() {
+                    let partial = builder.lend_forest(|f| pipeline::select_stage(f, &cfg, ipc));
+                    if let Ok(partial) = partial {
+                        let _ = lend.send(partial.pthreads);
+                    }
+                }
+                ControlFlow::Break(())
+            };
+            let (traced, us) = timed(|| trace_driver(program, &self.spec, snapshot));
+            stage_us.trace = us;
+            let selected = match (&traced, base_ipc.get()) {
+                (Ok(arts), Some(&ipc)) => Some(self.select(&arts.forest, ipc, stage_us)),
+                _ => None,
+            };
+            let joined = helper.join().unwrap_or_else(|e| resume_unwind(e));
+            (traced, selected, joined)
+        });
+        stage_us.base_sim = base_us;
+        let arts = traced?;
+        let (base, speculated) = ran?;
+        let selection = match selected {
+            Some(selection) => selection?,
+            None => self.select(&arts.forest, base.ipc(), stage_us)?,
+        };
+        Ok((arts, base, selection, speculated))
+    }
+
+    /// The selection stage on `forest`, behind its gate.
+    fn select(
+        &self,
+        forest: &SliceForest,
+        base_ipc: f64,
+        stage_us: &mut StageUs,
+    ) -> Result<Selection, PipelineError> {
+        self.check_gate("select")?;
+        let (selection, us) = timed(|| pipeline::select_stage(forest, &self.spec.cfg, base_ipc));
+        stage_us.select = us;
+        selection
     }
 }
 
+/// A speculative assisted simulation the helper ran: the p-threads of the
+/// partial selection, and the simulation's result and wall time.
+struct Speculated {
+    pthreads: Vec<StaticPThread>,
+    assisted: (Result<SimResult, PipelineError>, u64),
+}
+
 /// The trace driver under the spec's scope, slice length, budget,
-/// warm-up and slicing mode.
-fn trace_driver(program: &Program, spec: &PolicySpec) -> Result<TraceArtifacts, PipelineError> {
+/// warm-up and slicing mode, with a windowed trace's `snapshot` hook.
+fn trace_driver(
+    program: &Program,
+    spec: &PolicySpec,
+    snapshot: impl FnMut(u64, &mut SliceForestBuilder) -> ControlFlow<()>,
+) -> Result<TraceArtifacts, PipelineError> {
     let cfg = spec.cfg;
     pipeline::trace_and_slice_along(
         program,
@@ -329,6 +482,7 @@ fn trace_driver(program: &Program, spec: &PolicySpec) -> Result<TraceArtifacts, 
         cfg.budget,
         cfg.warmup,
         spec.slicing,
+        snapshot,
     )
 }
 
@@ -347,13 +501,66 @@ fn elapsed_us(t: Instant) -> u64 {
 mod tests {
     use super::*;
     use preexec_isa::{Inst, Op, Reg};
-    use preexec_timing::{SimMode, SimResult};
-    use preexec_workloads::{suite, InputSet};
+    use preexec_timing::SimMode;
+    use preexec_workloads::{by_name, suite, InputSet};
     use std::sync::Mutex;
 
     fn vpr() -> Program {
         let w = suite().into_iter().find(|w| w.name == "vpr.r").unwrap();
         w.build(InputSet::Train)
+    }
+
+    /// Trace, base simulation, selection and assisted simulation, one
+    /// after another on the calling thread.
+    fn by_hand(p: &Program, c: PipelineConfig) -> PipelineResult {
+        let arts = Pipeline::new(p).config(c).trace().unwrap();
+        let base = pipeline::try_sim(p, &[], &c, SimMode::Normal).unwrap();
+        let selection = pipeline::select_stage(&arts.forest, &c, base.ipc()).unwrap();
+        let assisted = pipeline::try_sim(p, &selection.pthreads, &c, SimMode::Normal).unwrap();
+        PipelineResult {
+            stats: arts.stats,
+            base,
+            selection,
+            assisted,
+        }
+    }
+
+    /// A run whose snapshot is taken at `fraction` of the measured region
+    /// of `kernel` on `input`, held to the stages run by hand.
+    fn forced(kernel: &str, input: InputSet, fraction: f64) -> (PipelineOutput, PipelineResult) {
+        let p = by_name(kernel).unwrap().build(input);
+        let c = cfg();
+        let at = c.warmup + (c.budget as f64 * fraction) as u64;
+        let out = Pipeline::new(&p)
+            .config(c)
+            .run_snapshot_at(Some(at))
+            .unwrap();
+        let want = by_hand(&p, c);
+        assert_eq!(key(&out.result), key(&want), "{kernel} at {fraction}");
+        (out, want)
+    }
+
+    #[test]
+    fn a_forced_hit_is_the_helpers_simulation_of_the_final_selection() {
+        let (out, want) = forced("vpr.r", InputSet::Train, 0.5);
+        assert!(!want.selection.pthreads.is_empty());
+        assert_eq!(out.speculation, Speculation::Hit);
+    }
+
+    #[test]
+    fn a_snapshot_at_the_first_measured_instruction_misses() {
+        // The forest is still empty, so the partial selection is too.
+        let (out, want) = forced("vpr.r", InputSet::Train, 0.0);
+        assert!(!want.selection.pthreads.is_empty());
+        assert_eq!(out.speculation, Speculation::Miss);
+    }
+
+    #[test]
+    fn a_partial_selection_that_differs_misses() {
+        // twolf's test forest over the first tenth of its region selects
+        // other p-threads than the whole forest does.
+        let (out, _) = forced("twolf", InputSet::Test, 0.1);
+        assert_eq!(out.speculation, Speculation::Miss);
     }
 
     fn cfg() -> PipelineConfig {
@@ -525,6 +732,24 @@ mod tests {
         let (err, asked) = run_rejecting("select");
         assert!(matches!(err, PipelineError::Exec(_)), "{err:?}");
         assert_eq!(asked, vec!["trace", "base_sim"]);
+
+        // A run that speculates asks the gate at the same four stages.
+        let asked = Mutex::new(Vec::new());
+        let record = |stage: &'static str| {
+            asked.lock().unwrap().push(stage);
+            Ok(())
+        };
+        let out = Pipeline::new(&p)
+            .config(c)
+            .gate(&record)
+            .run_snapshot_at(Some(c.warmup + c.budget / 2))
+            .unwrap();
+        assert_eq!(out.speculation, Speculation::Hit);
+        assert_eq!(key(&out.result), key(&whole.result));
+        assert_eq!(
+            asked.into_inner().unwrap(),
+            vec!["trace", "base_sim", "select", "assisted_sim"]
+        );
     }
 
     /// A program both the tracer and the timing simulator reject at its

@@ -42,7 +42,7 @@ pub mod policy;
 pub mod tables;
 
 pub use builder::{
-    Pipeline, PipelineOutput, SlicingMode, StageGate, StageUs, TraceArtifacts,
+    Pipeline, PipelineOutput, SlicingMode, Speculation, StageGate, StageUs, TraceArtifacts,
     DEFAULT_CHECKPOINT_EVERY,
 };
 pub use error::PipelineError;

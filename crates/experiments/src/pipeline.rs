@@ -11,6 +11,7 @@ use preexec_isa::{Inst, Pc, Program};
 use preexec_mem::HierarchyConfig;
 use preexec_slice::{ForestBank, OnDemandSlicer, SliceForest, SliceForestBuilder};
 use preexec_timing::{try_simulate, MachineParams, SimConfig, SimMode, SimResult};
+use std::ops::ControlFlow;
 
 /// Configuration of one pipeline run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -159,6 +160,13 @@ pub fn pct(x: u64, base: u64) -> f64 {
 /// `warmup..warmup + budget` itself; the slicer only slices and counts
 /// `DC_trig`. Obs spans and metrics are published here and nowhere else.
 ///
+/// In the windowed mode `snapshot` is asked at each measured instruction,
+/// before the builder observes it, with its `seq` and the builder (which
+/// can lend the forest built so far), until it answers
+/// [`ControlFlow::Break`]; callers that want no look pass one that breaks
+/// at once. The on-demand mode builds no forest while it traces and never
+/// asks.
+///
 /// # Errors
 ///
 /// [`PipelineError::Slice`] for invalid slicing parameters,
@@ -172,6 +180,7 @@ pub(crate) fn trace_and_slice_along(
     budget: u64,
     warmup: u64,
     mode: SlicingMode,
+    mut snapshot: impl FnMut(u64, &mut SliceForestBuilder) -> ControlFlow<()>,
 ) -> Result<TraceArtifacts, PipelineError> {
     let end = warmup.saturating_add(budget);
     // Every step is emitted, so the region's end and the step watchdog
@@ -186,9 +195,13 @@ pub(crate) fn trace_and_slice_along(
     match mode {
         SlicingMode::Windowed => {
             let mut builder = SliceForestBuilder::try_new(scope, max_slice_len)?;
+            let mut asking = true;
             let trace_span = reg.span("stage.trace");
             let stats = try_run_trace(program, &config, |d| {
                 if d.seq >= warmup {
+                    if asking {
+                        asking = snapshot(d.seq, &mut builder).is_continue();
+                    }
                     builder.observe(d);
                 } else {
                     builder.observe_warmup(d);

@@ -1,14 +1,17 @@
 //! `Pipeline::run` overlaps the base simulation with trace+slice on a
-//! helper thread. These tests hold it to the serial toolflow: the stages
-//! run one after another by hand must give byte-identical outputs, and
-//! when both overlapped stages fault, the trace's error is the one
-//! returned, as when the trace ran first. `Debug` formatting round-trips
-//! every `f64` exactly, so string equality below is bitwise equality.
+//! helper thread, and when the base simulation ends first, simulates a
+//! selection of the forest so far there too. These tests hold it to the
+//! serial toolflow: the stages run one after another by hand must give
+//! byte-identical outputs, whether the speculation hit, missed or was not
+//! attempted, and when both overlapped stages fault, the trace's error is
+//! the one returned, as when the trace ran first. `Debug` formatting
+//! round-trips every `f64` exactly, so string equality below is bitwise
+//! equality.
 
 use preexec_core::select_pthreads;
 use preexec_experiments::pipeline::{selection_params, try_sim};
 use preexec_experiments::{
-    Pipeline, PipelineConfig, PipelineError, PipelineResult, PolicySpec, SlicingMode,
+    Pipeline, PipelineConfig, PipelineError, PipelineResult, PolicySpec, SlicingMode, Speculation,
     DEFAULT_CHECKPOINT_EVERY,
 };
 use preexec_func::ExecError;
@@ -36,39 +39,41 @@ fn by_hand(p: &Program, spec: PolicySpec) -> (PipelineResult, String) {
 
 #[test]
 fn run_equals_its_stages_run_one_after_another() {
-    let modes = [
+    let windowed = [SlicingMode::Windowed];
+    let both = [
         SlicingMode::Windowed,
         SlicingMode::OnDemand {
             checkpoint_every: DEFAULT_CHECKPOINT_EVERY,
         },
     ];
     let mut empty = Vec::new();
-    for w in suite() {
-        let p = w.build(InputSet::Test);
-        for slicing in modes {
-            let spec = PolicySpec {
-                cfg: PipelineConfig::paper_default(20_000),
-                slicing,
-                ..PolicySpec::default()
-            };
-            let out = Pipeline::new(&p).policy(spec).run().expect("run");
-            let (want, want_forest) = by_hand(&p, spec);
-            assert_eq!(
-                format!("{:?}", out.result),
-                format!("{want:?}"),
-                "{} {slicing:?}",
-                w.name
-            );
-            assert_eq!(
-                write_forest(&out.forest),
-                want_forest,
-                "{} {slicing:?}",
-                w.name
-            );
-            assert!(!out.artifacts_reused);
-            assert!(out.stage_us.trace > 0 && out.stage_us.base_sim > 0);
-            if want.selection.pthreads.is_empty() {
-                empty.push(w.name);
+    // Train traces are the longer, so a windowed run of one mostly
+    // speculates: its base simulation ends while the trace goes on.
+    for (input, modes) in [
+        (InputSet::Test, &both[..]),
+        (InputSet::Train, &windowed[..]),
+    ] {
+        for w in suite() {
+            let p = w.build(input);
+            for &slicing in modes {
+                let spec = PolicySpec {
+                    cfg: PipelineConfig::paper_default(20_000),
+                    slicing,
+                    ..PolicySpec::default()
+                };
+                let out = Pipeline::new(&p).policy(spec).run().expect("run");
+                let (want, want_forest) = by_hand(&p, spec);
+                let what = format!("{} {input:?} {slicing:?} {:?}", w.name, out.speculation);
+                assert_eq!(format!("{:?}", out.result), format!("{want:?}"), "{what}");
+                assert_eq!(write_forest(&out.forest), want_forest, "{what}");
+                assert!(!out.artifacts_reused);
+                assert!(out.stage_us.trace > 0 && out.stage_us.base_sim > 0);
+                if slicing != SlicingMode::Windowed {
+                    assert_eq!(out.speculation, Speculation::NotAttempted, "{what}");
+                }
+                if input == InputSet::Test && want.selection.pthreads.is_empty() {
+                    empty.push(w.name);
+                }
             }
         }
     }

@@ -16,7 +16,7 @@ options:
   --port N           shorthand for --addr 127.0.0.1:N
   --workers N        worker threads (default: one per core); each job runs
                      on its worker's thread, plus one helper thread for
-                     its base simulation while it traces
+                     its simulations while it traces
   --queue-cap N      bounded job-queue capacity (default 256): a submit the
                      queue cannot take now is shed as `overloaded` with a
                      retry_after_ms hint; a batch of more than N jobs is
@@ -106,15 +106,20 @@ fn main() {
         }
     };
     // Flush so a parent process polling our stdout sees the address
-    // before the first connection.
-    println!("preexecd listening on {}", server.local_addr());
+    // before the first connection. A parent may close the pipe once it
+    // has the address, so a failed write is ignored: `println!` would
+    // panic on it.
+    let mut out = std::io::stdout().lock();
+    let _ = writeln!(out, "preexecd listening on {}", server.local_addr());
     let (replayed, restored) = server.recovery_summary();
     if replayed > 0 || restored > 0 {
-        println!(
+        let _ = writeln!(
+            out,
             "preexecd recovered from journal: {replayed} pending job(s) re-enqueued, \
              {restored} finished result(s) restored"
         );
     }
-    let _ = std::io::stdout().flush();
+    let _ = out.flush();
+    drop(out);
     server.run();
 }

@@ -68,7 +68,7 @@ pub struct ServerConfig {
     pub addr: String,
     /// Worker-pool size (0 means one worker per available core). Each
     /// job runs on its worker's thread, plus one helper thread for its
-    /// base simulation while it traces.
+    /// simulations while it traces.
     pub workers: usize,
     /// Bounded job-queue capacity (at least 1): the one overload wall.
     /// A batch the queue's free slots cannot take is shed as

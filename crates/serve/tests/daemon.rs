@@ -31,9 +31,8 @@ struct Daemon {
     child: Child,
     addr: String,
     cache_dir: std::path::PathBuf,
-    /// Held open: a daemon that prints after its announce line (the
-    /// journal-recovery line) would fail writing to a closed pipe.
-    _stdout: BufReader<ChildStdout>,
+    /// The parent's end of the daemon's stdout, past the announce line.
+    _stdout: Option<BufReader<ChildStdout>>,
 }
 
 impl Daemon {
@@ -85,7 +84,7 @@ impl Daemon {
             child,
             addr,
             cache_dir,
-            _stdout: stdout,
+            _stdout: Some(stdout),
         }
     }
 
@@ -439,6 +438,62 @@ fn startup_compacts_the_journal_before_replay() {
     let status = conn.ok(&format!(r#"{{"cmd":"status","job":{job}}}"#));
     assert_eq!(status.get("state").and_then(Json::as_str), Some("done"));
     assert_eq!(conn.result(job).encode(), result);
+    let _ = conn.ok(r#"{"cmd":"shutdown"}"#);
+    drop(conn);
+    daemon.wait_for_exit();
+}
+
+#[test]
+fn a_recovering_daemon_outlives_a_closed_stdout() {
+    // A journal holding one pending job: submitted, never finished.
+    let dir = std::env::temp_dir().join(format!(
+        "preexec-daemon-test-closed-stdout-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("cache dir");
+    let wal = dir.join(Server::JOURNAL_FILE);
+    let journal = JobJournal::open(&wal, 1).expect("open WAL");
+    let spec = Json::parse(r#"{"workload":"vpr.r","budget":600}"#).expect("spec parses");
+    journal.submit(1, &spec);
+    drop(journal);
+
+    // A parent may close the pipe once it has read the announce line,
+    // before the daemon writes the recovery line. Closing it before the
+    // daemon starts makes both lines meet the closed pipe, every time;
+    // the address then comes from a port picked here.
+    let port = std::net::TcpListener::bind("127.0.0.1:0")
+        .and_then(|l| l.local_addr())
+        .expect("a free port")
+        .port();
+    let (read_end, write_end) = std::io::pipe().expect("pipe");
+    drop(read_end);
+    let mut child = Command::new(env!("CARGO_BIN_EXE_preexecd"))
+        .args(["--port", &port.to_string(), "--workers", "1", "--cache-dir"])
+        .arg(&dir)
+        .stdout(write_end)
+        .stderr(Stdio::inherit())
+        .spawn()
+        .expect("spawning preexecd");
+    let addr = format!("127.0.0.1:{port}");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    while TcpStream::connect(&addr).is_err() {
+        if let Some(status) = child.try_wait().expect("try_wait") {
+            panic!("preexecd exited with {status} before it listened");
+        }
+        assert!(Instant::now() < deadline, "preexecd never listened");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let daemon = Daemon {
+        child,
+        addr,
+        cache_dir: dir,
+        _stdout: None,
+    };
+    let mut conn = daemon.connect();
+    let status = conn.ok(r#"{"cmd":"status","job":1}"#);
+    assert!(status.get("state").and_then(Json::as_str).is_some());
+    conn.wait_done(1);
     let _ = conn.ok(r#"{"cmd":"shutdown"}"#);
     drop(conn);
     daemon.wait_for_exit();

@@ -62,18 +62,35 @@ impl ForestBank {
 
     /// Finishes, producing the forest.
     pub fn finish(self) -> SliceForest {
-        let exec_counts = self
-            .exec_counts
+        SliceForest {
+            exec_counts: self.count_pairs(),
+            trees: self.trees,
+            sample_insts: self.observed,
+        }
+    }
+
+    /// Lends the forest built so far to `f`: the trees move out of the
+    /// bank for the call and back after it, so no tree is copied; only
+    /// the sorted `(pc, count)` pairs are built.
+    fn lend<R>(&mut self, f: impl FnOnce(&SliceForest) -> R) -> R {
+        let forest = SliceForest {
+            exec_counts: self.count_pairs(),
+            trees: std::mem::take(&mut self.trees),
+            sample_insts: self.observed,
+        };
+        let value = f(&forest);
+        self.trees = forest.trees;
+        value
+    }
+
+    /// The nonzero counts as `(pc, count)` pairs, ascending by PC.
+    fn count_pairs(&self) -> Vec<(Pc, u64)> {
+        self.exec_counts
             .iter()
             .enumerate()
             .filter(|&(_, &c)| c > 0)
             .map(|(pc, &c)| (pc as Pc, c))
-            .collect();
-        SliceForest {
-            trees: self.trees,
-            exec_counts,
-            sample_insts: self.observed,
-        }
+            .collect()
     }
 }
 
@@ -144,6 +161,13 @@ impl SliceForestBuilder {
                 .expect("window holds the load just pushed");
             self.bank.tree(d.pc, d.inst).insert_path(&self.slice);
         }
+    }
+
+    /// Lends the forest built so far to `f` without copying it: what
+    /// [`finish`](Self::finish) would return at this point, borrowed for
+    /// the call. The builder goes on where it stopped.
+    pub fn lend_forest<R>(&mut self, f: impl FnOnce(&SliceForest) -> R) -> R {
+        self.bank.lend(f)
     }
 
     /// Finishes, producing the forest.
@@ -314,6 +338,36 @@ mod tests {
         assert_eq!(f.dc_trig(7), 4);
         assert_eq!(f.dc_trig(2), 0);
         assert_eq!(f.dc_trig(Pc::MAX), 0);
+    }
+
+    #[test]
+    fn a_lent_forest_is_the_prefix_forest_and_lending_changes_nothing() {
+        let p = assemble(
+            "t",
+            "li r1, 0x100000\n li r5, 0x900000\n li r2, 0\n li r3, 64\n\
+             top: bge r2, r3, done\n\
+             ld r4, 0(r1)\n ld r6, 0(r5)\n\
+             addi r1, r1, 64\n addi r5, r5, 64\n addi r2, r2, 1\n j top\n\
+             done: halt",
+        )
+        .unwrap();
+        let mut stream = Vec::new();
+        run_trace(&p, &TraceConfig::default(), |d| stream.push(*d));
+        let build = |n: usize| {
+            let mut b = SliceForestBuilder::new(1024, 32);
+            stream[..n].iter().for_each(|d| b.observe(d));
+            b
+        };
+        let half = stream.len() / 2;
+        let mut lent = build(half);
+        let text = lent.lend_forest(crate::write_forest);
+        assert_eq!(text, crate::write_forest(&build(half).finish()));
+        assert_eq!(lent.lend_forest(SliceForest::num_trees), 2);
+        stream[half..].iter().for_each(|d| lent.observe(d));
+        assert_eq!(
+            crate::write_forest(&lent.finish()),
+            crate::write_forest(&build(stream.len()).finish())
+        );
     }
 
     #[test]

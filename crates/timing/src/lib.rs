@@ -44,5 +44,6 @@ pub use error::{MachineError, SimError};
 pub use machine::{MachineParams, MAX_LATENCY};
 pub use memsys::MemSys;
 pub use sim::{
-    simulate, try_simulate, SimConfig, SimMode, SimResult, SquashReason, PTHREAD_ADDR_LIMIT,
+    simulate, simulate_alike, try_simulate, SimConfig, SimMode, SimResult, SquashReason,
+    PTHREAD_ADDR_LIMIT,
 };

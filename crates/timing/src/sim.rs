@@ -403,6 +403,23 @@ pub fn simulate(program: &Program, pthreads: &[StaticPThread], config: &SimConfi
     }
 }
 
+/// Whether two p-thread sets simulate alike: [`try_simulate`] renders the
+/// same [`SimResult`] for either under one program and one [`SimConfig`].
+///
+/// The simulator reads each p-thread's `trigger` and `body`, in order,
+/// and nothing else: `targets`, `dc_trig`, `dc_ptcm` and `advantage` are
+/// the selection's bookkeeping, and the order matters because launches
+/// at one trigger take free contexts in `pthreads` order. So the sets
+/// are alike when they have the same length and each pair has the same
+/// trigger and the same body. The simulator is deterministic, so a
+/// result simulated for one set stands for the other.
+pub fn simulate_alike(a: &[StaticPThread], b: &[StaticPThread]) -> bool {
+    a.len() == b.len()
+        && a.iter()
+            .zip(b)
+            .all(|(x, y)| x.trigger == y.trigger && x.body == y.body)
+}
+
 /// Fallible [`simulate`].
 ///
 /// # Errors
@@ -1178,6 +1195,32 @@ mod tests {
             assisted.ipc(),
             base.ipc()
         );
+    }
+
+    #[test]
+    fn only_triggers_and_bodies_in_order_reach_the_simulator() {
+        let p = chase_program(600);
+        let set = vec![chase_pthread(4), chase_pthread(2)];
+        let run = |pthreads: &[StaticPThread]| {
+            format!("{:?}", simulate(&p, pthreads, &SimConfig::default()))
+        };
+        let mut relabelled = set.clone();
+        for pt in &mut relabelled {
+            pt.targets = vec![0, 1, 2];
+            pt.dc_trig += 17;
+            pt.dc_ptcm = 3;
+            pt.advantage.adv_agg = -5.0;
+            pt.advantage.full_coverage = false;
+        }
+        assert!(simulate_alike(&set, &relabelled));
+        assert_eq!(run(&relabelled), run(&set));
+
+        let mut edited = set.clone();
+        edited[1].body[0].imm += 1;
+        assert!(!simulate_alike(&set, &edited));
+        let swapped = vec![set[1].clone(), set[0].clone()];
+        assert!(!simulate_alike(&set, &swapped));
+        assert!(!simulate_alike(&set, &set[..1]));
     }
 
     #[test]
