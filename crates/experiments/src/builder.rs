@@ -26,7 +26,8 @@
 //! from policy:
 //!
 //! - [`artifacts`](Pipeline::artifacts) — skip the trace stage entirely,
-//!   finishing from a cached forest (the service's cache-hit path);
+//!   finishing from a cached forest (the service's cache-hit path, whose
+//!   two simulations run at once: see [`Pipeline::run`]);
 //! - [`gate`](Pipeline::gate) — stage-boundary admission (cancellation,
 //!   deadlines).
 //!
@@ -39,7 +40,7 @@ use preexec_core::{Selection, StaticPThread};
 use preexec_func::RunStats;
 use preexec_isa::Program;
 use preexec_slice::{SliceForest, SliceForestBuilder};
-use preexec_timing::{simulate_alike, SimResult};
+use preexec_timing::{simulate_alike, SimMode, SimResult};
 use std::ops::ControlFlow;
 use std::panic::resume_unwind;
 use std::sync::{mpsc, OnceLock};
@@ -50,17 +51,21 @@ use std::time::{Duration, Instant};
 /// [`Pipeline::run`] (trace includes slicing; zero when the stage was
 /// skipped via [`Pipeline::artifacts`]). A run that traces runs `trace`
 /// and `base_sim` at the same time, and on a [`Speculation::Hit`] the
-/// assisted simulation too, so the four do not add up to it.
+/// assisted simulation overlaps the trace or, given artifacts, the base
+/// simulation, so the four do not add up to the run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StageUs {
     /// Trace + slice-forest construction, and the partial selection of a
-    /// run that speculates.
+    /// run that speculates; always 0 given artifacts.
     pub trace: u64,
-    /// Unassisted timing simulation.
+    /// Unassisted timing simulation (the whole run, not the prefix a run
+    /// given artifacts guesses from).
     pub base_sim: u64,
-    /// P-thread selection on the whole forest.
+    /// P-thread selection on the whole forest at the base run's IPC.
     pub select: u64,
-    /// Assisted timing simulation: the helper's on a hit.
+    /// Assisted timing simulation: the helper's on a hit, the caller's
+    /// otherwise; 0 for an empty selection, whose assisted run is the
+    /// base run.
     pub assisted_sim: u64,
 }
 
@@ -68,16 +73,18 @@ pub struct StageUs {
 /// (see [`Pipeline::run`]). It never changes the run's [`PipelineResult`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Speculation {
-    /// None ran: the run was given artifacts, sliced on demand, or its
-    /// trace ended before the base simulation did.
+    /// None ran: the run sliced on demand, its trace ended before the
+    /// base simulation did, or, given artifacts, the helper's guess
+    /// faulted. A run given artifacts otherwise always guesses.
     #[default]
     NotAttempted,
-    /// The final selection simulates alike the partial one
+    /// The final selection simulates alike the helper's guess
     /// ([`simulate_alike`]), so the helper's simulation is the run's
-    /// assisted result.
+    /// assisted result. An empty guess hits when the final selection is
+    /// empty too: the base run is then the assisted one.
     Hit,
-    /// The selections differ: the helper's simulation was thrown away and
-    /// the caller simulated the final selection.
+    /// The selections differ: the caller simulated the final selection
+    /// beside the helper's simulation, which the join threw away.
     Miss,
 }
 
@@ -153,12 +160,17 @@ pub enum SlicingMode {
 /// A run that traces runs `trace` and `base_sim` at the same time, so it
 /// asks for `trace` and then `base_sim` before either starts. A cancel
 /// or a deadline that lands while they run is seen at `select`. A run
-/// that speculates (see [`Pipeline::run`]) asks the same four stages:
-/// its partial selection and speculative simulation ask nothing, and a
-/// cancel or a deadline seen at `select` or `assisted_sim` returns once
-/// the helper thread has ended, at most one assisted simulation later,
-/// which its cycle watchdog bounds. The gate is only ever called on the
-/// thread that called [`Pipeline::run`].
+/// given artifacts asks `base_sim`, `select` and `assisted_sim`. Each
+/// stage is asked exactly once, in that order, and a miss asks
+/// `assisted_sim` before it simulates. A run that speculates (see
+/// [`Pipeline::run`]) asks the same stages: its guess and the helper's
+/// simulation ask nothing, and a cancel or a deadline seen at `select`
+/// or `assisted_sim` returns once the helper thread has ended. That is
+/// at most one assisted simulation later on a run that traces, and
+/// given artifacts at most one prefix, one selection and one assisted
+/// simulation after the helper started; the cycle watchdogs bound each
+/// simulation. The gate is only ever called on the thread that called
+/// [`Pipeline::run`].
 pub type StageGate<'g> = &'g (dyn Fn(&'static str) -> Result<(), PipelineError> + Sync);
 
 /// Builder for one pipeline run over one workload program.
@@ -273,23 +285,29 @@ impl<'p> Pipeline<'p> {
     /// helper thread while the caller traces and slices: the base run
     /// depends only on the program and the machine, never on the trace.
     /// The two stages overlap in wall time, so their [`StageUs`] entries
-    /// no longer add up to the run. Given artifacts, the base simulation
-    /// runs on the caller and no thread is spawned.
+    /// no longer add up to the run.
     ///
-    /// When the base simulation ends before a windowed trace does, the run
-    /// speculates: at its next measured instruction the caller selects on
-    /// the forest built so far, with the real base IPC, and hands those
-    /// p-threads to the helper, which simulates them while the trace goes
-    /// on. After the trace the caller selects on the whole forest as
-    /// always. If the two selections [simulate alike](simulate_alike), the
-    /// helper's result is the assisted one, byte for byte what the caller
-    /// would simulate, since the simulator is deterministic
+    /// Both paths then speculate the assisted simulation on the helper:
+    ///
+    /// - When the base simulation ends before a windowed trace does, at
+    ///   its next measured instruction the caller selects on the forest
+    ///   built so far, with the real base IPC, and hands those p-threads
+    ///   to the helper, which simulates them while the trace goes on.
+    /// - Given artifacts, the helper simulates the unassisted run's first
+    ///   sixteenth of the budget, selects on the given forest with that
+    ///   early IPC and simulates those p-threads, while the caller runs
+    ///   the whole base simulation.
+    ///
+    /// Either way the caller then selects as always and settles: if the
+    /// final selection [simulates alike](simulate_alike) the helper's
+    /// guess, the helper's result is the assisted one, byte for byte what
+    /// the caller would simulate, since the simulator is deterministic
     /// ([`Speculation::Hit`]); otherwise the caller simulates the final
-    /// selection once the helper has ended ([`Speculation::Miss`]). On a
-    /// run that speculates the `stage.score`, `stage.solve` and
-    /// `stage.merge` spans count two selections. On-demand slicing and
-    /// given artifacts never speculate, and the gate is asked as it is
-    /// without speculation (see [`StageGate`]).
+    /// selection at once, beside the helper's doomed run, whose result
+    /// the join discards ([`Speculation::Miss`]). On a run that guesses
+    /// the `stage.score`, `stage.solve` and `stage.merge` spans count two
+    /// selections. On-demand slicing never speculates, and the gate is
+    /// asked as it is without speculation (see [`StageGate`]).
     ///
     /// # Errors
     ///
@@ -318,20 +336,16 @@ impl<'p> Pipeline<'p> {
     /// misses.
     fn run_snapshot_at(mut self, at: Option<u64>) -> Result<PipelineOutput, PipelineError> {
         self.spec.try_validate()?;
-        let reg = preexec_obs::global();
-        reg.counter("pipeline.runs").inc();
-        let (program, cfg) = (self.program, self.spec.cfg);
+        preexec_obs::global().counter("pipeline.runs").inc();
         let mut stage_us = StageUs::default();
         let artifacts = self.artifacts.take();
         let artifacts_reused = artifacts.is_some();
-        let (arts, base, selection, speculated) = match artifacts {
+        let (arts, base, selection, (speculation, kept)) = match artifacts {
             Some((forest, stats)) => {
                 self.check_gate("base_sim")?;
-                let (base, us) = timed(|| pipeline::base_sim_stage(program, &cfg));
-                stage_us.base_sim = us;
-                let base = base?;
-                let selection = self.select(&forest, base.ipc(), &mut stage_us)?;
-                (TraceArtifacts { forest, stats }, base, selection, None)
+                let (base, selection, settled) =
+                    self.guess_from_early_ipc(&forest, &mut stage_us)?;
+                (TraceArtifacts { forest, stats }, base, selection, settled)
             }
             None => {
                 self.check_gate("trace")?;
@@ -339,21 +353,8 @@ impl<'p> Pipeline<'p> {
                 self.trace_speculating(at, &mut stage_us)?
             }
         };
-
-        self.check_gate("assisted_sim")?;
-        let simulate =
-            || timed(|| pipeline::assisted_sim_stage(program, &selection.pthreads, &cfg, &base));
-        let (speculation, (assisted, us)) = match speculated {
-            Some(s) if simulate_alike(&s.pthreads, &selection.pthreads) => {
-                reg.counter("pipeline.speculation.hit").inc();
-                (Speculation::Hit, s.assisted)
-            }
-            Some(_) => {
-                reg.counter("pipeline.speculation.miss").inc();
-                (Speculation::Miss, simulate())
-            }
-            None => (Speculation::NotAttempted, simulate()),
-        };
+        // An empty selection's assisted run is the base run.
+        let (assisted, us) = kept.unwrap_or_else(|| (Ok(base.clone()), 0));
         stage_us.assisted_sim = us;
 
         Ok(PipelineOutput {
@@ -370,22 +371,22 @@ impl<'p> Pipeline<'p> {
         })
     }
 
-    /// The traced half of [`run`](Self::run), up to the final selection:
-    /// the caller traces and slices while one scoped helper runs the base
-    /// simulation and then, if the caller's snapshot lends it p-threads
-    /// before the trace ends, their assisted simulation. The helper
-    /// allocates in a glibc arena of its own, which stays resident, so
-    /// nothing but the two simulations runs there. With the base IPC known
-    /// at the end of the trace, the final selection is made before the
-    /// join, beside the helper's simulation.
+    /// The traced half of [`run`](Self::run), up to the kept assisted
+    /// simulation: the caller traces and slices while one scoped helper
+    /// runs the base simulation and then, if the caller's snapshot lends
+    /// it p-threads before the trace ends, their assisted simulation. The
+    /// helper allocates in a glibc arena of its own, which stays resident,
+    /// so nothing but the two simulations runs there. With the base IPC
+    /// known at the end of the trace, the final selection and the settle
+    /// step run before the join, beside the helper's simulation.
     fn trace_speculating(
         &self,
         at: Option<u64>,
         stage_us: &mut StageUs,
-    ) -> Result<(TraceArtifacts, SimResult, Selection, Option<Speculated>), PipelineError> {
+    ) -> Result<(TraceArtifacts, SimResult, Selection, Kept), PipelineError> {
         let (program, cfg) = (self.program, self.spec.cfg);
         let base_ipc = OnceLock::new();
-        let (traced, selected, (ran, base_us)) = thread::scope(|s| {
+        let (traced, settled, (ran, base_us)) = thread::scope(|s| {
             let base_ipc = &base_ipc;
             let (lend, lent) = mpsc::channel::<Vec<StaticPThread>>();
             let helper = s.spawn(move || {
@@ -394,17 +395,17 @@ impl<'p> Pipeline<'p> {
                     let _ = base_ipc.set(base.ipc());
                     // Waits until the caller lends p-threads or drops
                     // `lend` at the end of its trace.
-                    let speculated = lent.recv().ok().map(|pthreads| Speculated {
-                        assisted: timed(|| {
-                            pipeline::assisted_sim_stage(program, &pthreads, &cfg, &base)
-                        }),
-                        pthreads,
-                    });
-                    (base, speculated)
+                    let guessed = lent
+                        .recv()
+                        .ok()
+                        .and_then(|pthreads| simulate(program, &pthreads, &cfg));
+                    (base, guessed)
                 });
                 (ran, us)
             });
             let helper_ended = || helper.is_finished();
+            let mut guess = None;
+            let lent_copy = &mut guess;
             // Owns `lend`, so the helper stops waiting when the trace ends.
             let snapshot = move |seq: u64, builder: &mut SliceForestBuilder| {
                 match at {
@@ -422,6 +423,7 @@ impl<'p> Pipeline<'p> {
                 if let Some(&ipc) = base_ipc.get() {
                     let partial = builder.lend_forest(|f| pipeline::select_stage(f, &cfg, ipc));
                     if let Ok(partial) = partial {
+                        *lent_copy = Some(partial.pthreads.clone());
                         let _ = lend.send(partial.pthreads);
                     }
                 }
@@ -429,21 +431,73 @@ impl<'p> Pipeline<'p> {
             };
             let (traced, us) = timed(|| trace_driver(program, &self.spec, snapshot));
             stage_us.trace = us;
-            let selected = match (&traced, base_ipc.get()) {
-                (Ok(arts), Some(&ipc)) => Some(self.select(&arts.forest, ipc, stage_us)),
+            let settled = match (&traced, base_ipc.get()) {
+                (Ok(arts), Some(&ipc)) => {
+                    Some(self.select_and_settle(&arts.forest, ipc, guess.as_deref(), stage_us))
+                }
                 _ => None,
             };
             let joined = helper.join().unwrap_or_else(|e| resume_unwind(e));
-            (traced, selected, joined)
+            (traced, settled, joined)
         });
         stage_us.base_sim = base_us;
         let arts = traced?;
-        let (base, speculated) = ran?;
-        let selection = match selected {
-            Some(selection) => selection?,
-            None => self.select(&arts.forest, base.ipc(), stage_us)?,
+        let (base, guessed) = ran?;
+        let (selection, settled) = match settled {
+            Some(settled) => settled?,
+            None => self.select_and_settle(&arts.forest, base.ipc(), None, stage_us)?,
         };
-        Ok((arts, base, selection, speculated))
+        Ok((arts, base, selection, settled.keep(guessed)))
+    }
+
+    /// The post-trace half of [`run`](Self::run) given artifacts, up to
+    /// the kept assisted simulation. One scoped helper guesses the
+    /// selection from the IPC of the unassisted run's first
+    /// `budget / GUESS_PREFIX` instructions, the same deterministic prefix
+    /// the base run passes through, and simulates the guess, while the
+    /// caller runs the whole base simulation, the final selection and the
+    /// settle step. The guess asks no gate, and an error
+    /// on the helper only means there is no guess: the caller's own base
+    /// run reports the program's fault. Everything the guess allocates,
+    /// mcf's selection scratch included, stays in the helper's arena.
+    fn guess_from_early_ipc(
+        &self,
+        forest: &SliceForest,
+        stage_us: &mut StageUs,
+    ) -> Result<(SimResult, Selection, Kept), PipelineError> {
+        let (program, cfg) = (self.program, self.spec.cfg);
+        let (settled, guessed) = thread::scope(|s| {
+            let (tell, told) = mpsc::channel::<Vec<StaticPThread>>();
+            let helper = s.spawn(move || {
+                let early = PipelineConfig {
+                    budget: (cfg.budget / GUESS_PREFIX).max(1),
+                    ..cfg
+                };
+                let ipc = pipeline::try_sim(program, &[], &early, SimMode::Normal)
+                    .ok()?
+                    .ipc();
+                let guess = pipeline::select_stage(forest, &cfg, ipc).ok()?.pthreads;
+                let _ = tell.send(guess.clone());
+                simulate(program, &guess, &cfg)
+            });
+            // The caller's side: the whole base run, the final selection
+            // and the settle step.
+            let mut caller = || -> Result<_, PipelineError> {
+                let (base, us) = timed(|| pipeline::base_sim_stage(program, &cfg));
+                stage_us.base_sim = us;
+                let base = base?;
+                // Waits for the guess, or for the helper to end without one.
+                let guess = told.recv().ok();
+                let (selection, settled) =
+                    self.select_and_settle(forest, base.ipc(), guess.as_deref(), stage_us)?;
+                Ok((base, selection, settled))
+            };
+            let settled = caller();
+            let guessed = helper.join().unwrap_or_else(|e| resume_unwind(e));
+            (settled, guessed)
+        });
+        let (base, selection, settled) = settled?;
+        Ok((base, selection, settled.keep(guessed)))
     }
 
     /// The selection stage on `forest`, behind its gate.
@@ -458,13 +512,88 @@ impl<'p> Pipeline<'p> {
         stage_us.select = us;
         selection
     }
+
+    /// The final selection and the settle step both speculating paths
+    /// share, run on the caller before it joins the helper: asks the gate
+    /// for `assisted_sim` and compares the final p-threads with the guess
+    /// the helper is simulating (`None` when there is none). A hit keeps
+    /// the helper's simulation; a miss, or a run without a guess,
+    /// simulates the final selection at once, beside the helper.
+    fn select_and_settle(
+        &self,
+        forest: &SliceForest,
+        base_ipc: f64,
+        guess: Option<&[StaticPThread]>,
+        stage_us: &mut StageUs,
+    ) -> Result<(Selection, Settled), PipelineError> {
+        let selection = self.select(forest, base_ipc, stage_us)?;
+        self.check_gate("assisted_sim")?;
+        let reg = preexec_obs::global();
+        let speculation = match guess {
+            None => Speculation::NotAttempted,
+            Some(guess) if simulate_alike(guess, &selection.pthreads) => {
+                reg.counter("pipeline.speculation.hit").inc();
+                Speculation::Hit
+            }
+            Some(_) => {
+                reg.counter("pipeline.speculation.miss").inc();
+                Speculation::Miss
+            }
+        };
+        let own = match speculation {
+            Speculation::Hit => None,
+            _ => simulate(self.program, &selection.pthreads, &self.spec.cfg),
+        };
+        Ok((selection, Settled { speculation, own }))
+    }
 }
 
-/// A speculative assisted simulation the helper ran: the p-threads of the
-/// partial selection, and the simulation's result and wall time.
-struct Speculated {
-    pthreads: Vec<StaticPThread>,
-    assisted: (Result<SimResult, PipelineError>, u64),
+/// The unassisted run's prefix that a run given artifacts guesses its
+/// selection from is `budget / GUESS_PREFIX` instructions. A sixteenth
+/// settles wherever an earlier or later point does (at budget 120 000 the
+/// selection at the IPC reached after 5 % or 10 % of the budget simulates
+/// alike the final one on the same kernels as at 20 %, 30 % and 50 %),
+/// and it costs about a sixteenth of the base run.
+const GUESS_PREFIX: u64 = 16;
+
+/// A stage's result and its wall-clock microseconds.
+type Timed<T> = (Result<T, PipelineError>, u64);
+
+/// How a run's speculation ended, and the assisted simulation that
+/// stands: `None` for an empty selection, whose assisted run is the base
+/// run.
+type Kept = (Speculation, Option<Timed<SimResult>>);
+
+/// How a run's assisted simulation settled before the join.
+struct Settled {
+    speculation: Speculation,
+    /// The caller's own simulation of the final selection: `None` on a
+    /// hit and for an empty selection.
+    own: Option<Timed<SimResult>>,
+}
+
+impl Settled {
+    /// The simulation that stands once the helper, whose simulation of
+    /// the guess is `guessed`, has ended: the helper's on a hit, the
+    /// caller's otherwise.
+    fn keep(self, guessed: Option<Timed<SimResult>>) -> Kept {
+        let kept = match self.speculation {
+            Speculation::Hit => guessed,
+            _ => self.own,
+        };
+        (self.speculation, kept)
+    }
+}
+
+/// The timed assisted simulation of `pthreads`, or `None` when there are
+/// none: an empty selection's assisted run is the base run, simulated
+/// once already.
+fn simulate(
+    program: &Program,
+    pthreads: &[StaticPThread],
+    cfg: &PipelineConfig,
+) -> Option<Timed<SimResult>> {
+    (!pthreads.is_empty()).then(|| timed(|| pipeline::assisted_sim_stage(program, pthreads, cfg)))
 }
 
 /// The trace driver under the spec's scope, slice length, budget,
@@ -501,7 +630,6 @@ fn elapsed_us(t: Instant) -> u64 {
 mod tests {
     use super::*;
     use preexec_isa::{Inst, Op, Reg};
-    use preexec_timing::SimMode;
     use preexec_workloads::{by_name, suite, InputSet};
     use std::sync::Mutex;
 
@@ -563,6 +691,49 @@ mod tests {
         assert_eq!(out.speculation, Speculation::Miss);
     }
 
+    /// A run given the artifacts of `kernel` on `input`, held to the
+    /// stages run by hand.
+    fn given_artifacts(kernel: &str, input: InputSet) -> (PipelineOutput, PipelineResult) {
+        let p = by_name(kernel).unwrap().build(input);
+        let c = cfg();
+        let arts = Pipeline::new(&p).config(c).trace().unwrap();
+        let out = Pipeline::new(&p)
+            .config(c)
+            .artifacts(arts.forest, arts.stats)
+            .run()
+            .unwrap();
+        let want = by_hand(&p, c);
+        assert_eq!(key(&out.result), key(&want), "{kernel} {input:?}");
+        assert!(out.artifacts_reused);
+        assert_eq!(out.stage_us.trace, 0);
+        (out, want)
+    }
+
+    #[test]
+    fn given_artifacts_the_early_ipc_guess_hits() {
+        let (out, want) = given_artifacts("vpr.r", InputSet::Train);
+        assert!(!want.selection.pthreads.is_empty());
+        assert_eq!(out.speculation, Speculation::Hit);
+    }
+
+    #[test]
+    fn given_artifacts_a_guess_that_differs_misses() {
+        // crafty's test selection at the IPC of the first sixteenth of
+        // its base run differs from the one at the whole run's IPC.
+        let (out, want) = given_artifacts("crafty", InputSet::Test);
+        assert!(!want.selection.pthreads.is_empty());
+        assert_eq!(out.speculation, Speculation::Miss);
+    }
+
+    #[test]
+    fn given_artifacts_an_empty_guess_of_an_empty_selection_hits() {
+        // gcc's test input is L2-resident and selects nothing at any IPC:
+        // the base run is the assisted one.
+        let (out, want) = given_artifacts("gcc", InputSet::Test);
+        assert!(want.selection.pthreads.is_empty());
+        assert_eq!(out.speculation, Speculation::Hit);
+    }
+
     fn cfg() -> PipelineConfig {
         PipelineConfig::paper_default(120_000)
     }
@@ -585,15 +756,8 @@ mod tests {
         assert_eq!(format!("{:?}", out.result.assisted), base);
         let direct = pipeline::try_sim(&p, &[], &c, SimMode::Normal).unwrap();
         assert_eq!(format!("{direct:?}"), base);
-        // The simulator ran once: the assisted stage hands back the base
-        // result it is given, even one no simulation of `p` could give.
-        let marker = SimResult {
-            cycles: 1,
-            insts: 7,
-            ..SimResult::default()
-        };
-        let assisted = pipeline::assisted_sim_stage(&p, &[], &c, &marker).unwrap();
-        assert_eq!(format!("{assisted:?}"), format!("{marker:?}"));
+        // The simulator ran once: an empty selection is never simulated.
+        assert!(simulate(&p, &[], &c).is_none());
     }
 
     #[test]
@@ -626,22 +790,6 @@ mod tests {
         );
         // .policy() replaced the earlier budget wholesale.
         assert_eq!(b.spec.cfg.budget, 120_000);
-    }
-
-    #[test]
-    fn artifact_path_skips_trace_and_matches() {
-        let p = vpr();
-        let c = cfg();
-        let whole = Pipeline::new(&p).config(c).run().unwrap();
-        let arts = Pipeline::new(&p).config(c).trace().unwrap();
-        let out = Pipeline::new(&p)
-            .config(c)
-            .artifacts(arts.forest, arts.stats)
-            .run()
-            .unwrap();
-        assert!(out.artifacts_reused);
-        assert_eq!(out.stage_us.trace, 0);
-        assert_eq!(key(&out.result), key(&whole.result));
     }
 
     #[test]
@@ -733,23 +881,56 @@ mod tests {
         assert!(matches!(err, PipelineError::Exec(_)), "{err:?}");
         assert_eq!(asked, vec!["trace", "base_sim"]);
 
-        // A run that speculates asks the gate at the same four stages.
-        let asked = Mutex::new(Vec::new());
-        let record = |stage: &'static str| {
-            asked.lock().unwrap().push(stage);
-            Ok(())
-        };
-        let out = Pipeline::new(&p)
-            .config(c)
-            .gate(&record)
-            .run_snapshot_at(Some(c.warmup + c.budget / 2))
-            .unwrap();
-        assert_eq!(out.speculation, Speculation::Hit);
-        assert_eq!(key(&out.result), key(&whole.result));
-        assert_eq!(
-            asked.into_inner().unwrap(),
-            vec!["trace", "base_sim", "select", "assisted_sim"]
-        );
+        // A run that speculates asks the gate at the same four stages,
+        // once each, whether it hits or misses.
+        for (at, speculation) in [
+            (c.warmup + c.budget / 2, Speculation::Hit),
+            (c.warmup, Speculation::Miss),
+        ] {
+            let asked = Mutex::new(Vec::new());
+            let record = |stage: &'static str| {
+                asked.lock().unwrap().push(stage);
+                Ok(())
+            };
+            let out = Pipeline::new(&p)
+                .config(c)
+                .gate(&record)
+                .run_snapshot_at(Some(at))
+                .unwrap();
+            assert_eq!(out.speculation, speculation);
+            assert_eq!(key(&out.result), key(&whole.result));
+            assert_eq!(
+                asked.into_inner().unwrap(),
+                vec!["trace", "base_sim", "select", "assisted_sim"]
+            );
+        }
+
+        // A run given artifacts asks the three stages it runs, once each,
+        // whether its guess hits or misses.
+        for (kernel, input, speculation) in [
+            ("vpr.r", InputSet::Train, Speculation::Hit),
+            ("crafty", InputSet::Test, Speculation::Miss),
+        ] {
+            let p = by_name(kernel).unwrap().build(input);
+            let arts = Pipeline::new(&p).config(c).trace().unwrap();
+            let asked = Mutex::new(Vec::new());
+            let record = |stage: &'static str| {
+                asked.lock().unwrap().push(stage);
+                Ok(())
+            };
+            let out = Pipeline::new(&p)
+                .config(c)
+                .artifacts(arts.forest, arts.stats)
+                .gate(&record)
+                .run()
+                .unwrap();
+            assert_eq!(out.speculation, speculation, "{kernel}");
+            assert_eq!(
+                asked.into_inner().unwrap(),
+                vec!["base_sim", "select", "assisted_sim"],
+                "{kernel}"
+            );
+        }
     }
 
     /// A program both the tracer and the timing simulator reject at its

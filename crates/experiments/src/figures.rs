@@ -255,8 +255,9 @@ pub fn fig6(budget: u64) -> Result<Figure, PipelineError> {
 
 /// Figure 7: impact of the selection input dataset. Scenarios: *perfect*
 /// (select on the measured run itself), *dynamic* (a short profiling
-/// phase of the same run), and *static* (a test-input profile). Each bar
-/// measures the cross-input run's own base and assisted simulations.
+/// phase of the same run), and *static* (a test-input profile). The
+/// three bars share the *perfect* run's base simulation of the train
+/// input, and each measures its own assisted simulation.
 ///
 /// # Errors
 ///
@@ -267,8 +268,9 @@ pub fn fig7(budget: u64) -> Result<Figure, PipelineError> {
         let train = w.build(InputSet::Train);
         let test = w.build(InputSet::Test);
         let perfect = Pipeline::new(&train).config(cfg).run()?.result;
-        let dynamic = try_run_cross_input(&train, budget / 8, &train, &cfg)?;
-        let statik = try_run_cross_input(&test, budget * 2, &train, &cfg)?;
+        let base = &perfect.base;
+        let dynamic = try_run_cross_input(&train, budget / 8, &train, base, &cfg)?;
+        let statik = try_run_cross_input(&test, budget * 2, &train, base, &cfg)?;
         Ok(vec![
             Bar::of("perfect", &perfect),
             Bar::of("dynamic", &dynamic),

@@ -307,15 +307,16 @@ pub(crate) fn base_sim_stage(
 }
 
 /// Stage: the p-thread-assisted timing run, timed under the
-/// `stage.assisted_sim` span (see [`try_assisted_sim`]).
+/// `stage.assisted_sim` span. The builder runs it only on a non-empty
+/// selection: an empty one's assisted run is the base run (see
+/// [`try_assisted_sim`]).
 pub(crate) fn assisted_sim_stage(
     program: &Program,
     pthreads: &[StaticPThread],
     cfg: &PipelineConfig,
-    base: &SimResult,
 ) -> Result<SimResult, PipelineError> {
     let _span = preexec_obs::global().span("stage.assisted_sim");
-    try_assisted_sim(program, pthreads, cfg, base)
+    try_sim(program, pthreads, cfg, SimMode::Normal)
 }
 
 /// The p-thread-assisted timing run of `program`, whose base run under
@@ -357,8 +358,11 @@ pub(crate) fn select_stage(
 /// The profiled sample is traced through [`Pipeline::trace`] for
 /// `select_budget` instructions and simulated at that budget for the
 /// IPC the model sees; selection is the pipeline's own serial, screened
-/// call. The returned `base` and `assisted` runs are of `measure_on`
-/// under `cfg`, and `stats` are the profile's.
+/// call. `base` is the reference run's unassisted simulation,
+/// `try_sim(measure_on, &[], cfg, SimMode::Normal)`, which the caller
+/// already has (Figure 7 takes it from its *perfect* bar's run), so it
+/// is not simulated again. The returned `base` and `assisted` runs are
+/// of `measure_on` under `cfg`, and `stats` are the profile's.
 ///
 /// # Errors
 ///
@@ -369,6 +373,7 @@ pub fn try_run_cross_input(
     select_on: &Program,
     select_budget: u64,
     measure_on: &Program,
+    base: &SimResult,
     cfg: &PipelineConfig,
 ) -> Result<PipelineResult, PipelineError> {
     let profile = PipelineConfig {
@@ -381,16 +386,15 @@ pub fn try_run_cross_input(
     };
     cfg.try_validate()?;
     profile.try_validate()?;
-    let base = try_sim(measure_on, &[], cfg, SimMode::Normal)?;
     // IPC presented to the model comes from the *profiled* sample, as a
     // real offline implementation would have it.
     let profile_base = try_sim(select_on, &[], &profile, SimMode::Normal)?;
     let arts = Pipeline::new(select_on).config(profile).trace()?;
     let selection = select_stage(&arts.forest, cfg, profile_base.ipc())?;
-    let assisted = try_assisted_sim(measure_on, &selection.pthreads, cfg, &base)?;
+    let assisted = try_assisted_sim(measure_on, &selection.pthreads, cfg, base)?;
     Ok(PipelineResult {
         stats: arts.stats,
-        base,
+        base: base.clone(),
         selection,
         assisted,
     })
@@ -458,7 +462,8 @@ mod tests {
         let train = w.build(InputSet::Train);
         let test = w.build(InputSet::Test);
         let cfg = quick_cfg();
-        let r = try_run_cross_input(&test, 60_000, &train, &cfg).unwrap();
+        let base = try_sim(&train, &[], &cfg, SimMode::Normal).unwrap();
+        let r = try_run_cross_input(&test, 60_000, &train, &base, &cfg).unwrap();
         // Test-input selection still produces valid p-threads for train.
         assert!(r.base.insts > 0);
         for pt in &r.selection.pthreads {

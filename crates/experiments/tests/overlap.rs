@@ -1,12 +1,14 @@
 //! `Pipeline::run` overlaps the base simulation with trace+slice on a
 //! helper thread, and when the base simulation ends first, simulates a
-//! selection of the forest so far there too. These tests hold it to the
-//! serial toolflow: the stages run one after another by hand must give
-//! byte-identical outputs, whether the speculation hit, missed or was not
-//! attempted, and when both overlapped stages fault, the trace's error is
-//! the one returned, as when the trace ran first. `Debug` formatting
-//! round-trips every `f64` exactly, so string equality below is bitwise
-//! equality.
+//! selection of the forest so far there too. Given artifacts, the helper
+//! simulates a selection guessed from the IPC of the base run's first
+//! sixteenth while the caller runs the whole base simulation. These tests
+//! hold both paths to the serial toolflow: the stages run one after
+//! another by hand must give byte-identical outputs, whether the
+//! speculation hit, missed or was not attempted, and when both overlapped
+//! stages fault, the trace's error is the one returned, as when the trace
+//! ran first. `Debug` formatting round-trips every `f64` exactly, so
+//! string equality below is bitwise equality.
 
 use preexec_core::select_pthreads;
 use preexec_experiments::pipeline::{selection_params, try_sim};
@@ -80,6 +82,40 @@ fn run_equals_its_stages_run_one_after_another() {
     // gcc's test input is L2-resident and selects nothing: the run hands
     // back the base simulation as the assisted one.
     assert!(empty.contains(&"gcc"), "empty selections: {empty:?}");
+}
+
+#[test]
+fn a_run_given_artifacts_equals_its_stages_run_one_after_another() {
+    let spec = PolicySpec {
+        cfg: PipelineConfig::paper_default(20_000),
+        ..PolicySpec::default()
+    };
+    let mut outcomes = Vec::new();
+    for input in [InputSet::Test, InputSet::Train] {
+        for w in suite() {
+            let p = w.build(input);
+            let arts = Pipeline::new(&p).policy(spec).trace().expect("trace");
+            let out = Pipeline::new(&p)
+                .policy(spec)
+                .artifacts(arts.forest, arts.stats)
+                .run()
+                .expect("run");
+            let (want, want_forest) = by_hand(&p, spec);
+            let what = format!("{} {input:?} {:?}", w.name, out.speculation);
+            assert_eq!(format!("{:?}", out.result), format!("{want:?}"), "{what}");
+            assert_eq!(write_forest(&out.forest), want_forest, "{what}");
+            assert!(out.artifacts_reused);
+            assert_eq!(out.stage_us.trace, 0, "{what}");
+            // The helper always guesses, so every run hits or misses.
+            assert_ne!(out.speculation, Speculation::NotAttempted, "{what}");
+            outcomes.push(what);
+        }
+    }
+    // vpr.p's test selection at the early IPC differs from the final one.
+    assert!(
+        outcomes.iter().any(|o| o == "vpr.p Test Miss"),
+        "{outcomes:?}"
+    );
 }
 
 /// A program whose first instruction is an ALU op with no destination,

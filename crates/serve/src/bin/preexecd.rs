@@ -16,7 +16,7 @@ options:
   --port N           shorthand for --addr 127.0.0.1:N
   --workers N        worker threads (default: one per core); each job runs
                      on its worker's thread, plus one helper thread for
-                     its simulations while it traces
+                     part of its simulations, cache hit or not
   --queue-cap N      bounded job-queue capacity (default 256): a submit the
                      queue cannot take now is shed as `overloaded` with a
                      retry_after_ms hint; a batch of more than N jobs is

@@ -67,8 +67,8 @@ pub struct ServerConfig {
     /// is reported by [`Server::local_addr`]).
     pub addr: String,
     /// Worker-pool size (0 means one worker per available core). Each
-    /// job runs on its worker's thread, plus one helper thread for its
-    /// simulations while it traces.
+    /// job runs on its worker's thread, plus one helper thread for part
+    /// of its simulations, cache hit or not.
     pub workers: usize,
     /// Bounded job-queue capacity (at least 1): the one overload wall.
     /// A batch the queue's free slots cannot take is shed as

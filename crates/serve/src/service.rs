@@ -219,9 +219,10 @@ pub struct JobOutput {
 /// assisted sim. Never panics on pipeline faults — they become
 /// [`JobCompletion::Failed`]; watchdog-truncated timing runs become
 /// [`JobCompletion::TimedOut`] with the (valid) result attached. Each
-/// job runs on its worker's thread, except that a job that traces runs
-/// its base simulation on one helper thread meanwhile; selection is
-/// serial.
+/// job runs on its worker's thread, except that one helper thread runs
+/// part of its simulations: the base simulation while a job traces, and
+/// on a cache hit the assisted simulation of a selection guessed from an
+/// early IPC (`Pipeline::run`); selection is serial.
 ///
 /// Note: a trace cut by its instruction budget is the *normal* end of
 /// a run, not a time-out — the pipeline's trace stats never set

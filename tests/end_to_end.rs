@@ -127,7 +127,8 @@ fn fig7_trend_l2_resident_test_inputs_select_nothing() {
         let w = workload(name);
         let train = w.build(InputSet::Train);
         let test = w.build(InputSet::Test);
-        let r = try_run_cross_input(&test, 4 * BUDGET, &train, &cfg()).unwrap();
+        let base = try_sim(&train, &[], &cfg(), SimMode::Normal).unwrap();
+        let r = try_run_cross_input(&test, 4 * BUDGET, &train, &base, &cfg()).unwrap();
         // Cold misses alone cannot justify per-iteration launches; at most
         // a couple of marginal one-shot p-threads appear.
         assert!(
@@ -143,7 +144,7 @@ fn fig7_trend_dynamic_profile_approaches_perfect() {
     let w = workload("vpr.r");
     let train = w.build(InputSet::Train);
     let perfect = run(&train, &cfg());
-    let dynamic = try_run_cross_input(&train, BUDGET / 8, &train, &cfg()).unwrap();
+    let dynamic = try_run_cross_input(&train, BUDGET / 8, &train, &perfect.base, &cfg()).unwrap();
     assert!(
         dynamic.assisted.ipc() > 0.8 * perfect.assisted.ipc(),
         "dynamic {} vs perfect {}",
